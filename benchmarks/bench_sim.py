@@ -1,6 +1,9 @@
 """Compare the pure-Python and compiled closed-loop simulation kernels.
 
-Usage: python benchmarks/bench_sim.py [--repeat N]
+Usage: PYTHONPATH=src python benchmarks/bench_sim.py [--repeat N]
+
+Times every backend that is available (best of --repeat), reports the
+others as unavailable, and byte-compares the outputs when both ran.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ import time
 
 import numpy as np
 
-from resilkit._sim import _fast  # noqa: F401  (import check only)
 from resilkit._sim import backend_name, simulate_batch
+from resilkit.errors import ConfigurationError
 from resilkit.model import (
     ControlSpace,
     StateSpace,
@@ -71,15 +74,27 @@ def main():
         f"case: {policies.shape[0]} policies x {scenarios.shape[0]} scenarios"
         f" x horizon {model.horizon}  ({steps} steps)"
     )
-    t_py, out_py = run("py", dyn, ok, policies, scenarios, x0, args.repeat)
-    print(f"py   backend: {t_py * 1e3:8.2f} ms   {steps / t_py / 1e6:8.2f} Msteps/s")
-    t_fa, out_fa = run("fast", dyn, ok, policies, scenarios, x0, args.repeat)
-    print(f"fast backend: {t_fa * 1e3:8.2f} ms   {steps / t_fa / 1e6:8.2f} Msteps/s")
-    same = np.array_equal(out_py[0], out_fa[0]) and np.array_equal(
-        out_py[1], out_fa[1]
-    )
-    print(f"outputs identical: {same}")
-    print(f"speedup: {t_py / t_fa:.1f}x")
+    times, outputs = {}, {}
+    for backend in ("py", "fast"):
+        try:
+            times[backend], outputs[backend] = run(
+                backend, dyn, ok, policies, scenarios, x0, args.repeat
+            )
+        except ConfigurationError as exc:
+            print(f"{backend:4s} backend: unavailable ({exc})")
+            continue
+        t = times[backend]
+        print(
+            f"{backend:4s} backend: {t * 1e3:8.2f} ms"
+            f"   {steps / t / 1e6:8.2f} Msteps/s"
+        )
+    if len(outputs) == 2:
+        same = all(
+            a.tobytes() == b.tobytes()
+            for a, b in zip(outputs["py"], outputs["fast"])
+        )
+        print(f"outputs identical: {same}")
+        print(f"speedup: {times['py'] / times['fast']:.1f}x")
 
 
 if __name__ == "__main__":

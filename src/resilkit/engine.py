@@ -2,8 +2,10 @@
 
 Backward dynamic programming for the viability family (robust kernel,
 stochastic viability value, layered min-max recovery) and an exhaustive
-strategy search for every other regime. Witness policies use the smallest
-control index on ties so outputs are reproducible.
+strategy search for every other regime. Every recursion, and the cost sweep
+of the DP certificate in optimize, is a sequence of one array-level Bellman
+backup (`_backup`). Witness policies use the smallest control index on ties
+so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import DEFAULT_SCENARIO_CAP, SystemModel, admissible_controls
+from .model import DEFAULT_SCENARIO_CAP, SystemModel, packed_tables
 from .regimes import (
     RobustRecovery,
     StochasticViability,
@@ -57,7 +59,9 @@ class ValueTable:
 
     acceptable: frozenset
     value: np.ndarray  # float64 (K+1, n)
-    witness: np.ndarray  # int32 (K, n), -1 where V = 0
+    # int32 (K, n): -1 outside the acceptable set; inside it the least
+    # admissible control attaining the max, even where V = 0
+    witness: np.ndarray
 
     def resilient_set(self, t, beta):
         return frozenset(np.flatnonzero(self.value[t] >= beta))
@@ -123,6 +127,48 @@ def _uncertainty_ranges(model, domain):
     )
 
 
+def _backup(model, t, ws, target=None, values=None, probs=None, init=0.0,
+            minimize=False):
+    """One Bellman backup at time t for every state at once.
+
+    A control qualifies at x when it is admissible and, if `target` (bool,
+    n) is given, every w in `ws` leads into `target`; the cemetery never
+    does. Without `values` the result is (x has a qualifying control, the
+    least one or -1). With `values` (float64, n) and `probs`, a control
+    scores init + sum of probs[w] * values[F_t(x, u, w)] over `ws`, added
+    one w at a time in ascending order, the cemetery reading 0.0; the result
+    is (the max, or with `minimize` the min, of the scores of qualifying
+    controls, the least control attaining it or -1). Columns w outside `ws`,
+    such as the padding w >= |W_t|, are never read.
+    """
+    dyn, ok = packed_tables(model)
+    n = model.n_states
+    nxt = dyn[t, :n][:, :, list(ws)]  # (n, nu, len(ws))
+    allowed = ok[t, :n].astype(bool)
+    if target is not None:
+        allowed &= np.append(target, False)[nxt].all(axis=2)
+    if values is None:
+        found = allowed.any(axis=1)
+        return found, np.where(found, allowed.argmax(axis=1), -1)
+    reads = np.append(values, 0.0)[nxt]
+    score = init
+    # lanes of controls that do not qualify may read inf (0 * inf is NaN);
+    # they are masked out below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, w in enumerate(ws):
+            score = score + probs[w] * reads[:, :, j]
+    if minimize:
+        # a strict-improvement scan from +inf never picks inf or NaN
+        allowed &= score < math.inf
+        score = np.where(allowed, score, math.inf)
+        pick = score.argmin(axis=1)
+    else:
+        score = np.where(allowed, score, -math.inf)
+        pick = score.argmax(axis=1)
+    rows = np.arange(n)
+    return score[rows, pick], np.where(allowed[rows, pick], pick, -1)
+
+
 def robust_viability_kernel(
     model: SystemModel, acceptable, domain: str = "robust"
 ) -> KernelTable:
@@ -132,23 +178,14 @@ def robust_viability_kernel(
     acceptable = _check_acceptable(model, acceptable)
     ranges = _uncertainty_ranges(model, domain)
     K, n = model.horizon, model.n_states
+    inside = np.isin(np.arange(n), list(acceptable))
     member = np.zeros((K + 1, n), dtype=bool)
     witness = np.full((K, n), -1, dtype=np.int32)
-    for x in acceptable:
-        member[K, x] = True
+    member[K] = inside
     for t in range(K - 1, -1, -1):
-        for x in acceptable:
-            for u in admissible_controls(model, t, x):
-                ok = True
-                for w in ranges[t]:
-                    nxt = model.dynamics[t, x, u, w]
-                    if nxt == model.cemetery or not member[t + 1, nxt]:
-                        ok = False
-                        break
-                if ok:
-                    member[t, x] = True
-                    witness[t, x] = u
-                    break
+        found, u = _backup(model, t, ranges[t], target=member[t + 1])
+        member[t] = inside & found
+        witness[t] = np.where(member[t], u, -1)
     member.setflags(write=False)
     witness.setflags(write=False)
     return KernelTable(acceptable, member, witness, domain)
@@ -168,27 +205,19 @@ def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
             "recursion (it assumes independence across times); use the "
             "membership or oracle path"
         )
+    ranges = _uncertainty_ranges(model, "full")
     K, n = model.horizon, model.n_states
+    inside = np.isin(np.arange(n), list(acceptable))
     value = np.zeros((K + 1, n), dtype=np.float64)
     witness = np.full((K, n), -1, dtype=np.int32)
-    for x in acceptable:
-        value[K, x] = 1.0
+    value[K] = inside
     for t in range(K - 1, -1, -1):
-        probs = model.uncertainty.probs[t]
-        for x in acceptable:
-            best = -1.0
-            best_u = -1
-            for u in admissible_controls(model, t, x):
-                v = 0.0
-                for w in range(model.uncertainty.size(t)):
-                    nxt = model.dynamics[t, x, u, w]
-                    if nxt != model.cemetery:
-                        v += float(probs[w]) * value[t + 1, nxt]
-                if v > best:
-                    best = v
-                    best_u = u
-            value[t, x] = best
-            witness[t, x] = best_u
+        best, u = _backup(
+            model, t, ranges[t], values=value[t + 1],
+            probs=model.uncertainty.probs[t],
+        )
+        value[t] = np.where(inside, best, 0.0)
+        witness[t] = np.where(inside, u, -1)
     value.setflags(write=False)
     witness.setflags(write=False)
     return ValueTable(acceptable, value, witness)
@@ -212,39 +241,19 @@ def robust_recovery_table(
     K, n = model.horizon, model.n_states
     layers = np.zeros((deadline + 1, K + 1, n), dtype=bool)
     layers[0] = kernel.member
-    layer_witness = np.full((deadline + 1, K, n), -1, dtype=np.int32)
+    # a state keeps the control of the layer it first enters
+    witness = kernel.witness.copy()
     for k in range(1, deadline + 1):
         layers[k, K] = layers[k - 1, K]
         for t in range(K):
-            for x in range(n):
-                if layers[k - 1, t, x]:
-                    layers[k, t, x] = True
-                    continue
-                for u in admissible_controls(model, t, x):
-                    ok = True
-                    for w in ranges[t]:
-                        nxt = model.dynamics[t, x, u, w]
-                        if nxt == model.cemetery or not layers[k - 1, t + 1, nxt]:
-                            ok = False
-                            break
-                    if ok:
-                        layers[k, t, x] = True
-                        layer_witness[k, t, x] = u
-                        break
+            found, u = _backup(model, t, ranges[t], target=layers[k - 1, t + 1])
+            entering = found & ~layers[k - 1, t]
+            layers[k, t] = layers[k - 1, t] | found
+            witness[t, entering] = u[entering]
 
     min_layer = np.full((K + 1, n), math.inf, dtype=np.float64)
     for k in range(deadline, -1, -1):
         min_layer[layers[k]] = k
-    witness = np.full((K, n), -1, dtype=np.int32)
-    for t in range(K):
-        for x in range(n):
-            k = min_layer[t, x]
-            if k == math.inf:
-                continue
-            if k == 0:
-                witness[t, x] = kernel.witness[t, x]
-            else:
-                witness[t, x] = layer_witness[int(k), t, x]
     r_star = min_layer[0].copy()
     for arr in (layers, min_layer, witness, r_star):
         arr.setflags(write=False)
@@ -254,15 +263,9 @@ def robust_recovery_table(
 def fill_policy(model, picks, start):
     """Markov strategy from per-(t, x) picks; -1 entries fall back to the
     least admissible control (they are never visited by the witnesses)."""
-    K, n = model.horizon, model.n_states
-    tables = np.zeros((K - start, n), dtype=np.int32)
-    for t in range(start, K):
-        for x in range(n):
-            u = picks[t, x]
-            tables[t - start, x] = (
-                u if u >= 0 else admissible_controls(model, t, x)[0]
-            )
-    return markov_strategy(model, tables, start)
+    picks = picks[start:]
+    least = model.constraints[start:].argmax(axis=2)
+    return markov_strategy(model, np.where(picks >= 0, picks, least), start)
 
 
 def check_resilient(

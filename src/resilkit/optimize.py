@@ -20,9 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import check_resilient, fill_policy, robust_viability_kernel
+from .engine import (
+    _backup,
+    check_resilient,
+    fill_policy,
+    robust_viability_kernel,
+)
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import SystemModel, admissible_controls
+from .model import SystemModel
 from .regimes import StochasticViability, Viability, validate_regime
 from .risk import (
     Composed,
@@ -126,35 +131,17 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
         return OptimizationResult(False, math.inf, None, 0, DP, strategy_class)
     step, terminal = _additive_tables(model, risk.cost)
     K, n = model.horizon, model.n_states
-    value = np.full((K + 1, n), math.inf, dtype=np.float64)
+    value = np.where(kernel.member[K], terminal, math.inf)
     picks = np.full((K, n), -1, dtype=np.int32)
-    for x in range(n):
-        if kernel.member[K, x]:
-            value[K, x] = terminal[x]
     for t in range(K - 1, start - 1, -1):
-        probs = model.uncertainty.probs[t]
-        for x in range(n):
-            if not kernel.member[t, x]:
-                continue
-            best = math.inf
-            best_u = -1
-            for u in admissible_controls(model, t, x):
-                keeps = True
-                for w in range(model.uncertainty.size(t)):
-                    nxt = model.dynamics[t, x, u, w]
-                    if nxt == model.cemetery or not kernel.member[t + 1, nxt]:
-                        keeps = False
-                        break
-                if not keeps:
-                    continue
-                v = step[t, x, u]
-                for w in range(model.uncertainty.size(t)):
-                    v += float(probs[w]) * value[t + 1, model.dynamics[t, x, u, w]]
-                if v < best:
-                    best = v
-                    best_u = u
-            value[t, x] = best
-            picks[t, x] = best_u
+        # cheapest among the controls that keep every w inside the kernel
+        best, u = _backup(
+            model, t, range(model.uncertainty.size(t)),
+            target=kernel.member[t + 1], values=value,
+            probs=model.uncertainty.probs[t], init=step[t], minimize=True,
+        )
+        value = np.where(kernel.member[t], best, math.inf)
+        picks[t] = np.where(kernel.member[t], u, -1)
     strategy = fill_policy(model, picks, start)
     bundle = build_bundle(model, strategy, x0, start=start, robust_only=False)
     reported = evaluate_risk(model, risk, bundle)

@@ -348,3 +348,243 @@ def test_fill_policy_backfills_least_admissible():
     for pol in strat.policies:
         assert pol.table.tolist() == [1, 0]
     assert rk.is_admissible(model, strat)
+
+
+# ----------------------------------------- loop reference for the backup
+#
+# The per-cell loops the array-level backup replaced, kept here as the
+# reference: the tables must match them byte for byte.
+
+
+def _loop_kernel(model, acceptable, ranges):
+    K, n = model.horizon, model.n_states
+    member = np.zeros((K + 1, n), dtype=bool)
+    witness = np.full((K, n), -1, dtype=np.int32)
+    for x in acceptable:
+        member[K, x] = True
+    for t in range(K - 1, -1, -1):
+        for x in acceptable:
+            for u in rk.admissible_controls(model, t, x):
+                ok = True
+                for w in ranges[t]:
+                    nxt = model.dynamics[t, x, u, w]
+                    if nxt == model.cemetery or not member[t + 1, nxt]:
+                        ok = False
+                        break
+                if ok:
+                    member[t, x] = True
+                    witness[t, x] = u
+                    break
+    return member, witness
+
+
+def _loop_value(model, acceptable):
+    K, n = model.horizon, model.n_states
+    value = np.zeros((K + 1, n), dtype=np.float64)
+    witness = np.full((K, n), -1, dtype=np.int32)
+    for x in acceptable:
+        value[K, x] = 1.0
+    for t in range(K - 1, -1, -1):
+        probs = model.uncertainty.probs[t]
+        for x in acceptable:
+            best = -1.0
+            best_u = -1
+            for u in rk.admissible_controls(model, t, x):
+                v = 0.0
+                for w in range(model.uncertainty.size(t)):
+                    nxt = model.dynamics[t, x, u, w]
+                    if nxt != model.cemetery:
+                        v += float(probs[w]) * value[t + 1, nxt]
+                if v > best:
+                    best = v
+                    best_u = u
+            value[t, x] = best
+            witness[t, x] = best_u
+    return value, witness
+
+
+def _loop_recovery(model, acceptable, deadline):
+    ranges = model.uncertainty.robust
+    kernel_member, kernel_witness = _loop_kernel(model, acceptable, ranges)
+    K, n = model.horizon, model.n_states
+    layers = np.zeros((deadline + 1, K + 1, n), dtype=bool)
+    layers[0] = kernel_member
+    layer_witness = np.full((deadline + 1, K, n), -1, dtype=np.int32)
+    for k in range(1, deadline + 1):
+        layers[k, K] = layers[k - 1, K]
+        for t in range(K):
+            for x in range(n):
+                if layers[k - 1, t, x]:
+                    layers[k, t, x] = True
+                    continue
+                for u in rk.admissible_controls(model, t, x):
+                    ok = True
+                    for w in ranges[t]:
+                        nxt = model.dynamics[t, x, u, w]
+                        if nxt == model.cemetery or not layers[k - 1, t + 1, nxt]:
+                            ok = False
+                            break
+                    if ok:
+                        layers[k, t, x] = True
+                        layer_witness[k, t, x] = u
+                        break
+    min_layer = np.full((K + 1, n), math.inf, dtype=np.float64)
+    for k in range(deadline, -1, -1):
+        min_layer[layers[k]] = k
+    witness = np.full((K, n), -1, dtype=np.int32)
+    for t in range(K):
+        for x in range(n):
+            k = min_layer[t, x]
+            if k == math.inf:
+                continue
+            if k == 0:
+                witness[t, x] = kernel_witness[t, x]
+            else:
+                witness[t, x] = layer_witness[int(k), t, x]
+    return layers, min_layer, witness, min_layer[0].copy()
+
+
+def _loop_fill_policy(model, picks, start):
+    K, n = model.horizon, model.n_states
+    tables = np.zeros((K - start, n), dtype=np.int32)
+    for t in range(start, K):
+        for x in range(n):
+            u = picks[t, x]
+            tables[t - start, x] = (
+                u if u >= 0 else rk.admissible_controls(model, t, x)[0]
+            )
+    return tables
+
+
+def _loop_dp_tables(model, acceptable, start, step, terminal):
+    full = [range(model.uncertainty.size(t)) for t in range(model.horizon)]
+    member, _ = _loop_kernel(model, acceptable, full)
+    K, n = model.horizon, model.n_states
+    value = np.full((K + 1, n), math.inf, dtype=np.float64)
+    picks = np.full((K, n), -1, dtype=np.int32)
+    for x in range(n):
+        if member[K, x]:
+            value[K, x] = terminal[x]
+    for t in range(K - 1, start - 1, -1):
+        probs = model.uncertainty.probs[t]
+        for x in range(n):
+            if not member[t, x]:
+                continue
+            best = math.inf
+            best_u = -1
+            for u in rk.admissible_controls(model, t, x):
+                keeps = True
+                for w in range(model.uncertainty.size(t)):
+                    nxt = model.dynamics[t, x, u, w]
+                    if nxt == model.cemetery or not member[t + 1, nxt]:
+                        keeps = False
+                        break
+                if not keeps:
+                    continue
+                v = step[t, x, u]
+                for w in range(model.uncertainty.size(t)):
+                    v += float(probs[w]) * value[t + 1, model.dynamics[t, x, u, w]]
+                if v < best:
+                    best = v
+                    best_u = u
+            value[t, x] = best
+            picks[t, x] = best_u
+    return member, _loop_fill_policy(model, picks, start)
+
+
+def _padded_twin(rng, model):
+    """The same model with out-of-range values in the padding w >= |W_t|,
+    which no recursion may read; None when no time has padding."""
+    dyn = np.array(model.dynamics)
+    fills = np.array([-7, model.n_states + 5, 2**31 - 1], dtype=np.int64)
+    padded = False
+    for t in range(model.horizon):
+        pad = dyn[t, :, :, model.uncertainty.size(t):]
+        if pad.size:
+            pad[...] = rng.choice(fills, size=pad.shape)
+            padded = True
+    if not padded:
+        return None
+    return rk.SystemModel(
+        model.time, model.states, model.controls, model.uncertainty,
+        dyn, model.constraints,
+    )
+
+
+def _random_additive_cost(rng, model, acc):
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return rk.TimeOutside(acc)
+    if kind == 1:
+        return rk.ControlEffort(tuple(rng.normal(size=nu)))
+    if kind == 2:
+        return rk.TerminalMiss(acc)
+    return rk.TabularCost(rng.normal(size=(K + 1, n)), rng.normal(size=(K, nu)))
+
+
+def _same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_backup_matches_loop_recursions_bytewise():
+    rng = np.random.default_rng(20261018)
+    twins = 0
+    for _ in range(240):
+        model = random_model(
+            rng, max_states=6, max_controls=3, max_w=3, max_horizon=4,
+            with_probs=True, with_robust=bool(rng.integers(2)),
+            cemetery_rate=0.2,
+        )
+        acc = random_acceptable(rng, model)
+        K = model.horizon
+        start = int(rng.integers(K))
+        x0 = int(rng.integers(model.n_states))
+        risk = rk.Composed(_random_additive_cost(rng, model, acc), rk.Expectation())
+        step, terminal = rk.optimize._additive_tables(model, risk.cost)
+
+        full = [range(model.uncertainty.size(t)) for t in range(K)]
+        want_kernel = {
+            "robust": _loop_kernel(model, acc, model.uncertainty.robust),
+            "full": _loop_kernel(model, acc, full),
+        }
+        want_value = _loop_value(model, acc)
+        want_recovery = [_loop_recovery(model, acc, d) for d in range(K + 1)]
+        dp_member, dp_tables = _loop_dp_tables(model, acc, start, step, terminal)
+
+        twin = _padded_twin(rng, model)
+        twins += twin is not None
+        for m in (model, twin) if twin is not None else (model,):
+            for domain, want in want_kernel.items():
+                got = rk.robust_viability_kernel(m, acc, domain=domain)
+                _same_bytes((got.member, got.witness), want)
+            got = rk.stochastic_viability_value(m, acc)
+            _same_bytes((got.value, got.witness), want_value)
+            for d, want in enumerate(want_recovery):
+                got = rk.robust_recovery_table(m, acc, d)
+                _same_bytes(
+                    (got.layers, got.min_layer, got.witness, got.r_star), want
+                )
+            out = rk.minimize_risk(
+                m, x0, start, rk.Viability(acc), risk, method="dp"
+            )
+            assert out.resilient == bool(dp_member[start, x0])
+            if out.resilient:
+                _same_bytes(
+                    [np.asarray(p.table) for p in out.strategy.policies],
+                    list(dp_tables),
+                )
+                want_strategy = rk.markov_strategy(model, dp_tables, start)
+                bundle = rk.build_bundle(
+                    model, want_strategy, x0, start=start, robust_only=False
+                )
+                want_risk = rk.evaluate_risk(model, risk, bundle)
+                assert (
+                    np.float64(out.value).tobytes()
+                    == np.float64(want_risk).tobytes()
+                )
+    # most draws have ragged |W_t|, so the padding guard is exercised
+    assert twins >= 100
