@@ -3,8 +3,9 @@
 Usage: PYTHONPATH=src python benchmarks/bench_dp.py [--repeat N] [--out PATH]
 
 Runs the robust and full-domain viability kernel, the stochastic viability
-value and the robust recovery table (deadline 5) on a synthetic
-clip-dynamics model for every size in the grid, keeps the best of --repeat
+value, the robust recovery table (deadline 5) and the DP certificate of
+minimize_risk (method="dp") on a synthetic clip-dynamics model for every
+size in the grid, keeps the best of --repeat
 wall times per recursion, and writes them to --out (default BENCH_dp.json at
 the repository root) with the machine, the numpy version, the simulation
 backend and a sha256 of every output array, so that two versions of the
@@ -19,6 +20,7 @@ import json
 import os
 import platform
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +66,22 @@ def build_case(n, nu, K, seed=0):
     return model, frozenset(range(lo, lo + (3 * n) // 5))
 
 
+def optimize_dp(model, acceptable):
+    """minimize_risk's DP certificate from the middle state: the least
+    expected seeded tabular cost while staying in `acceptable`. Returns the
+    policy array and the value, for hashing."""
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    rng = np.random.default_rng([n, nu, K])
+    cost = rk.TabularCost(rng.random((K + 1, n)).round(3),
+                          rng.random((K, nu)).round(3))
+    out = rk.minimize_risk(model, n // 2, 0, rk.Viability(acceptable),
+                           rk.Composed(cost, rk.Expectation()), method="dp")
+    return SimpleNamespace(
+        policy=rk.markov_policy_array(model, out.strategy),
+        value=np.asarray(out.value, dtype=np.float64),
+    )
+
+
 RECURSIONS = {
     "kernel_robust": (
         lambda m, a: rk.robust_viability_kernel(m, a, domain="robust"),
@@ -81,6 +99,7 @@ RECURSIONS = {
         lambda m, a: rk.robust_recovery_table(m, a, DEADLINE),
         ("layers", "min_layer", "witness", "r_star"),
     ),
+    "optimize_dp": (optimize_dp, ("policy", "value")),
 }
 
 

@@ -1,0 +1,175 @@
+"""Time the exhaustive scan of minimize_risk against the class it decides.
+
+Usage: PYTHONPATH=src python benchmarks/bench_scan.py [--repeat N] [--out PATH]
+
+Runs minimize_risk(method="exhaustive") on models/m1_benign.model from every
+state, and on three reservoir models (level + inflow - drawdown, the shapes
+of perfbench's scan workload) from both end states under four regime/risk
+pairs, each with jobs 1 and 2. For every case it records the size of the
+strategy class, how many strategies the scan checked (calls of
+check_resilient), `examined`, the best of --repeat wall times per jobs
+value, class members decided per second, strategies checked per second, and
+a sha256 of the result (value bits, examined, certificate, strategy tables),
+so two versions of the scan can be compared on speed and shown to give the
+same answers. Writes --out (default BENCH_scan.json at the repository root)
+with the machine, the numpy version and the simulation backend.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import time
+
+import numpy as np
+
+import resilkit as rk
+from bench_dp import cpu_model
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# (n, nu, K, drawdown, calm probability), as in perfbench's scan workload
+RESERVOIRS = ((5, 2, 2, 1, 0.75), (3, 3, 2, 2, 0.625), (3, 2, 3, 1, 0.5))
+JOBS = (1, 2)
+
+
+def reservoir(n, nu, K, drawdown, calm, seed=0):
+    """Level + inflow control - drawdown, clipped to 0..n-1; the seed orders
+    the two noise labels per time and prices the controls. Overfilling a
+    full reservoir is inadmissible."""
+    rng = np.random.default_rng([seed, n, nu, K])
+    order = np.stack([rng.permutation(2) for _ in range(K)])
+    shift = -np.where(order == 0, 0, drawdown)
+    x = np.arange(n)[None, :, None, None]
+    u = np.arange(nu)[None, None, :, None]
+    dyn = np.clip(x + u + shift[:, None, None, :], 0, n - 1).astype(np.int32)
+    con = np.ones((K, n, nu), dtype=bool)
+    con[:, n - 1, nu - 1] = False
+    probs = tuple(tuple(np.where(o == 0, calm, 1 - calm)) for o in order)
+    robust = tuple((int(np.flatnonzero(o == 0)[0]),) for o in order)
+    model = rk.SystemModel(
+        rk.TimeGrid(K),
+        rk.StateSpace(tuple(str(i) for i in range(n))),
+        rk.ControlSpace(tuple(str(i) for i in range(nu))),
+        rk.UncertaintyStructure((("0", "1"),) * K, probs, robust),
+        dyn,
+        con,
+    )
+    A = frozenset(range((n + 1) // 2, n))
+    R = frozenset(range(1, n))
+    combos = {
+        "rr": (rk.RobustRecovery(A, K),
+               rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
+        "bd": (rk.Bounded(R), rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
+        "ak": (rk.AtMostKExits(R, 1), rk.Exceedance(A)),
+        "pe": (rk.ProbExcursion(R, 0.5),
+               rk.Composed(rk.ControlEffort(tuple(rng.random(nu).round(3))),
+                           rk.CVaR(0.75))),
+    }
+    return model, combos
+
+
+def cases():
+    """(name, model, x0, regime, risk) for every timed scan."""
+    with open(os.path.join(ROOT, "models", "m1_benign.model"),
+              encoding="utf-8") as fh:
+        parsed = rk.parse_model(fh.read())
+    for x0 in range(parsed.model.n_states):
+        yield "m1_benign", parsed.model, x0, parsed.regime, parsed.risk
+    for shape in RESERVOIRS:
+        model, combos = reservoir(*shape)
+        name = "reservoir n={} nu={} K={}".format(*shape[:3])
+        for x0 in (0, model.n_states - 1):
+            for key, (regime, risk) in combos.items():
+                yield f"{name} {key}", model, x0, regime, risk
+
+
+def sha256(result):
+    h = hashlib.sha256()
+    h.update(repr((result.resilient, float(result.value).hex(),
+                   result.examined, result.certificate,
+                   result.strategy_class)).encode())
+    if result.strategy is not None:
+        for pol in result.strategy.policies:
+            h.update(f"{pol.t}:{pol.kind}:{pol.table.shape}".encode())
+            h.update(np.ascontiguousarray(pol.table).tobytes())
+    return h.hexdigest()
+
+
+def scan(model, x0, regime, risk, jobs):
+    """(result, strategies checked) of one exhaustive minimize_risk."""
+    checked = 0
+    check = rk.optimize.check_resilient
+
+    def counting(*args, **kwargs):
+        nonlocal checked
+        checked += 1
+        return check(*args, **kwargs)
+
+    rk.optimize.check_resilient = counting
+    try:
+        result = rk.minimize_risk(model, x0, 0, regime, risk,
+                                  method="exhaustive", jobs=jobs)
+    finally:
+        rk.optimize.check_resilient = check
+    return result, checked
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_scan.json"))
+    args = ap.parse_args()
+
+    out_cases = []
+    for name, model, x0, regime, risk in cases():
+        result, checked = scan(model, x0, regime, risk, 1)
+        case = {"name": name, "x0": x0,
+                "class_size": rk.count_strategies(model, rk.MARKOV, 0),
+                "scanned": checked, "examined": result.examined,
+                "best_s": {}, "class_per_s": {}, "scanned_per_s": {},
+                "sha256": sha256(result)}
+        for jobs in JOBS:
+            best = float("inf")
+            for _ in range(args.repeat):
+                t0 = time.perf_counter()
+                result = rk.minimize_risk(model, x0, 0, regime, risk,
+                                          method="exhaustive", jobs=jobs)
+                best = min(best, time.perf_counter() - t0)
+            if sha256(result) != case["sha256"]:
+                raise SystemExit(f"{name} x0={x0}: jobs={jobs} changes the "
+                                 "result")
+            key = f"jobs{jobs}"
+            case["best_s"][key] = best
+            case["class_per_s"][key] = case["class_size"] / best
+            case["scanned_per_s"][key] = checked / best
+        case["jobs2_over_jobs1"] = case["best_s"]["jobs2"] / case["best_s"]["jobs1"]
+        print(f"{name:26s} x0={x0}  class {case['class_size']:5d}  scanned "
+              f"{checked:5d}  jobs1 {case['best_s']['jobs1']:8.4f} s  jobs2 "
+              f"{case['best_s']['jobs2']:8.4f} s  {case['sha256'][:12]}",
+              flush=True)
+        out_cases.append(case)
+
+    out = {
+        "layer": "scan",
+        "machine": {
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "numpy": np.__version__,
+        "backend": rk.backend_name(),
+        "repeat": args.repeat,
+        "cases": out_cases,
+    }
+    with open(args.out, "w") as f:
+        json.dump(out, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {args.out}")
+
+
+if __name__ == "__main__":
+    main()

@@ -30,8 +30,9 @@ from .strategy import (
     Strategy,
     build_bundle,
     count_strategies,
-    enumerate_strategies,
     markov_strategy,
+    rank_layout,
+    strategy_from_rank,
 )
 
 
@@ -302,7 +303,10 @@ def resilient_states(
 
     Viability, RobustRecovery, and StochasticViability dispatch to the
     backward recursions (exact for both strategy classes); every other
-    regime is decided by exhaustive search over the declared class.
+    regime is decided by exhaustive search over the declared class, which
+    visits one representative per class of strategies that agree on the
+    policy slots reachable from x0 (strategy.rank_layout). The cap applies
+    to the size of the whole class.
     """
     validate_regime(model, regime)
     if not 0 <= start <= model.horizon:
@@ -341,15 +345,20 @@ def resilient_states(
             f"{total} {strategy_class} strategies exceed cap {cap}; "
             "viability-family regimes dispatch to exact recursions instead"
         )
+    # each x0's witness is its least-rank resilient strategy, which is the
+    # first resilient representative; equal witnesses share one object
     witnesses = {}
-    pending = set(range(model.n_states))
-    for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
-        if not pending:
-            break
-        for x0 in sorted(pending):
+    by_rank = {}
+    for x0 in range(model.n_states):
+        layout = rank_layout(model, x0, strategy_class, start)
+        for i in range(layout.size):
+            rank = layout.rank(i)
+            strat = by_rank.get(rank) or strategy_from_rank(
+                model, rank, strategy_class, start
+            )
             if check_resilient(model, strat, x0, start, regime, cap=scenario_cap):
-                witnesses[x0] = strat
-                pending.discard(x0)
+                witnesses[x0] = by_rank.setdefault(rank, strat)
+                break
     return ResilientSet(
         start, regime, strategy_class, frozenset(witnesses), witnesses,
         "exhaustive",

@@ -1,12 +1,22 @@
 """Risk-minimizing selection among resilient strategies.
 
-The certified path enumerates the whole strategy class, keeps the
-lexicographically least strict minimizer, and reports exactly the value
-evaluate_risk assigns to the reported strategy. A documented dynamic
-programming fast path covers the one family where constrained DP is exact:
-a surely-viable regime with an additive expected cost. There, controls are
-first restricted at each (t, x) to the kernel-preserving ones, then a
-standard cost recursion picks the cheapest.
+The certified path scans the strategy class and keeps the lexicographically
+least strict minimizer, reporting exactly the value evaluate_risk assigns to
+the reported strategy. Strategies that differ only on policy slots no
+closed-loop path from x0 reaches give identical bundles, so the scan visits
+one representative per such class, its least rank (see
+strategy.rank_layout); answers, ties and `examined` are those of the full
+scan.
+
+A documented dynamic programming fast path covers the one family where
+constrained DP is exact: a surely-viable regime with an additive expected
+cost. There, controls are first restricted at each (t, x) to the
+kernel-preserving ones, then a standard cost recursion picks the cheapest.
+The reported value is the recursion's own value at (start, x0), the
+expected cost of the reported policy, computed without enumerating
+scenarios: bit-exact with evaluate_risk where the probabilities are dyadic,
+within 1e-12 otherwise (the recursion groups the sum over scenarios
+differently).
 
 An empty feasible set is an answer, not an error: the result carries
 resilient=False and value +inf.
@@ -45,6 +55,7 @@ from .strategy import (
     Strategy,
     build_bundle,
     count_strategies,
+    rank_layout,
     strategy_from_rank,
 )
 
@@ -56,9 +67,12 @@ DP = "dp"
 class OptimizationResult:
     """Outcome of minimize_risk.
 
-    value equals evaluate_risk of the reported strategy's bundle (bit-exact
-    in exhaustive mode); examined counts the resilient strategies evaluated
-    (0 for the DP certificate, which never enumerates)."""
+    value equals evaluate_risk of the reported strategy's bundle: bit-exact
+    in exhaustive mode; for the DP certificate, bit-exact where the
+    probabilities are dyadic and within 1e-12 otherwise. examined counts the
+    resilient members of the strategy class, each scanned representative
+    standing for its whole class (0 for the DP certificate, which never
+    enumerates)."""
 
     resilient: bool
     value: float
@@ -143,18 +157,20 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
         value = np.where(kernel.member[t], best, math.inf)
         picks[t] = np.where(kernel.member[t], u, -1)
     strategy = fill_policy(model, picks, start)
-    bundle = build_bundle(model, strategy, x0, start=start, robust_only=False)
-    reported = evaluate_risk(model, risk, bundle)
-    return OptimizationResult(True, reported, strategy, 0, DP, strategy_class)
+    # the sweep's value is the reported policy's expected cost: every state
+    # it reaches from x0 is in the kernel, where it plays the picked control
+    return OptimizationResult(
+        True, float(value[x0]), strategy, 0, DP, strategy_class
+    )
 
 
-def _scan_ranks(model, x0, start, regime, risk, strategy_class, lo, hi):
-    """Scan ranks lo..hi-1; return (value, rank, examined) of the first
-    strict minimizer in the block (rank -1 when none is resilient)."""
+def _scan_ranks(model, x0, start, regime, risk, strategy_class, ranks):
+    """Scan the given ranks, ascending; return (value, rank, examined) of
+    the first strict minimizer (rank -1 when none is resilient)."""
     best = math.inf
     best_rank = -1
     examined = 0
-    for rank in range(lo, hi):
+    for rank in ranks:
         strat = strategy_from_rank(model, rank, strategy_class, start)
         if not check_resilient(model, strat, x0, start, regime):
             continue
@@ -195,36 +211,33 @@ def minimize_risk(
 
     total = count_strategies(model, strategy_class, start)
     if total > cap:
+        reason = f" (no DP certificate: {unsupported})" if unsupported else ""
         raise CapacityError(
-            f"{total} {strategy_class} strategies exceed cap {cap}"
+            f"exhaustive scan: {total} {strategy_class} strategies exceed "
+            f"cap {cap}{reason}"
+        )
+
+    layout = rank_layout(model, x0, strategy_class, start)
+
+    def scan(block):
+        return _scan_ranks(
+            model, x0, start, regime, risk, strategy_class,
+            map(layout.rank, block),
         )
 
     if jobs <= 1:
-        best, best_rank, examined = _scan_ranks(
-            model, x0, start, regime, risk, strategy_class, 0, total
-        )
+        results = [scan(range(layout.size))]
     else:
-        chunk = max(1, -(-total // (jobs * 8)))
-        blocks = [
-            (lo, min(total, lo + chunk)) for lo in range(0, total, chunk)
-        ]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda b: _scan_ranks(
-                        model, x0, start, regime, risk, strategy_class, *b
-                    ),
-                    blocks,
-                )
-            )
-        best = math.inf
-        best_rank = -1
-        examined = 0
-        for value, rank, count in results:  # blocks are in rank order
-            examined += count
-            if rank >= 0 and (best_rank < 0 or value < best):
-                best = value
-                best_rank = rank
+            results = list(pool.map(scan, layout.blocks(jobs * 8)))
+    best = math.inf
+    best_rank = -1
+    examined = 0
+    for value, rank, count in results:  # blocks are in rank order
+        examined += count * layout.class_size
+        if rank >= 0 and (best_rank < 0 or value < best):
+            best = value
+            best_rank = rank
 
     if best_rank < 0:
         return OptimizationResult(

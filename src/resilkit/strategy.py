@@ -25,6 +25,7 @@ from .model import (
     DEFAULT_SCENARIO_CAP,
     SystemModel,
     enumerate_scenarios,
+    packed_tables,
     step,
 )
 
@@ -319,6 +320,81 @@ def strategy_from_rank(
         digits.append(d)
     digits.reverse()
     return _strategy_from_digits(model, kind, start, digits)
+
+
+@dataclass(frozen=True)
+class RankLayout:
+    """The strategies a closed-loop scan from one initial state tells apart.
+
+    A policy slot (t, x), or (t, x, prefix) for adapted strategies, is
+    reachable when some admissible controls and some full-domain scenario
+    lead from x0 at `start` to x at t (after that prefix). Strategies that
+    agree on every reachable slot give identical bundles from x0, over the
+    full scenario set and any subset of it, so they share resilience and
+    risk. Each such class is represented by its least rank, the member with
+    control 0 on every unreachable slot. Representative i sets the reachable
+    slots to the base-nu digits of i, so representatives ascend in rank
+    with i.
+    """
+
+    n_controls: int
+    weights: tuple  # place value in the rank of each reachable slot, in slot order
+    pruned: int  # number of unreachable slots
+
+    @property
+    def size(self):
+        """Number of representatives."""
+        return self.n_controls ** len(self.weights)
+
+    @property
+    def class_size(self):
+        """Strategies each representative stands for."""
+        return self.n_controls**self.pruned
+
+    def rank(self, i):
+        """Strategy rank of representative i."""
+        rank = 0
+        for weight in reversed(self.weights):
+            i, digit = divmod(i, self.n_controls)
+            rank += digit * weight
+        return rank
+
+    def blocks(self, parts):
+        """Consecutive ranges of representatives, at most `parts` of them,
+        in rank order."""
+        total = self.size
+        chunk = max(1, -(-total // parts))
+        return [range(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
+
+
+def rank_layout(
+    model: SystemModel, x0: int, kind: str = MARKOV, start: int = 0
+) -> RankLayout:
+    """Reachable policy slots from x0 at `start`, in the slot order of
+    strategy_from_rank. A Markov slot (t, x) is reachable when x is reached
+    after some prefix; the padding w >= |W_t| is never read."""
+    if kind not in (MARKOV, ADAPTED):
+        raise InputError(f"unknown strategy kind {kind!r}")
+    dyn, ok = packed_tables(model)
+    n = model.n_states
+    # here[p, x]: x is reached at time t after prefix p (Markov: any prefix)
+    here = np.zeros((1, n), dtype=bool)
+    here[0, x0] = True
+    reach = []
+    for t in range(start, model.horizon):
+        reach.append(here.T.ravel())  # table order: state, then prefix
+        nw = model.uncertainty.size(t)
+        p, x, u = np.nonzero(here[:, :, None] & ok[t, None, :n].astype(bool))
+        nxt = np.zeros((here.shape[0], nw, n + 1), dtype=bool)
+        nxt[p[:, None], np.arange(nw), dyn[t, x, u, :nw]] = True
+        here = nxt[:, :, :n].reshape(-1, n)  # prefix p then w ranks p*nw + w
+        if kind == MARKOV:
+            here = here.any(axis=0, keepdims=True)
+    reachable = np.concatenate(reach) if reach else np.zeros(0, dtype=bool)
+    slots = reachable.size
+    nu = model.n_controls
+    weights = tuple(nu ** (slots - 1 - int(s)) for s in np.flatnonzero(reachable))
+    return RankLayout(nu, weights, slots - len(weights))
 
 
 def enumerate_strategies(

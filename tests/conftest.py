@@ -136,3 +136,22 @@ def random_strategy(rng, model, kind=rk.MARKOV, start=0):
             )
         policies.append(rk.Policy(t, kind, table))
     return rk.Strategy(start, tuple(policies))
+
+
+def padded_twin(rng, model):
+    """The same model with out-of-range values in the padding w >= |W_t|,
+    which no recursion may read; None when no time has padding."""
+    dyn = np.array(model.dynamics)
+    fills = np.array([-7, model.n_states + 5, 2**31 - 1], dtype=np.int64)
+    padded = False
+    for t in range(model.horizon):
+        pad = dyn[t, :, :, model.uncertainty.size(t):]
+        if pad.size:
+            pad[...] = rng.choice(fills, size=pad.shape)
+            padded = True
+    if not padded:
+        return None
+    return rk.SystemModel(
+        model.time, model.states, model.controls, model.uncertainty,
+        dyn, model.constraints,
+    )

@@ -11,6 +11,7 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    padded_twin,
     random_acceptable,
     random_model,
 )
@@ -334,6 +335,50 @@ def test_exhaustive_agrees_with_kernel_on_bounded():
         checked += 1
 
 
+def test_pruned_exhaustive_resilient_states_match_the_oracle():
+    # each x0 scans one strategy per class agreeing on the policy slots
+    # reachable from it; the object-path oracle scans the whole class
+    rng = np.random.default_rng(6502)
+    twins = members = shared = 0
+    for i in range(60):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        markov = kind == rk.MARKOV
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=3 if markov else 2,
+            max_horizon=3 if markov else 2,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        region = random_acceptable(rng, model)
+        regime = (
+            rk.Bounded(region),
+            rk.AtMostKExits(region, 1),
+            rk.ProbExcursion(region, 0.5),
+        )[(i // 2) % 3]
+        start = int(rng.integers(model.horizon + 1))
+        want = rk.oracle_resilient_states(
+            model, start, regime, kind, force_object=True
+        )
+        members += len(want.members)
+        twin = padded_twin(rng, model)
+        twins += twin is not None
+        for m in (model, twin) if twin is not None else (model,):
+            got = rk.resilient_states(m, start, regime, kind)
+            assert got.method == "exhaustive"
+            assert got.members == want.members
+            for x0 in want.members:
+                assert rk.strategies_equal(got.witnesses[x0], want.witnesses[x0])
+            # equal witnesses are one object, as in a single rank-order scan
+            ids = {}
+            for x0 in sorted(got.members):
+                strat = got.witnesses[x0]
+                for other in ids.values():
+                    if rk.strategies_equal(strat, other):
+                        assert strat is other
+                ids[id(strat)] = strat
+            shared += len(got.members) - len(ids)
+    assert twins >= 18 and members >= 60 and shared >= 30
+
+
 def test_fill_policy_backfills_least_admissible():
     model = rk.make_model(
         horizon=2,
@@ -489,26 +534,7 @@ def _loop_dp_tables(model, acceptable, start, step, terminal):
                     best_u = u
             value[t, x] = best
             picks[t, x] = best_u
-    return member, _loop_fill_policy(model, picks, start)
-
-
-def _padded_twin(rng, model):
-    """The same model with out-of-range values in the padding w >= |W_t|,
-    which no recursion may read; None when no time has padding."""
-    dyn = np.array(model.dynamics)
-    fills = np.array([-7, model.n_states + 5, 2**31 - 1], dtype=np.int64)
-    padded = False
-    for t in range(model.horizon):
-        pad = dyn[t, :, :, model.uncertainty.size(t):]
-        if pad.size:
-            pad[...] = rng.choice(fills, size=pad.shape)
-            padded = True
-    if not padded:
-        return None
-    return rk.SystemModel(
-        model.time, model.states, model.controls, model.uncertainty,
-        dyn, model.constraints,
-    )
+    return member, _loop_fill_policy(model, picks, start), value
 
 
 def _random_additive_cost(rng, model, acc):
@@ -553,9 +579,11 @@ def test_backup_matches_loop_recursions_bytewise():
         }
         want_value = _loop_value(model, acc)
         want_recovery = [_loop_recovery(model, acc, d) for d in range(K + 1)]
-        dp_member, dp_tables = _loop_dp_tables(model, acc, start, step, terminal)
+        dp_member, dp_tables, dp_value = _loop_dp_tables(
+            model, acc, start, step, terminal
+        )
 
-        twin = _padded_twin(rng, model)
+        twin = padded_twin(rng, model)
         twins += twin is not None
         for m in (model, twin) if twin is not None else (model,):
             for domain, want in want_kernel.items():
@@ -577,14 +605,17 @@ def test_backup_matches_loop_recursions_bytewise():
                     [np.asarray(p.table) for p in out.strategy.policies],
                     list(dp_tables),
                 )
+                assert (
+                    np.float64(out.value).tobytes()
+                    == dp_value[start, x0].tobytes()
+                )
+                # the DP value contract: the expected cost of the reported
+                # policy to within 1e-12
                 want_strategy = rk.markov_strategy(model, dp_tables, start)
                 bundle = rk.build_bundle(
                     model, want_strategy, x0, start=start, robust_only=False
                 )
                 want_risk = rk.evaluate_risk(model, risk, bundle)
-                assert (
-                    np.float64(out.value).tobytes()
-                    == np.float64(want_risk).tobytes()
-                )
+                assert out.value == pytest.approx(want_risk, abs=1e-12)
     # most draws have ragged |W_t|, so the padding guard is exercised
     assert twins >= 100

@@ -2,6 +2,7 @@
 tie-break order, parallel block scans, and the fast-path eligibility rules."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    padded_twin,
     random_acceptable,
     random_model,
 )
 
 A = M1_ACCEPTABLE
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 EFFORT = rk.Composed(rk.ControlEffort(), rk.Expectation())
 
@@ -209,3 +212,153 @@ def test_adapted_class_beats_markov_under_correlation():
 def test_indicator_reports_the_minimized_value(m1):
     assert rk.resilience_indicator(m1, 2, sure_viability(), EFFORT) == 2.0
     assert rk.resilience_indicator(m1, 0, rk.Viability(A), EFFORT) == math.inf
+
+
+def _scan_regime_and_risk(rng, model, acc, which):
+    """One regime decided by the exhaustive scan, with a risk measure."""
+    if which == 0:
+        return rk.Bounded(acc), rk.Composed(
+            rk.TimeOutside(acc, cemetery_penalty=5.0), rk.WorstCase()
+        )
+    if which == 1:
+        return rk.AtMostKExits(acc, 1), rk.Exceedance(acc)
+    if which == 2:
+        rates = tuple(float(r) for r in rng.integers(0, 4, model.n_controls))
+        return rk.ProbExcursion(acc, 0.5), rk.Composed(
+            rk.ControlEffort(rates), rk.CVaR(0.5)
+        )
+    deadline = int(rng.integers(model.horizon + 1))
+    return rk.RobustRecovery(acc, deadline), rk.Composed(
+        rk.RecoveryOffset(acc), rk.WorstCase()
+    )
+
+
+def test_pruned_scan_matches_the_oracle():
+    # the scan visits one strategy per class agreeing on the reachable
+    # policy slots; the oracle enumerates the whole class
+    rng = np.random.default_rng(8086)
+    pruned = twins = resilient = 0
+    for i in range(96):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        # adapted tables grow with the prefix count: keep their class small
+        markov = kind == rk.MARKOV
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=3 if markov else 2,
+            max_horizon=3 if markov else 2,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        acc = random_acceptable(rng, model)
+        regime, risk = _scan_regime_and_risk(rng, model, acc, (i // 2) % 4)
+        start = int(rng.integers(model.horizon + 1))
+        x0 = int(rng.integers(model.n_states))
+        value, strat, examined = rk.oracle_min_risk(
+            model, x0, start, regime, risk, strategy_class=kind
+        )
+        pruned += rk.strategy.rank_layout(model, x0, kind, start).pruned > 0
+        resilient += strat is not None
+        twin = padded_twin(rng, model)
+        twins += twin is not None
+        for m in (model, twin) if twin is not None else (model,):
+            for jobs in (1, 2):
+                out = rk.minimize_risk(
+                    m, x0, start, regime, risk, strategy_class=kind,
+                    method="exhaustive", jobs=jobs,
+                )
+                assert out.certificate == "exhaustive"
+                assert np.float64(out.value).tobytes() == \
+                    np.float64(value).tobytes()
+                assert out.examined == examined
+                assert out.resilient == (strat is not None)
+                if strat is None:
+                    assert out.strategy is None
+                else:
+                    assert rk.strategies_equal(out.strategy, strat)
+    assert pruned >= 40 and twins >= 35 and resilient >= 45
+
+
+def test_pruned_scan_on_m1_benign(monkeypatch):
+    # from level 0 a 3-step reservoir reaches 1 + 2 + 3 of the 12 Markov
+    # slots, so 2**6 of the 2**12 strategies stand for the whole class
+    with open(MODELS / "m1_benign.model", encoding="utf-8") as fh:
+        parsed = rk.parse_model(fh.read())
+    scanned = []
+    check = rk.optimize.check_resilient
+
+    def counting(model, strategy, *args, **kwargs):
+        scanned.append(strategy)
+        return check(model, strategy, *args, **kwargs)
+
+    monkeypatch.setattr(rk.optimize, "check_resilient", counting)
+    out = rk.minimize_risk(parsed.model, 0, 0, parsed.regime, parsed.risk)
+    assert out.certificate == "exhaustive"
+    assert len(scanned) == 64
+    assert out.examined == 2048
+    monkeypatch.undo()
+    value, strat, examined = rk.oracle_min_risk(
+        parsed.model, 0, 0, parsed.regime, parsed.risk
+    )
+    assert (out.value, out.examined) == (value, examined)
+    assert rk.strategies_equal(out.strategy, strat)
+
+
+def test_cap_error_names_the_route(m1):
+    with pytest.raises(rk.CapacityError, match="exceed cap") as err:
+        rk.minimize_risk(m1, 2, 0, rk.Bounded(A), EFFORT, cap=5)
+    assert str(err.value).startswith("exhaustive scan: 4096 markov")
+    assert "surely-viable regimes only" in str(err.value)
+    # forced past an applicable certificate, there is no reason to give
+    with pytest.raises(rk.CapacityError) as err:
+        rk.minimize_risk(m1, 2, 0, rk.Viability(A), EFFORT,
+                         method="exhaustive", cap=5)
+    assert str(err.value) == (
+        "exhaustive scan: 4096 markov strategies exceed cap 5"
+    )
+
+
+def _forward_expected_cost(model, strategy, x0, step, terminal):
+    """Expected additive cost of a Markov strategy from x0, by forward
+    propagation of the state distribution."""
+    n = model.n_states
+    mass = np.zeros(n + 1)
+    mass[x0] = 1.0
+    total = 0.0
+    for pol in strategy.policies:
+        t, u = pol.t, pol.table
+        assert mass[n] == 0.0
+        total += float(mass[:n] @ step[t, np.arange(n), u])
+        nxt = np.zeros(n + 1)
+        for w, p in enumerate(model.uncertainty.probs[t]):
+            np.add.at(nxt, model.dynamics[t, np.arange(n), u, w], mass[:n] * p)
+        mass = nxt
+    assert mass[n] == 0.0
+    return total + float(mass[:n] @ terminal)
+
+
+def test_dp_certificate_never_enumerates_scenarios():
+    # 3**13 scenarios exceed the scenario cap; the certificate is polynomial
+    n, nu, K = 10, 3, 13
+    rng = np.random.default_rng(1313)
+    shift = np.stack([rng.permutation([-1, 0, 1]) for _ in range(K)])
+    probs = []
+    for _ in range(K):
+        p = rng.integers(1, 8, size=3).astype(float)
+        probs.append(tuple(p / p.sum()))
+    model = rk.make_model(
+        horizon=K,
+        state_labels=tuple(str(x) for x in range(n)),
+        control_labels=("0", "1", "2"),
+        uncertainty_sets=("0", "1", "2"),
+        dynamics_fn=lambda t, x, u, w: min(n - 1, max(0, x + u - 1 + shift[t, w])),
+        probs=tuple(probs),
+    )
+    assert rk.count_scenarios(model) > rk.DEFAULT_SCENARIO_CAP
+    acc = frozenset(range(3, 8))
+    cost = rk.TabularCost(rng.random((K + 1, n)).round(3),
+                          rng.random((K, nu)).round(3))
+    out = rk.minimize_risk(model, 5, 0, rk.Viability(acc),
+                           rk.Composed(cost, rk.Expectation()))
+    assert out.certificate == "dp" and out.resilient
+    step, terminal = rk.optimize._additive_tables(model, cost)
+    want = _forward_expected_cost(model, out.strategy, 5, step, terminal)
+    assert out.value == pytest.approx(want, abs=1e-12)
+

@@ -3,7 +3,12 @@ import pytest
 
 import resilkit as rk
 
-from conftest import build_m1, random_model, random_strategy
+from conftest import (
+    build_m1,
+    padded_twin,
+    random_model,
+    random_strategy,
+)
 
 
 def keep_high(model):
@@ -218,3 +223,67 @@ def test_policy_control_at_cemetery(m1):
     from resilkit.strategy import policy_control
 
     assert policy_control(m1, s, 0, m1.cemetery, ()) == 0
+
+
+def _reachable_slot_positions(model, x0, kind, start):
+    """(slot count, positions of the slots some admissible path from x0
+    reaches), by depth-first search over controls and full-domain w."""
+    K, n = model.horizon, model.n_states
+    seen = set()
+
+    def visit(t, x, prefix):
+        if t == K or x == model.cemetery:
+            return
+        seen.add((t, x, prefix if kind == rk.ADAPTED else 0))
+        size = model.uncertainty.size(t)
+        for u in rk.admissible_controls(model, t, x):
+            for w in range(size):
+                visit(t + 1, int(model.dynamics[t, x, u, w]), prefix * size + w)
+
+    visit(start, x0, 0)
+    positions = []
+    pos = 0
+    for t in range(start, K):
+        width = rk.n_prefixes(model, t, start) if kind == rk.ADAPTED else 1
+        for x in range(n):
+            for p in range(width):
+                if (t, x, p) in seen:
+                    positions.append(pos)
+                pos += 1
+    return pos, positions
+
+
+def test_rank_layout_marks_exactly_the_reachable_slots():
+    rng = np.random.default_rng(1717)
+    for i in range(120):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=4,
+            cemetery_rate=0.25,
+        )
+        start = int(rng.integers(model.horizon + 1))
+        x0 = int(rng.integers(model.n_states))
+        slots, positions = _reachable_slot_positions(model, x0, kind, start)
+        nu = model.n_controls
+        twin = padded_twin(rng, model)
+        for m in (model, twin) if twin is not None else (model,):
+            layout = rk.strategy.rank_layout(m, x0, kind, start)
+            assert layout.weights == tuple(
+                nu ** (slots - 1 - s) for s in positions
+            )
+            assert layout.pruned == slots - len(positions)
+            assert layout.size * layout.class_size == rk.count_strategies(
+                model, kind, start
+            )
+        # representatives ascend in rank and are zero on unreachable slots
+        if layout.size <= 64:
+            ranks = [layout.rank(j) for j in range(layout.size)]
+            assert ranks == sorted(set(ranks))
+            for r in ranks:
+                strat = rk.strategy_from_rank(model, r, kind, start)
+                flat = np.concatenate(
+                    [np.zeros(0, dtype=np.int32)]
+                    + [p.table.ravel() for p in strat.policies]
+                )
+                assert not np.delete(flat, positions).any()
+
