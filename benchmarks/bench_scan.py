@@ -5,11 +5,10 @@ Usage: PYTHONPATH=src python benchmarks/bench_scan.py [--repeat N] [--out PATH]
 Runs minimize_risk(method="exhaustive") on models/m1_benign.model from every
 state, and on three reservoir models (level + inflow - drawdown, the shapes
 of perfbench's scan workload) from both end states under four regime/risk
-pairs, each with jobs 1 and 2. For every case it records the size of the
-strategy class, how many strategies the scan checked (calls of
-check_resilient), `examined`, the best of --repeat wall times per jobs
-value, class members decided per second, strategies checked per second, and
-a sha256 of the result (value bits, examined, certificate, strategy tables),
+pairs. For every case it records the size of the strategy class, how many
+strategies the scan checked (calls of check_resilient), `examined`, the best
+of --repeat wall times, class members decided per second, strategies checked
+per second, and a sha256 of the result (value bits, examined, certificate, strategy tables),
 so two versions of the scan can be compared on speed and shown to give the
 same answers. Writes --out (default BENCH_scan.json at the repository root)
 with the machine, the numpy version and the simulation backend.
@@ -32,7 +31,6 @@ from bench_dp import cpu_model
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (n, nu, K, drawdown, calm probability), as in perfbench's scan workload
 RESERVOIRS = ((5, 2, 2, 1, 0.75), (3, 3, 2, 2, 0.625), (3, 2, 3, 1, 0.5))
-JOBS = (1, 2)
 
 
 def reservoir(n, nu, K, drawdown, calm, seed=0):
@@ -98,7 +96,7 @@ def sha256(result):
     return h.hexdigest()
 
 
-def scan(model, x0, regime, risk, jobs):
+def scan(model, x0, regime, risk):
     """(result, strategies checked) of one exhaustive minimize_risk."""
     checked = 0
     check = rk.optimize.check_resilient
@@ -111,7 +109,7 @@ def scan(model, x0, regime, risk, jobs):
     rk.optimize.check_resilient = counting
     try:
         result = rk.minimize_risk(model, x0, 0, regime, risk,
-                                  method="exhaustive", jobs=jobs)
+                                  method="exhaustive")
     finally:
         rk.optimize.check_resilient = check
     return result, checked
@@ -125,30 +123,19 @@ def main():
 
     out_cases = []
     for name, model, x0, regime, risk in cases():
-        result, checked = scan(model, x0, regime, risk, 1)
-        case = {"name": name, "x0": x0,
-                "class_size": rk.count_strategies(model, rk.MARKOV, 0),
+        result, checked = scan(model, x0, regime, risk)
+        best = float("inf")
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            rk.minimize_risk(model, x0, 0, regime, risk, method="exhaustive")
+            best = min(best, time.perf_counter() - t0)
+        class_size = rk.count_strategies(model, rk.MARKOV, 0)
+        case = {"name": name, "x0": x0, "class_size": class_size,
                 "scanned": checked, "examined": result.examined,
-                "best_s": {}, "class_per_s": {}, "scanned_per_s": {},
-                "sha256": sha256(result)}
-        for jobs in JOBS:
-            best = float("inf")
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = rk.minimize_risk(model, x0, 0, regime, risk,
-                                          method="exhaustive", jobs=jobs)
-                best = min(best, time.perf_counter() - t0)
-            if sha256(result) != case["sha256"]:
-                raise SystemExit(f"{name} x0={x0}: jobs={jobs} changes the "
-                                 "result")
-            key = f"jobs{jobs}"
-            case["best_s"][key] = best
-            case["class_per_s"][key] = case["class_size"] / best
-            case["scanned_per_s"][key] = checked / best
-        case["jobs2_over_jobs1"] = case["best_s"]["jobs2"] / case["best_s"]["jobs1"]
-        print(f"{name:26s} x0={x0}  class {case['class_size']:5d}  scanned "
-              f"{checked:5d}  jobs1 {case['best_s']['jobs1']:8.4f} s  jobs2 "
-              f"{case['best_s']['jobs2']:8.4f} s  {case['sha256'][:12]}",
+                "best_s": best, "class_per_s": class_size / best,
+                "scanned_per_s": checked / best, "sha256": sha256(result)}
+        print(f"{name:26s} x0={x0}  class {class_size:5d}  scanned "
+              f"{checked:5d}  {best:8.4f} s  {case['sha256'][:12]}",
               flush=True)
         out_cases.append(case)
 

@@ -1,14 +1,22 @@
-"""Compare the pure-Python and compiled closed-loop simulation kernels.
+"""Time the batched closed-loop simulation kernel.
 
-Usage: PYTHONPATH=src python benchmarks/bench_sim.py [--repeat N]
+Usage: PYTHONPATH=src python benchmarks/bench_sim.py [--repeat N] [--out PATH]
 
-Times every backend that is available (best of --repeat), reports the
-others as unavailable, and byte-compares the outputs when both ran.
+Runs simulate_batch on a seeded case (256 Markov policies x 200 scenarios x
+horizon 12 on 40 states), keeps the best of --repeat wall times, and writes
+--out (default BENCH_sim.json at the repository root) with the machine, the
+numpy version, the backend, Msteps/s and a sha256 of the output arrays, so
+two versions of the kernel can be compared on speed and shown to give the
+same bytes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
+import os
+import platform
 import time
 
 import numpy as np
@@ -23,6 +31,8 @@ from resilkit.model import (
     UncertaintyStructure,
     packed_tables,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def build_case(rng, n=40, nu=4, nw=3, horizon=12, n_policies=256, n_scen=200):
@@ -50,51 +60,66 @@ def build_case(rng, n=40, nu=4, nw=3, horizon=12, n_policies=256, n_scen=200):
 
 
 def run(backend, dyn, ok, policies, scenarios, x0, repeat):
+    """(best wall time, outputs) of simulate_batch; ConfigurationError for
+    any backend but the one resilkit has."""
+    if backend != backend_name():
+        raise ConfigurationError(
+            f"no {backend!r} simulation kernel; resilkit has {backend_name()!r}"
+        )
     best = np.inf
     out = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        out = simulate_batch(dyn, ok, policies, scenarios, x0, backend=backend)
+        out = simulate_batch(dyn, ok, policies, scenarios, x0)
         best = min(best, time.perf_counter() - t0)
     return best, out
 
 
 def main():
+    # imported here: perfbench loads this file by path, without benchmarks/
+    # on sys.path, and needs only build_case and run
+    from bench_dp import cpu_model
+
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_sim.json"))
     args = ap.parse_args()
 
     rng = np.random.default_rng(7)
     model, policies, scenarios, x0 = build_case(rng)
     dyn, ok = packed_tables(model)
     steps = policies.shape[0] * scenarios.shape[0] * model.horizon
+    best, outputs = run(backend_name(), dyn, ok, policies, scenarios, x0,
+                        args.repeat)
+    h = hashlib.sha256()
+    for arr in outputs:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    case = {"policies": policies.shape[0], "scenarios": scenarios.shape[0],
+            "horizon": model.horizon, "n": model.n_states,
+            "nu": model.n_controls, "steps": steps, "best_s": best,
+            "msteps_per_s": steps / best / 1e6, "sha256": h.hexdigest()}
+    print(f"{backend_name()} kernel: {case['policies']} policies x "
+          f"{case['scenarios']} scenarios x horizon {case['horizon']}  "
+          f"{best * 1e3:8.2f} ms  {case['msteps_per_s']:8.2f} Msteps/s  "
+          f"{case['sha256'][:12]}")
 
-    print(f"default backend: {backend_name()}")
-    print(
-        f"case: {policies.shape[0]} policies x {scenarios.shape[0]} scenarios"
-        f" x horizon {model.horizon}  ({steps} steps)"
-    )
-    times, outputs = {}, {}
-    for backend in ("py", "fast"):
-        try:
-            times[backend], outputs[backend] = run(
-                backend, dyn, ok, policies, scenarios, x0, args.repeat
-            )
-        except ConfigurationError as exc:
-            print(f"{backend:4s} backend: unavailable ({exc})")
-            continue
-        t = times[backend]
-        print(
-            f"{backend:4s} backend: {t * 1e3:8.2f} ms"
-            f"   {steps / t / 1e6:8.2f} Msteps/s"
-        )
-    if len(outputs) == 2:
-        same = all(
-            a.tobytes() == b.tobytes()
-            for a, b in zip(outputs["py"], outputs["fast"])
-        )
-        print(f"outputs identical: {same}")
-        print(f"speedup: {times['py'] / times['fast']:.1f}x")
+    out = {
+        "layer": "sim",
+        "machine": {
+            "cpu": cpu_model(),
+            "nproc": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+        },
+        "numpy": np.__version__,
+        "backend": backend_name(),
+        "repeat": args.repeat,
+        "cases": [case],
+    }
+    with open(args.out, "w") as f:
+        json.dump(out, f, indent=1, sort_keys=True)
+        f.write("\n")
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,11 @@
-"""Pure-numpy batched closed-loop simulation (reference backend)."""
+"""Batched closed-loop simulation in numpy, the oracle's Markov kernel."""
 
 import numpy as np
+
+
+def backend_name():
+    """Name of the simulation kernel; there is one, the numpy one."""
+    return "py"
 
 
 def simulate_batch(dyn, ok, policies, scenarios, x0, start=0):

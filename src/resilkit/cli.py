@@ -108,7 +108,10 @@ def _flags(p, *names):
                 help="restrict scenarios to the robust subset",
             )
         elif name == "--jobs":
-            p.add_argument("--jobs", type=int, default=1, help="worker threads")
+            p.add_argument(
+                "--jobs", type=int, default=1,
+                help="accepted for compatibility; has no effect",
+            )
         else:  # pragma: no cover
             raise AssertionError(name)
 

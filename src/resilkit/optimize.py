@@ -6,7 +6,8 @@ the reported strategy. Strategies that differ only on policy slots no
 closed-loop path from x0 reaches give identical bundles, so the scan visits
 one representative per such class, its least rank (see
 strategy.rank_layout); answers, ties and `examined` are those of the full
-scan.
+scan. The scan runs on the calling thread; `jobs` is accepted for
+compatibility and has no effect.
 
 A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
@@ -25,7 +26,6 @@ resilient=False and value +inf.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +195,8 @@ def minimize_risk(
     jobs: int = 1,
 ) -> OptimizationResult:
     """Minimize the risk measure over strategies resilient from x0 at
-    `start`. Ties go to the lexicographically least strategy."""
+    `start`. Ties go to the lexicographically least strategy. `jobs` has no
+    effect."""
     validate_regime(model, regime)
     validate_risk(model, risk)
     if not 0 <= x0 < model.n_states:
@@ -218,27 +219,11 @@ def minimize_risk(
         )
 
     layout = rank_layout(model, x0, strategy_class, start)
-
-    def scan(block):
-        return _scan_ranks(
-            model, x0, start, regime, risk, strategy_class,
-            map(layout.rank, block),
-        )
-
-    if jobs <= 1:
-        results = [scan(range(layout.size))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan, layout.blocks(jobs * 8)))
-    best = math.inf
-    best_rank = -1
-    examined = 0
-    for value, rank, count in results:  # blocks are in rank order
-        examined += count * layout.class_size
-        if rank >= 0 and (best_rank < 0 or value < best):
-            best = value
-            best_rank = rank
-
+    best, best_rank, count = _scan_ranks(
+        model, x0, start, regime, risk, strategy_class,
+        map(layout.rank, range(layout.size)),
+    )
+    examined = count * layout.class_size
     if best_rank < 0:
         return OptimizationResult(
             False, math.inf, None, examined, EXHAUSTIVE, strategy_class

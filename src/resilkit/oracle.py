@@ -6,7 +6,8 @@ simulation kernel, and the membership predicates with the rest of the
 package. The recursions in `engine` and the fast path in `optimize` are
 never called: these routines exist to check them.
 
-Markov enumerations run through the batched simulation kernel; the plain
+Markov enumerations run through the batched numpy simulation kernel
+(`_sim.simulate_batch`, called nowhere else in the package); the plain
 object-level scan (`force_object=True`) is the definitional reference the
 batch path is tested against. Caps are hard errors: a truncated scan would
 not be a reference.
@@ -15,7 +16,6 @@ not be a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,25 +40,6 @@ from .strategy import (
 from ._sim import simulate_batch
 
 _BATCH = 8192
-
-
-@dataclass(frozen=True)
-class StrategyEnumeration:
-    """The full strategy class of a model, iterable in lexicographic rank
-    order (slot order: time, state, prefix; last slot fastest)."""
-
-    model: SystemModel
-    kind: str = MARKOV
-    start: int = 0
-    cap: int = DEFAULT_STRATEGY_CAP
-
-    def __len__(self):
-        return count_strategies(self.model, self.kind, self.start)
-
-    def __iter__(self):
-        return enumerate_strategies(
-            self.model, self.kind, self.start, cap=self.cap
-        )
 
 
 def _check_cap(model, kind, start, cap):
@@ -95,9 +76,9 @@ def _policy_batches(model, start, total, batch=_BATCH):
 
 
 def _good_mask(model, states, controls):
-    """good[s, m, l]: state in A is not required here — this computes the
-    per-step joint clause (state acceptable handled by caller) of control
-    admissibility, with the terminal step always admissible."""
+    """adm[s, m, l]: the control played at step l of trajectory (s, m) is
+    admissible; the terminal step l = L, which plays no control, counts as
+    admissible. Whether the state is acceptable is left to the caller."""
     dyn, ok = packed_tables(model)
     S, M, L = controls.shape
     adm = np.empty((S, M, L + 1), dtype=bool)

@@ -201,14 +201,8 @@ def is_admissible(model: SystemModel, strategy: Strategy) -> bool:
     return True
 
 
-def simulate_closed_loop(
-    model: SystemModel, strategy: Strategy, x0: int, scenario, start: int = None
-) -> Trajectory:
-    """Run the strategy from x0 at `start` (default: the strategy's start)
-    under one full scenario."""
-    validate_strategy(model, strategy)
-    scenario = tuple(int(w) for w in scenario)
-    model._check_scenario(scenario)
+def _check_run(model, strategy, x0, start):
+    """Validate a closed-loop run; return its start time."""
     if start is None:
         start = strategy.start
     if start < strategy.start:
@@ -217,6 +211,11 @@ def simulate_closed_loop(
         )
     if not 0 <= x0 < model.n_states:
         raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    return start
+
+
+def _closed_loop(model, strategy, x0, scenario, start):
+    """The trajectory of an already validated run under a valid scenario."""
     states = [x0]
     controls = []
     for t in range(start, model.horizon):
@@ -224,6 +223,18 @@ def simulate_closed_loop(
         controls.append(u)
         states.append(step(model, t, states[-1], u, scenario[t]))
     return Trajectory(start, tuple(states), tuple(controls), scenario)
+
+
+def simulate_closed_loop(
+    model: SystemModel, strategy: Strategy, x0: int, scenario, start: int = None
+) -> Trajectory:
+    """Run the strategy from x0 at `start` (default: the strategy's start)
+    under one full scenario."""
+    validate_strategy(model, strategy)
+    scenario = tuple(int(w) for w in scenario)
+    model._check_scenario(scenario)
+    start = _check_run(model, strategy, x0, start)
+    return _closed_loop(model, strategy, x0, scenario, start)
 
 
 def build_bundle(
@@ -235,13 +246,14 @@ def build_bundle(
     cap: int = DEFAULT_SCENARIO_CAP,
 ) -> TrajectoryBundle:
     """Simulate the strategy against every scenario in the (robust or full)
-    scenario set, in canonical order."""
+    scenario set, in canonical order. The strategy, x0 and start are checked
+    once; enumerated scenarios are valid by construction."""
     scenarios = enumerate_scenarios(model, robust_only=robust_only, cap=cap)
+    validate_strategy(model, strategy)
+    start = _check_run(model, strategy, x0, start)
     trajectories = tuple(
-        simulate_closed_loop(model, strategy, x0, s, start) for s in scenarios
+        _closed_loop(model, strategy, x0, s, start) for s in scenarios
     )
-    if start is None:
-        start = strategy.start
     return TrajectoryBundle(
         start, x0, robust_only, tuple(scenarios), trajectories
     )
@@ -358,13 +370,6 @@ class RankLayout:
             i, digit = divmod(i, self.n_controls)
             rank += digit * weight
         return rank
-
-    def blocks(self, parts):
-        """Consecutive ranges of representatives, at most `parts` of them,
-        in rank order."""
-        total = self.size
-        chunk = max(1, -(-total // parts))
-        return [range(lo, min(total, lo + chunk)) for lo in range(0, total, chunk)]
 
 
 def rank_layout(

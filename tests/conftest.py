@@ -19,11 +19,7 @@ M1_ACCEPTABLE = frozenset({2, 3})
 
 
 def pytest_report_header(config):
-    try:
-        name = rk.backend_name()
-    except rk.ConfigurationError as exc:
-        name = f"none ({exc})"
-    return f"resilkit backend: {name}"
+    return f"resilkit backend: {rk.backend_name()}"
 
 
 def cli_env(**extra):

@@ -160,6 +160,34 @@ def test_bundle_robust_only():
     assert bundle.trajectories[0].scenario == (0, 0, 0)
 
 
+def test_bundle_validates_the_strategy_once(m1, monkeypatch):
+    calls = []
+    check = rk.strategy.validate_strategy
+
+    def counting(model, strategy):
+        calls.append(strategy)
+        return check(model, strategy)
+
+    monkeypatch.setattr(rk.strategy, "validate_strategy", counting)
+    s = keep_high(m1)
+    calls.clear()
+    bundle = rk.build_bundle(m1, s, 2)
+    assert len(bundle) == 8
+    assert calls == [s]
+
+    tables = np.zeros((3, 4), dtype=int)
+    tables[1, 3] = 2  # m1 has controls 0 and 1 only
+    bad = rk.Strategy(0, tuple(
+        rk.Policy(t, rk.MARKOV, tables[t]) for t in range(3)
+    ))
+    with pytest.raises(rk.InputError, match="unknown control"):
+        rk.build_bundle(m1, bad, 2)
+    with pytest.raises(rk.InputError, match="x0"):
+        rk.build_bundle(m1, s, 4)
+    with pytest.raises(rk.InputError, match="cannot simulate from 0"):
+        rk.build_bundle(m1, rk.Strategy(1, s.policies[1:]), 2, start=0)
+
+
 def test_strategy_counting(m1):
     assert rk.count_strategies(m1, rk.MARKOV, 0) == 2 ** 12
     assert rk.count_strategies(m1, rk.ADAPTED, 0) == 2 ** (4 * (1 + 2 + 4))
