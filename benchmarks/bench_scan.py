@@ -6,11 +6,12 @@ Runs minimize_risk(method="exhaustive") on models/m1_benign.model from every
 state, and on three reservoir models (level + inflow - drawdown, the shapes
 of perfbench's scan workload) from both end states under four regime/risk
 pairs. For every case it records the size of the strategy class, how many
-strategies the scan checked (calls of check_resilient), `examined`, the best
-of --repeat wall times, class members decided per second, strategies checked
-per second, and a sha256 of the result (value bits, examined, certificate, strategy tables),
-so two versions of the scan can be compared on speed and shown to give the
-same answers. Writes --out (default BENCH_scan.json at the repository root)
+strategies the scan checked (calls of its per-strategy membership test,
+optimize._membership), `examined`, the best of --repeat wall times, class
+members decided per second, strategies checked per second, and a sha256 of
+the result (value bits, examined, certificate, strategy tables), so two
+versions of the scan can be compared on speed and shown to give the same
+answers. Writes --out (default BENCH_scan.json at the repository root)
 with the machine, the numpy version and the simulation backend.
 """
 
@@ -99,19 +100,19 @@ def sha256(result):
 def scan(model, x0, regime, risk):
     """(result, strategies checked) of one exhaustive minimize_risk."""
     checked = 0
-    check = rk.optimize.check_resilient
+    member = rk.optimize._membership
 
     def counting(*args, **kwargs):
         nonlocal checked
         checked += 1
-        return check(*args, **kwargs)
+        return member(*args, **kwargs)
 
-    rk.optimize.check_resilient = counting
+    rk.optimize._membership = counting
     try:
         result = rk.minimize_risk(model, x0, 0, regime, risk,
                                   method="exhaustive")
     finally:
-        rk.optimize.check_resilient = check
+        rk.optimize._membership = member
     return result, checked
 
 

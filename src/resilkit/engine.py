@@ -16,18 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import DEFAULT_SCENARIO_CAP, SystemModel, packed_tables
+from .model import (
+    DEFAULT_SCENARIO_CAP,
+    SystemModel,
+    _Scenarios,
+    enumerate_scenarios,
+    packed_tables,
+)
 from .regimes import (
     RobustRecovery,
     StochasticViability,
     Viability,
-    regime_membership,
+    _membership,
     validate_regime,
 )
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
+    _bundle,
     build_bundle,
     count_strategies,
     markov_strategy,
@@ -288,7 +295,33 @@ def check_resilient(
     bundle = build_bundle(
         model, strategy, x0, start=start, robust_only=robust_only, cap=cap
     )
-    return regime_membership(model, regime, bundle)
+    return _membership(
+        model, regime, bundle, _Scenarios(model, bundle.scenarios, robust_only)
+    )
+
+
+def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
+    """The regime's scenario set for a scan that calls check_resilient on
+    strategies from strategy_from_rank or enumerate_strategies at `start`.
+
+    Such strategies are valid by construction once `start` is, so the
+    checks check_resilient would repeat on each of them are made here, once,
+    in its order: the scenario count against `cap`, the start time, then
+    x0 when given. The scan then calls _bundle and _membership directly.
+    """
+    robust_only = isinstance(regime, RobustRecovery)
+    scenarios = _Scenarios(
+        model,
+        enumerate_scenarios(model, robust_only=robust_only, cap=cap),
+        robust_only,
+    )
+    if not 0 <= start <= model.horizon:
+        raise InputError(
+            f"strategy start {start} out of range 0..{model.horizon}"
+        )
+    if x0 is not None and not 0 <= x0 < model.n_states:
+        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    return scenarios
 
 
 def resilient_states(
@@ -345,6 +378,7 @@ def resilient_states(
             f"{total} {strategy_class} strategies exceed cap {cap}; "
             "viability-family regimes dispatch to exact recursions instead"
         )
+    scenarios = _scan_scenarios(model, regime, start, cap=scenario_cap)
     # each x0's witness is its least-rank resilient strategy, which is the
     # first resilient representative; equal witnesses share one object
     witnesses = {}
@@ -356,7 +390,8 @@ def resilient_states(
             strat = by_rank.get(rank) or strategy_from_rank(
                 model, rank, strategy_class, start
             )
-            if check_resilient(model, strat, x0, start, regime, cap=scenario_cap):
+            bundle = _bundle(model, strat, x0, start, scenarios)
+            if _membership(model, regime, bundle, scenarios):
                 witnesses[x0] = by_rank.setdefault(rank, strat)
                 break
     return ResilientSet(

@@ -17,6 +17,7 @@ weights when evaluating probabilities).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -494,6 +495,11 @@ def in_robust_set(model: SystemModel, scenario) -> bool:
     """Does the scenario belong to the robust subset?"""
     scenario = tuple(int(w) for w in scenario)
     model._check_scenario(scenario)
+    return _in_robust(model, scenario)
+
+
+def _in_robust(model, scenario):
+    """in_robust_set of a valid scenario tuple, unchecked."""
     if model.robust_scenarios is not None:
         return scenario in model.robust_scenarios
     return all(
@@ -509,6 +515,11 @@ def scenario_weight(model: SystemModel, scenario) -> float:
     """
     scenario = tuple(int(w) for w in scenario)
     model._check_scenario(scenario)
+    return _weight(model, scenario)
+
+
+def _weight(model, scenario):
+    """scenario_weight of a valid scenario tuple, unchecked."""
     if model.scenario_probs is not None:
         return model.scenario_probs.get(scenario, 0.0)
     if not model.uncertainty.has_probs:
@@ -520,6 +531,43 @@ def scenario_weight(model: SystemModel, scenario) -> float:
     for t, w in enumerate(scenario):
         p *= float(model.uncertainty.probs[t][w])
     return p
+
+
+class _Scenarios:
+    """A scenario list with each scenario's weight and robust flag, both
+    computed once, on first use.
+
+    Loops that simulate many strategies over one scenario set share one
+    instance, so weights and flags are computed once per call, not once
+    per bundle. With check=True (a bundle from outside the package) they
+    come from the checking scenario_weight and in_robust_set; otherwise the
+    scenarios must be valid tuples, as enumerate_scenarios yields them.
+    robust_only says the list is the robust domain, as in a bundle.
+    """
+
+    def __init__(self, model, scenarios, robust_only=False, check=False):
+        self.model = model
+        self.scenarios = tuple(scenarios)
+        self.robust_only = robust_only
+        self.check = check
+
+    @functools.cached_property
+    def weights(self):
+        weight = scenario_weight if self.check else _weight
+        return [weight(self.model, s) for s in self.scenarios]
+
+    @functools.cached_property
+    def robust(self):
+        member = in_robust_set if self.check else _in_robust
+        return [member(self.model, s) for s in self.scenarios]
+
+    @functools.cached_property
+    def full(self):
+        """This set when it is the full domain, else the full scenario set,
+        enumerated on first use against the default cap."""
+        if not self.robust_only:
+            return self
+        return _Scenarios(self.model, enumerate_scenarios(self.model))
 
 
 def scenario_weights(model: SystemModel, scenarios) -> np.ndarray:

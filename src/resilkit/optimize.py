@@ -32,13 +32,18 @@ import numpy as np
 
 from .engine import (
     _backup,
-    check_resilient,
+    _scan_scenarios,
     fill_policy,
     robust_viability_kernel,
 )
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel
-from .regimes import StochasticViability, Viability, validate_regime
+from .regimes import (
+    StochasticViability,
+    Viability,
+    _membership,
+    validate_regime,
+)
 from .risk import (
     Composed,
     ControlEffort,
@@ -46,14 +51,14 @@ from .risk import (
     TabularCost,
     TerminalMiss,
     TimeOutside,
-    evaluate_risk,
+    _evaluate,
     validate_risk,
 )
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
-    build_bundle,
+    _bundle,
     count_strategies,
     rank_layout,
     strategy_from_rank,
@@ -167,16 +172,20 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
 def _scan_ranks(model, x0, start, regime, risk, strategy_class, ranks):
     """Scan the given ranks, ascending; return (value, rank, examined) of
     the first strict minimizer (rank -1 when none is resilient)."""
+    scenarios = _scan_scenarios(model, regime, start)
     best = math.inf
     best_rank = -1
     examined = 0
     for rank in ranks:
         strat = strategy_from_rank(model, rank, strategy_class, start)
-        if not check_resilient(model, strat, x0, start, regime):
+        bundle = _bundle(model, strat, x0, start, scenarios)
+        if not _membership(model, regime, bundle, scenarios):
             continue
         examined += 1
-        bundle = build_bundle(model, strat, x0, start=start, robust_only=False)
-        value = evaluate_risk(model, risk, bundle)
+        full = scenarios.full
+        if bundle.robust:
+            bundle = _bundle(model, strat, x0, start, full)
+        value = _evaluate(model, risk, bundle, full)
         if best_rank < 0 or value < best:
             best = value
             best_rank = rank

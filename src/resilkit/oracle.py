@@ -2,9 +2,15 @@
 
 Everything here decides resilience questions by enumerating whole strategy
 classes and chasing definitions, sharing only the model tables, the
-simulation kernel, and the membership predicates with the rest of the
-package. The recursions in `engine` and the fast path in `optimize` are
-never called: these routines exist to check them.
+simulation kernels, and the membership and risk predicates with the rest of
+the package. The object-level scans share the package's unchecked
+closed-loop kernels (`strategy._bundle`, `regimes._membership`,
+`risk._evaluate`, with the regime, risk, start and x0 checked once per call
+as check_resilient would check them), exactly as the production scan does.
+Nothing else is shared: the recursions in `engine`, the pruning of
+unreachable policy slots (`strategy.rank_layout`) and the fast path in
+`optimize` are never called, and every strategy of the class is visited in
+rank order. These routines exist to check those three.
 
 Markov enumerations run through the batched numpy simulation kernel
 (`_sim.simulate_batch`, called nowhere else in the package); the plain
@@ -19,7 +25,7 @@ import math
 
 import numpy as np
 
-from .engine import ResilientSet, check_resilient
+from .engine import ResilientSet, _scan_scenarios
 from .errors import CapacityError, InputError
 from .model import (
     SystemModel,
@@ -27,12 +33,12 @@ from .model import (
     packed_tables,
     scenario_weights,
 )
-from .regimes import Viability, validate_regime
-from .risk import evaluate_risk, validate_risk
+from .regimes import Viability, _membership, validate_regime
+from .risk import _evaluate, validate_risk
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
-    build_bundle,
+    _bundle,
     count_strategies,
     enumerate_strategies,
     strategy_from_rank,
@@ -154,13 +160,15 @@ def oracle_resilient_states(
             "oracle",
         )
 
+    scenarios = _scan_scenarios(model, regime, start)
     witnesses = {}
     pending = set(range(model.n_states))
     for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
         if not pending:
             break
         for x0 in sorted(pending):
-            if check_resilient(model, strat, x0, start, regime):
+            bundle = _bundle(model, strat, x0, start, scenarios)
+            if _membership(model, regime, bundle, scenarios):
                 witnesses[x0] = strat
                 pending.discard(x0)
     return ResilientSet(
@@ -232,15 +240,20 @@ def oracle_min_risk(
     validate_regime(model, regime)
     validate_risk(model, risk)
     _check_cap(model, strategy_class, start, cap)
+    strategies = enumerate_strategies(model, strategy_class, start, cap=cap)
+    scenarios = _scan_scenarios(model, regime, start, x0)
     best = math.inf
     best_strategy = None
     examined = 0
-    for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
-        if not check_resilient(model, strat, x0, start, regime):
+    for strat in strategies:
+        bundle = _bundle(model, strat, x0, start, scenarios)
+        if not _membership(model, regime, bundle, scenarios):
             continue
         examined += 1
-        bundle = build_bundle(model, strat, x0, start=start, robust_only=False)
-        value = evaluate_risk(model, risk, bundle)
+        full = scenarios.full
+        if bundle.robust:
+            bundle = _bundle(model, strat, x0, start, full)
+        value = _evaluate(model, risk, bundle, full)
         if best_strategy is None or value < best:
             best = value
             best_strategy = strat

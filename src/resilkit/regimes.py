@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .model import SystemModel, in_robust_set, scenario_weight
+from .model import SystemModel, _Scenarios
 from .strategy import Trajectory, TrajectoryBundle
 
 
@@ -206,12 +206,12 @@ def _viable(model, traj, acceptable):
     return recovery_time(model, traj, acceptable) == traj.start
 
 
-def _weights(model, bundle):
+def _weights(bundle, scenarios):
     if bundle.robust:
         raise InputError(
             "probabilistic membership needs a full-domain bundle"
         )
-    return [scenario_weight(model, s) for s in bundle.scenarios]
+    return scenarios.weights
 
 
 def regime_membership(
@@ -219,20 +219,26 @@ def regime_membership(
 ) -> bool:
     """Does the bundle's strategy meet the regime from the bundle's start?"""
     validate_regime(model, regime)
+    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust, check=True)
+    return _membership(model, regime, bundle, scenarios)
 
+
+def _membership(model, regime, bundle, scenarios):
+    """regime_membership of a valid regime, unchecked; `scenarios` is a
+    _Scenarios over bundle.scenarios."""
     if isinstance(regime, Viability):
         return all(_viable(model, tr, regime.acceptable) for tr in bundle)
 
     if isinstance(regime, RobustRecovery):
-        for scen, tr in zip(bundle.scenarios, bundle.trajectories):
-            if not bundle.robust and not in_robust_set(model, scen):
+        for i, tr in enumerate(bundle.trajectories):
+            if not bundle.robust and not scenarios.robust[i]:
                 continue
             if recovery_time(model, tr, regime.acceptable) > regime.deadline:
                 return False
         return True
 
     if isinstance(regime, StochasticViability):
-        weights = _weights(model, bundle)
+        weights = _weights(bundle, scenarios)
         p = 0.0
         for w, tr in zip(weights, bundle.trajectories):
             if _viable(model, tr, regime.acceptable):
@@ -245,7 +251,7 @@ def regime_membership(
         )
 
     if isinstance(regime, ProbExcursion):
-        weights = _weights(model, bundle)
+        weights = _weights(bundle, scenarios)
         p = 0.0
         for w, tr in zip(weights, bundle.trajectories):
             if exit_times(model, tr, regime.region):
@@ -256,8 +262,8 @@ def regime_membership(
         have_probs = (
             model.uncertainty.has_probs or model.scenario_probs is not None
         )
-        for scen, tr in zip(bundle.scenarios, bundle.trajectories):
-            if have_probs and scenario_weight(model, scen) <= 0.0:
+        for i, tr in enumerate(bundle.trajectories):
+            if have_probs and scenarios.weights[i] <= 0.0:
                 continue
             if len(exit_times(model, tr, regime.region)) > regime.max_exits:
                 return False
@@ -282,8 +288,9 @@ def regime_membership(
         )
 
     if isinstance(regime, RiskContainment):
-        from .risk import evaluate_risk
+        from .risk import _evaluate
 
-        return evaluate_risk(model, regime.measure, bundle) <= regime.level
+        value = _evaluate(model, regime.measure, bundle, scenarios)
+        return value <= regime.level
 
     raise InputError(f"unknown regime {regime!r}")

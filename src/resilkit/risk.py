@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import SystemModel, in_robust_set, scenario_weight
+from .model import SystemModel, _Scenarios
 from .regimes import exit_times, recovery_time
 from .strategy import TrajectoryBundle
 
@@ -274,6 +274,11 @@ def evaluate_cost(model: SystemModel, cost, trajectory) -> float:
     """Per-trajectory cost: the kind's base sum over non-cemetery steps,
     plus cemetery_penalty per time spent at the cemetery."""
     validate_cost(model, cost)
+    return _cost(model, cost, trajectory)
+
+
+def _cost(model, cost, trajectory):
+    """evaluate_cost of a valid cost function, unchecked."""
     K = model.horizon
     dead = model.cemetery
     dead_steps = sum(
@@ -342,34 +347,30 @@ def cvar(values, weights, level: float) -> float:
     return acc / level
 
 
-def _full_weights(model, bundle):
+def _full_weights(bundle, scenarios):
     if bundle.robust:
         raise InputError("probability-weighted risk needs a full-domain bundle")
-    return [scenario_weight(model, s) for s in bundle.scenarios]
+    return scenarios.weights
 
 
-def _robust_positions(model, bundle):
+def _robust_positions(bundle, scenarios):
     if bundle.robust:
         return range(len(bundle.trajectories))
-    return [
-        i
-        for i, s in enumerate(bundle.scenarios)
-        if in_robust_set(model, s)
-    ]
+    return [i for i, robust in enumerate(scenarios.robust) if robust]
 
 
-def _apply_outer(model, outer, bundle, values):
+def _apply_outer(outer, bundle, scenarios, values):
     if isinstance(outer, Expectation):
-        weights = _full_weights(model, bundle)
+        weights = _full_weights(bundle, scenarios)
         acc = 0.0
         for w, z in zip(weights, values):
             if w != 0.0:
                 acc += w * z
         return acc
     if isinstance(outer, WorstCase):
-        return max(values[i] for i in _robust_positions(model, bundle))
+        return max(values[i] for i in _robust_positions(bundle, scenarios))
     if isinstance(outer, CVaR):
-        return cvar(values, _full_weights(model, bundle), outer.level)
+        return cvar(values, _full_weights(bundle, scenarios), outer.level)
     raise InputError(f"unknown outer functional {outer!r}")
 
 
@@ -381,15 +382,21 @@ def _exceeds(model, trajectory, acceptable):
 def evaluate_risk(model: SystemModel, spec, bundle: TrajectoryBundle) -> float:
     """Evaluate a risk measure on a bundle."""
     validate_risk(model, spec)
+    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust, check=True)
+    return _evaluate(model, spec, bundle, scenarios)
 
+
+def _evaluate(model, spec, bundle, scenarios):
+    """evaluate_risk of a valid risk measure, unchecked; `scenarios` is a
+    _Scenarios over bundle.scenarios."""
     if isinstance(spec, WorstCaseViolation):
-        for i in _robust_positions(model, bundle):
+        for i in _robust_positions(bundle, scenarios):
             if exit_times(model, bundle.trajectories[i], spec.acceptable):
                 return 1.0
         return 0.0
 
     if isinstance(spec, Exceedance):
-        weights = _full_weights(model, bundle)
+        weights = _full_weights(bundle, scenarios)
         acc = 0.0
         for w, tr in zip(weights, bundle.trajectories):
             if _exceeds(model, tr, spec.acceptable):
@@ -419,12 +426,10 @@ def evaluate_risk(model: SystemModel, spec, bundle: TrajectoryBundle) -> float:
             float(len(exit_times(model, tr, spec.acceptable, use_constraints=True)))
             for tr in bundle.trajectories
         ]
-        return _apply_outer(model, spec.outer, bundle, counts)
+        return _apply_outer(spec.outer, bundle, scenarios, counts)
 
     if isinstance(spec, Composed):
-        costs = [
-            evaluate_cost(model, spec.cost, tr) for tr in bundle.trajectories
-        ]
-        return _apply_outer(model, spec.outer, bundle, costs)
+        costs = [_cost(model, spec.cost, tr) for tr in bundle.trajectories]
+        return _apply_outer(spec.outer, bundle, scenarios, costs)
 
     raise InputError(f"unknown risk measure {spec!r}")

@@ -24,9 +24,9 @@ from .errors import CapacityError, InputError, ModelFormatError
 from .model import (
     DEFAULT_SCENARIO_CAP,
     SystemModel,
+    _Scenarios,
     enumerate_scenarios,
     packed_tables,
-    step,
 )
 
 # enumerate_strategies refuses to yield more than this many strategies
@@ -214,15 +214,60 @@ def _check_run(model, strategy, x0, start):
     return start
 
 
-def _closed_loop(model, strategy, x0, scenario, start):
-    """The trajectory of an already validated run under a valid scenario."""
-    states = [x0]
-    controls = []
-    for t in range(start, model.horizon):
-        u = policy_control(model, strategy, t, states[-1], scenario)
-        controls.append(u)
-        states.append(step(model, t, states[-1], u, scenario[t]))
-    return Trajectory(start, tuple(states), tuple(controls), scenario)
+def _step_lists(model):
+    """Lists next[t][x][u * |W_t| + w] of next states over w < |W_t|, in
+    which the cemetery and every inadmissible control lead to the cemetery.
+    Built by the first bundle on a model and kept on it; entries share one
+    int object per state."""
+    cached = getattr(model, "_step_lists", None)
+    if cached is None:
+        dyn, ok = packed_tables(model)
+        states = np.arange(model.n_states + 1).astype(object)
+        cached = []
+        for t in range(model.horizon):
+            nxt = np.where(
+                ok[t, :, :, None].astype(bool),
+                dyn[t, :, :, : model.uncertainty.size(t)],
+                model.cemetery,
+            )
+            cached.append(states[nxt].reshape(len(states), -1).tolist())
+        object.__setattr__(model, "_step_lists", cached)
+    return cached
+
+
+def _bundle(model, strategy, x0, start, scenarios):
+    """build_bundle without checks: a valid strategy run from a valid x0 at
+    a valid start, over a _Scenarios of valid scenarios."""
+    base = strategy.start
+    steps = _step_lists(model)
+    plan = []  # (next-state lists, policy rows, adapted, |W_t|) per time
+    for t, pol in enumerate(strategy.policies[start - base :], start):
+        rows = pol.table.tolist()
+        adapted = pol.kind == ADAPTED
+        # the cemetery plays control 0
+        rows.append([0] * pol.table.shape[1] if adapted else 0)
+        plan.append((steps[t], rows, adapted, model.uncertainty.size(t)))
+    trajectories = []
+    for scen in scenarios.scenarios:
+        # rank of the prefix (w_base..w_{t-1}) the time-t policy observes;
+        # a run from start >= K plays no policy
+        rank = prefix_rank(model, start, scen, base) if plan else 0
+        x = x0
+        states = [x]
+        controls = []
+        for (nxt, rows, adapted, size), w in zip(plan, scen[start:]):
+            u = rows[x][rank] if adapted else rows[x]
+            rank = rank * size + w
+            x = nxt[x][u * size + w]
+            controls.append(u)
+            states.append(x)
+        trajectories.append(
+            Trajectory(start, tuple(states), tuple(controls), scen)
+        )
+    return TrajectoryBundle(
+        start, x0, scenarios.robust_only, scenarios.scenarios,
+        tuple(trajectories),
+    )
 
 
 def simulate_closed_loop(
@@ -234,7 +279,8 @@ def simulate_closed_loop(
     scenario = tuple(int(w) for w in scenario)
     model._check_scenario(scenario)
     start = _check_run(model, strategy, x0, start)
-    return _closed_loop(model, strategy, x0, scenario, start)
+    one = _Scenarios(model, (scenario,))
+    return _bundle(model, strategy, x0, start, one).trajectories[0]
 
 
 def build_bundle(
@@ -251,11 +297,8 @@ def build_bundle(
     scenarios = enumerate_scenarios(model, robust_only=robust_only, cap=cap)
     validate_strategy(model, strategy)
     start = _check_run(model, strategy, x0, start)
-    trajectories = tuple(
-        _closed_loop(model, strategy, x0, s, start) for s in scenarios
-    )
-    return TrajectoryBundle(
-        start, x0, robust_only, tuple(scenarios), trajectories
+    return _bundle(
+        model, strategy, x0, start, _Scenarios(model, scenarios, robust_only)
     )
 
 

@@ -3,6 +3,7 @@ resilient-set dispatcher, against frozen values on the reservoir model and
 naive recomputations on random instances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,92 @@ def test_resilient_states_later_start(m1):
 def test_resilient_states_strategy_cap(m1):
     with pytest.raises(rk.CapacityError, match="exceed cap"):
         rk.resilient_states(m1, 0, rk.Bounded(A), cap=10)
+
+
+def test_public_boundaries_keep_their_checks(m1):
+    # the scans skip these checks per strategy; the public functions must
+    # still make them, in the same order
+    s = rk.constant_strategy(m1, 1)
+    tables = np.zeros((3, 4), dtype=int)
+    tables[1, 3] = 2  # m1 has controls 0 and 1 only
+    bad = rk.Strategy(0, tuple(
+        rk.Policy(t, rk.MARKOV, tables[t]) for t in range(3)
+    ))
+    late = rk.constant_strategy(m1, 1, start=1)
+    V = rk.Viability(A)
+    bundle = rk.build_bundle(m1, s, 2)
+    robust = rk.build_bundle(m1, s, 2, robust_only=True)
+    cases = [
+        # (call, error, message): regime, then scenario cap, strategy, x0
+        (lambda: rk.check_resilient(m1, s, 9, 0, rk.Viability({7})),
+         rk.InputError, "acceptable set contains invalid state index 7"),
+        (lambda: rk.check_resilient(m1, s, 9, 0, rk.RobustRecovery(A, 9)),
+         rk.InputError, "deadline 9 outside"),
+        (lambda: rk.check_resilient(m1, bad, 9, 0, V, cap=7),
+         rk.CapacityError, "8 scenarios exceed cap 7"),
+        (lambda: rk.check_resilient(m1, bad, 9, 0, V),
+         rk.InputError, "unknown control"),
+        (lambda: rk.check_resilient(m1, s, 4, 0, V),
+         rk.InputError, "x0 must be an ordinary state index, got 4"),
+        (lambda: rk.check_resilient(m1, late, 2, 0, V),
+         rk.InputError, "cannot simulate from 0"),
+        (lambda: rk.check_resilient(m1, s, 2, 0, rk.RiskContainment(
+            rk.Composed(rk.TimeOutside(A), rk.CVaR(0.0)), 1.0)),
+         rk.InputError, "CVaR level 0.0"),
+        (lambda: rk.regime_membership(m1, rk.Bounded({-1}), bundle),
+         rk.InputError, "region contains invalid state index -1"),
+        (lambda: rk.regime_membership(m1, rk.ProbExcursion(A, 0.5), robust),
+         rk.InputError, "probabilistic membership needs a full-domain"),
+        (lambda: rk.evaluate_risk(
+            m1, rk.Composed(rk.TimeOutside({5}), rk.Expectation()), bundle),
+         rk.InputError, "acceptable set contains invalid state index 5"),
+        (lambda: rk.evaluate_risk(
+            m1, rk.Composed(rk.TimeOutside(A), rk.CVaR(1.5)), bundle),
+         rk.InputError, "CVaR level 1.5"),
+        (lambda: rk.evaluate_risk(m1, rk.Exceedance(A), robust),
+         rk.InputError, "probability-weighted risk needs a full-domain"),
+        (lambda: rk.evaluate_cost(
+            m1, rk.ControlEffort((1.0,)), bundle.trajectories[0]),
+         rk.InputError, "1 effort rates for 2 controls"),
+        (lambda: rk.evaluate_cost(m1, rk.TabularCost(
+            np.zeros((3, 4)), np.zeros((3, 2))), bundle.trajectories[0]),
+         rk.InputError, "state cost table has shape"),
+        (lambda: rk.build_bundle(m1, bad, 9, cap=7),
+         rk.CapacityError, "8 scenarios exceed cap 7"),
+        (lambda: rk.build_bundle(m1, s, -1),
+         rk.InputError, "x0 must be an ordinary state index, got -1"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=re.escape(message)):
+            call()
+    # a run from beyond the horizon plays no policy and never recovers
+    assert not rk.check_resilient(m1, s, 2, 4, V)
+
+
+def test_scans_check_start_and_x0_once(m1):
+    effort = rk.Composed(rk.ControlEffort(), rk.Expectation())
+    B = rk.Bounded(A)
+    cases = [
+        (lambda: rk.minimize_risk(m1, 2, -1, B, effort),
+         "strategy start -1 out of range 0..3"),
+        (lambda: rk.minimize_risk(m1, 2, 4, B, effort),
+         "strategy start 4 out of range 0..3"),
+        (lambda: rk.oracle_min_risk(m1, 2, 5, B, effort),
+         "strategy start 5 out of range 0..3"),
+        (lambda: rk.oracle_min_risk(m1, 4, 2, B, effort),
+         "x0 must be an ordinary state index, got 4"),
+    ]
+    for call, message in cases:
+        with pytest.raises(rk.InputError, match=re.escape(message)):
+            call()
+    with pytest.raises(rk.CapacityError, match="8 scenarios exceed cap 3"):
+        rk.resilient_states(m1, 2, B, scenario_cap=3)
+    # expected costs without probabilities fail at the first resilient
+    # strategy, and only then
+    plain = build_m1(probs=None)
+    assert rk.minimize_risk(plain, 0, 2, B, effort).value == math.inf
+    with pytest.raises(rk.ConfigurationError, match="per-time probability"):
+        rk.minimize_risk(plain, 2, 2, B, effort)
 
 
 def test_exhaustive_agrees_with_kernel_on_bounded():

@@ -282,13 +282,13 @@ def test_pruned_scan_on_m1_benign(monkeypatch):
     with open(MODELS / "m1_benign.model", encoding="utf-8") as fh:
         parsed = rk.parse_model(fh.read())
     scanned = []
-    check = rk.optimize.check_resilient
+    member = rk.optimize._membership
 
-    def counting(model, strategy, *args, **kwargs):
-        scanned.append(strategy)
-        return check(model, strategy, *args, **kwargs)
+    def counting(model, regime, bundle, *args, **kwargs):
+        scanned.append(bundle)
+        return member(model, regime, bundle, *args, **kwargs)
 
-    monkeypatch.setattr(rk.optimize, "check_resilient", counting)
+    monkeypatch.setattr(rk.optimize, "_membership", counting)
     out = rk.minimize_risk(parsed.model, 0, 0, parsed.regime, parsed.risk)
     assert out.certificate == "exhaustive"
     assert len(scanned) == 64
@@ -299,6 +299,30 @@ def test_pruned_scan_on_m1_benign(monkeypatch):
     )
     assert (out.value, out.examined) == (value, examined)
     assert rk.strategies_equal(out.strategy, strat)
+
+
+def test_full_scenario_cap_waits_for_a_resilient_representative():
+    # 2**21 full scenarios exceed DEFAULT_SCENARIO_CAP, the robust set is
+    # one scenario: membership never needs the full set, and the risk of a
+    # resilient strategy does
+    K = 21
+    assert 2**K > rk.DEFAULT_SCENARIO_CAP
+    model = rk.make_model(
+        horizon=K, state_labels=("0", "1"), control_labels=("0",),
+        uncertainty_sets=("0", "1"), dynamics_fn=lambda t, x, u, w: x,
+        robust=("0",),
+    )
+    regime = rk.RobustRecovery(frozenset({1}), K)
+    risk = rk.Composed(rk.RecoveryOffset(frozenset({1})), rk.WorstCase())
+    out = rk.minimize_risk(model, 0, 0, regime, risk)
+    assert (out.resilient, out.value, out.examined) == (False, math.inf, 0)
+    assert rk.oracle_min_risk(model, 0, 0, regime, risk) == (math.inf, None, 0)
+    assert rk.check_resilient(model, rk.constant_strategy(model, 0), 1, 0,
+                              regime)
+    with pytest.raises(rk.CapacityError, match="scenarios exceed cap"):
+        rk.minimize_risk(model, 1, 0, regime, risk)
+    with pytest.raises(rk.CapacityError, match="scenarios exceed cap"):
+        rk.oracle_min_risk(model, 1, 0, regime, risk)
 
 
 def test_cap_error_names_the_route(m1):

@@ -188,6 +188,67 @@ def test_bundle_validates_the_strategy_once(m1, monkeypatch):
         rk.build_bundle(m1, rk.Strategy(1, s.policies[1:]), 2, start=0)
 
 
+def _public_run(model, strategy, x0, scenario, start):
+    """States and controls from the public policy_control and step alone."""
+    states, controls = [x0], []
+    for t in range(start, model.horizon):
+        u = rk.strategy.policy_control(model, strategy, t, states[-1],
+                                       scenario)
+        controls.append(u)
+        states.append(rk.step(model, t, states[-1], u, scenario[t]))
+    return tuple(states), tuple(controls)
+
+
+def test_bundle_matches_public_step_and_policy_control():
+    rng = np.random.default_rng(20261018)
+    seen = dict.fromkeys(
+        ("markov", "adapted", "later start", "inadmissible", "padding",
+         "cemetery"), 0)
+    for _ in range(120):
+        model = random_model(rng, max_states=4, max_controls=3, max_w=3,
+                             max_horizon=4, with_robust=True,
+                             cemetery_rate=0.15)
+        twin = padded_twin(rng, model)
+        if twin is not None:
+            model = twin
+            seen["padding"] += 1
+        base = int(rng.integers(0, model.horizon))
+        # mixed policy kinds: adapted ones read the prefix from `base`
+        policies = []
+        for t in range(base, model.horizon):
+            if rng.random() < 0.5:
+                shape = (model.n_states, rk.n_prefixes(model, t, base))
+                policies.append(rk.Policy(
+                    t, rk.ADAPTED, rng.integers(0, model.n_controls, shape)))
+            else:
+                policies.append(rk.Policy(t, rk.MARKOV, rng.integers(
+                    0, model.n_controls, model.n_states)))
+        strategy = rk.Strategy(base, tuple(policies))
+        seen[strategy.kind] += 1
+        start = int(rng.integers(base, model.horizon + 1))
+        seen["later start"] += start > base
+        x0 = int(rng.integers(model.n_states))
+        robust_only = bool(rng.random() < 0.3)
+        bundle = rk.build_bundle(model, strategy, x0, start=start,
+                                 robust_only=robust_only)
+        assert bundle.scenarios == tuple(
+            rk.enumerate_scenarios(model, robust_only=robust_only))
+        for scen, traj in zip(bundle.scenarios, bundle.trajectories):
+            states, controls = _public_run(model, strategy, x0, scen, start)
+            assert (traj.start, traj.scenario) == (start, scen)
+            assert traj.states == states
+            assert traj.controls == controls
+            one = rk.simulate_closed_loop(model, strategy, x0, scen, start)
+            assert (one.states, one.controls) == (states, controls)
+            seen["cemetery"] += model.cemetery in states
+            seen["inadmissible"] += any(
+                x != model.cemetery and not model.constraints[t, x, u]
+                for t, x, u in zip(range(start, model.horizon), states,
+                                   controls)
+            )
+    assert min(seen.values()) >= 10, seen
+
+
 def test_strategy_counting(m1):
     assert rk.count_strategies(m1, rk.MARKOV, 0) == 2 ** 12
     assert rk.count_strategies(m1, rk.ADAPTED, 0) == 2 ** (4 * (1 + 2 + 4))
