@@ -1,11 +1,13 @@
 """Exact decision procedures for resilience.
 
-Backward dynamic programming for the viability family (robust kernel,
-stochastic viability value, layered min-max recovery) and an exhaustive
-strategy search for every other regime. Every recursion, and the cost sweep
-of the DP certificate in optimize, is a sequence of one array-level Bellman
-backup (`_backup`). Witness policies use the smallest control index on ties
-so outputs are reproducible.
+Backward dynamic programming for the viability family and an exhaustive
+strategy search for every other regime. The robust kernel and robust
+recovery are one min-max sweep: the least worst-case number of steps to the
+kernel, whose zero level is the kernel. The stochastic viability value is a
+max-expectation sweep, and the DP certificate in optimize a min-expectation
+one. Every sweep is a sequence of one array-level Bellman backup
+(`_backup`), one call per time. Witness policies use the smallest control
+index on ties so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .regimes import (
     RobustRecovery,
     StochasticViability,
     Viability,
+    _check_state_set,
     _membership,
     validate_regime,
 )
@@ -77,20 +80,27 @@ class ValueTable:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryTable:
-    """Layered robust-recovery structure.
+    """Least worst-case recovery times into the robust kernel.
 
-    layers[k, t, x] says x can be driven into the kernel within k steps
-    from time t, whatever the robust scenario. min_layer is the least such
-    k (inf when none within the deadline); r_star is min_layer at time 0.
-    witness[t, x] is the control of the least-layer policy.
+    min_layer[t, x] is the least k such that some strategy drives x from
+    time t into the kernel within k steps whatever the robust scenario
+    (inf when none within the deadline); r_star is min_layer at time 0.
+    witness[t, x] is the least control attaining it.
     """
 
     acceptable: frozenset
     deadline: int
-    layers: np.ndarray  # bool (deadline+1, K+1, n)
     min_layer: np.ndarray  # float64 (K+1, n)
     witness: np.ndarray  # int32 (K, n), -1 where no finite layer
     r_star: np.ndarray  # float64 (n,)
+
+    @property
+    def layers(self):
+        """Read-only bool (deadline+1, K+1, n): layers[k, t, x] says x can
+        be driven into the kernel within k steps from time t."""
+        layers = np.arange(self.deadline + 1)[:, None, None] >= self.min_layer
+        layers.setflags(write=False)
+        return layers
 
     def resilient_set(self, t):
         """States resilient for RobustRecovery(acceptable, deadline) at t."""
@@ -111,12 +121,11 @@ class ResilientSet:
     method: str  # kernel | value | recovery | exhaustive
 
 
-def _check_acceptable(model, acceptable):
+def _acceptable_mask(model, acceptable):
+    """(acceptable as a checked frozenset, bool (n,) membership mask)."""
     acceptable = frozenset(acceptable)
-    for x in acceptable:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < model.n_states:
-            raise InputError(f"acceptable set contains invalid state {x!r}")
-    return acceptable
+    _check_state_set(model, acceptable, "acceptable set")
+    return acceptable, np.isin(np.arange(model.n_states), list(acceptable))
 
 
 def _uncertainty_ranges(model, domain):
@@ -135,46 +144,66 @@ def _uncertainty_ranges(model, domain):
     )
 
 
-def _backup(model, t, ws, target=None, values=None, probs=None, init=0.0,
-            minimize=False):
+def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
     """One Bellman backup at time t for every state at once.
 
-    A control qualifies at x when it is admissible and, if `target` (bool,
-    n) is given, every w in `ws` leads into `target`; the cemetery never
-    does. Without `values` the result is (x has a qualifying control, the
-    least one or -1). With `values` (float64, n) and `probs`, a control
-    scores init + sum of probs[w] * values[F_t(x, u, w)] over `ws`, added
-    one w at a time in ascending order, the cemetery reading 0.0; the result
-    is (the max, or with `minimize` the min, of the scores of qualifying
-    controls, the least control attaining it or -1). Columns w outside `ws`,
-    such as the padding w >= |W_t|, are never read.
+    A control u scores at x from the reads values[F_t(x, u, w)] (float64,
+    n) over w in `ws`, the cemetery reading `pad`: without `probs` the max
+    of the reads; with `probs` init + the sum of probs[w] * read, added one
+    w at a time in ascending order. The result is (the min, or without
+    `minimize` the max, of the scores of the admissible controls; the least
+    control attaining it or -1). Minimizing, a control scoring inf or NaN
+    never attains; maximizing, admissible scores must be finite. Columns w
+    outside `ws`, such as the padding w >= |W_t|, are never read.
     """
     dyn, ok = packed_tables(model)
     n = model.n_states
-    nxt = dyn[t, :n][:, :, list(ws)]  # (n, nu, len(ws))
+    # (len(ws), n, nu), C-ordered: reduces over w run on whole (n, nu)
+    # planes and the take reads a contiguous index
+    nxt = dyn[t, :n, :, list(ws)]
+    reads = np.append(values, pad).take(nxt)
+    if probs is None:
+        score = reads.max(axis=0)
+    else:
+        score = init
+        # an inf read weighted 0 gives NaN; minimizing masks it out below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, w in enumerate(ws):
+                score = score + probs[w] * reads[j]
     allowed = ok[t, :n].astype(bool)
-    if target is not None:
-        allowed &= np.append(target, False)[nxt].all(axis=2)
-    if values is None:
-        found = allowed.any(axis=1)
-        return found, np.where(found, allowed.argmax(axis=1), -1)
-    reads = np.append(values, 0.0)[nxt]
-    score = init
-    # lanes of controls that do not qualify may read inf (0 * inf is NaN);
-    # they are masked out below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, w in enumerate(ws):
-            score = score + probs[w] * reads[:, :, j]
     if minimize:
         # a strict-improvement scan from +inf never picks inf or NaN
-        allowed &= score < math.inf
-        score = np.where(allowed, score, math.inf)
+        score = np.where(allowed & (score < math.inf), score, math.inf)
         pick = score.argmin(axis=1)
     else:
         score = np.where(allowed, score, -math.inf)
         pick = score.argmax(axis=1)
-    rows = np.arange(n)
-    return score[rows, pick], np.where(allowed[rows, pick], pick, -1)
+    best = score[np.arange(n), pick]
+    return best, np.where(np.isfinite(best), pick, -1)
+
+
+def _min_max_sweep(model, inside, ranges, deadline):
+    """Least worst-case layers and their witnesses, one backup per time.
+
+    L_K is 0 on `inside` and inf elsewhere. With m = min over admissible u
+    of the max over ranges[t] of L_{t+1}(F_t(x, u, w)), the cemetery
+    reading inf, L_t is 0 where x is inside and m = 0, else 1 + m. Returns
+    (L with inf above the deadline: float64 (K+1, n); the least control
+    attaining m where that L is finite, else -1: int32 (K, n)). Capping
+    once at the end gives the per-time capped sweep: the cap is monotone,
+    so it commutes with the max, the min and the step.
+    """
+    K, n = model.horizon, model.n_states
+    layer = np.full((K + 1, n), math.inf)
+    witness = np.empty((K, n), dtype=np.int32)
+    layer[K, inside] = 0.0
+    for t in range(K - 1, -1, -1):
+        m, witness[t] = _backup(model, t, ranges[t], layer[t + 1], math.inf)
+        layer[t] = np.where(inside & (m == 0.0), 0.0, m + 1.0)
+    late = layer > deadline
+    layer[late] = math.inf
+    witness[late[:K]] = -1
+    return layer, witness
 
 
 def robust_viability_kernel(
@@ -183,17 +212,10 @@ def robust_viability_kernel(
     """States from which some admissible control keeps the state in
     `acceptable` at every time, whatever the uncertainty in the domain
     ("robust": the per-time robust subsets; "full": the whole sets)."""
-    acceptable = _check_acceptable(model, acceptable)
+    acceptable, inside = _acceptable_mask(model, acceptable)
     ranges = _uncertainty_ranges(model, domain)
-    K, n = model.horizon, model.n_states
-    inside = np.isin(np.arange(n), list(acceptable))
-    member = np.zeros((K + 1, n), dtype=bool)
-    witness = np.full((K, n), -1, dtype=np.int32)
-    member[K] = inside
-    for t in range(K - 1, -1, -1):
-        found, u = _backup(model, t, ranges[t], target=member[t + 1])
-        member[t] = inside & found
-        witness[t] = np.where(member[t], u, -1)
+    layer, witness = _min_max_sweep(model, inside, ranges, 0)
+    member = layer == 0.0
     member.setflags(write=False)
     witness.setflags(write=False)
     return KernelTable(acceptable, member, witness, domain)
@@ -202,7 +224,7 @@ def robust_viability_kernel(
 def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
     """Maximal probability of staying in `acceptable` with admissible
     controls, by backward recursion under per-time independent noise."""
-    acceptable = _check_acceptable(model, acceptable)
+    acceptable, inside = _acceptable_mask(model, acceptable)
     if not model.uncertainty.has_probs:
         raise ConfigurationError(
             "stochastic viability needs per-time probability vectors"
@@ -215,14 +237,13 @@ def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
         )
     ranges = _uncertainty_ranges(model, "full")
     K, n = model.horizon, model.n_states
-    inside = np.isin(np.arange(n), list(acceptable))
     value = np.zeros((K + 1, n), dtype=np.float64)
     witness = np.full((K, n), -1, dtype=np.int32)
     value[K] = inside
     for t in range(K - 1, -1, -1):
         best, u = _backup(
-            model, t, ranges[t], values=value[t + 1],
-            probs=model.uncertainty.probs[t],
+            model, t, ranges[t], value[t + 1], 0.0,
+            probs=model.uncertainty.probs[t], minimize=False,
         )
         value[t] = np.where(inside, best, 0.0)
         witness[t] = np.where(inside, u, -1)
@@ -234,38 +255,21 @@ def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
 def robust_recovery_table(
     model: SystemModel, acceptable, deadline: int
 ) -> RecoveryTable:
-    """Layered reachability of the robust kernel: layer k at time t holds
-    the states that can reach viability within k steps whatever the robust
-    scenario. r_star is the least layer at time 0 (the min over strategies
-    of the max over robust scenarios of the recovery time), +inf beyond the
-    deadline."""
-    acceptable = _check_acceptable(model, acceptable)
+    """Least worst-case recovery times into the robust kernel, by one
+    min-max sweep over the robust subsets. r_star is the min over
+    strategies of the max over robust scenarios of the recovery time, +inf
+    beyond the deadline."""
+    acceptable, inside = _acceptable_mask(model, acceptable)
     if not 0 <= deadline <= model.horizon:
         raise InputError(
             f"deadline {deadline} outside 0..{model.horizon}"
         )
     ranges = _uncertainty_ranges(model, "robust")
-    kernel = robust_viability_kernel(model, acceptable, domain="robust")
-    K, n = model.horizon, model.n_states
-    layers = np.zeros((deadline + 1, K + 1, n), dtype=bool)
-    layers[0] = kernel.member
-    # a state keeps the control of the layer it first enters
-    witness = kernel.witness.copy()
-    for k in range(1, deadline + 1):
-        layers[k, K] = layers[k - 1, K]
-        for t in range(K):
-            found, u = _backup(model, t, ranges[t], target=layers[k - 1, t + 1])
-            entering = found & ~layers[k - 1, t]
-            layers[k, t] = layers[k - 1, t] | found
-            witness[t, entering] = u[entering]
-
-    min_layer = np.full((K + 1, n), math.inf, dtype=np.float64)
-    for k in range(deadline, -1, -1):
-        min_layer[layers[k]] = k
+    min_layer, witness = _min_max_sweep(model, inside, ranges, deadline)
     r_star = min_layer[0].copy()
-    for arr in (layers, min_layer, witness, r_star):
+    for arr in (min_layer, witness, r_star):
         arr.setflags(write=False)
-    return RecoveryTable(acceptable, deadline, layers, min_layer, witness, r_star)
+    return RecoveryTable(acceptable, deadline, min_layer, witness, r_star)
 
 
 def fill_policy(model, picks, start):

@@ -153,11 +153,12 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
     value = np.where(kernel.member[K], terminal, math.inf)
     picks = np.full((K, n), -1, dtype=np.int32)
     for t in range(K - 1, start - 1, -1):
-        # cheapest among the controls that keep every w inside the kernel
+        # cheapest among the controls that keep every w inside the kernel:
+        # value is inf off it and the cemetery reads inf, so any other
+        # control scores inf (or NaN under a zero weight) and never attains
         best, u = _backup(
-            model, t, range(model.uncertainty.size(t)),
-            target=kernel.member[t + 1], values=value,
-            probs=model.uncertainty.probs[t], init=step[t], minimize=True,
+            model, t, range(model.uncertainty.size(t)), value, math.inf,
+            probs=model.uncertainty.probs[t], init=step[t],
         )
         value = np.where(kernel.member[t], best, math.inf)
         picks[t] = np.where(kernel.member[t], u, -1)

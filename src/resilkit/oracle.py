@@ -81,36 +81,32 @@ def _policy_batches(model, start, total, batch=_BATCH):
         yield a, pol
 
 
-def _good_mask(model, states, controls):
-    """adm[s, m, l]: the control played at step l of trajectory (s, m) is
-    admissible; the terminal step l = L, which plays no control, counts as
-    admissible. Whether the state is acceptable is left to the caller."""
+def _good_mask(model, acceptable, states, controls):
+    """good[s, m, l]: at step l of trajectory (s, m) the state is in
+    `acceptable` and the control played is admissible; the terminal step
+    l = L plays no control, so only its state counts."""
     dyn, ok = packed_tables(model)
     S, M, L = controls.shape
+    in_a = np.zeros(model.n_states + 1, dtype=bool)
+    for x in acceptable:
+        in_a[x] = True
     adm = np.empty((S, M, L + 1), dtype=bool)
     adm[:, :, L] = True
     for l in range(L):
         t = model.horizon - L + l
         adm[:, :, l] = ok[t][states[:, :, l], controls[:, :, l]].astype(bool)
-    return adm
+    return in_a[states] & adm
 
 
 def _viable_mask(model, acceptable, states, controls):
     """viable[s, m]: every state in `acceptable` and every control
     admissible along the trajectory."""
-    in_a = np.zeros(model.n_states + 1, dtype=bool)
-    for x in acceptable:
-        in_a[x] = True
-    good = in_a[states] & _good_mask(model, states, controls)
-    return good.all(axis=2)
+    return _good_mask(model, acceptable, states, controls).all(axis=2)
 
 
 def _recovery_offsets(model, acceptable, states, controls):
     """Per-trajectory recovery time offsets (float, inf when never)."""
-    in_a = np.zeros(model.n_states + 1, dtype=bool)
-    for x in acceptable:
-        in_a[x] = True
-    good = in_a[states] & _good_mask(model, states, controls)
+    good = _good_mask(model, acceptable, states, controls)
     suffix = np.logical_and.accumulate(good[:, :, ::-1], axis=2)[:, :, ::-1]
     any_suffix = suffix.any(axis=2)
     first = suffix.argmax(axis=2).astype(np.float64)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import SystemModel, _Scenarios
-from .regimes import exit_times, recovery_time
+from .regimes import _check_state_set, exit_times, recovery_time
 from .strategy import TrajectoryBundle
 
 # cost accrued per time step spent at the cemetery
@@ -195,12 +195,6 @@ RISK_KINDS = (
 )
 
 
-def _check_set(model, states, what):
-    for x in states:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < model.n_states:
-            raise InputError(f"{what} contains invalid state index {x!r}")
-
-
 def _check_outer(outer):
     if not isinstance(outer, OUTER_KINDS):
         raise InputError(f"unknown outer functional {outer!r}")
@@ -212,7 +206,7 @@ def validate_cost(model: SystemModel, cost) -> None:
     if not isinstance(cost, COST_KINDS):
         raise InputError(f"unknown cost function {cost!r}")
     if isinstance(cost, (TimeOutside, TerminalMiss, RecoveryOffset)):
-        _check_set(model, cost.acceptable, "acceptable set")
+        _check_state_set(model, cost.acceptable, "acceptable set")
     if isinstance(cost, ControlEffort) and cost.rates is not None:
         if len(cost.rates) != model.n_controls:
             raise InputError(
@@ -240,7 +234,7 @@ def validate_risk(model: SystemModel, spec) -> None:
     if isinstance(
         spec, (WorstCaseViolation, Exceedance, AmbiguityExceedance, ExitCountFunctional)
     ):
-        _check_set(model, spec.acceptable, "acceptable set")
+        _check_state_set(model, spec.acceptable, "acceptable set")
     if isinstance(spec, AmbiguityExceedance):
         if not spec.beliefs:
             raise InputError("need at least one belief")

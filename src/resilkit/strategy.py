@@ -331,27 +331,29 @@ def strategies_equal(a: Strategy, b: Strategy) -> bool:
 
 
 def _slot_shapes(model, kind, start):
-    """Table shape per decision time, in time order."""
+    """(table shape per decision time in time order, total slot count)."""
+    if kind not in (MARKOV, ADAPTED):
+        raise InputError(f"unknown strategy kind {kind!r}")
     n = model.n_states
     if kind == MARKOV:
-        return [(n,) for _ in range(start, model.horizon)]
-    return [
-        (n, n_prefixes(model, t, start)) for t in range(start, model.horizon)
-    ]
+        shapes = [(n,) for _ in range(start, model.horizon)]
+    else:
+        shapes = [
+            (n, n_prefixes(model, t, start))
+            for t in range(start, model.horizon)
+        ]
+    return shapes, sum(math.prod(s) for s in shapes)
 
 
 def count_strategies(model: SystemModel, kind: str = MARKOV, start: int = 0) -> int:
     """Size of the full strategy class for this model."""
-    if kind not in (MARKOV, ADAPTED):
-        raise InputError(f"unknown strategy kind {kind!r}")
-    slots = sum(math.prod(s) for s in _slot_shapes(model, kind, start))
-    return model.n_controls**slots
+    return model.n_controls ** _slot_shapes(model, kind, start)[1]
 
 
-def _strategy_from_digits(model, kind, start, digits):
+def _strategy_from_digits(kind, start, shapes, digits):
     policies = []
     pos = 0
-    for i, shape in enumerate(_slot_shapes(model, kind, start)):
+    for i, shape in enumerate(shapes):
         size = math.prod(shape)
         table = np.array(digits[pos : pos + size], dtype=np.int32).reshape(shape)
         policies.append(Policy(start + i, kind, table))
@@ -364,17 +366,17 @@ def strategy_from_rank(
 ) -> Strategy:
     """Strategy at a given lexicographic rank (slot order: time ascending,
     state ascending, prefix rank ascending; last slot varies fastest)."""
-    total = count_strategies(model, kind, start)
+    shapes, slots = _slot_shapes(model, kind, start)
+    nu = model.n_controls
+    total = nu**slots
     if not 0 <= rank < total:
         raise InputError(f"strategy rank {rank} out of range 0..{total - 1}")
-    slots = sum(math.prod(s) for s in _slot_shapes(model, kind, start))
-    nu = model.n_controls
     digits = []
     for _ in range(slots):
         rank, d = divmod(rank, nu)
         digits.append(d)
     digits.reverse()
-    return _strategy_from_digits(model, kind, start, digits)
+    return _strategy_from_digits(kind, start, shapes, digits)
 
 
 @dataclass(frozen=True)
@@ -453,14 +455,14 @@ def enumerate_strategies(
 ):
     """Every strategy of the class in lexicographic rank order. The cap is
     checked eagerly, before any strategy is produced."""
-    total = count_strategies(model, kind, start)
+    shapes, slots = _slot_shapes(model, kind, start)
+    total = model.n_controls**slots
     if total > cap:
         raise CapacityError(f"{total} strategies exceed cap {cap}")
-    slots = sum(math.prod(s) for s in _slot_shapes(model, kind, start))
 
     def _generate():
         for digits in itertools.product(range(model.n_controls), repeat=slots):
-            yield _strategy_from_digits(model, kind, start, digits)
+            yield _strategy_from_digits(kind, start, shapes, digits)
 
     return _generate()
 

@@ -233,6 +233,27 @@ def test_recovery_rejects_explicit_robust_lists():
         rk.robust_recovery_table(model, {1}, 1)
 
 
+def test_recovery_is_one_sweep_of_horizon_backups(m1_benign, monkeypatch):
+    # one min-max backup per time, whatever the deadline
+    times = []
+    backup = rk.engine._backup
+
+    def counted(model, t, *args, **kwargs):
+        times.append(t)
+        return backup(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(rk.engine, "_backup", counted)
+    K = m1_benign.horizon
+    for d in range(K + 1):
+        times.clear()
+        table = rk.robust_recovery_table(m1_benign, A, d)
+        assert times == list(range(K - 1, -1, -1))
+        layers = table.layers
+        assert layers.shape == (d + 1, K + 1, m1_benign.n_states)
+        with pytest.raises(ValueError, match="read-only"):
+            layers[0, 0, 0] = not layers[0, 0, 0]
+
+
 def test_recovery_witness_attains_r_star(m1_benign):
     table = rk.robust_recovery_table(m1_benign, A, 3)
     strat = rk.fill_policy(m1_benign, table.witness, 0)
