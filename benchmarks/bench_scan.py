@@ -1,6 +1,8 @@
-"""Time the exhaustive scan of minimize_risk against the class it decides.
+"""Time the exhaustive scan of minimize_risk against the class it decides,
+and oracle_min_risk, which decides the same question over the whole class.
 
 Usage: PYTHONPATH=src python benchmarks/bench_scan.py [--repeat N] [--out PATH]
+           [--before PATH]
 
 Runs minimize_risk(method="exhaustive") on models/m1_benign.model from every
 state, and on three reservoir models (level + inflow - drawdown, the shapes
@@ -11,8 +13,14 @@ optimize._membership), `examined`, the best of --repeat wall times, class
 members decided per second, strategies checked per second, and a sha256 of
 the result (value bits, examined, certificate, strategy tables), so two
 versions of the scan can be compared on speed and shown to give the same
-answers. Writes --out (default BENCH_scan.json at the repository root)
-with the machine, the numpy version and the simulation backend.
+answers. Each case also gets one oracle_min_risk row: the best wall time,
+class members decided per second, the risk bundles it built
+(oracle._bundle calls) and a sha256 of its value bits, examined count and
+witness tables. Writes --out (default BENCH_scan.json at the repository
+root) with the machine, the numpy version and the simulation backend.
+--before names a file this harness wrote on another version of the code
+(run with PYTHONPATH pointing at that version's src); its rows are kept
+under "before", so one file shows both versions.
 """
 
 from __future__ import annotations
@@ -116,13 +124,52 @@ def scan(model, x0, regime, risk):
     return result, checked
 
 
+def oracle_sha256(value, strategy, examined):
+    h = hashlib.sha256()
+    h.update(repr((float(value).hex(), examined)).encode())
+    if strategy is not None:
+        for pol in strategy.policies:
+            h.update(f"{pol.t}:{pol.kind}:{pol.table.shape}".encode())
+            h.update(np.ascontiguousarray(pol.table).tobytes())
+    return h.hexdigest()
+
+
+def oracle_row(name, model, x0, regime, risk, repeat):
+    """One oracle_min_risk row: best time, class/s, bundles built, sha256."""
+    bundles = 0
+    build = rk.oracle._bundle
+
+    def counting(*args, **kwargs):
+        nonlocal bundles
+        bundles += 1
+        return build(*args, **kwargs)
+
+    rk.oracle._bundle = counting
+    try:
+        value, strategy, examined = rk.oracle_min_risk(model, x0, 0, regime,
+                                                       risk)
+    finally:
+        rk.oracle._bundle = build
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        rk.oracle_min_risk(model, x0, 0, regime, risk)
+        best = min(best, time.perf_counter() - t0)
+    class_size = rk.count_strategies(model, rk.MARKOV, 0)
+    return {"name": name, "x0": x0, "class_size": class_size,
+            "examined": examined, "bundles": bundles, "best_s": best,
+            "class_per_s": class_size / best,
+            "sha256": oracle_sha256(value, strategy, examined)}
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_scan.json"))
+    ap.add_argument("--before", default=None)
     args = ap.parse_args()
 
-    out_cases = []
+    out_cases, oracle_rows = [], []
     for name, model, x0, regime, risk in cases():
         result, checked = scan(model, x0, regime, risk)
         best = float("inf")
@@ -139,6 +186,11 @@ def main():
               f"{checked:5d}  {best:8.4f} s  {case['sha256'][:12]}",
               flush=True)
         out_cases.append(case)
+        row = oracle_row(name, model, x0, regime, risk, args.repeat)
+        print(f"{'  oracle_min_risk':26s}       class {class_size:5d}  bundles "
+              f"{row['bundles']:5d}  {row['best_s']:8.4f} s  "
+              f"{row['sha256'][:12]}", flush=True)
+        oracle_rows.append(row)
 
     out = {
         "layer": "scan",
@@ -152,7 +204,13 @@ def main():
         "backend": rk.backend_name(),
         "repeat": args.repeat,
         "cases": out_cases,
+        "oracle_min": oracle_rows,
     }
+    if args.before:
+        with open(args.before, encoding="utf-8") as f:
+            before = json.load(f)
+        out["before"] = {key: before.get(key)
+                         for key in ("repeat", "cases", "oracle_min")}
     with open(args.out, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
         f.write("\n")

@@ -3,19 +3,24 @@
 Everything here decides resilience questions by enumerating whole strategy
 classes and chasing definitions, sharing only the model tables, the
 simulation kernels, and the membership and risk predicates with the rest of
-the package. The object-level scans share the package's unchecked
-closed-loop kernels (`strategy._bundle`, `regimes._membership`,
-`risk._evaluate`, with the regime, risk, start and x0 checked once per call
-as check_resilient would check them), exactly as the production scan does.
-Nothing else is shared: the recursions in `engine`, the pruning of
-unreachable policy slots (`strategy.rank_layout`) and the fast path in
+the package. Nothing else is shared: the recursions in `engine`, the pruning
+of unreachable policy slots (`strategy.rank_layout`) and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
 rank order. These routines exist to check those three.
 
 Markov enumerations run through the batched numpy simulation kernel
-(`_sim.simulate_batch`, called nowhere else in the package); the plain
-object-level scan (`force_object=True`) is the definitional reference the
-batch path is tested against. Caps are hard errors: a truncated scan would
+(`_sim.simulate_batch`, called nowhere else in the package), a block of
+ranks at a time. For the regimes whose membership is a boolean over
+scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
+ControlEvent) membership is read off the block's trajectory arrays
+(`_batch_member`); `oracle_min_risk` then builds a strategy and a bundle
+only for the members, to evaluate their risk. The adapted class, the
+probabilistic regimes and RiskContainment walk the object path, which
+shares the package's unchecked closed-loop kernels (`strategy._bundle`,
+`regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
+checked once per call as check_resilient would check them). That object
+path, forced with `force_object=True`, is the definitional reference the
+batched path is tested against. Caps are hard errors: a truncated scan would
 not be a reference.
 """
 
@@ -33,7 +38,16 @@ from .model import (
     packed_tables,
     scenario_weights,
 )
-from .regimes import Viability, _membership, validate_regime
+from .regimes import (
+    AtMostKExits,
+    Bounded,
+    ControlEvent,
+    RobustRecovery,
+    Stabilize,
+    Viability,
+    _membership,
+    validate_regime,
+)
 from .risk import _evaluate, validate_risk
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
@@ -45,7 +59,14 @@ from .strategy import (
 )
 from ._sim import simulate_batch
 
-_BATCH = 8192
+# trajectory cells (strategies x scenarios x (steps + 1)) per simulated
+# block, which bounds the block's (S, M, L+1) arrays whatever M is
+_CELLS = 1 << 20
+
+# regimes _batch_member decides on simulate_batch trajectories
+_BATCHED_REGIMES = (
+    Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize, ControlEvent,
+)
 
 
 def _check_cap(model, kind, start, cap):
@@ -55,19 +76,21 @@ def _check_cap(model, kind, start, cap):
     return total
 
 
-def _scenario_array(model, robust_only):
-    scenarios = enumerate_scenarios(model, robust_only=robust_only)
-    return scenarios, np.array(scenarios, dtype=np.int32).reshape(
+def _scenario_array(model, scenarios):
+    """The scenario tuples as int32 (M, K) for the simulation kernel."""
+    return np.array(scenarios, dtype=np.int32).reshape(
         len(scenarios), model.horizon
     )
 
 
-def _policy_batches(model, start, total, batch=_BATCH):
+def _policy_batches(model, start, total, n_scenarios):
     """Yield (first_rank, policies) covering ranks 0..total-1 in order;
-    policies is int32 (chunk, K, n+1) ready for the simulation kernel."""
+    policies is int32 (chunk, K, n+1) ready for the simulation kernel, with
+    chunk * n_scenarios * (K - start + 1) at most _CELLS (chunk >= 1)."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
     slots = n * (K - start)
     dims = (nu,) * slots
+    batch = max(1, _CELLS // max(1, n_scenarios * (K - start + 1)))
     for a in range(0, total, batch):
         b = min(total, a + batch)
         ranks = np.arange(a, b, dtype=np.int64)
@@ -81,21 +104,25 @@ def _policy_batches(model, start, total, batch=_BATCH):
         yield a, pol
 
 
+def _state_mask(model, states):
+    """in_set[x] over 0..n (the cemetery is in no state set)."""
+    in_set = np.zeros(model.n_states + 1, dtype=bool)
+    in_set[list(states)] = True
+    return in_set
+
+
 def _good_mask(model, acceptable, states, controls):
     """good[s, m, l]: at step l of trajectory (s, m) the state is in
     `acceptable` and the control played is admissible; the terminal step
     l = L plays no control, so only its state counts."""
     dyn, ok = packed_tables(model)
     S, M, L = controls.shape
-    in_a = np.zeros(model.n_states + 1, dtype=bool)
-    for x in acceptable:
-        in_a[x] = True
     adm = np.empty((S, M, L + 1), dtype=bool)
     adm[:, :, L] = True
     for l in range(L):
         t = model.horizon - L + l
         adm[:, :, l] = ok[t][states[:, :, l], controls[:, :, l]].astype(bool)
-    return in_a[states] & adm
+    return _state_mask(model, acceptable)[states] & adm
 
 
 def _viable_mask(model, acceptable, states, controls):
@@ -114,6 +141,73 @@ def _recovery_offsets(model, acceptable, states, controls):
     return first
 
 
+def _batch_member(model, regime, states, controls, scenarios, start):
+    """member[s]: regimes._membership of a regime in _BATCHED_REGIMES on the
+    bundle of strategy s, from the simulate_batch arrays (states (S, M, L+1),
+    controls (S, M, L)) of a block run from `start` over `scenarios`, a
+    _Scenarios in the arrays' scenario order."""
+    if isinstance(regime, Viability):
+        return _viable_mask(
+            model, regime.acceptable, states, controls
+        ).all(axis=1)
+
+    if isinstance(regime, RobustRecovery):
+        # the deadline is an absolute time
+        offsets = _recovery_offsets(model, regime.acceptable, states, controls)
+        met = start + offsets <= regime.deadline
+        if not scenarios.robust_only:
+            met |= ~np.array(scenarios.robust, dtype=bool)
+        return met.all(axis=1)
+
+    if isinstance(regime, Bounded):
+        return _state_mask(model, regime.region)[states].all(axis=(1, 2))
+
+    if isinstance(regime, AtMostKExits):
+        exits = (~_state_mask(model, regime.region)[states]).sum(axis=2)
+        met = exits <= regime.max_exits
+        if model.uncertainty.has_probs or model.scenario_probs is not None:
+            # zero-weight scenarios do not count
+            met |= np.array(scenarios.weights, dtype=np.float64) <= 0.0
+        return met.all(axis=1)
+
+    if isinstance(regime, Stabilize):
+        coords = model.states.coords
+        center = coords[regime.target]
+        near = np.zeros(model.n_states + 1, dtype=bool)  # cemetery: never
+        for x in range(model.n_states):
+            d = float(np.linalg.norm(coords[x] - center))
+            near[x] = not d > regime.radius
+        first = max(start, model.horizon - regime.window) - start
+        return near[states[:, :, first:]].all(axis=(1, 2))
+
+    if isinstance(regime, ControlEvent):
+        used = np.zeros(model.n_controls, dtype=bool)
+        used[list(regime.controls)] = True
+        return used[controls].any(axis=2).all(axis=1)
+
+    raise InputError(f"regime {regime!r} has no batched membership")
+
+
+def _member_ranks(model, regime, scenarios, x0, start, total):
+    """Ascending ranks of the Markov strategies (of `total`, from `start`)
+    meeting a regime in _BATCHED_REGIMES from x0 over `scenarios`."""
+    dyn, ok = packed_tables(model)
+    scen = _scenario_array(model, scenarios.scenarios)
+    for first_rank, pol in _policy_batches(model, start, total, len(scen)):
+        states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+        member = _batch_member(model, regime, states, controls, scenarios, start)
+        for i in np.flatnonzero(member):
+            yield first_rank + int(i)
+
+
+def _batched(regime, strategy_class, force_object=False):
+    return (
+        not force_object
+        and strategy_class == MARKOV
+        and isinstance(regime, _BATCHED_REGIMES)
+    )
+
+
 def oracle_resilient_states(
     model: SystemModel,
     start: int,
@@ -124,49 +218,32 @@ def oracle_resilient_states(
 ) -> ResilientSet:
     """Resilient states by scanning the whole strategy class: for each x0,
     the first strategy (in rank order) passing check_resilient is the
-    witness. Markov Viability scans run batched; everything else walks the
-    definitional object path."""
+    witness. Markov scans of the regimes in _BATCHED_REGIMES run batched;
+    everything else walks the definitional object path."""
     validate_regime(model, regime)
     if not 0 <= start <= model.horizon:
         raise InputError(f"start {start} outside 0..{model.horizon}")
     total = _check_cap(model, strategy_class, start, cap)
-
-    if (
-        not force_object
-        and strategy_class == MARKOV
-        and isinstance(regime, Viability)
-    ):
-        dyn, ok = packed_tables(model)
-        _, scen = _scenario_array(model, robust_only=False)
-        ranks = {}
-        for x0 in range(model.n_states):
-            for first_rank, pol in _policy_batches(model, start, total):
-                states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
-                viable = _viable_mask(model, regime.acceptable, states, controls)
-                hits = np.flatnonzero(viable.all(axis=1))
-                if hits.size:
-                    ranks[x0] = first_rank + int(hits[0])
-                    break
-        witnesses = {
-            x0: strategy_from_rank(model, r, MARKOV, start)
-            for x0, r in ranks.items()
-        }
-        return ResilientSet(
-            start, regime, strategy_class, frozenset(witnesses), witnesses,
-            "oracle",
-        )
-
     scenarios = _scan_scenarios(model, regime, start)
+
     witnesses = {}
-    pending = set(range(model.n_states))
-    for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
-        if not pending:
-            break
-        for x0 in sorted(pending):
-            bundle = _bundle(model, strat, x0, start, scenarios)
-            if _membership(model, regime, bundle, scenarios):
-                witnesses[x0] = strat
-                pending.discard(x0)
+    if _batched(regime, strategy_class, force_object):
+        for x0 in range(model.n_states):
+            rank = next(
+                _member_ranks(model, regime, scenarios, x0, start, total), None
+            )
+            if rank is not None:
+                witnesses[x0] = strategy_from_rank(model, rank, MARKOV, start)
+    else:
+        pending = set(range(model.n_states))
+        for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
+            if not pending:
+                break
+            for x0 in sorted(pending):
+                bundle = _bundle(model, strat, x0, start, scenarios)
+                if _membership(model, regime, bundle, scenarios):
+                    witnesses[x0] = strat
+                    pending.discard(x0)
     return ResilientSet(
         start, regime, strategy_class, frozenset(witnesses), witnesses,
         "oracle",
@@ -180,12 +257,13 @@ def oracle_value(
     probability of staying viable in `acceptable` from `start`."""
     total = _check_cap(model, MARKOV, start, cap)
     dyn, ok = packed_tables(model)
-    scenarios, scen = _scenario_array(model, robust_only=False)
+    scenarios = enumerate_scenarios(model)
+    scen = _scenario_array(model, scenarios)
     weights = scenario_weights(model, scenarios)
     out = np.zeros(model.n_states, dtype=np.float64)
     for x0 in range(model.n_states):
         best = 0.0
-        for _, pol in _policy_batches(model, start, total):
+        for _, pol in _policy_batches(model, start, total, len(scen)):
             states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
             viable = _viable_mask(model, acceptable, states, controls)
             probs = viable.astype(np.float64) @ weights
@@ -205,11 +283,11 @@ def oracle_recovery_offsets(
     strategy recovers at all (offset inf)."""
     total = _check_cap(model, MARKOV, start, cap)
     dyn, ok = packed_tables(model)
-    _, scen = _scenario_array(model, robust_only=True)
+    scen = _scenario_array(model, enumerate_scenarios(model, robust_only=True))
     offsets = np.full(model.n_states, math.inf, dtype=np.float64)
     ranks = np.full(model.n_states, -1, dtype=np.int64)
     for x0 in range(model.n_states):
-        for first_rank, pol in _policy_batches(model, start, total):
+        for first_rank, pol in _policy_batches(model, start, total, len(scen)):
             per_traj = _recovery_offsets(
                 model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
             )
@@ -219,6 +297,15 @@ def oracle_recovery_offsets(
                 offsets[x0] = float(per_strategy[i])
                 ranks[x0] = first_rank + i
     return offsets, ranks
+
+
+def _object_members(model, regime, strategy_class, x0, start, scenarios, cap):
+    """(strategy, membership bundle) for each strategy of the class meeting
+    the regime from x0 over `scenarios`, in rank order."""
+    for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
+        bundle = _bundle(model, strat, x0, start, scenarios)
+        if _membership(model, regime, bundle, scenarios):
+            yield strat, bundle
 
 
 def oracle_min_risk(
@@ -231,26 +318,37 @@ def oracle_min_risk(
     cap: int = DEFAULT_STRATEGY_CAP,
 ):
     """Exact minimum risk over resilient strategies, +inf when none is
-    resilient. Pure definition-chasing; ties keep the first (least rank)
+    resilient. Pure definition-chasing: every strategy of the class is
+    tested for membership in rank order (a block of Markov ranks at a time on
+    simulate_batch trajectories for the regimes in _BATCHED_REGIMES, one
+    bundle per strategy otherwise), and each resilient one has its risk
+    evaluated on its full-domain bundle; ties keep the first (least rank)
     strategy. Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
-    _check_cap(model, strategy_class, start, cap)
-    strategies = enumerate_strategies(model, strategy_class, start, cap=cap)
+    total = _check_cap(model, strategy_class, start, cap)
     scenarios = _scan_scenarios(model, regime, start, x0)
+    if _batched(regime, strategy_class):
+        members = (
+            (strategy_from_rank(model, rank, MARKOV, start), None)
+            for rank in _member_ranks(model, regime, scenarios, x0, start, total)
+        )
+    else:
+        members = _object_members(
+            model, regime, strategy_class, x0, start, scenarios, cap
+        )
     best = math.inf
     best_strategy = None
     examined = 0
-    for strat in strategies:
-        bundle = _bundle(model, strat, x0, start, scenarios)
-        if not _membership(model, regime, bundle, scenarios):
-            continue
+    for strat, bundle in members:
         examined += 1
+        # the full scenario set is enumerated at the first member only
         full = scenarios.full
-        if bundle.robust:
+        if bundle is None or bundle.robust:
             bundle = _bundle(model, strat, x0, start, full)
         value = _evaluate(model, risk, bundle, full)
         if best_strategy is None or value < best:
             best = value
             best_strategy = strat
     return best, best_strategy, examined
+

@@ -162,6 +162,28 @@ def validate_regime(model: SystemModel, regime) -> None:
         validate_risk(model, regime.measure)
 
 
+def _steps(model, trajectory, acceptable, need_controls):
+    """(acceptable as a frozenset, K - start) for a trajectory holding its
+    states at start..K and, when need_controls, its controls at start..K-1;
+    InputError when it is shorter."""
+    if not isinstance(acceptable, frozenset):
+        acceptable = frozenset(acceptable)
+    start = trajectory.start
+    steps = model.horizon - start
+    if steps >= 0:
+        if len(trajectory.states) <= steps:
+            raise InputError(
+                f"no state at time {start + len(trajectory.states)}; "
+                f"trajectory starts at {start}"
+            )
+        if need_controls and len(trajectory.controls) < steps:
+            raise InputError(
+                f"no control at time {start + len(trajectory.controls)}; "
+                f"trajectory starts at {start}"
+            )
+    return acceptable, steps
+
+
 def exit_times(
     model: SystemModel,
     trajectory: Trajectory,
@@ -170,35 +192,38 @@ def exit_times(
 ) -> tuple:
     """Times s with x_s outside `acceptable`, plus (when use_constraints)
     times s < K where the applied control is inadmissible at x_s."""
-    acceptable = frozenset(acceptable)
-    K = model.horizon
+    acceptable, steps = _steps(model, trajectory, acceptable, use_constraints)
+    start, states = trajectory.start, trajectory.states
+    controls, cemetery = trajectory.controls, model.cemetery
+    constraints = model.constraints
     out = []
-    for s in range(trajectory.start, K + 1):
-        x = trajectory.state(s)
+    for i in range(steps + 1):
+        x = states[i]
         bad = x not in acceptable
-        if not bad and use_constraints and s < K and x != model.cemetery:
-            bad = not model.constraints[s, x, trajectory.control(s)]
+        if not bad and use_constraints and i < steps and x != cemetery:
+            bad = not constraints[start + i, x, controls[i]]
         if bad:
-            out.append(s)
+            out.append(start + i)
     return tuple(out)
 
 
 def recovery_time(model: SystemModel, trajectory: Trajectory, acceptable):
     """Least time r such that from r onward states stay in `acceptable` and
     applied controls are admissible; math.inf when there is none."""
-    acceptable = frozenset(acceptable)
-    K = model.horizon
+    acceptable, steps = _steps(model, trajectory, acceptable, True)
+    start, states, controls = (
+        trajectory.start, trajectory.states, trajectory.controls
+    )
+    cemetery, constraints = model.cemetery, model.constraints
     r = math.inf
-    for s in range(K, trajectory.start - 1, -1):
-        x = trajectory.state(s)
+    for i in range(steps, -1, -1):
+        x = states[i]
         good = x in acceptable
-        if good and s < K:
-            good = x != model.cemetery and bool(
-                model.constraints[s, x, trajectory.control(s)]
-            )
+        if good and i < steps:
+            good = x != cemetery and bool(constraints[start + i, x, controls[i]])
         if not good:
             break
-        r = s
+        r = start + i
     return r
 
 

@@ -66,11 +66,12 @@ def random_model(
     with_robust=False,
     cemetery_rate=0.1,
     min_states=1,
+    min_controls=1,
 ):
     """A seeded random system. Robust subsets stay full unless asked for;
     probabilities are ratios of small integers when asked for."""
     n = int(rng.integers(min_states, max_states + 1))
-    nu = int(rng.integers(1, max_controls + 1))
+    nu = int(rng.integers(min_controls, max_controls + 1))
     horizon = int(rng.integers(1, max_horizon + 1))
     nw = [int(rng.integers(1, max_w + 1)) for _ in range(horizon)]
     nw_max = max(nw)

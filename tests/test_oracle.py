@@ -3,6 +3,8 @@ the definitional object-level path, and their outputs are frozen on the
 reservoir model."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +13,54 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    cli_env,
     random_acceptable,
     random_model,
 )
+from resilkit import oracle
+from resilkit._sim import simulate_batch
+from resilkit.model import _Scenarios, packed_tables
+from resilkit.regimes import _membership
+from resilkit.strategy import _bundle
 
 A = M1_ACCEPTABLE
+
+
+def zero_w_model(rng, **kw):
+    """A random model with cemetery routes, robust subsets and declared
+    probabilities, some of them zero."""
+    model = random_model(
+        rng, min_states=2, min_controls=2, max_controls=2, max_w=3,
+        max_horizon=3, with_robust=True, cemetery_rate=0.2, **kw,
+    )
+    probs = []
+    for t in range(model.horizon):
+        weights = rng.integers(0, 3, size=model.uncertainty.size(t))
+        if not weights.any():
+            weights[int(rng.integers(weights.size))] = 1
+        probs.append(tuple(weights / weights.sum()))
+    u = model.uncertainty
+    return rk.SystemModel(
+        model.time, model.states, model.controls,
+        rk.UncertaintyStructure(u.sets, tuple(probs), u.robust),
+        model.dynamics, model.constraints,
+    )
+
+
+def batched_regimes(rng, model, start):
+    """One regime of each kind oracle._batch_member decides."""
+    K = model.horizon
+    acc = random_acceptable(rng, model)
+    region = random_acceptable(rng, model)
+    return [
+        rk.Viability(acc),
+        rk.RobustRecovery(acc, int(rng.integers(start, K + 1))),
+        rk.Bounded(region),
+        rk.AtMostKExits(region, int(rng.integers(0, 3))),
+        rk.Stabilize(int(rng.integers(model.n_states)),
+                     float(rng.integers(0, 3)), int(rng.integers(0, K + 2))),
+        rk.ControlEvent(frozenset({int(rng.integers(model.n_controls))})),
+    ]
 
 
 def test_oracle_viability_on_reservoir(m1):
@@ -30,14 +75,92 @@ def test_batched_scan_matches_object_scan():
     rng = np.random.default_rng(606)
     for _ in range(15):
         model = random_model(rng, max_states=3, max_controls=2, max_horizon=2)
+        start = int(rng.integers(0, model.horizon + 1))
+        for regime in batched_regimes(rng, model, start):
+            fast = rk.oracle_resilient_states(model, start, regime)
+            slow = rk.oracle_resilient_states(
+                model, start, regime, force_object=True
+            )
+            assert fast.members == slow.members
+            assert set(fast.witnesses) == set(slow.witnesses)
+            for x0 in fast.witnesses:
+                assert rk.strategies_equal(
+                    fast.witnesses[x0], slow.witnesses[x0]
+                )
+
+
+def test_batched_membership_matches_bundle_membership():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon))
+        regimes = batched_regimes(rng, model, start)
+        total = rk.count_strategies(model, rk.MARKOV, start)
+        strategies = [
+            rk.strategy_from_rank(model, r, rk.MARKOV, start)
+            for r in range(total)
+        ]
+        dyn, ok = packed_tables(model)
+        for robust_only in (False, True):
+            scenarios = _Scenarios(
+                model, rk.enumerate_scenarios(model, robust_only=robust_only),
+                robust_only,
+            )
+            scen = oracle._scenario_array(model, scenarios.scenarios)
+            pol = np.concatenate([
+                p for _, p in
+                oracle._policy_batches(model, start, total, len(scen))
+            ])
+            for x0 in range(model.n_states):
+                states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+                bundles = [
+                    _bundle(model, s, x0, start, scenarios) for s in strategies
+                ]
+                for regime in regimes:
+                    member = oracle._batch_member(
+                        model, regime, states, controls, scenarios, start
+                    )
+                    assert member.tolist() == [
+                        _membership(model, regime, b, scenarios)
+                        for b in bundles
+                    ], (regime, x0, robust_only)
+
+
+def definitional_min_risk(model, x0, start, regime, risk):
+    """oracle_min_risk from the public API, one strategy at a time."""
+    best, best_strategy, examined = math.inf, None, 0
+    for strat in rk.enumerate_strategies(model, rk.MARKOV, start):
+        if not rk.check_resilient(model, strat, x0, start, regime):
+            continue
+        examined += 1
+        bundle = rk.build_bundle(model, strat, x0, start)
+        value = rk.evaluate_risk(model, risk, bundle)
+        if best_strategy is None or value < best:
+            best, best_strategy = value, strat
+    return best, best_strategy, examined
+
+
+def test_oracle_min_risk_matches_definitional_loop():
+    rng = np.random.default_rng(4242)
+    for _ in range(30):
+        model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon))
         acc = random_acceptable(rng, model)
-        regime = rk.Viability(acc)
-        fast = rk.oracle_resilient_states(model, 0, regime)
-        slow = rk.oracle_resilient_states(model, 0, regime, force_object=True)
-        assert fast.members == slow.members
-        assert set(fast.witnesses) == set(slow.witnesses)
-        for x0 in fast.witnesses:
-            assert rk.strategies_equal(fast.witnesses[x0], slow.witnesses[x0])
+        risks = [
+            rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5)),
+            rk.Composed(rk.RecoveryOffset(acc), rk.WorstCase()),
+            rk.Exceedance(acc),
+        ]
+        for regime in batched_regimes(rng, model, start):
+            for x0 in range(model.n_states):
+                risk = risks[int(rng.integers(len(risks)))]
+                got = rk.oracle_min_risk(model, x0, start, regime, risk)
+                want = definitional_min_risk(model, x0, start, regime, risk)
+                assert float(got[0]).hex() == float(want[0]).hex()
+                assert got[2] == want[2]
+                assert (got[1] is None) == (want[1] is None)
+                if got[1] is not None:
+                    assert rk.strategies_equal(got[1], want[1])
 
 
 def test_oracle_witness_is_first_passing_rank(m1):
@@ -137,6 +260,31 @@ def test_strategy_enumeration_matches_ranks(m1):
     enum = rk.enumerate_strategies(m1, rk.MARKOV, 0)
     for rank, strat in zip(range(20), enum):
         assert rk.strategies_equal(strat, rk.strategy_from_rank(m1, rank, rk.MARKOV, 0))
+
+
+def test_oracle_value_memory_is_bounded_by_the_block_size():
+    # 4,096 strategies x 729 scenarios x 7 steps: one block of the whole
+    # class would hold about 400 MB of trajectory arrays
+    script = """
+import resource
+import resilkit as rk
+model = rk.make_model(
+    horizon=6, state_labels=("0", "1"), control_labels=("0", "1"),
+    uncertainty_sets=("0", "1", "2"),
+    dynamics_fn=lambda t, x, u, w: (x + u + w) % 2, probs=(0.25, 0.25, 0.5),
+)
+assert rk.count_strategies(model) == 4096
+value = rk.oracle_value(model, {1})
+assert value[0] == 0.0 and value[1] > 0.0, value
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=cli_env(), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    assert peak_mb < 100, peak_mb
 
 
 def test_oracle_agrees_with_kernel_on_random_models():

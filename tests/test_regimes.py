@@ -73,6 +73,21 @@ def test_exit_times_constraint_flag():
     assert rk.exit_times(model, traj, {1}, use_constraints=True) == (0,)
 
 
+def test_short_trajectories_are_input_errors(m1):
+    short_states = rk.Trajectory(0, (2, 2, 2), (0, 0, 0), (0, 0, 0))
+    short_controls = rk.Trajectory(0, (2, 2, 2, 2), (0, 0), (0, 0, 0))
+    with pytest.raises(rk.InputError, match="no state at time 3"):
+        rk.exit_times(m1, short_states, A)
+    with pytest.raises(rk.InputError, match="no state at time 3"):
+        rk.recovery_time(m1, short_states, A)
+    with pytest.raises(rk.InputError, match="no control at time 2"):
+        rk.recovery_time(m1, short_controls, A)
+    with pytest.raises(rk.InputError, match="no control at time 2"):
+        rk.exit_times(m1, short_controls, A, use_constraints=True)
+    # controls are not read without the constraint flag
+    assert rk.exit_times(m1, short_controls, A) == ()
+
+
 def test_viability_membership(m1):
     good = rk.build_bundle(m1, keep_high(m1), 2)
     assert rk.regime_membership(m1, rk.Viability(A), good)
