@@ -4,23 +4,25 @@ and oracle_min_risk, which decides the same question over the whole class.
 Usage: PYTHONPATH=src python benchmarks/bench_scan.py [--repeat N] [--out PATH]
            [--before PATH]
 
-Runs minimize_risk(method="exhaustive") on models/m1_benign.model from every
-state, and on three reservoir models (level + inflow - drawdown, the shapes
-of perfbench's scan workload) from both end states under four regime/risk
-pairs. For every case it records the size of the strategy class, how many
-strategies the scan checked (calls of its per-strategy membership test,
-optimize._membership), `examined`, the best of --repeat wall times, class
-members decided per second, strategies checked per second, and a sha256 of
-the result (value bits, examined, certificate, strategy tables), so two
-versions of the scan can be compared on speed and shown to give the same
-answers. Each case also gets one oracle_min_risk row: the best wall time,
-class members decided per second, the risk bundles it built
-(oracle._bundle calls) and a sha256 of its value bits, examined count and
-witness tables. Writes --out (default BENCH_scan.json at the repository
-root) with the machine, the numpy version and the simulation backend.
---before names a file this harness wrote on another version of the code
-(run with PYTHONPATH pointing at that version's src); its rows are kept
-under "before", so one file shows both versions.
+Runs minimize_risk(method="exhaustive") on models/m1_benign.model from
+every state, and on three reservoir models (level + inflow - drawdown, the
+shapes of perfbench's scan workload) from both end states under four
+regime/risk pairs. For every case it records the size of the strategy
+class, how many representatives the scan decides
+(strategy.rank_layout(...).size, one per class of strategies that agree on
+the policy slots reachable from x0), the trajectory bundles it built (the
+`_bundle` calls made from optimize and engine), `examined`, the best of
+--repeat wall times, class members decided per second, representatives
+decided per second, and a sha256 of the result (value bits, examined,
+certificate, strategy tables), so two versions of the scan can be compared
+on speed and shown to give the same answers. Each case also gets one
+oracle_min_risk row: the best wall time, class members decided per second,
+the risk bundles it built (oracle._bundle calls) and a sha256 of its value
+bits, examined count and witness tables. Writes --out (default
+BENCH_scan.json at the repository root) with the machine, the numpy version
+and the simulation backend. --before names a file this harness wrote on
+another version of the code (run with PYTHONPATH pointing at that version's
+src); its rows are kept under "before", so one file shows both versions.
 """
 
 from __future__ import annotations
@@ -106,22 +108,27 @@ def sha256(result):
 
 
 def scan(model, x0, regime, risk):
-    """(result, strategies checked) of one exhaustive minimize_risk."""
-    checked = 0
-    member = rk.optimize._membership
+    """(result, representatives, bundles built) of one exhaustive
+    minimize_risk."""
+    bundles = 0
+    modules = [m for m in (rk.optimize, rk.engine) if hasattr(m, "_bundle")]
+    builds = [m._bundle for m in modules]
 
     def counting(*args, **kwargs):
-        nonlocal checked
-        checked += 1
-        return member(*args, **kwargs)
+        nonlocal bundles
+        bundles += 1
+        return rk.strategy._bundle(*args, **kwargs)
 
-    rk.optimize._membership = counting
+    for m in modules:
+        m._bundle = counting
     try:
         result = rk.minimize_risk(model, x0, 0, regime, risk,
                                   method="exhaustive")
     finally:
-        rk.optimize._membership = member
-    return result, checked
+        for m, build in zip(modules, builds):
+            m._bundle = build
+    layout = rk.strategy.rank_layout(model, x0, rk.MARKOV, 0)
+    return result, layout.size, bundles
 
 
 def oracle_sha256(value, strategy, examined):
@@ -171,7 +178,7 @@ def main():
 
     out_cases, oracle_rows = [], []
     for name, model, x0, regime, risk in cases():
-        result, checked = scan(model, x0, regime, risk)
+        result, scanned, bundles = scan(model, x0, regime, risk)
         best = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -179,16 +186,17 @@ def main():
             best = min(best, time.perf_counter() - t0)
         class_size = rk.count_strategies(model, rk.MARKOV, 0)
         case = {"name": name, "x0": x0, "class_size": class_size,
-                "scanned": checked, "examined": result.examined,
-                "best_s": best, "class_per_s": class_size / best,
-                "scanned_per_s": checked / best, "sha256": sha256(result)}
+                "scanned": scanned, "bundles": bundles,
+                "examined": result.examined, "best_s": best,
+                "class_per_s": class_size / best,
+                "scanned_per_s": scanned / best, "sha256": sha256(result)}
         print(f"{name:26s} x0={x0}  class {class_size:5d}  scanned "
-              f"{checked:5d}  {best:8.4f} s  {case['sha256'][:12]}",
-              flush=True)
+              f"{scanned:5d}  bundles {bundles:5d}  {best:8.4f} s  "
+              f"{case['sha256'][:12]}", flush=True)
         out_cases.append(case)
         row = oracle_row(name, model, x0, regime, risk, args.repeat)
-        print(f"{'  oracle_min_risk':26s}       class {class_size:5d}  bundles "
-              f"{row['bundles']:5d}  {row['best_s']:8.4f} s  "
+        print(f"{'  oracle_min_risk':26s}       class {class_size:5d}  "
+              f"{'':14s}  bundles {row['bundles']:5d}  {row['best_s']:8.4f} s  "
               f"{row['sha256'][:12]}", flush=True)
         oracle_rows.append(row)
 

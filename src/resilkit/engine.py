@@ -1,13 +1,15 @@
 """Exact decision procedures for resilience.
 
 Backward dynamic programming for the viability family and an exhaustive
-strategy search for every other regime. The robust kernel and robust
-recovery are one min-max sweep: the least worst-case number of steps to the
-kernel, whose zero level is the kernel. The stochastic viability value is a
-max-expectation sweep, and the DP certificate in optimize a min-expectation
-one. Every sweep is a sequence of one array-level Bellman backup
-(`_backup`), one call per time. Witness policies use the smallest control
-index on ties so outputs are reproducible.
+strategy search for every other regime; Markov scans of the worst-case
+boolean regimes propagate forward reachable sets instead of simulating
+trajectories. The robust kernel and robust recovery are one min-max sweep:
+the least worst-case number of steps to the kernel, whose zero level is the
+kernel. The stochastic viability value is a max-expectation sweep, and the
+DP certificate in optimize a min-expectation one. Every sweep is a sequence
+of one array-level Bellman backup (`_backup`), one call per time. Witness
+policies use the smallest control index on ties so outputs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .model import (
     packed_tables,
 )
 from .regimes import (
+    AtMostKExits,
+    Bounded,
     RobustRecovery,
     StochasticViability,
     Viability,
@@ -38,12 +42,17 @@ from .strategy import (
     MARKOV,
     Strategy,
     _bundle,
+    _markov_from_table,
     build_bundle,
     count_strategies,
     markov_strategy,
     rank_layout,
     strategy_from_rank,
 )
+
+# cells per representative block of _reachable_blocks, which bounds the
+# block's arrays whatever n, K and |W_t| are
+_REACH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,6 +337,145 @@ def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
     return scenarios
 
 
+def _reachable_decides(model, regime, strategy_class):
+    """Does _reachable_members decide the regime on this model and class?
+
+    It needs Markov strategies and a per-time product domain: no explicit
+    robust scenario list for RobustRecovery and, for AtMostKExits, no joint
+    distribution and no positive-support scenario whose weight underflows
+    to 0.0 (membership skips those as if their probability were 0).
+    """
+    if strategy_class != MARKOV:
+        return False
+    if isinstance(regime, (Viability, Bounded)):
+        return True
+    if isinstance(regime, RobustRecovery):
+        return model.robust_scenarios is None
+    if isinstance(regime, AtMostKExits):
+        if model.scenario_probs is not None:
+            return False
+        if not model.uncertainty.has_probs:
+            return True
+        # the least positive weight, multiplied in _weight's order;
+        # rounding is monotone, so no other positive-support weight is less
+        p = 1.0
+        for probs in model.uncertainty.probs:
+            p *= min(v for v in probs if v > 0.0)
+        return p > 0.0
+    return False
+
+
+def _reachable_members(model, regime, x0, start, policies):
+    """member[s]: does Markov policy array s (int32 (S, K, n+1), as
+    markov_policy_array packs it) meet the regime from x0 at `start`?
+
+    Equals regimes._membership on each strategy's bundle wherever
+    _reachable_decides holds. Every such regime bounds the number of
+    checked times t >= `first` at which the state is outside a region
+    (the cemetery is outside every region): Viability and Bounded by 0
+    from `start`, RobustRecovery by 0 from its deadline, AtMostKExits by
+    max_exits from `start`. The reachable (state, count so far) pairs are
+    propagated forward from (x0, start) as a bool (S, n+1, count) array,
+    through every w of the regime's domain at each time (the robust subset
+    for RobustRecovery, the positive-probability values for AtMostKExits
+    on a model with probabilities, all values otherwise). Inadmissible
+    controls lead to the cemetery, so the admissibility of controls needs
+    no test of its own: the next checked state is outside.
+    """
+    dyn, ok = packed_tables(model)
+    K, n = model.horizon, model.n_states
+    S = policies.shape[0]
+    first, limit, domain = start, 0, None
+    if isinstance(regime, (Viability, RobustRecovery)):
+        region = regime.acceptable
+        if isinstance(regime, RobustRecovery):
+            if regime.deadline < start:
+                # recovery_time is never below the start
+                return np.zeros(S, dtype=bool)
+            first = min(regime.deadline, K)
+            domain = model.uncertainty.robust
+    else:
+        region = regime.region
+        if isinstance(regime, AtMostKExits):
+            limit = regime.max_exits
+            if model.uncertainty.has_probs:
+                domain = [
+                    [w for w, p in enumerate(probs) if p > 0.0]
+                    for probs in model.uncertainty.probs
+                ]
+    if limit > K - start:
+        # at most K - start + 1 checked times: never over the limit
+        return np.ones(S, dtype=bool)
+    outside = np.ones(n + 1, dtype=np.int64)
+    outside[list(region)] = 0
+    count = int(outside[x0]) if start >= first else 0
+    if count > limit:
+        return np.zeros(S, dtype=bool)
+    member = np.ones(S, dtype=bool)
+    reach = np.zeros((S, n + 1, limit + 1), dtype=bool)
+    reach[:, x0, count] = True
+    for t in range(start, K):
+        s, x, c = np.nonzero(reach)
+        u = policies[s, t, x]
+        ws = range(model.uncertainty.size(t)) if domain is None else domain[t]
+        nxt = dyn[t][x[:, None], u[:, None], list(ws)]
+        nxt[ok[t, x, u] == 0] = n
+        if t + 1 >= first:
+            c = c[:, None] + outside[nxt]
+        else:
+            c = np.broadcast_to(c[:, None], nxt.shape)
+        over = c > limit
+        member[s[over.any(axis=1)]] = False
+        keep = ~over & member[s][:, None]
+        s = np.broadcast_to(s[:, None], nxt.shape)
+        reach = np.zeros_like(reach)
+        reach[s[keep], nxt[keep], c[keep]] = True
+    return member
+
+
+def _reachable_blocks(model, regime, layout, x0, start):
+    """Yield (first representative, policy block, member mask) over the
+    layout's representatives in ascending blocks. Per representative, a
+    block holds K * (n+1) policy cells and _reachable_members's per-time
+    arrays (n+1) * count * |W_t| cells; the larger times the block size is
+    at most _REACH_CELLS (a block holds at least one representative)."""
+    K = model.horizon
+    width = model.dynamics.shape[3]
+    if isinstance(regime, AtMostKExits):
+        width *= min(regime.max_exits, K) + 1
+    per = (model.n_states + 1) * max(K, width)
+    step = max(1, _REACH_CELLS // per)
+    for lo in range(0, layout.size, step):
+        policies = layout.policies(lo, min(layout.size, lo + step))
+        member = _reachable_members(model, regime, x0, start, policies)
+        yield lo, policies, member
+
+
+def _scan_members(
+    model, regime, strategy_class, layout, x0, start, scenarios
+):
+    """Yield (index, strategy, bundle) for each representative of the
+    layout that meets the regime from x0, in ascending rank. Where
+    _reachable_decides holds, forward reachable sets decide a block at a
+    time and bundle is None; elsewhere bundle is the membership bundle over
+    `scenarios`, the _Scenarios of _scan_scenarios."""
+    if _reachable_decides(model, regime, strategy_class):
+        n = model.n_states
+        for lo, policies, member in _reachable_blocks(
+            model, regime, layout, x0, start
+        ):
+            for i in np.flatnonzero(member):
+                table = policies[i, start:, :n]
+                yield lo + int(i), _markov_from_table(table, start), None
+        return
+    for i in range(layout.size):
+        rank = layout.rank(i)
+        strat = strategy_from_rank(model, rank, strategy_class, start)
+        bundle = _bundle(model, strat, x0, start, scenarios)
+        if _membership(model, regime, bundle, scenarios):
+            yield i, strat, bundle
+
+
 def resilient_states(
     model: SystemModel,
     start: int,
@@ -343,7 +491,12 @@ def resilient_states(
     regime is decided by exhaustive search over the declared class, which
     visits one representative per class of strategies that agree on the
     policy slots reachable from x0 (strategy.rank_layout). The cap applies
-    to the size of the whole class.
+    to the size of the whole class. method="exhaustive" names the witness
+    contract: each member's witness is the least-rank resilient strategy of
+    the declared class. Markov scans of Bounded and AtMostKExits decide
+    membership on forward reachable sets, a block of representatives at a
+    time, and build no trajectory bundle; other scans build one per
+    representative.
     """
     validate_regime(model, regime)
     if not 0 <= start <= model.horizon:
@@ -389,15 +542,12 @@ def resilient_states(
     by_rank = {}
     for x0 in range(model.n_states):
         layout = rank_layout(model, x0, strategy_class, start)
-        for i in range(layout.size):
-            rank = layout.rank(i)
-            strat = by_rank.get(rank) or strategy_from_rank(
-                model, rank, strategy_class, start
-            )
-            bundle = _bundle(model, strat, x0, start, scenarios)
-            if _membership(model, regime, bundle, scenarios):
-                witnesses[x0] = by_rank.setdefault(rank, strat)
-                break
+        members = _scan_members(
+            model, regime, strategy_class, layout, x0, start, scenarios
+        )
+        for i, strat, _ in members:
+            witnesses[x0] = by_rank.setdefault(layout.rank(i), strat)
+            break
     return ResilientSet(
         start, regime, strategy_class, frozenset(witnesses), witnesses,
         "exhaustive",

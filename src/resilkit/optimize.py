@@ -1,12 +1,19 @@
 """Risk-minimizing selection among resilient strategies.
 
-The certified path scans the strategy class and keeps the lexicographically
-least strict minimizer, reporting exactly the value evaluate_risk assigns to
-the reported strategy. Strategies that differ only on policy slots no
-closed-loop path from x0 reaches give identical bundles, so the scan visits
-one representative per such class, its least rank (see
+The exhaustive path scans the strategy class and keeps the
+lexicographically least strict minimizer, reporting exactly the value
+evaluate_risk assigns to the reported strategy. Strategies that differ only
+on policy slots no closed-loop path from x0 reaches give identical bundles,
+so the scan visits one representative per such class, its least rank (see
 strategy.rank_layout); answers, ties and `examined` are those of the full
-scan. The scan runs on the calling thread; `jobs` is accepted for
+scan. For Markov strategies under Viability, Bounded, RobustRecovery
+(per-time robust subsets) and AtMostKExits (per-time probabilities or
+none), membership is decided without trajectories: forward reachable sets
+of (state, exit count) pairs, propagated for a block of representatives at
+once (engine._reachable_members). Trajectory bundles are then built only
+for the members, over the full scenario set, to evaluate their risk. Every
+other regime, and the adapted class, decides membership on one bundle per
+representative. The scan runs on the calling thread; `jobs` is accepted for
 compatibility and has no effect.
 
 A documented dynamic programming fast path covers the one family where
@@ -32,18 +39,14 @@ import numpy as np
 
 from .engine import (
     _backup,
+    _scan_members,
     _scan_scenarios,
     fill_policy,
     robust_viability_kernel,
 )
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel
-from .regimes import (
-    StochasticViability,
-    Viability,
-    _membership,
-    validate_regime,
-)
+from .regimes import StochasticViability, Viability, validate_regime
 from .risk import (
     Composed,
     ControlEffort,
@@ -61,7 +64,6 @@ from .strategy import (
     _bundle,
     count_strategies,
     rank_layout,
-    strategy_from_rank,
 )
 
 EXHAUSTIVE = "exhaustive"
@@ -170,27 +172,27 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
     )
 
 
-def _scan_ranks(model, x0, start, regime, risk, strategy_class, ranks):
-    """Scan the given ranks, ascending; return (value, rank, examined) of
-    the first strict minimizer (rank -1 when none is resilient)."""
+def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
+    """Scan the layout's representatives, ascending; return (value,
+    strategy, members) of the first strict minimizer (strategy None when
+    none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
     best = math.inf
-    best_rank = -1
+    best_strategy = None
     examined = 0
-    for rank in ranks:
-        strat = strategy_from_rank(model, rank, strategy_class, start)
-        bundle = _bundle(model, strat, x0, start, scenarios)
-        if not _membership(model, regime, bundle, scenarios):
-            continue
+    for _, strat, bundle in _scan_members(
+        model, regime, strategy_class, layout, x0, start, scenarios
+    ):
         examined += 1
+        # the full scenario set is enumerated at the first member only
         full = scenarios.full
-        if bundle.robust:
+        if bundle is None or bundle.robust:
             bundle = _bundle(model, strat, x0, start, full)
         value = _evaluate(model, risk, bundle, full)
-        if best_rank < 0 or value < best:
+        if best_strategy is None or value < best:
             best = value
-            best_rank = rank
-    return best, best_rank, examined
+            best_strategy = strat
+    return best, best_strategy, examined
 
 
 def minimize_risk(
@@ -229,18 +231,12 @@ def minimize_risk(
         )
 
     layout = rank_layout(model, x0, strategy_class, start)
-    best, best_rank, count = _scan_ranks(
-        model, x0, start, regime, risk, strategy_class,
-        map(layout.rank, range(layout.size)),
+    best, strategy, count = _scan_ranks(
+        model, x0, start, regime, risk, strategy_class, layout
     )
-    examined = count * layout.class_size
-    if best_rank < 0:
-        return OptimizationResult(
-            False, math.inf, None, examined, EXHAUSTIVE, strategy_class
-        )
-    strategy = strategy_from_rank(model, best_rank, strategy_class, start)
     return OptimizationResult(
-        True, best, strategy, examined, EXHAUSTIVE, strategy_class
+        strategy is not None, best, strategy, count * layout.class_size,
+        EXHAUSTIVE, strategy_class,
     )
 
 

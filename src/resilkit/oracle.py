@@ -53,9 +53,9 @@ from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     _bundle,
+    _markov_from_table,
     count_strategies,
     enumerate_strategies,
-    strategy_from_rank,
 )
 from ._sim import simulate_batch
 
@@ -188,16 +188,18 @@ def _batch_member(model, regime, states, controls, scenarios, start):
     raise InputError(f"regime {regime!r} has no batched membership")
 
 
-def _member_ranks(model, regime, scenarios, x0, start, total):
-    """Ascending ranks of the Markov strategies (of `total`, from `start`)
-    meeting a regime in _BATCHED_REGIMES from x0 over `scenarios`."""
+def _members(model, regime, scenarios, x0, start, total):
+    """The Markov strategies (of `total`, from `start`) meeting a regime in
+    _BATCHED_REGIMES from x0 over `scenarios`, in ascending rank, each
+    built from its row of the simulated policy block."""
     dyn, ok = packed_tables(model)
     scen = _scenario_array(model, scenarios.scenarios)
-    for first_rank, pol in _policy_batches(model, start, total, len(scen)):
+    n = model.n_states
+    for _, pol in _policy_batches(model, start, total, len(scen)):
         states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
         member = _batch_member(model, regime, states, controls, scenarios, start)
         for i in np.flatnonzero(member):
-            yield first_rank + int(i)
+            yield _markov_from_table(pol[i, start:, :n], start)
 
 
 def _batched(regime, strategy_class, force_object=False):
@@ -229,11 +231,11 @@ def oracle_resilient_states(
     witnesses = {}
     if _batched(regime, strategy_class, force_object):
         for x0 in range(model.n_states):
-            rank = next(
-                _member_ranks(model, regime, scenarios, x0, start, total), None
+            strat = next(
+                _members(model, regime, scenarios, x0, start, total), None
             )
-            if rank is not None:
-                witnesses[x0] = strategy_from_rank(model, rank, MARKOV, start)
+            if strat is not None:
+                witnesses[x0] = strat
     else:
         pending = set(range(model.n_states))
         for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
@@ -330,8 +332,8 @@ def oracle_min_risk(
     scenarios = _scan_scenarios(model, regime, start, x0)
     if _batched(regime, strategy_class):
         members = (
-            (strategy_from_rank(model, rank, MARKOV, start), None)
-            for rank in _member_ranks(model, regime, scenarios, x0, start, total)
+            (strat, None)
+            for strat in _members(model, regime, scenarios, x0, start, total)
         )
     else:
         members = _object_members(

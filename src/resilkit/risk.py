@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import SystemModel, _Scenarios
-from .regimes import _check_state_set, exit_times, recovery_time
+from .regimes import _check_state_set, _steps, exit_times, recovery_time
 from .strategy import TrajectoryBundle
 
 # cost accrued per time step spent at the cemetery
@@ -272,33 +272,38 @@ def evaluate_cost(model: SystemModel, cost, trajectory) -> float:
 
 
 def _cost(model, cost, trajectory):
-    """evaluate_cost of a valid cost function, unchecked."""
+    """evaluate_cost of a valid cost function, unchecked. Reads the
+    trajectory's tuples by offset; one too short for the times read raises
+    InputError, as regimes.recovery_time does. Base terms add up in time
+    order."""
     K = model.horizon
     dead = model.cemetery
-    dead_steps = sum(
-        1 for s in range(trajectory.start, K + 1) if trajectory.state(s) == dead
+    start, states, controls = (
+        trajectory.start, trajectory.states, trajectory.controls
     )
+    _, steps = _steps(
+        model, trajectory, frozenset(),
+        isinstance(cost, (ControlEffort, TabularCost)),
+    )
+    path = states[: max(steps + 1, 0)]  # the states at start..K
 
     if isinstance(cost, RecoveryOffset):
         tau = recovery_time(model, trajectory, cost.acceptable)
-        base = tau - trajectory.start if tau != math.inf else math.inf
+        base = tau - start if tau != math.inf else math.inf
     elif isinstance(cost, TimeOutside):
         base = 0.0
-        for s in range(trajectory.start, K + 1):
-            x = trajectory.state(s)
+        for x in path:
             if x != dead and x not in cost.acceptable:
                 base += 1.0
     elif isinstance(cost, ControlEffort):
+        if cost.rates is not None:
+            rates = cost.rates
+        else:
+            rates = model.controls.coords[:, 0].tolist()
         base = 0.0
-        for s in range(trajectory.start, K):
-            x = trajectory.state(s)
-            if x == dead:
-                continue
-            u = trajectory.control(s)
-            if cost.rates is not None:
-                base += cost.rates[u]
-            else:
-                base += float(model.controls.coords[u, 0])
+        for i in range(steps):
+            if states[i] != dead:
+                base += rates[controls[i]]
     elif isinstance(cost, TerminalMiss):
         x = trajectory.state(K)
         if x == dead:
@@ -307,17 +312,15 @@ def _cost(model, cost, trajectory):
             base = 0.0 if x in cost.acceptable else 1.0
     elif isinstance(cost, TabularCost):
         base = 0.0
-        for s in range(trajectory.start, K + 1):
-            x = trajectory.state(s)
+        for i, x in enumerate(path):
             if x == dead:
                 continue
-            base += float(cost.state_costs[s, x])
-            if s < K:
-                base += float(cost.control_costs[s, trajectory.control(s)])
+            base += float(cost.state_costs[start + i, x])
+            if i < steps:
+                base += float(cost.control_costs[start + i, controls[i]])
     else:
         raise InputError(f"unknown cost function {cost!r}")
-
-    return base + cost.cemetery_penalty * dead_steps
+    return base + cost.cemetery_penalty * path.count(dead)
 
 
 def cvar(values, weights, level: float) -> float:

@@ -361,6 +361,17 @@ def _strategy_from_digits(kind, start, shapes, digits):
     return Strategy(start, tuple(policies))
 
 
+def _markov_from_table(table, start):
+    """Markov strategy from a valid (K - start, n) control table, unchecked.
+    Its policies hold rows of one read-only int32 copy of the table."""
+    table = np.array(table, dtype=np.int32)
+    table.setflags(write=False)
+    return Strategy(
+        start,
+        tuple(Policy(start + i, MARKOV, row) for i, row in enumerate(table)),
+    )
+
+
 def strategy_from_rank(
     model: SystemModel, rank: int, kind: str = MARKOV, start: int = 0
 ) -> Strategy:
@@ -397,6 +408,10 @@ class RankLayout:
     n_controls: int
     weights: tuple  # place value in the rank of each reachable slot, in slot order
     pruned: int  # number of unreachable slots
+    # Markov layouts: the (K, n+1) policy-array shape and the flat position
+    # in it of each reachable slot, in slot order; None for adapted layouts
+    policy_shape: tuple = None
+    cells: tuple = None
 
     @property
     def size(self):
@@ -415,6 +430,20 @@ class RankLayout:
             i, digit = divmod(i, self.n_controls)
             rank += digit * weight
         return rank
+
+    def policies(self, lo, hi):
+        """Markov policy arrays of representatives lo..hi-1, int32
+        (hi - lo, K, n+1) laid out as markov_policy_array lays out each
+        one (cemetery column and times before the start zero)."""
+        if self.cells is None:
+            raise InputError("only Markov layouts pack into policy arrays")
+        i = np.arange(lo, hi, dtype=np.int64)
+        size = math.prod(self.policy_shape)
+        out = np.zeros((hi - lo, size), dtype=np.int32)
+        # the last reachable slot is the least significant digit
+        for cell in reversed(self.cells):
+            i, out[:, cell] = np.divmod(i, self.n_controls)
+        return out.reshape(hi - lo, *self.policy_shape)
 
 
 def rank_layout(
@@ -443,8 +472,16 @@ def rank_layout(
     reachable = np.concatenate(reach) if reach else np.zeros(0, dtype=bool)
     slots = reachable.size
     nu = model.n_controls
-    weights = tuple(nu ** (slots - 1 - int(s)) for s in np.flatnonzero(reachable))
-    return RankLayout(nu, weights, slots - len(weights))
+    positions = np.flatnonzero(reachable)
+    weights = tuple(nu ** (slots - 1 - int(s)) for s in positions)
+    if kind != MARKOV:
+        return RankLayout(nu, weights, slots - len(weights))
+    # Markov slot (t, x) sits at (t - start) * n + x
+    t, x = np.divmod(positions, n)
+    cells = tuple(((t + start) * (n + 1) + x).tolist())
+    return RankLayout(
+        nu, weights, slots - len(weights), (model.horizon, n + 1), cells
+    )
 
 
 def enumerate_strategies(

@@ -487,6 +487,157 @@ def test_pruned_exhaustive_resilient_states_match_the_oracle():
     assert twins >= 18 and members >= 60 and shared >= 30
 
 
+def _with_probs(rng, model, zeros):
+    """The model with per-time probabilities that are ratios of small
+    integers, some of them zero when `zeros` holds."""
+    probs = []
+    for t in range(model.horizon):
+        size = model.uncertainty.size(t)
+        weights = rng.integers(0 if zeros else 1, 4, size=size)
+        if not weights.any():
+            weights[int(rng.integers(weights.size))] = 1
+        probs.append(tuple(weights / weights.sum()))
+    u = model.uncertainty
+    return rk.SystemModel(
+        model.time, model.states, model.controls,
+        rk.UncertaintyStructure(u.sets, tuple(probs), u.robust),
+        model.dynamics, model.constraints,
+    )
+
+
+def _forward_regime(rng, model, which):
+    """One regime of each kind the forward reachable sets decide; deadlines
+    and exit limits run past the horizon (membership itself is unchecked)."""
+    region = random_acceptable(rng, model)
+    K = model.horizon
+    if which == 0:
+        return rk.Viability(region)
+    if which == 1:
+        return rk.Bounded(region)
+    if which == 2:
+        return rk.AtMostKExits(region, int(rng.integers(0, K + 2)))
+    return rk.RobustRecovery(region, int(rng.integers(0, K + 2)))
+
+
+def test_reachable_members_match_bundle_membership():
+    # every representative of every x0 against regimes._membership on its
+    # bundle over the scan's scenario set
+    rng = np.random.default_rng(4004)
+    engine = rk.engine
+    seen = {"member": 0, "not": 0, "late_start": 0, "past_k": 0,
+            "zero_w": 0, "robust": 0, "single_u": 0, "offset": 0}
+    for i in range(240):
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=4,
+            with_robust=i % 3 == 0, cemetery_rate=0.2,
+        )
+        if i % 5:
+            model = _with_probs(rng, model, zeros=(i // 5) % 2 == 1)
+        regime = _forward_regime(rng, model, i % 4)
+        K = model.horizon
+        start = int(rng.integers(K + 1))
+        assert engine._reachable_decides(model, regime, rk.MARKOV)
+        scenarios = engine._scan_scenarios(model, regime, start)
+        if isinstance(regime, rk.RobustRecovery):
+            seen["late_start"] += regime.deadline < start
+            seen["past_k"] += regime.deadline > K
+            seen["robust"] += model.uncertainty.robust != tuple(
+                tuple(range(model.uncertainty.size(t))) for t in range(K)
+            )
+        if isinstance(regime, rk.AtMostKExits) and model.uncertainty.has_probs:
+            seen["zero_w"] += any(0.0 in p for p in model.uncertainty.probs)
+        seen["single_u"] += model.n_controls == 1
+        for x0 in range(model.n_states):
+            layout = rk.strategy.rank_layout(model, x0, rk.MARKOV, start)
+            # a window of at most 96 representatives, anywhere in the layout
+            lo = int(rng.integers(max(1, layout.size - 95)))
+            hi = min(layout.size, lo + 96)
+            seen["offset"] += lo > 0
+            policies = layout.policies(lo, hi)
+            assert policies.dtype == np.int32
+            member = engine._reachable_members(
+                model, regime, x0, start, policies
+            )
+            for j in range(lo, hi):
+                strat = rk.strategy_from_rank(
+                    model, layout.rank(j), rk.MARKOV, start
+                )
+                assert np.array_equal(
+                    policies[j - lo], rk.markov_policy_array(model, strat)
+                )
+                bundle = rk.strategy._bundle(
+                    model, strat, x0, start, scenarios
+                )
+                want = rk.regimes._membership(model, regime, bundle, scenarios)
+                assert member[j - lo] == want, (i, regime, start, x0, j)
+                seen["member" if want else "not"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_underflowing_weights_take_the_bundle_path():
+    # each time's least probability is 1e-200, so the scenario (0, 0) has
+    # weight 0.0 and AtMostKExits skips it; a per-time support test would
+    # count its two exits
+    model = rk.make_model(
+        horizon=2, state_labels=("in", "out"), control_labels=("0",),
+        uncertainty_sets=("0", "1"),
+        dynamics_fn=lambda t, x, u, w: 1 if w == 0 else 0,
+        probs=(1e-200, 1.0),
+    )
+    regime = rk.AtMostKExits(frozenset({0}), 1)
+    risk = rk.Composed(rk.TimeOutside(frozenset({0})), rk.WorstCase())
+    assert not rk.engine._reachable_decides(model, regime, rk.MARKOV)
+    policies = rk.strategy.rank_layout(model, 0, rk.MARKOV, 0).policies(0, 1)
+    forward = rk.engine._reachable_members(model, regime, 0, 0, policies)
+    assert forward.tolist() == [False]
+    out = rk.minimize_risk(model, 0, 0, regime, risk)
+    assert (out.resilient, out.value, out.examined) == (True, 2.0, 1)
+    assert rk.resilient_states(model, 0, regime).members == {0}
+    value, strat, examined = rk.oracle_min_risk(model, 0, 0, regime, risk)
+    assert (value, examined) == (2.0, 1)
+    assert rk.strategies_equal(out.strategy, strat)
+
+
+def test_scan_builds_bundles_only_for_members(m1, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return rk.strategy._bundle(*args)
+
+    monkeypatch.setattr(rk.engine, "_bundle", counting)
+    monkeypatch.setattr(rk.optimize, "_bundle", counting)
+    for regime, risk in (
+        (rk.Bounded(frozenset({1, 2, 3})),
+         rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
+        (rk.AtMostKExits(frozenset({1, 2, 3}), 1), rk.Exceedance(A)),
+        (rk.RobustRecovery(A, 3),
+         rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
+        (rk.Viability(A), rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
+    ):
+        for x0 in range(m1.n_states):
+            built.clear()
+            out = rk.minimize_risk(
+                m1, x0, 0, regime, risk, method="exhaustive"
+            )
+            layout = rk.strategy.rank_layout(m1, x0, rk.MARKOV, 0)
+            assert len(built) == out.examined // layout.class_size
+            # members are built from policy-block rows: read-only int32
+            for pol in out.strategy.policies if out.resilient else ():
+                assert pol.table.dtype == np.int32
+                assert not pol.table.flags.writeable
+        built.clear()
+        assert rk.resilient_states(m1, 0, rk.Bounded(frozenset({1, 2, 3})))
+        assert built == []
+    # a regime outside the forward family still decides on bundles
+    built.clear()
+    rk.minimize_risk(
+        m1, 0, 0, rk.ProbExcursion(A, 0.5), rk.Exceedance(A),
+        method="exhaustive",
+    )
+    assert len(built) == rk.strategy.rank_layout(m1, 0, rk.MARKOV, 0).size
+
+
 def test_fill_policy_backfills_least_admissible():
     model = rk.make_model(
         horizon=2,

@@ -281,14 +281,16 @@ def test_pruned_scan_on_m1_benign(monkeypatch):
     # slots, so 2**6 of the 2**12 strategies stand for the whole class
     with open(MODELS / "m1_benign.model", encoding="utf-8") as fh:
         parsed = rk.parse_model(fh.read())
+    # RobustRecovery is decided by forward reachable sets, a block of
+    # representatives per call: count the representatives each call decides
     scanned = []
-    member = rk.optimize._membership
+    member = rk.engine._reachable_members
 
-    def counting(model, regime, bundle, *args, **kwargs):
-        scanned.append(bundle)
-        return member(model, regime, bundle, *args, **kwargs)
+    def counting(model, regime, x0, start, policies):
+        scanned.extend(policies)
+        return member(model, regime, x0, start, policies)
 
-    monkeypatch.setattr(rk.optimize, "_membership", counting)
+    monkeypatch.setattr(rk.engine, "_reachable_members", counting)
     out = rk.minimize_risk(parsed.model, 0, 0, parsed.regime, parsed.risk)
     assert out.certificate == "exhaustive"
     assert len(scanned) == 64

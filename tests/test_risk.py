@@ -171,6 +171,23 @@ def test_cost_validation(m1):
         rk.evaluate_cost(m1, rk.TabularCost(np.zeros((4, 4)), np.zeros((3, 3))), tr)
 
 
+def test_costs_reject_short_trajectories(m1):
+    # every kind reads the states at start..K; the control-reading kinds
+    # also need the controls at start..K-1, even at cemetery steps
+    short = rk.Trajectory(0, (2, 2, 2), (0, 0, 0), (0, 0, 0))
+    for cost in (rk.TimeOutside(A), rk.ControlEffort(), rk.TerminalMiss(A),
+                 rk.RecoveryOffset(A), rk.TabularCost(np.zeros((4, 4)),
+                                                       np.zeros((3, 2)))):
+        with pytest.raises(rk.InputError, match="no state at time 3"):
+            rk.evaluate_cost(m1, cost, short)
+    dead = rk.Trajectory(0, (2, 4, 4, 4), (0,), (1, 1, 1))
+    for cost in (rk.ControlEffort(), rk.TabularCost(np.zeros((4, 4)),
+                                                    np.zeros((3, 2)))):
+        with pytest.raises(rk.InputError, match="no control at time 1"):
+            rk.evaluate_cost(m1, cost, dead)
+    assert rk.evaluate_cost(m1, rk.TimeOutside(A, 7.0), dead) == 21.0
+
+
 # ------------------------------------------------------- direct measures
 
 
