@@ -1,4 +1,5 @@
-"""Batched closed-loop simulation in numpy, the oracle's Markov kernel."""
+"""Batched closed-loop simulation in numpy: the Markov kernel of the
+exhaustive scan (engine, optimize) and of the oracle."""
 
 import numpy as np
 
@@ -19,19 +20,23 @@ def simulate_batch(dyn, ok, policies, scenarios, x0, start=0):
     """
     S = policies.shape[0]
     M = scenarios.shape[0]
-    K = dyn.shape[0]
+    K, n1, nu, nw = dyn.shape
+    dead = n1 - 1
     L = K - start
-    dead = dyn.shape[1] - 1
     states = np.empty((S, M, L + 1), dtype=np.int32)
     controls = np.empty((S, M, L), dtype=np.int32)
     x = np.full((S, M), x0, dtype=np.int32)
     states[:, :, 0] = x
+    # flat offsets, in intp (int32 products could wrap): row s of the
+    # time-t policies, cell (x, u) of ok[t], cell (x, u, w) of dyn[t]
+    rows = (np.arange(S, dtype=np.intp) * n1)[:, None]
+    nu, nw = np.intp(nu), np.intp(nw)
     for step in range(L):
         t = start + step
-        u = np.take_along_axis(policies[:, t, :], x, axis=1)
-        admissible = ok[t][x, u].astype(bool)
-        nxt = dyn[t][x, u, scenarios[:, t]]
-        x = np.where(admissible, nxt, dead).astype(np.int32)
+        u = policies[:, t, :].ravel().take(rows + x)
+        xu = x * nu + u
+        nxt = dyn[t].ravel().take(xu * nw + scenarios[:, t])
+        x = np.where(ok[t].ravel().take(xu), nxt, dead)
         controls[:, :, step] = u
         states[:, :, step + 1] = x
     return states, controls

@@ -1,15 +1,17 @@
 """Exact decision procedures for resilience.
 
 Backward dynamic programming for the viability family and an exhaustive
-strategy search for every other regime; Markov scans of the worst-case
-boolean regimes propagate forward reachable sets instead of simulating
-trajectories. The robust kernel and robust recovery are one min-max sweep:
-the least worst-case number of steps to the kernel, whose zero level is the
-kernel. The stochastic viability value is a max-expectation sweep, and the
-DP certificate in optimize a min-expectation one. Every sweep is a sequence
-of one array-level Bellman backup (`_backup`), one call per time. Witness
-policies use the smallest control index on ties so outputs are
-reproducible.
+strategy search for every other regime. Markov scans decide membership a
+block of representatives at a time, on arrays: the worst-case boolean
+regimes propagate forward reachable sets without simulating trajectories,
+and ProbExcursion and StochasticViability weigh the block's simulated
+paths (_sim.simulate_batch). The robust kernel and robust recovery are one
+min-max sweep: the least worst-case number of steps to the kernel, whose
+zero level is the kernel. The stochastic viability value is a
+max-expectation sweep, and the DP certificate in optimize a
+min-expectation one. Every sweep is a sequence of one array-level Bellman
+backup (`_backup`), one call per time. Witness policies use the smallest
+control index on ties so outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -24,17 +26,19 @@ from .model import (
     DEFAULT_SCENARIO_CAP,
     SystemModel,
     _Scenarios,
-    enumerate_scenarios,
+    count_scenarios,
     packed_tables,
 )
 from .regimes import (
     AtMostKExits,
     Bounded,
+    ProbExcursion,
     RobustRecovery,
     StochasticViability,
     Viability,
     _check_state_set,
     _membership,
+    _path_membership,
     validate_regime,
 )
 from .strategy import (
@@ -49,10 +53,19 @@ from .strategy import (
     rank_layout,
     strategy_from_rank,
 )
+from ._sim import simulate_batch
 
-# cells per representative block of _reachable_blocks, which bounds the
-# block's arrays whatever n, K and |W_t| are
+# cells per representative block of the forward reachable sets, which
+# bounds the block's arrays whatever n, K and |W_t| are
 _REACH_CELLS = 1 << 18
+
+# trajectory cells (representatives x scenarios x (steps + 1)) per
+# simulated block of a Markov scan, which bounds the block's path arrays
+# whatever M is
+_PATH_CELLS = 1 << 16
+
+# regimes Markov scans decide on the simulated paths of a block
+_PATH_REGIMES = (ProbExcursion, StochasticViability)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,20 +334,20 @@ def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
     checks check_resilient would repeat on each of them are made here, once,
     in its order: the scenario count against `cap`, the start time, then
     x0 when given. The scan then calls _bundle and _membership directly.
+    The set is enumerated when first read, which the forward route never
+    does.
     """
     robust_only = isinstance(regime, RobustRecovery)
-    scenarios = _Scenarios(
-        model,
-        enumerate_scenarios(model, robust_only=robust_only, cap=cap),
-        robust_only,
-    )
+    total = count_scenarios(model, robust_only)
+    if total > cap:
+        raise CapacityError(f"{total} scenarios exceed cap {cap}")
     if not 0 <= start <= model.horizon:
         raise InputError(
             f"strategy start {start} out of range 0..{model.horizon}"
         )
     if x0 is not None and not 0 <= x0 < model.n_states:
         raise InputError(f"x0 must be an ordinary state index, got {x0}")
-    return scenarios
+    return _Scenarios(model, robust_only=robust_only, cap=cap)
 
 
 def _reachable_decides(model, regime, strategy_class):
@@ -433,22 +446,65 @@ def _reachable_members(model, regime, x0, start, policies):
     return member
 
 
-def _reachable_blocks(model, regime, layout, x0, start):
-    """Yield (first representative, policy block, member mask) over the
-    layout's representatives in ascending blocks. Per representative, a
-    block holds K * (n+1) policy cells and _reachable_members's per-time
-    arrays (n+1) * count * |W_t| cells; the larger times the block size is
-    at most _REACH_CELLS (a block holds at least one representative)."""
-    K = model.horizon
-    width = model.dynamics.shape[3]
-    if isinstance(regime, AtMostKExits):
-        width *= min(regime.max_exits, K) + 1
-    per = (model.n_states + 1) * max(K, width)
-    step = max(1, _REACH_CELLS // per)
+def _blocks_decide(model, regime, strategy_class):
+    """Do the member blocks of _member_blocks decide the regime? They do
+    for Markov scans of ProbExcursion and StochasticViability, and
+    wherever _reachable_decides holds."""
+    return strategy_class == MARKOV and (
+        isinstance(regime, _PATH_REGIMES)
+        or _reachable_decides(model, regime, strategy_class)
+    )
+
+
+def _path_block(model, start, n_scenarios):
+    """Representatives per simulated block: at most _PATH_CELLS trajectory
+    cells, and at least one representative."""
+    return max(1, _PATH_CELLS // (n_scenarios * (model.horizon - start + 1)))
+
+
+def _member_blocks(model, regime, layout, x0, start, scenarios):
+    """Yield (index, policies, paths) for the members of the Markov
+    layout from x0, in ascending blocks where _blocks_decide holds: the
+    members' representative indices (int64), their policy arrays (int32
+    (S, K, n+1), as markov_policy_array packs them) and their paths over
+    `scenarios` (states, controls as simulate_batch returns them), or None
+    where membership needed no paths.
+
+    Forward reachable sets decide a block without simulating it. The block
+    then holds K * (n+1) policy cells and _reachable_members's per-time
+    arrays (n+1) * count * |W_t| cells per representative; the larger times
+    the block size is at most _REACH_CELLS. ProbExcursion and
+    StochasticViability simulate the whole block over `scenarios`, the full
+    domain, in blocks of _path_block, and weigh its paths
+    (regimes._path_membership).
+    """
+    forward = _reachable_decides(model, regime, MARKOV)
+    if forward:
+        K = model.horizon
+        width = model.dynamics.shape[3]
+        if isinstance(regime, AtMostKExits):
+            width *= min(regime.max_exits, K) + 1
+        step = max(1, _REACH_CELLS // ((model.n_states + 1) * max(K, width)))
+    else:
+        dyn, ok = packed_tables(model)
+        step = _path_block(model, start, len(scenarios.scenarios))
     for lo in range(0, layout.size, step):
         policies = layout.policies(lo, min(layout.size, lo + step))
-        member = _reachable_members(model, regime, x0, start, policies)
-        yield lo, policies, member
+        if forward:
+            paths = None
+            member = _reachable_members(model, regime, x0, start, policies)
+        else:
+            paths = simulate_batch(
+                dyn, ok, policies, scenarios.table, x0, start
+            )
+            member = _path_membership(
+                model, regime, *paths, scenarios, start
+            )
+        index = np.flatnonzero(member)
+        if index.size:
+            if paths is not None:
+                paths = tuple(a[index] for a in paths)
+            yield lo + index, policies[index], paths
 
 
 def _scan_members(
@@ -456,17 +512,16 @@ def _scan_members(
 ):
     """Yield (index, strategy, bundle) for each representative of the
     layout that meets the regime from x0, in ascending rank. Where
-    _reachable_decides holds, forward reachable sets decide a block at a
-    time and bundle is None; elsewhere bundle is the membership bundle over
-    `scenarios`, the _Scenarios of _scan_scenarios."""
-    if _reachable_decides(model, regime, strategy_class):
+    _blocks_decide holds, member blocks decide (_member_blocks) and bundle
+    is None; elsewhere bundle is the membership bundle over `scenarios`,
+    the _Scenarios of _scan_scenarios."""
+    if _blocks_decide(model, regime, strategy_class):
         n = model.n_states
-        for lo, policies, member in _reachable_blocks(
-            model, regime, layout, x0, start
+        for index, policies, _ in _member_blocks(
+            model, regime, layout, x0, start, scenarios
         ):
-            for i in np.flatnonzero(member):
-                table = policies[i, start:, :n]
-                yield lo + int(i), _markov_from_table(table, start), None
+            for i, table in zip(index.tolist(), policies):
+                yield i, _markov_from_table(table[start:, :n], start), None
         return
     for i in range(layout.size):
         rank = layout.rank(i)
@@ -493,9 +548,10 @@ def resilient_states(
     policy slots reachable from x0 (strategy.rank_layout). The cap applies
     to the size of the whole class. method="exhaustive" names the witness
     contract: each member's witness is the least-rank resilient strategy of
-    the declared class. Markov scans of Bounded and AtMostKExits decide
-    membership on forward reachable sets, a block of representatives at a
-    time, and build no trajectory bundle; other scans build one per
+    the declared class. Markov scans of Bounded, AtMostKExits and
+    ProbExcursion decide membership a block of representatives at a time
+    (_member_blocks) and build no trajectory bundle; forward reachable sets
+    read no scenario list. Other scans build one bundle per
     representative.
     """
     validate_regime(model, regime)

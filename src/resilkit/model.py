@@ -542,14 +542,35 @@ class _Scenarios:
     per bundle. With check=True (a bundle from outside the package) they
     come from the checking scenario_weight and in_robust_set; otherwise the
     scenarios must be valid tuples, as enumerate_scenarios yields them.
-    robust_only says the list is the robust domain, as in a bundle.
+    robust_only says the list is the robust domain, as in a bundle. Without
+    `scenarios` the list is that domain, enumerated on first use against
+    `cap`.
     """
 
-    def __init__(self, model, scenarios, robust_only=False, check=False):
+    def __init__(
+        self, model, scenarios=None, robust_only=False, check=False,
+        cap=DEFAULT_SCENARIO_CAP,
+    ):
         self.model = model
-        self.scenarios = tuple(scenarios)
+        if scenarios is not None:
+            self.scenarios = tuple(scenarios)
         self.robust_only = robust_only
         self.check = check
+        self.cap = cap
+
+    @functools.cached_property
+    def scenarios(self):
+        """The scenario tuples, when not given at construction."""
+        return tuple(
+            enumerate_scenarios(self.model, self.robust_only, self.cap)
+        )
+
+    @functools.cached_property
+    def table(self):
+        """The scenarios as int32 (M, K), for the batched simulation."""
+        return np.array(self.scenarios, dtype=np.int32).reshape(
+            len(self.scenarios), self.model.horizon
+        )
 
     @functools.cached_property
     def weights(self):
@@ -567,7 +588,7 @@ class _Scenarios:
         enumerated on first use against the default cap."""
         if not self.robust_only:
             return self
-        return _Scenarios(self.model, enumerate_scenarios(self.model))
+        return _Scenarios(self.model)
 
 
 def scenario_weights(model: SystemModel, scenarios) -> np.ndarray:

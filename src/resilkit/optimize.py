@@ -6,15 +6,22 @@ evaluate_risk assigns to the reported strategy. Strategies that differ only
 on policy slots no closed-loop path from x0 reaches give identical bundles,
 so the scan visits one representative per such class, its least rank (see
 strategy.rank_layout); answers, ties and `examined` are those of the full
-scan. For Markov strategies under Viability, Bounded, RobustRecovery
-(per-time robust subsets) and AtMostKExits (per-time probabilities or
-none), membership is decided without trajectories: forward reachable sets
-of (state, exit count) pairs, propagated for a block of representatives at
-once (engine._reachable_members). Trajectory bundles are then built only
-for the members, over the full scenario set, to evaluate their risk. Every
-other regime, and the adapted class, decides membership on one bundle per
-representative. The scan runs on the calling thread; `jobs` is accepted for
-compatibility and has no effect.
+scan.
+
+Markov scans of Viability, Bounded, RobustRecovery (per-time robust
+subsets), AtMostKExits (per-time probabilities or none), ProbExcursion and
+StochasticViability build no trajectory bundle and no strategy per
+representative: they work on blocks of policy arrays
+(engine._member_blocks). The four worst-case regimes decide membership on
+forward reachable sets of (state, exit count) pairs; the two probabilistic
+ones on the block's paths, simulated over the full scenario set
+(_sim.simulate_batch), whose weights are added in the bundle's order. The
+members' paths, simulated where membership did not need them, are then
+priced all at once (risk._evaluate_paths, bit-identical to evaluate_risk on
+each member's bundle), and only the winner becomes a Strategy. Every other
+regime, and the adapted class, decides membership on one bundle per
+representative and prices each member on its bundle. The scan runs on the
+calling thread; `jobs` is accepted for compatibility and has no effect.
 
 A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
@@ -39,13 +46,16 @@ import numpy as np
 
 from .engine import (
     _backup,
+    _blocks_decide,
+    _member_blocks,
+    _path_block,
     _scan_members,
     _scan_scenarios,
     fill_policy,
     robust_viability_kernel,
 )
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import SystemModel
+from .model import SystemModel, packed_tables
 from .regimes import StochasticViability, Viability, validate_regime
 from .risk import (
     Composed,
@@ -55,6 +65,7 @@ from .risk import (
     TerminalMiss,
     TimeOutside,
     _evaluate,
+    _evaluate_paths,
     validate_risk,
 )
 from .strategy import (
@@ -62,9 +73,11 @@ from .strategy import (
     MARKOV,
     Strategy,
     _bundle,
+    _markov_from_table,
     count_strategies,
     rank_layout,
 )
+from ._sim import simulate_batch
 
 EXHAUSTIVE = "exhaustive"
 DP = "dp"
@@ -172,21 +185,59 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
     )
 
 
+def _member_values(model, x0, start, regime, risk, layout, scenarios):
+    """Yield (policies, risks) over the layout's members in ascending
+    blocks, where _blocks_decide holds: the members' policy arrays and
+    their risks, float64, each bit-identical to _evaluate on the member's
+    full-domain bundle. Members that decided on forward reachable sets are
+    simulated over the full scenario set in blocks of _path_block."""
+    dyn, ok = packed_tables(model)
+    for _, policies, paths in _member_blocks(
+        model, regime, layout, x0, start, scenarios
+    ):
+        # the full scenario set is enumerated at the first member only
+        full = scenarios.full
+        if paths is not None:
+            yield policies, _evaluate_paths(
+                model, risk, *paths, full, start
+            )
+            continue
+        step = _path_block(model, start, len(full.scenarios))
+        for lo in range(0, len(policies), step):
+            block = policies[lo : lo + step]
+            paths = simulate_batch(dyn, ok, block, full.table, x0, start)
+            yield block, _evaluate_paths(model, risk, *paths, full, start)
+
+
 def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     """Scan the layout's representatives, ascending; return (value,
     strategy, members) of the first strict minimizer (strategy None when
     none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
     best = math.inf
-    best_strategy = None
     examined = 0
+    if _blocks_decide(model, regime, strategy_class):
+        winner = None
+        for policies, values in _member_values(
+            model, x0, start, regime, risk, layout, scenarios
+        ):
+            for i, value in enumerate(values.tolist()):
+                if winner is None or value < best:
+                    best = value
+                    winner = policies[i]
+            examined += len(values)
+        if winner is None:
+            return best, None, examined
+        table = winner[start:, : model.n_states]
+        return best, _markov_from_table(table, start), examined
+    best_strategy = None
     for _, strat, bundle in _scan_members(
         model, regime, strategy_class, layout, x0, start, scenarios
     ):
         examined += 1
         # the full scenario set is enumerated at the first member only
         full = scenarios.full
-        if bundle is None or bundle.robust:
+        if bundle.robust:
             bundle = _bundle(model, strat, x0, start, full)
         value = _evaluate(model, risk, bundle, full)
         if best_strategy is None or value < best:

@@ -4,12 +4,16 @@ Everything here decides resilience questions by enumerating whole strategy
 classes and chasing definitions, sharing only the model tables, the
 simulation kernels, and the membership and risk predicates with the rest of
 the package. Nothing else is shared: the recursions in `engine`, the pruning
-of unreachable policy slots (`strategy.rank_layout`) and the fast path in
+of unreachable policy slots (`strategy.rank_layout`), the forward reachable
+sets and path-array predicates of the production scan and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
-rank order. These routines exist to check those three.
+rank order. These routines exist to check them. The production scan prices
+members on simulated path arrays (`risk._evaluate_paths`); the oracle
+prices each member on its bundle (`risk._evaluate`), so it judges that
+evaluator.
 
 Markov enumerations run through the batched numpy simulation kernel
-(`_sim.simulate_batch`, called nowhere else in the package), a block of
+(`_sim.simulate_batch`, which the production scan also runs), a block of
 ranks at a time. For the regimes whose membership is a boolean over
 scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
 ControlEvent) membership is read off the block's trajectory arrays

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .model import SystemModel, _Scenarios
+from .model import SystemModel, _Scenarios, packed_tables
 from .strategy import Trajectory, TrajectoryBundle
 
 
@@ -115,13 +115,10 @@ class RiskContainment:
     level: float
 
 
-# regimes whose membership quantifies over the robust scenario subset
-ROBUST_REGIMES = (RobustRecovery,)
-
-
 def _check_state_set(model, states, what):
+    n, kinds = model.n_states, (int, np.integer)
     for x in states:
-        if not isinstance(x, (int, np.integer)) or not 0 <= x < model.n_states:
+        if not (isinstance(x, kinds) and 0 <= x < n):
             raise InputError(f"{what} contains invalid state index {x!r}")
 
 
@@ -319,3 +316,54 @@ def _membership(model, regime, bundle, scenarios):
         return value <= regime.level
 
     raise InputError(f"unknown regime {regime!r}")
+
+
+# ---------------------------------------------- the same tests on path arrays
+#
+# The Markov scan simulates a block of strategies at once
+# (_sim.simulate_batch) and reads membership and risk off the arrays
+# states int32 (S, M, L+1) and controls int32 (S, M, L) of the paths run
+# from `start` (L = K - start) over a _Scenarios in the arrays' scenario
+# order. Each reduction below makes the float operations of the bundle
+# loops above, in their order, so results are bit-identical.
+
+
+def _state_mask(model, states):
+    """in_set[x] over 0..n (the cemetery is in no state set)."""
+    in_set = np.zeros(model.n_states + 1, dtype=bool)
+    in_set[list(states)] = True
+    return in_set
+
+
+def _good_paths(model, acceptable, states, controls, start):
+    """good[s, m, l]: at time start + l path (s, m) is in `acceptable` and,
+    before the horizon, plays an admissible control; the state-wise test
+    of recovery_time, whose least all-good suffix starts at tau."""
+    _, ok = packed_tables(model)
+    good = _state_mask(model, acceptable)[states]
+    times = np.arange(start, start + controls.shape[2])
+    good[:, :, :-1] &= ok[times, states[:, :, :-1], controls] != 0
+    return good
+
+
+def _running_sum(terms):
+    """Row sums of terms (S, M) as `acc = 0.0; acc += term` makes them: one
+    addition at a time, in column order. (A numpy reduction pairs terms up
+    and may round differently.)"""
+    zero = np.zeros((terms.shape[0], 1))
+    return np.add.accumulate(np.hstack([zero, terms]), axis=1)[:, -1]
+
+
+def _path_membership(model, regime, states, controls, scenarios, start):
+    """member[s]: _membership of a ProbExcursion or StochasticViability
+    regime on the bundle of strategy s; `scenarios` is the full domain."""
+    weights = np.asarray(scenarios.weights, dtype=np.float64)
+    if isinstance(regime, ProbExcursion):
+        exits = ~_state_mask(model, regime.region)[states].all(axis=2)
+        return _running_sum(np.where(exits, weights, 0.0)) <= regime.beta
+    if isinstance(regime, StochasticViability):
+        viable = _good_paths(
+            model, regime.acceptable, states, controls, start
+        ).all(axis=2)
+        return _running_sum(np.where(viable, weights, 0.0)) >= regime.beta
+    raise InputError(f"regime {regime!r} has no path-array membership")

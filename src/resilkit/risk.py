@@ -21,7 +21,15 @@ import numpy as np
 
 from .errors import InputError
 from .model import SystemModel, _Scenarios
-from .regimes import _check_state_set, _steps, exit_times, recovery_time
+from .regimes import (
+    _check_state_set,
+    _good_paths,
+    _running_sum,
+    _state_mask,
+    _steps,
+    exit_times,
+    recovery_time,
+)
 from .strategy import TrajectoryBundle
 
 # cost accrued per time step spent at the cemetery
@@ -430,3 +438,138 @@ def _evaluate(model, spec, bundle, scenarios):
         return _apply_outer(spec.outer, bundle, scenarios, costs)
 
     raise InputError(f"unknown risk measure {spec!r}")
+
+
+# ------------------------------------------------ risk on path arrays
+#
+# The twins of _cost and _evaluate for a block of strategies simulated at
+# once (see the path-array section of regimes): each makes the float
+# operations of its bundle loop, in the same order, so every value is
+# bit-identical. Python floats turn 0 * inf into NaN and overflow into inf
+# without a word; numpy does the same under errstate.
+
+
+def _path_costs(model, cost, states, controls, start):
+    """_cost of every path: float64 (S, M); base terms add up in time
+    order."""
+    n = model.n_states
+    alive = states != n
+    L = controls.shape[2]
+    if isinstance(cost, RecoveryOffset):
+        good = _good_paths(model, cost.acceptable, states, controls, start)
+        # recovery at offset L + 1 - (length of the all-good suffix),
+        # never when that length is 0
+        suffix = np.logical_and.accumulate(good[:, :, ::-1], axis=2)
+        length = suffix.sum(axis=2)
+        base = np.where(length > 0, (L + 1 - length).astype(float), math.inf)
+    elif isinstance(cost, TimeOutside):
+        outside = alive & ~_state_mask(model, cost.acceptable)[states]
+        base = outside.sum(axis=2).astype(np.float64)
+    elif isinstance(cost, ControlEffort):
+        if cost.rates is not None:
+            rates = np.asarray(cost.rates, dtype=np.float64)
+        else:
+            rates = model.controls.coords[:, 0]
+        base = np.zeros(states.shape[:2])
+        for l in range(L):
+            step = rates[controls[:, :, l]]
+            base = base + np.where(alive[:, :, l], step, 0.0)
+    elif isinstance(cost, TerminalMiss):
+        x = states[:, :, L]
+        outside = alive[:, :, L] & ~_state_mask(model, cost.acceptable)[x]
+        base = outside.astype(np.float64)
+    elif isinstance(cost, TabularCost):
+        base = np.zeros(states.shape[:2])
+        for l in range(L + 1):
+            row = np.append(cost.state_costs[start + l], 0.0)
+            base = base + np.where(alive[:, :, l], row[states[:, :, l]], 0.0)
+            if l < L:
+                row = cost.control_costs[start + l]
+                base = base + np.where(
+                    alive[:, :, l], row[controls[:, :, l]], 0.0
+                )
+    else:
+        raise InputError(f"unknown cost function {cost!r}")
+    return base + float(cost.cemetery_penalty) * (~alive).sum(axis=2)
+
+
+def _cvar_rows(values, weights, level):
+    """cvar of each row of values (S, M) under one weight vector.
+
+    The loop walks the atoms in the stable descending order and takes
+    min(w, remaining) of each positive one until the mass still wanted is
+    used up. Before each atom that mass is level - w - w - ..., the running
+    differences in the walk's order; from the first atom that takes all of
+    it on, it is <= 0, so the atoms with a positive take are the ones the
+    loop takes, and their terms add up in its order. Rows holding NaN sort
+    differently under Python's comparisons and go through cvar itself.
+    """
+    S, M = values.shape
+    order = np.argsort(-values, axis=1, kind="stable")
+    v = values[np.arange(S)[:, None], order]
+    w = weights[order]
+    head = np.full((S, 1), float(level))
+    remaining = np.subtract.accumulate(
+        np.hstack([head, w[:, :-1]]), axis=1
+    )
+    take = np.minimum(w, remaining)
+    with np.errstate(invalid="ignore"):  # 0 * inf in atoms not taken
+        terms = np.where(take > 0.0, take * v, 0.0)
+    out = _running_sum(terms) / level
+    for s in np.flatnonzero(np.isnan(values).any(axis=1)):
+        out[s] = cvar(values[s].tolist(), weights, level)
+    return out
+
+
+def _outer_paths(outer, values, scenarios):
+    """_apply_outer on every row of values (S, M) over the full domain."""
+    if isinstance(outer, WorstCase):
+        # max() keeps the first of equal values and never moves off NaN
+        robust = np.flatnonzero(scenarios.robust)
+        best = values[:, robust[0]]
+        for j in robust[1:]:
+            best = np.where(values[:, j] > best, values[:, j], best)
+        return best
+    weights = np.asarray(scenarios.weights, dtype=np.float64)
+    if isinstance(outer, Expectation):
+        return _running_sum(np.where(weights != 0.0, weights * values, 0.0))
+    if isinstance(outer, CVaR):
+        return _cvar_rows(values, weights, outer.level)
+    raise InputError(f"unknown outer functional {outer!r}")
+
+
+def _evaluate_paths(model, spec, states, controls, scenarios, start):
+    """_evaluate of a valid risk measure on the full-domain bundle of each
+    strategy of a simulated block: float64 (S,), bit-identical to it.
+    states (S, M, L+1) and controls (S, M, L) are the simulate_batch
+    arrays of the block run from `start` over `scenarios`, the full
+    scenario set's _Scenarios in the arrays' order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, WorstCaseViolation):
+            exits = ~_state_mask(model, spec.acceptable)[states].all(axis=2)
+            robust = np.asarray(scenarios.robust, dtype=bool)
+            return np.where(exits[:, robust].any(axis=1), 1.0, 0.0)
+        if isinstance(spec, Composed):
+            costs = _path_costs(model, spec.cost, states, controls, start)
+            return _outer_paths(spec.outer, costs, scenarios)
+        if not isinstance(
+            spec, (ExitCountFunctional, Exceedance, AmbiguityExceedance)
+        ):
+            raise InputError(f"unknown risk measure {spec!r}")
+        good = _good_paths(model, spec.acceptable, states, controls, start)
+        if isinstance(spec, ExitCountFunctional):
+            counts = (~good).sum(axis=2).astype(np.float64)
+            return _outer_paths(spec.outer, counts, scenarios)
+        exceeds = ~good.all(axis=2)
+        if isinstance(spec, Exceedance):
+            weights = np.asarray(scenarios.weights, dtype=np.float64)
+            return _running_sum(np.where(exceeds, weights, 0.0))
+        table = scenarios.table
+        worst = np.full(len(states), -math.inf)
+        for belief in spec.beliefs:
+            weights = np.ones(len(table))
+            for t, vec in enumerate(belief):
+                weights = weights * np.asarray(vec)[table[:, t]]
+            acc = _running_sum(np.where(exceeds, weights, 0.0))
+            worst = np.where(acc > worst, acc, worst)
+        return worst

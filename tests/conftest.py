@@ -1,3 +1,4 @@
+import math
 import os
 from pathlib import Path
 
@@ -5,12 +6,15 @@ import numpy as np
 import pytest
 
 import resilkit as rk
+from resilkit._sim import simulate_batch
 from resilkit.model import (
     ControlSpace,
     StateSpace,
     SystemModel,
     TimeGrid,
     UncertaintyStructure,
+    _Scenarios,
+    packed_tables,
 )
 
 # Four-level reservoir, horizon 3: x' = clip(x + u - w, 0, 3), u in {0,1},
@@ -152,3 +156,108 @@ def padded_twin(rng, model):
         model.time, model.states, model.controls, model.uncertainty,
         dyn, model.constraints,
     )
+
+
+def random_variant(rng, model):
+    """The model with its probabilities and robust domain redrawn: per-time
+    probabilities that are ratios of small integers, some of them zero;
+    none; or an explicit joint distribution, some scenarios unlisted or
+    zero. Half the time the robust domain is an explicit scenario list."""
+    u = model.uncertainty
+    scenarios = rk.enumerate_scenarios(model)
+    probs = joint = robust = None
+    kind = int(rng.integers(3))
+    if kind == 0:
+        probs = []
+        for t in range(model.horizon):
+            weights = rng.integers(0, 4, size=u.size(t))
+            if not weights.any():
+                weights[int(rng.integers(weights.size))] = 1
+            probs.append(tuple(weights / weights.sum()))
+        probs = tuple(probs)
+    elif kind == 2:
+        weights = rng.integers(0, 4, size=len(scenarios))
+        if not weights.any():
+            weights[int(rng.integers(weights.size))] = 1
+        listed = (weights > 0) | (rng.random(weights.size) < 0.5)
+        joint = {
+            s: float(w / weights.sum())
+            for s, w, keep in zip(scenarios, weights, listed) if keep
+        }
+    if rng.random() < 0.5:
+        robust = [s for s in scenarios if rng.random() < 0.5]
+        robust = robust or [scenarios[int(rng.integers(len(scenarios)))]]
+    return SystemModel(
+        model.time, model.states, model.controls,
+        UncertaintyStructure(u.sets, probs, u.robust),
+        model.dynamics, model.constraints, robust, joint,
+    )
+
+
+def random_paths(rng, model, x0, start, count):
+    """`count` random Markov strategies run from x0 at `start` over the full
+    scenario set: (the simulate_batch arrays states and controls, the full
+    set's _Scenarios, each strategy's bundle over it)."""
+    K, n = model.horizon, model.n_states
+    policies = np.zeros((count, K, n + 1), dtype=np.int32)
+    policies[:, start:, :n] = rng.integers(
+        0, model.n_controls, size=(count, K - start, n)
+    )
+    full = _Scenarios(model)
+    dyn, ok = packed_tables(model)
+    states, controls = simulate_batch(dyn, ok, policies, full.table, x0, start)
+    bundles = [
+        rk.strategy._bundle(
+            model, rk.strategy._markov_from_table(p[start:, :n], start),
+            x0, start, full,
+        )
+        for p in policies
+    ]
+    return states, controls, full, bundles
+
+
+def outcome(call):
+    """call()'s result, or the type and text of the package error it
+    raised."""
+    try:
+        return call()
+    except rk.ResilkitError as exc:
+        return type(exc), str(exc)
+
+
+def random_risks(rng, model, acc):
+    """Every cost kind on `acc` under every outer functional, and every
+    direct measure; penalties include inf, which makes the cost of a path
+    that never reaches the cemetery NaN (inf * 0), and tables include
+    infinities and negative values."""
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    cells = (0.0, 0.25, 1.0, -0.5, 0.1, 1 / 3, 2.0, math.inf)
+    odds = (0.6, 0.1, 0.1, 0.05, 0.05, 0.04, 0.04, 0.02)
+    penalty = float(rng.choice((1e18, math.inf, 3.0, 0.0, 0.7)))
+    costs = (
+        rk.TimeOutside(acc, penalty),
+        rk.ControlEffort(None, penalty),
+        rk.ControlEffort(tuple(rng.random(nu) * 3 - 1), penalty),
+        rk.TerminalMiss(acc, penalty),
+        rk.TabularCost(
+            rng.choice(cells, size=(K + 1, n), p=odds),
+            rng.choice(cells, size=(K, nu), p=odds),
+            penalty,
+        ),
+        rk.RecoveryOffset(acc, penalty),
+    )
+    level = float(rng.choice((1.0, 0.5, 0.3, 1e-3, rng.uniform(1e-9, 1.0))))
+    outers = (rk.Expectation(), rk.WorstCase(), rk.CVaR(level))
+    risks = [rk.Composed(c, o) for c in costs for o in outers]
+    risks += [rk.ExitCountFunctional(acc, o) for o in outers]
+    belief = tuple(
+        tuple(np.full(model.uncertainty.size(t), 1.0)
+              / model.uncertainty.size(t))
+        for t in range(K)
+    )
+    risks += [
+        rk.Exceedance(acc),
+        rk.WorstCaseViolation(acc),
+        rk.AmbiguityExceedance(acc, (belief,)),
+    ]
+    return risks

@@ -598,7 +598,9 @@ def test_underflowing_weights_take_the_bundle_path():
     assert rk.strategies_equal(out.strategy, strat)
 
 
-def test_scan_builds_bundles_only_for_members(m1, monkeypatch):
+def test_markov_scans_build_no_bundles(m1, monkeypatch):
+    # membership and risk both come from block arrays: forward reachable
+    # sets or simulated paths, then risk on the members' simulated paths
     built = []
 
     def counting(*args):
@@ -607,32 +609,34 @@ def test_scan_builds_bundles_only_for_members(m1, monkeypatch):
 
     monkeypatch.setattr(rk.engine, "_bundle", counting)
     monkeypatch.setattr(rk.optimize, "_bundle", counting)
+    R = frozenset({1, 2, 3})
     for regime, risk in (
-        (rk.Bounded(frozenset({1, 2, 3})),
-         rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
-        (rk.AtMostKExits(frozenset({1, 2, 3}), 1), rk.Exceedance(A)),
+        (rk.Bounded(R), rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
+        (rk.AtMostKExits(R, 1), rk.Exceedance(A)),
         (rk.RobustRecovery(A, 3),
          rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
         (rk.Viability(A), rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
+        (rk.ProbExcursion(A, 0.5), rk.Exceedance(A)),
+        (rk.StochasticViability(A, 0.25),
+         rk.Composed(rk.ControlEffort(), rk.CVaR(0.75))),
     ):
+        resilient = 0
         for x0 in range(m1.n_states):
-            built.clear()
             out = rk.minimize_risk(
                 m1, x0, 0, regime, risk, method="exhaustive"
             )
-            layout = rk.strategy.rank_layout(m1, x0, rk.MARKOV, 0)
-            assert len(built) == out.examined // layout.class_size
-            # members are built from policy-block rows: read-only int32
+            resilient += out.resilient
+            # the winner is built from its policy-block row: read-only int32
             for pol in out.strategy.policies if out.resilient else ():
                 assert pol.table.dtype == np.int32
                 assert not pol.table.flags.writeable
-        built.clear()
-        assert rk.resilient_states(m1, 0, rk.Bounded(frozenset({1, 2, 3})))
-        assert built == []
-    # a regime outside the forward family still decides on bundles
-    built.clear()
+        assert resilient >= 1, regime
+        if not isinstance(regime, rk.StochasticViability):
+            assert rk.resilient_states(m1, 0, regime).members
+        assert built == [], regime
+    # regimes outside the block route still decide on bundles
     rk.minimize_risk(
-        m1, 0, 0, rk.ProbExcursion(A, 0.5), rk.Exceedance(A),
+        m1, 0, 0, rk.ControlEvent(frozenset({1})), rk.Exceedance(A),
         method="exhaustive",
     )
     assert len(built) == rk.strategy.rank_layout(m1, 0, rk.MARKOV, 0).size

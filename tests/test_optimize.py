@@ -11,9 +11,12 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    outcome,
     padded_twin,
     random_acceptable,
     random_model,
+    random_risks,
+    random_variant,
 )
 
 A = M1_ACCEPTABLE
@@ -274,6 +277,65 @@ def test_pruned_scan_matches_the_oracle():
                 else:
                     assert rk.strategies_equal(out.strategy, strat)
     assert pruned >= 40 and twins >= 35 and resilient >= 45
+
+
+def test_block_scan_matches_the_oracle_on_every_risk():
+    # Markov scans decided and priced on block arrays against the oracle,
+    # which prices every member on its bundle: same value bits, examined
+    # count and strategy, or the same error (expected risks on a model
+    # without probabilities fail at the first member, and only then)
+    rng = np.random.default_rng(2718)
+    seen = {"resilient": 0, "none": 0, "error": 0, "nan": 0, "joint": 0,
+            "listed": 0}
+    for i in range(60):
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=2, max_horizon=3,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        if i % 3:
+            model = random_variant(rng, model)
+        seen["joint"] += model.scenario_probs is not None
+        seen["listed"] += model.robust_scenarios is not None
+        acc = random_acceptable(rng, model)
+        K = model.horizon
+        regimes = [
+            rk.Viability(acc), rk.Bounded(acc), rk.AtMostKExits(acc, 1),
+            rk.RobustRecovery(acc, int(rng.integers(K + 1))),
+        ]
+        if model.uncertainty.has_probs or model.scenario_probs is not None:
+            regimes += [
+                rk.ProbExcursion(acc, float(rng.choice((0.0, 0.25, 0.5)))),
+                rk.StochasticViability(acc, float(rng.choice((0.5, 0.75)))),
+            ]
+        regime = regimes[i % len(regimes)]
+        start = int(rng.integers(K))
+        x0 = int(rng.integers(model.n_states))
+        for risk in random_risks(rng, model, acc)[::3]:
+            got = outcome(lambda: rk.minimize_risk(
+                model, x0, start, regime, risk, method="exhaustive"
+            ))
+            want = outcome(
+                lambda: rk.oracle_min_risk(model, x0, start, regime, risk)
+            )
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                seen["error"] += 1
+                assert got == want, (i, regime, risk)
+                continue
+            value, strat, examined = want
+            assert got.examined == examined, (i, regime, risk)
+            if strat is None:
+                seen["none"] += 1
+                assert got.strategy is None and got.value == math.inf
+                continue
+            seen["resilient"] += 1
+            assert rk.strategies_equal(got.strategy, strat), (i, regime, risk)
+            if math.isnan(value):
+                seen["nan"] += 1
+                assert math.isnan(got.value)
+            else:
+                assert np.float64(got.value).tobytes() == \
+                    np.float64(value).tobytes(), (i, regime, risk)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_pruned_scan_on_m1_benign(monkeypatch):

@@ -5,7 +5,15 @@ import pytest
 
 import resilkit as rk
 
-from conftest import M1_ACCEPTABLE, build_m1, random_model, random_strategy
+from conftest import (
+    M1_ACCEPTABLE,
+    build_m1,
+    random_acceptable,
+    random_model,
+    random_paths,
+    random_strategy,
+    random_variant,
+)
 
 A = M1_ACCEPTABLE
 
@@ -256,3 +264,55 @@ def test_bounded_equals_no_exit_randomized():
         assert member == all(
             not rk.exit_times(model, tr, acceptable) for tr in bundle
         )
+
+
+def test_path_membership_matches_bundle_membership():
+    # ProbExcursion and StochasticViability decided on path arrays against
+    # _membership on each strategy's bundle, with beta at each bundle's own
+    # probability and its neighbouring floats as well as at random
+    rng = np.random.default_rng(5150)
+    seen = {"member": 0, "not": 0, "tie": 0, "joint": 0, "zero_w": 0}
+    for i in range(160):
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=3,
+            with_probs=True, cemetery_rate=0.25,
+        )
+        if i % 2:
+            model = random_variant(rng, model)
+        if not model.uncertainty.has_probs and model.scenario_probs is None:
+            continue
+        seen["joint"] += model.scenario_probs is not None
+        start = int(rng.integers(model.horizon + 1))
+        x0 = int(rng.integers(model.n_states))
+        region = random_acceptable(rng, model)
+        states, controls, full, bundles = random_paths(
+            rng, model, x0, start, int(rng.integers(1, 7))
+        )
+        seen["zero_w"] += 0.0 in full.weights
+        kind = (rk.ProbExcursion, rk.StochasticViability)[i % 2 == 0]
+        # each bundle's probability, as the membership loop sums it
+        betas = [float(rng.random()), 0.0, 1.0]
+        for b in bundles:
+            p = 0.0
+            for w, tr in zip(full.weights, b.trajectories):
+                if kind is rk.ProbExcursion:
+                    hit = bool(rk.exit_times(model, tr, region))
+                else:
+                    hit = rk.recovery_time(model, tr, region) == start
+                if hit:
+                    p += w
+            betas += [p, math.nextafter(p, -1.0), math.nextafter(p, 2.0)]
+        for beta in betas:
+            if not 0.0 <= beta <= 1.0:
+                continue
+            regime = kind(region, beta)
+            got = rk.regimes._path_membership(
+                model, regime, states, controls, full, start
+            )
+            for member, b in zip(got.tolist(), bundles):
+                want = rk.regimes._membership(model, regime, b, full)
+                assert member == want, (i, regime)
+                seen["member" if want else "not"] += 1
+                seen["tie"] += beta in betas[3::3]
+    assert min(seen.values()) >= 5, seen
+

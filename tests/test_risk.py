@@ -11,9 +11,13 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    outcome,
     random_acceptable,
     random_model,
+    random_paths,
+    random_risks,
     random_strategy,
+    random_variant,
 )
 
 A = M1_ACCEPTABLE
@@ -364,3 +368,73 @@ def test_risk_validation(m1):
         rk.evaluate_risk(
             m1, rk.AmbiguityExceedance(A, (((0.6, 0.6),) * 3,)), bundle
         )
+
+
+# ------------------------------------------------------ risk on path arrays
+
+
+def test_path_risks_match_bundle_risks():
+    # each value bit for bit against _evaluate on the strategy's bundle,
+    # and the same error where _evaluate raises one (no probabilities)
+    rng = np.random.default_rng(9109)
+    seen = {"nan": 0, "inf": 0, "config": 0, "joint": 0, "listed": 0,
+            "zero_w": 0, "late_start": 0}
+    for i in range(150):
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=3,
+            with_probs=True, cemetery_rate=0.25,
+        )
+        if i % 3:
+            model = random_variant(rng, model)
+        seen["joint"] += model.scenario_probs is not None
+        seen["listed"] += model.robust_scenarios is not None
+        start = int(rng.integers(model.horizon + 1))
+        seen["late_start"] += start > 0
+        x0 = int(rng.integers(model.n_states))
+        acc = random_acceptable(rng, model)
+        states, controls, full, bundles = random_paths(
+            rng, model, x0, start, int(rng.integers(1, 7))
+        )
+        if model.uncertainty.has_probs or model.scenario_probs is not None:
+            seen["zero_w"] += 0.0 in full.weights
+        for risk in random_risks(rng, model, acc):
+            got = outcome(lambda: rk.risk._evaluate_paths(
+                model, risk, states, controls, full, start
+            ))
+            want = [
+                outcome(lambda: rk.risk._evaluate(model, risk, b, full))
+                for b in bundles
+            ]
+            if isinstance(want[0], tuple):
+                seen["config"] += 1
+                assert got == want[0], (i, risk)
+                continue
+            assert got.dtype == np.float64 and got.shape == (len(bundles),)
+            for value, expect in zip(got.tolist(), want):
+                if math.isnan(expect):
+                    seen["nan"] += 1
+                    assert math.isnan(value), (i, risk)
+                else:
+                    seen["inf"] += math.isinf(expect)
+                    assert np.float64(value).tobytes() == \
+                        np.float64(expect).tobytes(), (i, risk, value, expect)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_path_cvar_walks_ties_and_split_atoms():
+    # ties keep scenario order, the boundary atom is split, zero weights
+    # are skipped, and a row holding NaN goes through cvar itself
+    values = np.array([
+        [1.0, 3.0, 3.0, 2.0],
+        [0.5, 0.5, 0.5, 0.5],
+        [math.nan, 1.0, math.inf, 2.0],
+        [-1.0, -2.0, 5.0, 5.0],
+    ])
+    weights = np.array([0.1, 0.3, 0.0, 0.6])
+    for level in (1.0, 0.7, 0.3, 0.1, 1e-9):
+        got = rk.risk._cvar_rows(values, weights, level)
+        for row, value in zip(values, got.tolist()):
+            want = rk.cvar(row.tolist(), weights.tolist(), level)
+            assert (math.isnan(want) and math.isnan(value)) or \
+                np.float64(value).tobytes() == np.float64(want).tobytes()
+
