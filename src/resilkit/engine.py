@@ -12,6 +12,12 @@ max-expectation sweep, and the DP certificate in optimize a
 min-expectation one. Every sweep is a sequence of one array-level Bellman
 backup (`_backup`), one call per time. Witness policies use the smallest
 control index on ties so outputs are reproducible.
+
+The backups read per-model successor planes (`_planes`), built on a
+model's first backup and cached on it: for each t, the next states as one
+C-ordered (|W_t|, n, nu) array in the narrowest unsigned dtype that holds
+n, with every inadmissible control sent to the cemetery n. That is
+n * nu * sum_t |W_t| indices, one or two bytes each below 65,536 states.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ from .strategy import (
     _markov_from_table,
     build_bundle,
     count_strategies,
-    markov_strategy,
     rank_layout,
     strategy_from_rank,
+    validate_strategy,
 )
 from ._sim import simulate_batch
 
@@ -143,11 +149,18 @@ class ResilientSet:
     method: str  # kernel | value | recovery | exhaustive
 
 
-def _acceptable_mask(model, acceptable):
-    """(acceptable as a checked frozenset, bool (n,) membership mask)."""
+def _checked(model, acceptable):
+    """The acceptable set as a frozenset, checked against the model."""
     acceptable = frozenset(acceptable)
     _check_state_set(model, acceptable, "acceptable set")
-    return acceptable, np.isin(np.arange(model.n_states), list(acceptable))
+    return acceptable
+
+
+def _inside(model, acceptable):
+    """bool (n,) membership mask of a checked acceptable set."""
+    inside = np.zeros(model.n_states, dtype=bool)
+    inside[np.fromiter(acceptable, np.intp, len(acceptable))] = True
+    return inside
 
 
 def _uncertainty_ranges(model, domain):
@@ -166,41 +179,87 @@ def _uncertainty_ranges(model, domain):
     )
 
 
+def _planes(model):
+    """The model's successor planes, built on first use and cached on it.
+
+    Returns (planes, rows, least): planes[t] is the read-only C-ordered
+    (|W_t|, n, nu) array of F_t(x, u, w) in the narrowest unsigned dtype
+    that holds n, with n (the cemetery) wherever u is inadmissible at
+    (t, x); rows is arange(n) * nu, the offset of each state's row in a
+    flat (n, nu) table; least is int32 (K, n), the least admissible control.
+    They are kept apart from packed_tables, so that a model that is only
+    simulated never builds them.
+    """
+    cached = getattr(model, "_planes", None)
+    if cached is not None:
+        return cached
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    dtype = np.min_scalar_type(n)
+    barred = ~model.constraints
+    planes = []
+    for t in range(K):
+        nxt = model.dynamics[t, :, :, : model.uncertainty.size(t)]
+        nxt = nxt.transpose(2, 0, 1).astype(dtype, order="C")
+        nxt[:, barred[t]] = n
+        nxt.setflags(write=False)
+        planes.append(nxt)
+    least = model.constraints.argmax(axis=2).astype(np.int32)
+    least.setflags(write=False)
+    cached = (tuple(planes), np.arange(n) * nu, least)
+    object.__setattr__(model, "_planes", cached)
+    return cached
+
+
 def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
     """One Bellman backup at time t for every state at once.
 
     A control u scores at x from the reads values[F_t(x, u, w)] (float64,
-    n) over w in `ws`, the cemetery reading `pad`: without `probs` the max
-    of the reads; with `probs` init + the sum of probs[w] * read, added one
-    w at a time in ascending order. The result is (the min, or without
-    `minimize` the max, of the scores of the admissible controls; the least
-    control attaining it or -1). Minimizing, a control scoring inf or NaN
-    never attains; maximizing, admissible scores must be finite. Columns w
-    outside `ws`, such as the padding w >= |W_t|, are never read.
+    n) over the ascending w in `ws`, the cemetery reading `pad`: without
+    `probs` the max of the reads; with `probs` init + the sum of
+    probs[w] * read, added one w at a time in ascending order. The result
+    is (the min, or without `minimize` the max, of the scores of the
+    admissible controls; the least control attaining it or -1). Minimizing,
+    a control scoring inf or NaN never attains; maximizing, admissible
+    scores must be finite. Columns w outside `ws`, such as the padding
+    w >= |W_t|, are never read.
+
+    The reads come from the successor plane of time t (`_planes`), the
+    C-ordered (|W_t|, n, nu) next states in the narrowest unsigned dtype
+    that holds n: a view for the whole of W_t, one take along w for a
+    subset. The model's planes hold n * nu * sum_t |W_t| indices and are
+    built on its first backup. An inadmissible control reads the cemetery
+    at every w, so the max-of-reads score, which is only asked for
+    minimizing with pad = inf (the min-max sweep), is inf there without a
+    mask; the expectation scores mask admissibility.
     """
-    dyn, ok = packed_tables(model)
+    planes, rows, _ = _planes(model)
     n = model.n_states
-    # (len(ws), n, nu), C-ordered: reduces over w run on whole (n, nu)
-    # planes and the take reads a contiguous index
-    nxt = dyn[t, :n, :, list(ws)]
-    reads = np.append(values, pad).take(nxt)
+    nxt = planes[t]
+    if len(ws) < len(nxt):
+        nxt = nxt.take(ws, axis=0)
+    read = np.empty(n + 1)
+    read[:n] = values
+    read[n] = pad
+    # every index is at most n by construction, so clipping changes none
+    reads = read.take(nxt, mode="clip")
     if probs is None:
         score = reads.max(axis=0)
+        pick = score.argmin(axis=1)
     else:
         score = init
         # an inf read weighted 0 gives NaN; minimizing masks it out below
         with np.errstate(over="ignore", invalid="ignore"):
             for j, w in enumerate(ws):
                 score = score + probs[w] * reads[j]
-    allowed = ok[t, :n].astype(bool)
-    if minimize:
-        # a strict-improvement scan from +inf never picks inf or NaN
-        score = np.where(allowed & (score < math.inf), score, math.inf)
-        pick = score.argmin(axis=1)
-    else:
-        score = np.where(allowed, score, -math.inf)
-        pick = score.argmax(axis=1)
-    best = score[np.arange(n), pick]
+        allowed = model.constraints[t]
+        if minimize:
+            # a strict-improvement scan from +inf never picks inf or NaN
+            score = np.where(allowed & (score < math.inf), score, math.inf)
+            pick = score.argmin(axis=1)
+        else:
+            score = np.where(allowed, score, -math.inf)
+            pick = score.argmax(axis=1)
+    best = score.take(rows + pick)
     return best, np.where(np.isfinite(best), pick, -1)
 
 
@@ -228,14 +287,10 @@ def _min_max_sweep(model, inside, ranges, deadline):
     return layer, witness
 
 
-def robust_viability_kernel(
-    model: SystemModel, acceptable, domain: str = "robust"
-) -> KernelTable:
-    """States from which some admissible control keeps the state in
-    `acceptable` at every time, whatever the uncertainty in the domain
-    ("robust": the per-time robust subsets; "full": the whole sets)."""
-    acceptable, inside = _acceptable_mask(model, acceptable)
+def _kernel(model, acceptable, domain):
+    """robust_viability_kernel of a checked acceptable frozenset."""
     ranges = _uncertainty_ranges(model, domain)
+    inside = _inside(model, acceptable)
     layer, witness = _min_max_sweep(model, inside, ranges, 0)
     member = layer == 0.0
     member.setflags(write=False)
@@ -243,10 +298,17 @@ def robust_viability_kernel(
     return KernelTable(acceptable, member, witness, domain)
 
 
-def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
-    """Maximal probability of staying in `acceptable` with admissible
-    controls, by backward recursion under per-time independent noise."""
-    acceptable, inside = _acceptable_mask(model, acceptable)
+def robust_viability_kernel(
+    model: SystemModel, acceptable, domain: str = "robust"
+) -> KernelTable:
+    """States from which some admissible control keeps the state in
+    `acceptable` at every time, whatever the uncertainty in the domain
+    ("robust": the per-time robust subsets; "full": the whole sets)."""
+    return _kernel(model, _checked(model, acceptable), domain)
+
+
+def _value(model, acceptable):
+    """stochastic_viability_value of a checked acceptable frozenset."""
     if not model.uncertainty.has_probs:
         raise ConfigurationError(
             "stochastic viability needs per-time probability vectors"
@@ -257,6 +319,7 @@ def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
             "recursion (it assumes independence across times); use the "
             "membership or oracle path"
         )
+    inside = _inside(model, acceptable)
     ranges = _uncertainty_ranges(model, "full")
     K, n = model.horizon, model.n_states
     value = np.zeros((K + 1, n), dtype=np.float64)
@@ -274,19 +337,20 @@ def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
     return ValueTable(acceptable, value, witness)
 
 
-def robust_recovery_table(
-    model: SystemModel, acceptable, deadline: int
-) -> RecoveryTable:
-    """Least worst-case recovery times into the robust kernel, by one
-    min-max sweep over the robust subsets. r_star is the min over
-    strategies of the max over robust scenarios of the recovery time, +inf
-    beyond the deadline."""
-    acceptable, inside = _acceptable_mask(model, acceptable)
+def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
+    """Maximal probability of staying in `acceptable` with admissible
+    controls, by backward recursion under per-time independent noise."""
+    return _value(model, _checked(model, acceptable))
+
+
+def _recovery(model, acceptable, deadline):
+    """robust_recovery_table of a checked acceptable frozenset."""
     if not 0 <= deadline <= model.horizon:
         raise InputError(
             f"deadline {deadline} outside 0..{model.horizon}"
         )
     ranges = _uncertainty_ranges(model, "robust")
+    inside = _inside(model, acceptable)
     min_layer, witness = _min_max_sweep(model, inside, ranges, deadline)
     r_star = min_layer[0].copy()
     for arr in (min_layer, witness, r_star):
@@ -294,12 +358,36 @@ def robust_recovery_table(
     return RecoveryTable(acceptable, deadline, min_layer, witness, r_star)
 
 
-def fill_policy(model, picks, start):
-    """Markov strategy from per-(t, x) picks; -1 entries fall back to the
-    least admissible control (they are never visited by the witnesses)."""
+def robust_recovery_table(
+    model: SystemModel, acceptable, deadline: int
+) -> RecoveryTable:
+    """Least worst-case recovery times into the robust kernel, by one
+    min-max sweep over the robust subsets. r_star is the min over
+    strategies of the max over robust scenarios of the recovery time, +inf
+    beyond the deadline."""
+    return _recovery(model, _checked(model, acceptable), deadline)
+
+
+def _fill(model, picks, start):
+    """fill_policy without its checks, for the (K, n) picks of a sweep."""
     picks = picks[start:]
-    least = model.constraints[start:].argmax(axis=2)
-    return markov_strategy(model, np.where(picks >= 0, picks, least), start)
+    least = _planes(model)[2][start:]
+    return _markov_from_table(np.where(picks >= 0, picks, least), start)
+
+
+def fill_policy(model, picks, start):
+    """Markov strategy from per-(t, x) picks, an int (K, n) table; -1
+    entries fall back to the least admissible control (they are never
+    visited by the witnesses)."""
+    picks = np.asarray(picks)
+    want = (model.horizon, model.n_states)
+    if picks.shape != want:
+        raise InputError(
+            f"picks table has shape {picks.shape}, expected {want}"
+        )
+    strategy = _fill(model, picks, start)
+    validate_strategy(model, strategy)
+    return strategy
 
 
 def check_resilient(
@@ -559,27 +647,27 @@ def resilient_states(
         raise InputError(f"start {start} outside 0..{model.horizon}")
 
     if isinstance(regime, Viability):
-        kernel = robust_viability_kernel(model, regime.acceptable, domain="full")
+        kernel = _kernel(model, regime.acceptable, "full")
         members = kernel.member_set(start)
-        strat = fill_policy(model, kernel.witness, start)
+        strat = _fill(model, kernel.witness, start)
         return ResilientSet(
             start, regime, strategy_class, members,
             {x: strat for x in members}, "kernel",
         )
 
     if isinstance(regime, RobustRecovery):
-        table = robust_recovery_table(model, regime.acceptable, regime.deadline)
+        table = _recovery(model, regime.acceptable, regime.deadline)
         members = table.resilient_set(start)
-        strat = fill_policy(model, table.witness, start)
+        strat = _fill(model, table.witness, start)
         return ResilientSet(
             start, regime, strategy_class, members,
             {x: strat for x in members}, "recovery",
         )
 
     if isinstance(regime, StochasticViability):
-        table = stochastic_viability_value(model, regime.acceptable)
+        table = _value(model, regime.acceptable)
         members = table.resilient_set(start, regime.beta)
-        strat = fill_policy(model, table.witness, start)
+        strat = _fill(model, table.witness, start)
         return ResilientSet(
             start, regime, strategy_class, members,
             {x: strat for x in members}, "value",

@@ -47,12 +47,12 @@ import numpy as np
 from .engine import (
     _backup,
     _blocks_decide,
+    _fill,
+    _kernel,
     _member_blocks,
     _path_block,
     _scan_members,
     _scan_scenarios,
-    fill_policy,
-    robust_viability_kernel,
 )
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel, packed_tables
@@ -159,8 +159,7 @@ def _dp_supported(model, regime, risk, strategy_class):
 
 
 def _minimize_dp(model, x0, start, regime, risk, strategy_class):
-    acceptable = regime.acceptable
-    kernel = robust_viability_kernel(model, acceptable, domain="full")
+    kernel = _kernel(model, regime.acceptable, "full")
     if not kernel.member[start, x0]:
         return OptimizationResult(False, math.inf, None, 0, DP, strategy_class)
     step, terminal = _additive_tables(model, risk.cost)
@@ -177,7 +176,7 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
         )
         value = np.where(kernel.member[t], best, math.inf)
         picks[t] = np.where(kernel.member[t], u, -1)
-    strategy = fill_policy(model, picks, start)
+    strategy = _fill(model, picks, start)
     # the sweep's value is the reported policy's expected cost: every state
     # it reaches from x0 is in the kernel, where it plays the picked control
     return OptimizationResult(

@@ -658,6 +658,71 @@ def test_fill_policy_backfills_least_admissible():
     assert rk.is_admissible(model, strat)
 
 
+def test_fill_policy_checks_its_picks(m1):
+    # the sweeps fill their own witnesses unchecked; the public function
+    # still rejects picks it cannot turn into a valid strategy
+    K, n = m1.horizon, m1.n_states
+    picks = np.full((K, n), -1, dtype=np.int32)
+    picks[1, 2] = m1.n_controls
+    with pytest.raises(rk.InputError, match="policy at time 1 uses an unknown"):
+        rk.fill_policy(m1, picks, 0)
+    for shape in ((K, n + 1), (K - 1, n), (K, 1), (n,)):
+        with pytest.raises(rk.InputError, match="picks table has shape"):
+            rk.fill_policy(m1, np.zeros(shape, dtype=np.int32), 0)
+    with pytest.raises(rk.InputError, match="strategy start 4 out of range"):
+        rk.fill_policy(m1, np.zeros((K, n), dtype=np.int32), K + 1)
+    strat = rk.fill_policy(m1, np.ones((K, n), dtype=np.int32), 1)
+    assert [p.t for p in strat.policies] == [1, 2]
+
+
+def test_sweeps_check_the_acceptable_set_once(m1, monkeypatch):
+    calls = []
+    check = rk.regimes._check_state_set
+
+    def counted(model, states, what):
+        calls.append(what)
+        return check(model, states, what)
+
+    monkeypatch.setattr(rk.regimes, "_check_state_set", counted)
+    monkeypatch.setattr(rk.engine, "_check_state_set", counted)
+    risk = rk.Composed(rk.TimeOutside(A), rk.Expectation())
+    queries = [
+        lambda acc: rk.robust_viability_kernel(m1, acc),
+        lambda acc: rk.stochastic_viability_value(m1, acc),
+        lambda acc: rk.robust_recovery_table(m1, acc, 2),
+        lambda acc: rk.resilient_states(m1, 0, rk.Viability(acc)),
+        lambda acc: rk.resilient_states(m1, 0, rk.RobustRecovery(acc, 2)),
+        lambda acc: rk.resilient_states(
+            m1, 0, rk.StochasticViability(acc, 0.5)
+        ),
+        lambda acc: rk.minimize_risk(
+            m1, 2, 0, rk.Viability(acc), risk, method="dp"
+        ),
+    ]
+    for query in queries:
+        calls.clear()
+        query(A)
+        assert calls == ["acceptable set"]
+        for bad in ({2, 4}, {-1, 3}, {2, 1.0}):
+            with pytest.raises(
+                rk.InputError,
+                match="acceptable set contains invalid state index",
+            ):
+                query(bad)
+    # numpy integers give the same mask
+    got = rk.robust_viability_kernel(m1, {np.int64(x) for x in A})
+    assert np.array_equal(got.member, rk.robust_viability_kernel(m1, A).member)
+    # errors keep their order: the set, then the deadline or the start
+    with pytest.raises(rk.InputError, match="acceptable set"):
+        rk.robust_recovery_table(m1, {9}, 9)
+    with pytest.raises(rk.InputError, match="deadline 9"):
+        rk.robust_recovery_table(m1, A, 9)
+    with pytest.raises(rk.InputError, match="acceptable set"):
+        rk.resilient_states(m1, 9, rk.Viability({9}))
+    with pytest.raises(rk.InputError, match="start 9"):
+        rk.resilient_states(m1, 9, rk.Viability(A))
+
+
 # ----------------------------------------- loop reference for the backup
 #
 # The per-cell loops the array-level backup replaced, kept here as the
@@ -819,6 +884,57 @@ def _same_bytes(got, want):
         assert a.tobytes() == b.tobytes()
 
 
+def _assert_sweeps_match_loops(models, acc, start, x0, risk):
+    """Every sweep of each model in `models`, which share one dynamics and
+    differ at most in the padding, gives the loop recursions' bytes."""
+    model = models[0]
+    K = model.horizon
+    step, terminal = rk.optimize._additive_tables(model, risk.cost)
+    full = [range(model.uncertainty.size(t)) for t in range(K)]
+    want_kernel = {
+        "robust": _loop_kernel(model, acc, model.uncertainty.robust),
+        "full": _loop_kernel(model, acc, full),
+    }
+    want_value = _loop_value(model, acc)
+    want_recovery = [_loop_recovery(model, acc, d) for d in range(K + 1)]
+    dp_member, dp_tables, dp_value = _loop_dp_tables(
+        model, acc, start, step, terminal
+    )
+    for m in models:
+        for domain, want in want_kernel.items():
+            got = rk.robust_viability_kernel(m, acc, domain=domain)
+            _same_bytes((got.member, got.witness), want)
+        got = rk.stochastic_viability_value(m, acc)
+        _same_bytes((got.value, got.witness), want_value)
+        for d, want in enumerate(want_recovery):
+            got = rk.robust_recovery_table(m, acc, d)
+            _same_bytes(
+                (got.layers, got.min_layer, got.witness, got.r_star), want
+            )
+        out = rk.minimize_risk(
+            m, x0, start, rk.Viability(acc), risk, method="dp"
+        )
+        assert out.resilient == bool(dp_member[start, x0])
+        if out.resilient:
+            _same_bytes(
+                [np.asarray(p.table) for p in out.strategy.policies],
+                list(dp_tables),
+            )
+            assert (
+                np.float64(out.value).tobytes()
+                == dp_value[start, x0].tobytes()
+            )
+            # the DP value contract: the expected cost of the reported
+            # policy to within 1e-12
+            want_strategy = rk.markov_strategy(model, dp_tables, start)
+            bundle = rk.build_bundle(
+                model, want_strategy, x0, start=start, robust_only=False
+            )
+            want_risk = rk.evaluate_risk(model, risk, bundle)
+            assert out.value == pytest.approx(want_risk, abs=1e-12)
+    return dp_member[start, x0]
+
+
 def test_backup_matches_loop_recursions_bytewise():
     rng = np.random.default_rng(20261018)
     twins = 0
@@ -829,56 +945,122 @@ def test_backup_matches_loop_recursions_bytewise():
             cemetery_rate=0.2,
         )
         acc = random_acceptable(rng, model)
-        K = model.horizon
-        start = int(rng.integers(K))
+        start = int(rng.integers(model.horizon))
         x0 = int(rng.integers(model.n_states))
         risk = rk.Composed(_random_additive_cost(rng, model, acc), rk.Expectation())
-        step, terminal = rk.optimize._additive_tables(model, risk.cost)
-
-        full = [range(model.uncertainty.size(t)) for t in range(K)]
-        want_kernel = {
-            "robust": _loop_kernel(model, acc, model.uncertainty.robust),
-            "full": _loop_kernel(model, acc, full),
-        }
-        want_value = _loop_value(model, acc)
-        want_recovery = [_loop_recovery(model, acc, d) for d in range(K + 1)]
-        dp_member, dp_tables, dp_value = _loop_dp_tables(
-            model, acc, start, step, terminal
-        )
-
         twin = padded_twin(rng, model)
         twins += twin is not None
-        for m in (model, twin) if twin is not None else (model,):
-            for domain, want in want_kernel.items():
-                got = rk.robust_viability_kernel(m, acc, domain=domain)
-                _same_bytes((got.member, got.witness), want)
-            got = rk.stochastic_viability_value(m, acc)
-            _same_bytes((got.value, got.witness), want_value)
-            for d, want in enumerate(want_recovery):
-                got = rk.robust_recovery_table(m, acc, d)
-                _same_bytes(
-                    (got.layers, got.min_layer, got.witness, got.r_star), want
-                )
-            out = rk.minimize_risk(
-                m, x0, start, rk.Viability(acc), risk, method="dp"
-            )
-            assert out.resilient == bool(dp_member[start, x0])
-            if out.resilient:
-                _same_bytes(
-                    [np.asarray(p.table) for p in out.strategy.policies],
-                    list(dp_tables),
-                )
-                assert (
-                    np.float64(out.value).tobytes()
-                    == dp_value[start, x0].tobytes()
-                )
-                # the DP value contract: the expected cost of the reported
-                # policy to within 1e-12
-                want_strategy = rk.markov_strategy(model, dp_tables, start)
-                bundle = rk.build_bundle(
-                    model, want_strategy, x0, start=start, robust_only=False
-                )
-                want_risk = rk.evaluate_risk(model, risk, bundle)
-                assert out.value == pytest.approx(want_risk, abs=1e-12)
+        models = (model,) if twin is None else (model, twin)
+        _assert_sweeps_match_loops(models, acc, start, x0, risk)
     # most draws have ragged |W_t|, so the padding guard is exercised
     assert twins >= 100
+
+
+def _wide_model(rng, n, robust, zero):
+    """n states on a line moved by u - 1 plus a shift of -1, 0 or 3 per w,
+    clipped below; a move past the top leads to the cemetery, and some
+    controls are inadmissible. robust gives the per-time robust subsets of
+    the 3 values of w; with `zero` the w of shift 3 has probability 0."""
+    K, nu, nw = 3, 3, 3
+    shift = np.stack([rng.permutation([-1, 0, 3]) for _ in range(K)])
+    x = np.arange(n)[None, :, None, None]
+    u = np.arange(nu)[None, None, :, None]
+    nxt = x + u - 1 + shift[:, None, None, :]
+    dyn = np.where(nxt >= n, n, np.clip(nxt, 0, n - 1)).astype(np.int32)
+    con = rng.random((K, n, nu)) < 0.8
+    con[:, :, 0] |= ~con.any(axis=2)
+    probs = []
+    for t in range(K):
+        p = rng.integers(1, 5, size=nw).astype(np.float64)
+        if zero:
+            p[shift[t] == 3] = 0.0
+        probs.append(tuple(p / p.sum()))
+    model = rk.SystemModel(
+        rk.TimeGrid(K),
+        rk.StateSpace(tuple(str(i) for i in range(n))),
+        rk.ControlSpace(tuple(str(i) for i in range(nu))),
+        rk.UncertaintyStructure(
+            (("a", "b", "c"),) * K, tuple(probs), (robust,) * K
+        ),
+        dyn,
+        con,
+    )
+    return model, shift
+
+
+def test_backup_matches_loop_recursions_on_16_bit_planes():
+    # n >= 256 reads uint16 planes; robust subsets such as (0, 2) take
+    # non-contiguous planes; a zero-probability w that leads a kernel state
+    # to the cemetery gives 0 * inf = NaN in the DP certificate; tabular
+    # costs are negative
+    rng = np.random.default_rng(61018)
+    resilient = nan_paths = 0
+    cases = [
+        (256, (0, 2), True), (300, (1,), False), (257, (0, 1, 2), True),
+        (400, (0, 2), False),
+    ]
+    for n, robust, zero in cases:
+        model, shift = _wide_model(rng, n, robust, zero)
+        planes = rk.engine._planes(model)[0]
+        assert all(p.dtype == np.uint16 for p in planes)
+        # the upper half touches the top, where moves reach the cemetery
+        acc = frozenset(range(n - n // 2, n))
+        K = model.horizon
+        if zero:
+            member = rk.robust_viability_kernel(model, acc, "full").member
+            t = K - 1
+            w = int(np.flatnonzero(shift[t] == 3)[0])
+            dead = (model.dynamics[t, :, :, w] == n) & model.constraints[t]
+            nan_paths += int((dead.any(axis=1) & member[t]).sum())
+        costs = [
+            rk.TabularCost(-rng.random((K + 1, n)), -rng.random((K, 3))),
+            rk.TimeOutside(acc),
+            rk.ControlEffort((-0.5, 0.25, -1.0)),
+            rk.TerminalMiss(acc),
+        ]
+        for cost in costs:
+            start = int(rng.integers(K))
+            x0 = int(rng.integers(n - n // 2, n - 3))
+            resilient += bool(_assert_sweeps_match_loops(
+                (model,), acc, start, x0, rk.Composed(cost, rk.Expectation())
+            ))
+    # the certificate is produced, not only refused, and the NaN path is
+    # read by kernel states
+    assert resilient >= 4
+    assert nan_paths >= 2
+
+
+def test_planes_layout_and_lazy_single_build():
+    rng = np.random.default_rng(5)
+    model = random_model(
+        rng, min_states=3, max_states=6, max_controls=3, max_w=3,
+        max_horizon=4, with_probs=True, cemetery_rate=0.2,
+    )
+    n = model.n_states
+    rk.model.packed_tables(model)
+    # packed_tables is timed as setup; the planes are built on first backup
+    assert getattr(model, "_planes", None) is None
+    acc = frozenset(range(n))
+    rk.robust_viability_kernel(model, acc)
+    built = model._planes
+    planes, rows, least = built
+    for t, plane in enumerate(planes):
+        nw = model.uncertainty.size(t)
+        assert plane.dtype == np.uint8 and plane.flags.c_contiguous
+        assert not plane.flags.writeable
+        want = np.where(
+            model.constraints[t, :, :, None], model.dynamics[t, :, :, :nw], n
+        ).transpose(2, 0, 1)
+        assert np.array_equal(plane, want)
+    assert rows.tolist() == [x * model.n_controls for x in range(n)]
+    assert least.dtype == np.int32 and not least.flags.writeable
+    assert np.array_equal(least, model.constraints.argmax(axis=2))
+    # every sweep and every caller reuses the one build
+    rk.stochastic_viability_value(model, acc)
+    rk.robust_recovery_table(model, acc, 1)
+    rk.resilient_states(model, 0, rk.Viability(acc))
+    rk.minimize_risk(
+        model, 0, 0, rk.Viability(acc),
+        rk.Composed(rk.TimeOutside(acc), rk.Expectation()), method="dp",
+    )
+    assert model._planes is built
