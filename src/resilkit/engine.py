@@ -182,13 +182,12 @@ def _uncertainty_ranges(model, domain):
 def _planes(model):
     """The model's successor planes, built on first use and cached on it.
 
-    Returns (planes, rows, least): planes[t] is the read-only C-ordered
+    Returns (planes, rows): planes[t] is the read-only C-ordered
     (|W_t|, n, nu) array of F_t(x, u, w) in the narrowest unsigned dtype
     that holds n, with n (the cemetery) wherever u is inadmissible at
     (t, x); rows is arange(n) * nu, the offset of each state's row in a
-    flat (n, nu) table; least is int32 (K, n), the least admissible control.
-    They are kept apart from packed_tables, so that a model that is only
-    simulated never builds them.
+    flat (n, nu) table. They are kept apart from packed_tables, so that a
+    model that is only simulated never builds them.
     """
     cached = getattr(model, "_planes", None)
     if cached is not None:
@@ -203,9 +202,7 @@ def _planes(model):
         nxt[:, barred[t]] = n
         nxt.setflags(write=False)
         planes.append(nxt)
-    least = model.constraints.argmax(axis=2).astype(np.int32)
-    least.setflags(write=False)
-    cached = (tuple(planes), np.arange(n) * nu, least)
+    cached = (tuple(planes), np.arange(n) * nu)
     object.__setattr__(model, "_planes", cached)
     return cached
 
@@ -232,7 +229,7 @@ def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
     minimizing with pad = inf (the min-max sweep), is inf there without a
     mask; the expectation scores mask admissibility.
     """
-    planes, rows, _ = _planes(model)
+    planes, rows = _planes(model)
     n = model.n_states
     nxt = planes[t]
     if len(ws) < len(nxt):
@@ -368,10 +365,21 @@ def robust_recovery_table(
     return _recovery(model, _checked(model, acceptable), deadline)
 
 
+def _least_admissible(model):
+    """int32 (K, n), the least admissible control at each (t, x), built on
+    first use and cached on the model like its planes."""
+    least = getattr(model, "_least", None)
+    if least is None:
+        least = model.constraints.argmax(axis=2).astype(np.int32)
+        least.setflags(write=False)
+        object.__setattr__(model, "_least", least)
+    return least
+
+
 def _fill(model, picks, start):
     """fill_policy without its checks, for the (K, n) picks of a sweep."""
     picks = picks[start:]
-    least = _planes(model)[2][start:]
+    least = _least_admissible(model)[start:]
     return _markov_from_table(np.where(picks >= 0, picks, least), start)
 
 

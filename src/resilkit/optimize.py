@@ -159,6 +159,11 @@ def _dp_supported(model, regime, risk, strategy_class):
 
 
 def _minimize_dp(model, x0, start, regime, risk, strategy_class):
+    # the private _fill trusts `start`, so the certificate checks it here
+    if not 0 <= start <= model.horizon:
+        raise InputError(
+            f"strategy start {start} out of range 0..{model.horizon}"
+        )
     kernel = _kernel(model, regime.acceptable, "full")
     if not kernel.member[start, x0]:
         return OptimizationResult(False, math.inf, None, 0, DP, strategy_class)

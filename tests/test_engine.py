@@ -412,6 +412,16 @@ def test_scans_check_start_and_x0_once(m1):
         (lambda: rk.oracle_min_risk(m1, 4, 2, B, effort),
          "x0 must be an ordinary state index, got 4"),
     ]
+    # the DP certificate checks start itself, in and outside the kernel
+    V = rk.Viability(A)
+    for x0 in (0, 2):
+        for start in (-1, 4):
+            cases.append((
+                lambda x0=x0, start=start: rk.minimize_risk(
+                    m1, x0, start, V, effort
+                ),
+                f"strategy start {start} out of range 0..3",
+            ))
     for call, message in cases:
         with pytest.raises(rk.InputError, match=re.escape(message)):
             call()
@@ -1043,7 +1053,7 @@ def test_planes_layout_and_lazy_single_build():
     acc = frozenset(range(n))
     rk.robust_viability_kernel(model, acc)
     built = model._planes
-    planes, rows, least = built
+    planes, rows = built
     for t, plane in enumerate(planes):
         nw = model.uncertainty.size(t)
         assert plane.dtype == np.uint8 and plane.flags.c_contiguous
@@ -1053,8 +1063,7 @@ def test_planes_layout_and_lazy_single_build():
         ).transpose(2, 0, 1)
         assert np.array_equal(plane, want)
     assert rows.tolist() == [x * model.n_controls for x in range(n)]
-    assert least.dtype == np.int32 and not least.flags.writeable
-    assert np.array_equal(least, model.constraints.argmax(axis=2))
+    assert getattr(model, "_least", None) is None
     # every sweep and every caller reuses the one build
     rk.stochastic_viability_value(model, acc)
     rk.robust_recovery_table(model, acc, 1)
@@ -1064,3 +1073,9 @@ def test_planes_layout_and_lazy_single_build():
         rk.Composed(rk.TimeOutside(acc), rk.Expectation()), method="dp",
     )
     assert model._planes is built
+    # witness fills read the least admissible control, cached on its own
+    least = model._least
+    assert least.dtype == np.int32 and not least.flags.writeable
+    assert np.array_equal(least, model.constraints.argmax(axis=2))
+    rk.resilient_states(model, 0, rk.RobustRecovery(acc, 1))
+    assert model._least is least
