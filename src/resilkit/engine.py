@@ -1,29 +1,28 @@
 """Exact decision procedures for resilience.
 
 Backward dynamic programming for the viability family and an exhaustive
-strategy search for every other regime. Markov scans decide membership a
-block of representatives at a time, on arrays: the worst-case boolean
-regimes propagate forward reachable sets without simulating trajectories,
-and ProbExcursion and StochasticViability weigh the block's simulated
-paths (_sim.simulate_batch). The robust kernel and robust recovery are one
-min-max sweep: the least worst-case number of steps to the kernel, whose
-zero level is the kernel. The stochastic viability value is a
-max-expectation sweep, and the DP certificate in optimize a
-min-expectation one. Every sweep is a sequence of one array-level Bellman
-backup (`_backup`), one call per time. Witness policies use the smallest
-control index on ties so outputs are reproducible.
+strategy search for every other regime. The robust kernel and robust
+recovery are one min-max sweep: the least worst-case number of steps to
+the kernel, whose zero level is the kernel. The stochastic viability value
+is a max-expectation sweep, and the DP certificate in optimize a
+min-expectation one. Every sweep is one array-level Bellman backup per
+time (`_backup`) on the model's cached successor planes (`_planes`).
+Witness policies use the smallest control index on ties so outputs are
+reproducible.
 
-The backups read per-model successor planes (`_planes`), built on a
-model's first backup and cached on it: for each t, the next states as one
-C-ordered (|W_t|, n, nu) array in the narrowest unsigned dtype that holds
-n, with every inadmissible control sent to the cemetery n. That is
-n * nu * sum_t |W_t| indices, one or two bytes each below 65,536 states.
+Markov scans decide membership a block of representatives at a time. The
+six worst-case path regimes are read through a finite monitor
+(`_monitor`), and one forward walk over the reachable (state, memory)
+pairs decides a block without simulating it; ProbExcursion and
+StochasticViability weigh the block's simulated paths
+(_sim.simulate_batch).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,10 @@ from .model import (
 from .regimes import (
     AtMostKExits,
     Bounded,
+    ControlEvent,
     ProbExcursion,
     RobustRecovery,
+    Stabilize,
     StochasticViability,
     Viability,
     _check_state_set,
@@ -61,8 +62,8 @@ from .strategy import (
 )
 from ._sim import simulate_batch
 
-# cells per representative block of the forward reachable sets, which
-# bounds the block's arrays whatever n, K and |W_t| are
+# cells per representative block of the monitor walk, which bounds the
+# block's arrays whatever n, K and |W_t| are
 _REACH_CELLS = 1 << 18
 
 # trajectory cells (representatives x scenarios x (steps + 1)) per
@@ -446,109 +447,120 @@ def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
     return _Scenarios(model, robust_only=robust_only, cap=cap)
 
 
-def _reachable_decides(model, regime, strategy_class):
-    """Does _reachable_members decide the regime on this model and class?
+class _Monitor(NamedTuple):
+    """A worst-case path regime as a finite monitor, in product-chain form.
+    Memories run best-first from 0 to the sink, which rejects for good.
+    init[x] (n+1,) is the memory once x is read at the start; update[t, m,
+    u, x'] (K, sink+1, nu, n+1) the memory after m plays u at t and moves
+    to x'; domain[t] the w the regime quantifies over at t."""
 
-    It needs Markov strategies and a per-time product domain: no explicit
-    robust scenario list for RobustRecovery and, for AtMostKExits, no joint
-    distribution and no positive-support scenario whose weight underflows
-    to 0.0 (membership skips those as if their probability were 0).
+    init: np.ndarray
+    update: np.ndarray
+    domain: list
+
+
+def _monitor(model, regime, start):
+    """The regime's _Monitor for paths from `start`; None where it has none
+    over a per-time product domain: ProbExcursion, StochasticViability,
+    RiskContainment, RobustRecovery on an explicit robust scenario list,
+    AtMostKExits on a joint distribution or where a positive-support
+    scenario's weight underflows to 0.0 (membership skips those).
+
+    ControlEvent keeps a "used" flag fed by the played control: 0 once a
+    control of the set is played, 1 before, the sink at K while unset. The
+    others count the checked times t >= first with the state outside a
+    region (the cemetery is outside every region) up to a limit: Viability
+    and Bounded 0 from `start`; RobustRecovery 0 from its deadline, over
+    the robust subsets; Stabilize 0 on the states within `radius` of
+    `target` from max(start, K - window); AtMostKExits max_exits from
+    `start`, over the positive-probability w. Updates are monotone in m.
     """
-    if strategy_class != MARKOV:
-        return False
-    if isinstance(regime, (Viability, Bounded)):
-        return True
-    if isinstance(regime, RobustRecovery):
-        return model.robust_scenarios is None
-    if isinstance(regime, AtMostKExits):
-        if model.scenario_probs is not None:
-            return False
-        if not model.uncertainty.has_probs:
-            return True
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    domain = [range(model.uncertainty.size(t)) for t in range(K)]
+    if isinstance(regime, ControlEvent):
+        update = np.empty((K, 3, nu, n + 1), dtype=np.uint8)
+        update[:, 0], update[:, 1], update[:, 2], update[K - 1, 1] = 0, 1, 2, 2
+        update[:, 1, list(regime.controls)] = 0
+        init = np.full(n + 1, 1 if start < K else 2, dtype=np.uint8)
+        return _Monitor(init, update, domain)
+    first, limit = start, 0
+    if isinstance(regime, Viability):
+        region = regime.acceptable
+    elif isinstance(regime, Bounded):
+        region = regime.region
+    elif isinstance(regime, RobustRecovery):
+        if model.robust_scenarios is not None:
+            return None
+        # recovery_time is never below the start
+        region = regime.acceptable if regime.deadline >= start else ()
+        first, domain = min(regime.deadline, K), list(model.uncertainty.robust)
+    elif isinstance(regime, Stabilize):
+        center = model.states.coords[regime.target]
+        region = [x for x, c in enumerate(model.states.coords)
+                  if not float(np.linalg.norm(c - center)) > regime.radius]
+        first = max(start, K - regime.window)
+    elif isinstance(regime, AtMostKExits):
+        probs = model.uncertainty.probs if model.uncertainty.has_probs else ()
         # the least positive weight, multiplied in _weight's order;
-        # rounding is monotone, so no other positive-support weight is less
-        p = 1.0
-        for probs in model.uncertainty.probs:
-            p *= min(v for v in probs if v > 0.0)
-        return p > 0.0
-    return False
+        # rounding is monotone, so no other positive weight is less
+        least = math.prod(min(v for v in p if v > 0.0) for p in probs)
+        if model.scenario_probs is not None or least == 0.0:
+            return None
+        if probs:
+            domain = [[w for w, v in enumerate(p) if v > 0.0] for p in probs]
+        # past K - start + 1 checked times the count never rejects
+        region, limit = regime.region, min(regime.max_exits, K - start + 1)
+    else:
+        return None
+    dtype = np.min_scalar_type(limit + 2)  # holds a count past the sink
+    bad = np.ones(n + 1, dtype=dtype)
+    bad[list(region)] = 0
+    memory = np.arange(limit + 2, dtype=dtype)[:, None, None]
+    update = np.empty((K, limit + 2, nu, n + 1), dtype=dtype)
+    cut = max(first - 1, 0)  # x' at t + 1 is checked from t = first - 1
+    update[:cut] = memory
+    update[cut:] = np.minimum(memory + bad, limit + 1)
+    init = bad if start >= first else np.zeros_like(bad)
+    return _Monitor(init, update, domain)
 
 
-def _reachable_members(model, regime, x0, start, policies):
+def _reachable_members(model, monitor, x0, start, policies):
     """member[s]: does Markov policy array s (int32 (S, K, n+1), as
-    markov_policy_array packs it) meet the regime from x0 at `start`?
-
-    Equals regimes._membership on each strategy's bundle wherever
-    _reachable_decides holds. Every such regime bounds the number of
-    checked times t >= `first` at which the state is outside a region
-    (the cemetery is outside every region): Viability and Bounded by 0
-    from `start`, RobustRecovery by 0 from its deadline, AtMostKExits by
-    max_exits from `start`. The reachable (state, count so far) pairs are
-    propagated forward from (x0, start) as a bool (S, n+1, count) array,
-    through every w of the regime's domain at each time (the robust subset
-    for RobustRecovery, the positive-probability values for AtMostKExits
-    on a model with probabilities, all values otherwise). Inadmissible
-    controls lead to the cemetery, so the admissibility of controls needs
-    no test of its own: the next checked state is outside.
+    markov_policy_array packs it) keep the _Monitor out of its sink from
+    x0 at `start`? That is regimes._membership on each strategy's bundle.
+    The reachable (state, memory) pairs are propagated forward from
+    (x0, init[x0]) as a bool (S, n+1, sink) array through every w of the
+    domain; the cemetery plays control 0, inadmissible controls lead to it.
     """
     dyn, ok = packed_tables(model)
     K, n = model.horizon, model.n_states
     S = policies.shape[0]
-    first, limit, domain = start, 0, None
-    if isinstance(regime, (Viability, RobustRecovery)):
-        region = regime.acceptable
-        if isinstance(regime, RobustRecovery):
-            if regime.deadline < start:
-                # recovery_time is never below the start
-                return np.zeros(S, dtype=bool)
-            first = min(regime.deadline, K)
-            domain = model.uncertainty.robust
-    else:
-        region = regime.region
-        if isinstance(regime, AtMostKExits):
-            limit = regime.max_exits
-            if model.uncertainty.has_probs:
-                domain = [
-                    [w for w, p in enumerate(probs) if p > 0.0]
-                    for probs in model.uncertainty.probs
-                ]
-    if limit > K - start:
-        # at most K - start + 1 checked times: never over the limit
-        return np.ones(S, dtype=bool)
-    outside = np.ones(n + 1, dtype=np.int64)
-    outside[list(region)] = 0
-    count = int(outside[x0]) if start >= first else 0
-    if count > limit:
+    sink, m = len(monitor.update[0]) - 1, monitor.init[x0]
+    if m == sink:
         return np.zeros(S, dtype=bool)
     member = np.ones(S, dtype=bool)
-    reach = np.zeros((S, n + 1, limit + 1), dtype=bool)
-    reach[:, x0, count] = True
+    reach = np.zeros((S, n + 1, sink), dtype=bool)
+    reach[:, x0, m] = True
     for t in range(start, K):
-        s, x, c = np.nonzero(reach)
+        s, x, m = np.nonzero(reach)
         u = policies[s, t, x]
-        ws = range(model.uncertainty.size(t)) if domain is None else domain[t]
-        nxt = dyn[t][x[:, None], u[:, None], list(ws)]
+        nxt = dyn[t][x[:, None], u[:, None], monitor.domain[t]]
         nxt[ok[t, x, u] == 0] = n
-        if t + 1 >= first:
-            c = c[:, None] + outside[nxt]
-        else:
-            c = np.broadcast_to(c[:, None], nxt.shape)
-        over = c > limit
+        m = monitor.update[t][m[:, None], u[:, None], nxt]
+        over = m == sink
         member[s[over.any(axis=1)]] = False
         keep = ~over & member[s][:, None]
         s = np.broadcast_to(s[:, None], nxt.shape)
         reach = np.zeros_like(reach)
-        reach[s[keep], nxt[keep], c[keep]] = True
+        reach[s[keep], nxt[keep], m[keep]] = True
     return member
 
 
-def _blocks_decide(model, regime, strategy_class):
-    """Do the member blocks of _member_blocks decide the regime? They do
-    for Markov scans of ProbExcursion and StochasticViability, and
-    wherever _reachable_decides holds."""
-    return strategy_class == MARKOV and (
-        isinstance(regime, _PATH_REGIMES)
-        or _reachable_decides(model, regime, strategy_class)
+def _blocks_decide(regime, strategy_class, monitor):
+    """Do _member_blocks decide the regime? Wherever the scan has a
+    monitor, and in Markov scans of ProbExcursion and StochasticViability."""
+    return monitor is not None or (
+        strategy_class == MARKOV and isinstance(regime, _PATH_REGIMES)
     )
 
 
@@ -558,7 +570,7 @@ def _path_block(model, start, n_scenarios):
     return max(1, _PATH_CELLS // (n_scenarios * (model.horizon - start + 1)))
 
 
-def _member_blocks(model, regime, layout, x0, start, scenarios):
+def _member_blocks(model, regime, monitor, layout, x0, start, scenarios):
     """Yield (index, policies, paths) for the members of the Markov
     layout from x0, in ascending blocks where _blocks_decide holds: the
     members' representative indices (int64), their policy arrays (int32
@@ -566,29 +578,24 @@ def _member_blocks(model, regime, layout, x0, start, scenarios):
     `scenarios` (states, controls as simulate_batch returns them), or None
     where membership needed no paths.
 
-    Forward reachable sets decide a block without simulating it. The block
-    then holds K * (n+1) policy cells and _reachable_members's per-time
-    arrays (n+1) * count * |W_t| cells per representative; the larger times
-    the block size is at most _REACH_CELLS. ProbExcursion and
-    StochasticViability simulate the whole block over `scenarios`, the full
-    domain, in blocks of _path_block, and weigh its paths
-    (regimes._path_membership).
+    With the scan's _monitor, _reachable_members decides a block whose
+    K * (n+1) policy cells and (n+1) * memories * |W_t| walk cells per
+    representative, the larger, total at most _REACH_CELLS. ProbExcursion
+    and StochasticViability simulate blocks of _path_block over
+    `scenarios`, the full domain, and weigh the paths (_path_membership).
     """
-    forward = _reachable_decides(model, regime, MARKOV)
-    if forward:
-        K = model.horizon
-        width = model.dynamics.shape[3]
-        if isinstance(regime, AtMostKExits):
-            width *= min(regime.max_exits, K) + 1
-        step = max(1, _REACH_CELLS // ((model.n_states + 1) * max(K, width)))
+    if monitor is not None:
+        width = model.dynamics.shape[3] * (len(monitor.update[0]) - 1)
+        cells = (model.n_states + 1) * max(model.horizon, width)
+        step = max(1, _REACH_CELLS // cells)
     else:
         dyn, ok = packed_tables(model)
         step = _path_block(model, start, len(scenarios.scenarios))
     for lo in range(0, layout.size, step):
         policies = layout.policies(lo, min(layout.size, lo + step))
-        if forward:
+        if monitor is not None:
             paths = None
-            member = _reachable_members(model, regime, x0, start, policies)
+            member = _reachable_members(model, monitor, x0, start, policies)
         else:
             paths = simulate_batch(
                 dyn, ok, policies, scenarios.table, x0, start
@@ -604,17 +611,17 @@ def _member_blocks(model, regime, layout, x0, start, scenarios):
 
 
 def _scan_members(
-    model, regime, strategy_class, layout, x0, start, scenarios
+    model, regime, strategy_class, layout, x0, start, scenarios, monitor
 ):
     """Yield (index, strategy, bundle) for each representative of the
     layout that meets the regime from x0, in ascending rank. Where
-    _blocks_decide holds, member blocks decide (_member_blocks) and bundle
-    is None; elsewhere bundle is the membership bundle over `scenarios`,
-    the _Scenarios of _scan_scenarios."""
-    if _blocks_decide(model, regime, strategy_class):
+    _blocks_decide holds, member blocks decide (_member_blocks, with the
+    scan's _monitor) and bundle is None; elsewhere bundle is the
+    membership bundle over `scenarios`, the _Scenarios of _scan_scenarios."""
+    if _blocks_decide(regime, strategy_class, monitor):
         n = model.n_states
         for index, policies, _ in _member_blocks(
-            model, regime, layout, x0, start, scenarios
+            model, regime, monitor, layout, x0, start, scenarios
         ):
             for i, table in zip(index.tolist(), policies):
                 yield i, _markov_from_table(table[start:, :n], start), None
@@ -644,41 +651,31 @@ def resilient_states(
     policy slots reachable from x0 (strategy.rank_layout). The cap applies
     to the size of the whole class. method="exhaustive" names the witness
     contract: each member's witness is the least-rank resilient strategy of
-    the declared class. Markov scans of Bounded, AtMostKExits and
-    ProbExcursion decide membership a block of representatives at a time
-    (_member_blocks) and build no trajectory bundle; forward reachable sets
-    read no scenario list. Other scans build one bundle per
-    representative.
+    the declared class. Markov scans of Bounded, AtMostKExits, Stabilize,
+    ControlEvent and ProbExcursion decide membership a block at a time
+    (_member_blocks) and build no trajectory bundle; the first four walk
+    the regime's _monitor, built once per call, and read no scenario list.
+    Other scans build one bundle per representative.
     """
     validate_regime(model, regime)
     if not 0 <= start <= model.horizon:
         raise InputError(f"start {start} outside 0..{model.horizon}")
 
-    if isinstance(regime, Viability):
-        kernel = _kernel(model, regime.acceptable, "full")
-        members = kernel.member_set(start)
-        strat = _fill(model, kernel.witness, start)
-        return ResilientSet(
-            start, regime, strategy_class, members,
-            {x: strat for x in members}, "kernel",
-        )
-
-    if isinstance(regime, RobustRecovery):
-        table = _recovery(model, regime.acceptable, regime.deadline)
-        members = table.resilient_set(start)
+    if isinstance(regime, (Viability, RobustRecovery, StochasticViability)):
+        if isinstance(regime, Viability):
+            table = _kernel(model, regime.acceptable, "full")
+            members, method = table.member_set(start), "kernel"
+        elif isinstance(regime, RobustRecovery):
+            table = _recovery(model, regime.acceptable, regime.deadline)
+            members, method = table.resilient_set(start), "recovery"
+        else:
+            table = _value(model, regime.acceptable)
+            members = table.resilient_set(start, regime.beta)
+            method = "value"
         strat = _fill(model, table.witness, start)
         return ResilientSet(
             start, regime, strategy_class, members,
-            {x: strat for x in members}, "recovery",
-        )
-
-    if isinstance(regime, StochasticViability):
-        table = _value(model, regime.acceptable)
-        members = table.resilient_set(start, regime.beta)
-        strat = _fill(model, table.witness, start)
-        return ResilientSet(
-            start, regime, strategy_class, members,
-            {x: strat for x in members}, "value",
+            {x: strat for x in members}, method,
         )
 
     total = count_strategies(model, strategy_class, start)
@@ -688,6 +685,8 @@ def resilient_states(
             "viability-family regimes dispatch to exact recursions instead"
         )
     scenarios = _scan_scenarios(model, regime, start, cap=scenario_cap)
+    markov = strategy_class == MARKOV
+    monitor = _monitor(model, regime, start) if markov else None
     # each x0's witness is its least-rank resilient strategy, which is the
     # first resilient representative; equal witnesses share one object
     witnesses = {}
@@ -695,7 +694,8 @@ def resilient_states(
     for x0 in range(model.n_states):
         layout = rank_layout(model, x0, strategy_class, start)
         members = _scan_members(
-            model, regime, strategy_class, layout, x0, start, scenarios
+            model, regime, strategy_class, layout, x0, start, scenarios,
+            monitor,
         )
         for i, strat, _ in members:
             witnesses[x0] = by_rank.setdefault(layout.rank(i), strat)

@@ -45,14 +45,6 @@ class TimeGrid:
         if self.horizon < 1:
             raise InputError(f"horizon must be >= 1, got {self.horizon}")
 
-    def times(self):
-        """All state times 0..K."""
-        return range(self.horizon + 1)
-
-    def control_times(self):
-        """All decision times 0..K-1."""
-        return range(self.horizon)
-
 
 def _as_coords(labels, coords):
     if coords is None:

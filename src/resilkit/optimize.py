@@ -8,15 +8,14 @@ so the scan visits one representative per such class, its least rank (see
 strategy.rank_layout); answers, ties and `examined` are those of the full
 scan.
 
-Markov scans of Viability, Bounded, RobustRecovery (per-time robust
-subsets), AtMostKExits (per-time probabilities or none), ProbExcursion and
-StochasticViability build no trajectory bundle and no strategy per
-representative: they work on blocks of policy arrays
-(engine._member_blocks). The four worst-case regimes decide membership on
-forward reachable sets of (state, exit count) pairs; the two probabilistic
-ones on the block's paths, simulated over the full scenario set
-(_sim.simulate_batch), whose weights are added in the bundle's order. The
-members' paths, simulated where membership did not need them, are then
+Markov scans of ProbExcursion, StochasticViability and every regime with
+a finite monitor (engine._monitor, built once per call) build no
+trajectory bundle and no strategy per representative: they work on blocks
+of policy arrays (engine._member_blocks). Monitored regimes decide
+membership by one forward walk over (state, memory) pairs; the two
+probabilistic ones on the block's paths, simulated over the full scenario
+set (_sim.simulate_batch), whose weights are added in the bundle's order.
+The members' paths, simulated where membership did not need them, are then
 priced all at once (risk._evaluate_paths, bit-identical to evaluate_risk on
 each member's bundle), and only the winner becomes a Strategy. Every other
 regime, and the adapted class, decides membership on one bundle per
@@ -50,6 +49,7 @@ from .engine import (
     _fill,
     _kernel,
     _member_blocks,
+    _monitor,
     _path_block,
     _scan_members,
     _scan_scenarios,
@@ -102,9 +102,13 @@ class OptimizationResult:
     strategy_class: str
 
 
+# the per-time additive cost kinds the DP certificate prices
+_ADDITIVE_COSTS = (TimeOutside, ControlEffort, TerminalMiss, TabularCost)
+
+
 def _additive_tables(model, cost):
-    """(step_costs (K, n, nu), terminal_costs (n,)) for per-time additive
-    cost kinds; None when the kind is not additive."""
+    """(step_costs (K, n, nu), terminal_costs (n,)) for a cost of one of
+    the _ADDITIVE_COSTS kinds."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
     step = np.zeros((K, n, nu), dtype=np.float64)
     terminal = np.zeros(n, dtype=np.float64)
@@ -124,12 +128,10 @@ def _additive_tables(model, cost):
         terminal += np.array(
             [x not in cost.acceptable for x in range(n)], dtype=np.float64
         )
-    elif isinstance(cost, TabularCost):
+    else:
         step += cost.state_costs[:K, :, None]
         step += cost.control_costs[:, None, :]
         terminal += cost.state_costs[K]
-    else:
-        return None
     return step, terminal
 
 
@@ -139,7 +141,7 @@ def _dp_supported(model, regime, risk, strategy_class):
         return "the DP certificate is only produced for the Markov class"
     if not isinstance(risk, Composed) or not isinstance(risk.outer, Expectation):
         return "the DP fast path needs an expected composed cost"
-    if _additive_tables(model, risk.cost) is None:
+    if not isinstance(risk.cost, _ADDITIVE_COSTS):
         return "the DP fast path needs a per-time additive cost"
     if not model.uncertainty.has_probs:
         return "expected costs need per-time probability vectors"
@@ -189,15 +191,17 @@ def _minimize_dp(model, x0, start, regime, risk, strategy_class):
     )
 
 
-def _member_values(model, x0, start, regime, risk, layout, scenarios):
+def _member_values(
+    model, x0, start, regime, risk, layout, scenarios, monitor
+):
     """Yield (policies, risks) over the layout's members in ascending
     blocks, where _blocks_decide holds: the members' policy arrays and
     their risks, float64, each bit-identical to _evaluate on the member's
-    full-domain bundle. Members that decided on forward reachable sets are
-    simulated over the full scenario set in blocks of _path_block."""
+    full-domain bundle. Members decided by the monitor walk are simulated
+    over the full scenario set in blocks of _path_block."""
     dyn, ok = packed_tables(model)
     for _, policies, paths in _member_blocks(
-        model, regime, layout, x0, start, scenarios
+        model, regime, monitor, layout, x0, start, scenarios
     ):
         # the full scenario set is enumerated at the first member only
         full = scenarios.full
@@ -218,12 +222,14 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     strategy, members) of the first strict minimizer (strategy None when
     none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
+    markov = strategy_class == MARKOV
+    monitor = _monitor(model, regime, start) if markov else None
     best = math.inf
     examined = 0
-    if _blocks_decide(model, regime, strategy_class):
+    if _blocks_decide(regime, strategy_class, monitor):
         winner = None
         for policies, values in _member_values(
-            model, x0, start, regime, risk, layout, scenarios
+            model, x0, start, regime, risk, layout, scenarios, monitor
         ):
             for i, value in enumerate(values.tolist()):
                 if winner is None or value < best:
@@ -236,7 +242,7 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
         return best, _markov_from_table(table, start), examined
     best_strategy = None
     for _, strat, bundle in _scan_members(
-        model, regime, strategy_class, layout, x0, start, scenarios
+        model, regime, strategy_class, layout, x0, start, scenarios, monitor
     ):
         examined += 1
         # the full scenario set is enumerated at the first member only

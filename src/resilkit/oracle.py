@@ -4,8 +4,8 @@ Everything here decides resilience questions by enumerating whole strategy
 classes and chasing definitions, sharing only the model tables, the
 simulation kernels, and the membership and risk predicates with the rest of
 the package. Nothing else is shared: the recursions in `engine`, the pruning
-of unreachable policy slots (`strategy.rank_layout`), the forward reachable
-sets and path-array predicates of the production scan and the fast path in
+of unreachable policy slots (`strategy.rank_layout`), the regime monitors
+and path-array predicates of the production scan and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
 rank order. These routines exist to check them. The production scan prices
 members on simulated path arrays (`risk._evaluate_paths`); the oracle

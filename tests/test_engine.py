@@ -471,7 +471,9 @@ def test_pruned_exhaustive_resilient_states_match_the_oracle():
             rk.Bounded(region),
             rk.AtMostKExits(region, 1),
             rk.ProbExcursion(region, 0.5),
-        )[(i // 2) % 3]
+            rk.Stabilize(int(rng.integers(model.n_states)), 1.0, 1),
+            rk.ControlEvent(frozenset({model.n_controls - 1})),
+        )[(i // 2) % 5]
         start = int(rng.integers(model.horizon + 1))
         want = rk.oracle_resilient_states(
             model, start, regime, kind, force_object=True
@@ -516,8 +518,8 @@ def _with_probs(rng, model, zeros):
 
 
 def _forward_regime(rng, model, which):
-    """One regime of each kind the forward reachable sets decide; deadlines
-    and exit limits run past the horizon (membership itself is unchecked)."""
+    """One regime of each kind with a monitor; deadlines, exit limits and
+    windows run past the horizon (membership itself is unchecked)."""
     region = random_acceptable(rng, model)
     K = model.horizon
     if which == 0:
@@ -526,7 +528,29 @@ def _forward_regime(rng, model, which):
         return rk.Bounded(region)
     if which == 2:
         return rk.AtMostKExits(region, int(rng.integers(0, K + 2)))
-    return rk.RobustRecovery(region, int(rng.integers(0, K + 2)))
+    if which == 3:
+        return rk.RobustRecovery(region, int(rng.integers(0, K + 2)))
+    if which == 4:
+        radius = float(rng.choice((0.0, 0.5, 1.0, 1.5, 2.5)))
+        return rk.Stabilize(
+            int(rng.integers(model.n_states)), radius,
+            int(rng.integers(0, K + 2)),
+        )
+    nu = model.n_controls
+    return rk.ControlEvent(
+        frozenset(int(u) for u in np.flatnonzero(rng.random(nu) < 0.4))
+    )
+
+
+def _with_plane_coords(rng, model):
+    """The model with its states at random points of a 3 x 3 grid, so that
+    Stabilize's distances are Euclidean norms of 2-vectors."""
+    labels = model.states.labels
+    coords = rng.integers(0, 3, size=(len(labels), 2))
+    return rk.SystemModel(
+        model.time, rk.StateSpace(labels, coords), model.controls,
+        model.uncertainty, model.dynamics, model.constraints,
+    )
 
 
 def test_reachable_members_match_bundle_membership():
@@ -535,18 +559,25 @@ def test_reachable_members_match_bundle_membership():
     rng = np.random.default_rng(4004)
     engine = rk.engine
     seen = {"member": 0, "not": 0, "late_start": 0, "past_k": 0,
-            "zero_w": 0, "robust": 0, "single_u": 0, "offset": 0}
-    for i in range(240):
+            "zero_w": 0, "robust": 0, "single_u": 0, "offset": 0,
+            "window_0": 0, "window_mid": 0, "window_past_k": 0,
+            "radius_0": 0, "plane": 0, "with_u0": 0, "without_u0": 0,
+            "stabilize_at_k": 0, "event_at_k": 0}
+    for i in range(360):
         model = random_model(
             rng, max_states=4, max_controls=3, max_w=3, max_horizon=4,
             with_robust=i % 3 == 0, cemetery_rate=0.2,
         )
         if i % 5:
             model = _with_probs(rng, model, zeros=(i // 5) % 2 == 1)
-        regime = _forward_regime(rng, model, i % 4)
+        if i % 6 == 4 and i % 12 < 6:
+            model = _with_plane_coords(rng, model)
+            seen["plane"] += 1
+        regime = _forward_regime(rng, model, i % 6)
         K = model.horizon
         start = int(rng.integers(K + 1))
-        assert engine._reachable_decides(model, regime, rk.MARKOV)
+        monitor = engine._monitor(model, regime, start)
+        assert monitor is not None
         scenarios = engine._scan_scenarios(model, regime, start)
         if isinstance(regime, rk.RobustRecovery):
             seen["late_start"] += regime.deadline < start
@@ -556,6 +587,16 @@ def test_reachable_members_match_bundle_membership():
             )
         if isinstance(regime, rk.AtMostKExits) and model.uncertainty.has_probs:
             seen["zero_w"] += any(0.0 in p for p in model.uncertainty.probs)
+        if isinstance(regime, rk.Stabilize):
+            window = regime.window
+            seen["window_0"] += window == 0
+            seen["window_mid"] += 0 < window <= K
+            seen["window_past_k"] += window > K
+            seen["radius_0"] += regime.radius == 0.0
+            seen["stabilize_at_k"] += start == K
+        if isinstance(regime, rk.ControlEvent):
+            seen["with_u0" if 0 in regime.controls else "without_u0"] += 1
+            seen["event_at_k"] += start == K
         seen["single_u"] += model.n_controls == 1
         for x0 in range(model.n_states):
             layout = rk.strategy.rank_layout(model, x0, rk.MARKOV, start)
@@ -566,7 +607,7 @@ def test_reachable_members_match_bundle_membership():
             policies = layout.policies(lo, hi)
             assert policies.dtype == np.int32
             member = engine._reachable_members(
-                model, regime, x0, start, policies
+                model, monitor, x0, start, policies
             )
             for j in range(lo, hi):
                 strat = rk.strategy_from_rank(
@@ -584,6 +625,42 @@ def test_reachable_members_match_bundle_membership():
     assert min(seen.values()) >= 5, seen
 
 
+def test_monitor_updates_are_monotone_in_memory():
+    # a larger memory is never better: for every t, u and x', m <= m'
+    # gives update[t, m, u, x'] <= update[t, m', u, x'], and the sink is
+    # the largest memory and absorbing
+    rng = np.random.default_rng(4040)
+    # exit counts up to 254 still fit the table's dtype past the sink
+    long_run = rk.make_model(
+        horizon=260, state_labels=("0",), control_labels=("0",),
+        uncertainty_sets=("0",), dynamics_fn=lambda t, x, u, w: 0,
+    )
+    cases = [(long_run, rk.AtMostKExits(frozenset(), 254), 0)]
+    for i in range(240):
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=4,
+            with_robust=i % 3 == 0, cemetery_rate=0.2,
+        )
+        if i % 2:
+            model = _with_probs(rng, model, zeros=True)
+        regime = _forward_regime(rng, model, i % 6)
+        cases.append((model, regime, int(rng.integers(model.horizon + 1))))
+    kinds = set()
+    for model, regime, start in cases:
+        monitor = rk.engine._monitor(model, regime, start)
+        K, n, nu = model.horizon, model.n_states, model.n_controls
+        sink = len(monitor.update[0]) - 1
+        assert monitor.update.shape == (K, sink + 1, nu, n + 1)
+        steps = np.diff(monitor.update.astype(np.int64), axis=1)
+        assert (steps >= 0).all(), regime
+        assert (monitor.update[:, sink] == sink).all()
+        assert monitor.update.min() >= 0 and monitor.update.max() <= sink
+        assert ((0 <= monitor.init) & (monitor.init <= sink)).all()
+        assert len(monitor.domain) == K
+        kinds.add(type(regime))
+    assert len(kinds) == 6
+
+
 def test_underflowing_weights_take_the_bundle_path():
     # each time's least probability is 1e-200, so the scenario (0, 0) has
     # weight 0.0 and AtMostKExits skips it; a per-time support test would
@@ -596,10 +673,7 @@ def test_underflowing_weights_take_the_bundle_path():
     )
     regime = rk.AtMostKExits(frozenset({0}), 1)
     risk = rk.Composed(rk.TimeOutside(frozenset({0})), rk.WorstCase())
-    assert not rk.engine._reachable_decides(model, regime, rk.MARKOV)
-    policies = rk.strategy.rank_layout(model, 0, rk.MARKOV, 0).policies(0, 1)
-    forward = rk.engine._reachable_members(model, regime, 0, 0, policies)
-    assert forward.tolist() == [False]
+    assert rk.engine._monitor(model, regime, 0) is None
     out = rk.minimize_risk(model, 0, 0, regime, risk)
     assert (out.resilient, out.value, out.examined) == (True, 2.0, 1)
     assert rk.resilient_states(model, 0, regime).members == {0}
@@ -609,8 +683,9 @@ def test_underflowing_weights_take_the_bundle_path():
 
 
 def test_markov_scans_build_no_bundles(m1, monkeypatch):
-    # membership and risk both come from block arrays: forward reachable
-    # sets or simulated paths, then risk on the members' simulated paths
+    # membership and risk both come from block arrays: a monitor walk over
+    # reachable (state, memory) pairs or simulated paths, then risk on the
+    # members' simulated paths
     built = []
 
     def counting(*args):
@@ -629,6 +704,9 @@ def test_markov_scans_build_no_bundles(m1, monkeypatch):
         (rk.ProbExcursion(A, 0.5), rk.Exceedance(A)),
         (rk.StochasticViability(A, 0.25),
          rk.Composed(rk.ControlEffort(), rk.CVaR(0.75))),
+        (rk.Stabilize(2, 1.0, 1),
+         rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
+        (rk.ControlEvent(frozenset({1})), rk.Exceedance(A)),
     ):
         resilient = 0
         for x0 in range(m1.n_states):
@@ -646,8 +724,8 @@ def test_markov_scans_build_no_bundles(m1, monkeypatch):
         assert built == [], regime
     # regimes outside the block route still decide on bundles
     rk.minimize_risk(
-        m1, 0, 0, rk.ControlEvent(frozenset({1})), rk.Exceedance(A),
-        method="exhaustive",
+        m1, 0, 0, rk.RiskContainment(rk.Exceedance(A), 0.5),
+        rk.Exceedance(A), method="exhaustive",
     )
     assert len(built) == rk.strategy.rank_layout(m1, 0, rk.MARKOV, 0).size
 

@@ -286,8 +286,8 @@ def test_block_scan_matches_the_oracle_on_every_risk():
     # without probabilities fail at the first member, and only then)
     rng = np.random.default_rng(2718)
     seen = {"resilient": 0, "none": 0, "error": 0, "nan": 0, "joint": 0,
-            "listed": 0}
-    for i in range(60):
+            "listed": 0, "stabilize": 0, "control_event": 0}
+    for i in range(90):
         model = random_model(
             rng, max_states=3, max_controls=2, max_w=2, max_horizon=3,
             with_probs=True, with_robust=True, cemetery_rate=0.2,
@@ -301,6 +301,15 @@ def test_block_scan_matches_the_oracle_on_every_risk():
         regimes = [
             rk.Viability(acc), rk.Bounded(acc), rk.AtMostKExits(acc, 1),
             rk.RobustRecovery(acc, int(rng.integers(K + 1))),
+            rk.Stabilize(
+                int(rng.integers(model.n_states)),
+                float(rng.choice((0.0, 1.0))), int(rng.integers(K + 2)),
+            ),
+            rk.ControlEvent(frozenset(
+                int(u) for u in np.flatnonzero(
+                    rng.random(model.n_controls) < 0.5
+                )
+            )),
         ]
         if model.uncertainty.has_probs or model.scenario_probs is not None:
             regimes += [
@@ -308,6 +317,8 @@ def test_block_scan_matches_the_oracle_on_every_risk():
                 rk.StochasticViability(acc, float(rng.choice((0.5, 0.75)))),
             ]
         regime = regimes[i % len(regimes)]
+        seen["stabilize"] += isinstance(regime, rk.Stabilize)
+        seen["control_event"] += isinstance(regime, rk.ControlEvent)
         start = int(rng.integers(K))
         x0 = int(rng.integers(model.n_states))
         for risk in random_risks(rng, model, acc)[::3]:

@@ -63,6 +63,15 @@ def batched_regimes(rng, model, start):
     ]
 
 
+def test_oracle_imports_no_production_route():
+    # the oracle judges the production scan, so it must not share the
+    # monitor walk, the member blocks or the pruning of unreachable slots
+    for name in (
+        "_monitor", "_reachable_members", "_member_blocks", "rank_layout"
+    ):
+        assert name not in vars(oracle), name
+
+
 def test_oracle_viability_on_reservoir(m1):
     out = rk.oracle_resilient_states(m1, 0, rk.Viability(A))
     assert out.method == "oracle"
