@@ -17,8 +17,10 @@ decided per second, and a sha256 of the result (value bits, examined,
 certificate, strategy tables), so two versions of the scan can be compared
 on speed and shown to give the same answers. Each case also gets one
 oracle_min_risk row: the best wall time, class members decided per second,
-the risk bundles it built (oracle._bundle calls) and a sha256 of its value
-bits, examined count and witness tables. Writes --out (default
+the members it priced (oracle._evaluate calls, one per member, on a bundle
+built from the member's simulated rows or, on the object path, by
+strategy._bundle) and a sha256 of its value bits, examined count and witness
+tables. Writes --out (default
 BENCH_scan.json at the repository root) with the machine, the numpy version
 and the simulation backend. --before names a file this harness wrote on
 another version of the code (run with PYTHONPATH pointing at that version's
@@ -142,21 +144,21 @@ def oracle_sha256(value, strategy, examined):
 
 
 def oracle_row(name, model, x0, regime, risk, repeat):
-    """One oracle_min_risk row: best time, class/s, bundles built, sha256."""
-    bundles = 0
-    build = rk.oracle._bundle
+    """One oracle_min_risk row: best time, class/s, members priced, sha256."""
+    priced = 0
+    evaluate = rk.oracle._evaluate
 
     def counting(*args, **kwargs):
-        nonlocal bundles
-        bundles += 1
-        return build(*args, **kwargs)
+        nonlocal priced
+        priced += 1
+        return evaluate(*args, **kwargs)
 
-    rk.oracle._bundle = counting
+    rk.oracle._evaluate = counting
     try:
         value, strategy, examined = rk.oracle_min_risk(model, x0, 0, regime,
                                                        risk)
     finally:
-        rk.oracle._bundle = build
+        rk.oracle._evaluate = evaluate
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -164,7 +166,7 @@ def oracle_row(name, model, x0, regime, risk, repeat):
         best = min(best, time.perf_counter() - t0)
     class_size = rk.count_strategies(model, rk.MARKOV, 0)
     return {"name": name, "x0": x0, "class_size": class_size,
-            "examined": examined, "bundles": bundles, "best_s": best,
+            "examined": examined, "priced": priced, "best_s": best,
             "class_per_s": class_size / best,
             "sha256": oracle_sha256(value, strategy, examined)}
 
@@ -196,7 +198,7 @@ def main():
         out_cases.append(case)
         row = oracle_row(name, model, x0, regime, risk, args.repeat)
         print(f"{'  oracle_min_risk':26s}       class {class_size:5d}  "
-              f"{'':14s}  bundles {row['bundles']:5d}  {row['best_s']:8.4f} s  "
+              f"{'':14s}  priced  {row['priced']:5d}  {row['best_s']:8.4f} s  "
               f"{row['sha256'][:12]}", flush=True)
         oracle_rows.append(row)
 

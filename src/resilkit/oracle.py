@@ -9,23 +9,26 @@ and path-array predicates of the production scan and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
 rank order. These routines exist to check them. The production scan prices
 members on simulated path arrays (`risk._evaluate_paths`); the oracle
-prices each member on its bundle (`risk._evaluate`), so it judges that
+prices each member on a bundle (`risk._evaluate`), so it judges that
 evaluator.
 
 Markov enumerations run through the batched numpy simulation kernel
 (`_sim.simulate_batch`, which the production scan also runs), a block of
-ranks at a time. For the regimes whose membership is a boolean over
+ranks at a time; each block is built once per call and run from every x0
+the call asks about. For the regimes whose membership is a boolean over
 scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
 ControlEvent) membership is read off the block's trajectory arrays
-(`_batch_member`); `oracle_min_risk` then builds a strategy and a bundle
-only for the members, to evaluate their risk. The adapted class, the
+(`_batch_member`). `oracle_min_risk` then prices each member on a
+full-domain bundle built from its own simulated rows (RobustRecovery,
+decided on the robust scenarios, runs its members once more over the full
+set) and builds a strategy only for the winner. The adapted class, the
 probabilistic regimes and RiskContainment walk the object path, which
 shares the package's unchecked closed-loop kernels (`strategy._bundle`,
 `regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
-checked once per call as check_resilient would check them). That object
-path, forced with `force_object=True`, is the definitional reference the
-batched path is tested against. Caps are hard errors: a truncated scan would
-not be a reference.
+checked once per call as check_resilient would check them); `_bundle` runs
+on that path only. The object path, forced with `force_object=True`, is the
+definitional reference the batched path is tested against. Caps are hard
+errors: a truncated scan would not be a reference.
 """
 
 from __future__ import annotations
@@ -56,6 +59,8 @@ from .risk import _evaluate, validate_risk
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
+    Trajectory,
+    TrajectoryBundle,
     _bundle,
     _markov_from_table,
     count_strategies,
@@ -121,12 +126,14 @@ def _good_mask(model, acceptable, states, controls):
     l = L plays no control, so only its state counts."""
     dyn, ok = packed_tables(model)
     S, M, L = controls.shape
+    nu = model.n_controls
     adm = np.empty((S, M, L + 1), dtype=bool)
     adm[:, :, L] = True
     for l in range(L):
         t = model.horizon - L + l
-        adm[:, :, l] = ok[t][states[:, :, l], controls[:, :, l]].astype(bool)
-    return _state_mask(model, acceptable)[states] & adm
+        cells = states[:, :, l] * nu + controls[:, :, l]  # (x, u), flat
+        adm[:, :, l] = ok[t].ravel().take(cells)
+    return _state_mask(model, acceptable).take(states) & adm
 
 
 def _viable_mask(model, acceptable, states, controls):
@@ -192,20 +199,6 @@ def _batch_member(model, regime, states, controls, scenarios, start):
     raise InputError(f"regime {regime!r} has no batched membership")
 
 
-def _members(model, regime, scenarios, x0, start, total):
-    """The Markov strategies (of `total`, from `start`) meeting a regime in
-    _BATCHED_REGIMES from x0 over `scenarios`, in ascending rank, each
-    built from its row of the simulated policy block."""
-    dyn, ok = packed_tables(model)
-    scen = _scenario_array(model, scenarios.scenarios)
-    n = model.n_states
-    for _, pol in _policy_batches(model, start, total, len(scen)):
-        states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
-        member = _batch_member(model, regime, states, controls, scenarios, start)
-        for i in np.flatnonzero(member):
-            yield _markov_from_table(pol[i, start:, :n], start)
-
-
 def _batched(regime, strategy_class, force_object=False):
     return (
         not force_object
@@ -234,12 +227,26 @@ def oracle_resilient_states(
 
     witnesses = {}
     if _batched(regime, strategy_class, force_object):
-        for x0 in range(model.n_states):
-            strat = next(
-                _members(model, regime, scenarios, x0, start, total), None
-            )
-            if strat is not None:
-                witnesses[x0] = strat
+        dyn, ok = packed_tables(model)
+        scen = _scenario_array(model, scenarios.scenarios)
+        n = model.n_states
+        for _, pol in _policy_batches(model, start, total, len(scen)):
+            for x0 in range(n):
+                if x0 in witnesses:
+                    continue
+                states, controls = simulate_batch(
+                    dyn, ok, pol, scen, x0, start
+                )
+                member = _batch_member(
+                    model, regime, states, controls, scenarios, start
+                )
+                if member.any():
+                    witnesses[x0] = _markov_from_table(
+                        pol[int(member.argmax()), start:, :n], start
+                    )
+            if len(witnesses) == n:
+                break
+        witnesses = dict(sorted(witnesses.items()))  # in x0 order
     else:
         pending = set(range(model.n_states))
         for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
@@ -266,17 +273,14 @@ def oracle_value(
     scenarios = enumerate_scenarios(model)
     scen = _scenario_array(model, scenarios)
     weights = scenario_weights(model, scenarios)
-    out = np.zeros(model.n_states, dtype=np.float64)
-    for x0 in range(model.n_states):
-        best = 0.0
-        for _, pol in _policy_batches(model, start, total, len(scen)):
+    best = [0.0] * model.n_states
+    for _, pol in _policy_batches(model, start, total, len(scen)):
+        for x0 in range(model.n_states):
             states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
             viable = _viable_mask(model, acceptable, states, controls)
             probs = viable.astype(np.float64) @ weights
-            m = float(probs.max()) if probs.size else 0.0
-            best = max(best, m)
-        out[x0] = best
-    return out
+            best[x0] = max(best[x0], float(probs.max()))
+    return np.array(best, dtype=np.float64)
 
 
 def oracle_recovery_offsets(
@@ -292,8 +296,8 @@ def oracle_recovery_offsets(
     scen = _scenario_array(model, enumerate_scenarios(model, robust_only=True))
     offsets = np.full(model.n_states, math.inf, dtype=np.float64)
     ranks = np.full(model.n_states, -1, dtype=np.int64)
-    for x0 in range(model.n_states):
-        for first_rank, pol in _policy_batches(model, start, total, len(scen)):
+    for first_rank, pol in _policy_batches(model, start, total, len(scen)):
+        for x0 in range(model.n_states):
             per_traj = _recovery_offsets(
                 model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
             )
@@ -306,12 +310,64 @@ def oracle_recovery_offsets(
 
 
 def _object_members(model, regime, strategy_class, x0, start, scenarios, cap):
-    """(strategy, membership bundle) for each strategy of the class meeting
+    """(strategy, full-domain bundle) for each strategy of the class meeting
     the regime from x0 over `scenarios`, in rank order."""
     for strat in enumerate_strategies(model, strategy_class, start, cap=cap):
         bundle = _bundle(model, strat, x0, start, scenarios)
         if _membership(model, regime, bundle, scenarios):
+            if bundle.robust:
+                # the full scenario set is enumerated at the first member only
+                bundle = _bundle(model, strat, x0, start, scenarios.full)
             yield strat, bundle
+
+
+def _row_bundle(x0, start, scenarios, states, controls):
+    """The bundle strategy._bundle builds for a strategy whose simulate_batch
+    rows, run from x0 at `start` over the _Scenarios `scenarios`, are states
+    (M, L+1) and controls (M, L)."""
+    return TrajectoryBundle(
+        start, x0, scenarios.robust_only, scenarios.scenarios,
+        tuple(
+            Trajectory(start, tuple(xs), tuple(us), scen)
+            for xs, us, scen in zip(
+                states.tolist(), controls.tolist(), scenarios.scenarios
+            )
+        ),
+    )
+
+
+def _batched_members(model, regime, scenarios, x0, start, total):
+    """(policy table, full-domain bundle) for each Markov strategy (of
+    `total`, from `start`) meeting a regime in _BATCHED_REGIMES from x0 over
+    `scenarios`, in ascending rank; each bundle is built from the member's
+    own rows of a simulated block."""
+    dyn, ok = packed_tables(model)
+    scen = _scenario_array(model, scenarios.scenarios)
+    n, L = model.n_states, model.horizon - start
+    for _, pol in _policy_batches(model, start, total, len(scen)):
+        states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+        member = np.flatnonzero(
+            _batch_member(model, regime, states, controls, scenarios, start)
+        )
+        if not scenarios.robust_only:
+            for i in member:
+                yield pol[i, start:, :n], _row_bundle(
+                    x0, start, scenarios, states[i], controls[i]
+                )
+        elif member.size:
+            # membership was read on the robust scenarios only: run the
+            # members again over the full set, at most _CELLS cells at a time
+            full = scenarios.full
+            step = max(1, _CELLS // (len(full.scenarios) * (L + 1)))
+            for a in range(0, member.size, step):
+                rows = pol[member[a : a + step]]
+                states, controls = simulate_batch(
+                    dyn, ok, rows, full.table, x0, start
+                )
+                for i in range(len(rows)):
+                    yield rows[i, start:, :n], _row_bundle(
+                        x0, start, full, states[i], controls[i]
+                    )
 
 
 def oracle_min_risk(
@@ -328,33 +384,31 @@ def oracle_min_risk(
     tested for membership in rank order (a block of Markov ranks at a time on
     simulate_batch trajectories for the regimes in _BATCHED_REGIMES, one
     bundle per strategy otherwise), and each resilient one has its risk
-    evaluated on its full-domain bundle; ties keep the first (least rank)
-    strategy. Returns (value, strategy or None, examined count)."""
+    evaluated on its full-domain bundle, which the batched route builds from
+    the member's own simulated rows; ties keep the first (least rank)
+    strategy, and the batched route builds a strategy for that one only.
+    Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
     total = _check_cap(model, strategy_class, start, cap)
     scenarios = _scan_scenarios(model, regime, start, x0)
-    if _batched(regime, strategy_class):
-        members = (
-            (strat, None)
-            for strat in _members(model, regime, scenarios, x0, start, total)
-        )
+    batched = _batched(regime, strategy_class)
+    if batched:
+        members = _batched_members(model, regime, scenarios, x0, start, total)
     else:
         members = _object_members(
             model, regime, strategy_class, x0, start, scenarios, cap
         )
     best = math.inf
-    best_strategy = None
+    best_member = None
     examined = 0
-    for strat, bundle in members:
+    for member, bundle in members:
         examined += 1
-        # the full scenario set is enumerated at the first member only
-        full = scenarios.full
-        if bundle is None or bundle.robust:
-            bundle = _bundle(model, strat, x0, start, full)
-        value = _evaluate(model, risk, bundle, full)
-        if best_strategy is None or value < best:
+        value = _evaluate(model, risk, bundle, scenarios.full)
+        if best_member is None or value < best:
             best = value
-            best_strategy = strat
-    return best, best_strategy, examined
-
+            best_member = member
+    if batched and best_member is not None:
+        # the batched route yields policy tables
+        best_member = _markov_from_table(best_member, start)
+    return best, best_member, examined

@@ -65,11 +65,15 @@ def batched_regimes(rng, model, start):
 
 def test_oracle_imports_no_production_route():
     # the oracle judges the production scan, so it must not share the
-    # monitor walk, the member blocks or the pruning of unreachable slots
+    # monitor walk, the member blocks, the path-array predicates or the
+    # pruning of unreachable slots, and it prices members through the
+    # bundle evaluator
     for name in (
-        "_monitor", "_reachable_members", "_member_blocks", "rank_layout"
+        "_monitor", "_reachable_members", "_member_blocks", "rank_layout",
+        "_evaluate_paths", "_path_membership", "_scan_members",
     ):
         assert name not in vars(oracle), name
+    assert oracle._evaluate is rk.risk._evaluate
 
 
 def test_oracle_viability_on_reservoir(m1):
@@ -170,6 +174,135 @@ def test_oracle_min_risk_matches_definitional_loop():
                 assert (got[1] is None) == (want[1] is None)
                 if got[1] is not None:
                     assert rk.strategies_equal(got[1], want[1])
+
+
+def test_batched_min_risk_prices_members_from_their_rows(monkeypatch):
+    # members are priced on bundles built from their simulated rows: no
+    # _bundle call, and a strategy is built for the winner only
+    calls = {"bundle": 0, "strategy": 0}
+    build = oracle._markov_from_table
+
+    def no_bundle(*args, **kwargs):
+        calls["bundle"] += 1
+        raise AssertionError("the batched route built a bundle")
+
+    def counting(*args, **kwargs):
+        calls["strategy"] += 1
+        return build(*args, **kwargs)
+
+    rng = np.random.default_rng(1414)
+    seen = {"members": 0, "robust_rr": 0}
+    for _ in range(15):
+        model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon))
+        acc = random_acceptable(rng, model)
+        risk = rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5))
+        robust = len(rk.enumerate_scenarios(model, robust_only=True))
+        for regime in batched_regimes(rng, model, start):
+            for x0 in range(model.n_states):
+                want = definitional_min_risk(model, x0, start, regime, risk)
+                calls.update(bundle=0, strategy=0)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_bundle", no_bundle)
+                    m.setattr(oracle, "_markov_from_table", counting)
+                    got = rk.oracle_min_risk(model, x0, start, regime, risk)
+                assert calls["bundle"] == 0
+                assert calls["strategy"] == (got[1] is not None)
+                assert float(got[0]).hex() == float(want[0]).hex()
+                assert got[2] == want[2]
+                assert (got[1] is None) == (want[1] is None)
+                if got[1] is not None:
+                    assert rk.strategies_equal(got[1], want[1])
+                seen["members"] += got[2] > 1
+                seen["robust_rr"] += (
+                    isinstance(regime, rk.RobustRecovery) and got[2] > 0
+                    and robust < len(rk.enumerate_scenarios(model))
+                )
+    assert all(seen.values()), seen
+
+
+def multi_block_models(rng, count):
+    """(model, start) pairs whose Markov class from start has 8..64
+    strategies, so a block of at most 3 ranks splits it at least 3 ways;
+    start > 0 on some of them."""
+    out = []
+    while len(out) < count:
+        model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon))
+        if 8 <= rk.count_strategies(model, rk.MARKOV, start) <= 64:
+            out.append((model, start))
+    assert any(start > 0 for _, start in out)
+    return out
+
+
+def oracle_answers(model, start, regimes, acc, risk):
+    """Everything the four oracle routines return, in comparable form."""
+    out = []
+    for regime in regimes:
+        res = rk.oracle_resilient_states(model, start, regime)
+        out.append((sorted(res.members), list(res.witnesses),
+                    [res.witnesses[x] for x in sorted(res.witnesses)]))
+        for x0 in range(model.n_states):
+            value, strat, examined = rk.oracle_min_risk(
+                model, x0, start, regime, risk
+            )
+            out.append((float(value).hex(), examined, strat))
+    out.append([float(v).hex() for v in rk.oracle_value(model, acc, start)])
+    offsets, ranks = rk.oracle_recovery_offsets(model, acc, start)
+    out.append(([float(v).hex() for v in offsets], ranks.tolist()))
+    return out
+
+
+def same_answers(a, b):
+    if isinstance(a, rk.Strategy) or isinstance(b, rk.Strategy):
+        return (a is None) == (b is None) and (
+            a is None or rk.strategies_equal(a, b)
+        )
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(same_answers, a, b))
+    return a == b
+
+
+def last_rank_value(model, acc, start, total):
+    """Per-state probability of staying viable in acc under the last
+    Markov strategy of the class alone."""
+    dyn, ok = packed_tables(model)
+    scenarios = rk.enumerate_scenarios(model)
+    scen = oracle._scenario_array(model, scenarios)
+    *_, (_, pol) = oracle._policy_batches(model, start, total, len(scen))
+    weights = rk.scenario_weights(model, scenarios)
+    return [
+        float(oracle._viable_mask(
+            model, acc, *simulate_batch(dyn, ok, pol[-1:], scen, x0, start)
+        )[0].astype(np.float64) @ weights)
+        for x0 in range(model.n_states)
+    ]
+
+
+def test_multi_block_scans_match_one_block(monkeypatch):
+    # every class below splits into at least 3 blocks; least rank must win
+    # across blocks exactly as within one
+    rng = np.random.default_rng(3131)
+    earlier_best = 0  # models whose best value is not the last rank's
+    for model, start in multi_block_models(rng, 12):
+        acc = random_acceptable(rng, model)
+        total = rk.count_strategies(model, rk.MARKOV, start)
+        earlier_best += (
+            rk.oracle_value(model, acc, start).tolist()
+            != last_rank_value(model, acc, start, total)
+        )
+        risk = rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5))
+        regimes = batched_regimes(rng, model, start)
+        want = oracle_answers(model, start, regimes, acc, risk)
+        robust = len(rk.enumerate_scenarios(model, robust_only=True))
+        steps = model.horizon - start + 1
+        for cells in (1, 3 * robust * steps):
+            monkeypatch.setattr(oracle, "_CELLS", cells)
+            blocks = oracle._policy_batches(model, start, total, robust)
+            assert len(list(blocks)) >= 3
+            got = oracle_answers(model, start, regimes, acc, risk)
+            assert same_answers(got, want), (cells, start)
+    assert earlier_best
 
 
 def test_oracle_witness_is_first_passing_rank(m1):
