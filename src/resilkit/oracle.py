@@ -126,14 +126,18 @@ def _good_mask(model, acceptable, states, controls):
     l = L plays no control, so only its state counts."""
     dyn, ok = packed_tables(model)
     S, M, L = controls.shape
-    nu = model.n_controls
-    adm = np.empty((S, M, L + 1), dtype=bool)
-    adm[:, :, L] = True
-    for l in range(L):
-        t = model.horizon - L + l
-        cells = states[:, :, l] * nu + controls[:, :, l]  # (x, u), flat
-        adm[:, :, l] = ok[t].ravel().take(cells)
-    return _state_mask(model, acceptable).take(states) & adm
+    in_set = _state_mask(model, acceptable)
+    good = np.empty((S, M, L + 1), dtype=bool)
+    for l in range(L + 1):
+        # take copies int32 indices to intp: one step's worth at a time
+        x = states[:, :, l].astype(np.intp)
+        good[:, :, l] = in_set.take(x)
+        if l < L:
+            x *= model.n_controls
+            x += controls[:, :, l]  # cell (x, u) of ok[t], flat
+            t = model.horizon - L + l
+            good[:, :, l] &= ok[t].ravel().take(x).view(bool)  # ok is 0/1
+    return good
 
 
 def _viable_mask(model, acceptable, states, controls):
