@@ -238,11 +238,10 @@ def oracle_resilient_states(
             for x0 in range(n):
                 if x0 in witnesses:
                     continue
-                states, controls = simulate_batch(
-                    dyn, ok, pol, scen, x0, start
-                )
                 member = _batch_member(
-                    model, regime, states, controls, scenarios, start
+                    model, regime,
+                    *simulate_batch(dyn, ok, pol, scen, x0, start),
+                    scenarios, start,
                 )
                 if member.any():
                     witnesses[x0] = _markov_from_table(
@@ -280,8 +279,9 @@ def oracle_value(
     best = [0.0] * model.n_states
     for _, pol in _policy_batches(model, start, total, len(scen)):
         for x0 in range(model.n_states):
-            states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
-            viable = _viable_mask(model, acceptable, states, controls)
+            viable = _viable_mask(
+                model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
+            )
             probs = viable.astype(np.float64) @ weights
             best[x0] = max(best[x0], float(probs.max()))
     return np.array(best, dtype=np.float64)
