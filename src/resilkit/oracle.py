@@ -282,7 +282,9 @@ def oracle_value(
             viable = _viable_mask(
                 model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
             )
-            probs = viable.astype(np.float64) @ weights
+            # a row sum rounds the same whatever the block's row count; a
+            # BLAS matrix-vector product does not
+            probs = np.where(viable, weights, 0.0).sum(axis=1)
             best[x0] = max(best[x0], float(probs.max()))
     return np.array(best, dtype=np.float64)
 
