@@ -7,13 +7,15 @@ command/model pairs and --x0 states of perfbench's cli workload, strategy
 commands on the m1 family) and on one generated larger model (a 200-level
 reservoir, horizon 8, three controls, three noise values), each --repeat
 times in a fresh interpreter, and keeps the best wall time per run. It also
-times a bare interpreter start and `import resilkit.cli` in a fresh
-interpreter, apart from the commands, since import is most of a small run.
-Every case records its exit code and a sha256 of its stdout, stderr and
---out files, so two versions of the CLI can be compared on speed and shown
-to give the same bytes. Writes --out (default BENCH_cli.json at the
-repository root) with the machine, the numpy version and the simulation
-backend.
+times, each in a fresh interpreter and apart from the commands, a bare
+interpreter start (python_s), `import numpy` (numpy_s) and `import
+resilkit.cli` (import_s), since import is most of a small run. The
+difference import_s minus numpy_s is resilkit's own share: its modules and
+the standard modules they load. Every case records its exit code and a
+sha256 of its stdout, stderr and --out files, so two versions of the CLI
+can be compared on speed and shown to give the same bytes. Writes --out
+(default BENCH_cli.json at the repository root) with the machine, the
+numpy version and the simulation backend.
 """
 
 from __future__ import annotations
@@ -150,10 +152,12 @@ def main():
         timed(["-c", "import resilkit.cli"], work, env)  # fill the pycache
         startup = {}
         for key, code in (("python_s", "pass"),
+                          ("numpy_s", "import numpy"),
                           ("import_s", "import resilkit.cli")):
             startup[key], proc = best(["-c", code])
             assert proc.returncode == 0, proc.stderr
-        print(f"python {startup['python_s']:.4f} s  import resilkit.cli "
+        print(f"python {startup['python_s']:.4f} s  import numpy "
+              f"{startup['numpy_s']:.4f} s  import resilkit.cli "
               f"{startup['import_s']:.4f} s", flush=True)
 
         out_cases = []

@@ -21,11 +21,11 @@ StochasticViability weigh the block's simulated paths
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import (
     DEFAULT_SCENARIO_CAP,
@@ -75,7 +75,7 @@ _PATH_CELLS = 1 << 16
 _PATH_REGIMES = (ProbExcursion, StochasticViability)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class KernelTable:
     """Per-time viability kernel membership with witness controls.
 
@@ -93,7 +93,7 @@ class KernelTable:
         return frozenset(np.flatnonzero(self.member[t]))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ValueTable:
     """Stochastic viability value V_t(x) with argmax witness controls."""
 
@@ -107,7 +107,7 @@ class ValueTable:
         return frozenset(np.flatnonzero(self.value[t] >= beta))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RecoveryTable:
     """Least worst-case recovery times into the robust kernel.
 
@@ -138,7 +138,7 @@ class RecoveryTable:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ResilientSet:
     """resilient_states result: members plus one witness strategy each."""
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 
 CEMETERY_LABEL = "CEMETERY"
@@ -35,7 +35,7 @@ DEFAULT_SCENARIO_CAP = 1 << 20
 Scenario = tuple  # tuple[int, ...] of length K, entry t indexes W_t
 
 
-@dataclass(frozen=True)
+@record
 class TimeGrid:
     """Decision times 0..horizon-1; states live on 0..horizon."""
 
@@ -73,7 +73,7 @@ def _check_labels(labels, what):
         raise InputError(f"{what} label {CEMETERY_LABEL!r} is reserved")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class StateSpace:
     """Ordinary states with display labels and numeric coordinates.
 
@@ -111,7 +111,7 @@ class StateSpace:
         return self.labels[i]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ControlSpace:
     """Controls with display labels and numeric coordinates."""
 
@@ -137,7 +137,7 @@ class ControlSpace:
         return self.labels[i]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class UncertaintyStructure:
     """Per-time uncertainty sets with optional probabilities and robust subsets.
 
@@ -216,7 +216,7 @@ class UncertaintyStructure:
             ) from None
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class SystemModel:
     """A complete controlled system.
 

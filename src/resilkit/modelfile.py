@@ -48,10 +48,9 @@ Risk kinds and their keys:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .errors import ModelFormatError
 from .model import (
     CEMETERY_LABEL,
@@ -108,7 +107,7 @@ COST_NAMES = (
 OUTER_NAMES = ("expectation", "worst_case", "cvar")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ParsedModel:
     """parse_model result: the system plus its declared regime and risk."""
 

@@ -39,10 +39,10 @@ resilient=False and value +inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .engine import (
     _backup,
     _blocks_decide,
@@ -83,7 +83,7 @@ EXHAUSTIVE = "exhaustive"
 DP = "dp"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class OptimizationResult:
     """Outcome of minimize_risk.
 

@@ -9,16 +9,16 @@ distribution and need a full-domain bundle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import ConfigurationError, InputError
 from .model import SystemModel, _Scenarios, packed_tables
 from .strategy import Trajectory, TrajectoryBundle
 
 
-@dataclass(frozen=True)
+@record
 class Viability:
     """Stay in `acceptable` with admissible controls at every time, for
     every scenario."""
@@ -29,7 +29,7 @@ class Viability:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class RobustRecovery:
     """Recover into `acceptable` (states + admissible controls from the
     recovery time onward) no later than `deadline`, for every robust
@@ -42,7 +42,7 @@ class RobustRecovery:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class StochasticViability:
     """Stay viable (states + admissible controls) with probability >= beta."""
 
@@ -53,7 +53,7 @@ class StochasticViability:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class Bounded:
     """States never leave `region`, for every scenario. States only."""
 
@@ -63,7 +63,7 @@ class Bounded:
         object.__setattr__(self, "region", frozenset(self.region))
 
 
-@dataclass(frozen=True)
+@record
 class ProbExcursion:
     """Probability that states ever leave `region` is at most beta."""
 
@@ -74,7 +74,7 @@ class ProbExcursion:
         object.__setattr__(self, "region", frozenset(self.region))
 
 
-@dataclass(frozen=True)
+@record
 class AtMostKExits:
     """At most `max_exits` times outside `region`, for every scenario of
     positive probability (every scenario when no probabilities are
@@ -87,7 +87,7 @@ class AtMostKExits:
         object.__setattr__(self, "region", frozenset(self.region))
 
 
-@dataclass(frozen=True)
+@record
 class Stabilize:
     """End within Euclidean `radius` of state `target` over the last
     `window` times, for every scenario (finite-horizon convergence proxy)."""
@@ -97,7 +97,7 @@ class Stabilize:
     window: int
 
 
-@dataclass(frozen=True)
+@record
 class ControlEvent:
     """Some control from `controls` is eventually used, for every scenario."""
 
@@ -107,7 +107,7 @@ class ControlEvent:
         object.__setattr__(self, "controls", frozenset(self.controls))
 
 
-@dataclass(frozen=True)
+@record
 class RiskContainment:
     """A risk measure stays at or below `level`."""
 
@@ -116,10 +116,19 @@ class RiskContainment:
 
 
 def _check_state_set(model, states, what):
+    """InputError naming the first element of `states`, in iteration order,
+    that is not a state index of the model: an int, numpy integer or bool
+    in 0..n-1. The model remembers the last frozenset that passed, by
+    identity, so a public call that hands its set on to another, and the
+    next query on the same set, skip the element loop."""
+    if states is getattr(model, "_checked_states", None):
+        return
     n, kinds = model.n_states, (int, np.integer)
     for x in states:
         if not (isinstance(x, kinds) and 0 <= x < n):
             raise InputError(f"{what} contains invalid state index {x!r}")
+    if isinstance(states, frozenset):
+        object.__setattr__(model, "_checked_states", states)
 
 
 def validate_regime(model: SystemModel, regime) -> None:
@@ -165,20 +174,27 @@ def _steps(model, trajectory, acceptable, need_controls):
     InputError when it is shorter."""
     if not isinstance(acceptable, frozenset):
         acceptable = frozenset(acceptable)
-    start = trajectory.start
-    steps = model.horizon - start
-    if steps >= 0:
-        if len(trajectory.states) <= steps:
-            raise InputError(
-                f"no state at time {start + len(trajectory.states)}; "
-                f"trajectory starts at {start}"
-            )
-        if need_controls and len(trajectory.controls) < steps:
-            raise InputError(
-                f"no control at time {start + len(trajectory.controls)}; "
-                f"trajectory starts at {start}"
-            )
+    steps = model.horizon - trajectory.start
+    _check_length(trajectory, steps, need_controls)
     return acceptable, steps
+
+
+def _check_length(trajectory, steps, need_controls):
+    """InputError unless the trajectory holds steps + 1 states and, when
+    need_controls, steps controls (nothing to hold when steps < 0)."""
+    if steps < 0:
+        return
+    start = trajectory.start
+    if len(trajectory.states) <= steps:
+        raise InputError(
+            f"no state at time {start + len(trajectory.states)}; "
+            f"trajectory starts at {start}"
+        )
+    if need_controls and len(trajectory.controls) < steps:
+        raise InputError(
+            f"no control at time {start + len(trajectory.controls)}; "
+            f"trajectory starts at {start}"
+        )
 
 
 def exit_times(

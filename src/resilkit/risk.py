@@ -15,18 +15,18 @@ order so results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import InputError
 from .model import SystemModel, _Scenarios
 from .regimes import (
+    _check_length,
     _check_state_set,
     _good_paths,
     _running_sum,
     _state_mask,
-    _steps,
     exit_times,
     recovery_time,
 )
@@ -36,17 +36,17 @@ from .strategy import TrajectoryBundle
 CEMETERY_PENALTY = 1e18
 
 
-@dataclass(frozen=True)
+@record
 class Expectation:
     """Weight trajectories by scenario probability and sum."""
 
 
-@dataclass(frozen=True)
+@record
 class WorstCase:
     """Maximum over the robust scenario subset."""
 
 
-@dataclass(frozen=True)
+@record
 class CVaR:
     """Mean of the worst `level` probability mass (level in (0, 1];
     level 1 is the plain mean)."""
@@ -54,7 +54,7 @@ class CVaR:
     level: float
 
 
-@dataclass(frozen=True)
+@record
 class TimeOutside:
     """Number of times the state sits outside `acceptable`."""
 
@@ -65,7 +65,7 @@ class TimeOutside:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class ControlEffort:
     """Sum of per-control rates (default: each control's first coordinate)."""
 
@@ -79,7 +79,7 @@ class ControlEffort:
             )
 
 
-@dataclass(frozen=True)
+@record
 class TerminalMiss:
     """1 when the final state is outside `acceptable`, else 0."""
 
@@ -90,7 +90,7 @@ class TerminalMiss:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TabularCost:
     """Arbitrary per-time state and control cost tables:
     state_costs (K+1, n) and control_costs (K, nu)."""
@@ -115,7 +115,7 @@ class TabularCost:
         )
 
 
-@dataclass(frozen=True)
+@record
 class RecoveryOffset:
     """Time-to-recovery tau minus the start time (inf when never
     recovered)."""
@@ -127,7 +127,7 @@ class RecoveryOffset:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class WorstCaseViolation:
     """1 when some robust scenario ever leaves `acceptable` (states only),
     else 0."""
@@ -138,7 +138,7 @@ class WorstCaseViolation:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class Exceedance:
     """Probability of ever exiting: state outside `acceptable` or control
     inadmissible."""
@@ -149,7 +149,7 @@ class Exceedance:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class AmbiguityExceedance:
     """Worst exceedance over a finite set of per-time probability
     assignments (each belief: one probability vector per time)."""
@@ -166,7 +166,7 @@ class AmbiguityExceedance:
         object.__setattr__(self, "beliefs", beliefs)
 
 
-@dataclass(frozen=True)
+@record
 class ExitCountFunctional:
     """Outer functional of the exit count (states and controls both
     count as exits)."""
@@ -178,7 +178,7 @@ class ExitCountFunctional:
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
-@dataclass(frozen=True)
+@record
 class Composed:
     """outer(cost(trajectory))."""
 
@@ -276,59 +276,62 @@ def evaluate_cost(model: SystemModel, cost, trajectory) -> float:
     """Per-trajectory cost: the kind's base sum over non-cemetery steps,
     plus cemetery_penalty per time spent at the cemetery."""
     validate_cost(model, cost)
-    return _cost(model, cost, trajectory)
+    return _costs(model, cost, (trajectory,))[0]
 
 
-def _cost(model, cost, trajectory):
-    """evaluate_cost of a valid cost function, unchecked. Reads the
-    trajectory's tuples by offset; one too short for the times read raises
-    InputError, as regimes.recovery_time does. Base terms add up in time
-    order."""
+def _costs(model, cost, trajectories):
+    """evaluate_cost of a valid cost function on each trajectory, unchecked,
+    with the model reads made once. Reads each trajectory's tuples by
+    offset; one too short for the times read raises InputError, as
+    regimes.recovery_time does. Base terms add up in time order."""
     K = model.horizon
     dead = model.cemetery
-    start, states, controls = (
-        trajectory.start, trajectory.states, trajectory.controls
-    )
-    _, steps = _steps(
-        model, trajectory, frozenset(),
-        isinstance(cost, (ControlEffort, TabularCost)),
-    )
-    path = states[: max(steps + 1, 0)]  # the states at start..K
-
-    if isinstance(cost, RecoveryOffset):
-        tau = recovery_time(model, trajectory, cost.acceptable)
-        base = tau - start if tau != math.inf else math.inf
-    elif isinstance(cost, TimeOutside):
-        base = 0.0
-        for x in path:
-            if x != dead and x not in cost.acceptable:
-                base += 1.0
-    elif isinstance(cost, ControlEffort):
+    need_controls = isinstance(cost, (ControlEffort, TabularCost))
+    if isinstance(cost, ControlEffort):
         if cost.rates is not None:
             rates = cost.rates
         else:
             rates = model.controls.coords[:, 0].tolist()
-        base = 0.0
-        for i in range(steps):
-            if states[i] != dead:
-                base += rates[controls[i]]
-    elif isinstance(cost, TerminalMiss):
-        x = trajectory.state(K)
-        if x == dead:
-            base = 0.0  # the cemetery is charged through the penalty
-        else:
-            base = 0.0 if x in cost.acceptable else 1.0
-    elif isinstance(cost, TabularCost):
-        base = 0.0
-        for i, x in enumerate(path):
+    out = []
+    for trajectory in trajectories:
+        start, states, controls = (
+            trajectory.start, trajectory.states, trajectory.controls
+        )
+        steps = K - start
+        _check_length(trajectory, steps, need_controls)
+        path = states[: max(steps + 1, 0)]  # the states at start..K
+
+        if isinstance(cost, RecoveryOffset):
+            tau = recovery_time(model, trajectory, cost.acceptable)
+            base = tau - start if tau != math.inf else math.inf
+        elif isinstance(cost, TimeOutside):
+            base = 0.0
+            for x in path:
+                if x != dead and x not in cost.acceptable:
+                    base += 1.0
+        elif isinstance(cost, ControlEffort):
+            base = 0.0
+            for i in range(steps):
+                if states[i] != dead:
+                    base += rates[controls[i]]
+        elif isinstance(cost, TerminalMiss):
+            x = trajectory.state(K)
             if x == dead:
-                continue
-            base += float(cost.state_costs[start + i, x])
-            if i < steps:
-                base += float(cost.control_costs[start + i, controls[i]])
-    else:
-        raise InputError(f"unknown cost function {cost!r}")
-    return base + cost.cemetery_penalty * path.count(dead)
+                base = 0.0  # the cemetery is charged through the penalty
+            else:
+                base = 0.0 if x in cost.acceptable else 1.0
+        elif isinstance(cost, TabularCost):
+            base = 0.0
+            for i, x in enumerate(path):
+                if x == dead:
+                    continue
+                base += float(cost.state_costs[start + i, x])
+                if i < steps:
+                    base += float(cost.control_costs[start + i, controls[i]])
+        else:
+            raise InputError(f"unknown cost function {cost!r}")
+        out.append(base + cost.cemetery_penalty * path.count(dead))
+    return out
 
 
 def cvar(values, weights, level: float) -> float:
@@ -434,7 +437,7 @@ def _evaluate(model, spec, bundle, scenarios):
         return _apply_outer(spec.outer, bundle, scenarios, counts)
 
     if isinstance(spec, Composed):
-        costs = [_cost(model, spec.cost, tr) for tr in bundle.trajectories]
+        costs = _costs(model, spec.cost, bundle.trajectories)
         return _apply_outer(spec.outer, bundle, scenarios, costs)
 
     raise InputError(f"unknown risk measure {spec!r}")
@@ -442,7 +445,7 @@ def _evaluate(model, spec, bundle, scenarios):
 
 # ------------------------------------------------ risk on path arrays
 #
-# The twins of _cost and _evaluate for a block of strategies simulated at
+# The twins of _costs and _evaluate for a block of strategies simulated at
 # once (see the path-array section of regimes): each makes the float
 # operations of its bundle loop, in the same order, so every value is
 # bit-identical. Python floats turn 0 * inf into NaN and overflow into inf
@@ -450,7 +453,7 @@ def _evaluate(model, spec, bundle, scenarios):
 
 
 def _path_costs(model, cost, states, controls, start):
-    """_cost of every path: float64 (S, M); base terms add up in time
+    """_costs of every path: float64 (S, M); base terms add up in time
     order."""
     n = model.n_states
     alive = states != n

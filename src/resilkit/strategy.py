@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import record
 from .errors import CapacityError, InputError, ModelFormatError
 from .model import (
     DEFAULT_SCENARIO_CAP,
@@ -36,7 +36,7 @@ MARKOV = "markov"
 ADAPTED = "adapted"
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Policy:
     """One decision rule at a fixed time.
 
@@ -61,7 +61,7 @@ class Policy:
         object.__setattr__(self, "table", arr)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Strategy:
     """Policies for every decision time start..K-1, in order."""
 
@@ -88,7 +88,7 @@ class Strategy:
         return self.policies[t - self.start]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Trajectory:
     """One closed-loop path: states at start..K, controls at start..K-1,
     under one full scenario."""
@@ -113,7 +113,7 @@ class Trajectory:
         return self.controls[s - self.start]
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TrajectoryBundle:
     """Closed-loop trajectories over an enumerated scenario set."""
 
@@ -390,7 +390,7 @@ def strategy_from_rank(
     return _strategy_from_digits(kind, start, shapes, digits)
 
 
-@dataclass(frozen=True)
+@record
 class RankLayout:
     """The strategies a closed-loop scan from one initial state tells apart.
 

@@ -229,6 +229,30 @@ def test_validate_regime_errors(m1):
         rk.validate_regime(build_m1(probs=None), rk.ProbExcursion(A, 0.5))
 
 
+def test_state_sets_accept_integer_kinds_and_name_the_first_bad_element(m1):
+    check = rk.regimes._check_state_set
+    for states in ({0, 3}, {np.int64(1), np.uint8(2)}, {True, 3}):
+        check(m1, frozenset(states), "region")
+        check(m1, frozenset(states), "region")  # once more: remembered
+    for states, bad in (
+        ([1, 2.0, 9], "2.0"), ([np.True_], "np.True_"), ([3, 4, -1], "4"),
+        (["1", 1], "'1'"),
+    ):
+        with pytest.raises(
+            rk.InputError, match=f"^region contains invalid state index {bad}$"
+        ):
+            check(m1, states, "region")
+    # a set that passed on one model is checked again on another
+    wide = rk.make_model(
+        horizon=1, state_labels=tuple("abcdef"), control_labels=("u",),
+        uncertainty_sets=("w",), dynamics_fn=lambda t, x, u, w: x,
+    )
+    states = frozenset({5})
+    check(wide, states, "region")
+    with pytest.raises(rk.InputError, match="invalid state index 5"):
+        check(m1, states, "region")
+
+
 def test_viability_equals_zero_recovery_randomized():
     # viability is exactly "recovery time equals the start" on every path
     rng = np.random.default_rng(20240814)
