@@ -7,15 +7,17 @@ command/model pairs and --x0 states of perfbench's cli workload, strategy
 commands on the m1 family) and on one generated larger model (a 200-level
 reservoir, horizon 8, three controls, three noise values), each --repeat
 times in a fresh interpreter, and keeps the best wall time per run. It also
-times, each in a fresh interpreter and apart from the commands, a bare
-interpreter start (python_s), `import numpy` (numpy_s) and `import
-resilkit.cli` (import_s), since import is most of a small run. The
-difference import_s minus numpy_s is resilkit's own share: its modules and
-the standard modules they load. Every case records its exit code and a
-sha256 of its stdout, stderr and --out files, so two versions of the CLI
-can be compared on speed and shown to give the same bytes. Writes --out
-(default BENCH_cli.json at the repository root) with the machine, the
-numpy version and the simulation backend.
+times, apart from the commands, a bare interpreter start (python_s),
+`import numpy` (numpy_s) and `import resilkit.cli` (import_s), since import
+is most of a small run. Each is the median of STARTUP_RUNS fresh
+interpreters, the three probes taken in turn so that drift in the host's
+speed reaches all three alike; a best of a few runs does not resolve the
+difference import_s minus numpy_s, which is resilkit's own share: its
+modules and the standard modules they load. Every case records its exit
+code and a sha256 of its stdout, stderr and --out files, so two versions of
+the CLI can be compared on speed and shown to give the same bytes. Writes
+--out (default BENCH_cli.json at the repository root) with the machine,
+the numpy version and the simulation backend.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,6 +60,7 @@ STRATEGY_COMMANDS = (  # (command, strategy file) on the m1 family
     (("oracle", "risk"), "m1_hold"),
 )
 LARGE = (200, 3, 8)  # (levels, controls, horizon) of the generated model
+STARTUP_RUNS = 11  # fresh interpreters per start-up probe
 
 
 def large_model(n, nu, K):
@@ -145,17 +149,17 @@ def main():
                    PYTHONPYCACHEPREFIX=os.path.join(work, "pycache"))
         env.pop("PYTHONDONTWRITEBYTECODE", None)
 
-        def best(argv):
-            runs = [timed(argv, work, env) for _ in range(args.repeat)]
-            return min(s for s, _ in runs), runs[-1][1]
-
         timed(["-c", "import resilkit.cli"], work, env)  # fill the pycache
-        startup = {}
-        for key, code in (("python_s", "pass"),
-                          ("numpy_s", "import numpy"),
-                          ("import_s", "import resilkit.cli")):
-            startup[key], proc = best(["-c", code])
-            assert proc.returncode == 0, proc.stderr
+        probes = {"python_s": "pass", "numpy_s": "import numpy",
+                  "import_s": "import resilkit.cli"}
+        runs = {key: [] for key in probes}
+        for _ in range(STARTUP_RUNS):
+            for key, code in probes.items():
+                s, proc = timed(["-c", code], work, env)
+                if proc.returncode != 0:
+                    raise RuntimeError(proc.stderr.decode())
+                runs[key].append(s)
+        startup = {key: statistics.median(r) for key, r in runs.items()}
         print(f"python {startup['python_s']:.4f} s  import numpy "
               f"{startup['numpy_s']:.4f} s  import resilkit.cli "
               f"{startup['import_s']:.4f} s", flush=True)
@@ -186,6 +190,7 @@ def main():
         "numpy": np.__version__,
         "backend": rk.backend_name(),
         "repeat": args.repeat,
+        "startup_runs": STARTUP_RUNS,
         "large_model": dict(zip(("n", "nu", "horizon"), LARGE)),
         **startup,
         "cases": out_cases,

@@ -17,14 +17,16 @@ decided per second, and a sha256 of the result (value bits, examined,
 certificate, strategy tables), so two versions of the scan can be compared
 on speed and shown to give the same answers. Each case also gets one
 oracle_min_risk row: the best wall time, class members decided per second,
-the members it priced (oracle._evaluate calls, one per member, on a bundle
-built from the member's simulated rows or, on the object path, by
-strategy._bundle) and a sha256 of its value bits, examined count and witness
-tables. Writes --out (default
-BENCH_scan.json at the repository root) with the machine, the numpy version
-and the simulation backend. --before names a file this harness wrote on
-another version of the code (run with PYTHONPATH pointing at that version's
-src); its rows are kept under "before", so one file shows both versions.
+the bundles it priced (oracle._evaluate calls: on the batched route one per
+distinct member row set per simulated block, so members that share their
+rows are priced once, on a bundle built from the first one's rows; on the
+object path one per member, on a bundle built by strategy._bundle) and a
+sha256 of its value bits, examined count and witness tables. Writes --out
+(default BENCH_scan.json at the repository root) with the machine, the
+numpy version and the simulation backend. --before names a file this
+harness wrote on another version of the code (run with PYTHONPATH pointing
+at that version's src); its rows are kept under "before", so one file shows
+both versions.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ def oracle_sha256(value, strategy, examined):
 
 
 def oracle_row(name, model, x0, regime, risk, repeat):
-    """One oracle_min_risk row: best time, class/s, members priced, sha256."""
+    """One oracle_min_risk row: best time, class/s, bundles priced, sha256."""
     priced = 0
     evaluate = rk.oracle._evaluate
 

@@ -18,10 +18,14 @@ ranks at a time; each block is built once per call and run from every x0
 the call asks about. For the regimes whose membership is a boolean over
 scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
 ControlEvent) membership is read off the block's trajectory arrays
-(`_batch_member`). `oracle_min_risk` then prices each member on a
-full-domain bundle built from its own simulated rows (RobustRecovery,
-decided on the robust scenarios, runs its members once more over the full
-set) and builds a strategy only for the winner. The adapted class, the
+(`_batch_member`, whose regime masks are built once per call); the
+acceptable-set tests fold one step's mask at a time, never building an
+(S, M, L+1) array.
+`oracle_min_risk` then prices each distinct bundle once per block: a
+member's full-domain bundle is built from its own simulated rows
+(RobustRecovery, decided on the robust scenarios, runs its members once
+more over the full set), members with the same rows share its price, and
+a strategy is built only for the winner. The adapted class, the
 probabilistic regimes and RiskContainment walk the object path, which
 shares the package's unchecked closed-loop kernels (`strategy._bundle`,
 `regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
@@ -120,70 +124,95 @@ def _state_mask(model, states):
     return in_set
 
 
-def _good_mask(model, acceptable, states, controls):
-    """good[s, m, l]: at step l of trajectory (s, m) the state is in
-    `acceptable` and the control played is admissible; the terminal step
-    l = L plays no control, so only its state counts."""
-    dyn, ok = packed_tables(model)
-    S, M, L = controls.shape
+def _good_table(model, acceptable):
+    """good[t, x * nu + u] over times 0..K: state x is in `acceptable` and
+    control u is admissible at t; row K, the horizon, where no control is
+    played, reads the state only."""
+    K, nu = model.horizon, model.n_controls
     in_set = _state_mask(model, acceptable)
-    good = np.empty((S, M, L + 1), dtype=bool)
-    for l in range(L + 1):
-        # take copies int32 indices to intp: one step's worth at a time
-        x = states[:, :, l].astype(np.intp)
-        good[:, :, l] = in_set.take(x)
-        if l < L:
-            x *= model.n_controls
-            x += controls[:, :, l]  # cell (x, u) of ok[t], flat
-            t = model.horizon - L + l
-            good[:, :, l] &= ok[t].ravel().take(x).view(bool)  # ok is 0/1
+    good = np.empty((K + 1, in_set.size * nu), dtype=bool)
+    ok = packed_tables(model)[1].view(bool)  # ok is 0/1
+    good[:K] = (in_set[:, None] & ok).reshape(K, -1)
+    good[K] = in_set.repeat(nu)
     return good
 
 
-def _viable_mask(model, acceptable, states, controls):
-    """viable[s, m]: every state in `acceptable` and every control
-    admissible along the trajectory."""
-    return _good_mask(model, acceptable, states, controls).all(axis=2)
+def _good_steps(model, good, states, controls):
+    """(l, good[s, m]) for l = L, L-1, ..., 0: at step l of trajectory
+    (s, m) the state is acceptable and the control played admissible, as
+    the _good_table `good` says; the terminal step l = L plays no control,
+    so only its state counts."""
+    L = controls.shape[2]
+    nu = np.intp(model.n_controls)  # cell indices in intp
+    for l in range(L, -1, -1):
+        cell = states[:, :, l] * nu
+        if l < L:
+            cell += controls[:, :, l]
+        yield l, good[model.horizon - L + l].take(cell)
 
 
-def _recovery_offsets(model, acceptable, states, controls):
-    """Per-trajectory recovery time offsets (float, inf when never)."""
-    good = _good_mask(model, acceptable, states, controls)
-    suffix = np.logical_and.accumulate(good[:, :, ::-1], axis=2)[:, :, ::-1]
-    any_suffix = suffix.any(axis=2)
-    first = suffix.argmax(axis=2).astype(np.float64)
-    first[~any_suffix] = math.inf
+def _viable_mask(model, good, states, controls):
+    """viable[s, m]: every state acceptable and every control admissible
+    along the trajectory, as the _good_table `good` says."""
+    steps = _good_steps(model, good, states, controls)
+    _, viable = next(steps)
+    for _, good_l in steps:
+        viable &= good_l
+    return viable
+
+
+def _recovery_offsets(model, good, states, controls):
+    """Per-trajectory recovery time offsets: the least step l from which
+    every step is good, as the _good_table `good` says (float, inf when
+    there is none)."""
+    suffix = np.ones(states.shape[:2], dtype=bool)
+    first = np.full(states.shape[:2], math.inf)
+    for l, good_l in _good_steps(model, good, states, controls):
+        suffix &= good_l  # the steps l..L are all good
+        first = np.where(suffix, l, first)
     return first
 
 
-def _batch_member(model, regime, states, controls, scenarios, start):
-    """member[s]: regimes._membership of a regime in _BATCHED_REGIMES on the
-    bundle of strategy s, from the simulate_batch arrays (states (S, M, L+1),
-    controls (S, M, L)) of a block run from `start` over `scenarios`, a
-    _Scenarios in the arrays' scenario order."""
+def _batch_member(model, regime, scenarios, start):
+    """The regimes._membership of a regime in _BATCHED_REGIMES as a function
+    of the simulate_batch arrays (states (S, M, L+1), controls (S, M, L)) of
+    a block run from `start` over `scenarios`, a _Scenarios in the arrays'
+    scenario order: it returns member[s] for strategy s of the block. The
+    regime's masks are built here, once per oracle call."""
     if isinstance(regime, Viability):
-        return _viable_mask(
-            model, regime.acceptable, states, controls
+        good = _good_table(model, regime.acceptable)
+        return lambda states, controls: _viable_mask(
+            model, good, states, controls
         ).all(axis=1)
 
     if isinstance(regime, RobustRecovery):
-        # the deadline is an absolute time
-        offsets = _recovery_offsets(model, regime.acceptable, states, controls)
-        met = start + offsets <= regime.deadline
+        good = _good_table(model, regime.acceptable)
+        # scenarios outside the robust set are met whatever happens
+        waived = np.zeros(len(scenarios.scenarios), dtype=bool)
         if not scenarios.robust_only:
-            met |= ~np.array(scenarios.robust, dtype=bool)
-        return met.all(axis=1)
+            waived = ~np.array(scenarios.robust, dtype=bool)
+
+        def member(states, controls):
+            offsets = _recovery_offsets(model, good, states, controls)
+            met = start + offsets <= regime.deadline  # an absolute time
+            return (waived | met).all(axis=1)
+        return member
 
     if isinstance(regime, Bounded):
-        return _state_mask(model, regime.region)[states].all(axis=(1, 2))
+        region = _state_mask(model, regime.region)
+        return lambda states, controls: region[states].all(axis=(1, 2))
 
     if isinstance(regime, AtMostKExits):
-        exits = (~_state_mask(model, regime.region)[states]).sum(axis=2)
-        met = exits <= regime.max_exits
+        outside = ~_state_mask(model, regime.region)
+        waived = np.zeros(len(scenarios.scenarios), dtype=bool)
         if model.uncertainty.has_probs or model.scenario_probs is not None:
             # zero-weight scenarios do not count
-            met |= np.array(scenarios.weights, dtype=np.float64) <= 0.0
-        return met.all(axis=1)
+            waived = np.array(scenarios.weights, dtype=np.float64) <= 0.0
+
+        def member(states, controls):
+            exits = outside[states].sum(axis=2)
+            return (waived | (exits <= regime.max_exits)).all(axis=1)
+        return member
 
     if isinstance(regime, Stabilize):
         coords = model.states.coords
@@ -193,12 +222,14 @@ def _batch_member(model, regime, states, controls, scenarios, start):
             d = float(np.linalg.norm(coords[x] - center))
             near[x] = not d > regime.radius
         first = max(start, model.horizon - regime.window) - start
-        return near[states[:, :, first:]].all(axis=(1, 2))
+        return lambda states, controls: near[states[:, :, first:]].all(
+            axis=(1, 2)
+        )
 
     if isinstance(regime, ControlEvent):
         used = np.zeros(model.n_controls, dtype=bool)
         used[list(regime.controls)] = True
-        return used[controls].any(axis=2).all(axis=1)
+        return lambda states, controls: used[controls].any(axis=2).all(axis=1)
 
     raise InputError(f"regime {regime!r} has no batched membership")
 
@@ -233,15 +264,14 @@ def oracle_resilient_states(
     if _batched(regime, strategy_class, force_object):
         dyn, ok = packed_tables(model)
         scen = _scenario_array(model, scenarios.scenarios)
+        member_of = _batch_member(model, regime, scenarios, start)
         n = model.n_states
         for _, pol in _policy_batches(model, start, total, len(scen)):
             for x0 in range(n):
                 if x0 in witnesses:
                     continue
-                member = _batch_member(
-                    model, regime,
-                    *simulate_batch(dyn, ok, pol, scen, x0, start),
-                    scenarios, start,
+                member = member_of(
+                    *simulate_batch(dyn, ok, pol, scen, x0, start)
                 )
                 if member.any():
                     witnesses[x0] = _markov_from_table(
@@ -276,11 +306,12 @@ def oracle_value(
     scenarios = enumerate_scenarios(model)
     scen = _scenario_array(model, scenarios)
     weights = scenario_weights(model, scenarios)
+    good = _good_table(model, acceptable)
     best = [0.0] * model.n_states
     for _, pol in _policy_batches(model, start, total, len(scen)):
         for x0 in range(model.n_states):
             viable = _viable_mask(
-                model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
+                model, good, *simulate_batch(dyn, ok, pol, scen, x0, start)
             )
             # a row sum rounds the same whatever the block's row count; a
             # BLAS matrix-vector product does not
@@ -300,12 +331,13 @@ def oracle_recovery_offsets(
     total = _check_cap(model, MARKOV, start, cap)
     dyn, ok = packed_tables(model)
     scen = _scenario_array(model, enumerate_scenarios(model, robust_only=True))
+    good = _good_table(model, acceptable)
     offsets = np.full(model.n_states, math.inf, dtype=np.float64)
     ranks = np.full(model.n_states, -1, dtype=np.int64)
     for first_rank, pol in _policy_batches(model, start, total, len(scen)):
         for x0 in range(model.n_states):
             per_traj = _recovery_offsets(
-                model, acceptable, *simulate_batch(dyn, ok, pol, scen, x0, start)
+                model, good, *simulate_batch(dyn, ok, pol, scen, x0, start)
             )
             per_strategy = per_traj.max(axis=1)
             i = int(per_strategy.argmin())
@@ -342,38 +374,58 @@ def _row_bundle(x0, start, scenarios, states, controls):
     )
 
 
-def _batched_members(model, regime, scenarios, x0, start, total):
-    """(policy table, full-domain bundle) for each Markov strategy (of
-    `total`, from `start`) meeting a regime in _BATCHED_REGIMES from x0 over
-    `scenarios`, in ascending rank; each bundle is built from the member's
-    own rows of a simulated block."""
+def _member_rows(model, regime, scenarios, x0, start, total):
+    """(tables, full, states, controls) for each block of Markov strategies
+    (of `total`, from `start`, in ascending rank) with members of a regime
+    in _BATCHED_REGIMES from x0 over `scenarios`: the members' policy tables
+    (k, L, n) and their simulate_batch rows (k, M, L+1) and (k, M, L) over
+    the full scenario set, the _Scenarios `full`."""
     dyn, ok = packed_tables(model)
     scen = _scenario_array(model, scenarios.scenarios)
+    member_of = _batch_member(model, regime, scenarios, start)
     n, L = model.n_states, model.horizon - start
     for _, pol in _policy_batches(model, start, total, len(scen)):
         states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
-        member = np.flatnonzero(
-            _batch_member(model, regime, states, controls, scenarios, start)
-        )
+        member = np.flatnonzero(member_of(states, controls))
+        if not member.size:
+            continue
         if not scenarios.robust_only:
-            for i in member:
-                yield pol[i, start:, :n], _row_bundle(
-                    x0, start, scenarios, states[i], controls[i]
-                )
-        elif member.size:
-            # membership was read on the robust scenarios only: run the
-            # members again over the full set, at most _CELLS cells at a time
-            full = scenarios.full
-            step = max(1, _CELLS // (len(full.scenarios) * (L + 1)))
-            for a in range(0, member.size, step):
-                rows = pol[member[a : a + step]]
-                states, controls = simulate_batch(
-                    dyn, ok, rows, full.table, x0, start
-                )
-                for i in range(len(rows)):
-                    yield rows[i, start:, :n], _row_bundle(
-                        x0, start, full, states[i], controls[i]
-                    )
+            yield (pol[member, start:, :n], scenarios, states[member],
+                   controls[member])
+            continue
+        # membership was read on the robust scenarios only: run the members
+        # again over the full set, at most _CELLS cells at a time
+        full = scenarios.full
+        step = max(1, _CELLS // (len(full.scenarios) * (L + 1)))
+        for a in range(0, member.size, step):
+            rows = pol[member[a : a + step]]
+            yield (rows[:, start:, :n], full,
+                   *simulate_batch(dyn, ok, rows, full.table, x0, start))
+
+
+def _batched_priced(model, regime, risk, scenarios, x0, start, total):
+    """(policy table, risk value) for each Markov strategy meeting a regime
+    in _BATCHED_REGIMES, in ascending rank. A member's bundle is a function
+    of its simulated rows alone (x0, start and the scenarios are fixed), so
+    each distinct bundle of a block is built from the rows of the first
+    member that has it and priced once; the memo dies with its block, which
+    bounds it."""
+    for tables, full, states, controls in _member_rows(
+        model, regime, scenarios, x0, start, total
+    ):
+        k = len(tables)
+        # one bytes key per member: its states and controls rows
+        rows = np.concatenate(
+            (states.reshape(k, -1), controls.reshape(k, -1)), axis=1
+        )
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        priced = {}
+        for i, key in enumerate(keys.ravel().tolist()):
+            value = priced.get(key)
+            if value is None:
+                bundle = _row_bundle(x0, start, full, states[i], controls[i])
+                value = priced[key] = _evaluate(model, risk, bundle, full)
+            yield tables[i], value
 
 
 def oracle_min_risk(
@@ -390,9 +442,10 @@ def oracle_min_risk(
     tested for membership in rank order (a block of Markov ranks at a time on
     simulate_batch trajectories for the regimes in _BATCHED_REGIMES, one
     bundle per strategy otherwise), and each resilient one has its risk
-    evaluated on its full-domain bundle, which the batched route builds from
-    the member's own simulated rows; ties keep the first (least rank)
-    strategy, and the batched route builds a strategy for that one only.
+    evaluated on its full-domain bundle. The batched route builds that
+    bundle from the member's own simulated rows, and prices each distinct
+    bundle once per block; ties keep the first (least rank) strategy, and
+    the batched route builds a strategy for that one only.
     Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
@@ -400,17 +453,21 @@ def oracle_min_risk(
     scenarios = _scan_scenarios(model, regime, start, x0)
     batched = _batched(regime, strategy_class)
     if batched:
-        members = _batched_members(model, regime, scenarios, x0, start, total)
+        members = _batched_priced(
+            model, regime, risk, scenarios, x0, start, total
+        )
     else:
-        members = _object_members(
-            model, regime, strategy_class, x0, start, scenarios, cap
+        members = (
+            (strat, _evaluate(model, risk, bundle, scenarios.full))
+            for strat, bundle in _object_members(
+                model, regime, strategy_class, x0, start, scenarios, cap
+            )
         )
     best = math.inf
     best_member = None
     examined = 0
-    for member, bundle in members:
+    for member, value in members:
         examined += 1
-        value = _evaluate(model, risk, bundle, scenarios.full)
         if best_member is None or value < best:
             best = value
             best_member = member

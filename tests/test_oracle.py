@@ -131,8 +131,8 @@ def test_batched_membership_matches_bundle_membership():
                 ]
                 for regime in regimes:
                     member = oracle._batch_member(
-                        model, regime, states, controls, scenarios, start
-                    )
+                        model, regime, scenarios, start
+                    )(states, controls)
                     assert member.tolist() == [
                         _membership(model, regime, b, scenarios)
                         for b in bundles
@@ -221,6 +221,163 @@ def test_batched_min_risk_prices_members_from_their_rows(monkeypatch):
     assert all(seen.values()), seen
 
 
+
+def bundle_rows(bundle):
+    return tuple((tr.states, tr.controls) for tr in bundle.trajectories)
+
+
+def expected_pricings(model, x0, start, regime):
+    """The oracle._evaluate calls a batched oracle_min_risk makes: per block
+    of ranks (per re-simulated group of its members, when RobustRecovery is
+    decided on fewer robust scenarios), one per distinct member bundle."""
+    total = rk.count_strategies(model, rk.MARKOV, start)
+    robust_only = isinstance(regime, rk.RobustRecovery)
+    steps = model.horizon - start + 1
+    block = max(1, oracle._CELLS // (rk.count_scenarios(model, robust_only)
+                                     * steps))
+    group = block
+    if robust_only:
+        group = max(1, oracle._CELLS // (rk.count_scenarios(model) * steps))
+    priced = 0
+    for a in range(0, total, block):
+        members = []
+        for rank in range(a, min(total, a + block)):
+            strat = rk.strategy_from_rank(model, rank, rk.MARKOV, start)
+            if rk.check_resilient(model, strat, x0, start, regime):
+                members.append(bundle_rows(
+                    rk.build_bundle(model, strat, x0, start)
+                ))
+        for g in range(0, len(members), group):
+            priced += len(set(members[g : g + group]))
+    return priced
+
+
+def test_batched_min_risk_prices_each_distinct_bundle_once_per_block(
+    monkeypatch,
+):
+    # a member's bundle depends on its simulated rows alone, so a block
+    # prices each distinct row set once, the first time it is met in rank
+    # order; the memo does not outlive its block
+    events = []
+    evaluate = oracle._evaluate
+
+    def counting(model, risk, bundle, scenarios):
+        events.append(bundle_rows(bundle))
+        return evaluate(model, risk, bundle, scenarios)
+
+    def blocks_priced_once():
+        # every simulate_batch call opens a block (or a RobustRecovery
+        # group); no bundle may be priced twice within one
+        seen = set()
+        for event in events:
+            if event is None:
+                seen = set()
+                continue
+            assert event not in seen
+            seen.add(event)
+
+    simulate = oracle.simulate_batch
+
+    def marking(*args):
+        events.append(None)
+        return simulate(*args)
+
+    rng = np.random.default_rng(7171)
+    seen = {"deduped": 0, "straddled": 0, "robust_rr": 0, "raised": 0}
+    for case in range(16):
+        if case % 4 == 3:  # no probabilities: weighted risks must raise
+            model = random_model(rng, max_states=3, min_controls=2,
+                                 max_controls=2, max_w=3, max_horizon=3,
+                                 with_robust=True, cemetery_rate=0.2)
+        else:
+            model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon))
+        acc = random_acceptable(rng, model)
+        risk = [
+            rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5)),
+            rk.Composed(rk.RecoveryOffset(acc), rk.WorstCase()),
+            rk.Exceedance(acc),
+        ][case % 3]
+        steps = model.horizon - start + 1
+        robust = rk.count_scenarios(model, robust_only=True)
+        for regime in batched_regimes(rng, model, start):
+            scan = rk.count_scenarios(
+                model, isinstance(regime, rk.RobustRecovery)
+            )
+            for x0 in range(model.n_states):
+                try:
+                    want = definitional_min_risk(model, x0, start, regime, risk)
+                except rk.ConfigurationError as err:
+                    with pytest.raises(type(err)) as got:
+                        rk.oracle_min_risk(model, x0, start, regime, risk)
+                    assert str(got.value) == str(err)
+                    seen["raised"] += 1
+                    continue
+                priced = []
+                for cells in (oracle._CELLS, 3 * scan * steps):
+                    events.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(oracle, "_CELLS", cells)
+                        m.setattr(oracle, "_evaluate", counting)
+                        m.setattr(oracle, "simulate_batch", marking)
+                        got = rk.oracle_min_risk(model, x0, start, regime,
+                                                 risk)
+                        want_priced = expected_pricings(model, x0, start,
+                                                        regime)
+                    blocks_priced_once()
+                    priced.append(sum(e is not None for e in events))
+                    assert priced[-1] == want_priced, (cells, regime)
+                    assert float(got[0]).hex() == float(want[0]).hex()
+                    assert got[2] == want[2]
+                    assert (got[1] is None) == (want[1] is None)
+                    if got[1] is not None:
+                        assert rk.strategies_equal(got[1], want[1])
+                seen["deduped"] += priced[0] < want[2]
+                seen["straddled"] += priced[0] < priced[1]
+                seen["robust_rr"] += (
+                    isinstance(regime, rk.RobustRecovery) and want[2] > 0
+                    and robust < rk.count_scenarios(model)
+                )
+    assert all(seen.values()), seen
+
+
+def test_recovery_offsets_match_recovery_time():
+    # the backward fold of the per-step masks gives, per trajectory, the
+    # offset of rk.recovery_time, inf when the trajectory never recovers
+    rng = np.random.default_rng(5151)
+    seen = {"no_steps": 0, "cemetery": 0, "never": 0, "late": 0}
+    for _ in range(30):
+        model = zero_w_model(rng, max_states=3)
+        start = int(rng.integers(0, model.horizon + 1))  # start = K: L = 0
+        acc = random_acceptable(rng, model)
+        total = rk.count_strategies(model, rk.MARKOV, start)
+        if total > 64:
+            continue
+        scenarios = rk.enumerate_scenarios(model)
+        scen = oracle._scenario_array(model, scenarios)
+        dyn, ok = packed_tables(model)
+        good = oracle._good_table(model, acc)
+        pol = np.concatenate([
+            p for _, p in oracle._policy_batches(model, start, total, len(scen))
+        ])
+        for x0 in range(model.n_states):
+            states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+            offsets = oracle._recovery_offsets(model, good, states, controls)
+            assert offsets.shape == (total, len(scenarios))
+            for s in range(total):
+                for m, w in enumerate(scenarios):
+                    traj = rk.Trajectory(
+                        start, tuple(states[s, m].tolist()),
+                        tuple(controls[s, m].tolist()), w,
+                    )
+                    tau = rk.recovery_time(model, traj, acc)
+                    assert start + offsets[s, m] == tau, (s, m, start)
+                    seen["no_steps"] += start == model.horizon
+                    seen["cemetery"] += model.cemetery in traj.states
+                    seen["never"] += tau == math.inf
+                    seen["late"] += start < tau < math.inf
+    assert all(seen.values()), seen
+
 def multi_block_models(rng, count):
     """(model, start) pairs whose Markov class from start has 8..64
     strategies, so a block of at most 3 ranks splits it at least 3 ways;
@@ -273,7 +430,8 @@ def last_rank_value(model, acc, start, total):
     weights = rk.scenario_weights(model, scenarios)
     return [
         float(oracle._viable_mask(
-            model, acc, *simulate_batch(dyn, ok, pol[-1:], scen, x0, start)
+            model, oracle._good_table(model, acc),
+            *simulate_batch(dyn, ok, pol[-1:], scen, x0, start),
         )[0].astype(np.float64) @ weights)
         for x0 in range(model.n_states)
     ]
