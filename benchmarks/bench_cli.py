@@ -15,9 +15,13 @@ speed reaches all three alike; a best of a few runs does not resolve the
 difference import_s minus numpy_s, which is resilkit's own share: its
 modules and the standard modules they load. Every case records its exit
 code and a sha256 of its stdout, stderr and --out files, so two versions of
-the CLI can be compared on speed and shown to give the same bytes. Writes
---out (default BENCH_cli.json at the repository root) with the machine,
-the numpy version and the simulation backend.
+the CLI can be compared on speed and shown to give the same bytes. The
+parse layer is timed in this process too: for each file in models/,
+`parse_model` of its text and `serialize_model` of the result, each the
+best of PARSE_REPEAT runs of PARSE_NUMBER calls (parse_us and
+serialize_us, microseconds per call). Writes --out (default BENCH_cli.json
+at the repository root) with the machine, the numpy version and the
+simulation backend.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import timeit
 
 import numpy as np
 
@@ -61,6 +66,7 @@ STRATEGY_COMMANDS = (  # (command, strategy file) on the m1 family
 )
 LARGE = (200, 3, 8)  # (levels, controls, horizon) of the generated model
 STARTUP_RUNS = 11  # fresh interpreters per start-up probe
+PARSE_REPEAT, PARSE_NUMBER = 5, 200  # in-process parse layer timing
 
 
 def large_model(n, nu, K):
@@ -89,6 +95,30 @@ def large_model(n, nu, K):
     text = rk.serialize_model(model, regime, risk)
     strategy = rk.strategy_to_text(model, rk.constant_strategy(model, 1))
     return text, strategy
+
+
+def parse_layer():
+    """{model: {"parse_us", "serialize_us"}} for each file in models/."""
+    out = {}
+    for name in MODELS:
+        with open(os.path.join(ROOT, "models", f"{name}.model"),
+                  encoding="utf-8") as fh:
+            text = fh.read()
+        parsed = rk.parse_model(text)
+        calls = {
+            "parse_us": lambda: rk.parse_model(text),
+            "serialize_us": lambda: rk.serialize_model(
+                parsed.model, parsed.regime, parsed.risk
+            ),
+        }
+        out[name] = {
+            key: min(timeit.repeat(fn, repeat=PARSE_REPEAT,
+                                   number=PARSE_NUMBER)) / PARSE_NUMBER * 1e6
+            for key, fn in calls.items()
+        }
+        print(f"{name:12s} parse {out[name]['parse_us']:7.1f} us  serialize "
+              f"{out[name]['serialize_us']:7.1f} us", flush=True)
+    return out
 
 
 def cases():
@@ -136,6 +166,7 @@ def main():
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_cli.json"))
     args = ap.parse_args()
 
+    parse = parse_layer()
     with tempfile.TemporaryDirectory() as work:
         shutil.copytree(os.path.join(ROOT, "models"),
                         os.path.join(work, "models"))
@@ -192,6 +223,9 @@ def main():
         "repeat": args.repeat,
         "startup_runs": STARTUP_RUNS,
         "large_model": dict(zip(("n", "nu", "horizon"), LARGE)),
+        "parse_repeat": PARSE_REPEAT,
+        "parse_number": PARSE_NUMBER,
+        "parse_layer": parse,
         **startup,
         "cases": out_cases,
     }

@@ -37,7 +37,7 @@ from .engine import (
 from .errors import InputError, ResilkitError
 from .jsonio import dumps_canonical, format_float, write_csv
 from .model import DEFAULT_SCENARIO_CAP
-from .modelfile import parse_model, regime_state_set
+from .modelfile import _kind_name, parse_model, regime_state_set
 from .optimize import minimize_risk
 from .oracle import (
     oracle_min_risk,
@@ -55,27 +55,6 @@ from .strategy import (
     strategy_from_text,
     strategy_to_text,
 )
-
-_REGIME_NAMES = {
-    rg.Viability: "viability",
-    rg.RobustRecovery: "robust_recovery",
-    rg.StochasticViability: "stochastic_viability",
-    rg.Bounded: "bounded",
-    rg.ProbExcursion: "prob_excursion",
-    rg.AtMostKExits: "at_most_k_exits",
-    rg.Stabilize: "stabilize",
-    rg.ControlEvent: "control_event",
-    rg.RiskContainment: "risk_containment",
-}
-
-_RISK_NAMES = {
-    rk.WorstCaseViolation: "worst_case_violation",
-    rk.Exceedance: "exceedance",
-    rk.AmbiguityExceedance: "ambiguity_exceedance",
-    rk.ExitCountFunctional: "exit_count",
-    rk.Composed: "composed",
-}
-
 
 def _flags(p, *names):
     for name in names:
@@ -204,7 +183,7 @@ def _state_set_arg(model, regime):
     acceptable = regime_state_set(regime)
     if acceptable is None:
         raise InputError(
-            f"regime {_REGIME_NAMES[type(regime)]} does not name a state "
+            f"regime {_kind_name(regime)} does not name a state "
             "set; use a set-based regime for this command"
         )
     return acceptable
@@ -270,7 +249,7 @@ def cmd_check(args):
     )
     doc = {
         "command": "check",
-        "regime": _REGIME_NAMES[type(regime)],
+        "regime": _kind_name(regime),
         "x0": args.x0,
         "start": args.t,
         "resilient": ok,
@@ -419,7 +398,7 @@ def _resilient_set_doc(model, result, command):
     members = sorted(result.members)
     return {
         "command": command,
-        "regime": _REGIME_NAMES[type(result.regime)],
+        "regime": _kind_name(result.regime),
         "class": result.strategy_class,
         "start": result.start,
         "method": result.method,
@@ -470,8 +449,8 @@ def cmd_optimize(args):
     result = _optimize_result(args, model, regime, risk)
     doc = {
         "command": "optimize",
-        "regime": _REGIME_NAMES[type(regime)],
-        "risk": _RISK_NAMES[type(risk)],
+        "regime": _kind_name(regime),
+        "risk": _kind_name(risk),
         "x0": args.x0,
         "start": args.t,
         "class": result.strategy_class,
@@ -649,7 +628,7 @@ def cmd_oracle(args):
     doc = {
         "command": "oracle",
         "mode": "risk",
-        "risk": _RISK_NAMES[type(risk)],
+        "risk": _kind_name(risk),
         "x0": args.x0,
         "start": args.t,
         "value": value,

@@ -23,6 +23,14 @@ covering the same cell is a duplicate error. Exactly one regime section is
 required, at most one risk section. Dynamics must be total. Floats are
 decimal; per-time probabilities must sum to 1 within 1e-9.
 
+The [regime] and [risk] vocabulary lives in one table below (_REGIMES,
+_RISKS, _COSTS, _OUTERS): each kind's name, its record class and the keys
+of its fields. Parsing, serializing, `regime_state_set` and the CLI's JSON
+names all read it. An error names the first fault in record field order:
+each key is required, then its value read, nested kinds (cost, outer) in
+place, and the fields no key names (risk_containment's measure, the
+beliefs, the [cost] tables) last.
+
 Regime kinds and their keys:
     viability              acceptable
     robust_recovery        acceptable, deadline
@@ -40,18 +48,25 @@ Risk kinds and their keys:
     ambiguity_exceedance   acceptable, belief rows (`belief <i> <t|*> = p...`)
     exit_count             acceptable, outer (expectation|worst_case|cvar),
                            alpha (when outer = cvar)
-    composed               cost (time_outside|control_effort|terminal_miss|
-                           tabular|recovery_offset), outer, alpha,
-                           acceptable (set-based costs), effort (optional
-                           per-control rates), cemetery_penalty (optional)
+    composed               cost (a cost kind below, then its keys), outer,
+                           alpha (when outer = cvar)
+
+Cost kinds and their keys (in the [risk] section, after `cost =`):
+    time_outside           acceptable, cemetery_penalty (optional)
+    control_effort         effort (optional), cemetery_penalty (optional)
+    terminal_miss          acceptable, cemetery_penalty (optional)
+    tabular                the [cost] rows, cemetery_penalty (optional)
+    recovery_offset        acceptable, cemetery_penalty (optional)
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ._record import record
-from .errors import ModelFormatError
+from .errors import InputError, ModelFormatError
 from .model import (
     CEMETERY_LABEL,
     ControlSpace,
@@ -75,37 +90,6 @@ SECTIONS = (
     "risk",
     "cost",
 )
-
-REGIME_KINDS = (
-    "viability",
-    "robust_recovery",
-    "stochastic_viability",
-    "bounded",
-    "prob_excursion",
-    "at_most_k_exits",
-    "stabilize",
-    "control_event",
-    "risk_containment",
-)
-
-RISK_KIND_NAMES = (
-    "worst_case_violation",
-    "exceedance",
-    "ambiguity_exceedance",
-    "exit_count",
-    "composed",
-)
-
-COST_NAMES = (
-    "time_outside",
-    "control_effort",
-    "terminal_miss",
-    "tabular",
-    "recovery_offset",
-)
-
-OUTER_NAMES = ("expectation", "worst_case", "cvar")
-
 
 @record(eq=False)
 class ParsedModel:
@@ -227,10 +211,10 @@ def _parse_uncertainty(rows, horizon):
             raise ModelFormatError(f"expected `key ... = ...`, got {line!r}", lineno)
         head = key.split()
         value = value.strip()
-        if head[0] == "robust_scenario" and len(head) == 1:
+        if head == ["robust_scenario"]:
             raw_scenarios.append((lineno, value.split()))
             continue
-        if head[0] == "scenario_prob" and len(head) == 1:
+        if head == ["scenario_prob"]:
             labels, colon, p = value.partition(":")
             if not colon:
                 raise ModelFormatError(
@@ -479,7 +463,7 @@ def _section_dict(rows, known, section):
         if not eq:
             raise ModelFormatError(f"expected `key = value`, got {line!r}", lineno)
         key = key.strip()
-        if key.split()[0] == "belief":
+        if key.split()[:1] == ["belief"]:
             extra.append((lineno, key, value.strip()))
             continue
         if key not in known:
@@ -500,175 +484,256 @@ def _need(d, key, section):
     return d[key]
 
 
-def _state_set(model, value, lineno):
-    try:
-        return state_indices(model, value.split())
-    except Exception as exc:
-        raise ModelFormatError(str(exc), lineno) from None
+# ---------------------------------------------------------------- vocabulary
+#
+# Each kind's file name maps to its record class and to the fields it reads
+# from `key = value` lines, in record field order, each with its file key
+# and a codec. A field with a record default is optional: absent, it takes
+# the default; equal to the default, it is not written. A field whose codec
+# is another table is a nested kind named by its own key (`outer =`, `cost
+# =`), whose keys sit in the same section. The fields the table leaves out
+# are read by _unlisted and written by serialize_model.
 
 
-REGIME_KEYS = {
-    "kind", "acceptable", "region", "deadline", "beta", "max_exits",
-    "target", "radius", "window", "controls", "level",
+@record(eq=False)
+class _Codec:
+    """How one field's value reads from and writes to its key's text."""
+
+    decode: object  # (model, text, key, lineno) -> field value
+    encode: object  # (model, field value) -> text
+
+
+def _fmt(value):
+    # builtin float repr is the shortest exact round-trip form
+    return repr(float(value))
+
+
+def _labels(model, indices):
+    return " ".join(model.states.label(x) for x in sorted(indices))
+
+
+def _looked_up(lookup):
+    """A decoder for labels: lookup(model, text), its InputError cited at
+    the key's line."""
+    def decode(model, text, key, lineno):
+        try:
+            return lookup(model, text)
+        except InputError as exc:
+            raise ModelFormatError(str(exc), lineno) from None
+
+    return decode
+
+
+def _rates(model, text, key, lineno):
+    rates = tuple(_float(r, "effort rate", lineno) for r in text.split())
+    if len(rates) != model.n_controls:
+        raise ModelFormatError(
+            f"{len(rates)} effort rates for {model.n_controls} controls",
+            lineno,
+        )
+    return rates
+
+
+_INT = _Codec(lambda model, text, key, lineno: _int(text, key, lineno),
+              lambda model, value: str(value))
+_FLOAT = _Codec(lambda model, text, key, lineno: _float(text, key, lineno),
+                lambda model, value: _fmt(value))
+_STATE = _Codec(_looked_up(lambda model, text: model.states.index(text)),
+                lambda model, x: model.states.label(x))
+_STATES = _Codec(
+    _looked_up(lambda model, text: state_indices(model, text.split())),
+    _labels,
+)
+_CONTROLS = _Codec(
+    _looked_up(lambda model, text: frozenset(
+        model.controls.index(lab) for lab in text.split()
+    )),
+    lambda model, us: " ".join(model.controls.label(u) for u in sorted(us)),
+)
+_RATES = _Codec(_rates, lambda model, rates: " ".join(_fmt(r) for r in rates))
+
+
+def _kind(cls, **codecs):
+    """(cls, ((field, key, codec, default), ...)) for the fields named in
+    `codecs`, in record field order. A field's key is its name unless its
+    codec comes as (key, codec)."""
+    fields = []
+    for f in dataclasses.fields(cls):
+        if f.name in codecs:
+            codec = codecs[f.name]
+            key, codec = codec if isinstance(codec, tuple) else (f.name, codec)
+            fields.append((f.name, key, codec, f.default))
+    return cls, tuple(fields)
+
+
+_OUTERS = {
+    "expectation": _kind(rk.Expectation),
+    "worst_case": _kind(rk.WorstCase),
+    "cvar": _kind(rk.CVaR, level=("alpha", _FLOAT)),
 }
+
+_COSTS = {
+    "time_outside": _kind(
+        rk.TimeOutside, acceptable=_STATES, cemetery_penalty=_FLOAT
+    ),
+    "control_effort": _kind(
+        rk.ControlEffort, rates=("effort", _RATES), cemetery_penalty=_FLOAT
+    ),
+    "terminal_miss": _kind(
+        rk.TerminalMiss, acceptable=_STATES, cemetery_penalty=_FLOAT
+    ),
+    "tabular": _kind(rk.TabularCost, cemetery_penalty=_FLOAT),
+    "recovery_offset": _kind(
+        rk.RecoveryOffset, acceptable=_STATES, cemetery_penalty=_FLOAT
+    ),
+}
+
+_REGIMES = {
+    "viability": _kind(rg.Viability, acceptable=_STATES),
+    "robust_recovery": _kind(
+        rg.RobustRecovery, acceptable=_STATES, deadline=_INT
+    ),
+    "stochastic_viability": _kind(
+        rg.StochasticViability, acceptable=_STATES, beta=_FLOAT
+    ),
+    "bounded": _kind(rg.Bounded, region=_STATES),
+    "prob_excursion": _kind(rg.ProbExcursion, region=_STATES, beta=_FLOAT),
+    "at_most_k_exits": _kind(rg.AtMostKExits, region=_STATES, max_exits=_INT),
+    "stabilize": _kind(rg.Stabilize, target=_STATE, radius=_FLOAT,
+                       window=_INT),
+    "control_event": _kind(rg.ControlEvent, controls=_CONTROLS),
+    "risk_containment": _kind(rg.RiskContainment, level=_FLOAT),
+}
+
+_RISKS = {
+    "worst_case_violation": _kind(rk.WorstCaseViolation, acceptable=_STATES),
+    "exceedance": _kind(rk.Exceedance, acceptable=_STATES),
+    "ambiguity_exceedance": _kind(rk.AmbiguityExceedance, acceptable=_STATES),
+    "exit_count": _kind(
+        rk.ExitCountFunctional, acceptable=_STATES, outer=_OUTERS
+    ),
+    "composed": _kind(rk.Composed, cost=_COSTS, outer=_OUTERS),
+}
+
+_NAMES = {
+    cls: name
+    for table in (_REGIMES, _RISKS, _COSTS, _OUTERS)
+    for name, (cls, _) in table.items()
+}
+
+
+def _kind_name(spec):
+    """The file name of a regime, risk, cost or outer record's kind, or
+    None for any other object."""
+    for cls in type(spec).__mro__:
+        if cls in _NAMES:
+            return _NAMES[cls]
+    return None
+
+
+def _keys(table):
+    """Every field key of the table's kinds, nested kinds included."""
+    keys = set()
+    for _, fields in table.values():
+        for _, key, codec, _ in fields:
+            keys.add(key)
+            if isinstance(codec, dict):
+                keys |= _keys(codec)
+    return keys
+
+
+_REGIME_KEYS = {"kind"} | _keys(_REGIMES)
+_RISK_KEYS = {"kind"} | _keys(_RISKS)
+
+
+@record(eq=False)
+class _Section:
+    """A [regime] or [risk] section under parse."""
+
+    name: str
+    keys: dict  # key -> (lineno, value text)
+    model: SystemModel
+    beliefs: list = ()  # (lineno, key, value text) of its belief lines
+    cost_rows: list = ()  # the [cost] section's rows
+    risk: object = None  # the parsed [risk] measure
+
+
+def _lookup(sec, key, table):
+    """The table entry that the section's `key = name` line names."""
+    lineno, name = _need(sec.keys, key, sec.name)
+    if name not in table:
+        noun = f"{sec.name} kind" if key == "kind" else key
+        raise ModelFormatError(
+            f"unknown {noun} {name!r}; expected one of: " + ", ".join(table),
+            lineno,
+        )
+    return table[name]
+
+
+def _build(sec, cls, fields):
+    """The record from its fields in order: each key required, then its
+    value decoded; nested kinds depth-first; the unlisted fields last."""
+    values = {}
+    for field, key, codec, default in fields:
+        if key not in sec.keys and default is not dataclasses.MISSING:
+            continue
+        if isinstance(codec, dict):
+            values[field] = _build(sec, *_lookup(sec, key, codec))
+        else:
+            lineno, text = _need(sec.keys, key, sec.name)
+            values[field] = codec.decode(sec.model, text, key, lineno)
+    values.update(_unlisted(sec, cls))
+    return cls(**values)
+
+
+def _unlisted(sec, cls):
+    """The fields of `cls` that no key names, read from the rest of the
+    file."""
+    if cls is rg.RiskContainment:
+        if sec.risk is None:
+            raise ModelFormatError(
+                f"regime kind {_NAMES[cls]} requires a [risk] section",
+                sec.keys["level"][0],
+            )
+        return {"measure": sec.risk}
+    if cls is rk.AmbiguityExceedance:
+        return {"beliefs": _parse_beliefs(sec.beliefs, sec.model)}
+    if cls is rk.TabularCost:
+        return _parse_cost_tables(sec.cost_rows, sec.model)
+    return {}
 
 
 def _parse_regime(rows, model, risk_spec):
-    d, extra = _section_dict(rows, REGIME_KEYS, "regime")
-    if extra:
-        raise ModelFormatError("belief lines belong in [risk]", extra[0][0])
-    lineno, kind = _need(d, "kind", "regime")
-    if kind not in REGIME_KINDS:
-        raise ModelFormatError(
-            f"unknown regime kind {kind!r}; expected one of: "
-            + ", ".join(REGIME_KINDS),
-            lineno,
-        )
-    if kind == "viability":
-        ln, v = _need(d, "acceptable", "regime")
-        return rg.Viability(_state_set(model, v, ln))
-    if kind == "robust_recovery":
-        ln, v = _need(d, "acceptable", "regime")
-        dl, dv = _need(d, "deadline", "regime")
-        return rg.RobustRecovery(_state_set(model, v, ln), _int(dv, "deadline", dl))
-    if kind == "stochastic_viability":
-        ln, v = _need(d, "acceptable", "regime")
-        bl, bv = _need(d, "beta", "regime")
-        return rg.StochasticViability(
-            _state_set(model, v, ln), _float(bv, "beta", bl)
-        )
-    if kind == "bounded":
-        ln, v = _need(d, "region", "regime")
-        return rg.Bounded(_state_set(model, v, ln))
-    if kind == "prob_excursion":
-        ln, v = _need(d, "region", "regime")
-        bl, bv = _need(d, "beta", "regime")
-        return rg.ProbExcursion(_state_set(model, v, ln), _float(bv, "beta", bl))
-    if kind == "at_most_k_exits":
-        ln, v = _need(d, "region", "regime")
-        kl, kv = _need(d, "max_exits", "regime")
-        return rg.AtMostKExits(_state_set(model, v, ln), _int(kv, "max_exits", kl))
-    if kind == "stabilize":
-        tl, tv = _need(d, "target", "regime")
-        try:
-            target = model.states.index(tv)
-        except Exception as exc:
-            raise ModelFormatError(str(exc), tl) from None
-        rl, rv = _need(d, "radius", "regime")
-        wl, wv = _need(d, "window", "regime")
-        return rg.Stabilize(
-            target, _float(rv, "radius", rl), _int(wv, "window", wl)
-        )
-    if kind == "control_event":
-        ln, v = _need(d, "controls", "regime")
-        out = set()
-        for lab in v.split():
-            try:
-                out.add(model.controls.index(lab))
-            except Exception as exc:
-                raise ModelFormatError(str(exc), ln) from None
-        return rg.ControlEvent(frozenset(out))
-    # risk_containment
-    ll, lv = _need(d, "level", "regime")
-    if risk_spec is None:
-        raise ModelFormatError(
-            "regime kind risk_containment requires a [risk] section", ll
-        )
-    return rg.RiskContainment(risk_spec, _float(lv, "level", ll))
-
-
-RISK_KEYS = {
-    "kind", "acceptable", "outer", "alpha", "cost", "effort",
-    "cemetery_penalty",
-}
-
-
-def _parse_outer(d):
-    lineno, name = _need(d, "outer", "risk")
-    if name not in OUTER_NAMES:
-        raise ModelFormatError(
-            f"unknown outer {name!r}; expected one of: " + ", ".join(OUTER_NAMES),
-            lineno,
-        )
-    if name == "expectation":
-        return rk.Expectation()
-    if name == "worst_case":
-        return rk.WorstCase()
-    al, av = _need(d, "alpha", "risk")
-    return rk.CVaR(_float(av, "alpha", al))
+    keys, beliefs = _section_dict(rows, _REGIME_KEYS, "regime")
+    if beliefs:
+        raise ModelFormatError("belief lines belong in [risk]", beliefs[0][0])
+    sec = _Section("regime", keys, model, risk=risk_spec)
+    return _build(sec, *_lookup(sec, "kind", _REGIMES))
 
 
 def _parse_risk(rows, cost_rows, model):
-    d, belief_rows = _section_dict(rows, RISK_KEYS, "risk")
-    lineno, kind = _need(d, "kind", "risk")
-    if kind not in RISK_KIND_NAMES:
+    keys, beliefs = _section_dict(rows, _RISK_KEYS, "risk")
+    sec = _Section("risk", keys, model, beliefs, cost_rows)
+    cls, fields = _lookup(sec, "kind", _RISKS)
+    composed = _NAMES[rk.Composed]
+    if cls is not rk.Composed and "cost" in keys:
         raise ModelFormatError(
-            f"unknown risk kind {kind!r}; expected one of: "
-            + ", ".join(RISK_KIND_NAMES),
-            lineno,
+            f"`cost =` only applies to kind {composed}", keys["cost"][0]
         )
-    if kind != "composed" and "cost" in d:
-        raise ModelFormatError("`cost =` only applies to kind composed", d["cost"][0])
-    if cost_rows and not (kind == "composed" and d.get("cost", (0, ""))[1] == "tabular"):
+    tabular = _NAMES[rk.TabularCost]
+    if cost_rows and keys.get("cost", (0, ""))[1] != tabular:
         raise ModelFormatError(
-            "[cost] section requires risk `kind = composed` with "
-            "`cost = tabular`",
+            f"[cost] section requires risk `kind = {composed}` with "
+            f"`cost = {tabular}`",
             cost_rows[0][0],
         )
-
-    if kind == "worst_case_violation":
-        ln, v = _need(d, "acceptable", "risk")
-        return rk.WorstCaseViolation(_state_set(model, v, ln))
-    if kind == "exceedance":
-        ln, v = _need(d, "acceptable", "risk")
-        return rk.Exceedance(_state_set(model, v, ln))
-    if kind == "ambiguity_exceedance":
-        ln, v = _need(d, "acceptable", "risk")
-        beliefs = _parse_beliefs(belief_rows, model)
-        return rk.AmbiguityExceedance(_state_set(model, v, ln), beliefs)
-    if belief_rows:
+    if beliefs and cls is not rk.AmbiguityExceedance:
         raise ModelFormatError(
-            "belief lines only apply to kind ambiguity_exceedance",
-            belief_rows[0][0],
+            "belief lines only apply to kind "
+            + _NAMES[rk.AmbiguityExceedance],
+            beliefs[0][0],
         )
-    if kind == "exit_count":
-        ln, v = _need(d, "acceptable", "risk")
-        return rk.ExitCountFunctional(_state_set(model, v, ln), _parse_outer(d))
-    # composed
-    cl, cname = _need(d, "cost", "risk")
-    if cname not in COST_NAMES:
-        raise ModelFormatError(
-            f"unknown cost {cname!r}; expected one of: " + ", ".join(COST_NAMES),
-            cl,
-        )
-    penalty = rk.CEMETERY_PENALTY
-    if "cemetery_penalty" in d:
-        pl, pv = d["cemetery_penalty"]
-        penalty = _float(pv, "cemetery_penalty", pl)
-    if cname == "time_outside":
-        ln, v = _need(d, "acceptable", "risk")
-        cost = rk.TimeOutside(_state_set(model, v, ln), penalty)
-    elif cname == "control_effort":
-        rates = None
-        if "effort" in d:
-            el, ev = d["effort"]
-            rates = tuple(_float(r, "effort rate", el) for r in ev.split())
-            if len(rates) != model.n_controls:
-                raise ModelFormatError(
-                    f"{len(rates)} effort rates for {model.n_controls} "
-                    "controls",
-                    el,
-                )
-        cost = rk.ControlEffort(rates, penalty)
-    elif cname == "terminal_miss":
-        ln, v = _need(d, "acceptable", "risk")
-        cost = rk.TerminalMiss(_state_set(model, v, ln), penalty)
-    elif cname == "recovery_offset":
-        ln, v = _need(d, "acceptable", "risk")
-        cost = rk.RecoveryOffset(_state_set(model, v, ln), penalty)
-    else:
-        cost = _parse_cost_tables(cost_rows, model, penalty)
-    return rk.Composed(cost, _parse_outer(d))
+    return _build(sec, cls, fields)
 
 
 def _parse_beliefs(belief_rows, model):
@@ -681,6 +746,8 @@ def _parse_beliefs(belief_rows, model):
                 f"expected `belief <i> <t|*> = p...`, got {key!r}", lineno
             )
         b = _int(parts[1], "belief index", lineno)
+        if b < 0:
+            raise ModelFormatError(f"bad belief index {parts[1]!r}", lineno)
         vec = [_float(p, "probability", lineno) for p in value.split()]
         for t in _times(parts[2], model.horizon, lineno):
             if (b, t) in table:
@@ -696,7 +763,9 @@ def _parse_beliefs(belief_rows, model):
                 )
             table[(b, t)] = tuple(vec)
     if not table:
-        raise ModelFormatError("ambiguity_exceedance needs belief lines")
+        raise ModelFormatError(
+            f"{_NAMES[rk.AmbiguityExceedance]} needs belief lines"
+        )
     count = max(b for b, _ in table) + 1
     beliefs = []
     for b in range(count):
@@ -711,7 +780,8 @@ def _parse_beliefs(belief_rows, model):
     return tuple(beliefs)
 
 
-def _parse_cost_tables(cost_rows, model, penalty):
+def _parse_cost_tables(cost_rows, model):
+    """The state_costs and control_costs of a tabular cost."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
     state_costs = np.zeros((K + 1, n), dtype=np.float64)
     control_costs = np.zeros((K, nu), dtype=np.float64)
@@ -765,22 +835,14 @@ def _parse_cost_tables(cost_rows, model, penalty):
                     )
                 seen.add(("control", t, u))
                 control_costs[t, u] = v
-    return rk.TabularCost(state_costs, control_costs, penalty)
-
-
-def _fmt(value):
-    # builtin float repr is the shortest exact round-trip form
-    return repr(float(value))
-
-
-def _labels(model, indices):
-    return " ".join(model.states.label(x) for x in sorted(indices))
+    return {"state_costs": state_costs, "control_costs": control_costs}
 
 
 def serialize_model(model, regime, risk=None) -> str:
     """Canonical text form: explicit rows, sorted, shortest-round-trip
     floats. parse(serialize(parse(text))) is the identity on the model,
-    regime, and risk."""
+    regime, and risk. A risk_containment regime's measure is written as
+    the [risk] section, so `risk` must be None or that measure."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
     unc = model.uncertainty
     out = ["[time]", f"horizon = {K}", "", "[states]"]
@@ -841,129 +903,69 @@ def serialize_model(model, regime, risk=None) -> str:
                 rows.append(f"{t} {model.states.label(x)} -> {allowed}")
     if rows:
         out += ["", "[constraints]"] + rows
-    out += ["", "[regime]"] + _regime_lines(model, regime)
+    out += ["", "[regime]"]
+    out += _kind_lines(model, "kind", _REGIMES, regime, "regime")
+    if isinstance(regime, rg.RiskContainment):
+        if risk is None:
+            risk = regime.measure
+        elif risk != regime.measure:
+            raise ModelFormatError(
+                f"regime kind {_NAMES[rg.RiskContainment]} writes its "
+                "measure as the [risk] section; got a different risk"
+            )
     if risk is not None:
-        risk_lines, cost_lines = _risk_lines(model, risk)
-        out += ["", "[risk]"] + risk_lines
-        if cost_lines:
-            out += ["", "[cost]"] + cost_lines
+        out += ["", "[risk]"] + _kind_lines(model, "kind", _RISKS, risk, "risk")
+        if isinstance(risk, rk.AmbiguityExceedance):
+            out += [
+                f"belief {b} {t} = " + " ".join(_fmt(p) for p in vec)
+                for b, belief in enumerate(risk.beliefs)
+                for t, vec in enumerate(belief)
+            ]
+        if isinstance(risk, rk.Composed) and isinstance(risk.cost,
+                                                        rk.TabularCost):
+            rows = _cost_rows(model, risk.cost)
+            if rows:
+                out += ["", "[cost]"] + rows
     return "\n".join(out) + "\n"
 
 
-def _regime_lines(model, regime):
-    if isinstance(regime, rg.Viability):
-        return ["kind = viability",
-                f"acceptable = {_labels(model, regime.acceptable)}"]
-    if isinstance(regime, rg.RobustRecovery):
-        return ["kind = robust_recovery",
-                f"acceptable = {_labels(model, regime.acceptable)}",
-                f"deadline = {regime.deadline}"]
-    if isinstance(regime, rg.StochasticViability):
-        return ["kind = stochastic_viability",
-                f"acceptable = {_labels(model, regime.acceptable)}",
-                f"beta = {_fmt(regime.beta)}"]
-    if isinstance(regime, rg.Bounded):
-        return ["kind = bounded",
-                f"region = {_labels(model, regime.region)}"]
-    if isinstance(regime, rg.ProbExcursion):
-        return ["kind = prob_excursion",
-                f"region = {_labels(model, regime.region)}",
-                f"beta = {_fmt(regime.beta)}"]
-    if isinstance(regime, rg.AtMostKExits):
-        return ["kind = at_most_k_exits",
-                f"region = {_labels(model, regime.region)}",
-                f"max_exits = {regime.max_exits}"]
-    if isinstance(regime, rg.Stabilize):
-        return ["kind = stabilize",
-                f"target = {model.states.label(regime.target)}",
-                f"radius = {_fmt(regime.radius)}",
-                f"window = {regime.window}"]
-    if isinstance(regime, rg.ControlEvent):
-        labels = " ".join(
-            model.controls.label(u) for u in sorted(regime.controls)
-        )
-        return ["kind = control_event", f"controls = {labels}"]
-    if isinstance(regime, rg.RiskContainment):
-        return ["kind = risk_containment", f"level = {_fmt(regime.level)}"]
-    raise ModelFormatError(f"cannot serialize regime {type(regime).__name__}")
+def _kind_lines(model, key, table, spec, noun):
+    """The `key = name` line of the record's kind, then its fields'
+    lines."""
+    name = _kind_name(spec)
+    if name not in table:
+        raise ModelFormatError(f"cannot serialize {noun} {type(spec).__name__}")
+    lines = [f"{key} = {name}"]
+    for field, fkey, codec, default in table[name][1]:
+        value = getattr(spec, field)
+        if isinstance(codec, dict):
+            lines += _kind_lines(model, fkey, codec, value, fkey)
+        elif default is dataclasses.MISSING or value != default:
+            lines.append(f"{fkey} = {codec.encode(model, value)}")
+    return lines
 
 
-def _outer_lines(outer):
-    if isinstance(outer, rk.Expectation):
-        return ["outer = expectation"]
-    if isinstance(outer, rk.WorstCase):
-        return ["outer = worst_case"]
-    return ["outer = cvar", f"alpha = {_fmt(outer.level)}"]
-
-
-def _risk_lines(model, risk):
-    if isinstance(risk, rk.WorstCaseViolation):
-        return (["kind = worst_case_violation",
-                 f"acceptable = {_labels(model, risk.acceptable)}"], [])
-    if isinstance(risk, rk.Exceedance):
-        return (["kind = exceedance",
-                 f"acceptable = {_labels(model, risk.acceptable)}"], [])
-    if isinstance(risk, rk.AmbiguityExceedance):
-        lines = ["kind = ambiguity_exceedance",
-                 f"acceptable = {_labels(model, risk.acceptable)}"]
-        for b, belief in enumerate(risk.beliefs):
-            for t, vec in enumerate(belief):
-                lines.append(
-                    f"belief {b} {t} = " + " ".join(_fmt(p) for p in vec)
+def _cost_rows(model, cost):
+    rows = []
+    for t in range(model.horizon + 1):
+        for x in range(model.n_states):
+            v = float(cost.state_costs[t, x])
+            if v != 0.0:
+                rows.append(f"state {t} {model.states.label(x)} = {_fmt(v)}")
+    for t in range(model.horizon):
+        for u in range(model.n_controls):
+            v = float(cost.control_costs[t, u])
+            if v != 0.0:
+                rows.append(
+                    f"control {t} {model.controls.label(u)} = {_fmt(v)}"
                 )
-        return (lines, [])
-    if isinstance(risk, rk.ExitCountFunctional):
-        return (["kind = exit_count",
-                 f"acceptable = {_labels(model, risk.acceptable)}"]
-                + _outer_lines(risk.outer), [])
-    if not isinstance(risk, rk.Composed):
-        raise ModelFormatError(f"cannot serialize risk {type(risk).__name__}")
-    cost = risk.cost
-    lines = ["kind = composed"]
-    cost_lines = []
-    if isinstance(cost, rk.TimeOutside):
-        lines.append("cost = time_outside")
-        lines.append(f"acceptable = {_labels(model, cost.acceptable)}")
-    elif isinstance(cost, rk.ControlEffort):
-        lines.append("cost = control_effort")
-        if cost.rates is not None:
-            lines.append("effort = " + " ".join(_fmt(r) for r in cost.rates))
-    elif isinstance(cost, rk.TerminalMiss):
-        lines.append("cost = terminal_miss")
-        lines.append(f"acceptable = {_labels(model, cost.acceptable)}")
-    elif isinstance(cost, rk.RecoveryOffset):
-        lines.append("cost = recovery_offset")
-        lines.append(f"acceptable = {_labels(model, cost.acceptable)}")
-    elif isinstance(cost, rk.TabularCost):
-        lines.append("cost = tabular")
-        for t in range(model.horizon + 1):
-            for x in range(model.n_states):
-                v = float(cost.state_costs[t, x])
-                if v != 0.0:
-                    cost_lines.append(
-                        f"state {t} {model.states.label(x)} = {_fmt(v)}"
-                    )
-        for t in range(model.horizon):
-            for u in range(model.n_controls):
-                v = float(cost.control_costs[t, u])
-                if v != 0.0:
-                    cost_lines.append(
-                        f"control {t} {model.controls.label(u)} = {_fmt(v)}"
-                    )
-    else:
-        raise ModelFormatError(f"cannot serialize cost {type(cost).__name__}")
-    if cost.cemetery_penalty != rk.CEMETERY_PENALTY:
-        lines.append(f"cemetery_penalty = {_fmt(cost.cemetery_penalty)}")
-    lines += _outer_lines(risk.outer)
-    return (lines, cost_lines)
+    return rows
 
 
 def regime_state_set(regime):
     """The state set a kernel/value/recovery table should target, if the
     regime names one."""
-    if isinstance(regime, (rg.Viability, rg.RobustRecovery,
-                           rg.StochasticViability)):
-        return regime.acceptable
-    if isinstance(regime, (rg.Bounded, rg.ProbExcursion, rg.AtMostKExits)):
-        return regime.region
+    for field, _, codec, _ in _REGIMES.get(_kind_name(regime), (None, ()))[1]:
+        if codec is _STATES:
+            return getattr(regime, field)
     return None

@@ -254,10 +254,18 @@ def test_no_out_writes_nothing(tmp_path):
      "exceed cap"),
     (("oracle", "risk", "--model", "m1.model", "--x0", "CEMETERY",
       "--strategy", "m1_keep.strategy"), "x0 must be an ordinary state"),
+    (("kernel", "--model", "empty_key.model"),
+     "line 40: unknown [regime] key ''"),
 ])
-def test_bad_input_exits_2(argv, fragment):
+def test_bad_input_exits_2(argv, fragment, tmp_path):
+    # m1.model with a key-less line opening its [regime] section
+    empty_key = tmp_path / "empty_key.model"
+    empty_key.write_text(
+        (MODELS / "m1.model").read_text().replace("[regime]", "[regime]\n= 2")
+    )
     fixed = [
-        model(a)
+        str(empty_key) if a == "empty_key.model"
+        else model(a)
         if a != "missing.model" and a.endswith((".model", ".strategy"))
         else a
         for a in argv

@@ -2,6 +2,7 @@
 canonical serializer (parse-serialize-parse identity, serializer as a fixed
 point on the shipped fixtures)."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -403,3 +404,286 @@ def test_error_lines_are_reported():
         rk.parse_model(BASE.replace("a\nb", "a\na"))
     assert err.value.line == 6
     assert str(err.value).startswith("line 6:")
+
+
+# ------------------------------------------------------------ vocabulary
+#
+# Each kind of the [regime] and [risk] sections with its keys in file
+# order: (key, good value, malformed value, the malformed value's message).
+
+REGIME_NAMES = (
+    "viability, robust_recovery, stochastic_viability, bounded, "
+    "prob_excursion, at_most_k_exits, stabilize, control_event, "
+    "risk_containment"
+)
+RISK_NAMES = (
+    "worst_case_violation, exceedance, ambiguity_exceedance, exit_count, "
+    "composed"
+)
+COST_NAMES = (
+    "time_outside, control_effort, terminal_miss, tabular, recovery_offset"
+)
+OUTER_NAMES = "expectation, worst_case, cvar"
+OPTIONAL_KEYS = ("effort", "cemetery_penalty")
+
+
+def state_set_key(key):
+    return (key, "a", "a z", "unknown state label 'z'")
+
+
+def number_key(key, good="1"):
+    return (key, good, "x", f"bad {key} 'x'")
+
+
+def kind_key(noun, name, names):
+    return ("kind", name, "flow",
+            f"unknown {noun} kind 'flow'; expected one of: {names}")
+
+
+REGIME_FIELDS = {
+    "viability": [state_set_key("acceptable")],
+    "robust_recovery": [state_set_key("acceptable"), number_key("deadline")],
+    "stochastic_viability": [state_set_key("acceptable"),
+                             number_key("beta", "0.5")],
+    "bounded": [state_set_key("region")],
+    "prob_excursion": [state_set_key("region"), number_key("beta", "0.5")],
+    "at_most_k_exits": [state_set_key("region"), number_key("max_exits")],
+    "stabilize": [("target", "a", "z", "unknown state label 'z'"),
+                  number_key("radius", "0.5"), number_key("window")],
+    "control_event": [("controls", "u", "u v", "unknown control label 'v'")],
+    "risk_containment": [number_key("level", "0.5")],
+}
+COST_FIELDS = {
+    "time_outside": [state_set_key("acceptable")],
+    "control_effort": [("effort", "2.0", "x", "bad effort rate 'x'")],
+    "terminal_miss": [state_set_key("acceptable")],
+    "tabular": [],
+    "recovery_offset": [state_set_key("acceptable")],
+}
+OUTER_FIELDS = {
+    "expectation": [],
+    "worst_case": [],
+    "cvar": [number_key("alpha", "0.5")],
+}
+
+
+def outer_keys(name):
+    return [("outer", name, "median",
+             f"unknown outer 'median'; expected one of: {OUTER_NAMES}"),
+            *OUTER_FIELDS[name]]
+
+
+def vocabulary_cases():
+    """(id, section, keys, lines that follow the keys)."""
+    for name, fields in REGIME_FIELDS.items():
+        extra = ("\n[risk]\nkind = exceedance\nacceptable = a\n"
+                 if name == "risk_containment" else "")
+        yield (f"regime.{name}", "regime",
+               [kind_key("regime", name, REGIME_NAMES), *fields], extra)
+    for name in ("worst_case_violation", "exceedance", "ambiguity_exceedance"):
+        extra = "belief 0 * = 0.5 0.5\n" if name == "ambiguity_exceedance" else ""
+        yield (f"risk.{name}", "risk",
+               [kind_key("risk", name, RISK_NAMES),
+                state_set_key("acceptable")], extra)
+    for outer in OUTER_FIELDS:
+        yield (f"risk.exit_count.{outer}", "risk",
+               [kind_key("risk", "exit_count", RISK_NAMES),
+                state_set_key("acceptable"), *outer_keys(outer)], "")
+    for cost, fields in COST_FIELDS.items():
+        yield (f"risk.composed.{cost}", "risk",
+               [kind_key("risk", "composed", RISK_NAMES),
+                ("cost", cost, "fuel",
+                 f"unknown cost 'fuel'; expected one of: {COST_NAMES}"),
+                *fields, number_key("cemetery_penalty", "5.0"),
+                *outer_keys("cvar")], "")
+
+
+def section_text(section, lines, extra):
+    body = "\n".join(f"{key} = {value}" for key, value in lines)
+    if section == "regime":
+        return BASE.replace("kind = bounded\nregion = a b", body) + extra
+    return BASE + "\n[risk]\n" + body + "\n" + extra
+
+
+def expect_at(text, message, line):
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model(text)
+    assert err.value.line == line
+    prefix = "" if line is None else f"line {line}: "
+    assert str(err.value) == prefix + message
+
+
+def line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+@pytest.mark.parametrize(
+    "section, keys, extra",
+    [case[1:] for case in vocabulary_cases()],
+    ids=[case[0] for case in vocabulary_cases()],
+)
+def test_each_key_missing_or_malformed(section, keys, extra):
+    good = [(key, value) for key, value, _, _ in keys]
+    rk.parse_model(section_text(section, good, extra))
+    for i, (key, _, bad, message) in enumerate(keys):
+        text = section_text(section, good[:i] + good[i + 1:], extra)
+        if key in OPTIONAL_KEYS:
+            rk.parse_model(text)
+        else:
+            expect_at(text, f"[{section}] is missing `{key} =`", None)
+        text = section_text(section, good[:i] + [(key, bad)] + good[i + 1:],
+                            extra)
+        expect_at(text, message, line_of(text, f"{key} = {bad}"))
+
+
+def regime_text(lines):
+    return BASE.replace("kind = bounded\nregion = a b", lines)
+
+
+@pytest.mark.parametrize("text, message, line", [
+    # each field's key is required, then its value decoded, in record
+    # field order; the fields no key names (measure, beliefs) come last
+    (regime_text("kind = robust_recovery\nacceptable = a z"),
+     "unknown state label 'z'", "acceptable = a z"),
+    (regime_text("kind = stabilize\ntarget = a\nradius = x"),
+     "bad radius 'x'", "radius = x"),
+    (regime_text("kind = risk_containment\nlevel = x"),
+     "bad level 'x'", "level = x"),
+    (with_risk("kind = ambiguity_exceedance\nacceptable = z\n"
+               "belief 0 * = x"),
+     "unknown state label 'z'", "acceptable = z"),
+    (with_risk("kind = composed\ncost = terminal_miss\n"
+               "cemetery_penalty = x\nouter = worst_case"),
+     "[risk] is missing `acceptable =`", None),
+], ids=["robust_recovery", "stabilize", "risk_containment",
+        "ambiguity_exceedance", "composed"])
+def test_two_faults_report_the_first_field_in_record_order(text, message,
+                                                            line):
+    expect_at(text, message, line and line_of(text, line))
+
+
+def record_classes():
+    """Every regime, risk, cost and outer record class resilkit defines."""
+    regimes = {
+        cls for cls in vars(rk.regimes).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == rk.regimes.__name__
+    }
+    return regimes | set(rk.risk.RISK_KINDS + rk.risk.COST_KINDS
+                         + rk.risk.OUTER_KINDS)
+
+
+def vocabulary_samples(model):
+    """(regime, risk) pairs that use every record class between them."""
+    n, K, nu = model.n_states, model.horizon, model.n_controls
+    tabular = rk.TabularCost(
+        np.arange((K + 1) * n, dtype=float).reshape(K + 1, n) / 4,
+        np.eye(K, nu), cemetery_penalty=9.0,
+    )
+    measure = rk.Exceedance(A)
+    return [
+        (rk.Viability(A), rk.WorstCaseViolation(A)),
+        (rk.RobustRecovery(A, 2), measure),
+        (rk.StochasticViability(A, 0.75),
+         rk.AmbiguityExceedance(A, (((0.5, 0.5),) * K, ((1.0, 0.0),) * K))),
+        (rk.Bounded({1, 2}), rk.ExitCountFunctional(A, rk.Expectation())),
+        (rk.ProbExcursion(A, 0.25), rk.ExitCountFunctional(A, rk.CVaR(0.5))),
+        (rk.AtMostKExits(A, 1),
+         rk.Composed(rk.TimeOutside({2}), rk.WorstCase())),
+        (rk.Stabilize(2, 0.5, 1),
+         rk.Composed(rk.ControlEffort((0.5, 2.0), 7.0), rk.CVaR(0.7))),
+        (rk.ControlEvent({1}),
+         rk.Composed(rk.TerminalMiss({3}, 5.0), rk.Expectation())),
+        (rk.RiskContainment(measure, 0.1), measure),
+        (rk.Viability(A), rk.Composed(tabular, rk.Expectation())),
+        (rk.Viability(A), rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
+    ]
+
+
+def same_spec(a, b):
+    if isinstance(a, rk.TabularCost):
+        return (type(b) is rk.TabularCost
+                and np.array_equal(a.state_costs, b.state_costs)
+                and np.array_equal(a.control_costs, b.control_costs)
+                and a.cemetery_penalty == b.cemetery_penalty)
+    if isinstance(a, rk.Composed):
+        return (type(b) is rk.Composed and same_spec(a.cost, b.cost)
+                and a.outer == b.outer)
+    return a == b
+
+
+def test_every_record_kind_round_trips():
+    model = build_m1()
+    samples = vocabulary_samples(model)
+    used = set()
+    for regime, risk in samples:
+        used |= {type(regime), type(risk)}
+        used |= {type(getattr(risk, f)) for f in ("cost", "outer")
+                 if hasattr(risk, f)}
+        text = rk.serialize_model(model, regime, risk)
+        parsed = rk.parse_model(text)
+        assert rk.models_equal(parsed.model, model)
+        assert same_spec(regime, parsed.regime)
+        assert same_spec(risk, parsed.risk)
+        assert rk.serialize_model(parsed.model, parsed.regime,
+                                  parsed.risk) == text
+    assert used == record_classes()
+
+
+def test_empty_key_is_a_format_error():
+    expect_at(BASE.replace("region = a b", "region = a b\n= a"),
+              "unknown [regime] key ''; expected one of: acceptable, beta, "
+              "controls, deadline, kind, level, max_exits, radius, region, "
+              "target, window", 23)
+    text = with_risk("kind = exceedance\n= a")
+    expect_at(text, "unknown [risk] key ''; expected one of: acceptable, "
+              "alpha, cemetery_penalty, cost, effort, kind, outer",
+              line_of(text, "= a"))
+    expect_at(BASE.replace("set * = 0 1", "set * = 0 1\n= 0 1"),
+              "unknown uncertainty line '= 0 1'", 13)
+
+
+def test_negative_belief_index_is_rejected():
+    text = with_risk("kind = ambiguity_exceedance\nacceptable = a\n"
+                     "belief 0 * = 1.0 0.0\nbelief -1 * = 1.0 0.0")
+    expect_at(text, "bad belief index '-1'",
+              line_of(text, "belief -1 * = 1.0 0.0"))
+
+
+@pytest.mark.parametrize("kind", ["worst_case_violation", "exceedance"])
+def test_belief_lines_only_apply_to_ambiguity_exceedance(kind):
+    text = with_risk(f"kind = {kind}\nacceptable = a\nbelief 0 * = 1.0 0.0")
+    expect_at(text, "belief lines only apply to kind ambiguity_exceedance",
+              line_of(text, "belief 0 * = 1.0 0.0"))
+
+
+def test_serializer_writes_the_risk_containment_measure():
+    model = build_m1()
+    measure = rk.ExitCountFunctional(A, rk.CVaR(0.5))
+    regime = rk.RiskContainment(measure, 0.25)
+    text = rk.serialize_model(model, regime)
+    assert text == rk.serialize_model(model, regime, measure)
+    parsed = rk.parse_model(text)
+    assert parsed.regime == regime
+    assert parsed.risk == measure
+    with pytest.raises(rk.ModelFormatError,
+                       match="writes its measure as the \\[risk\\] section"):
+        rk.serialize_model(model, regime, rk.Exceedance(A))
+
+
+def test_cost_rows_need_the_tabular_cost():
+    text = with_risk("kind = composed\ncost = time_outside\nacceptable = a\n"
+                     "outer = expectation") + "\n[cost]\nstate * a = 1.0\n"
+    expect_at(text, "[cost] section requires risk `kind = composed` with "
+              "`cost = tabular`", line_of(text, "state * a = 1.0"))
+
+
+def test_record_subclasses_keep_their_kind():
+    class Region(rk.Bounded):
+        pass
+
+    model = build_m1()
+    regime = Region({1, 2})
+    assert rk.regime_state_set(regime) == {1, 2}
+    text = rk.serialize_model(model, regime)
+    assert text == rk.serialize_model(model, rk.Bounded({1, 2}))
