@@ -4,24 +4,28 @@ and oracle_min_risk, which decides the same question over the whole class.
 Usage: PYTHONPATH=src python benchmarks/bench_scan.py [--repeat N] [--out PATH]
            [--before PATH]
 
-Runs minimize_risk(method="exhaustive") on models/m1_benign.model from
-every state, and on three reservoir models (level + inflow - drawdown, the
-shapes of perfbench's scan workload) from both end states under four
-regime/risk pairs. For every case it records the size of the strategy
-class, how many representatives the scan decides
-(strategy.rank_layout(...).size, one per class of strategies that agree on
-the policy slots reachable from x0), the trajectory bundles it built (the
-`_bundle` calls made from optimize and engine), `examined`, the best of
---repeat wall times, class members decided per second, representatives
-decided per second, and a sha256 of the result (value bits, examined,
-certificate, strategy tables), so two versions of the scan can be compared
-on speed and shown to give the same answers. Each case also gets one
-oracle_min_risk row: the best wall time, class members decided per second,
-the bundles it priced (oracle._evaluate calls: on the batched route one per
-distinct member row set per simulated block, so members that share their
-rows are priced once, on a bundle built from the first one's rows; on the
-object path one per member, on a bundle built by strategy._bundle) and a
-sha256 of its value bits, examined count and witness tables. Writes --out
+Runs minimize_risk(method="exhaustive") over the Markov class on
+models/m1_benign.model from every state, and on three reservoir models
+(level + inflow - drawdown, the shapes of perfbench's scan workload) from
+both end states under four regime/risk pairs; then the same reservoir cases
+over the adapted class, on the reservoirs whose adapted class is under the
+strategy cap. For every case it records the strategy class and its size,
+how many representatives the scan decides (strategy.rank_layout(...).size,
+one per class of strategies that agree on the policy slots reachable from
+x0), `bundles`, the trajectory bundles built during the scan
+(strategy._bundle calls; the scan decides and prices on simulated path
+arrays, so it reads 0 wherever no bundle route is left), `examined`, the
+best of --repeat wall times, class members decided per second,
+representatives decided per second, and a sha256 of the result (value bits,
+examined, certificate, strategy tables), so two versions of the scan can be
+compared on speed and shown to give the same answers. Each case also gets
+one oracle_min_risk row over the same class: the best wall time, class
+members decided per second, the bundles it priced (oracle._evaluate calls:
+on the batched route one per distinct member row set per simulated block,
+so members that share their rows are priced once, on a bundle built from
+the first one's rows; on the object path, which the adapted class takes,
+one per member, on a bundle built by strategy._bundle) and a sha256 of its
+value bits, examined count and witness tables. Writes --out
 (default BENCH_scan.json at the repository root) with the machine, the
 numpy version and the simulation backend. --before names a file this
 harness wrote on another version of the code (run with PYTHONPATH pointing
@@ -42,6 +46,7 @@ import numpy as np
 
 import resilkit as rk
 from bench_dp import cpu_model
+from resilkit.strategy import DEFAULT_STRATEGY_CAP
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (n, nu, K, drawdown, calm probability), as in perfbench's scan workload
@@ -85,18 +90,24 @@ def reservoir(n, nu, K, drawdown, calm, seed=0):
 
 
 def cases():
-    """(name, model, x0, regime, risk) for every timed scan."""
+    """(name, model, x0, regime, risk, strategy class) for every timed
+    scan: the Markov class first, then the adapted class where it is under
+    the strategy cap."""
     with open(os.path.join(ROOT, "models", "m1_benign.model"),
               encoding="utf-8") as fh:
         parsed = rk.parse_model(fh.read())
     for x0 in range(parsed.model.n_states):
-        yield "m1_benign", parsed.model, x0, parsed.regime, parsed.risk
-    for shape in RESERVOIRS:
-        model, combos = reservoir(*shape)
-        name = "reservoir n={} nu={} K={}".format(*shape[:3])
-        for x0 in (0, model.n_states - 1):
-            for key, (regime, risk) in combos.items():
-                yield f"{name} {key}", model, x0, regime, risk
+        yield ("m1_benign", parsed.model, x0, parsed.regime, parsed.risk,
+               rk.MARKOV)
+    for kind in (rk.MARKOV, rk.ADAPTED):
+        for shape in RESERVOIRS:
+            model, combos = reservoir(*shape)
+            if rk.count_strategies(model, kind, 0) > DEFAULT_STRATEGY_CAP:
+                continue
+            name = "reservoir n={} nu={} K={}".format(*shape[:3])
+            for x0 in (0, model.n_states - 1):
+                for key, (regime, risk) in combos.items():
+                    yield f"{name} {key}", model, x0, regime, risk, kind
 
 
 def sha256(result):
@@ -111,27 +122,29 @@ def sha256(result):
     return h.hexdigest()
 
 
-def scan(model, x0, regime, risk):
+def scan(model, x0, regime, risk, kind):
     """(result, representatives, bundles built) of one exhaustive
-    minimize_risk."""
+    minimize_risk over the strategy class `kind`."""
     bundles = 0
-    modules = [m for m in (rk.optimize, rk.engine) if hasattr(m, "_bundle")]
+    modules = [m for m in (rk.strategy, rk.optimize, rk.engine)
+               if hasattr(m, "_bundle")]
     builds = [m._bundle for m in modules]
+    build = rk.strategy._bundle
 
     def counting(*args, **kwargs):
         nonlocal bundles
         bundles += 1
-        return rk.strategy._bundle(*args, **kwargs)
+        return build(*args, **kwargs)
 
     for m in modules:
         m._bundle = counting
     try:
-        result = rk.minimize_risk(model, x0, 0, regime, risk,
+        result = rk.minimize_risk(model, x0, 0, regime, risk, kind,
                                   method="exhaustive")
     finally:
-        for m, build in zip(modules, builds):
-            m._bundle = build
-    layout = rk.strategy.rank_layout(model, x0, rk.MARKOV, 0)
+        for m, original in zip(modules, builds):
+            m._bundle = original
+    layout = rk.strategy.rank_layout(model, x0, kind, 0)
     return result, layout.size, bundles
 
 
@@ -145,8 +158,9 @@ def oracle_sha256(value, strategy, examined):
     return h.hexdigest()
 
 
-def oracle_row(name, model, x0, regime, risk, repeat):
-    """One oracle_min_risk row: best time, class/s, bundles priced, sha256."""
+def oracle_row(name, model, x0, regime, risk, kind, repeat):
+    """One oracle_min_risk row over the strategy class `kind`: best time,
+    class/s, bundles priced, sha256."""
     priced = 0
     evaluate = rk.oracle._evaluate
 
@@ -158,16 +172,16 @@ def oracle_row(name, model, x0, regime, risk, repeat):
     rk.oracle._evaluate = counting
     try:
         value, strategy, examined = rk.oracle_min_risk(model, x0, 0, regime,
-                                                       risk)
+                                                       risk, kind)
     finally:
         rk.oracle._evaluate = evaluate
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        rk.oracle_min_risk(model, x0, 0, regime, risk)
+        rk.oracle_min_risk(model, x0, 0, regime, risk, kind)
         best = min(best, time.perf_counter() - t0)
-    class_size = rk.count_strategies(model, rk.MARKOV, 0)
-    return {"name": name, "x0": x0, "class_size": class_size,
+    class_size = rk.count_strategies(model, kind, 0)
+    return {"name": name, "x0": x0, "class": kind, "class_size": class_size,
             "examined": examined, "priced": priced, "best_s": best,
             "class_per_s": class_size / best,
             "sha256": oracle_sha256(value, strategy, examined)}
@@ -181,25 +195,27 @@ def main():
     args = ap.parse_args()
 
     out_cases, oracle_rows = [], []
-    for name, model, x0, regime, risk in cases():
-        result, scanned, bundles = scan(model, x0, regime, risk)
+    for name, model, x0, regime, risk, kind in cases():
+        result, scanned, bundles = scan(model, x0, regime, risk, kind)
         best = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
-            rk.minimize_risk(model, x0, 0, regime, risk, method="exhaustive")
+            rk.minimize_risk(model, x0, 0, regime, risk, kind,
+                             method="exhaustive")
             best = min(best, time.perf_counter() - t0)
-        class_size = rk.count_strategies(model, rk.MARKOV, 0)
-        case = {"name": name, "x0": x0, "class_size": class_size,
+        class_size = rk.count_strategies(model, kind, 0)
+        case = {"name": name, "x0": x0, "class": kind,
+                "class_size": class_size,
                 "scanned": scanned, "bundles": bundles,
                 "examined": result.examined, "best_s": best,
                 "class_per_s": class_size / best,
                 "scanned_per_s": scanned / best, "sha256": sha256(result)}
-        print(f"{name:26s} x0={x0}  class {class_size:5d}  scanned "
+        print(f"{name:26s} x0={x0} {kind:7s} class {class_size:6d}  scanned "
               f"{scanned:5d}  bundles {bundles:5d}  {best:8.4f} s  "
               f"{case['sha256'][:12]}", flush=True)
         out_cases.append(case)
-        row = oracle_row(name, model, x0, regime, risk, args.repeat)
-        print(f"{'  oracle_min_risk':26s}       class {class_size:5d}  "
+        row = oracle_row(name, model, x0, regime, risk, kind, args.repeat)
+        print(f"{'  oracle_min_risk':26s}              class {class_size:6d}  "
               f"{'':14s}  priced  {row['priced']:5d}  {row['best_s']:8.4f} s  "
               f"{row['sha256'][:12]}", flush=True)
         oracle_rows.append(row)

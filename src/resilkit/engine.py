@@ -10,12 +10,12 @@ time (`_backup`) on the model's cached successor planes (`_planes`).
 Witness policies use the smallest control index on ties so outputs are
 reproducible.
 
-Markov scans decide membership a block of representatives at a time. The
-six worst-case path regimes are read through a finite monitor
-(`_monitor`), and one forward walk over the reachable (state, memory)
-pairs decides a block without simulating it; ProbExcursion and
-StochasticViability weigh the block's simulated paths
-(_sim.simulate_batch).
+Scans of either strategy class decide membership a block of
+representatives at a time, on policy arrays (`_member_blocks`). The six
+worst-case path regimes are read through a finite monitor (`_monitor`);
+for Markov blocks over a per-time product domain, one forward walk over the
+reachable (state, memory) pairs decides a block without simulating it.
+Other blocks are simulated (_sim.simulate_batch) and decided on their paths.
 """
 
 from __future__ import annotations
@@ -38,26 +38,24 @@ from .regimes import (
     AtMostKExits,
     Bounded,
     ControlEvent,
-    ProbExcursion,
     RobustRecovery,
     Stabilize,
     StochasticViability,
     Viability,
     _check_state_set,
-    _membership,
     _path_membership,
+    regime_membership,
     validate_regime,
 )
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
-    _bundle,
+    _layout_strategy,
     _markov_from_table,
     build_bundle,
     count_strategies,
     rank_layout,
-    strategy_from_rank,
     validate_strategy,
 )
 from ._sim import simulate_batch
@@ -67,12 +65,9 @@ from ._sim import simulate_batch
 _REACH_CELLS = 1 << 18
 
 # trajectory cells (representatives x scenarios x (steps + 1)) per
-# simulated block of a Markov scan, which bounds the block's path arrays
-# whatever M is
+# simulated block of a scan, which bounds the block's path arrays whatever
+# M is
 _PATH_CELLS = 1 << 16
-
-# regimes Markov scans decide on the simulated paths of a block
-_PATH_REGIMES = (ProbExcursion, StochasticViability)
 
 
 @record(eq=False)
@@ -418,21 +413,18 @@ def check_resilient(
     bundle = build_bundle(
         model, strategy, x0, start=start, robust_only=robust_only, cap=cap
     )
-    return _membership(
-        model, regime, bundle, _Scenarios(model, bundle.scenarios, robust_only)
-    )
+    return regime_membership(model, regime, bundle)
 
 
 def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
-    """The regime's scenario set for a scan that calls check_resilient on
-    strategies from strategy_from_rank or enumerate_strategies at `start`.
+    """The regime's scenario set for a scan that decides, for every
+    strategy of a class from `start`, what check_resilient would.
 
-    Such strategies are valid by construction once `start` is, so the
-    checks check_resilient would repeat on each of them are made here, once,
-    in its order: the scenario count against `cap`, the start time, then
-    x0 when given. The scan then calls _bundle and _membership directly.
-    The set is enumerated when first read, which the forward route never
-    does.
+    The scanned strategies are valid by construction once `start` is, so
+    the checks check_resilient would repeat on each of them are made here,
+    once, in its order: the scenario count against `cap`, the start time,
+    then x0 when given. The set is enumerated when first read, which the
+    monitor walk never does.
     """
     robust_only = isinstance(regime, RobustRecovery)
     total = count_scenarios(model, robust_only)
@@ -452,7 +444,8 @@ class _Monitor(NamedTuple):
     Memories run best-first from 0 to the sink, which rejects for good.
     init[x] (n+1,) is the memory once x is read at the start; update[t, m,
     u, x'] (K, sink+1, nu, n+1) the memory after m plays u at t and moves
-    to x'; domain[t] the w the regime quantifies over at t."""
+    to x'; domain[t] the w the regime quantifies over at t, or domain None
+    where that is no per-time product."""
 
     init: np.ndarray
     update: np.ndarray
@@ -460,9 +453,9 @@ class _Monitor(NamedTuple):
 
 
 def _monitor(model, regime, start):
-    """The regime's _Monitor for paths from `start`; None where it has none
-    over a per-time product domain: ProbExcursion, StochasticViability,
-    RiskContainment, RobustRecovery on an explicit robust scenario list,
+    """The regime's _Monitor for paths from `start`; None for
+    ProbExcursion, StochasticViability and RiskContainment. Its domain is
+    None for RobustRecovery on an explicit robust scenario list, and for
     AtMostKExits on a joint distribution or where a positive-support
     scenario's weight underflows to 0.0 (membership skips those).
 
@@ -489,11 +482,11 @@ def _monitor(model, regime, start):
     elif isinstance(regime, Bounded):
         region = regime.region
     elif isinstance(regime, RobustRecovery):
-        if model.robust_scenarios is not None:
-            return None
         # recovery_time is never below the start
         region = regime.acceptable if regime.deadline >= start else ()
         first, domain = min(regime.deadline, K), list(model.uncertainty.robust)
+        if model.robust_scenarios is not None:
+            domain = None
     elif isinstance(regime, Stabilize):
         center = model.states.coords[regime.target]
         region = [x for x, c in enumerate(model.states.coords)
@@ -505,8 +498,8 @@ def _monitor(model, regime, start):
         # rounding is monotone, so no other positive weight is less
         least = math.prod(min(v for v in p if v > 0.0) for p in probs)
         if model.scenario_probs is not None or least == 0.0:
-            return None
-        if probs:
+            domain = None
+        elif probs:
             domain = [[w for w, v in enumerate(p) if v > 0.0] for p in probs]
         # past K - start + 1 checked times the count never rejects
         region, limit = regime.region, min(regime.max_exits, K - start + 1)
@@ -530,7 +523,8 @@ def _reachable_members(model, monitor, x0, start, policies):
     x0 at `start`? That is regimes._membership on each strategy's bundle.
     The reachable (state, memory) pairs are propagated forward from
     (x0, init[x0]) as a bool (S, n+1, sink) array through every w of the
-    domain; the cemetery plays control 0, inadmissible controls lead to it.
+    domain, a per-time product; the cemetery plays control 0, inadmissible
+    controls lead to it.
     """
     dyn, ok = packed_tables(model)
     K, n = model.horizon, model.n_states
@@ -556,11 +550,28 @@ def _reachable_members(model, monitor, x0, start, policies):
     return member
 
 
-def _blocks_decide(regime, strategy_class, monitor):
-    """Do _member_blocks decide the regime? Wherever the scan has a
-    monitor, and in Markov scans of ProbExcursion and StochasticViability."""
-    return monitor is not None or (
-        strategy_class == MARKOV and isinstance(regime, _PATH_REGIMES)
+def _monitor_paths(model, regime, monitor, states, controls, scenarios, start):
+    """member[s]: the _Monitor run along each path of strategy s (from
+    `start`, over `scenarios`) stays out of its sink on every row that
+    regimes._membership counts: all, or for AtMostKExits with probabilities
+    those of positive weight."""
+    m = monitor.init[states[:, :, 0]]
+    for l in range(controls.shape[2]):
+        update = monitor.update[start + l]
+        m = update[m, controls[:, :, l], states[:, :, l + 1]]
+    kept = m < len(monitor.update[0]) - 1  # below the sink
+    weighed = model.uncertainty.has_probs or model.scenario_probs is not None
+    if isinstance(regime, AtMostKExits) and weighed:
+        kept |= np.asarray(scenarios.weights) <= 0.0
+    return kept.all(axis=1)
+
+
+def _simulate(model, policies, scenarios, x0, start):
+    """simulate_batch of RankLayout.policies arrays over a _Scenarios."""
+    dyn, ok = packed_tables(model)
+    prefixes = scenarios.prefixes(start) if policies.shape[3] > 1 else None
+    return simulate_batch(
+        dyn, ok, policies, scenarios.table, x0, start, prefixes
     )
 
 
@@ -571,67 +582,49 @@ def _path_block(model, start, n_scenarios):
 
 
 def _member_blocks(model, regime, monitor, layout, x0, start, scenarios):
-    """Yield (index, policies, paths) for the members of the Markov
-    layout from x0, in ascending blocks where _blocks_decide holds: the
-    members' representative indices (int64), their policy arrays (int32
-    (S, K, n+1), as markov_policy_array packs them) and their paths over
-    `scenarios` (states, controls as simulate_batch returns them), or None
-    where membership needed no paths.
+    """Yield (index, policies, paths) for the members of the layout from
+    x0, in ascending blocks: the members' representative indices (int64),
+    their RankLayout.policies arrays and their paths over `scenarios`, the
+    regime's _Scenarios (as simulate_batch returns them), or None where
+    membership needed no paths; `monitor` is the scan's _monitor.
 
-    With the scan's _monitor, _reachable_members decides a block whose
-    K * (n+1) policy cells and (n+1) * memories * |W_t| walk cells per
-    representative, the larger, total at most _REACH_CELLS. ProbExcursion
-    and StochasticViability simulate blocks of _path_block over
-    `scenarios`, the full domain, and weigh the paths (_path_membership).
+    Where the layout has one prefix per time and the monitor's domain is a
+    per-time product, _reachable_members decides a block whose K * (n+1)
+    policy cells and (n+1) * memories * |W_t| walk cells per
+    representative, the larger, total at most _REACH_CELLS. Otherwise
+    blocks of _path_block are simulated over `scenarios` and decided by
+    _monitor_paths or _path_membership.
     """
-    if monitor is not None:
+    walk = monitor is not None and monitor.domain is not None
+    walk = walk and layout.policy_shape[2] == 1
+    if walk:
         width = model.dynamics.shape[3] * (len(monitor.update[0]) - 1)
         cells = (model.n_states + 1) * max(model.horizon, width)
         step = max(1, _REACH_CELLS // cells)
     else:
-        dyn, ok = packed_tables(model)
         step = _path_block(model, start, len(scenarios.scenarios))
     for lo in range(0, layout.size, step):
         policies = layout.policies(lo, min(layout.size, lo + step))
-        if monitor is not None:
-            paths = None
-            member = _reachable_members(model, monitor, x0, start, policies)
+        paths = None
+        if walk:
+            member = _reachable_members(
+                model, monitor, x0, start, policies[..., 0]
+            )
         else:
-            paths = simulate_batch(
-                dyn, ok, policies, scenarios.table, x0, start
-            )
-            member = _path_membership(
-                model, regime, *paths, scenarios, start
-            )
+            paths = _simulate(model, policies, scenarios, x0, start)
+            if monitor is not None:
+                member = _monitor_paths(
+                    model, regime, monitor, *paths, scenarios, start
+                )
+            else:
+                member = _path_membership(
+                    model, regime, *paths, scenarios, start
+                )
         index = np.flatnonzero(member)
         if index.size:
             if paths is not None:
                 paths = tuple(a[index] for a in paths)
             yield lo + index, policies[index], paths
-
-
-def _scan_members(
-    model, regime, strategy_class, layout, x0, start, scenarios, monitor
-):
-    """Yield (index, strategy, bundle) for each representative of the
-    layout that meets the regime from x0, in ascending rank. Where
-    _blocks_decide holds, member blocks decide (_member_blocks, with the
-    scan's _monitor) and bundle is None; elsewhere bundle is the
-    membership bundle over `scenarios`, the _Scenarios of _scan_scenarios."""
-    if _blocks_decide(regime, strategy_class, monitor):
-        n = model.n_states
-        for index, policies, _ in _member_blocks(
-            model, regime, monitor, layout, x0, start, scenarios
-        ):
-            for i, table in zip(index.tolist(), policies):
-                yield i, _markov_from_table(table[start:, :n], start), None
-        return
-    for i in range(layout.size):
-        rank = layout.rank(i)
-        strat = strategy_from_rank(model, rank, strategy_class, start)
-        bundle = _bundle(model, strat, x0, start, scenarios)
-        if _membership(model, regime, bundle, scenarios):
-            yield i, strat, bundle
 
 
 def resilient_states(
@@ -645,23 +638,30 @@ def resilient_states(
     """All states resilient at `start`, each with a witness strategy.
 
     Viability, RobustRecovery, and StochasticViability dispatch to the
-    backward recursions (exact for both strategy classes); every other
-    regime is decided by exhaustive search over the declared class, which
-    visits one representative per class of strategies that agree on the
-    policy slots reachable from x0 (strategy.rank_layout). The cap applies
-    to the size of the whole class. method="exhaustive" names the witness
-    contract: each member's witness is the least-rank resilient strategy of
-    the declared class. Markov scans of Bounded, AtMostKExits, Stabilize,
-    ControlEvent and ProbExcursion decide membership a block at a time
-    (_member_blocks) and build no trajectory bundle; the first four walk
-    the regime's _monitor, built once per call, and read no scenario list.
-    Other scans build one bundle per representative.
+    backward recursions (exact for both strategy classes) where those take
+    the model: RobustRecovery needs per-time robust subsets, and
+    StochasticViability per-time probabilities and no joint distribution.
+    Every other case is decided by exhaustive search over the declared
+    class, which visits one representative per class of strategies that
+    agree on the policy slots reachable from x0 (strategy.rank_layout). The
+    cap applies to the size of the whole class. method="exhaustive" names
+    the witness contract: each member's witness is the least-rank resilient
+    strategy of the declared class. The search decides membership a block
+    of representatives at a time on policy arrays (_member_blocks) and
+    builds no trajectory bundle; the regime's _monitor is built once per
+    call, and Markov walks over a per-time product read no scenario list.
     """
     validate_regime(model, regime)
     if not 0 <= start <= model.horizon:
         raise InputError(f"start {start} outside 0..{model.horizon}")
 
-    if isinstance(regime, (Viability, RobustRecovery, StochasticViability)):
+    if isinstance(regime, RobustRecovery):
+        recursive = model.robust_scenarios is None
+    elif isinstance(regime, StochasticViability):
+        recursive = model.uncertainty.has_probs and model.scenario_probs is None
+    else:
+        recursive = isinstance(regime, Viability)
+    if recursive:
         if isinstance(regime, Viability):
             table = _kernel(model, regime.acceptable, "full")
             members, method = table.member_set(start), "kernel"
@@ -682,23 +682,23 @@ def resilient_states(
     if total > cap:
         raise CapacityError(
             f"{total} {strategy_class} strategies exceed cap {cap}; "
-            "viability-family regimes dispatch to exact recursions instead"
+            "viability-family regimes on per-time products dispatch to "
+            "exact recursions instead"
         )
     scenarios = _scan_scenarios(model, regime, start, cap=scenario_cap)
-    markov = strategy_class == MARKOV
-    monitor = _monitor(model, regime, start) if markov else None
+    monitor = _monitor(model, regime, start)
     # each x0's witness is its least-rank resilient strategy, which is the
     # first resilient representative; equal witnesses share one object
     witnesses = {}
     by_rank = {}
     for x0 in range(model.n_states):
         layout = rank_layout(model, x0, strategy_class, start)
-        members = _scan_members(
-            model, regime, strategy_class, layout, x0, start, scenarios,
-            monitor,
-        )
-        for i, strat, _ in members:
-            witnesses[x0] = by_rank.setdefault(layout.rank(i), strat)
+        for index, policies, _ in _member_blocks(
+            model, regime, monitor, layout, x0, start, scenarios
+        ):
+            strat = _layout_strategy(model, strategy_class, policies[0], start)
+            rank = layout.rank(int(index[0]))
+            witnesses[x0] = by_rank.setdefault(rank, strat)
             break
     return ResilientSet(
         start, regime, strategy_class, frozenset(witnesses), witnesses,

@@ -549,6 +549,7 @@ class _Scenarios:
         self.robust_only = robust_only
         self.check = check
         self.cap = cap
+        self._prefixes = {}
 
     @functools.cached_property
     def scenarios(self):
@@ -563,6 +564,17 @@ class _Scenarios:
         return np.array(self.scenarios, dtype=np.int32).reshape(
             len(self.scenarios), self.model.horizon
         )
+
+    def prefixes(self, start):
+        """intp (M, K): [m, t] ranks row m's prefix (w_start..w_{t-1}) as
+        strategy.prefix_rank does, from the table's own w columns (0 up to
+        `start`), for adapted policies; built once per start."""
+        if start not in self._prefixes:
+            ranks = self._prefixes[start] = np.zeros_like(self.table, np.intp)
+            for t in range(start + 1, self.model.horizon):
+                size = self.model.uncertainty.size(t - 1)
+                ranks[:, t] = ranks[:, t - 1] * size + self.table[:, t - 1]
+        return self._prefixes[start]
 
     @functools.cached_property
     def weights(self):

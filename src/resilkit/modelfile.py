@@ -670,15 +670,17 @@ def _lookup(sec, key, table):
     return table[name]
 
 
-def _build(sec, cls, fields):
+def _build(sec, cls, fields, read):
     """The record from its fields in order: each key required, then its
-    value decoded; nested kinds depth-first; the unlisted fields last."""
+    value decoded; nested kinds depth-first; the unlisted fields last.
+    Each key read goes into `read`, mapped to whether it names a kind."""
     values = {}
     for field, key, codec, default in fields:
         if key not in sec.keys and default is not dataclasses.MISSING:
             continue
+        read[key] = isinstance(codec, dict)
         if isinstance(codec, dict):
-            values[field] = _build(sec, *_lookup(sec, key, codec))
+            values[field] = _build(sec, *_lookup(sec, key, codec), read)
         else:
             lineno, text = _need(sec.keys, key, sec.name)
             values[field] = codec.decode(sec.model, text, key, lineno)
@@ -703,12 +705,28 @@ def _unlisted(sec, cls):
     return {}
 
 
+def _build_kind(sec, cls, fields):
+    """_build of the section's `kind =` entry, then an error at the first
+    line whose key the chosen kinds do not read."""
+    read = {"kind": True}
+    spec = _build(sec, cls, fields, read)
+    for key, (lineno, _) in sec.keys.items():
+        if key not in read:
+            chosen = (f"{k} = {sec.keys[k][1]}" for k in read if read[k])
+            raise ModelFormatError(
+                f"[{sec.name}] key {key!r} does not apply to "
+                + ", ".join(chosen),
+                lineno,
+            )
+    return spec
+
+
 def _parse_regime(rows, model, risk_spec):
     keys, beliefs = _section_dict(rows, _REGIME_KEYS, "regime")
     if beliefs:
         raise ModelFormatError("belief lines belong in [risk]", beliefs[0][0])
     sec = _Section("regime", keys, model, risk=risk_spec)
-    return _build(sec, *_lookup(sec, "kind", _REGIMES))
+    return _build_kind(sec, *_lookup(sec, "kind", _REGIMES))
 
 
 def _parse_risk(rows, cost_rows, model):
@@ -733,7 +751,7 @@ def _parse_risk(rows, cost_rows, model):
             + _NAMES[rk.AmbiguityExceedance],
             beliefs[0][0],
         )
-    return _build(sec, cls, fields)
+    return _build_kind(sec, cls, fields)
 
 
 def _parse_beliefs(belief_rows, model):

@@ -8,19 +8,15 @@ so the scan visits one representative per such class, its least rank (see
 strategy.rank_layout); answers, ties and `examined` are those of the full
 scan.
 
-Markov scans of ProbExcursion, StochasticViability and every regime with
-a finite monitor (engine._monitor, built once per call) build no
-trajectory bundle and no strategy per representative: they work on blocks
-of policy arrays (engine._member_blocks). Monitored regimes decide
-membership by one forward walk over (state, memory) pairs; the two
-probabilistic ones on the block's paths, simulated over the full scenario
-set (_sim.simulate_batch), whose weights are added in the bundle's order.
-The members' paths, simulated where membership did not need them, are then
-priced all at once (risk._evaluate_paths, bit-identical to evaluate_risk on
-each member's bundle), and only the winner becomes a Strategy. Every other
-regime, and the adapted class, decides membership on one bundle per
-representative and prices each member on its bundle. The scan runs on the
-calling thread; `jobs` is accepted for compatibility and has no effect.
+The scan builds no trajectory bundle and no strategy per representative,
+for either strategy class and any regime: it works on blocks of policy
+arrays (engine._member_blocks), which decide membership by the monitor
+walk or on the block's paths simulated over the regime's scenario set
+(_sim.simulate_batch). The members' paths over the full scenario set,
+simulated again where membership did not read them there, are then priced
+all at once (risk._evaluate_paths, bit-identical to evaluate_risk on each
+member's bundle), and only the winner becomes a Strategy. The scan runs on
+the calling thread; `jobs` is accepted for compatibility and has no effect.
 
 A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
@@ -45,17 +41,16 @@ import numpy as np
 from ._record import record
 from .engine import (
     _backup,
-    _blocks_decide,
     _fill,
     _kernel,
     _member_blocks,
     _monitor,
     _path_block,
-    _scan_members,
     _scan_scenarios,
+    _simulate,
 )
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import SystemModel, packed_tables
+from .model import SystemModel
 from .regimes import StochasticViability, Viability, validate_regime
 from .risk import (
     Composed,
@@ -64,7 +59,6 @@ from .risk import (
     TabularCost,
     TerminalMiss,
     TimeOutside,
-    _evaluate,
     _evaluate_paths,
     validate_risk,
 )
@@ -72,12 +66,10 @@ from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
-    _bundle,
-    _markov_from_table,
+    _layout_strategy,
     count_strategies,
     rank_layout,
 )
-from ._sim import simulate_batch
 
 EXHAUSTIVE = "exhaustive"
 DP = "dp"
@@ -195,17 +187,16 @@ def _member_values(
     model, x0, start, regime, risk, layout, scenarios, monitor
 ):
     """Yield (policies, risks) over the layout's members in ascending
-    blocks, where _blocks_decide holds: the members' policy arrays and
-    their risks, float64, each bit-identical to _evaluate on the member's
-    full-domain bundle. Members decided by the monitor walk are simulated
-    over the full scenario set in blocks of _path_block."""
-    dyn, ok = packed_tables(model)
+    blocks: the members' policy arrays and their risks, float64, each
+    bit-identical to _evaluate on the member's full-domain bundle. Members
+    whose membership read no paths over the full scenario set are
+    simulated over it in blocks of _path_block."""
     for _, policies, paths in _member_blocks(
         model, regime, monitor, layout, x0, start, scenarios
     ):
         # the full scenario set is enumerated at the first member only
         full = scenarios.full
-        if paths is not None:
+        if paths is not None and full is scenarios:
             yield policies, _evaluate_paths(
                 model, risk, *paths, full, start
             )
@@ -213,7 +204,7 @@ def _member_values(
         step = _path_block(model, start, len(full.scenarios))
         for lo in range(0, len(policies), step):
             block = policies[lo : lo + step]
-            paths = simulate_batch(dyn, ok, block, full.table, x0, start)
+            paths = _simulate(model, block, full, x0, start)
             yield block, _evaluate_paths(model, risk, *paths, full, start)
 
 
@@ -222,38 +213,23 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     strategy, members) of the first strict minimizer (strategy None when
     none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
-    markov = strategy_class == MARKOV
-    monitor = _monitor(model, regime, start) if markov else None
+    monitor = _monitor(model, regime, start)
     best = math.inf
     examined = 0
-    if _blocks_decide(regime, strategy_class, monitor):
-        winner = None
-        for policies, values in _member_values(
-            model, x0, start, regime, risk, layout, scenarios, monitor
-        ):
-            for i, value in enumerate(values.tolist()):
-                if winner is None or value < best:
-                    best = value
-                    winner = policies[i]
-            examined += len(values)
-        if winner is None:
-            return best, None, examined
-        table = winner[start:, : model.n_states]
-        return best, _markov_from_table(table, start), examined
-    best_strategy = None
-    for _, strat, bundle in _scan_members(
-        model, regime, strategy_class, layout, x0, start, scenarios, monitor
+    winner = None
+    for policies, values in _member_values(
+        model, x0, start, regime, risk, layout, scenarios, monitor
     ):
-        examined += 1
-        # the full scenario set is enumerated at the first member only
-        full = scenarios.full
-        if bundle.robust:
-            bundle = _bundle(model, strat, x0, start, full)
-        value = _evaluate(model, risk, bundle, full)
-        if best_strategy is None or value < best:
-            best = value
-            best_strategy = strat
-    return best, best_strategy, examined
+        for i, value in enumerate(values.tolist()):
+            if winner is None or value < best:
+                best = value
+                winner = policies[i]
+        examined += len(values)
+    if winner is None:
+        return best, None, examined
+    return (
+        best, _layout_strategy(model, strategy_class, winner, start), examined
+    )
 
 
 def minimize_risk(

@@ -7,10 +7,10 @@ the package. Nothing else is shared: the recursions in `engine`, the pruning
 of unreachable policy slots (`strategy.rank_layout`), the regime monitors
 and path-array predicates of the production scan and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
-rank order. These routines exist to check them. The production scan prices
-members on simulated path arrays (`risk._evaluate_paths`); the oracle
-prices each member on a bundle (`risk._evaluate`), so it judges that
-evaluator.
+rank order. These routines exist to check them. The production scan
+decides and prices members of both strategy classes on simulated path
+arrays (`risk._evaluate_paths`); the oracle prices each member on a bundle
+(`risk._evaluate`), so it judges that evaluator.
 
 Markov enumerations run through the batched numpy simulation kernel
 (`_sim.simulate_batch`, which the production scan also runs), a block of
@@ -30,9 +30,11 @@ probabilistic regimes and RiskContainment walk the object path, which
 shares the package's unchecked closed-loop kernels (`strategy._bundle`,
 `regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
 checked once per call as check_resilient would check them); `_bundle` runs
-on that path only. The object path, forced with `force_object=True`, is the
-definitional reference the batched path is tested against. Caps are hard
-errors: a truncated scan would not be a reference.
+on that path only, and no production scan runs it. The object path, forced
+with `force_object=True`, is the definitional reference the batched path is
+tested against, and for those scans the one judge of the production route,
+which decides them on simulated path arrays. Caps are hard errors: a
+truncated scan would not be a reference.
 """
 
 from __future__ import annotations

@@ -371,8 +371,16 @@ def _running_sum(terms):
 
 
 def _path_membership(model, regime, states, controls, scenarios, start):
-    """member[s]: _membership of a ProbExcursion or StochasticViability
-    regime on the bundle of strategy s; `scenarios` is the full domain."""
+    """member[s]: _membership of a ProbExcursion, StochasticViability or
+    RiskContainment regime on the bundle of strategy s; `scenarios` is the
+    full domain."""
+    if isinstance(regime, RiskContainment):
+        from .risk import _evaluate_paths
+
+        value = _evaluate_paths(
+            model, regime.measure, states, controls, scenarios, start
+        )
+        return value <= regime.level
     weights = np.asarray(scenarios.weights, dtype=np.float64)
     if isinstance(regime, ProbExcursion):
         exits = ~_state_mask(model, regime.region)[states].all(axis=2)

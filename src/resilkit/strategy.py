@@ -408,10 +408,11 @@ class RankLayout:
     n_controls: int
     weights: tuple  # place value in the rank of each reachable slot, in slot order
     pruned: int  # number of unreachable slots
-    # Markov layouts: the (K, n+1) policy-array shape and the flat position
-    # in it of each reachable slot, in slot order; None for adapted layouts
-    policy_shape: tuple = None
-    cells: tuple = None
+    # the (K, n+1, P) policy-array shape, P the largest prefix count of any
+    # time (1 for Markov), and the flat position in it of each reachable
+    # slot, in slot order
+    policy_shape: tuple
+    cells: tuple
 
     @property
     def size(self):
@@ -432,11 +433,11 @@ class RankLayout:
         return rank
 
     def policies(self, lo, hi):
-        """Markov policy arrays of representatives lo..hi-1, int32
-        (hi - lo, K, n+1) laid out as markov_policy_array lays out each
-        one (cemetery column and times before the start zero)."""
-        if self.cells is None:
-            raise InputError("only Markov layouts pack into policy arrays")
+        """Policy arrays of representatives lo..hi-1, int32
+        (hi - lo, K, n+1, P): entry [t, x, p] is the control at (t, x)
+        after the prefix of rank p (p = 0 for Markov), as
+        _sim.simulate_batch reads it; the cemetery column, times before the
+        start and prefix columns past a time's count are zero."""
         i = np.arange(lo, hi, dtype=np.int64)
         size = math.prod(self.policy_shape)
         out = np.zeros((hi - lo, size), dtype=np.int32)
@@ -455,33 +456,46 @@ def rank_layout(
     if kind not in (MARKOV, ADAPTED):
         raise InputError(f"unknown strategy kind {kind!r}")
     dyn, ok = packed_tables(model)
-    n = model.n_states
+    ok = ok.view(bool)  # ok is 0/1
+    K, n = model.horizon, model.n_states
+    # the prefix count grows with t
+    width = n_prefixes(model, K - 1, start) if kind == ADAPTED else 1
+    shape = (K, n + 1, width)
+    cell = np.arange(math.prod(shape)).reshape(shape)  # in a policy array
     # here[p, x]: x is reached at time t after prefix p (Markov: any prefix)
     here = np.zeros((1, n), dtype=bool)
     here[0, x0] = True
-    reach = []
-    for t in range(start, model.horizon):
+    reach, cells = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.intp)]
+    for t in range(start, K):
         reach.append(here.T.ravel())  # table order: state, then prefix
+        cells.append(cell[t, :n, : here.shape[0]].ravel())
         nw = model.uncertainty.size(t)
-        p, x, u = np.nonzero(here[:, :, None] & ok[t, None, :n].astype(bool))
+        p, x, u = np.nonzero(here[:, :, None] & ok[t, None, :n])
         nxt = np.zeros((here.shape[0], nw, n + 1), dtype=bool)
         nxt[p[:, None], np.arange(nw), dyn[t, x, u, :nw]] = True
         here = nxt[:, :, :n].reshape(-1, n)  # prefix p then w ranks p*nw + w
         if kind == MARKOV:
             here = here.any(axis=0, keepdims=True)
-    reachable = np.concatenate(reach) if reach else np.zeros(0, dtype=bool)
+    reachable = np.concatenate(reach)
     slots = reachable.size
     nu = model.n_controls
     positions = np.flatnonzero(reachable)
     weights = tuple(nu ** (slots - 1 - int(s)) for s in positions)
-    if kind != MARKOV:
-        return RankLayout(nu, weights, slots - len(weights))
-    # Markov slot (t, x) sits at (t - start) * n + x
-    t, x = np.divmod(positions, n)
-    cells = tuple(((t + start) * (n + 1) + x).tolist())
-    return RankLayout(
-        nu, weights, slots - len(weights), (model.horizon, n + 1), cells
-    )
+    cells = tuple(np.concatenate(cells)[positions].tolist())
+    return RankLayout(nu, weights, slots - len(weights), shape, cells)
+
+
+def _layout_strategy(model, kind, policies, start):
+    """The strategy of class `kind` from `start` that a RankLayout.policies
+    array packs, unchecked; its tables are read-only int32 copies."""
+    n = model.n_states
+    if kind == MARKOV:
+        return _markov_from_table(policies[start:, :n, 0], start)
+    times = range(start, model.horizon)
+    tables = (policies[t, :n, : n_prefixes(model, t, start)] for t in times)
+    return Strategy(start, tuple(
+        Policy(t, ADAPTED, table.copy()) for t, table in zip(times, tables)
+    ))
 
 
 def enumerate_strategies(

@@ -4,6 +4,7 @@ naive recomputations on random instances."""
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from conftest import (
     padded_twin,
     random_acceptable,
     random_model,
+    random_variant,
 )
 
 A = M1_ACCEPTABLE
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def two_state_gap_model(**kw):
@@ -606,6 +609,8 @@ def test_reachable_members_match_bundle_membership():
             seen["offset"] += lo > 0
             policies = layout.policies(lo, hi)
             assert policies.dtype == np.int32
+            assert policies.shape[1:] == (K, model.n_states + 1, 1)
+            policies = policies[..., 0]
             member = engine._reachable_members(
                 model, monitor, x0, start, policies
             )
@@ -661,10 +666,10 @@ def test_monitor_updates_are_monotone_in_memory():
     assert len(kinds) == 6
 
 
-def test_underflowing_weights_take_the_bundle_path():
+def test_underflowing_weights_leave_the_monitor_without_a_domain():
     # each time's least probability is 1e-200, so the scenario (0, 0) has
     # weight 0.0 and AtMostKExits skips it; a per-time support test would
-    # count its two exits
+    # count its two exits, so the scan runs the monitor along the paths
     model = rk.make_model(
         horizon=2, state_labels=("in", "out"), control_labels=("0",),
         uncertainty_sets=("0", "1"),
@@ -673,7 +678,7 @@ def test_underflowing_weights_take_the_bundle_path():
     )
     regime = rk.AtMostKExits(frozenset({0}), 1)
     risk = rk.Composed(rk.TimeOutside(frozenset({0})), rk.WorstCase())
-    assert rk.engine._monitor(model, regime, 0) is None
+    assert rk.engine._monitor(model, regime, 0).domain is None
     out = rk.minimize_risk(model, 0, 0, regime, risk)
     assert (out.resilient, out.value, out.examined) == (True, 2.0, 1)
     assert rk.resilient_states(model, 0, regime).members == {0}
@@ -682,52 +687,104 @@ def test_underflowing_weights_take_the_bundle_path():
     assert rk.strategies_equal(out.strategy, strat)
 
 
-def test_markov_scans_build_no_bundles(m1, monkeypatch):
-    # membership and risk both come from block arrays: a monitor walk over
+def test_no_production_scan_builds_a_bundle(m1, monkeypatch):
+    # membership and risk both come from block arrays, for both strategy
+    # classes and every regime, on per-time products and on m3_grid's
+    # joint distribution with its explicit robust list: a monitor walk over
     # reachable (state, memory) pairs or simulated paths, then risk on the
     # members' simulated paths
     built = []
+    bundle = rk.strategy._bundle
 
     def counting(*args):
         built.append(args)
-        return rk.strategy._bundle(*args)
+        return bundle(*args)
 
-    monkeypatch.setattr(rk.engine, "_bundle", counting)
-    monkeypatch.setattr(rk.optimize, "_bundle", counting)
-    R = frozenset({1, 2, 3})
-    for regime, risk in (
-        (rk.Bounded(R), rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
-        (rk.AtMostKExits(R, 1), rk.Exceedance(A)),
-        (rk.RobustRecovery(A, 3),
-         rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
-        (rk.Viability(A), rk.Composed(rk.RecoveryOffset(A), rk.WorstCase())),
-        (rk.ProbExcursion(A, 0.5), rk.Exceedance(A)),
-        (rk.StochasticViability(A, 0.25),
-         rk.Composed(rk.ControlEffort(), rk.CVaR(0.75))),
-        (rk.Stabilize(2, 1.0, 1),
-         rk.Composed(rk.TimeOutside(A), rk.CVaR(0.5))),
-        (rk.ControlEvent(frozenset({1})), rk.Exceedance(A)),
-    ):
-        resilient = 0
-        for x0 in range(m1.n_states):
-            out = rk.minimize_risk(
-                m1, x0, 0, regime, risk, method="exhaustive"
+    for module in (rk.strategy, rk.engine, rk.optimize):
+        if hasattr(module, "_bundle"):
+            monkeypatch.setattr(module, "_bundle", counting)
+    with open(MODELS / "m3_grid.model", encoding="utf-8") as fh:
+        grid = rk.parse_model(fh.read()).model
+    assert grid.scenario_probs is not None
+    assert grid.robust_scenarios is not None
+    resilient = {}
+    # adapted classes from start 1 on m1 (2 prefixes at t = 2) and from 0
+    # on m3_grid stay under the cap
+    for model, adapted_start in ((m1, 1), (grid, 0)):
+        n = model.n_states
+        acc = A if model is m1 else frozenset({0})
+        region = frozenset(range(1, n))
+        regimes = [
+            rk.Viability(acc), rk.RobustRecovery(acc, model.horizon),
+            rk.StochasticViability(acc, 0.25), rk.Bounded(region),
+            rk.ProbExcursion(acc, 0.5), rk.AtMostKExits(region, 1),
+            rk.Stabilize(n - 1, 1.0, 1), rk.ControlEvent(frozenset({1})),
+            rk.RiskContainment(rk.Exceedance(acc), 0.5),
+        ]
+        risk = rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5))
+        for kind, start in ((rk.MARKOV, 0), (rk.ADAPTED, adapted_start)):
+            for regime in regimes:
+                for x0 in range(n):
+                    out = rk.minimize_risk(
+                        model, x0, start, regime, risk, strategy_class=kind,
+                        method="exhaustive",
+                    )
+                    key = (kind, type(regime))
+                    resilient[key] = resilient.get(key, 0) + out.resilient
+                    # the winner is built from its policy-block row:
+                    # read-only int32 copies, no view of the block
+                    tables = [p.table for p in out.strategy.policies] \
+                        if out.resilient else []
+                    for table in tables:
+                        assert table.dtype == np.int32
+                        assert not table.flags.writeable
+                        assert table.base is None or \
+                            table.base.size <= sum(t.size for t in tables)
+                rk.resilient_states(model, start, regime, kind)
+                assert built == [], (kind, regime)
+    # every class meets every regime somewhere
+    assert len(resilient) == 18 and min(resilient.values()) >= 1, resilient
+
+
+def test_resilient_states_scan_where_the_recursions_refuse_the_model():
+    # the recovery sweep needs per-time robust subsets and the value sweep
+    # per-time probabilities without a joint distribution; elsewhere
+    # resilient_states answers by the exhaustive scan, with the least-rank
+    # witnesses of the object-path oracle
+    rng = np.random.default_rng(1812)
+    seen = {"listed": 0, "joint": 0, "members": 0, "adapted": 0}
+    for i in range(120):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        model = random_variant(rng, random_model(
+            rng, max_states=3, max_controls=2, max_w=2,
+            max_horizon=3 if kind == rk.MARKOV else 2,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        ))
+        acc = random_acceptable(rng, model)
+        K = model.horizon
+        regimes = []
+        if model.robust_scenarios is not None:
+            regimes.append(rk.RobustRecovery(acc, int(rng.integers(K + 1))))
+        if model.scenario_probs is not None:
+            beta = float(rng.choice((0.0, 0.5, 0.75, 1.0)))
+            regimes.append(rk.StochasticViability(acc, beta))
+        start = int(rng.integers(K + 1))
+        for regime in regimes:
+            want = rk.oracle_resilient_states(
+                model, start, regime, kind, force_object=True
             )
-            resilient += out.resilient
-            # the winner is built from its policy-block row: read-only int32
-            for pol in out.strategy.policies if out.resilient else ():
-                assert pol.table.dtype == np.int32
-                assert not pol.table.flags.writeable
-        assert resilient >= 1, regime
-        if not isinstance(regime, rk.StochasticViability):
-            assert rk.resilient_states(m1, 0, regime).members
-        assert built == [], regime
-    # regimes outside the block route still decide on bundles
-    rk.minimize_risk(
-        m1, 0, 0, rk.RiskContainment(rk.Exceedance(A), 0.5),
-        rk.Exceedance(A), method="exhaustive",
-    )
-    assert len(built) == rk.strategy.rank_layout(m1, 0, rk.MARKOV, 0).size
+            got = rk.resilient_states(model, start, regime, kind)
+            assert got.method == "exhaustive"
+            assert got.members == want.members, (i, regime)
+            for x0 in want.members:
+                assert rk.strategies_equal(
+                    got.witnesses[x0], want.witnesses[x0]
+                )
+            seen["listed"] += isinstance(regime, rk.RobustRecovery)
+            seen["joint"] += isinstance(regime, rk.StochasticViability)
+            seen["members"] += len(got.members)
+            seen["adapted"] += kind == rk.ADAPTED
+    assert min(seen.values()) >= 20, seen
 
 
 def test_fill_policy_backfills_least_admissible():

@@ -687,3 +687,31 @@ def test_record_subclasses_keep_their_kind():
     assert rk.regime_state_set(regime) == {1, 2}
     text = rk.serialize_model(model, regime)
     assert text == rk.serialize_model(model, rk.Bounded({1, 2}))
+
+
+@pytest.mark.parametrize("text, key, message", [
+    (BASE + "deadline = 9\n", "deadline = 9",
+     "[regime] key 'deadline' does not apply to kind = bounded"),
+    (BASE + "beta = x\n", "beta = x",
+     "[regime] key 'beta' does not apply to kind = bounded"),
+    (with_risk("kind = exit_count\nacceptable = a\nouter = expectation\n"
+               "alpha = 0.3"), "alpha = 0.3",
+     "[risk] key 'alpha' does not apply to kind = exit_count, "
+     "outer = expectation"),
+    (with_risk("kind = exit_count\neffort = x\nacceptable = a\n"
+               "outer = worst_case"), "effort = x",
+     "[risk] key 'effort' does not apply to kind = exit_count, "
+     "outer = worst_case"),
+    (with_risk("kind = composed\ncost = terminal_miss\nacceptable = a\n"
+               "outer = cvar\nalpha = 0.5\ncemetery_penalty = 2\n"
+               "effort = 1"), "effort = 1",
+     "[risk] key 'effort' does not apply to kind = composed, "
+     "cost = terminal_miss, outer = cvar"),
+])
+def test_keys_the_chosen_kinds_do_not_read_are_rejected(text, key, message):
+    # a stray key is reported at its own line, after every fault of the
+    # keys the kinds read
+    expect_at(text, message, line_of(text, key))
+    bad = text.replace("region = a b", "region = z")
+    expect(bad.replace("acceptable = a", "acceptable = z"),
+           "unknown state label 'z'")

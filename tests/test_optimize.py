@@ -280,16 +280,20 @@ def test_pruned_scan_matches_the_oracle():
 
 
 def test_block_scan_matches_the_oracle_on_every_risk():
-    # Markov scans decided and priced on block arrays against the oracle,
-    # which prices every member on its bundle: same value bits, examined
-    # count and strategy, or the same error (expected risks on a model
-    # without probabilities fail at the first member, and only then)
+    # scans of both classes decided and priced on block arrays against the
+    # oracle, which prices every member on its bundle: same value bits,
+    # examined count and strategy, or the same error (expected risks on a
+    # model without probabilities fail at the first member, and only then)
     rng = np.random.default_rng(2718)
     seen = {"resilient": 0, "none": 0, "error": 0, "nan": 0, "joint": 0,
-            "listed": 0, "stabilize": 0, "control_event": 0}
-    for i in range(90):
+            "listed": 0, "stabilize": 0, "control_event": 0,
+            "containment": 0, "adapted": 0}
+    for i in range(130):
+        # adapted tables grow with the prefix count: keep their class small
+        kind = rk.ADAPTED if i >= 90 else rk.MARKOV
         model = random_model(
-            rng, max_states=3, max_controls=2, max_w=2, max_horizon=3,
+            rng, max_states=3, max_controls=2, max_w=2,
+            max_horizon=3 if kind == rk.MARKOV else 2,
             with_probs=True, with_robust=True, cemetery_rate=0.2,
         )
         if i % 3:
@@ -310,24 +314,32 @@ def test_block_scan_matches_the_oracle_on_every_risk():
                     rng.random(model.n_controls) < 0.5
                 )
             )),
+            rk.RiskContainment(
+                rk.Composed(rk.TimeOutside(acc), rk.WorstCase()),
+                float(rng.integers(3)),
+            ),
         ]
         if model.uncertainty.has_probs or model.scenario_probs is not None:
             regimes += [
                 rk.ProbExcursion(acc, float(rng.choice((0.0, 0.25, 0.5)))),
                 rk.StochasticViability(acc, float(rng.choice((0.5, 0.75)))),
+                rk.RiskContainment(rk.Exceedance(acc), 0.5),
             ]
         regime = regimes[i % len(regimes)]
         seen["stabilize"] += isinstance(regime, rk.Stabilize)
         seen["control_event"] += isinstance(regime, rk.ControlEvent)
+        seen["containment"] += isinstance(regime, rk.RiskContainment)
+        seen["adapted"] += kind == rk.ADAPTED
         start = int(rng.integers(K))
         x0 = int(rng.integers(model.n_states))
         for risk in random_risks(rng, model, acc)[::3]:
             got = outcome(lambda: rk.minimize_risk(
-                model, x0, start, regime, risk, method="exhaustive"
+                model, x0, start, regime, risk, strategy_class=kind,
+                method="exhaustive",
             ))
-            want = outcome(
-                lambda: rk.oracle_min_risk(model, x0, start, regime, risk)
-            )
+            want = outcome(lambda: rk.oracle_min_risk(
+                model, x0, start, regime, risk, strategy_class=kind
+            ))
             if isinstance(want, tuple) and isinstance(want[0], type):
                 seen["error"] += 1
                 assert got == want, (i, regime, risk)

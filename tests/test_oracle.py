@@ -71,6 +71,7 @@ def test_oracle_imports_no_production_route():
     for name in (
         "_monitor", "_reachable_members", "_member_blocks", "rank_layout",
         "_evaluate_paths", "_path_membership", "_scan_members",
+        "_monitor_paths",
     ):
         assert name not in vars(oracle), name
     assert oracle._evaluate is rk.risk._evaluate
