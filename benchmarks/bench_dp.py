@@ -14,7 +14,8 @@ engine can be compared on speed and shown to give the same bytes.
 The one-time tables each model builds on first use and keeps are timed
 apart, before the recursions, so that best-of-N does not hide them:
 pack_s is the padded tables of the simulation kernel (packed_tables) and
-planes_s the successor planes every backup reads (engine._planes).
+planes_s the successor table every backup steps on
+(model.successor_planes).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import resilkit as rk
-from resilkit.engine import _planes
-from resilkit.model import packed_tables
+from resilkit.model import packed_tables, successor_planes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIFTS = (-2, -1, 1, 2)  # per-time noise shifts; the robust subset is +-1
@@ -142,7 +142,7 @@ def main():
         t0 = time.perf_counter()
         packed_tables(model)
         t1 = time.perf_counter()
-        _planes(model)
+        successor_planes(model)
         t2 = time.perf_counter()
         case = {"n": n, "nu": nu, "nw": nw, "K": K,
                 "acceptable": len(acceptable),

@@ -6,9 +6,8 @@ recovery are one min-max sweep: the least worst-case number of steps to
 the kernel, whose zero level is the kernel. The stochastic viability value
 is a max-expectation sweep, and the DP certificate in optimize a
 min-expectation one. Every sweep is one array-level Bellman backup per
-time (`_backup`) on the model's cached successor planes (`_planes`).
-Witness policies use the smallest control index on ties so outputs are
-reproducible.
+time (`_backup`). Witness policies use the smallest control index on ties
+so outputs are reproducible.
 
 Scans of either strategy class decide membership a block of
 representatives at a time, on policy arrays (`_member_blocks`). The six
@@ -16,6 +15,9 @@ worst-case path regimes are read through a finite monitor (`_monitor`);
 for Markov blocks over a per-time product domain, one forward walk over the
 reachable (state, memory) pairs decides a block without simulating it.
 Other blocks are simulated (_sim.simulate_batch) and decided on their paths.
+
+Backups, walks and simulations step on the model's successor table
+(`model.successor_planes`), where inadmissible controls lead to the cemetery.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .model import (
     SystemModel,
     _Scenarios,
     count_scenarios,
-    packed_tables,
+    successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -85,7 +87,7 @@ class KernelTable:
     domain: str
 
     def member_set(self, t):
-        return frozenset(np.flatnonzero(self.member[t]))
+        return frozenset(np.flatnonzero(self.member[t]).tolist())
 
 
 @record(eq=False)
@@ -99,7 +101,7 @@ class ValueTable:
     witness: np.ndarray
 
     def resilient_set(self, t, beta):
-        return frozenset(np.flatnonzero(self.value[t] >= beta))
+        return frozenset(np.flatnonzero(self.value[t] >= beta).tolist())
 
 
 @record(eq=False)
@@ -129,7 +131,7 @@ class RecoveryTable:
     def resilient_set(self, t):
         """States resilient for RobustRecovery(acceptable, deadline) at t."""
         return frozenset(
-            np.flatnonzero(self.min_layer[t] <= self.deadline - t)
+            np.flatnonzero(self.min_layer[t] <= self.deadline - t).tolist()
         )
 
 
@@ -175,34 +177,6 @@ def _uncertainty_ranges(model, domain):
     )
 
 
-def _planes(model):
-    """The model's successor planes, built on first use and cached on it.
-
-    Returns (planes, rows): planes[t] is the read-only C-ordered
-    (|W_t|, n, nu) array of F_t(x, u, w) in the narrowest unsigned dtype
-    that holds n, with n (the cemetery) wherever u is inadmissible at
-    (t, x); rows is arange(n) * nu, the offset of each state's row in a
-    flat (n, nu) table. They are kept apart from packed_tables, so that a
-    model that is only simulated never builds them.
-    """
-    cached = getattr(model, "_planes", None)
-    if cached is not None:
-        return cached
-    K, n, nu = model.horizon, model.n_states, model.n_controls
-    dtype = np.min_scalar_type(n)
-    barred = ~model.constraints
-    planes = []
-    for t in range(K):
-        nxt = model.dynamics[t, :, :, : model.uncertainty.size(t)]
-        nxt = nxt.transpose(2, 0, 1).astype(dtype, order="C")
-        nxt[:, barred[t]] = n
-        nxt.setflags(write=False)
-        planes.append(nxt)
-    cached = (tuple(planes), np.arange(n) * nu)
-    object.__setattr__(model, "_planes", cached)
-    return cached
-
-
 def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
     """One Bellman backup at time t for every state at once.
 
@@ -216,25 +190,21 @@ def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
     scores must be finite. Columns w outside `ws`, such as the padding
     w >= |W_t|, are never read.
 
-    The reads come from the successor plane of time t (`_planes`), the
-    C-ordered (|W_t|, n, nu) next states in the narrowest unsigned dtype
-    that holds n: a view for the whole of W_t, one take along w for a
-    subset. The model's planes hold n * nu * sum_t |W_t| indices and are
-    built on its first backup. An inadmissible control reads the cemetery
-    at every w, so the max-of-reads score, which is only asked for
-    minimizing with pad = inf (the min-max sweep), is inf there without a
-    mask; the expectation scores mask admissibility.
+    The reads come from rows 0..n-1 of the time-t successor plane
+    (model.successor_planes), whole or taken along w for a subset. An
+    inadmissible control reads only the cemetery: minimizing, which is only
+    asked with pad = inf, it scores inf (or NaN under a zero weight) and
+    never attains; maximizing it could tie, so that case masks it.
     """
-    planes, rows = _planes(model)
     n = model.n_states
-    nxt = planes[t]
+    nxt = successor_planes(model)[t]
     if len(ws) < len(nxt):
         nxt = nxt.take(ws, axis=0)
     read = np.empty(n + 1)
     read[:n] = values
     read[n] = pad
     # every index is at most n by construction, so clipping changes none
-    reads = read.take(nxt, mode="clip")
+    reads = read.take(nxt[:, :n], mode="clip")
     if probs is None:
         score = reads.max(axis=0)
         pick = score.argmin(axis=1)
@@ -244,15 +214,15 @@ def _backup(model, t, ws, values, pad, probs=None, init=0.0, minimize=True):
         with np.errstate(over="ignore", invalid="ignore"):
             for j, w in enumerate(ws):
                 score = score + probs[w] * reads[j]
-        allowed = model.constraints[t]
         if minimize:
             # a strict-improvement scan from +inf never picks inf or NaN
-            score = np.where(allowed & (score < math.inf), score, math.inf)
+            score = np.where(score < math.inf, score, math.inf)
             pick = score.argmin(axis=1)
         else:
-            score = np.where(allowed, score, -math.inf)
+            score = np.where(model.constraints[t], score, -math.inf)
             pick = score.argmax(axis=1)
-    best = score.take(rows + pick)
+    # the flat index of (x, pick[x]) in the C-ordered (n, nu) scores
+    best = score.take(np.arange(0, score.size, score.shape[1]) + pick)
     return best, np.where(np.isfinite(best), pick, -1)
 
 
@@ -523,10 +493,10 @@ def _reachable_members(model, monitor, x0, start, policies):
     x0 at `start`? That is regimes._membership on each strategy's bundle.
     The reachable (state, memory) pairs are propagated forward from
     (x0, init[x0]) as a bool (S, n+1, sink) array through every w of the
-    domain, a per-time product; the cemetery plays control 0, inadmissible
-    controls lead to it.
+    domain, a per-time product, on the model's successor planes; the
+    cemetery plays control 0.
     """
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     K, n = model.horizon, model.n_states
     S = policies.shape[0]
     sink, m = len(monitor.update[0]) - 1, monitor.init[x0]
@@ -538,8 +508,7 @@ def _reachable_members(model, monitor, x0, start, policies):
     for t in range(start, K):
         s, x, m = np.nonzero(reach)
         u = policies[s, t, x]
-        nxt = dyn[t][x[:, None], u[:, None], monitor.domain[t]]
-        nxt[ok[t, x, u] == 0] = n
+        nxt = planes[t][monitor.domain[t], x[:, None], u[:, None]]
         m = monitor.update[t][m[:, None], u[:, None], nxt]
         over = m == sink
         member[s[over.any(axis=1)]] = False
@@ -568,10 +537,10 @@ def _monitor_paths(model, regime, monitor, states, controls, scenarios, start):
 
 def _simulate(model, policies, scenarios, x0, start):
     """simulate_batch of RankLayout.policies arrays over a _Scenarios."""
-    dyn, ok = packed_tables(model)
     prefixes = scenarios.prefixes(start) if policies.shape[3] > 1 else None
     return simulate_batch(
-        dyn, ok, policies, scenarios.table, x0, start, prefixes
+        successor_planes(model), policies, scenarios.table, x0, start,
+        prefixes,
     )
 
 

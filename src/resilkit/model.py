@@ -625,6 +625,35 @@ def packed_tables(model: SystemModel):
     return dyn, ok
 
 
+def _fold_planes(dynamics, constraints, sizes):
+    """successor_planes of (K, n, nu, nw_max) dynamics under the bool
+    (K, n, nu) admissibility table, over w < sizes[t]."""
+    n, nu = constraints.shape[1:]
+    planes = []
+    for t, size in enumerate(sizes):
+        plane = np.full((size, n + 1, nu), n, dtype=np.min_scalar_type(n))
+        # the one place where an inadmissible control meets the cemetery
+        np.copyto(plane[:, :n], dynamics[t, :, :, :size].transpose(2, 0, 1),
+                  casting="unsafe", where=constraints[t])
+        plane.setflags(write=False)
+        planes.append(plane)
+    return tuple(planes)
+
+
+def successor_planes(model: SystemModel):
+    """The closed loop's successor table, built on first use and cached on
+    the model apart from packed_tables: planes[t] is the read-only C-ordered
+    (|W_t|, n+1, nu) array, in the narrowest unsigned dtype that holds n, of
+    the state after (x, u, w) at t. That is F_t(x, u, w) where u is
+    admissible at (t, x), and n (the cemetery) where it is not and on the
+    cemetery row, which absorbs."""
+    if getattr(model, "_planes", None) is None:
+        sizes = [model.uncertainty.size(t) for t in range(model.horizon)]
+        planes = _fold_planes(model.dynamics, model.constraints, sizes)
+        object.__setattr__(model, "_planes", planes)
+    return model._planes
+
+
 def models_equal(a: SystemModel, b: SystemModel) -> bool:
     """Structural equality over every declared table."""
     if (

@@ -13,9 +13,11 @@ arrays (`risk._evaluate_paths`); the oracle prices each member on a bundle
 (`risk._evaluate`), so it judges that evaluator.
 
 Markov enumerations run through the batched numpy simulation kernel
-(`_sim.simulate_batch`, which the production scan also runs), a block of
-ranks at a time; each block is built once per call and run from every x0
-the call asks about. For the regimes whose membership is a boolean over
+(`_sim.simulate_batch`, which the production scan also runs) on the
+model's successor table (`model.successor_planes`, a model table, not an
+engine route), a block of ranks at a time; each block is decoded from its
+ranks' place values once per call and run from every x0 the call asks
+about. For the regimes whose membership is a boolean over
 scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
 ControlEvent) membership is read off the block's trajectory arrays
 (`_batch_member`, whose regime masks are built once per call); the
@@ -50,6 +52,7 @@ from .model import (
     enumerate_scenarios,
     packed_tables,
     scenario_weights,
+    successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -103,19 +106,16 @@ def _policy_batches(model, start, total, n_scenarios):
     policies is int32 (chunk, K, n+1) ready for the simulation kernel, with
     chunk * n_scenarios * (K - start + 1) at most _CELLS (chunk >= 1)."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
-    slots = n * (K - start)
-    dims = (nu,) * slots
+    # place value of each slot's digit, the first slot most significant
+    place = nu ** np.arange(n * (K - start) - 1, -1, -1, dtype=np.int64)
     batch = max(1, _CELLS // max(1, n_scenarios * (K - start + 1)))
     for a in range(0, total, batch):
         b = min(total, a + batch)
         ranks = np.arange(a, b, dtype=np.int64)
-        if slots:
-            digits = np.stack(np.unravel_index(ranks, dims), axis=1)
-        else:
-            digits = np.zeros((b - a, 0), dtype=np.int64)
         pol = np.zeros((b - a, K, n + 1), dtype=np.int32)
-        if slots:
-            pol[:, start:, :n] = digits.reshape(b - a, K - start, n)
+        pol[:, start:, :n] = (ranks[:, None] // place % nu).reshape(
+            b - a, K - start, n
+        )
         yield a, pol
 
 
@@ -264,7 +264,7 @@ def oracle_resilient_states(
 
     witnesses = {}
     if _batched(regime, strategy_class, force_object):
-        dyn, ok = packed_tables(model)
+        planes = successor_planes(model)
         scen = _scenario_array(model, scenarios.scenarios)
         member_of = _batch_member(model, regime, scenarios, start)
         n = model.n_states
@@ -273,7 +273,7 @@ def oracle_resilient_states(
                 if x0 in witnesses:
                     continue
                 member = member_of(
-                    *simulate_batch(dyn, ok, pol, scen, x0, start)
+                    *simulate_batch(planes, pol, scen, x0, start)
                 )
                 if member.any():
                     witnesses[x0] = _markov_from_table(
@@ -304,7 +304,7 @@ def oracle_value(
     """Per-state maximum, over every Markov strategy, of the exact
     probability of staying viable in `acceptable` from `start`."""
     total = _check_cap(model, MARKOV, start, cap)
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     scenarios = enumerate_scenarios(model)
     scen = _scenario_array(model, scenarios)
     weights = scenario_weights(model, scenarios)
@@ -313,7 +313,7 @@ def oracle_value(
     for _, pol in _policy_batches(model, start, total, len(scen)):
         for x0 in range(model.n_states):
             viable = _viable_mask(
-                model, good, *simulate_batch(dyn, ok, pol, scen, x0, start)
+                model, good, *simulate_batch(planes, pol, scen, x0, start)
             )
             # a row sum rounds the same whatever the block's row count; a
             # BLAS matrix-vector product does not
@@ -331,7 +331,7 @@ def oracle_recovery_offsets(
     Returns (offsets float (n,), ranks int64 (n,)); rank -1 when no
     strategy recovers at all (offset inf)."""
     total = _check_cap(model, MARKOV, start, cap)
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     scen = _scenario_array(model, enumerate_scenarios(model, robust_only=True))
     good = _good_table(model, acceptable)
     offsets = np.full(model.n_states, math.inf, dtype=np.float64)
@@ -339,7 +339,7 @@ def oracle_recovery_offsets(
     for first_rank, pol in _policy_batches(model, start, total, len(scen)):
         for x0 in range(model.n_states):
             per_traj = _recovery_offsets(
-                model, good, *simulate_batch(dyn, ok, pol, scen, x0, start)
+                model, good, *simulate_batch(planes, pol, scen, x0, start)
             )
             per_strategy = per_traj.max(axis=1)
             i = int(per_strategy.argmin())
@@ -382,12 +382,12 @@ def _member_rows(model, regime, scenarios, x0, start, total):
     in _BATCHED_REGIMES from x0 over `scenarios`: the members' policy tables
     (k, L, n) and their simulate_batch rows (k, M, L+1) and (k, M, L) over
     the full scenario set, the _Scenarios `full`."""
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     scen = _scenario_array(model, scenarios.scenarios)
     member_of = _batch_member(model, regime, scenarios, start)
     n, L = model.n_states, model.horizon - start
     for _, pol in _policy_batches(model, start, total, len(scen)):
-        states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+        states, controls = simulate_batch(planes, pol, scen, x0, start)
         member = np.flatnonzero(member_of(states, controls))
         if not member.size:
             continue
@@ -402,7 +402,7 @@ def _member_rows(model, regime, scenarios, x0, start, total):
         for a in range(0, member.size, step):
             rows = pol[member[a : a + step]]
             yield (rows[:, start:, :n], full,
-                   *simulate_batch(dyn, ok, rows, full.table, x0, start))
+                   *simulate_batch(planes, rows, full.table, x0, start))
 
 
 def _batched_priced(model, regime, risk, scenarios, x0, start, total):

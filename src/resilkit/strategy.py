@@ -10,6 +10,10 @@ cemetery every policy takes control 0 by convention.
 Changing w_s for s >= r never changes the state or control at times <= r:
 the time-r control reads only states reached from w_{<r} and the prefix
 w_{<r} itself.
+
+Bundles and the reachable slots of rank_layout step on the model's
+successor table (model.successor_planes), where inadmissible controls lead
+to the cemetery.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .model import (
     SystemModel,
     _Scenarios,
     enumerate_scenarios,
-    packed_tables,
+    successor_planes,
 )
 
 # enumerate_strategies refuses to yield more than this many strategies
@@ -215,22 +219,14 @@ def _check_run(model, strategy, x0, start):
 
 
 def _step_lists(model):
-    """Lists next[t][x][u * |W_t| + w] of next states over w < |W_t|, in
-    which the cemetery and every inadmissible control lead to the cemetery.
-    Built by the first bundle on a model and kept on it; entries share one
-    int object per state."""
+    """Lists next[t][x][u * |W_t| + w] of the model.successor_planes,
+    built by the first bundle on a model and kept on it."""
     cached = getattr(model, "_step_lists", None)
     if cached is None:
-        dyn, ok = packed_tables(model)
-        states = np.arange(model.n_states + 1).astype(object)
-        cached = []
-        for t in range(model.horizon):
-            nxt = np.where(
-                ok[t, :, :, None].astype(bool),
-                dyn[t, :, :, : model.uncertainty.size(t)],
-                model.cemetery,
-            )
-            cached.append(states[nxt].reshape(len(states), -1).tolist())
+        cached = [
+            plane.transpose(1, 2, 0).reshape(len(plane[0]), -1).tolist()
+            for plane in successor_planes(model)
+        ]
         object.__setattr__(model, "_step_lists", cached)
     return cached
 
@@ -455,8 +451,7 @@ def rank_layout(
     after some prefix; the padding w >= |W_t| is never read."""
     if kind not in (MARKOV, ADAPTED):
         raise InputError(f"unknown strategy kind {kind!r}")
-    dyn, ok = packed_tables(model)
-    ok = ok.view(bool)  # ok is 0/1
+    planes = successor_planes(model)
     K, n = model.horizon, model.n_states
     # the prefix count grows with t
     width = n_prefixes(model, K - 1, start) if kind == ADAPTED else 1
@@ -469,10 +464,12 @@ def rank_layout(
     for t in range(start, K):
         reach.append(here.T.ravel())  # table order: state, then prefix
         cells.append(cell[t, :n, : here.shape[0]].ravel())
-        nw = model.uncertainty.size(t)
-        p, x, u = np.nonzero(here[:, :, None] & ok[t, None, :n])
+        plane = planes[t]
+        nw = len(plane)
+        p, x = np.nonzero(here)
         nxt = np.zeros((here.shape[0], nw, n + 1), dtype=bool)
-        nxt[p[:, None], np.arange(nw), dyn[t, x, u, :nw]] = True
+        # inadmissible controls reach the cemetery column, dropped below
+        nxt[p[:, None], np.arange(nw)[:, None, None], plane[:, x]] = True
         here = nxt[:, :, :n].reshape(-1, n)  # prefix p then w ranks p*nw + w
         if kind == MARKOV:
             here = here.any(axis=0, keepdims=True)

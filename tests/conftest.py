@@ -14,7 +14,7 @@ from resilkit.model import (
     TimeGrid,
     UncertaintyStructure,
     _Scenarios,
-    packed_tables,
+    successor_planes,
 )
 
 # Four-level reservoir, horizon 3: x' = clip(x + u - w, 0, 3), u in {0,1},
@@ -204,8 +204,9 @@ def random_paths(rng, model, x0, start, count):
         0, model.n_controls, size=(count, K - start, n)
     )
     full = _Scenarios(model)
-    dyn, ok = packed_tables(model)
-    states, controls = simulate_batch(dyn, ok, policies, full.table, x0, start)
+    states, controls = simulate_batch(
+        successor_planes(model), policies, full.table, x0, start
+    )
     bundles = [
         rk.strategy._bundle(
             model, rk.strategy._markov_from_table(p[start:, :n], start),

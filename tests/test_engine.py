@@ -327,6 +327,28 @@ def test_resilient_states_exhaustive(m1):
         assert rk.check_resilient(m1, strat, x0, 0, regime)
 
 
+def test_resilient_states_members_are_python_ints(m1, m1_benign):
+    # every route gives the same member type, so a caller that serializes
+    # members or witness keys sees one type; the table methods too
+    routes = [
+        (m1, rk.Viability(A), "kernel"),
+        (m1_benign, rk.RobustRecovery(A, 3), "recovery"),
+        (m1, rk.StochasticViability(A, 0.5), "value"),
+        (m1, rk.Bounded(A), "exhaustive"),
+    ]
+    for model, regime, method in routes:
+        out = rk.resilient_states(model, 0, regime)
+        assert out.method == method and out.members
+        assert all(type(x) is int for x in out.members), method
+        assert all(type(x) is int for x in out.witnesses), method
+    for members in (
+        rk.robust_viability_kernel(m1, A).member_set(0),
+        rk.stochastic_viability_value(m1, A).resilient_set(0, 0.5),
+        rk.robust_recovery_table(m1_benign, A, 3).resilient_set(0),
+    ):
+        assert members and all(type(x) is int for x in members)
+
+
 def test_resilient_states_later_start(m1):
     out = rk.resilient_states(m1, 2, rk.Viability(A))
     assert out.members == {2, 3}
@@ -1146,8 +1168,9 @@ def test_backup_matches_loop_recursions_on_16_bit_planes():
     ]
     for n, robust, zero in cases:
         model, shift = _wide_model(rng, n, robust, zero)
-        planes = rk.engine._planes(model)[0]
+        planes = rk.model.successor_planes(model)
         assert all(p.dtype == np.uint16 for p in planes)
+        assert [p.shape for p in planes] == [(3, n + 1, 3)] * model.horizon
         # the upper half touches the top, where moves reach the cemetery
         acc = frozenset(range(n - n // 2, n))
         K = model.horizon
@@ -1173,44 +1196,3 @@ def test_backup_matches_loop_recursions_on_16_bit_planes():
     # read by kernel states
     assert resilient >= 4
     assert nan_paths >= 2
-
-
-def test_planes_layout_and_lazy_single_build():
-    rng = np.random.default_rng(5)
-    model = random_model(
-        rng, min_states=3, max_states=6, max_controls=3, max_w=3,
-        max_horizon=4, with_probs=True, cemetery_rate=0.2,
-    )
-    n = model.n_states
-    rk.model.packed_tables(model)
-    # packed_tables is timed as setup; the planes are built on first backup
-    assert getattr(model, "_planes", None) is None
-    acc = frozenset(range(n))
-    rk.robust_viability_kernel(model, acc)
-    built = model._planes
-    planes, rows = built
-    for t, plane in enumerate(planes):
-        nw = model.uncertainty.size(t)
-        assert plane.dtype == np.uint8 and plane.flags.c_contiguous
-        assert not plane.flags.writeable
-        want = np.where(
-            model.constraints[t, :, :, None], model.dynamics[t, :, :, :nw], n
-        ).transpose(2, 0, 1)
-        assert np.array_equal(plane, want)
-    assert rows.tolist() == [x * model.n_controls for x in range(n)]
-    assert getattr(model, "_least", None) is None
-    # every sweep and every caller reuses the one build
-    rk.stochastic_viability_value(model, acc)
-    rk.robust_recovery_table(model, acc, 1)
-    rk.resilient_states(model, 0, rk.Viability(acc))
-    rk.minimize_risk(
-        model, 0, 0, rk.Viability(acc),
-        rk.Composed(rk.TimeOutside(acc), rk.Expectation()), method="dp",
-    )
-    assert model._planes is built
-    # witness fills read the least admissible control, cached on its own
-    least = model._least
-    assert least.dtype == np.int32 and not least.flags.writeable
-    assert np.array_equal(least, model.constraints.argmax(axis=2))
-    rk.resilient_states(model, 0, rk.RobustRecovery(acc, 1))
-    assert model._least is least

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import resilkit as rk
-from resilkit.model import packed_tables
+from resilkit.model import packed_tables, successor_planes
 
-from conftest import build_m1, random_model
+from conftest import build_m1, padded_twin, random_model
 
 
 def test_spaces_basic(m1):
@@ -215,6 +215,102 @@ def test_packed_tables(m1):
     assert dyn[0, 2, 1, 0] == 3
     # cached
     assert packed_tables(m1)[0] is dyn
+
+
+def _assert_folded(model, planes):
+    """planes is the fold of model's packed tables over w < |W_t|: the
+    dynamics where the control is admissible, the cemetery elsewhere and
+    from the cemetery row, read-only and C-ordered in the narrowest dtype."""
+    dyn, ok = packed_tables(model)
+    n = model.n_states
+    assert len(planes) == model.horizon
+    for t, plane in enumerate(planes):
+        nw = model.uncertainty.size(t)
+        want = np.where(ok[t, :, :, None] != 0, dyn[t, :, :, :nw], n)
+        assert plane.dtype == np.min_scalar_type(n)
+        assert plane.flags.c_contiguous and not plane.flags.writeable
+        assert np.array_equal(plane, want.transpose(2, 0, 1))
+        assert (plane[:, n] == n).all()  # the cemetery absorbs
+
+
+def test_successor_planes_fold_inadmissible_to_cemetery():
+    rng = np.random.default_rng(2117)
+    twins = 0
+    for _ in range(40):
+        model = random_model(
+            rng, max_states=6, max_controls=3, max_w=3, max_horizon=4,
+            cemetery_rate=0.2,
+        )
+        twin = padded_twin(rng, model)
+        for m in (model,) if twin is None else (model, twin):
+            assert getattr(m, "_planes", None) is None  # built on first use
+            planes = successor_planes(m)
+            assert successor_planes(m) is planes  # and once
+            assert all(p.dtype == np.uint8 for p in planes)
+            # the padding w >= |W_t| is never read
+            _assert_folded(model, planes)
+        twins += twin is not None
+    assert twins
+    # the dtype holds n: 255 states fit uint8, 256 need uint16
+    for n, dtype in ((255, np.uint8), (256, np.uint16)):
+        dynamics = rng.integers(0, n + 1, size=(2, n, 2, 2), dtype=np.int32)
+        constraints = rng.random((2, n, 2)) < 0.7
+        constraints[:, :, 0] = True
+        model = rk.SystemModel(
+            rk.TimeGrid(2),
+            rk.StateSpace(tuple(str(x) for x in range(n))),
+            rk.ControlSpace(("a", "b")),
+            rk.UncertaintyStructure((("0", "1"), ("0",))),
+            dynamics,
+            constraints,
+        )
+        planes = successor_planes(model)
+        assert [p.dtype for p in planes] == [dtype, dtype]
+        assert [p.shape for p in planes] == [(2, n + 1, 2), (1, n + 1, 2)]
+        _assert_folded(model, planes)
+
+
+def test_planes_layout_and_lazy_single_build():
+    rng = np.random.default_rng(5)
+    model = random_model(
+        rng, min_states=3, max_states=6, max_controls=3, max_w=3,
+        max_horizon=4, with_probs=True, cemetery_rate=0.2,
+    )
+    n = model.n_states
+    packed_tables(model)
+    # packed_tables is timed as setup; the planes are built on first use
+    assert getattr(model, "_planes", None) is None
+    acc = frozenset(range(n))
+    rk.robust_viability_kernel(model, acc)
+    planes = model._planes
+    _assert_folded(model, planes)
+    assert [p.shape for p in planes] == [
+        (model.uncertainty.size(t), n + 1, model.n_controls)
+        for t in range(model.horizon)
+    ]
+    assert getattr(model, "_least", None) is None
+    # every sweep, scan, bundle and simulation reuses the one build
+    rk.stochastic_viability_value(model, acc)
+    rk.robust_recovery_table(model, acc, 1)
+    rk.resilient_states(model, 0, rk.Viability(acc))
+    rk.minimize_risk(
+        model, 0, 0, rk.Viability(acc),
+        rk.Composed(rk.TimeOutside(acc), rk.Expectation()), method="dp",
+    )
+    layout = rk.strategy.rank_layout(model, 0)
+    strategy = rk.strategy_from_rank(model, layout.rank(layout.size - 1))
+    rk.build_bundle(model, strategy, 0)
+    rk.simulate_batch(
+        planes, rk.markov_policy_array(model, strategy)[None],
+        np.zeros((1, model.horizon), dtype=np.int32), 0,
+    )
+    assert model._planes is planes
+    # witness fills read the least admissible control, cached on its own
+    least = model._least
+    assert least.dtype == np.int32 and not least.flags.writeable
+    assert np.array_equal(least, model.constraints.argmax(axis=2))
+    rk.resilient_states(model, 0, rk.RobustRecovery(acc, 1))
+    assert model._least is least
 
 
 def test_models_equal(m1):

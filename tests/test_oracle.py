@@ -19,7 +19,7 @@ from conftest import (
 )
 from resilkit import oracle
 from resilkit._sim import simulate_batch
-from resilkit.model import _Scenarios, packed_tables
+from resilkit.model import _Scenarios, successor_planes
 from resilkit.regimes import _membership
 from resilkit.strategy import _bundle
 
@@ -75,6 +75,8 @@ def test_oracle_imports_no_production_route():
     ):
         assert name not in vars(oracle), name
     assert oracle._evaluate is rk.risk._evaluate
+    # the simulation kernel steps on the model's table, not an engine one
+    assert oracle.successor_planes is rk.model.successor_planes
 
 
 def test_oracle_viability_on_reservoir(m1):
@@ -114,7 +116,7 @@ def test_batched_membership_matches_bundle_membership():
             rk.strategy_from_rank(model, r, rk.MARKOV, start)
             for r in range(total)
         ]
-        dyn, ok = packed_tables(model)
+        planes = successor_planes(model)
         for robust_only in (False, True):
             scenarios = _Scenarios(
                 model, rk.enumerate_scenarios(model, robust_only=robust_only),
@@ -126,7 +128,7 @@ def test_batched_membership_matches_bundle_membership():
                 oracle._policy_batches(model, start, total, len(scen))
             ])
             for x0 in range(model.n_states):
-                states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+                states, controls = simulate_batch(planes, pol, scen, x0, start)
                 bundles = [
                     _bundle(model, s, x0, start, scenarios) for s in strategies
                 ]
@@ -356,13 +358,13 @@ def test_recovery_offsets_match_recovery_time():
             continue
         scenarios = rk.enumerate_scenarios(model)
         scen = oracle._scenario_array(model, scenarios)
-        dyn, ok = packed_tables(model)
+        planes = successor_planes(model)
         good = oracle._good_table(model, acc)
         pol = np.concatenate([
             p for _, p in oracle._policy_batches(model, start, total, len(scen))
         ])
         for x0 in range(model.n_states):
-            states, controls = simulate_batch(dyn, ok, pol, scen, x0, start)
+            states, controls = simulate_batch(planes, pol, scen, x0, start)
             offsets = oracle._recovery_offsets(model, good, states, controls)
             assert offsets.shape == (total, len(scenarios))
             for s in range(total):
@@ -424,7 +426,7 @@ def same_answers(a, b):
 def last_rank_value(model, acc, start, total):
     """Per-state probability of staying viable in acc under the last
     Markov strategy of the class alone."""
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     scenarios = rk.enumerate_scenarios(model)
     scen = oracle._scenario_array(model, scenarios)
     *_, (_, pol) = oracle._policy_batches(model, start, total, len(scen))
@@ -432,7 +434,7 @@ def last_rank_value(model, acc, start, total):
     return [
         float(oracle._viable_mask(
             model, oracle._good_table(model, acc),
-            *simulate_batch(dyn, ok, pol[-1:], scen, x0, start),
+            *simulate_batch(planes, pol[-1:], scen, x0, start),
         )[0].astype(np.float64) @ weights)
         for x0 in range(model.n_states)
     ]
@@ -463,6 +465,40 @@ def test_multi_block_scans_match_one_block(monkeypatch):
                 got = oracle_answers(model, start, regimes, acc, risk)
             assert same_answers(got, want), (cells, start)
     assert earlier_best
+
+
+def test_policy_batches_decode_ranks_like_strategy_from_rank(monkeypatch):
+    # the place-value decoding of a block against strategy_from_rank, from
+    # every start (start = K has no slots), in one block and in blocks
+    # split by _CELLS
+    rng = np.random.default_rng(5150)
+    split = 0
+    for _ in range(25):
+        model = random_model(rng, max_states=3, max_controls=3, max_horizon=3)
+        K, n = model.horizon, model.n_states
+        for start in range(K + 1):
+            total = rk.count_strategies(model, rk.MARKOV, start)
+            M, steps = int(rng.integers(1, 5)), K - start + 1
+            for cells in (oracle._CELLS, int(rng.integers(1, 4)) * M * steps):
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_CELLS", cells)
+                    blocks = list(
+                        oracle._policy_batches(model, start, total, M)
+                    )
+                sizes = [len(p) for _, p in blocks]
+                assert [a for a, _ in blocks] == np.cumsum(
+                    [0] + sizes[:-1]).tolist()
+                assert max(sizes) == max(1, cells // (M * steps)) or (
+                    len(blocks) == 1 and sizes[0] == total)
+                split += len(blocks) > 1
+                pol = np.concatenate([p for _, p in blocks])
+                assert pol.dtype == np.int32 and pol.shape == (total, K, n + 1)
+                ranks = {0, total - 1, *rng.integers(total, size=16).tolist()}
+                for r in ranks:
+                    strat = rk.strategy_from_rank(model, r, rk.MARKOV, start)
+                    want = rk.markov_policy_array(model, strat)
+                    assert np.array_equal(pol[r], want), (r, start)
+    assert split
 
 
 def test_oracle_witness_is_first_passing_rank(m1):

@@ -5,12 +5,11 @@ rules."""
 import numpy as np
 
 import resilkit as rk
-from resilkit.model import packed_tables
+from resilkit.model import successor_planes
 from conftest import build_m1, random_model
 
 
 def batch_inputs(rng, model, n_policies, start=0):
-    dyn, ok = packed_tables(model)
     K, n = model.horizon, model.n_states
     policies = np.zeros((n_policies, K, n + 1), dtype=np.int32)
     policies[:, :, :n] = rng.integers(
@@ -19,7 +18,7 @@ def batch_inputs(rng, model, n_policies, start=0):
     scen = np.array(
         rk.enumerate_scenarios(model), dtype=np.int32
     ).reshape(-1, K)
-    return dyn, ok, policies, scen
+    return successor_planes(model), policies, scen
 
 
 def test_batch_matches_bundle_trajectories():
@@ -33,12 +32,12 @@ def test_batch_matches_bundle_trajectories():
         )
         x0 = int(rng.integers(0, model.n_states))
         bundle = rk.build_bundle(model, strategy, x0)
-        dyn, ok = packed_tables(model)
+        planes = successor_planes(model)
         pol = rk.markov_policy_array(model, strategy)[None, :, :]
         scen = np.array(
             rk.enumerate_scenarios(model), dtype=np.int32
         ).reshape(-1, model.horizon)
-        states, controls = rk.simulate_batch(dyn, ok, pol, scen, x0)
+        states, controls = rk.simulate_batch(planes, pol, scen, x0)
         for m, traj in enumerate(bundle):
             assert states[0, m].tolist() == list(traj.states)
             assert controls[0, m].tolist() == list(traj.controls)
@@ -47,8 +46,8 @@ def test_batch_matches_bundle_trajectories():
 def test_shapes_with_later_start():
     model = build_m1()
     rng = np.random.default_rng(3)
-    dyn, ok, policies, scen = batch_inputs(rng, model, 4)
-    states, controls = rk.simulate_batch(dyn, ok, policies, scen, 2, start=2)
+    planes, policies, scen = batch_inputs(rng, model, 4)
+    states, controls = rk.simulate_batch(planes, policies, scen, 2, start=2)
     assert states.shape == (4, 8, 2)
     assert controls.shape == (4, 8, 1)
     assert (states[:, :, 0] == 2).all()
@@ -63,10 +62,10 @@ def test_cemetery_absorbs_in_batch():
         uncertainty_sets=(("0",),) * 3,
         dynamics_fn=lambda t, x, u, w: None if t == 0 else 0,
     )
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     pol = np.zeros((1, 3, 2), dtype=np.int32)
     scen = np.zeros((1, 3), dtype=np.int32)
-    states, _ = rk.simulate_batch(dyn, ok, pol, scen, 0)
+    states, _ = rk.simulate_batch(planes, pol, scen, 0)
     assert states[0, 0].tolist() == [0, 1, 1, 1]
 
 
@@ -79,10 +78,10 @@ def test_inadmissible_control_routes_to_cemetery():
         dynamics_fn=lambda t, x, u, w: x,
         constraints_fn=lambda t, x: (0,),
     )
-    dyn, ok = packed_tables(model)
+    planes = successor_planes(model)
     pol = np.full((1, 2, 3), 1, dtype=np.int32)  # always pick forbidden v
     pol[:, :, 2] = 0
     scen = np.zeros((1, 2), dtype=np.int32)
-    states, controls = rk.simulate_batch(dyn, ok, pol, scen, 0)
+    states, controls = rk.simulate_batch(planes, pol, scen, 0)
     assert states[0, 0].tolist() == [0, 2, 2]
     assert controls[0, 0].tolist() == [1, 0]
