@@ -86,11 +86,6 @@ def _flags(p, *names):
                 "--robust-only", action="store_true",
                 help="restrict scenarios to the robust subset",
             )
-        elif name == "--jobs":
-            p.add_argument(
-                "--jobs", type=int, default=1,
-                help="accepted for compatibility; has no effect",
-            )
         else:  # pragma: no cover
             raise AssertionError(name)
 
@@ -118,10 +113,10 @@ def build_parser():
     _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
 
     p = sub.add_parser("optimize", help="risk-minimizing resilient strategy")
-    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap", "--jobs")
+    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
 
     p = sub.add_parser("indicator", help="minimized risk value")
-    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap", "--jobs")
+    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
 
     p = sub.add_parser("simulate", help="closed-loop trajectory bundle")
     _flags(p, "--model", "--out", "--strategy", "--x0", "--t", "--cap",
@@ -439,7 +434,6 @@ def _optimize_result(args, model, regime, risk):
     return minimize_risk(
         model, x0, args.t, regime, risk,
         strategy_class=args.strategy_class, cap=_strategy_cap(args),
-        jobs=args.jobs,
     )
 
 

@@ -9,12 +9,13 @@ min-expectation one. Every sweep is one array-level Bellman backup per
 time (`_backup`). Witness policies use the smallest control index on ties
 so outputs are reproducible.
 
-Scans of either strategy class decide membership a block of
-representatives at a time, on policy arrays (`_member_blocks`). The six
+Scans of either strategy class, and check_resilient on its one strategy,
+decide membership a block of policy arrays at a time (`_decide`). The six
 worst-case path regimes are read through a finite monitor (`_monitor`);
 for Markov blocks over a per-time product domain, one forward walk over the
 reachable (state, memory) pairs decides a block without simulating it.
 Other blocks are simulated (_sim.simulate_batch) and decided on their paths.
+Only those read a scenario list, so only they meet the scenario cap.
 
 Backups, walks and simulations step on the model's successor table
 (`model.successor_planes`), where inadmissible controls lead to the cemetery.
@@ -30,11 +31,7 @@ import numpy as np
 from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import (
-    DEFAULT_SCENARIO_CAP,
-    SystemModel,
-    _Scenarios,
-    count_scenarios,
-    successor_planes,
+    DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -46,16 +43,16 @@ from .regimes import (
     Viability,
     _check_state_set,
     _path_membership,
-    regime_membership,
     validate_regime,
 )
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
+    _check_run,
     _layout_strategy,
     _markov_from_table,
-    build_bundle,
+    _policy_array,
     count_strategies,
     rank_layout,
     validate_strategy,
@@ -372,40 +369,36 @@ def check_resilient(
     regime,
     cap: int = DEFAULT_SCENARIO_CAP,
 ) -> bool:
-    """Does the strategy realize the regime from x0 at time `start`?
-
-    Builds the closed-loop bundle over the regime's quantification domain
-    (the robust subset for RobustRecovery, the full scenario set otherwise)
-    and evaluates membership.
-    """
+    """Does the strategy realize the regime from x0 at time `start`? The
+    strategy is packed as one policy array and decided as a scan block is
+    (_decide), after checks of the regime, the strategy, start and x0, and
+    the start's range. Scenarios are enumerated against `cap` only where
+    the decision reads them; the monitor walk never does."""
     validate_regime(model, regime)
-    robust_only = isinstance(regime, RobustRecovery)
-    bundle = build_bundle(
-        model, strategy, x0, start=start, robust_only=robust_only, cap=cap
+    validate_strategy(model, strategy)
+    start = _check_run(model, strategy, x0, start)
+    scenarios = _scan_scenarios(model, regime, start, cap=cap)
+    member, _ = _decide(
+        model, regime, _monitor(model, regime, start),
+        _policy_array(model, strategy)[None], x0, start, scenarios,
+        strategy.start,
     )
-    return regime_membership(model, regime, bundle)
+    return bool(member[0])
 
 
 def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
-    """The regime's scenario set for a scan that decides, for every
-    strategy of a class from `start`, what check_resilient would.
-
-    The scanned strategies are valid by construction once `start` is, so
-    the checks check_resilient would repeat on each of them are made here,
-    once, in its order: the scenario count against `cap`, the start time,
-    then x0 when given. The set is enumerated when first read, which the
-    monitor walk never does.
+    """The regime's scenario set for deciding strategies from `start`
+    (_decide), once the start time and then x0, when given, are checked.
+    The set is enumerated against `cap` when first read, which the monitor
+    walk never does.
     """
-    robust_only = isinstance(regime, RobustRecovery)
-    total = count_scenarios(model, robust_only)
-    if total > cap:
-        raise CapacityError(f"{total} scenarios exceed cap {cap}")
     if not 0 <= start <= model.horizon:
         raise InputError(
             f"strategy start {start} out of range 0..{model.horizon}"
         )
     if x0 is not None and not 0 <= x0 < model.n_states:
         raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    robust_only = isinstance(regime, RobustRecovery)
     return _Scenarios(model, robust_only=robust_only, cap=cap)
 
 
@@ -535,9 +528,10 @@ def _monitor_paths(model, regime, monitor, states, controls, scenarios, start):
     return kept.all(axis=1)
 
 
-def _simulate(model, policies, scenarios, x0, start):
-    """simulate_batch of RankLayout.policies arrays over a _Scenarios."""
-    prefixes = scenarios.prefixes(start) if policies.shape[3] > 1 else None
+def _simulate(model, policies, scenarios, x0, start, base):
+    """simulate_batch of RankLayout.policies arrays over a _Scenarios, the
+    prefixes ranked from `base` <= start."""
+    prefixes = scenarios.prefixes(base) if policies.shape[3] > 1 else None
     return simulate_batch(
         successor_planes(model), policies, scenarios.table, x0, start,
         prefixes,
@@ -550,23 +544,42 @@ def _path_block(model, start, n_scenarios):
     return max(1, _PATH_CELLS // (n_scenarios * (model.horizon - start + 1)))
 
 
+def _walks(monitor, width):
+    """Does the monitor walk decide policy arrays of `width` columns?"""
+    return monitor is not None and monitor.domain is not None and width == 1
+
+
+def _decide(model, regime, monitor, policies, x0, start, scenarios, base):
+    """(member, paths) for policy arrays int32 (S, K, n+1, P) laid out as
+    RankLayout.policies, prefixes ranked from `base`: member[s] is
+    regimes._membership from x0 at `start` of strategy s over `scenarios`,
+    the regime's _Scenarios. _reachable_members decides where _walks, with
+    paths None; otherwise paths over `scenarios` are simulated and decided
+    by _monitor_paths or _path_membership."""
+    if _walks(monitor, policies.shape[3]):
+        member = _reachable_members(model, monitor, x0, start, policies[..., 0])
+        return member, None
+    paths = _simulate(model, policies, scenarios, x0, start, base)
+    if monitor is not None:
+        member = _monitor_paths(model, regime, monitor, *paths, scenarios, start)
+    else:
+        member = _path_membership(model, regime, *paths, scenarios, start)
+    return member, paths
+
+
 def _member_blocks(model, regime, monitor, layout, x0, start, scenarios):
     """Yield (index, policies, paths) for the members of the layout from
-    x0, in ascending blocks: the members' representative indices (int64),
-    their RankLayout.policies arrays and their paths over `scenarios`, the
-    regime's _Scenarios (as simulate_batch returns them), or None where
-    membership needed no paths; `monitor` is the scan's _monitor.
+    x0, in ascending blocks decided by _decide: the members' representative
+    indices (int64), their RankLayout.policies arrays and their paths over
+    `scenarios`, the regime's _Scenarios, or None; `monitor` is the scan's
+    _monitor.
 
-    Where the layout has one prefix per time and the monitor's domain is a
-    per-time product, _reachable_members decides a block whose K * (n+1)
+    A block the monitor walk decides holds representatives whose K * (n+1)
     policy cells and (n+1) * memories * |W_t| walk cells per
-    representative, the larger, total at most _REACH_CELLS. Otherwise
-    blocks of _path_block are simulated over `scenarios` and decided by
-    _monitor_paths or _path_membership.
+    representative, the larger, total at most _REACH_CELLS; a simulated
+    block holds _path_block of them.
     """
-    walk = monitor is not None and monitor.domain is not None
-    walk = walk and layout.policy_shape[2] == 1
-    if walk:
+    if _walks(monitor, layout.policy_shape[2]):
         width = model.dynamics.shape[3] * (len(monitor.update[0]) - 1)
         cells = (model.n_states + 1) * max(model.horizon, width)
         step = max(1, _REACH_CELLS // cells)
@@ -574,21 +587,9 @@ def _member_blocks(model, regime, monitor, layout, x0, start, scenarios):
         step = _path_block(model, start, len(scenarios.scenarios))
     for lo in range(0, layout.size, step):
         policies = layout.policies(lo, min(layout.size, lo + step))
-        paths = None
-        if walk:
-            member = _reachable_members(
-                model, monitor, x0, start, policies[..., 0]
-            )
-        else:
-            paths = _simulate(model, policies, scenarios, x0, start)
-            if monitor is not None:
-                member = _monitor_paths(
-                    model, regime, monitor, *paths, scenarios, start
-                )
-            else:
-                member = _path_membership(
-                    model, regime, *paths, scenarios, start
-                )
+        member, paths = _decide(
+            model, regime, monitor, policies, x0, start, scenarios, start
+        )
         index = np.flatnonzero(member)
         if index.size:
             if paths is not None:

@@ -16,7 +16,7 @@ walk or on the block's paths simulated over the regime's scenario set
 simulated again where membership did not read them there, are then priced
 all at once (risk._evaluate_paths, bit-identical to evaluate_risk on each
 member's bundle), and only the winner becomes a Strategy. The scan runs on
-the calling thread; `jobs` is accepted for compatibility and has no effect.
+the calling thread.
 
 A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
@@ -204,7 +204,7 @@ def _member_values(
         step = _path_block(model, start, len(full.scenarios))
         for lo in range(0, len(policies), step):
             block = policies[lo : lo + step]
-            paths = _simulate(model, block, full, x0, start)
+            paths = _simulate(model, block, full, x0, start, start)
             yield block, _evaluate_paths(model, risk, *paths, full, start)
 
 
@@ -245,7 +245,7 @@ def minimize_risk(
 ) -> OptimizationResult:
     """Minimize the risk measure over strategies resilient from x0 at
     `start`. Ties go to the lexicographically least strategy. `jobs` has no
-    effect."""
+    effect; it stays because perfbench/workloads.py passes it."""
     validate_regime(model, regime)
     validate_risk(model, risk)
     if not 0 <= x0 < model.n_states:
@@ -286,10 +286,9 @@ def resilience_indicator(
     strategy_class: str = MARKOV,
     method: str = "auto",
     cap: int = DEFAULT_STRATEGY_CAP,
-    jobs: int = 1,
 ) -> float:
     """Minimized risk over resilient strategies; +inf when none exists."""
     return minimize_risk(
         model, x0, start, regime, risk,
-        strategy_class=strategy_class, method=method, cap=cap, jobs=jobs,
+        strategy_class=strategy_class, method=method, cap=cap,
     ).value

@@ -31,8 +31,8 @@ a strategy is built only for the winner. The adapted class, the
 probabilistic regimes and RiskContainment walk the object path, which
 shares the package's unchecked closed-loop kernels (`strategy._bundle`,
 `regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
-checked once per call as check_resilient would check them); `_bundle` runs
-on that path only, and no production scan runs it. The object path, forced
+checked once per call); `_bundle` runs on that path only, and no production
+route runs it. Every scenario table comes from `model._Scenarios`. The object path, forced
 with `force_object=True`, is the definitional reference the batched path is
 tested against, and for those scans the one judge of the production route,
 which decides them on simulated path arrays. Caps are hard errors: a
@@ -47,13 +47,7 @@ import numpy as np
 
 from .engine import ResilientSet, _scan_scenarios
 from .errors import CapacityError, InputError
-from .model import (
-    SystemModel,
-    enumerate_scenarios,
-    packed_tables,
-    scenario_weights,
-    successor_planes,
-)
+from .model import SystemModel, _Scenarios, packed_tables, successor_planes
 from .regimes import (
     AtMostKExits,
     Bounded,
@@ -92,13 +86,6 @@ def _check_cap(model, kind, start, cap):
     if total > cap:
         raise CapacityError(f"{total} {kind} strategies exceed cap {cap}")
     return total
-
-
-def _scenario_array(model, scenarios):
-    """The scenario tuples as int32 (M, K) for the simulation kernel."""
-    return np.array(scenarios, dtype=np.int32).reshape(
-        len(scenarios), model.horizon
-    )
 
 
 def _policy_batches(model, start, total, n_scenarios):
@@ -265,7 +252,7 @@ def oracle_resilient_states(
     witnesses = {}
     if _batched(regime, strategy_class, force_object):
         planes = successor_planes(model)
-        scen = _scenario_array(model, scenarios.scenarios)
+        scen = scenarios.table
         member_of = _batch_member(model, regime, scenarios, start)
         n = model.n_states
         for _, pol in _policy_batches(model, start, total, len(scen)):
@@ -305,9 +292,9 @@ def oracle_value(
     probability of staying viable in `acceptable` from `start`."""
     total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
-    scenarios = enumerate_scenarios(model)
-    scen = _scenario_array(model, scenarios)
-    weights = scenario_weights(model, scenarios)
+    scenarios = _Scenarios(model)
+    scen = scenarios.table
+    weights = np.array(scenarios.weights, dtype=np.float64)
     good = _good_table(model, acceptable)
     best = [0.0] * model.n_states
     for _, pol in _policy_batches(model, start, total, len(scen)):
@@ -332,7 +319,7 @@ def oracle_recovery_offsets(
     strategy recovers at all (offset inf)."""
     total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
-    scen = _scenario_array(model, enumerate_scenarios(model, robust_only=True))
+    scen = _Scenarios(model, robust_only=True).table
     good = _good_table(model, acceptable)
     offsets = np.full(model.n_states, math.inf, dtype=np.float64)
     ranks = np.full(model.n_states, -1, dtype=np.int64)
@@ -383,7 +370,7 @@ def _member_rows(model, regime, scenarios, x0, start, total):
     (k, L, n) and their simulate_batch rows (k, M, L+1) and (k, M, L) over
     the full scenario set, the _Scenarios `full`."""
     planes = successor_planes(model)
-    scen = _scenario_array(model, scenarios.scenarios)
+    scen = scenarios.table
     member_of = _batch_member(model, regime, scenarios, start)
     n, L = model.n_states, model.horizon - start
     for _, pol in _policy_batches(model, start, total, len(scen)):

@@ -515,16 +515,30 @@ def enumerate_strategies(
     return _generate()
 
 
+def _policy_array(model, strategy):
+    """A valid strategy as int32 (K, n+1, P) in the layout of
+    RankLayout.policies, unchecked; P is 1 for a Markov strategy and
+    n_prefixes(K-1, start) for an adapted one, whose Markov policies fill
+    every prefix column."""
+    n, width = model.n_states, 1
+    if strategy.kind == ADAPTED:
+        width = n_prefixes(model, model.horizon - 1, strategy.start)
+    out = np.zeros((model.horizon, n + 1, width), dtype=np.int32)
+    for pol in strategy.policies:
+        if pol.kind == MARKOV:
+            out[pol.t, :n] = pol.table[:, None]
+        else:
+            out[pol.t, :n, : pol.table.shape[1]] = pol.table
+    return out
+
+
 def markov_policy_array(model: SystemModel, strategy: Strategy) -> np.ndarray:
     """Pack a Markov strategy as int32 (K, n+1) for the batched kernel
     (cemetery column 0, times before the start zero-filled)."""
     validate_strategy(model, strategy)
     if strategy.kind != MARKOV:
         raise InputError("only Markov strategies pack into policy arrays")
-    out = np.zeros((model.horizon, model.n_states + 1), dtype=np.int32)
-    for pol in strategy.policies:
-        out[pol.t, : model.n_states] = pol.table
-    return out
+    return _policy_array(model, strategy)[..., 0]
 
 
 def strategy_to_text(model: SystemModel, strategy: Strategy) -> str:

@@ -217,6 +217,16 @@ def random_paths(rng, model, x0, start, count):
     return states, controls, full, bundles
 
 
+def bundle_member(model, strategy, x0, start, regime):
+    """The object path's answer to check_resilient: the regime's membership
+    on the strategy's bundle over its quantification domain."""
+    bundle = rk.build_bundle(
+        model, strategy, x0, start,
+        robust_only=isinstance(regime, rk.RobustRecovery),
+    )
+    return rk.regime_membership(model, regime, bundle)
+
+
 def outcome(call):
     """call()'s result, or the type and text of the package error it
     raised."""

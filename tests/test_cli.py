@@ -1,7 +1,7 @@
 """End-to-end command line runs through `python -m resilkit`.
 
-Covers stdout summaries, JSON/CSV outputs, the 0/1/2 exit code contract,
-and determinism of parallel optimize runs."""
+Covers stdout summaries, JSON/CSV outputs and the 0/1/2 exit code
+contract."""
 
 import json
 import subprocess
@@ -256,6 +256,8 @@ def test_no_out_writes_nothing(tmp_path):
       "--strategy", "m1_keep.strategy"), "x0 must be an ordinary state"),
     (("kernel", "--model", "empty_key.model"),
      "line 40: unknown [regime] key ''"),
+    (("optimize", "--model", "m1.model", "--x0", "2", "--jobs", "4"),
+     "unrecognized arguments: --jobs 4"),
 ])
 def test_bad_input_exits_2(argv, fragment, tmp_path):
     # m1.model with a key-less line opening its [regime] section
@@ -299,20 +301,3 @@ def test_malformed_model_reports_line(tmp_path):
 def test_unknown_command_exits_2():
     proc = run_cli("frobnicate", "--model", model("m1.model"))
     assert proc.returncode == 2
-
-
-def test_optimize_jobs_deterministic(tmp_path):
-    """Parallel scans must reproduce the serial result byte for byte."""
-    outs = []
-    for i, jobs in enumerate(("1", "4", "4")):
-        out = tmp_path / f"run{i}"
-        proc = run_cli("optimize", "--model", model("m1.model"),
-                       "--x0", "2", "--jobs", jobs, "--out", str(out))
-        assert proc.returncode == 0
-        outs.append(out)
-    blobs = [(o / "optimize.json").read_bytes() for o in outs]
-    assert blobs[0] == blobs[1] == blobs[2]
-    strategies = [(o / "witness.strategy").read_bytes() for o in outs]
-    assert strategies[0] == strategies[1] == strategies[2]
-    doc = read_json(outs[0] / "optimize.json")
-    assert doc["certificate"] == "exhaustive"

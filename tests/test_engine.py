@@ -13,9 +13,13 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    bundle_member,
+    outcome,
     padded_twin,
     random_acceptable,
     random_model,
+    random_risks,
+    random_strategy,
     random_variant,
 )
 
@@ -296,7 +300,7 @@ def test_resilient_states_viability(m1):
     assert out.method == "kernel"
     assert out.members == {2, 3}
     for x0, strat in out.witnesses.items():
-        assert rk.check_resilient(m1, strat, x0, 0, rk.Viability(A))
+        assert bundle_member(m1, strat, x0, 0, rk.Viability(A))
 
 
 def test_resilient_states_recovery(m1, m1_benign):
@@ -305,7 +309,7 @@ def test_resilient_states_recovery(m1, m1_benign):
     assert out.method == "recovery"
     assert out.members == {0, 1, 2, 3}
     for x0, strat in out.witnesses.items():
-        assert rk.check_resilient(m1_benign, strat, x0, 0, regime)
+        assert bundle_member(m1_benign, strat, x0, 0, regime)
     assert rk.resilient_states(m1, 0, regime).members == {2, 3}
 
 
@@ -315,7 +319,7 @@ def test_resilient_states_value(m1):
     assert out.method == "value"
     assert out.members == {2, 3}
     for x0, strat in out.witnesses.items():
-        assert rk.check_resilient(m1, strat, x0, 0, regime)
+        assert bundle_member(m1, strat, x0, 0, regime)
 
 
 def test_resilient_states_exhaustive(m1):
@@ -324,7 +328,7 @@ def test_resilient_states_exhaustive(m1):
     assert out.method == "exhaustive"
     assert out.members == {2, 3}
     for x0, strat in out.witnesses.items():
-        assert rk.check_resilient(m1, strat, x0, 0, regime)
+        assert bundle_member(m1, strat, x0, 0, regime)
 
 
 def test_resilient_states_members_are_python_ints(m1, m1_benign):
@@ -354,7 +358,7 @@ def test_resilient_states_later_start(m1):
     assert out.members == {2, 3}
     for x0, strat in out.witnesses.items():
         assert strat.start == 2
-        assert rk.check_resilient(m1, strat, x0, 2, rk.Viability(A))
+        assert bundle_member(m1, strat, x0, 2, rk.Viability(A))
     with pytest.raises(rk.InputError, match="start"):
         rk.resilient_states(m1, 5, rk.Viability(A))
 
@@ -377,20 +381,24 @@ def test_public_boundaries_keep_their_checks(m1):
     V = rk.Viability(A)
     bundle = rk.build_bundle(m1, s, 2)
     robust = rk.build_bundle(m1, s, 2, robust_only=True)
+    SV = rk.StochasticViability(A, 0.5)
     cases = [
-        # (call, error, message): regime, then scenario cap, strategy, x0
+        # (call, error, message): regime, then strategy, start and x0, the
+        # start's range, and last the scenario cap
         (lambda: rk.check_resilient(m1, s, 9, 0, rk.Viability({7})),
          rk.InputError, "acceptable set contains invalid state index 7"),
         (lambda: rk.check_resilient(m1, s, 9, 0, rk.RobustRecovery(A, 9)),
          rk.InputError, "deadline 9 outside"),
-        (lambda: rk.check_resilient(m1, bad, 9, 0, V, cap=7),
-         rk.CapacityError, "8 scenarios exceed cap 7"),
-        (lambda: rk.check_resilient(m1, bad, 9, 0, V),
+        (lambda: rk.check_resilient(m1, bad, 9, 0, SV, cap=7),
          rk.InputError, "unknown control"),
-        (lambda: rk.check_resilient(m1, s, 4, 0, V),
-         rk.InputError, "x0 must be an ordinary state index, got 4"),
-        (lambda: rk.check_resilient(m1, late, 2, 0, V),
+        (lambda: rk.check_resilient(m1, late, 9, 0, SV, cap=7),
          rk.InputError, "cannot simulate from 0"),
+        (lambda: rk.check_resilient(m1, s, 4, 4, SV, cap=7),
+         rk.InputError, "x0 must be an ordinary state index, got 4"),
+        (lambda: rk.check_resilient(m1, s, 2, 4, SV, cap=7),
+         rk.InputError, "strategy start 4 out of range 0..3"),
+        (lambda: rk.check_resilient(m1, s, 2, 0, SV, cap=7),
+         rk.CapacityError, "8 scenarios exceed cap 7"),
         (lambda: rk.check_resilient(m1, s, 2, 0, rk.RiskContainment(
             rk.Composed(rk.TimeOutside(A), rk.CVaR(0.0)), 1.0)),
          rk.InputError, "CVaR level 0.0"),
@@ -420,8 +428,8 @@ def test_public_boundaries_keep_their_checks(m1):
     for call, error, message in cases:
         with pytest.raises(error, match=re.escape(message)):
             call()
-    # a run from beyond the horizon plays no policy and never recovers
-    assert not rk.check_resilient(m1, s, 2, 4, V)
+    # the monitor walk reads no scenario list, so the cap does not bind it
+    assert rk.check_resilient(m1, s, 2, 0, V, cap=7)
 
 
 def test_scans_check_start_and_x0_once(m1):
@@ -450,14 +458,136 @@ def test_scans_check_start_and_x0_once(m1):
     for call, message in cases:
         with pytest.raises(rk.InputError, match=re.escape(message)):
             call()
+    # the scenario cap binds only a scan that enumerates the scenarios
+    capped = rk.resilient_states(m1, 2, B, scenario_cap=3)
+    uncapped = rk.resilient_states(m1, 2, B)
+    assert capped.members == uncapped.members == {2, 3}
+    for x0 in capped.members:
+        assert rk.strategies_equal(
+            capped.witnesses[x0], uncapped.witnesses[x0]
+        )
     with pytest.raises(rk.CapacityError, match="8 scenarios exceed cap 3"):
-        rk.resilient_states(m1, 2, B, scenario_cap=3)
+        rk.resilient_states(m1, 2, rk.ProbExcursion(A, 0.5), scenario_cap=3)
     # expected costs without probabilities fail at the first resilient
     # strategy, and only then
     plain = build_m1(probs=None)
     assert rk.minimize_risk(plain, 0, 2, B, effort).value == math.inf
     with pytest.raises(rk.ConfigurationError, match="per-time probability"):
         rk.minimize_risk(plain, 2, 2, B, effort)
+
+
+def _nine_regimes(rng, model):
+    """One regime of each of the nine kinds, on random sets and limits."""
+    K, n = model.horizon, model.n_states
+    acc, region = random_acceptable(rng, model), random_acceptable(rng, model)
+    beta = float(rng.choice((0.0, 0.25, 0.5, 1.0)))
+    risks = random_risks(rng, model, acc)
+    return [
+        rk.Viability(acc),
+        rk.RobustRecovery(acc, int(rng.integers(K + 1))),
+        rk.StochasticViability(acc, beta),
+        rk.Bounded(region),
+        rk.ProbExcursion(region, beta),
+        rk.AtMostKExits(region, int(rng.integers(K + 1))),
+        rk.Stabilize(int(rng.integers(n)), float(rng.choice((0.0, 1.0, 2.5))),
+                     int(rng.integers(K + 2))),
+        rk.ControlEvent(frozenset({int(rng.integers(model.n_controls))})),
+        rk.RiskContainment(risks[int(rng.integers(len(risks)))],
+                           float(rng.choice((0.0, 0.5, 1.0)))),
+    ]
+
+
+def test_check_resilient_matches_the_object_path():
+    # check_resilient decides one policy-array row as a scan block is
+    # decided; membership on the strategy's bundle is the judge, answers
+    # and errors alike, for Markov, adapted and mixed strategies, adapted
+    # ones checked after their own start, on random_variant models
+    rng = np.random.default_rng(2202)
+    seen = {"member": 0, "not": 0, "error": 0, "variant": 0, "mixed": 0,
+            "adapted_later": 0, "walk": 0}
+    kinds = set()
+    for i in range(240):
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=2, max_horizon=3,
+            with_probs=rng.random() < 0.7, with_robust=True,
+            cemetery_rate=0.2,
+        )
+        if i % 2:
+            model = random_variant(rng, model)
+            seen["variant"] += 1
+        K = model.horizon
+        base = int(rng.integers(K))
+        start = int(rng.integers(base, K + 1))
+        kind = (rk.MARKOV, rk.ADAPTED, "mixed")[(i // 2) % 3]
+        if kind == "mixed":
+            markov = random_strategy(rng, model, rk.MARKOV, base).policies
+            adapted = random_strategy(rng, model, rk.ADAPTED, base).policies
+            strat = rk.Strategy(base, tuple(
+                pair[int(rng.integers(2))] for pair in zip(markov, adapted)
+            ))
+        else:
+            strat = random_strategy(rng, model, kind, base)
+        mixed = strat.kind == rk.ADAPTED and any(
+            p.kind == rk.MARKOV for p in strat.policies
+        )
+        for regime in _nine_regimes(rng, model):
+            x0 = int(rng.integers(model.n_states))
+            want = outcome(lambda: bundle_member(model, strat, x0, start, regime))
+            got = outcome(
+                lambda: rk.check_resilient(model, strat, x0, start, regime)
+            )
+            assert got == want, (i, regime, kind, base, start, x0)
+            kinds.add(type(regime))
+            if isinstance(want, tuple):
+                seen["error"] += 1
+                continue
+            seen["member" if want else "not"] += 1
+            seen["mixed"] += mixed
+            monitor = rk.engine._monitor(model, regime, start)
+            width = rk.strategy._policy_array(model, strat).shape[2]
+            seen["walk"] += rk.engine._walks(monitor, width)
+            seen["adapted_later"] += width > 1 and base < start
+    assert len(kinds) == 9 and min(seen.values()) >= 20, seen
+
+
+def test_scenario_cap_binds_only_what_is_enumerated():
+    # 2**21 scenarios exceed DEFAULT_SCENARIO_CAP; the monitor walk reads
+    # none of them, a probabilistic regime and the pricing of a member do
+    K = 21
+    model = rk.make_model(
+        horizon=K, state_labels=("0", "1"), control_labels=("0",),
+        uncertainty_sets=("0", "1"), dynamics_fn=lambda t, x, u, w: x,
+        probs=(0.5, 0.5),
+    )
+    assert rk.count_scenarios(model) > rk.DEFAULT_SCENARIO_CAP
+    stay = rk.constant_strategy(model, 0)
+    late = rk.constant_strategy(model, 0, start=3)
+    worst_case = (
+        rk.Bounded({1}), rk.AtMostKExits({1}, 0), rk.Stabilize(1, 0.0, 2),
+    )
+    for regime in (rk.Viability({1}), *worst_case):
+        assert rk.check_resilient(model, stay, 1, 0, regime)
+        assert rk.check_resilient(model, late, 1, 5, regime)
+        assert not rk.check_resilient(model, stay, 0, 0, regime)
+    too_many = "2097152 scenarios exceed cap"
+    with pytest.raises(rk.CapacityError, match=too_many):
+        rk.check_resilient(model, stay, 1, 0, rk.StochasticViability({1}, 0.5))
+    risk = rk.Composed(rk.TimeOutside({1}), rk.WorstCase())
+    for regime in worst_case:
+        assert rk.resilient_states(model, 0, regime).members == {1}
+        out = rk.minimize_risk(model, 0, 0, regime, risk)
+        assert (out.resilient, out.value, out.examined) == (False, math.inf, 0)
+        with pytest.raises(rk.CapacityError, match=too_many):
+            rk.minimize_risk(model, 1, 0, regime, risk)
+
+
+def test_engine_and_optimize_hold_no_object_path():
+    # the production routes decide on policy arrays; bundles, bundle
+    # membership and bundle pricing stay the public API and the oracle's
+    for module in (rk.engine, rk.optimize):
+        for name in ("build_bundle", "regime_membership", "_bundle",
+                     "_membership", "_evaluate"):
+            assert name not in vars(module), (module.__name__, name)
 
 
 def test_exhaustive_agrees_with_kernel_on_bounded():

@@ -13,6 +13,7 @@ import resilkit as rk
 from conftest import (
     M1_ACCEPTABLE,
     build_m1,
+    bundle_member,
     cli_env,
     random_acceptable,
     random_model,
@@ -84,7 +85,7 @@ def test_oracle_viability_on_reservoir(m1):
     assert out.method == "oracle"
     assert out.members == {2, 3}
     for x0, strat in out.witnesses.items():
-        assert rk.check_resilient(m1, strat, x0, 0, rk.Viability(A))
+        assert bundle_member(m1, strat, x0, 0, rk.Viability(A))
 
 
 def test_batched_scan_matches_object_scan():
@@ -122,7 +123,7 @@ def test_batched_membership_matches_bundle_membership():
                 model, rk.enumerate_scenarios(model, robust_only=robust_only),
                 robust_only,
             )
-            scen = oracle._scenario_array(model, scenarios.scenarios)
+            scen = scenarios.table
             pol = np.concatenate([
                 p for _, p in
                 oracle._policy_batches(model, start, total, len(scen))
@@ -146,7 +147,7 @@ def definitional_min_risk(model, x0, start, regime, risk):
     """oracle_min_risk from the public API, one strategy at a time."""
     best, best_strategy, examined = math.inf, None, 0
     for strat in rk.enumerate_strategies(model, rk.MARKOV, start):
-        if not rk.check_resilient(model, strat, x0, start, regime):
+        if not bundle_member(model, strat, x0, start, regime):
             continue
         examined += 1
         bundle = rk.build_bundle(model, strat, x0, start)
@@ -246,7 +247,7 @@ def expected_pricings(model, x0, start, regime):
         members = []
         for rank in range(a, min(total, a + block)):
             strat = rk.strategy_from_rank(model, rank, rk.MARKOV, start)
-            if rk.check_resilient(model, strat, x0, start, regime):
+            if bundle_member(model, strat, x0, start, regime):
                 members.append(bundle_rows(
                     rk.build_bundle(model, strat, x0, start)
                 ))
@@ -356,8 +357,8 @@ def test_recovery_offsets_match_recovery_time():
         total = rk.count_strategies(model, rk.MARKOV, start)
         if total > 64:
             continue
-        scenarios = rk.enumerate_scenarios(model)
-        scen = oracle._scenario_array(model, scenarios)
+        full = _Scenarios(model)
+        scenarios, scen = full.scenarios, full.table
         planes = successor_planes(model)
         good = oracle._good_table(model, acc)
         pol = np.concatenate([
@@ -427,10 +428,10 @@ def last_rank_value(model, acc, start, total):
     """Per-state probability of staying viable in acc under the last
     Markov strategy of the class alone."""
     planes = successor_planes(model)
-    scenarios = rk.enumerate_scenarios(model)
-    scen = oracle._scenario_array(model, scenarios)
+    scenarios = _Scenarios(model)
+    scen = scenarios.table
     *_, (_, pol) = oracle._policy_batches(model, start, total, len(scen))
-    weights = rk.scenario_weights(model, scenarios)
+    weights = rk.scenario_weights(model, scenarios.scenarios)
     return [
         float(oracle._viable_mask(
             model, oracle._good_table(model, acc),
@@ -508,7 +509,7 @@ def test_oracle_witness_is_first_passing_rank(m1):
         for rank, earlier in enumerate(rk.enumerate_strategies(m1, rk.MARKOV, 0)):
             if rk.strategies_equal(earlier, strat):
                 break
-            assert not rk.check_resilient(m1, earlier, x0, 0, rk.Viability(A))
+            assert not bundle_member(m1, earlier, x0, 0, rk.Viability(A))
         else:
             pytest.fail("witness not found in the enumeration")
 
@@ -556,7 +557,7 @@ def test_oracle_min_risk_on_reservoir(m1):
     value, strat, examined = rk.oracle_min_risk(m1, 2, 0, regime, risk)
     assert value == 2.0
     assert examined == 512
-    assert rk.check_resilient(m1, strat, 2, 0, regime)
+    assert bundle_member(m1, strat, 2, 0, regime)
     bundle = rk.build_bundle(m1, strat, 2)
     assert rk.evaluate_risk(m1, risk, bundle) == 2.0
 

@@ -5,8 +5,9 @@ rules."""
 import numpy as np
 
 import resilkit as rk
-from resilkit.model import successor_planes
-from conftest import build_m1, random_model
+from resilkit.model import _Scenarios, successor_planes
+from resilkit.strategy import _policy_array
+from conftest import build_m1, random_model, random_strategy
 
 
 def batch_inputs(rng, model, n_policies, start=0):
@@ -41,6 +42,27 @@ def test_batch_matches_bundle_trajectories():
         for m, traj in enumerate(bundle):
             assert states[0, m].tolist() == list(traj.states)
             assert controls[0, m].tolist() == list(traj.controls)
+    # adapted policy arrays read the prefixes ranked from the strategy's
+    # own start, also when the run starts later
+    later = 0
+    for _ in range(40):
+        model = random_model(rng, max_w=3, max_horizon=4, cemetery_rate=0.3)
+        K = model.horizon
+        base = int(rng.integers(K))
+        start = int(rng.integers(base, K + 1))
+        strategy = random_strategy(rng, model, rk.ADAPTED, base)
+        x0 = int(rng.integers(0, model.n_states))
+        bundle = rk.build_bundle(model, strategy, x0, start)
+        scenarios = _Scenarios(model)
+        states, controls = rk.simulate_batch(
+            successor_planes(model), _policy_array(model, strategy)[None],
+            scenarios.table, x0, start, scenarios.prefixes(base),
+        )
+        for m, traj in enumerate(bundle):
+            assert states[0, m].tolist() == list(traj.states)
+            assert controls[0, m].tolist() == list(traj.controls)
+        later += base < start < K and rk.n_prefixes(model, start, base) > 1
+    assert later >= 5
 
 
 def test_shapes_with_later_start():
