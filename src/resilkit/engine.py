@@ -4,10 +4,11 @@ Backward dynamic programming for the viability family and an exhaustive
 strategy search for every other regime. The robust kernel and robust
 recovery are one min-max sweep: the least worst-case number of steps to
 the kernel, whose zero level is the kernel. The stochastic viability value
-is a max-expectation sweep, and the DP certificate in optimize a
-min-expectation one. Every sweep is one array-level Bellman backup per
-time (`_backup`). Witness policies use the smallest control index on ties
-so outputs are reproducible.
+and the DP certificate in optimize are one expectation sweep
+(`_expected_sweep`), maximizing and minimizing; the certificate reads the
+kernel off its finite values. Every sweep is one array-level Bellman
+backup per time (`_backup`). Witness policies use the smallest control
+index on ties so outputs are reproducible.
 
 Scans of either strategy class, and check_resilient on its one strategy,
 decide membership a block of policy arrays at a time (`_decide`). The six
@@ -41,6 +42,7 @@ from .regimes import (
     Stabilize,
     StochasticViability,
     Viability,
+    _ball,
     _check_state_set,
     _path_membership,
     validate_regime,
@@ -267,6 +269,28 @@ def robust_viability_kernel(
     return _kernel(model, _checked(model, acceptable), domain)
 
 
+def _expected_sweep(model, inside, last, outside, start=0, step=None,
+                    minimize=False):
+    """(V float64 (K+1, n), picks int32 (K, n)): V_K is `last` on the mask
+    `inside`, `outside` elsewhere; for t = K-1 down to `start`, the max (the
+    min when `minimize`) of a _backup over the full sets with probs[t],
+    init step[t] (0.0 without `step`) and pad `outside` gives V_t and picks
+    on `inside`, `outside` and -1 elsewhere and in the rows before start."""
+    K, n = model.horizon, model.n_states
+    value = np.full((K + 1, n), outside, dtype=np.float64)
+    picks = np.full((K, n), -1, dtype=np.int32)
+    value[K] = np.where(inside, last, outside)
+    for t in range(K - 1, start - 1, -1):
+        best, u = _backup(
+            model, t, range(model.uncertainty.size(t)), value[t + 1],
+            outside, probs=model.uncertainty.probs[t],
+            init=0.0 if step is None else step[t], minimize=minimize,
+        )
+        value[t] = np.where(inside, best, outside)
+        picks[t] = np.where(inside, u, -1)
+    return value, picks
+
+
 def _value(model, acceptable):
     """stochastic_viability_value of a checked acceptable frozenset."""
     if not model.uncertainty.has_probs:
@@ -280,18 +304,7 @@ def _value(model, acceptable):
             "membership or oracle path"
         )
     inside = _inside(model, acceptable)
-    ranges = _uncertainty_ranges(model, "full")
-    K, n = model.horizon, model.n_states
-    value = np.zeros((K + 1, n), dtype=np.float64)
-    witness = np.full((K, n), -1, dtype=np.int32)
-    value[K] = inside
-    for t in range(K - 1, -1, -1):
-        best, u = _backup(
-            model, t, ranges[t], value[t + 1], 0.0,
-            probs=model.uncertainty.probs[t], minimize=False,
-        )
-        value[t] = np.where(inside, best, 0.0)
-        witness[t] = np.where(inside, u, -1)
+    value, witness = _expected_sweep(model, inside, 1.0, 0.0)
     value.setflags(write=False)
     witness.setflags(write=False)
     return ValueTable(acceptable, value, witness)
@@ -451,9 +464,7 @@ def _monitor(model, regime, start):
         if model.robust_scenarios is not None:
             domain = None
     elif isinstance(regime, Stabilize):
-        center = model.states.coords[regime.target]
-        region = [x for x, c in enumerate(model.states.coords)
-                  if not float(np.linalg.norm(c - center)) > regime.radius]
+        region = np.flatnonzero(_ball(model, regime))
         first = max(start, K - regime.window)
     elif isinstance(regime, AtMostKExits):
         probs = model.uncertainty.probs if model.uncertainty.has_probs else ()

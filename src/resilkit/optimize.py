@@ -20,13 +20,14 @@ the calling thread.
 
 A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
-cost. There, controls are first restricted at each (t, x) to the
-kernel-preserving ones, then a standard cost recursion picks the cheapest.
-The reported value is the recursion's own value at (start, x0), the
-expected cost of the reported policy, computed without enumerating
-scenarios: bit-exact with evaluate_risk where the probabilities are dyadic,
-within 1e-12 otherwise (the recursion groups the sum over scenarios
-differently).
+cost whose costs are finite and whose sums cannot overflow. There, one
+min-expectation sweep (engine._expected_sweep), +inf off the acceptable
+set, prices every state: its finite set is the viability kernel, and each
+pick the cheapest kernel-preserving control. The reported value is the
+sweep's own value at (start, x0), the expected cost of the reported
+policy, computed without enumerating scenarios: bit-exact with
+evaluate_risk where the probabilities are dyadic, within 1e-12 otherwise
+(the sweep groups the sum over scenarios differently).
 
 An empty feasible set is an answer, not an error: the result carries
 resilient=False and value +inf.
@@ -40,9 +41,9 @@ import numpy as np
 
 from ._record import record
 from .engine import (
-    _backup,
+    _expected_sweep,
     _fill,
-    _kernel,
+    _inside,
     _member_blocks,
     _monitor,
     _path_block,
@@ -80,10 +81,11 @@ class OptimizationResult:
     """Outcome of minimize_risk.
 
     value equals evaluate_risk of the reported strategy's bundle: bit-exact
-    in exhaustive mode; for the DP certificate, bit-exact where the
-    probabilities are dyadic and within 1e-12 otherwise. examined counts the
-    resilient members of the strategy class, each scanned representative
-    standing for its whole class (0 for the DP certificate, which never
+    in exhaustive mode; for the DP certificate, which needs finite costs
+    whose sums cannot overflow, bit-exact where the probabilities are
+    dyadic and within 1e-12 otherwise. examined counts the resilient
+    members of the strategy class, each scanned representative standing
+    for its whole class (0 for the DP certificate, which never
     enumerates)."""
 
     resilient: bool
@@ -104,22 +106,19 @@ def _additive_tables(model, cost):
     K, n, nu = model.horizon, model.n_states, model.n_controls
     step = np.zeros((K, n, nu), dtype=np.float64)
     terminal = np.zeros(n, dtype=np.float64)
-    if isinstance(cost, TimeOutside):
+    if isinstance(cost, (TimeOutside, TerminalMiss)):
         outside = np.array(
             [x not in cost.acceptable for x in range(n)], dtype=np.float64
         )
-        step += outside[None, :, None]
         terminal += outside
+        if isinstance(cost, TimeOutside):
+            step += outside[None, :, None]
     elif isinstance(cost, ControlEffort):
         if cost.rates is not None:
             rates = np.asarray(cost.rates, dtype=np.float64)
         else:
             rates = model.controls.coords[:, 0].astype(np.float64)
         step += rates[None, None, :]
-    elif isinstance(cost, TerminalMiss):
-        terminal += np.array(
-            [x not in cost.acceptable for x in range(n)], dtype=np.float64
-        )
     else:
         step += cost.state_costs[:K, :, None]
         step += cost.control_costs[:, None, :]
@@ -128,58 +127,56 @@ def _additive_tables(model, cost):
 
 
 def _dp_supported(model, regime, risk, strategy_class):
-    """Reason the DP fast path does not apply, or None when it does."""
+    """(reason the DP fast path does not apply, None), or (None, the cost
+    tables (step, terminal) of _additive_tables) where it applies."""
     if strategy_class != MARKOV:
-        return "the DP certificate is only produced for the Markov class"
+        return "the DP certificate is only produced for the Markov class", None
     if not isinstance(risk, Composed) or not isinstance(risk.outer, Expectation):
-        return "the DP fast path needs an expected composed cost"
+        return "the DP fast path needs an expected composed cost", None
     if not isinstance(risk.cost, _ADDITIVE_COSTS):
-        return "the DP fast path needs a per-time additive cost"
+        return "the DP fast path needs a per-time additive cost", None
     if not model.uncertainty.has_probs:
-        return "expected costs need per-time probability vectors"
+        return "expected costs need per-time probability vectors", None
     if model.scenario_probs is not None:
-        return "the DP fast path assumes independence across times"
-    if isinstance(regime, Viability):
-        return None
+        return "the DP fast path assumes independence across times", None
     if isinstance(regime, StochasticViability) and regime.beta == 1.0:
-        for t in range(model.horizon):
-            if any(p <= 0.0 for p in model.uncertainty.probs[t]):
-                return (
-                    "beta = 1 only matches sure viability when every "
-                    "uncertainty value has positive probability"
-                )
-        return None
-    return "the DP fast path covers surely-viable regimes only"
+        if any(p <= 0.0 for probs in model.uncertainty.probs for p in probs):
+            return (
+                "beta = 1 only matches sure viability when every "
+                "uncertainty value has positive probability"
+            ), None
+    elif not isinstance(regime, Viability):
+        return "the DP fast path covers surely-viable regimes only", None
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, terminal = _additive_tables(model, risk.cost)
+    # bounds each |V_t| (the probabilities sum to 1 within 1e-9): below
+    # 2**1023 no sum overflows; NaN and inf fail
+    bound = sum(np.abs(step).max(axis=(1, 2)).tolist())
+    if not bound + float(np.abs(terminal).max()) < 2.0**1023:
+        return (
+            "the DP certificate needs finite costs whose sums cannot overflow"
+        ), None
+    return None, (step, terminal)
 
 
-def _minimize_dp(model, x0, start, regime, risk, strategy_class):
+def _minimize_dp(model, x0, start, regime, strategy_class, step, terminal):
     # the private _fill trusts `start`, so the certificate checks it here
     if not 0 <= start <= model.horizon:
         raise InputError(
             f"strategy start {start} out of range 0..{model.horizon}"
         )
-    kernel = _kernel(model, regime.acceptable, "full")
-    if not kernel.member[start, x0]:
+    # V_t is finite exactly on the kernel: a control that leaves it, or an
+    # inadmissible one, scores inf (NaN under a zero weight), never attains
+    value, picks = _expected_sweep(
+        model, _inside(model, regime.acceptable), terminal, math.inf,
+        start, step, minimize=True,
+    )
+    best = float(value[start, x0])
+    if not math.isfinite(best):
         return OptimizationResult(False, math.inf, None, 0, DP, strategy_class)
-    step, terminal = _additive_tables(model, risk.cost)
-    K, n = model.horizon, model.n_states
-    value = np.where(kernel.member[K], terminal, math.inf)
-    picks = np.full((K, n), -1, dtype=np.int32)
-    for t in range(K - 1, start - 1, -1):
-        # cheapest among the controls that keep every w inside the kernel:
-        # value is inf off it and the cemetery reads inf, so any other
-        # control scores inf (or NaN under a zero weight) and never attains
-        best, u = _backup(
-            model, t, range(model.uncertainty.size(t)), value, math.inf,
-            probs=model.uncertainty.probs[t], init=step[t],
-        )
-        value = np.where(kernel.member[t], best, math.inf)
-        picks[t] = np.where(kernel.member[t], u, -1)
-    strategy = _fill(model, picks, start)
-    # the sweep's value is the reported policy's expected cost: every state
-    # it reaches from x0 is in the kernel, where it plays the picked control
+    # best is the picks' expected cost: from x0 they stay in the kernel
     return OptimizationResult(
-        True, float(value[x0]), strategy, 0, DP, strategy_class
+        True, best, _fill(model, picks, start), 0, DP, strategy_class
     )
 
 
@@ -197,9 +194,7 @@ def _member_values(
         # the full scenario set is enumerated at the first member only
         full = scenarios.full
         if paths is not None and full is scenarios:
-            yield policies, _evaluate_paths(
-                model, risk, *paths, full, start
-            )
+            yield policies, _evaluate_paths(model, risk, *paths, full, start)
             continue
         step = _path_block(model, start, len(full.scenarios))
         for lo in range(0, len(policies), step):
@@ -214,9 +209,7 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
     monitor = _monitor(model, regime, start)
-    best = math.inf
-    examined = 0
-    winner = None
+    best, examined, winner = math.inf, 0, None
     for policies, values in _member_values(
         model, x0, start, regime, risk, layout, scenarios, monitor
     ):
@@ -225,11 +218,9 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
                 best = value
                 winner = policies[i]
         examined += len(values)
-    if winner is None:
-        return best, None, examined
-    return (
-        best, _layout_strategy(model, strategy_class, winner, start), examined
-    )
+    if winner is not None:
+        winner = _layout_strategy(model, strategy_class, winner, start)
+    return best, winner, examined
 
 
 def minimize_risk(
@@ -244,8 +235,11 @@ def minimize_risk(
     jobs: int = 1,
 ) -> OptimizationResult:
     """Minimize the risk measure over strategies resilient from x0 at
-    `start`. Ties go to the lexicographically least strategy. `jobs` has no
-    effect; it stays because perfbench/workloads.py passes it."""
+    `start`. Ties go to the lexicographically least strategy. "auto" scans
+    where the DP certificate does not apply (_dp_supported: non-finite or
+    overflowing costs among others), where "dp" raises ConfigurationError.
+    `jobs` has no effect; it stays because perfbench/workloads.py passes
+    it."""
     validate_regime(model, regime)
     validate_risk(model, risk)
     if not 0 <= x0 < model.n_states:
@@ -253,11 +247,11 @@ def minimize_risk(
     if method not in ("auto", EXHAUSTIVE, DP):
         raise InputError(f"unknown method {method!r}")
 
-    unsupported = _dp_supported(model, regime, risk, strategy_class)
+    unsupported, tables = _dp_supported(model, regime, risk, strategy_class)
     if method == DP and unsupported:
         raise ConfigurationError(unsupported)
     if method in ("auto", DP) and not unsupported:
-        return _minimize_dp(model, x0, start, regime, risk, strategy_class)
+        return _minimize_dp(model, x0, start, regime, strategy_class, *tables)
 
     total = count_strategies(model, strategy_class, start)
     if total > cap:

@@ -55,6 +55,7 @@ from .regimes import (
     RobustRecovery,
     Stabilize,
     Viability,
+    _ball,
     _membership,
     validate_regime,
 )
@@ -204,12 +205,7 @@ def _batch_member(model, regime, scenarios, start):
         return member
 
     if isinstance(regime, Stabilize):
-        coords = model.states.coords
-        center = coords[regime.target]
-        near = np.zeros(model.n_states + 1, dtype=bool)  # cemetery: never
-        for x in range(model.n_states):
-            d = float(np.linalg.norm(coords[x] - center))
-            near[x] = not d > regime.radius
+        near = _ball(model, regime)
         first = max(start, model.horizon - regime.window) - start
         return lambda states, controls: near[states[:, :, first:]].all(
             axis=(1, 2)

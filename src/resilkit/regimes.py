@@ -168,6 +168,15 @@ def validate_regime(model: SystemModel, regime) -> None:
         validate_risk(model, regime.measure)
 
 
+def _ball(model, regime):
+    """bool (n+1,): the states within Euclidean `radius` of a Stabilize
+    regime's target (the cemetery is in no ball)."""
+    center = model.states.coords[regime.target]
+    near = [not float(np.linalg.norm(c - center)) > regime.radius
+            for c in model.states.coords]
+    return np.array(near + [False])
+
+
 def _steps(model, trajectory, acceptable, need_controls):
     """(acceptable as a frozenset, K - start) for a trajectory holding its
     states at start..K and, when need_controls, its controls at start..K-1;
@@ -308,17 +317,10 @@ def _membership(model, regime, bundle, scenarios):
         return True
 
     if isinstance(regime, Stabilize):
-        center = model.states.coords[regime.target]
+        ball = _ball(model, regime)
         first = max(bundle.start, model.horizon - regime.window)
-        for tr in bundle:
-            for s in range(first, model.horizon + 1):
-                x = tr.state(s)
-                if x == model.cemetery:
-                    return False
-                d = float(np.linalg.norm(model.states.coords[x] - center))
-                if d > regime.radius:
-                    return False
-        return True
+        return all(ball[tr.state(s)] for tr in bundle
+                   for s in range(first, model.horizon + 1))
 
     if isinstance(regime, ControlEvent):
         return all(

@@ -1253,6 +1253,60 @@ def test_backup_matches_loop_recursions_bytewise():
     assert twins >= 100
 
 
+def _zero_weights(rng, model):
+    """The model with each time's probabilities redrawn as ratios of small
+    integers, some of them zero (never all)."""
+    u = model.uncertainty
+    probs = []
+    for t in range(model.horizon):
+        weights = rng.integers(0, 3, size=u.size(t))
+        if not weights.any():
+            weights[int(rng.integers(weights.size))] = 1
+        probs.append(tuple(weights / weights.sum()))
+    return rk.SystemModel(
+        model.time, model.states, model.controls,
+        rk.UncertaintyStructure(u.sets, tuple(probs), u.robust),
+        model.dynamics, model.constraints,
+    )
+
+
+def test_dp_sweep_matches_loops_on_zero_weights_and_late_starts():
+    # the certificate reads the kernel off its own finite values: a control
+    # whose zero-weight w leaves the kernel reads 0 * inf = NaN and must
+    # not attain; starts run over 1..K, K included; the loop reference
+    # still restricts to kernel-preserving controls (_loop_kernel)
+    rng = np.random.default_rng(20261019)
+    resilient = nan_reads = 0
+    for _ in range(240):
+        model = _zero_weights(rng, random_model(
+            rng, max_states=6, max_controls=3, max_w=3, max_horizon=4,
+            with_probs=True, with_robust=bool(rng.integers(2)),
+            cemetery_rate=0.2,
+        ))
+        acc = random_acceptable(rng, model)
+        K = model.horizon
+        start = int(rng.integers(1, K + 1))
+        x0 = int(rng.integers(model.n_states))
+        risk = rk.Composed(_random_additive_cost(rng, model, acc), rk.Expectation())
+        twin = padded_twin(rng, model)
+        models = (model,) if twin is None else (model, twin)
+        resilient += bool(
+            _assert_sweeps_match_loops(models, acc, start, x0, risk)
+        )
+        # kernel cells (t, x) whose backup reads a NaN: an admissible
+        # control takes a zero-weight w out of the kernel
+        member = rk.robust_viability_kernel(model, acc, "full").member
+        for t in range(start, K):
+            nxt = model.dynamics[t, :, :, :model.uncertainty.size(t)]
+            leaves = ~np.append(member[t + 1], False)[nxt]
+            zero = np.array(model.uncertainty.probs[t]) == 0.0
+            nan = (leaves & zero).any(axis=2) & model.constraints[t]
+            nan_reads += int(nan.any(axis=1)[member[t]].sum())
+    # the certificate is produced, not only refused, and NaN reads occur
+    assert resilient >= 80
+    assert nan_reads >= 15
+
+
 def _wide_model(rng, n, robust, zero):
     """n states on a line moved by u - 1 plus a shift of -1, 0 or 3 per w,
     clipped below; a move past the top leads to the cemetery, and some

@@ -473,3 +473,91 @@ def test_dp_certificate_never_enumerates_scenarios():
     want = _forward_expected_cost(model, out.strategy, 5, step, terminal)
     assert out.value == pytest.approx(want, abs=1e-12)
 
+
+
+def _unbounded_costs(model):
+    """Tabular costs the DP certificate refuses: inf terminal costs on
+    {1, 2, 3}, inf control costs at t = 0, one NaN state cost, and state
+    costs of 1e308 whose sum over the times overflows."""
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    states, controls = np.zeros((K + 1, n)), np.zeros((K, nu))
+    terminal, first, nan = states.copy(), controls.copy(), states.copy()
+    terminal[K, [1, 2, 3]] = math.inf
+    first[0] = math.inf
+    nan[1, 2] = math.nan
+    return [
+        rk.TabularCost(terminal, controls),
+        rk.TabularCost(states, first),
+        rk.TabularCost(nan, controls),
+        rk.TabularCost(np.full((K + 1, n), 1e308), controls),
+    ]
+
+
+def test_non_finite_costs_leave_the_certificate():
+    # off the finite costs the sweep's finite set is not the kernel, so
+    # "auto" scans and agrees with the oracle, and "dp" refuses
+    model = build_m1()
+    regime = rk.Viability({1, 2, 3})
+    for cost in _unbounded_costs(model):
+        risk = rk.Composed(cost, rk.Expectation())
+        for x0 in (1, 2, 3):
+            out = rk.minimize_risk(model, x0, 0, regime, risk)
+            assert out.certificate == "exhaustive"
+            value, strategy, examined = rk.oracle_min_risk(
+                model, x0, 0, regime, risk
+            )
+            assert out.resilient == (strategy is not None)
+            assert (
+                np.float64(out.value).tobytes()
+                == np.float64(value).tobytes()
+                or math.isnan(out.value) and math.isnan(value)
+            )
+            assert out.examined == examined
+            assert rk.check_resilient(model, out.strategy, x0, 0, regime)
+            with pytest.raises(
+                rk.ConfigurationError,
+                match="needs finite costs whose sums cannot overflow",
+            ):
+                rk.minimize_risk(model, x0, 0, regime, risk, method="dp")
+
+
+def test_cost_bound_sits_at_2_to_the_1023():
+    # the K + 1 = 4 state costs of each path sum to 4 * c: c = 2**1021
+    # reaches the bound and is scanned, c = 2**1020 stays below it and is
+    # certified, with the oracle's value
+    model = build_m1()
+    regime = rk.Viability({1, 2, 3})
+    controls = np.zeros((model.horizon, model.n_controls))
+    for c, certificate in ((2.0**1021, "exhaustive"), (2.0**1020, "dp")):
+        states = np.full((model.horizon + 1, model.n_states), c)
+        risk = rk.Composed(rk.TabularCost(states, controls), rk.Expectation())
+        out = rk.minimize_risk(model, 2, 0, regime, risk)
+        assert out.certificate == certificate
+        value, _, _ = rk.oracle_min_risk(model, 2, 0, regime, risk)
+        assert out.value == value == 4 * c
+
+
+def test_value_and_certificate_share_one_sweep(m1, monkeypatch):
+    # the certificate is the value table's loop minimizing: K - start
+    # backups and no kernel sweep before them
+    assert "_kernel" not in vars(rk.optimize)
+    assert "_backup" not in vars(rk.optimize)
+    times = []
+    backup = rk.engine._backup
+
+    def counted(model, t, *args, **kwargs):
+        times.append(t)
+        return backup(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(rk.engine, "_backup", counted)
+    K = m1.horizon
+    rk.stochastic_viability_value(m1, A)
+    assert times == list(range(K - 1, -1, -1))
+    for start in range(K + 1):
+        for x0 in range(m1.n_states):
+            times.clear()
+            out = rk.minimize_risk(
+                m1, x0, start, rk.Viability(A), EFFORT, method="dp"
+            )
+            assert out.certificate == "dp"
+            assert times == list(range(K - 1, start - 1, -1))
