@@ -22,12 +22,14 @@ A documented dynamic programming fast path covers the one family where
 constrained DP is exact: a surely-viable regime with an additive expected
 cost whose costs are finite and whose sums cannot overflow. There, one
 min-expectation sweep (engine._expected_sweep), +inf off the acceptable
-set, prices every state: its finite set is the viability kernel, and each
-pick the cheapest kernel-preserving control. The reported value is the
-sweep's own value at (start, x0), the expected cost of the reported
-policy, computed without enumerating scenarios: bit-exact with
-evaluate_risk where the probabilities are dyadic, within 1e-12 otherwise
-(the sweep groups the sum over scenarios differently).
+set, prices every state from the cost's per-time state and control
+charges (risk._cost_tables, the table the scan's path pricer reads too):
+its finite set is the viability kernel, and each pick the cheapest
+kernel-preserving control. The reported value is the sweep's own value at
+(start, x0), the expected cost of the reported policy, computed without
+enumerating scenarios: bit-exact with evaluate_risk where the
+probabilities are dyadic, within 1e-12 otherwise (the sweep groups the sum
+over scenarios differently).
 
 An empty feasible set is an answer, not an error: the result carries
 resilient=False and value +inf.
@@ -54,12 +56,10 @@ from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel
 from .regimes import StochasticViability, Viability, validate_regime
 from .risk import (
+    _ADDITIVE_COSTS,
     Composed,
-    ControlEffort,
     Expectation,
-    TabularCost,
-    TerminalMiss,
-    TimeOutside,
+    _cost_tables,
     _evaluate_paths,
     validate_risk,
 )
@@ -96,39 +96,21 @@ class OptimizationResult:
     strategy_class: str
 
 
-# the per-time additive cost kinds the DP certificate prices
-_ADDITIVE_COSTS = (TimeOutside, ControlEffort, TerminalMiss, TabularCost)
-
-
 def _additive_tables(model, cost):
-    """(step_costs (K, n, nu), terminal_costs (n,)) for a cost of one of
-    the _ADDITIVE_COSTS kinds."""
-    K, n, nu = model.horizon, model.n_states, model.n_controls
-    step = np.zeros((K, n, nu), dtype=np.float64)
-    terminal = np.zeros(n, dtype=np.float64)
-    if isinstance(cost, (TimeOutside, TerminalMiss)):
-        outside = np.array(
-            [x not in cost.acceptable for x in range(n)], dtype=np.float64
-        )
-        terminal += outside
-        if isinstance(cost, TimeOutside):
-            step += outside[None, :, None]
-    elif isinstance(cost, ControlEffort):
-        if cost.rates is not None:
-            rates = np.asarray(cost.rates, dtype=np.float64)
-        else:
-            rates = model.controls.coords[:, 0].astype(np.float64)
-        step += rates[None, None, :]
-    else:
-        step += cost.state_costs[:K, :, None]
-        step += cost.control_costs[:, None, :]
-        terminal += cost.state_costs[K]
-    return step, terminal
+    """(step_costs (K, n, nu), terminal_costs (n,)) of a cost of one of the
+    risk._ADDITIVE_COSTS kinds, read off its risk._cost_tables."""
+    K, n = model.horizon, model.n_states
+    state, control = _cost_tables(model, cost)
+    step = np.zeros((K, n, model.n_controls))
+    step += state[:K, :n, None]
+    step += control[:, None, :]
+    return step, 0.0 + state[K, :n]
 
 
 def _dp_supported(model, regime, risk, strategy_class):
     """(reason the DP fast path does not apply, None), or (None, the cost
-    tables (step, terminal) of _additive_tables) where it applies."""
+    tables (step, terminal) of _additive_tables, priced from
+    risk._cost_tables) where it applies."""
     if strategy_class != MARKOV:
         return "the DP certificate is only produced for the Markov class", None
     if not isinstance(risk, Composed) or not isinstance(risk.outer, Expectation):

@@ -57,6 +57,7 @@ from .regimes import (
     Viability,
     _ball,
     _membership,
+    _state_mask,
     validate_regime,
 )
 from .risk import _evaluate, validate_risk
@@ -105,13 +106,6 @@ def _policy_batches(model, start, total, n_scenarios):
             b - a, K - start, n
         )
         yield a, pol
-
-
-def _state_mask(model, states):
-    """in_set[x] over 0..n (the cemetery is in no state set)."""
-    in_set = np.zeros(model.n_states + 1, dtype=bool)
-    in_set[list(states)] = True
-    return in_set
 
 
 def _good_table(model, acceptable):

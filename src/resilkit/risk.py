@@ -274,7 +274,8 @@ def validate_risk(model: SystemModel, spec) -> None:
 
 def evaluate_cost(model: SystemModel, cost, trajectory) -> float:
     """Per-trajectory cost: the kind's base sum over non-cemetery steps,
-    plus cemetery_penalty per time spent at the cemetery."""
+    plus cemetery_penalty per time spent at the cemetery. A path that never
+    reaches the cemetery pays no penalty, even an infinite one."""
     validate_cost(model, cost)
     return _costs(model, cost, (trajectory,))[0]
 
@@ -330,8 +331,38 @@ def _costs(model, cost, trajectories):
                     base += float(cost.control_costs[start + i, controls[i]])
         else:
             raise InputError(f"unknown cost function {cost!r}")
-        out.append(base + cost.cemetery_penalty * path.count(dead))
+        dead_times = path.count(dead)
+        # 0.0, not penalty * 0: an infinite penalty would make it NaN
+        penalty = cost.cemetery_penalty * dead_times if dead_times else 0.0
+        out.append(base + penalty)
     return out
+
+
+# the per-time additive cost kinds: each charges a state cost at every time
+# and a control cost at every step, as tabulated by _cost_tables
+_ADDITIVE_COSTS = (TimeOutside, ControlEffort, TerminalMiss, TabularCost)
+
+
+def _cost_tables(model, cost):
+    """(state (K+1, n+1), control (K, nu)), float64: the charge of a cost of
+    one of the _ADDITIVE_COSTS kinds for each state at each time and for
+    each control at each step. The cemetery column is 0.0, since the
+    penalty charges the cemetery; a control played there is charged
+    nothing, which the path pricer masks."""
+    K, n = model.horizon, model.n_states
+    state = np.zeros((K + 1, n + 1))
+    control = np.zeros((K, model.n_controls))
+    if isinstance(cost, TabularCost):
+        state[:, :n] = cost.state_costs
+        control[:] = cost.control_costs
+    elif isinstance(cost, ControlEffort):
+        rates = cost.rates
+        control[:] = model.controls.coords[:, 0] if rates is None else rates
+    else:
+        # TimeOutside charges rows 0..K, TerminalMiss row K only
+        first = 0 if isinstance(cost, TimeOutside) else K
+        state[first:, :n] = ~_state_mask(model, cost.acceptable)[:n]
+    return state, control
 
 
 def cvar(values, weights, level: float) -> float:
@@ -465,35 +496,21 @@ def _path_costs(model, cost, states, controls, start):
         suffix = np.logical_and.accumulate(good[:, :, ::-1], axis=2)
         length = suffix.sum(axis=2)
         base = np.where(length > 0, (L + 1 - length).astype(float), math.inf)
-    elif isinstance(cost, TimeOutside):
-        outside = alive & ~_state_mask(model, cost.acceptable)[states]
-        base = outside.sum(axis=2).astype(np.float64)
-    elif isinstance(cost, ControlEffort):
-        if cost.rates is not None:
-            rates = np.asarray(cost.rates, dtype=np.float64)
-        else:
-            rates = model.controls.coords[:, 0]
-        base = np.zeros(states.shape[:2])
-        for l in range(L):
-            step = rates[controls[:, :, l]]
-            base = base + np.where(alive[:, :, l], step, 0.0)
-    elif isinstance(cost, TerminalMiss):
-        x = states[:, :, L]
-        outside = alive[:, :, L] & ~_state_mask(model, cost.acceptable)[x]
-        base = outside.astype(np.float64)
-    elif isinstance(cost, TabularCost):
+    elif isinstance(cost, _ADDITIVE_COSTS):
+        state, control = _cost_tables(model, cost)
         base = np.zeros(states.shape[:2])
         for l in range(L + 1):
-            row = np.append(cost.state_costs[start + l], 0.0)
-            base = base + np.where(alive[:, :, l], row[states[:, :, l]], 0.0)
+            base = base + state[start + l][states[:, :, l]]
             if l < L:
-                row = cost.control_costs[start + l]
+                row = control[start + l]
                 base = base + np.where(
                     alive[:, :, l], row[controls[:, :, l]], 0.0
                 )
     else:
         raise InputError(f"unknown cost function {cost!r}")
-    return base + float(cost.cemetery_penalty) * (~alive).sum(axis=2)
+    dead_times = (~alive).sum(axis=2)
+    penalty = float(cost.cemetery_penalty) * dead_times
+    return base + np.where(dead_times > 0, penalty, 0.0)
 
 
 def _cvar_rows(values, weights, level):

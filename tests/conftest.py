@@ -238,11 +238,11 @@ def outcome(call):
 
 def random_risks(rng, model, acc):
     """Every cost kind on `acc` under every outer functional, and every
-    direct measure; penalties include inf, which makes the cost of a path
-    that never reaches the cemetery NaN (inf * 0), and tables include
-    infinities and negative values."""
+    direct measure; penalties include inf, which a path that never reaches
+    the cemetery does not pay, and tables include NaN, infinities and
+    negative values."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
-    cells = (0.0, 0.25, 1.0, -0.5, 0.1, 1 / 3, 2.0, math.inf)
+    cells = (0.0, 0.25, 1.0, -0.5, 0.1, 1 / 3, math.nan, math.inf)
     odds = (0.6, 0.1, 0.1, 0.05, 0.05, 0.04, 0.04, 0.02)
     penalty = float(rng.choice((1e18, math.inf, 3.0, 0.0, 0.7)))
     costs = (

@@ -561,3 +561,83 @@ def test_value_and_certificate_share_one_sweep(m1, monkeypatch):
             )
             assert out.certificate == "dp"
             assert times == list(range(K - 1, start - 1, -1))
+
+
+def test_infinite_cemetery_penalty_is_not_paid_off_the_cemetery():
+    # a path that never reaches the cemetery pays no penalty, not inf * 0
+    # = NaN: the certificate, the scan, the oracle and evaluate_risk of
+    # every witness agree
+    model = build_m1()
+    acc = frozenset({1, 2, 3})
+    regime = rk.Viability(acc)
+    for cost, want, certificate in (
+        (rk.TimeOutside(acc, math.inf), 0.0, "dp"),
+        (rk.ControlEffort(None, math.inf), 0.25, "dp"),
+        (rk.TerminalMiss(acc, math.inf), 0.0, "dp"),
+        (rk.RecoveryOffset(acc, math.inf), 0.0, "exhaustive"),
+    ):
+        risk = rk.Composed(cost, rk.Expectation())
+        auto = rk.minimize_risk(model, 3, 0, regime, risk)
+        assert auto.certificate == certificate
+        scan = rk.minimize_risk(model, 3, 0, regime, risk, method="exhaustive")
+        value, strategy, _ = rk.oracle_min_risk(model, 3, 0, regime, risk)
+        assert auto.value == scan.value == value == want, cost
+        for witness in (auto.strategy, scan.strategy, strategy):
+            bundle = rk.build_bundle(model, witness, 3)
+            assert rk.evaluate_risk(model, risk, bundle) == want, cost
+
+
+def _dyadic_model(rng):
+    """A random model whose probabilities are dyadic, so that expected sums
+    of quarter-integer costs are exact in any grouping."""
+    n, nu, K = (int(v) for v in rng.integers(2, (5, 4, 4)))
+    table = rng.integers(0, n, size=(K, n, nu, 2))
+    table[rng.random(table.shape) < 0.1] = n  # the cemetery
+    allowed = rng.random((K, n, nu)) < 0.75
+    allowed[:, :, 0] |= ~allowed.any(axis=2)
+    return rk.make_model(
+        horizon=K,
+        state_labels=tuple(str(x) for x in range(n)),
+        control_labels=tuple(str(u) for u in range(nu)),
+        uncertainty_sets=("0", "1"),
+        dynamics_fn=lambda t, x, u, w: int(table[t, x, u, w]),
+        constraints_fn=lambda t, x: np.flatnonzero(allowed[t, x]).tolist(),
+        probs=tuple(tuple(rng.permutation((0.25, 0.75))) for _ in range(K)),
+    )
+
+
+def test_dp_value_is_the_witness_risk_bit_for_bit():
+    # on dyadic probabilities and quarter-integer costs the certificate's
+    # value is evaluate_risk of its witness exactly, for each additive kind
+    # and under an infinite cemetery penalty too
+    rng = np.random.default_rng(2424)
+    resilient = 0
+    for _ in range(30):
+        model = _dyadic_model(rng)
+        K, n, nu = model.horizon, model.n_states, model.n_controls
+        acc = random_acceptable(rng, model)
+        start = int(rng.integers(K + 1))
+        x0 = int(rng.integers(n))
+        for penalty in (1e18, math.inf):
+            for cost in (
+                rk.TimeOutside(acc, penalty),
+                rk.ControlEffort(None, penalty),
+                rk.ControlEffort(tuple(rng.integers(-4, 9, nu) / 4), penalty),
+                rk.TerminalMiss(acc, penalty),
+                rk.TabularCost(
+                    rng.integers(-4, 9, (K + 1, n)) / 4,
+                    rng.integers(-4, 9, (K, nu)) / 4,
+                    penalty,
+                ),
+            ):
+                risk = rk.Composed(cost, rk.Expectation())
+                out = rk.minimize_risk(model, x0, start, rk.Viability(acc), risk)
+                assert out.certificate == "dp"
+                if not out.resilient:
+                    continue
+                resilient += 1
+                bundle = rk.build_bundle(model, out.strategy, x0)
+                got = rk.evaluate_risk(model, risk, bundle)
+                assert np.float64(got).tobytes() == \
+                    np.float64(out.value).tobytes(), (cost, got, out.value)
+    assert resilient >= 100, resilient
