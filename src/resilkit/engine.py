@@ -11,12 +11,15 @@ backup per time (`_backup`). Witness policies use the smallest control
 index on ties so outputs are reproducible.
 
 Scans of either strategy class, and check_resilient on its one strategy,
-decide membership a block of policy arrays at a time (`_decide`). The six
-worst-case path regimes are read through a finite monitor (`_monitor`);
-for Markov blocks over a per-time product domain, one forward walk over the
-reachable (state, memory) pairs decides a block without simulating it.
-Other blocks are simulated (_sim.simulate_batch) and decided on their paths.
-Only those read a scenario list, so only they meet the scenario cap.
+decide membership a block of policy arrays at a time (`_decide`). Every
+path regime, all but RiskContainment, is read through a finite monitor
+(`_monitor`); the two probability thresholds weigh the paths their
+worst-case forms require of every path. For Markov blocks of a worst-case
+regime over a per-time product domain, one forward walk over the reachable
+(state, memory) pairs decides a block without simulating it. Other blocks
+are simulated (_sim.simulate_batch) and decided on their paths: the monitor
+run along them (`_monitor_paths`), or RiskContainment's risk. Only those
+read a scenario list, so only they meet the scenario cap.
 
 Backups, walks and simulations step on the model's successor table
 (`model.successor_planes`), where inadmissible controls lead to the cemetery.
@@ -38,15 +41,18 @@ from .regimes import (
     AtMostKExits,
     Bounded,
     ControlEvent,
+    ProbExcursion,
     RobustRecovery,
     Stabilize,
     StochasticViability,
     Viability,
     _ball,
     _check_state_set,
-    _path_membership,
+    _running_sum,
+    _state_mask,
     validate_regime,
 )
+from .risk import _evaluate_paths
 from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
@@ -153,13 +159,6 @@ def _checked(model, acceptable):
     return acceptable
 
 
-def _inside(model, acceptable):
-    """bool (n,) membership mask of a checked acceptable set."""
-    inside = np.zeros(model.n_states, dtype=bool)
-    inside[np.fromiter(acceptable, np.intp, len(acceptable))] = True
-    return inside
-
-
 def _uncertainty_ranges(model, domain):
     if domain == "robust":
         if model.robust_scenarios is not None:
@@ -252,7 +251,7 @@ def _min_max_sweep(model, inside, ranges, deadline):
 def _kernel(model, acceptable, domain):
     """robust_viability_kernel of a checked acceptable frozenset."""
     ranges = _uncertainty_ranges(model, domain)
-    inside = _inside(model, acceptable)
+    inside = _state_mask(model, acceptable)[:model.n_states]
     layer, witness = _min_max_sweep(model, inside, ranges, 0)
     member = layer == 0.0
     member.setflags(write=False)
@@ -303,7 +302,7 @@ def _value(model, acceptable):
             "recursion (it assumes independence across times); use the "
             "membership or oracle path"
         )
-    inside = _inside(model, acceptable)
+    inside = _state_mask(model, acceptable)[:model.n_states]
     value, witness = _expected_sweep(model, inside, 1.0, 0.0)
     value.setflags(write=False)
     witness.setflags(write=False)
@@ -323,7 +322,7 @@ def _recovery(model, acceptable, deadline):
             f"deadline {deadline} outside 0..{model.horizon}"
         )
     ranges = _uncertainty_ranges(model, "robust")
-    inside = _inside(model, acceptable)
+    inside = _state_mask(model, acceptable)[:model.n_states]
     min_layer, witness = _min_max_sweep(model, inside, ranges, deadline)
     r_star = min_layer[0].copy()
     for arr in (min_layer, witness, r_star):
@@ -416,12 +415,13 @@ def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
 
 
 class _Monitor(NamedTuple):
-    """A worst-case path regime as a finite monitor, in product-chain form.
-    Memories run best-first from 0 to the sink, which rejects for good.
-    init[x] (n+1,) is the memory once x is read at the start; update[t, m,
-    u, x'] (K, sink+1, nu, n+1) the memory after m plays u at t and moves
-    to x'; domain[t] the w the regime quantifies over at t, or domain None
-    where that is no per-time product."""
+    """A path regime's path property as a finite monitor, in product-chain
+    form. Memories run best-first from 0 to the sink, which rejects the
+    path for good. init[x] (n+1,) is the memory once x is read at the
+    start; update[t, m, u, x'] (K, sink+1, nu, n+1) the memory after m
+    plays u at t and moves to x'; domain[t] the w a worst-case regime
+    quantifies over at t, or domain None where that is no per-time product
+    or the regime weighs its paths (ProbExcursion, StochasticViability)."""
 
     init: np.ndarray
     update: np.ndarray
@@ -430,19 +430,23 @@ class _Monitor(NamedTuple):
 
 def _monitor(model, regime, start):
     """The regime's _Monitor for paths from `start`; None for
-    ProbExcursion, StochasticViability and RiskContainment. Its domain is
-    None for RobustRecovery on an explicit robust scenario list, and for
-    AtMostKExits on a joint distribution or where a positive-support
-    scenario's weight underflows to 0.0 (membership skips those).
+    RiskContainment only. Its domain is None for the threshold regimes
+    ProbExcursion and StochasticViability, for RobustRecovery on an
+    explicit robust scenario list, and for AtMostKExits on a joint
+    distribution or where a positive-support scenario's weight underflows
+    to 0.0 (membership skips those).
 
     ControlEvent keeps a "used" flag fed by the played control: 0 once a
     control of the set is played, 1 before, the sink at K while unset. The
     others count the checked times t >= first with the state outside a
     region (the cemetery is outside every region) up to a limit: Viability
-    and Bounded 0 from `start`; RobustRecovery 0 from its deadline, over
-    the robust subsets; Stabilize 0 on the states within `radius` of
-    `target` from max(start, K - window); AtMostKExits max_exits from
-    `start`, over the positive-probability w. Updates are monotone in m.
+    and StochasticViability on the acceptable set, Bounded and
+    ProbExcursion on the region, 0 from `start` (an inadmissible control
+    leads to the cemetery, so staying in the set is viability);
+    RobustRecovery 0 from its deadline, over the robust subsets; Stabilize
+    0 on the states within `radius` of `target` from max(start, K -
+    window); AtMostKExits max_exits from `start`, over the
+    positive-probability w. Updates are monotone in m.
     """
     K, n, nu = model.horizon, model.n_states, model.n_controls
     domain = [range(model.uncertainty.size(t)) for t in range(K)]
@@ -453,9 +457,9 @@ def _monitor(model, regime, start):
         init = np.full(n + 1, 1 if start < K else 2, dtype=np.uint8)
         return _Monitor(init, update, domain)
     first, limit = start, 0
-    if isinstance(regime, Viability):
+    if isinstance(regime, (Viability, StochasticViability)):
         region = regime.acceptable
-    elif isinstance(regime, Bounded):
+    elif isinstance(regime, (Bounded, ProbExcursion)):
         region = regime.region
     elif isinstance(regime, RobustRecovery):
         # recovery_time is never below the start
@@ -479,9 +483,10 @@ def _monitor(model, regime, start):
         region, limit = regime.region, min(regime.max_exits, K - start + 1)
     else:
         return None
+    if isinstance(regime, (StochasticViability, ProbExcursion)):
+        domain = None  # the walk reads no weights
     dtype = np.min_scalar_type(limit + 2)  # holds a count past the sink
-    bad = np.ones(n + 1, dtype=dtype)
-    bad[list(region)] = 0
+    bad = (~_state_mask(model, region)).astype(dtype)
     memory = np.arange(limit + 2, dtype=dtype)[:, None, None]
     update = np.empty((K, limit + 2, nu, n + 1), dtype=dtype)
     cut = max(first - 1, 0)  # x' at t + 1 is checked from t = first - 1
@@ -524,15 +529,24 @@ def _reachable_members(model, monitor, x0, start, policies):
 
 
 def _monitor_paths(model, regime, monitor, states, controls, scenarios, start):
-    """member[s]: the _Monitor run along each path of strategy s (from
-    `start`, over `scenarios`) stays out of its sink on every row that
-    regimes._membership counts: all, or for AtMostKExits with probabilities
-    those of positive weight."""
+    """member[s]: regimes._membership of strategy s, read off the _Monitor
+    run along its paths (from `start`, over `scenarios`). A path is kept
+    where the monitor stays out of its sink. The threshold regimes add the
+    weights of the rows not kept (ProbExcursion, at most beta) or kept
+    (StochasticViability, at least beta) one at a time in row order, as
+    the bundle loop does; the others need every row kept that
+    _membership counts: all, or for AtMostKExits with probabilities those
+    of positive weight."""
     m = monitor.init[states[:, :, 0]]
     for l in range(controls.shape[2]):
         update = monitor.update[start + l]
         m = update[m, controls[:, :, l], states[:, :, l + 1]]
     kept = m < len(monitor.update[0]) - 1  # below the sink
+    if isinstance(regime, (ProbExcursion, StochasticViability)):
+        weights = np.asarray(scenarios.weights, dtype=np.float64)
+        if isinstance(regime, ProbExcursion):
+            return _running_sum(np.where(kept, 0.0, weights)) <= regime.beta
+        return _running_sum(np.where(kept, weights, 0.0)) >= regime.beta
     weighed = model.uncertainty.has_probs or model.scenario_probs is not None
     if isinstance(regime, AtMostKExits) and weighed:
         kept |= np.asarray(scenarios.weights) <= 0.0
@@ -564,17 +578,19 @@ def _decide(model, regime, monitor, policies, x0, start, scenarios, base):
     """(member, paths) for policy arrays int32 (S, K, n+1, P) laid out as
     RankLayout.policies, prefixes ranked from `base`: member[s] is
     regimes._membership from x0 at `start` of strategy s over `scenarios`,
-    the regime's _Scenarios. _reachable_members decides where _walks, with
-    paths None; otherwise paths over `scenarios` are simulated and decided
-    by _monitor_paths or _path_membership."""
+    the regime's _Scenarios, and `monitor` the regime's _monitor.
+    _reachable_members decides where _walks, with paths None; otherwise
+    paths over `scenarios` are simulated and decided by _monitor_paths, or
+    for RiskContainment (no monitor) by the risk of each strategy's paths
+    against its level."""
     if _walks(monitor, policies.shape[3]):
         member = _reachable_members(model, monitor, x0, start, policies[..., 0])
         return member, None
     paths = _simulate(model, policies, scenarios, x0, start, base)
-    if monitor is not None:
-        member = _monitor_paths(model, regime, monitor, *paths, scenarios, start)
-    else:
-        member = _path_membership(model, regime, *paths, scenarios, start)
+    if monitor is None:
+        value = _evaluate_paths(model, regime.measure, *paths, scenarios, start)
+        return value <= regime.level, paths
+    member = _monitor_paths(model, regime, monitor, *paths, scenarios, start)
     return member, paths
 
 

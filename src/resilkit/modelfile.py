@@ -821,18 +821,11 @@ def _parse_cost_tables(cost_rows, model):
         if parts[0] == "state":
             try:
                 x = model.states.index(parts[2])
-            except Exception as exc:
+            except InputError as exc:
                 raise ModelFormatError(str(exc), lineno) from None
             if x == model.cemetery:
                 raise ModelFormatError("no cost rows at the cemetery", lineno)
-            if parts[1] == "*":
-                times = range(K + 1)
-            else:
-                t = _int(parts[1], "time", lineno)
-                if not 0 <= t <= K:
-                    raise ModelFormatError(f"time {t} outside 0..{K}", lineno)
-                times = (t,)
-            for t in times:
+            for t in _times(parts[1], K + 1, lineno):
                 if ("state", t, x) in seen:
                     raise ModelFormatError(
                         f"duplicate state cost for (t={t}, x={parts[2]})",
@@ -843,7 +836,7 @@ def _parse_cost_tables(cost_rows, model):
         else:
             try:
                 u = model.controls.index(parts[2])
-            except Exception as exc:
+            except InputError as exc:
                 raise ModelFormatError(str(exc), lineno) from None
             for t in _times(parts[1], K, lineno):
                 if ("control", t, u) in seen:

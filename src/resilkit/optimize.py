@@ -45,7 +45,6 @@ from ._record import record
 from .engine import (
     _expected_sweep,
     _fill,
-    _inside,
     _member_blocks,
     _monitor,
     _path_block,
@@ -54,7 +53,9 @@ from .engine import (
 )
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel
-from .regimes import StochasticViability, Viability, validate_regime
+from .regimes import (
+    StochasticViability, Viability, _state_mask, validate_regime,
+)
 from .risk import (
     _ADDITIVE_COSTS,
     Composed,
@@ -86,7 +87,8 @@ class OptimizationResult:
     dyadic and within 1e-12 otherwise. examined counts the resilient
     members of the strategy class, each scanned representative standing
     for its whole class (0 for the DP certificate, which never
-    enumerates)."""
+    enumerates). The scan ranks a NaN risk after every number, so value
+    is NaN only when every member's risk is."""
 
     resilient: bool
     value: float
@@ -150,8 +152,8 @@ def _minimize_dp(model, x0, start, regime, strategy_class, step, terminal):
     # V_t is finite exactly on the kernel: a control that leaves it, or an
     # inadmissible one, scores inf (NaN under a zero weight), never attains
     value, picks = _expected_sweep(
-        model, _inside(model, regime.acceptable), terminal, math.inf,
-        start, step, minimize=True,
+        model, _state_mask(model, regime.acceptable)[:model.n_states],
+        terminal, math.inf, start, step, minimize=True,
     )
     best = float(value[start, x0])
     if not math.isfinite(best):
@@ -187,8 +189,8 @@ def _member_values(
 
 def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     """Scan the layout's representatives, ascending; return (value,
-    strategy, members) of the first strict minimizer (strategy None when
-    none is resilient)."""
+    strategy, members) of the first strict minimizer, NaN ranking after
+    every number (strategy None when none is resilient)."""
     scenarios = _scan_scenarios(model, regime, start)
     monitor = _monitor(model, regime, start)
     best, examined, winner = math.inf, 0, None
@@ -196,7 +198,8 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
         model, x0, start, regime, risk, layout, scenarios, monitor
     ):
         for i, value in enumerate(values.tolist()):
-            if winner is None or value < best:
+            if (winner is None or value < best
+                    or math.isnan(best) and not math.isnan(value)):
                 best = value
                 winner = policies[i]
         examined += len(values)
@@ -217,9 +220,10 @@ def minimize_risk(
     jobs: int = 1,
 ) -> OptimizationResult:
     """Minimize the risk measure over strategies resilient from x0 at
-    `start`. Ties go to the lexicographically least strategy. "auto" scans
-    where the DP certificate does not apply (_dp_supported: non-finite or
-    overflowing costs among others), where "dp" raises ConfigurationError.
+    `start`. Ties go to the lexicographically least strategy, and a NaN
+    risk ranks after every number. "auto" scans where the DP certificate
+    does not apply (_dp_supported: non-finite or overflowing costs among
+    others), where "dp" raises ConfigurationError.
     `jobs` has no effect; it stays because perfbench/workloads.py passes
     it."""
     validate_regime(model, regime)

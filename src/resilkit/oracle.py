@@ -5,7 +5,8 @@ classes and chasing definitions, sharing only the model tables, the
 simulation kernels, and the membership and risk predicates with the rest of
 the package. Nothing else is shared: the recursions in `engine`, the pruning
 of unreachable policy slots (`strategy.rank_layout`), the regime monitors
-and path-array predicates of the production scan and the fast path in
+of the production scan (its one route for every path regime but
+RiskContainment, walked or run along paths) and the fast path in
 `optimize` are never called, and every strategy of the class is visited in
 rank order. These routines exist to check them. The production scan
 decides and prices members of both strategy classes on simulated path
@@ -423,8 +424,10 @@ def oracle_min_risk(
     bundle per strategy otherwise), and each resilient one has its risk
     evaluated on its full-domain bundle. The batched route builds that
     bundle from the member's own simulated rows, and prices each distinct
-    bundle once per block; ties keep the first (least rank) strategy, and
-    the batched route builds a strategy for that one only.
+    bundle once per block; ties keep the first (least rank) strategy, a
+    NaN risk ranks after every number (the value is NaN only when every
+    member's risk is), and the batched route builds a strategy for the
+    winner only.
     Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
@@ -447,7 +450,8 @@ def oracle_min_risk(
     examined = 0
     for member, value in members:
         examined += 1
-        if best_member is None or value < best:
+        if (best_member is None or value < best
+                or math.isnan(best) and not math.isnan(value)):
             best = value
             best_member = member
     if batched and best_member is not None:

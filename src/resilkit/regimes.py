@@ -336,20 +336,22 @@ def _membership(model, regime, bundle, scenarios):
     raise InputError(f"unknown regime {regime!r}")
 
 
-# ---------------------------------------------- the same tests on path arrays
+# ------------------------------------------------- state sets on path arrays
 #
-# The Markov scan simulates a block of strategies at once
-# (_sim.simulate_batch) and reads membership and risk off the arrays
-# states int32 (S, M, L+1) and controls int32 (S, M, L) of the paths run
-# from `start` (L = K - start) over a _Scenarios in the arrays' scenario
-# order. Each reduction below makes the float operations of the bundle
-# loops above, in their order, so results are bit-identical.
+# The scans simulate a block of strategies at once (_sim.simulate_batch)
+# into the arrays states int32 (S, M, L+1) and controls int32 (S, M, L) of
+# the paths run from `start` (L = K - start) over a _Scenarios in the
+# arrays' scenario order. The helpers below serve the reductions over
+# them: risk's path pricer, the oracle's member tests and the threshold
+# regimes of engine._monitor_paths. Each reduction makes the float
+# operations of the bundle loops above, in their order, so results are
+# bit-identical.
 
 
 def _state_mask(model, states):
     """in_set[x] over 0..n (the cemetery is in no state set)."""
     in_set = np.zeros(model.n_states + 1, dtype=bool)
-    in_set[list(states)] = True
+    in_set[np.fromiter(states, np.intp)] = True
     return in_set
 
 
@@ -371,25 +373,3 @@ def _running_sum(terms):
     zero = np.zeros((terms.shape[0], 1))
     return np.add.accumulate(np.hstack([zero, terms]), axis=1)[:, -1]
 
-
-def _path_membership(model, regime, states, controls, scenarios, start):
-    """member[s]: _membership of a ProbExcursion, StochasticViability or
-    RiskContainment regime on the bundle of strategy s; `scenarios` is the
-    full domain."""
-    if isinstance(regime, RiskContainment):
-        from .risk import _evaluate_paths
-
-        value = _evaluate_paths(
-            model, regime.measure, states, controls, scenarios, start
-        )
-        return value <= regime.level
-    weights = np.asarray(scenarios.weights, dtype=np.float64)
-    if isinstance(regime, ProbExcursion):
-        exits = ~_state_mask(model, regime.region)[states].all(axis=2)
-        return _running_sum(np.where(exits, weights, 0.0)) <= regime.beta
-    if isinstance(regime, StochasticViability):
-        viable = _good_paths(
-            model, regime.acceptable, states, controls, start
-        ).all(axis=2)
-        return _running_sum(np.where(viable, weights, 0.0)) >= regime.beta
-    raise InputError(f"regime {regime!r} has no path-array membership")

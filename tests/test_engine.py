@@ -839,6 +839,56 @@ def test_underflowing_weights_leave_the_monitor_without_a_domain():
     assert rk.strategies_equal(out.strategy, strat)
 
 
+def test_every_path_regime_but_risk_containment_has_a_monitor():
+    # the probability thresholds weigh the path property their worst-case
+    # forms require of every path, so they run the same monitor; its
+    # domain is None, since the walk reads no weights and never decides them
+    rng = np.random.default_rng(2525)
+    for i in range(40):
+        model = random_model(
+            rng, max_states=4, max_controls=3, max_w=3, max_horizon=3,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        if i % 2:
+            model = random_variant(rng, model)
+        start = int(rng.integers(model.horizon + 1))
+        for regime in _nine_regimes(rng, model):
+            monitor = rk.engine._monitor(model, regime, start)
+            if isinstance(regime, rk.RiskContainment):
+                assert monitor is None
+                continue
+            assert monitor is not None, regime
+            if isinstance(regime, rk.StochasticViability):
+                twin = rk.Viability(regime.acceptable)
+            elif isinstance(regime, rk.ProbExcursion):
+                twin = rk.Bounded(regime.region)
+            else:
+                continue
+            assert monitor.domain is None
+            assert not rk.engine._walks(monitor, 1)
+            worst = rk.engine._monitor(model, twin, start)
+            assert np.array_equal(monitor.init, worst.init)
+            assert np.array_equal(monitor.update, worst.update)
+
+
+def test_state_sets_of_bools_mean_their_indices(m1):
+    # validate_regime accepts bool state indices; a set of bools is the
+    # same set of ints to every mask, where a list of bools would index
+    # as a boolean mask
+    bools, ints = frozenset({False, True}), frozenset({0, 1})
+    risk = rk.Composed(rk.TimeOutside(bools), rk.Expectation())
+    for kind in (rk.Viability, rk.Bounded, lambda s: rk.AtMostKExits(s, 1),
+                 lambda s: rk.ProbExcursion(s, 0.5),
+                 lambda s: rk.StochasticViability(s, 0.5)):
+        want = rk.resilient_states(m1, 0, kind(ints)).members
+        assert rk.resilient_states(m1, 0, kind(bools)).members == want
+        for x0 in range(m1.n_states):
+            assert (rk.minimize_risk(m1, x0, 0, kind(bools), risk).value
+                    == rk.minimize_risk(m1, x0, 0, kind(ints), risk).value)
+    assert rk.robust_viability_kernel(m1, {True}).member_set(0) == \
+        rk.robust_viability_kernel(m1, {1}).member_set(0)
+
+
 def test_no_production_scan_builds_a_bundle(m1, monkeypatch):
     # membership and risk both come from block arrays, for both strategy
     # classes and every regime, on per-time products and on m3_grid's

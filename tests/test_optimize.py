@@ -521,6 +521,40 @@ def test_non_finite_costs_leave_the_certificate():
                 rk.minimize_risk(model, x0, 0, regime, risk, method="dp")
 
 
+def test_a_nan_member_ranks_after_every_number():
+    # one NaN state cost makes some members' expected cost NaN; the scan
+    # and the oracle rank NaN after every number, so both report the least
+    # finite risk over the resilient strategies, with a resilient witness
+    model = build_m1()
+    regime = rk.Viability({1, 2, 3})
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    states = np.zeros((K + 1, n))
+    states[1, 2] = math.nan
+    risk = rk.Composed(rk.TabularCost(states, np.zeros((K, nu))),
+                       rk.Expectation())
+    x0, values = 3, []
+    for strategy in rk.enumerate_strategies(model):
+        bundle = rk.build_bundle(model, strategy, x0)
+        if rk.regime_membership(model, regime, bundle):
+            values.append(rk.evaluate_risk(model, risk, bundle))
+    finite = [v for v in values if not math.isnan(v)]
+    assert len(finite) < len(values) and min(finite) == 0.0
+    out = rk.minimize_risk(model, x0, 0, regime, risk)
+    assert out.certificate == "exhaustive" and out.value == min(finite)
+    assert out.examined == len(values)
+    assert rk.check_resilient(model, out.strategy, x0, 0, regime)
+    value, strategy, examined = rk.oracle_min_risk(model, x0, 0, regime, risk)
+    assert (value, examined) == (min(finite), len(values))
+    assert rk.strategies_equal(strategy, out.strategy)
+    # a class whose every member is NaN still reports NaN
+    everywhere = rk.Composed(rk.TabularCost(np.full((K + 1, n), math.nan),
+                                            np.zeros((K, nu))),
+                             rk.Expectation())
+    out = rk.minimize_risk(model, x0, 0, regime, everywhere)
+    assert out.resilient and math.isnan(out.value)
+    assert math.isnan(rk.oracle_min_risk(model, x0, 0, regime, everywhere)[0])
+
+
 def test_cost_bound_sits_at_2_to_the_1023():
     # the K + 1 = 4 state costs of each path sum to 4 * c: c = 2**1021
     # reaches the bound and is scanned, c = 2**1020 stays below it and is

@@ -291,9 +291,10 @@ def test_bounded_equals_no_exit_randomized():
 
 
 def test_path_membership_matches_bundle_membership():
-    # ProbExcursion and StochasticViability decided on path arrays against
-    # _membership on each strategy's bundle, with beta at each bundle's own
-    # probability and its neighbouring floats as well as at random
+    # ProbExcursion and StochasticViability decided on path arrays by their
+    # monitor (engine._monitor_paths) against _membership on each
+    # strategy's bundle, with beta at each bundle's own probability and its
+    # neighbouring floats as well as at random
     rng = np.random.default_rng(5150)
     seen = {"member": 0, "not": 0, "tie": 0, "joint": 0, "zero_w": 0}
     for i in range(160):
@@ -330,8 +331,9 @@ def test_path_membership_matches_bundle_membership():
             if not 0.0 <= beta <= 1.0:
                 continue
             regime = kind(region, beta)
-            got = rk.regimes._path_membership(
-                model, regime, states, controls, full, start
+            got = rk.engine._monitor_paths(
+                model, regime, rk.engine._monitor(model, regime, start),
+                states, controls, full, start,
             )
             for member, b in zip(got.tolist(), bundles):
                 want = rk.regimes._membership(model, regime, b, full)
