@@ -180,7 +180,7 @@ class UncertaintyStructure:
             if any(v < 0 for v in p):
                 raise InputError(f"negative probability at time {t}")
             s = math.fsum(p)
-            if abs(s - 1.0) > 1e-9:
+            if not abs(s - 1.0) <= 1e-9:
                 raise InputError(
                     f"probabilities at time {t} sum to {s!r}, expected 1"
                 )
@@ -294,7 +294,7 @@ class SystemModel:
                     raise InputError(f"negative scenario probability for {s}")
                 probs[s] = p
             total = math.fsum(probs.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise InputError(
                     f"scenario probabilities sum to {total!r}, expected 1"
                 )

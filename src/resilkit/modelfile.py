@@ -21,7 +21,8 @@ table rows:
 The wildcard `*` expands to every time; a wildcard row and an explicit row
 covering the same cell is a duplicate error. Exactly one regime section is
 required, at most one risk section. Dynamics must be total. Floats are
-decimal; per-time probabilities must sum to 1 within 1e-9.
+decimal; every probability (`prob`, `scenario_prob`) must be finite and
+non-negative, and per-time probabilities must sum to 1 within 1e-9.
 
 The [regime] and [risk] vocabulary lives in one table below (_REGIMES,
 _RISKS, _COSTS, _OUTERS): each kind's name, its record class and the keys
@@ -62,6 +63,7 @@ Cost kinds and their keys (in the [risk] section, after `cost =`):
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -115,10 +117,8 @@ def _split_sections(text):
                     + ", ".join(SECTIONS),
                     lineno,
                 )
-            if name in sections:
-                raise ModelFormatError(f"duplicate section [{name}]", lineno)
             current = []
-            sections[name] = current
+            _put(sections, name, current, lineno, "section [{}]", name)
             continue
         if current is None:
             raise ModelFormatError(
@@ -156,6 +156,16 @@ def _float(value, what, lineno):
         raise ModelFormatError(f"bad {what} {value!r}", lineno) from None
 
 
+def _prob(value, lineno):
+    p = _float(value, "probability", lineno)
+    if not 0.0 <= p < math.inf:
+        raise ModelFormatError(
+            f"bad probability {value!r} (must be finite and non-negative)",
+            lineno,
+        )
+    return p
+
+
 def _times(token, horizon, lineno):
     if token == "*":
         return range(horizon)
@@ -163,6 +173,33 @@ def _times(token, horizon, lineno):
     if not 0 <= t < horizon:
         raise ModelFormatError(f"time {t} outside 0..{horizon - 1}", lineno)
     return (t,)
+
+
+def _label(index, label, what, lineno, t=None):
+    """index[label], or an error naming the unknown label."""
+    try:
+        return index[label]
+    except KeyError:
+        at = "" if t is None else f" at time {t}"
+        raise ModelFormatError(
+            f"unknown {what} label {label!r}{at}", lineno
+        ) from None
+
+
+def _arrow_row(line, form, arity, lineno):
+    """The head tokens and the tail text of a `head -> tail` row."""
+    head, arrow, tail = line.rpartition("->")
+    parts = head.split()
+    if not arrow or len(parts) != arity:
+        raise ModelFormatError(f"expected `{form}`, got {line!r}", lineno)
+    return parts, tail.strip()
+
+
+def _put(table, cell, value, lineno, what, *args):
+    """table[cell] = value, or an error if an earlier row set the cell."""
+    if cell in table:
+        raise ModelFormatError("duplicate " + what.format(*args), lineno)
+    table[cell] = value
 
 
 def _parse_time(rows):
@@ -177,34 +214,32 @@ def _parse_time(rows):
 
 
 def _parse_space(rows, what):
-    labels = []
+    """The label -> index map and the coordinates (or None)."""
+    index = {}
     coords = []
     for lineno, line in rows:
-        parts = line.split()
-        label = parts[0]
-        if label in labels:
-            raise ModelFormatError(f"duplicate {what} label {label!r}", lineno)
-        labels.append(label)
-        coords.append([_float(c, "coordinate", lineno) for c in parts[1:]])
-    if not labels:
+        label, *parts = line.split()
+        _put(index, label, len(index), lineno, "{} label {!r}", what, label)
+        coords.append([_float(c, "coordinate", lineno) for c in parts])
+    if not index:
         raise ModelFormatError(f"[{what}s] section is empty")
     lens = {len(c) for c in coords}
     if lens == {0}:
-        return labels, None
+        return index, None
     if len(lens) != 1 or 0 in lens:
         raise ModelFormatError(
             f"inconsistent coordinate counts in [{what}s] section"
         )
-    return labels, coords
+    return index, coords
 
 
 def _parse_uncertainty(rows, horizon):
-    sets = [None] * horizon
-    probs = [None] * horizon
-    robust = [None] * horizon
+    """The label -> index map of each W_t, the probability vectors (or
+    Nones), the robust subsets, and the explicit robust scenarios and joint
+    distribution (or None)."""
+    lines = {}  # (set|prob|robust, t) -> (lineno, value tokens)
     raw_scenarios = []  # (lineno, labels)
     raw_joint = []  # (lineno, labels, prob)
-    lines = {}
     for lineno, line in rows:
         key, eq, value = line.partition("=")
         if not eq:
@@ -220,25 +255,135 @@ def _parse_uncertainty(rows, horizon):
                 raise ModelFormatError(
                     "expected `scenario_prob = w ... w : p`", lineno
                 )
-            raw_joint.append(
-                (lineno, labels.split(), _float(p.strip(), "probability", lineno))
-            )
+            raw_joint.append((lineno, labels.split(), _prob(p.strip(), lineno)))
             continue
         if len(head) != 2 or head[0] not in ("set", "prob", "robust"):
             raise ModelFormatError(f"unknown uncertainty line {line!r}", lineno)
         kind, token = head
-        target = {"set": sets, "prob": probs, "robust": robust}[kind]
         for t in _times(token, horizon, lineno):
-            if target[t] is not None:
-                raise ModelFormatError(
-                    f"duplicate `{kind}` for time {t}", lineno
-                )
-            target[t] = value.split()
-            lines[(kind, t)] = lineno
+            _put(lines, (kind, t), (lineno, value.split()), lineno,
+                 "`{}` for time {}", kind, t)
     for t in range(horizon):
-        if sets[t] is None:
+        if ("set", t) not in lines:
             raise ModelFormatError(f"no uncertainty set declared for time {t}")
-    return sets, probs, robust, raw_scenarios, raw_joint, lines
+
+    w_idx = []
+    for t in range(horizon):
+        lineno, ws = lines[("set", t)]
+        index = {}
+        for lab in ws:
+            _put(index, lab, len(index), lineno,
+                 "uncertainty labels at time {}", t)
+        w_idx.append(index)
+
+    probs = []
+    for t in range(horizon):
+        if ("prob", t) not in lines:
+            probs.append(None)
+            continue
+        lineno, ps = lines[("prob", t)]
+        vec = [_prob(p, lineno) for p in ps]
+        if len(vec) != len(w_idx[t]):
+            raise ModelFormatError(
+                f"{len(vec)} probabilities for {len(w_idx[t])} "
+                f"uncertainty values at time {t}",
+                lineno,
+            )
+        s = sum(vec)
+        if not abs(s - 1.0) <= 1e-9:
+            raise ModelFormatError(
+                f"probabilities sum to {s!r} != 1 at time {t}", lineno
+            )
+        probs.append(vec)
+    missing = [t for t, p in enumerate(probs) if p is None]
+    if 0 < len(missing) < horizon:
+        raise ModelFormatError(
+            f"probabilities declared for some times but missing for {missing}"
+        )
+
+    robust = []
+    for t, index in enumerate(w_idx):
+        # no `robust` line: the whole set
+        lineno, labs = lines.get(("robust", t), (None, index))
+        robust.append(
+            tuple(_label(index, lab, "uncertainty", lineno, t) for lab in labs)
+        )
+
+    def scenario(labels, lineno):
+        if len(labels) != horizon:
+            raise ModelFormatError(
+                f"scenario has {len(labels)} entries, expected {horizon}",
+                lineno,
+            )
+        return tuple(
+            _label(w_idx[t], lab, "uncertainty", lineno, t)
+            for t, lab in enumerate(labels)
+        )
+
+    scenarios = tuple(scenario(labs, lineno) for lineno, labs in raw_scenarios)
+    joint = {}
+    for lineno, labs, p in raw_joint:
+        _put(joint, scenario(labs, lineno), p, lineno, "scenario_prob entry")
+    return w_idx, probs, robust, scenarios or None, joint or None
+
+
+def _parse_dynamics(rows, state_idx, control_idx, w_idx):
+    """The (K, n, nu, max |W_t|) successor table; must be total."""
+    n = len(state_idx)
+    image_idx = {**state_idx, CEMETERY_LABEL: n}
+    cells = {}
+    for lineno, line in rows:
+        (token, xl, ul, wl), target = _arrow_row(
+            line, "t x u w -> state", 4, lineno
+        )
+        y = _label(image_idx, target, "state", lineno)
+        x = _label(image_idx, xl, "state", lineno)
+        u = _label(control_idx, ul, "control", lineno)
+        if x == n:
+            raise ModelFormatError("no dynamics rows at the cemetery", lineno)
+        for t in _times(token, len(w_idx), lineno):
+            w = _label(w_idx[t], wl, "uncertainty", lineno, t)
+            _put(cells, (t, x, u, w), y, lineno,
+                 "dynamics row for (t={}, x={}, u={}, w={})", t, xl, ul, wl)
+    shape = (len(w_idx), n, len(control_idx), max(map(len, w_idx)))
+    dynamics = np.full(shape, -1, dtype=np.int32)
+    where = np.array(list(cells), dtype=np.intp).reshape(-1, 4)
+    dynamics[tuple(where.T)] = list(cells.values())
+    for t, index in enumerate(w_idx):
+        # padding entries (w beyond |W_t|) must stay valid indices
+        dynamics[t, :, :, len(index):] = n
+    missing = np.argwhere(dynamics == -1)
+    if len(missing):
+        t, x, u, w = missing[0]
+        raise ModelFormatError(
+            f"dynamics not total at (t={t}, x={list(state_idx)[x]}, "
+            f"u={list(control_idx)[u]}, w={list(w_idx[t])[w]})"
+        )
+    return dynamics
+
+
+def _parse_constraints(rows, state_idx, control_idx, horizon):
+    """The (K, n, nu) admissibility table; rows absent allow every
+    control."""
+    allowed = {}
+    for lineno, line in rows:
+        (token, xl), tail = _arrow_row(line, "t x -> controls", 2, lineno)
+        x = _label(state_idx, xl, "state", lineno)
+        labs = tail.split()
+        if not labs:
+            raise ModelFormatError(
+                f"empty admissible control set for state {xl}", lineno
+            )
+        us = [_label(control_idx, lab, "control", lineno) for lab in labs]
+        for t in _times(token, horizon, lineno):
+            _put(allowed, (t, x), us, lineno,
+                 "constraints row for (t={}, x={})", t, xl)
+    constraints = np.ones((horizon, len(state_idx), len(control_idx)),
+                          dtype=bool)
+    for (t, x), us in allowed.items():
+        constraints[t, x] = False
+        constraints[t, x, us] = True
+    return constraints
 
 
 def parse_model(text: str) -> ParsedModel:
@@ -247,198 +392,24 @@ def parse_model(text: str) -> ParsedModel:
     horizon = _parse_time(sections["time"])
     if horizon < 1:
         raise ModelFormatError(f"horizon must be >= 1, got {horizon}")
-    state_labels, state_coords = _parse_space(sections["states"], "state")
-    control_labels, control_coords = _parse_space(sections["controls"], "control")
-    if CEMETERY_LABEL in state_labels or CEMETERY_LABEL in control_labels:
+    state_idx, state_coords = _parse_space(sections["states"], "state")
+    control_idx, control_coords = _parse_space(sections["controls"], "control")
+    if CEMETERY_LABEL in state_idx or CEMETERY_LABEL in control_idx:
         raise ModelFormatError(f"label {CEMETERY_LABEL!r} is reserved")
-
-    (set_rows, prob_rows, robust_rows, raw_scenarios, raw_joint,
-     unc_lines) = _parse_uncertainty(sections["uncertainty"], horizon)
-
-    n, nu = len(state_labels), len(control_labels)
-    state_idx = {lab: i for i, lab in enumerate(state_labels)}
-    state_idx[CEMETERY_LABEL] = n
-    control_idx = {lab: i for i, lab in enumerate(control_labels)}
-    w_idx = []
-    for t, ws in enumerate(set_rows):
-        if len(set(ws)) != len(ws):
-            raise ModelFormatError(
-                f"duplicate uncertainty labels at time {t}",
-                unc_lines.get(("set", t)),
-            )
-        w_idx.append({lab: i for i, lab in enumerate(ws)})
-
-    prob_vectors = []
-    for t, ps in enumerate(prob_rows):
-        if ps is None:
-            prob_vectors.append(None)
-            continue
-        lineno = unc_lines.get(("prob", t))
-        vec = [_float(p, "probability", lineno) for p in ps]
-        if len(vec) != len(set_rows[t]):
-            raise ModelFormatError(
-                f"{len(vec)} probabilities for {len(set_rows[t])} "
-                f"uncertainty values at time {t}",
-                lineno,
-            )
-        s = sum(vec)
-        if abs(s - 1.0) > 1e-9:
-            raise ModelFormatError(
-                f"probabilities sum to {s!r} != 1 at time {t}", lineno
-            )
-        prob_vectors.append(vec)
-    if any(p is not None for p in prob_vectors) and any(
-        p is None for p in prob_vectors
-    ):
-        missing = [t for t, p in enumerate(prob_vectors) if p is None]
-        raise ModelFormatError(
-            f"probabilities declared for some times but missing for {missing}"
-        )
-
-    robust_sets = []
-    for t, labs in enumerate(robust_rows):
-        if labs is None:
-            robust_sets.append(tuple(range(len(set_rows[t]))))
-            continue
-        lineno = unc_lines.get(("robust", t))
-        idx = []
-        for lab in labs:
-            if lab not in w_idx[t]:
-                raise ModelFormatError(
-                    f"unknown uncertainty label {lab!r} at time {t}", lineno
-                )
-            idx.append(w_idx[t][lab])
-        robust_sets.append(tuple(idx))
-
-    def scenario_from_labels(labels, lineno):
-        if len(labels) != horizon:
-            raise ModelFormatError(
-                f"scenario has {len(labels)} entries, expected {horizon}",
-                lineno,
-            )
-        out = []
-        for t, lab in enumerate(labels):
-            if lab not in w_idx[t]:
-                raise ModelFormatError(
-                    f"unknown uncertainty label {lab!r} at time {t}", lineno
-                )
-            out.append(w_idx[t][lab])
-        return tuple(out)
-
-    robust_scenarios = None
-    if raw_scenarios:
-        robust_scenarios = tuple(
-            scenario_from_labels(labs, lineno) for lineno, labs in raw_scenarios
-        )
-    scenario_probs = None
-    if raw_joint:
-        scenario_probs = {}
-        for lineno, labs, p in raw_joint:
-            scen = scenario_from_labels(labs, lineno)
-            if scen in scenario_probs:
-                raise ModelFormatError(
-                    "duplicate scenario_prob entry", lineno
-                )
-            scenario_probs[scen] = p
-
-    nw_max = max(len(ws) for ws in set_rows)
-    dynamics = np.full((horizon, n, nu, nw_max), -1, dtype=np.int32)
-    dyn_line = {}
-    for lineno, line in sections["dynamics"]:
-        head, arrow, target = line.rpartition("->")
-        if not arrow:
-            raise ModelFormatError(
-                f"expected `t x u w -> state`, got {line!r}", lineno
-            )
-        parts = head.split()
-        if len(parts) != 4:
-            raise ModelFormatError(
-                f"expected `t x u w -> state`, got {line!r}", lineno
-            )
-        target = target.strip()
-        if target not in state_idx:
-            raise ModelFormatError(f"unknown state label {target!r}", lineno)
-        for name, idx, what in (
-            (parts[1], state_idx, "state"),
-            (parts[2], control_idx, "control"),
-        ):
-            if name not in idx:
-                raise ModelFormatError(f"unknown {what} label {name!r}", lineno)
-        x, u = state_idx[parts[1]], control_idx[parts[2]]
-        if x == n:
-            raise ModelFormatError("no dynamics rows at the cemetery", lineno)
-        for t in _times(parts[0], horizon, lineno):
-            if parts[3] not in w_idx[t]:
-                raise ModelFormatError(
-                    f"unknown uncertainty label {parts[3]!r} at time {t}",
-                    lineno,
-                )
-            w = w_idx[t][parts[3]]
-            if dynamics[t, x, u, w] != -1:
-                raise ModelFormatError(
-                    f"duplicate dynamics row for (t={t}, x={parts[1]}, "
-                    f"u={parts[2]}, w={parts[3]})",
-                    lineno,
-                )
-            dynamics[t, x, u, w] = state_idx[target]
-            dyn_line[(t, x, u, w)] = lineno
-    for t in range(horizon):
-        for x in range(n):
-            for u in range(nu):
-                for w in range(len(set_rows[t])):
-                    if dynamics[t, x, u, w] == -1:
-                        raise ModelFormatError(
-                            "dynamics not total at (t="
-                            f"{t}, x={state_labels[x]}, "
-                            f"u={control_labels[u]}, w={set_rows[t][w]})"
-                        )
-        # padding entries (w beyond |W_t|) must stay valid indices
-        dynamics[t, :, :, len(set_rows[t]):] = n
-
-    constraints = np.ones((horizon, n, nu), dtype=bool)
-    seen_con = set()
-    for lineno, line in sections.get("constraints", []):
-        head, arrow, allowed = line.rpartition("->")
-        if not arrow:
-            raise ModelFormatError(
-                f"expected `t x -> controls`, got {line!r}", lineno
-            )
-        parts = head.split()
-        if len(parts) != 2:
-            raise ModelFormatError(
-                f"expected `t x -> controls`, got {line!r}", lineno
-            )
-        if parts[1] not in state_idx or state_idx[parts[1]] == n:
-            raise ModelFormatError(f"unknown state label {parts[1]!r}", lineno)
-        x = state_idx[parts[1]]
-        labs = allowed.split()
-        if not labs:
-            raise ModelFormatError(
-                f"empty admissible control set for state {parts[1]}", lineno
-            )
-        us = []
-        for lab in labs:
-            if lab not in control_idx:
-                raise ModelFormatError(f"unknown control label {lab!r}", lineno)
-            us.append(control_idx[lab])
-        for t in _times(parts[0], horizon, lineno):
-            if (t, x) in seen_con:
-                raise ModelFormatError(
-                    f"duplicate constraints row for (t={t}, x={parts[1]})",
-                    lineno,
-                )
-            seen_con.add((t, x))
-            constraints[t, x, :] = False
-            constraints[t, x, us] = True
-
+    w_idx, probs, robust, robust_scenarios, scenario_probs = (
+        _parse_uncertainty(sections["uncertainty"], horizon)
+    )
+    dynamics = _parse_dynamics(sections["dynamics"], state_idx, control_idx,
+                               w_idx)
+    constraints = _parse_constraints(sections.get("constraints", []),
+                                     state_idx, control_idx, horizon)
     model = SystemModel(
         TimeGrid(horizon),
-        StateSpace(tuple(state_labels), state_coords),
-        ControlSpace(tuple(control_labels), control_coords),
+        StateSpace(tuple(state_idx), state_coords),
+        ControlSpace(tuple(control_idx), control_coords),
         UncertaintyStructure(
-            tuple(tuple(ws) for ws in set_rows),
-            tuple(prob_vectors),
-            tuple(robust_sets),
+            tuple(tuple(index) for index in w_idx), tuple(probs),
+            tuple(robust),
         ),
         dynamics,
         constraints,
@@ -472,9 +443,7 @@ def _section_dict(rows, known, section):
                 + ", ".join(sorted(known)),
                 lineno,
             )
-        if key in out:
-            raise ModelFormatError(f"duplicate key {key!r}", lineno)
-        out[key] = (lineno, value.strip())
+        _put(out, key, (lineno, value.strip()), lineno, "key {!r}", key)
     return out, extra
 
 
@@ -766,12 +735,10 @@ def _parse_beliefs(belief_rows, model):
         b = _int(parts[1], "belief index", lineno)
         if b < 0:
             raise ModelFormatError(f"bad belief index {parts[1]!r}", lineno)
-        vec = [_float(p, "probability", lineno) for p in value.split()]
+        vec = tuple(_float(p, "probability", lineno) for p in value.split())
         for t in _times(parts[2], model.horizon, lineno):
-            if (b, t) in table:
-                raise ModelFormatError(
-                    f"duplicate belief {b} vector for time {t}", lineno
-                )
+            _put(table, (b, t), vec, lineno, "belief {} vector for time {}",
+                 b, t)
             if len(vec) != model.uncertainty.size(t):
                 raise ModelFormatError(
                     f"{len(vec)} probabilities for "
@@ -779,7 +746,6 @@ def _parse_beliefs(belief_rows, model):
                     f"time {t}",
                     lineno,
                 )
-            table[(b, t)] = tuple(vec)
     if not table:
         raise ModelFormatError(
             f"{_NAMES[rk.AmbiguityExceedance]} needs belief lines"
@@ -800,53 +766,36 @@ def _parse_beliefs(belief_rows, model):
 
 def _parse_cost_tables(cost_rows, model):
     """The state_costs and control_costs of a tabular cost."""
-    K, n, nu = model.horizon, model.n_states, model.n_controls
-    state_costs = np.zeros((K + 1, n), dtype=np.float64)
-    control_costs = np.zeros((K, nu), dtype=np.float64)
-    seen = set()
+    K = model.horizon
+    states = {lab: x for x, lab in enumerate(model.states.labels)}
+    states[CEMETERY_LABEL] = model.cemetery
+    controls = {lab: u for u, lab in enumerate(model.controls.labels)}
+    tables = {  # kind -> (costs, label index, duplicate message)
+        "state": (np.zeros((K + 1, model.n_states)), states,
+                  "state cost for (t={}, x={})"),
+        "control": (np.zeros((K, model.n_controls)), controls,
+                    "control cost for (t={}, u={})"),
+    }
+    seen = {}
     for lineno, line in cost_rows:
         head, eq, value = line.partition("=")
-        if not eq:
-            raise ModelFormatError(
-                f"expected `state|control <t|*> <label> = v`, got {line!r}",
-                lineno,
-            )
         parts = head.split()
-        if len(parts) != 3 or parts[0] not in ("state", "control"):
+        if not eq or len(parts) != 3 or parts[0] not in tables:
             raise ModelFormatError(
                 f"expected `state|control <t|*> <label> = v`, got {line!r}",
                 lineno,
             )
+        kind, token, label = parts
+        costs, index, what = tables[kind]
         v = _float(value.strip(), "cost", lineno)
-        if parts[0] == "state":
-            try:
-                x = model.states.index(parts[2])
-            except InputError as exc:
-                raise ModelFormatError(str(exc), lineno) from None
-            if x == model.cemetery:
-                raise ModelFormatError("no cost rows at the cemetery", lineno)
-            for t in _times(parts[1], K + 1, lineno):
-                if ("state", t, x) in seen:
-                    raise ModelFormatError(
-                        f"duplicate state cost for (t={t}, x={parts[2]})",
-                        lineno,
-                    )
-                seen.add(("state", t, x))
-                state_costs[t, x] = v
-        else:
-            try:
-                u = model.controls.index(parts[2])
-            except InputError as exc:
-                raise ModelFormatError(str(exc), lineno) from None
-            for t in _times(parts[1], K, lineno):
-                if ("control", t, u) in seen:
-                    raise ModelFormatError(
-                        f"duplicate control cost for (t={t}, u={parts[2]})",
-                        lineno,
-                    )
-                seen.add(("control", t, u))
-                control_costs[t, u] = v
-    return {"state_costs": state_costs, "control_costs": control_costs}
+        i = _label(index, label, kind, lineno)
+        if label == CEMETERY_LABEL:
+            raise ModelFormatError("no cost rows at the cemetery", lineno)
+        for t in _times(token, len(costs), lineno):
+            _put(seen, (kind, t, i), v, lineno, what, t, label)
+            costs[t, i] = v
+    return {"state_costs": tables["state"][0],
+            "control_costs": tables["control"][0]}
 
 
 def serialize_model(model, regime, risk=None) -> str:

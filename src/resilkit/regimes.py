@@ -1,9 +1,14 @@
 """Recovery regimes: the acceptability notions a strategy can be held to.
 
-Each regime is a predicate on a closed-loop trajectory bundle. Worst-case
-regimes quantify over the bundle's scenarios (RobustRecovery restricts to
-the robust subset); probabilistic regimes weight scenarios with the model's
-distribution and need a full-domain bundle.
+The records below name the regimes. Their definitional reference is
+regime_membership, a predicate on one closed-loop trajectory bundle:
+worst-case regimes quantify over the bundle's scenarios (RobustRecovery
+restricts to the robust subset); probabilistic regimes weight scenarios
+with the model's distribution and need a full-domain bundle. The oracle
+judges the production scans against it. The scans build no bundle: they
+decide each regime with its engine._monitor over batched path arrays
+(RiskContainment, which has no monitor, by the risk of those paths), and
+the path-array helpers at the end of this module serve them.
 """
 
 from __future__ import annotations

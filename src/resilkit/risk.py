@@ -261,7 +261,7 @@ def validate_risk(model: SystemModel, spec) -> None:
                 if any(p < 0 for p in vec):
                     raise InputError(f"belief {b} has a negative probability")
                 s = math.fsum(vec)
-                if abs(s - 1.0) > 1e-9:
+                if not abs(s - 1.0) <= 1e-9:
                     raise InputError(
                         f"belief {b} probabilities at time {t} sum to {s!r}"
                     )

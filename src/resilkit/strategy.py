@@ -579,7 +579,7 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
     or per state and prefix (adapted: `state (w ... w) -> control`).
     '#' starts a comment.
     """
-    start = 0
+    start, start_line = 0, None
     sections = []  # (t, kind, rows); rows = {(state, prefix_rank): control}
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -604,6 +604,7 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
                     start = int(value.strip())
                 except ValueError:
                     raise ModelFormatError(f"bad start {value.strip()!r}", lineno)
+                start_line = lineno
                 continue
             raise ModelFormatError(f"expected [policy t] before {line!r}", lineno)
         if current["kind"] is None:
@@ -650,7 +651,7 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
 
     if not sections:
         raise ModelFormatError("no [policy t] sections found")
-    policies = []
+    policies = []  # (policy, its section's line)
     for sec in sections:
         t, kind, rows = sec["t"], sec["kind"], sec["rows"]
         if kind is None:
@@ -668,12 +669,19 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
                     )
                 table[x, r] = rows[(x, r)]
         policies.append(
-            Policy(t, kind, table[:, 0] if kind == MARKOV else table)
+            (Policy(t, kind, table[:, 0] if kind == MARKOV else table),
+             sec["line"])
         )
-    policies.sort(key=lambda p: p.t)
-    out = Strategy(start, tuple(policies))
+    policies.sort(key=lambda p: p[0].t)
     try:
+        out = Strategy(start, tuple(pol for pol, _ in policies))
         validate_strategy(model, out)
     except InputError as exc:
-        raise ModelFormatError(str(exc)) from None
+        # cite the `start =` line if it is out of range, else the first
+        # section out of sequence
+        at = start_line
+        if 0 <= start <= model.horizon:
+            at = next((at for i, (pol, at) in enumerate(policies)
+                       if pol.t != start + i), None)
+        raise ModelFormatError(str(exc), at) from None
     return out

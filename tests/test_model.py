@@ -130,6 +130,18 @@ def test_probs_validated():
         rk.UncertaintyStructure((("0", "1"),), ((1.0,),))
 
 
+def test_nan_probabilities_are_rejected():
+    nan = math.nan
+    with pytest.raises(rk.InputError, match="sum to nan"):
+        rk.UncertaintyStructure((("0", "1"),), ((nan, nan),))
+    with pytest.raises(rk.InputError, match="sum to nan"):
+        rk.make_model(1, ("a",), ("u",), ("0", "1"), lambda t, x, u, w: 0,
+                      probs=[nan, nan])
+    with pytest.raises(rk.InputError, match="scenario probabilities sum to nan"):
+        rk.make_model(1, ("a",), ("u",), ("0", "1"), lambda t, x, u, w: 0,
+                      scenario_probs={(0,): nan})
+
+
 def test_make_model_broadcasts_single_sequence(m1):
     assert m1.uncertainty.sets == (("0", "1"),) * 3
     assert m1.uncertainty.probs == ((0.5, 0.5),) * 3

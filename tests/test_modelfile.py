@@ -406,6 +406,159 @@ def test_error_lines_are_reported():
     assert str(err.value).startswith("line 6:")
 
 
+# One malformed file per raise site of the structural readers ([uncertainty],
+# [dynamics], [constraints], [cost] and belief rows), with the full message
+# and line each one reports: (old text of BASE, its replacement, message,
+# line). "+risk" and "+cost" name a section appended to BASE.
+
+TABULAR = "\n[risk]\nkind = composed\ncost = tabular\nouter = expectation\n"
+AMBIGUITY = "\n[risk]\nkind = ambiguity_exceedance\nacceptable = a\n"
+SET = "set * = 0 1"
+CON = "[regime]"
+
+
+def corpus_text(old, new):
+    if old == "+cost":
+        return BASE + TABULAR + "\n[cost]\n" + new + "\n"
+    if old == "+belief":
+        return BASE + AMBIGUITY + new + "\n"
+    if old == CON:
+        return BASE.replace(CON, f"[constraints]\n{new}\n\n{CON}")
+    assert old in BASE
+    return BASE.replace(old, new, 1)
+
+
+READER_ERRORS = [
+    (SET, SET + "\nrobust", "expected `key ... = ...`, got 'robust'", 13),
+    (SET, SET + "\nnoise * = 0", "unknown uncertainty line 'noise * = 0'", 13),
+    (SET, SET + "\nset 0 = 0", "duplicate `set` for time 0", 13),
+    (SET, SET + "\nset 9 = 0", "time 9 outside 0..1", 13),
+    (SET, SET + "\nset t = 0", "bad time 't'", 13),
+    (SET, "set 0 = 0 1", "no uncertainty set declared for time 1", None),
+    (SET, "set * = 0 0", "duplicate uncertainty labels at time 0", 12),
+    (SET, SET + "\nprob 1 = 0.5 x", "bad probability 'x'", 13),
+    (SET, SET + "\nprob * = 1.0",
+     "1 probabilities for 2 uncertainty values at time 0", 13),
+    (SET, SET + "\nprob * = 0.6 0.6",
+     "probabilities sum to 1.2 != 1 at time 0", 13),
+    (SET, SET + "\nprob 1 = 0.5 0.5",
+     "probabilities declared for some times but missing for [0]", None),
+    (SET, SET + "\nrobust 1 = 0 z", "unknown uncertainty label 'z' at time 1",
+     13),
+    (SET, SET + "\nrobust_scenario = 0", "scenario has 1 entries, expected 2",
+     13),
+    (SET, SET + "\nrobust_scenario = 0 z",
+     "unknown uncertainty label 'z' at time 1", 13),
+    (SET, SET + "\nscenario_prob = 0 0",
+     "expected `scenario_prob = w ... w : p`", 13),
+    (SET, SET + "\nscenario_prob = 0 0 : x", "bad probability 'x'", 13),
+    (SET, SET + "\nscenario_prob = 0 : 1.0",
+     "scenario has 1 entries, expected 2", 13),
+    (SET, SET + "\nscenario_prob = z 0 : 1.0",
+     "unknown uncertainty label 'z' at time 0", 13),
+    (SET, SET + "\nscenario_prob = 0 0 : 0.5\nscenario_prob = 0 0 : 0.5",
+     "duplicate scenario_prob entry", 14),
+    ("* a u 0 -> a", "* a u 0 a",
+     "expected `t x u w -> state`, got '* a u 0 a'", 15),
+    ("* a u 0 -> a", "* a u -> a",
+     "expected `t x u w -> state`, got '* a u -> a'", 15),
+    ("* a u 0 -> a", "* a u 0 -> b -> a",
+     "expected `t x u w -> state`, got '* a u 0 -> b -> a'", 15),
+    ("* a u 0 -> a", "* z v 9 -> q", "unknown state label 'q'", 15),
+    ("* a u 0 -> a", "* z v 9 -> a", "unknown state label 'z'", 15),
+    ("* a u 0 -> a", "* a v 9 -> a", "unknown control label 'v'", 15),
+    ("* a u 0 -> a", "t CEMETERY u 0 -> a",
+     "no dynamics rows at the cemetery", 15),
+    ("* a u 0 -> a", "5 a u 0 -> a", "time 5 outside 0..1", 15),
+    ("* a u 0 -> a", "t a u 9 -> a", "bad time 't'", 15),
+    ("* a u 0 -> a", "* a u 9 -> a",
+     "unknown uncertainty label '9' at time 0", 15),
+    ("* b u 1 -> a", "* b u 1 -> a\n1 b u 1 -> a",
+     "duplicate dynamics row for (t=1, x=b, u=u, w=1)", 19),
+    ("* b u 1 -> a", "0 b u 1 -> a",
+     "dynamics not total at (t=1, x=b, u=u, w=1)", None),
+    ("* a u 1 -> b", "0 a u 1 -> b",
+     "dynamics not total at (t=1, x=a, u=u, w=1)", None),
+    (CON, "* a u", "expected `t x -> controls`, got '* a u'", 21),
+    (CON, "* a b -> u", "expected `t x -> controls`, got '* a b -> u'", 21),
+    (CON, "* CEMETERY ->", "unknown state label 'CEMETERY'", 21),
+    (CON, "* z -> v", "unknown state label 'z'", 21),
+    (CON, "* a ->", "empty admissible control set for state a", 21),
+    (CON, "t a -> u v", "unknown control label 'v'", 21),
+    (CON, "2 a -> u", "time 2 outside 0..1", 21),
+    (CON, "* a -> u\n1 a -> u", "duplicate constraints row for (t=1, x=a)",
+     22),
+    ("region = a b", "region = a b\n\n[cost]\nstate * a = 1.0",
+     "[cost] section requires a [risk] section", None),
+    ("+cost", "state 0 a",
+     "expected `state|control <t|*> <label> = v`, got 'state 0 a'", 30),
+    ("+cost", "fuel 0 a = 1.0",
+     "expected `state|control <t|*> <label> = v`, got 'fuel 0 a = 1.0'", 30),
+    ("+cost", "state 0 a b = 1.0",
+     "expected `state|control <t|*> <label> = v`, got 'state 0 a b = 1.0'",
+     30),
+    ("+cost", "state 0 z = x", "bad cost 'x'", 30),
+    ("+cost", "state t z = 1.0", "unknown state label 'z'", 30),
+    ("+cost", "state t CEMETERY = 1.0", "no cost rows at the cemetery", 30),
+    ("+cost", "state 3 a = 1.0", "time 3 outside 0..2", 30),
+    ("+cost", "state * a = 1.0\nstate 2 a = 2.0",
+     "duplicate state cost for (t=2, x=a)", 31),
+    ("+cost", "control t v = 1.0", "unknown control label 'v'", 30),
+    ("+cost", "control 2 u = 1.0", "time 2 outside 0..1", 30),
+    ("+cost", "control * u = 1.0\ncontrol 1 u = 2.0",
+     "duplicate control cost for (t=1, u=u)", 31),
+    ("+belief", "belief 0 = 1.0 0.0",
+     "expected `belief <i> <t|*> = p...`, got 'belief 0'", 27),
+    ("+belief", "belief x * = 1.0 0.0", "bad belief index 'x'", 27),
+    ("+belief", "belief -1 * = 1.0 0.0", "bad belief index '-1'", 27),
+    ("+belief", "belief 0 * = 1.0 x", "bad probability 'x'", 27),
+    ("+belief", "belief 0 2 = 1.0 0.0", "time 2 outside 0..1", 27),
+    ("+belief", "belief 0 * = 1.0 0.0\nbelief 0 1 = 1.0 0.0",
+     "duplicate belief 0 vector for time 1", 28),
+    ("+belief", "belief 0 * = 1.0",
+     "1 probabilities for 2 uncertainty values at time 0", 27),
+    ("+belief", "", "ambiguity_exceedance needs belief lines", None),
+    ("+belief", "belief 0 * = 1.0 0.0\nbelief 2 0 = 1.0 0.0",
+     "belief 1 is missing a vector for time 0", None),
+]
+
+
+@pytest.mark.parametrize("row, value", [
+    ("prob * = 1.5 -0.5", "-0.5"),
+    ("prob 0 = nan nan", "nan"),
+    ("prob * = inf 0", "inf"),
+    ("scenario_prob = 0 0 : -0.5", "-0.5"),
+    ("scenario_prob = 0 0 : nan", "nan"),
+])
+def test_probabilities_must_be_finite_and_non_negative(row, value):
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model(BASE.replace(SET, SET + "\n" + row))
+    assert err.value.line == 13
+    assert str(err.value) == (
+        f"line 13: bad probability {value!r} "
+        "(must be finite and non-negative)"
+    )
+
+
+def test_nan_probabilities_in_a_fixture_are_rejected():
+    text = load("m1_effort.model")
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("prob"))
+    lines[at] = "prob * = nan nan"
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model("\n".join(lines))
+    assert err.value.line == at + 1
+
+
+@pytest.mark.parametrize("old, new, message, line", READER_ERRORS)
+def test_reader_errors_are_exact(old, new, message, line):
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model(corpus_text(old, new))
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
+
+
 # ------------------------------------------------------------ vocabulary
 #
 # Each kind of the [regime] and [risk] sections with its keys in file

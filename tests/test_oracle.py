@@ -68,12 +68,15 @@ def test_oracle_imports_no_production_route():
     # the oracle judges the production scan, so it must not share the
     # monitor walk, the member blocks, the path-array predicates or the
     # pruning of unreachable slots, and it prices members through the
-    # bundle evaluator
+    # bundle evaluator; each name must still be a production helper, so
+    # the guard cannot go stale
+    production = {**vars(rk.engine), **vars(rk.strategy)}
     for name in (
         "_monitor", "_reachable_members", "_member_blocks", "rank_layout",
-        "_evaluate_paths", "_path_membership", "_scan_members",
-        "_monitor_paths",
+        "_evaluate_paths", "_monitor_paths", "_decide", "_walks",
+        "_simulate",
     ):
+        assert name in production, name
         assert name not in vars(oracle), name
     assert oracle._evaluate is rk.risk._evaluate
     # the simulation kernel steps on the model's table, not an engine one

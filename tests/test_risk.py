@@ -368,6 +368,11 @@ def test_risk_validation(m1):
         rk.evaluate_risk(
             m1, rk.AmbiguityExceedance(A, (((0.6, 0.6),) * 3,)), bundle
         )
+    nan = float("nan")
+    with pytest.raises(rk.InputError, match="sum to nan"):
+        rk.evaluate_risk(
+            m1, rk.AmbiguityExceedance(A, (((nan, nan),) * 3,)), bundle
+        )
 
 
 # ------------------------------------------------------ risk on path arrays

@@ -307,6 +307,20 @@ def test_strategy_text_errors(m1):
         rk.strategy_from_text(m1, text + "\n[policy 2]\nkind = markov\n")
 
 
+@pytest.mark.parametrize("old, new, message, line", [
+    ("[policy 1]", "[policy 0]", "policy 1 is for time 0, expected 1", 8),
+    ("[policy 0]", "[policy -1]", "policy 0 is for time -1, expected 0", 2),
+    ("start = 0", "start = 9", "policy 0 is for time 0, expected 9", 1),
+])
+def test_strategy_section_layout_errors_cite_their_line(m1, old, new,
+                                                        message, line):
+    text = rk.strategy_to_text(m1, keep_high(m1)).replace(old, new)
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.strategy_from_text(m1, text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_policy_control_at_cemetery(m1):
     s = keep_high(m1)
     from resilkit.strategy import policy_control
