@@ -1,18 +1,20 @@
 """Command line interface.
 
-    resilkit <command> --model FILE [options]
+    resilkit <command> --model FILE [--out DIR] [flags]
 
-Commands:
-    check          is --strategy resilient from --x0 at --t
-    kernel         robust viability kernel for the regime's state set
-    value          stochastic viability value table
-    recovery       layered recovery table (deadline from regime/--deadline)
-    resilient-set  resilient states at --t under the file's regime
-    optimize       risk-minimizing resilient strategy
-    indicator      the minimized risk value only
-    simulate       closed-loop trajectories for --strategy from --x0
-    oracle         enumeration-based reference results; modes
-                   resilient-set | value | recovery | min-risk | risk
+Commands and their other flags (the command table at the end):
+    check          one strategy's resilience: --strategy --x0 --t --cap
+    kernel         robust viability kernel: --x0 --t
+    value          stochastic viability value table: --x0 --t --beta
+    recovery       layered recovery table: --x0 --t --deadline
+    resilient-set  resilient states at --t: --x0 --t --class --cap
+    optimize       risk-minimizing resilient strategy: --x0 --t --class --cap
+    indicator      the minimized risk value only: --x0 --t --class --cap
+    simulate       closed-loop trajectories: --strategy --x0 --t --cap
+                   --robust-only
+    oracle MODE    enumeration-based reference results, MODE one of
+                   resilient-set | value | recovery | min-risk | risk:
+                   --strategy --x0 --t --class --cap --robust-only
 
 Results go to --out as canonical JSON plus CSV tables; stdout gets a one
 line summary. Exit status: 0 success; 1 the run completed but the queried
@@ -22,7 +24,6 @@ object is not resilient; 2 bad input.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -56,82 +57,6 @@ from .strategy import (
     strategy_to_text,
 )
 
-def _flags(p, *names):
-    for name in names:
-        if name == "--model":
-            p.add_argument("--model", required=True, help="model file path")
-        elif name == "--out":
-            p.add_argument("--out", help="output directory")
-        elif name == "--strategy":
-            p.add_argument("--strategy", help="strategy file path")
-        elif name == "--x0":
-            p.add_argument("--x0", help="initial state label")
-        elif name == "--t":
-            p.add_argument("--t", type=int, default=0, help="start time")
-        elif name == "--class":
-            p.add_argument(
-                "--class", dest="strategy_class", choices=(MARKOV, ADAPTED),
-                default=MARKOV, help="strategy class",
-            )
-        elif name == "--deadline":
-            p.add_argument("--deadline", type=int, help="recovery deadline")
-        elif name == "--beta":
-            p.add_argument("--beta", type=float, help="confidence threshold")
-        elif name == "--alpha":
-            p.add_argument("--alpha", type=float, help="tail level override")
-        elif name == "--cap":
-            p.add_argument("--cap", type=int, help="enumeration cap")
-        elif name == "--robust-only":
-            p.add_argument(
-                "--robust-only", action="store_true",
-                help="restrict scenarios to the robust subset",
-            )
-        else:  # pragma: no cover
-            raise AssertionError(name)
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="resilkit",
-        description="resilience analysis for finite controlled systems",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="test one strategy for resilience")
-    _flags(p, "--model", "--out", "--strategy", "--x0", "--t", "--cap")
-
-    p = sub.add_parser("kernel", help="robust viability kernel")
-    _flags(p, "--model", "--out", "--x0", "--t")
-
-    p = sub.add_parser("value", help="stochastic viability value table")
-    _flags(p, "--model", "--out", "--x0", "--t", "--beta")
-
-    p = sub.add_parser("recovery", help="layered recovery table")
-    _flags(p, "--model", "--out", "--x0", "--t", "--deadline")
-
-    p = sub.add_parser("resilient-set", help="resilient states at a time")
-    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
-
-    p = sub.add_parser("optimize", help="risk-minimizing resilient strategy")
-    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
-
-    p = sub.add_parser("indicator", help="minimized risk value")
-    _flags(p, "--model", "--out", "--x0", "--t", "--class", "--cap")
-
-    p = sub.add_parser("simulate", help="closed-loop trajectory bundle")
-    _flags(p, "--model", "--out", "--strategy", "--x0", "--t", "--cap",
-           "--robust-only")
-
-    p = sub.add_parser("oracle", help="enumeration-based reference results")
-    p.add_argument(
-        "mode",
-        choices=("resilient-set", "value", "recovery", "min-risk", "risk"),
-    )
-    _flags(p, "--model", "--out", "--strategy", "--x0", "--t", "--class",
-           "--cap", "--robust-only")
-
-    return parser
-
 
 def _read(path):
     try:
@@ -139,24 +64,6 @@ def _read(path):
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-
-
-def _load(args):
-    parsed = parse_model(_read(args.model))
-    model, regime, risk = parsed.model, parsed.regime, parsed.risk
-    if getattr(args, "deadline", None) is not None and isinstance(
-        regime, rg.RobustRecovery
-    ):
-        regime = dataclasses.replace(regime, deadline=args.deadline)
-    if getattr(args, "beta", None) is not None:
-        if isinstance(regime, (rg.StochasticViability, rg.ProbExcursion)):
-            regime = dataclasses.replace(regime, beta=args.beta)
-    if getattr(args, "alpha", None) is not None and isinstance(
-        risk, (rk.Composed, rk.ExitCountFunctional)
-    ):
-        if isinstance(risk.outer, rk.CVaR):
-            risk = dataclasses.replace(risk, outer=rk.CVaR(args.alpha))
-    return model, regime, risk
 
 
 def _x0_index(model, args):
@@ -172,6 +79,15 @@ def _strategy_arg(model, args):
     if args.strategy is None:
         raise InputError("this command needs --strategy")
     return strategy_from_text(model, _read(args.strategy))
+
+
+def _bundle_arg(model, args):
+    """The closed-loop bundle of --strategy from --x0 at --t."""
+    x0 = _x0_index(model, args)
+    return build_bundle(
+        model, _strategy_arg(model, args), x0, start=args.t,
+        robust_only=args.robust_only, cap=_scenario_cap(args),
+    )
 
 
 def _state_set_arg(model, regime):
@@ -190,34 +106,6 @@ def _check_time(model, t, last=None):
         raise InputError(f"--t must be in 0..{hi}, got {t}")
 
 
-def _outdir(args):
-    if args.out is None:
-        return None
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
-def _emit_json(outdir, name, doc):
-    if outdir is not None:
-        with open(os.path.join(outdir, name), "w", encoding="utf-8",
-                  newline="") as fh:
-            fh.write(dumps_canonical(doc))
-
-
-def _emit_csv(outdir, name, header, rows):
-    if outdir is not None:
-        write_csv(os.path.join(outdir, name), header, rows)
-
-
-def _labels(model, indices):
-    return [model.states.label(x) for x in sorted(indices)]
-
-
-def _witness_label(model, table, t, x):
-    u = int(table[t, x])
-    return model.controls.label(u) if u >= 0 else ""
-
-
 def _scenario_cap(args):
     return args.cap if args.cap is not None else DEFAULT_SCENARIO_CAP
 
@@ -226,21 +114,76 @@ def _strategy_cap(args):
     return args.cap if args.cap is not None else DEFAULT_STRATEGY_CAP
 
 
-def _x0_exit(args, model, member_fn):
-    """Exit code for table commands: 1 when --x0 is given and not resilient
-    at --t."""
+def _outdir(args):
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+    return args.out
+
+
+def _emit_text(outdir, name, render, *args):
+    """Open outdir/name, then write render(*args); nothing without --out."""
+    if outdir is not None:
+        with open(os.path.join(outdir, name), "w", encoding="utf-8",
+                  newline="") as fh:
+            fh.write(render(*args))
+
+
+def _emit_json(outdir, name, doc):
+    _emit_text(outdir, name, dumps_canonical, doc)
+
+
+def _emit_csv(outdir, name, header, rows):
+    if outdir is not None:
+        write_csv(os.path.join(outdir, name), header, rows)
+
+
+def _emit_witness(outdir, name, model, strategy):
+    if strategy is not None:
+        _emit_text(outdir, name, strategy_to_text, model, strategy)
+
+
+def _labels(model, indices):
+    return [model.states.label(x) for x in sorted(indices)]
+
+
+def _by_state(model, values, cast=float):
+    return {
+        model.states.label(x): cast(values[x]) for x in range(model.n_states)
+    }
+
+
+def _grid(model, witness):
+    """(t, x, state label, witness control label) for every time and state;
+    the witness label is empty at the horizon and where the witness is -1."""
+    for t in range(model.horizon + 1):
+        for x in range(model.n_states):
+            u = int(witness[t, x]) if t < model.horizon else -1
+            yield (t, x, model.states.label(x),
+                   model.controls.label(u) if u >= 0 else "")
+
+
+def _summary(args, model, head, members):
+    """Print `head: ` and the members' labels; the exit code is 1 when --x0
+    is given and is not a member."""
+    print(f"{head}: " + (" ".join(_labels(model, members)) or "(empty)"))
     if args.x0 is None:
         return 0
-    return 0 if member_fn(_x0_index(model, args)) else 1
+    return 0 if _x0_index(model, args) in members else 1
 
 
-def cmd_check(args):
-    model, regime, _ = _load(args)
+def _emit_table(args, name, doc, header, rows):
+    """NAME.json and NAME.csv of a table command."""
+    outdir = _outdir(args)
+    _emit_json(outdir, f"{name}.json", doc)
+    _emit_csv(outdir, f"{name}.csv", header, rows)
+
+
+def cmd_check(args, model, regime, risk):
     _check_time(model, args.t, model.horizon - 1)
     x0 = _x0_index(model, args)
-    strategy = _strategy_arg(model, args)
     ok = check_resilient(
-        model, strategy, x0, args.t, regime, cap=_scenario_cap(args)
+        model, _strategy_arg(model, args), x0, args.t, regime,
+        cap=_scenario_cap(args),
     )
     doc = {
         "command": "check",
@@ -254,159 +197,106 @@ def cmd_check(args):
     return 0 if ok else 1
 
 
-def cmd_kernel(args):
-    model, regime, _ = _load(args)
+def cmd_kernel(args, model, regime, risk):
     _check_time(model, args.t)
     table = robust_viability_kernel(model, _state_set_arg(model, regime))
-    members = {
-        str(t): _labels(model, table.member_set(t))
-        for t in range(model.horizon + 1)
-    }
     doc = {
         "command": "kernel",
         "domain": table.domain,
         "acceptable": _labels(model, table.acceptable),
-        "members": members,
+        "members": {
+            str(t): _labels(model, table.member_set(t))
+            for t in range(model.horizon + 1)
+        },
     }
-    rows = []
-    for t in range(model.horizon + 1):
-        for x in range(model.n_states):
-            witness = (
-                _witness_label(model, table.witness, t, x)
-                if t < model.horizon and table.member[t, x]
-                else ""
-            )
-            rows.append(
-                (t, model.states.label(x), int(table.member[t, x]), witness)
-            )
-    outdir = _outdir(args)
-    _emit_json(outdir, "kernel.json", doc)
-    _emit_csv(outdir, "kernel.csv", ("t", "state", "member", "witness"), rows)
-    print(
-        f"kernel at t={args.t}: "
-        + (" ".join(members[str(args.t)]) or "(empty)")
+    rows = [
+        (t, label, int(table.member[t, x]), witness)
+        for t, x, label, witness in _grid(model, table.witness)
+    ]
+    _emit_table(args, "kernel", doc, ("t", "state", "member", "witness"),
+                rows)
+    return _summary(
+        args, model, f"kernel at t={args.t}", table.member_set(args.t)
     )
-    return _x0_exit(args, model, lambda x: bool(table.member[args.t, x]))
 
 
-def cmd_value(args):
-    model, regime, _ = _load(args)
+def cmd_value(args, model, regime, risk):
     _check_time(model, args.t)
     acceptable = _state_set_arg(model, regime)
     beta = args.beta
     if beta is None:
         beta = regime.beta if isinstance(regime, rg.StochasticViability) else 1.0
     table = stochastic_viability_value(model, acceptable)
-    values = {
-        str(t): {
-            model.states.label(x): float(table.value[t, x])
-            for x in range(model.n_states)
-        }
-        for t in range(model.horizon + 1)
-    }
     doc = {
         "command": "value",
         "acceptable": _labels(model, acceptable),
         "beta": float(beta),
-        "values": values,
+        "values": {
+            str(t): _by_state(model, table.value[t])
+            for t in range(model.horizon + 1)
+        },
     }
-    rows = []
-    for t in range(model.horizon + 1):
-        for x in range(model.n_states):
-            witness = (
-                _witness_label(model, table.witness, t, x)
-                if t < model.horizon
-                else ""
-            )
-            rows.append((
-                t,
-                model.states.label(x),
-                format_float(table.value[t, x]),
-                witness,
-                int(table.value[t, x] >= beta),
-            ))
-    outdir = _outdir(args)
-    _emit_json(outdir, "value.json", doc)
-    _emit_csv(
-        outdir, "value.csv",
-        ("t", "state", "value", "witness", "resilient"), rows,
+    rows = [
+        (t, label, format_float(table.value[t, x]), witness,
+         int(table.value[t, x] >= beta))
+        for t, x, label, witness in _grid(model, table.witness)
+    ]
+    _emit_table(
+        args, "value", doc, ("t", "state", "value", "witness", "resilient"),
+        rows,
     )
-    print(
-        f"resilient at t={args.t} (beta={format_float(beta)}): "
-        + (" ".join(_labels(model, table.resilient_set(args.t, beta)))
-           or "(empty)")
+    return _summary(
+        args, model, f"resilient at t={args.t} (beta={format_float(beta)})",
+        table.resilient_set(args.t, beta),
     )
-    return _x0_exit(args, model, lambda x: table.value[args.t, x] >= beta)
 
 
-def cmd_recovery(args):
-    model, regime, _ = _load(args)
+def cmd_recovery(args, model, regime, risk):
     _check_time(model, args.t)
     acceptable = _state_set_arg(model, regime)
     deadline = args.deadline
     if deadline is None:
-        deadline = (
-            regime.deadline
-            if isinstance(regime, rg.RobustRecovery)
-            else model.horizon
-        )
+        deadline = (regime.deadline if isinstance(regime, rg.RobustRecovery)
+                    else model.horizon)
     table = robust_recovery_table(model, acceptable, deadline)
     doc = {
         "command": "recovery",
         "acceptable": _labels(model, acceptable),
         "deadline": deadline,
-        "r_star": {
-            model.states.label(x): float(table.r_star[x])
-            for x in range(model.n_states)
-        },
+        "r_star": _by_state(model, table.r_star),
     }
-    rows = []
-    for t in range(model.horizon + 1):
-        resilient = table.resilient_set(t)
-        for x in range(model.n_states):
-            witness = (
-                _witness_label(model, table.witness, t, x)
-                if t < model.horizon
-                else ""
-            )
-            rows.append((
-                t,
-                model.states.label(x),
-                format_float(table.min_layer[t, x]),
-                int(x in resilient),
-                witness,
-            ))
-    outdir = _outdir(args)
-    _emit_json(outdir, "recovery.json", doc)
-    _emit_csv(
-        outdir, "recovery.csv",
+    resilient = [table.resilient_set(t) for t in range(model.horizon + 1)]
+    rows = [
+        (t, label, format_float(table.min_layer[t, x]),
+         int(x in resilient[t]), witness)
+        for t, x, label, witness in _grid(model, table.witness)
+    ]
+    _emit_table(
+        args, "recovery", doc,
         ("t", "state", "min_layer", "resilient", "witness"), rows,
     )
-    print(
-        f"resilient at t={args.t} (deadline={deadline}): "
-        + (" ".join(_labels(model, table.resilient_set(args.t))) or "(empty)")
+    return _summary(
+        args, model, f"resilient at t={args.t} (deadline={deadline})",
+        resilient[args.t],
     )
-    return _x0_exit(args, model, lambda x: x in table.resilient_set(args.t))
 
 
 def _resilient_set_doc(model, result, command):
-    members = sorted(result.members)
     return {
         "command": command,
         "regime": _kind_name(result.regime),
         "class": result.strategy_class,
         "start": result.start,
         "method": result.method,
-        "members": [model.states.label(x) for x in members],
+        "members": _labels(model, result.members),
         "witnesses": {
             model.states.label(x): strategy_to_text(model, result.witnesses[x])
-            for x in members
+            for x in sorted(result.members)
         },
     }
 
 
-def cmd_resilient_set(args):
-    model, regime, _ = _load(args)
+def cmd_resilient_set(args, model, regime, risk):
     _check_time(model, args.t, model.horizon - 1)
     result = resilient_states(
         model, args.t, regime,
@@ -417,29 +307,24 @@ def cmd_resilient_set(args):
         (model.states.label(x), int(x in result.members))
         for x in range(model.n_states)
     ]
-    outdir = _outdir(args)
-    _emit_json(outdir, "resilient_set.json", doc)
-    _emit_csv(outdir, "resilient_set.csv", ("state", "member"), rows)
-    print(
-        f"resilient at t={args.t} [{result.method}]: "
-        + (" ".join(doc["members"]) or "(empty)")
+    _emit_table(args, "resilient_set", doc, ("state", "member"), rows)
+    return _summary(
+        args, model, f"resilient at t={args.t} [{result.method}]",
+        result.members,
     )
-    return _x0_exit(args, model, lambda x: x in result.members)
 
 
 def _optimize_result(args, model, regime, risk):
+    _check_time(model, args.t, model.horizon - 1)
     if risk is None:
         raise InputError("this command needs a [risk] section in the model")
-    x0 = _x0_index(model, args)
     return minimize_risk(
-        model, x0, args.t, regime, risk,
+        model, _x0_index(model, args), args.t, regime, risk,
         strategy_class=args.strategy_class, cap=_strategy_cap(args),
     )
 
 
-def cmd_optimize(args):
-    model, regime, risk = _load(args)
-    _check_time(model, args.t, model.horizon - 1)
+def cmd_optimize(args, model, regime, risk):
     result = _optimize_result(args, model, regime, risk)
     doc = {
         "command": "optimize",
@@ -455,10 +340,7 @@ def cmd_optimize(args):
     }
     outdir = _outdir(args)
     _emit_json(outdir, "optimize.json", doc)
-    if result.strategy is not None and outdir is not None:
-        with open(os.path.join(outdir, "witness.strategy"), "w",
-                  encoding="utf-8", newline="") as fh:
-            fh.write(strategy_to_text(model, result.strategy))
+    _emit_witness(outdir, "witness.strategy", model, result.strategy)
     print(
         f"minimal risk: {format_float(result.value)} "
         f"[{result.certificate}, examined {result.examined}]"
@@ -466,9 +348,7 @@ def cmd_optimize(args):
     return 0 if result.resilient else 1
 
 
-def cmd_indicator(args):
-    model, regime, risk = _load(args)
-    _check_time(model, args.t, model.horizon - 1)
+def cmd_indicator(args, model, regime, risk):
     result = _optimize_result(args, model, regime, risk)
     doc = {
         "command": "indicator",
@@ -481,15 +361,9 @@ def cmd_indicator(args):
     return 0 if math.isfinite(result.value) else 1
 
 
-def cmd_simulate(args):
-    model, regime, _ = _load(args)
+def cmd_simulate(args, model, regime, risk):
     _check_time(model, args.t, model.horizon - 1)
-    x0 = _x0_index(model, args)
-    strategy = _strategy_arg(model, args)
-    bundle = build_bundle(
-        model, strategy, x0, start=args.t,
-        robust_only=args.robust_only, cap=_scenario_cap(args),
-    )
+    bundle = _bundle_arg(model, args)
     doc = {
         "command": "simulate",
         "x0": args.x0,
@@ -503,11 +377,8 @@ def cmd_simulate(args):
             model.uncertainty.sets[t][w] for t, w in enumerate(traj.scenario)
         )
         for s in range(args.t, model.horizon + 1):
-            control = (
-                model.controls.label(traj.control(s))
-                if s < model.horizon
-                else ""
-            )
+            control = (model.controls.label(traj.control(s))
+                       if s < model.horizon else "")
             rows.append(
                 (i, scenario, s, model.states.label(traj.state(s)), control)
             )
@@ -521,104 +392,86 @@ def cmd_simulate(args):
     return 0
 
 
-def cmd_oracle(args):
-    model, regime, risk = _load(args)
-    outdir = _outdir(args)
-    if args.mode == "resilient-set":
-        _check_time(model, args.t, model.horizon - 1)
-        result = oracle_resilient_states(
-            model, args.t, regime,
-            strategy_class=args.strategy_class, cap=_strategy_cap(args),
-        )
-        doc = _resilient_set_doc(model, result, "oracle")
-        doc["mode"] = "resilient-set"
-        _emit_json(outdir, "oracle_resilient_set.json", doc)
-        print(
-            f"oracle resilient at t={args.t}: "
-            + (" ".join(doc["members"]) or "(empty)")
-        )
-        return _x0_exit(args, model, lambda x: x in result.members)
-    if args.mode == "value":
-        _check_time(model, args.t)
-        values = oracle_value(
-            model, _state_set_arg(model, regime), start=args.t,
-            cap=_strategy_cap(args),
-        )
-        doc = {
-            "command": "oracle",
-            "mode": "value",
-            "start": args.t,
-            "values": {
-                model.states.label(x): float(values[x])
-                for x in range(model.n_states)
-            },
-        }
-        _emit_json(outdir, "oracle_value.json", doc)
-        print(
-            "oracle values: "
-            + " ".join(format_float(v) for v in values)
-        )
-        return 0
-    if args.mode == "recovery":
-        _check_time(model, args.t)
-        offsets, ranks = oracle_recovery_offsets(
-            model, _state_set_arg(model, regime), start=args.t,
-            cap=_strategy_cap(args),
-        )
-        doc = {
-            "command": "oracle",
-            "mode": "recovery",
-            "start": args.t,
-            "offsets": {
-                model.states.label(x): float(offsets[x])
-                for x in range(model.n_states)
-            },
-            "witness_ranks": {
-                model.states.label(x): int(ranks[x])
-                for x in range(model.n_states)
-            },
-        }
-        _emit_json(outdir, "oracle_recovery.json", doc)
-        print(
-            "oracle recovery offsets: "
-            + " ".join(format_float(v) for v in offsets)
-        )
-        return 0
-    if args.mode == "min-risk":
-        _check_time(model, args.t, model.horizon - 1)
-        if risk is None:
-            raise InputError("oracle min-risk needs a [risk] section")
-        x0 = _x0_index(model, args)
-        value, strategy, examined = oracle_min_risk(
-            model, x0, args.t, regime, risk,
-            strategy_class=args.strategy_class, cap=_strategy_cap(args),
-        )
-        doc = {
-            "command": "oracle",
-            "mode": "min-risk",
-            "x0": args.x0,
-            "start": args.t,
-            "value": value,
-            "examined": examined,
-        }
-        _emit_json(outdir, "oracle_min_risk.json", doc)
-        if strategy is not None and outdir is not None:
-            with open(os.path.join(outdir, "oracle_witness.strategy"), "w",
-                      encoding="utf-8", newline="") as fh:
-                fh.write(strategy_to_text(model, strategy))
-        print(f"oracle minimal risk: {format_float(value)}")
-        return 0 if strategy is not None else 1
-    # risk: evaluate the model's risk measure on one closed loop
+def _oracle_resilient_set(args, model, regime, risk, outdir):
+    _check_time(model, args.t, model.horizon - 1)
+    result = oracle_resilient_states(
+        model, args.t, regime,
+        strategy_class=args.strategy_class, cap=_strategy_cap(args),
+    )
+    doc = _resilient_set_doc(model, result, "oracle")
+    doc["mode"] = "resilient-set"
+    _emit_json(outdir, "oracle_resilient_set.json", doc)
+    return _summary(
+        args, model, f"oracle resilient at t={args.t}", result.members
+    )
+
+
+def _oracle_value(args, model, regime, risk, outdir):
+    _check_time(model, args.t)
+    values = oracle_value(
+        model, _state_set_arg(model, regime), start=args.t,
+        cap=_strategy_cap(args),
+    )
+    doc = {
+        "command": "oracle",
+        "mode": "value",
+        "start": args.t,
+        "values": _by_state(model, values),
+    }
+    _emit_json(outdir, "oracle_value.json", doc)
+    print("oracle values: " + " ".join(format_float(v) for v in values))
+    return 0
+
+
+def _oracle_recovery(args, model, regime, risk, outdir):
+    _check_time(model, args.t)
+    offsets, ranks = oracle_recovery_offsets(
+        model, _state_set_arg(model, regime), start=args.t,
+        cap=_strategy_cap(args),
+    )
+    doc = {
+        "command": "oracle",
+        "mode": "recovery",
+        "start": args.t,
+        "offsets": _by_state(model, offsets),
+        "witness_ranks": _by_state(model, ranks, int),
+    }
+    _emit_json(outdir, "oracle_recovery.json", doc)
+    print(
+        "oracle recovery offsets: "
+        + " ".join(format_float(v) for v in offsets)
+    )
+    return 0
+
+
+def _oracle_min_risk(args, model, regime, risk, outdir):
+    _check_time(model, args.t, model.horizon - 1)
+    if risk is None:
+        raise InputError("oracle min-risk needs a [risk] section")
+    value, strategy, examined = oracle_min_risk(
+        model, _x0_index(model, args), args.t, regime, risk,
+        strategy_class=args.strategy_class, cap=_strategy_cap(args),
+    )
+    doc = {
+        "command": "oracle",
+        "mode": "min-risk",
+        "x0": args.x0,
+        "start": args.t,
+        "value": value,
+        "examined": examined,
+    }
+    _emit_json(outdir, "oracle_min_risk.json", doc)
+    _emit_witness(outdir, "oracle_witness.strategy", model, strategy)
+    print(f"oracle minimal risk: {format_float(value)}")
+    return 0 if strategy is not None else 1
+
+
+def _oracle_risk(args, model, regime, risk, outdir):
+    """The model's risk measure on one closed loop."""
     _check_time(model, args.t, model.horizon - 1)
     if risk is None:
         raise InputError("oracle risk needs a [risk] section")
-    x0 = _x0_index(model, args)
-    strategy = _strategy_arg(model, args)
-    bundle = build_bundle(
-        model, strategy, x0, start=args.t,
-        robust_only=args.robust_only, cap=_scenario_cap(args),
-    )
-    value = rk.evaluate_risk(model, risk, bundle)
+    value = rk.evaluate_risk(model, risk, _bundle_arg(model, args))
     doc = {
         "command": "oracle",
         "mode": "risk",
@@ -632,23 +485,80 @@ def cmd_oracle(args):
     return 0
 
 
-_HANDLERS = {
-    "check": cmd_check,
-    "kernel": cmd_kernel,
-    "value": cmd_value,
-    "recovery": cmd_recovery,
-    "resilient-set": cmd_resilient_set,
-    "optimize": cmd_optimize,
-    "indicator": cmd_indicator,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
+_ORACLE_MODES = {
+    "resilient-set": _oracle_resilient_set,
+    "value": _oracle_value,
+    "recovery": _oracle_recovery,
+    "min-risk": _oracle_min_risk,
+    "risk": _oracle_risk,
 }
+
+
+def cmd_oracle(args, model, regime, risk):
+    return _ORACLE_MODES[args.mode](args, model, regime, risk, _outdir(args))
+
+
+# Each argument's add_argument keywords; a command names the ones it takes.
+_FLAGS = {
+    "mode": {"choices": tuple(_ORACLE_MODES)},
+    "--model": {"required": True, "help": "model file path"},
+    "--out": {"help": "output directory"},
+    "--strategy": {"help": "strategy file path"},
+    "--x0": {"help": "initial state label"},
+    "--t": {"type": int, "default": 0, "help": "start time"},
+    "--class": {"dest": "strategy_class", "choices": (MARKOV, ADAPTED),
+                "default": MARKOV, "help": "strategy class"},
+    "--deadline": {"type": int, "help": "recovery deadline"},
+    "--beta": {"type": float, "help": "confidence threshold"},
+    "--cap": {"type": int, "help": "enumeration cap"},
+    "--robust-only": {"action": "store_true",
+                      "help": "restrict scenarios to the robust subset"},
+}
+
+# command: (help, handler, its arguments in --help order)
+_COMMANDS = {
+    "check": ("test one strategy for resilience", cmd_check,
+              "--model --out --strategy --x0 --t --cap"),
+    "kernel": ("robust viability kernel", cmd_kernel,
+               "--model --out --x0 --t"),
+    "value": ("stochastic viability value table", cmd_value,
+              "--model --out --x0 --t --beta"),
+    "recovery": ("layered recovery table", cmd_recovery,
+                 "--model --out --x0 --t --deadline"),
+    "resilient-set": ("resilient states at a time", cmd_resilient_set,
+                      "--model --out --x0 --t --class --cap"),
+    "optimize": ("risk-minimizing resilient strategy", cmd_optimize,
+                 "--model --out --x0 --t --class --cap"),
+    "indicator": ("minimized risk value", cmd_indicator,
+                  "--model --out --x0 --t --class --cap"),
+    "simulate": ("closed-loop trajectory bundle", cmd_simulate,
+                 "--model --out --strategy --x0 --t --cap --robust-only"),
+    "oracle": ("enumeration-based reference results", cmd_oracle,
+               "mode --model --out --strategy --x0 --t --class --cap "
+               "--robust-only"),
+}
+
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="resilkit",
+        description="resilience analysis for finite controlled systems",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, _, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name in names.split():
+            p.add_argument(name, **_FLAGS[name])
+    return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        parsed = parse_model(_read(args.model))
+        return _COMMANDS[args.command][1](
+            args, parsed.model, parsed.regime, parsed.risk
+        )
     except ResilkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

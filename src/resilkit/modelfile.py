@@ -21,8 +21,9 @@ table rows:
 The wildcard `*` expands to every time; a wildcard row and an explicit row
 covering the same cell is a duplicate error. Exactly one regime section is
 required, at most one risk section. Dynamics must be total. Floats are
-decimal; every probability (`prob`, `scenario_prob`) must be finite and
-non-negative, and per-time probabilities must sum to 1 within 1e-9.
+decimal; every probability (`prob`, `scenario_prob`, `belief`) must be
+finite and non-negative. Each `prob` vector and the `scenario_prob` joint
+distribution must sum to 1 within 1e-9; a `robust_scenario` may not repeat.
 
 The [regime] and [risk] vocabulary lives in one table below (_REGIMES,
 _RISKS, _COSTS, _OUTERS): each kind's name, its record class and the keys
@@ -320,11 +321,20 @@ def _parse_uncertainty(rows, horizon):
             for t, lab in enumerate(labels)
         )
 
-    scenarios = tuple(scenario(labs, lineno) for lineno, labs in raw_scenarios)
+    scenarios = {}  # an ordered set
+    for lineno, labs in raw_scenarios:
+        _put(scenarios, scenario(labs, lineno), None, lineno,
+             "explicit robust scenario")
     joint = {}
     for lineno, labs, p in raw_joint:
         _put(joint, scenario(labs, lineno), p, lineno, "scenario_prob entry")
-    return w_idx, probs, robust, scenarios or None, joint or None
+    total = math.fsum(joint.values())
+    if joint and not abs(total - 1.0) <= 1e-9:
+        raise ModelFormatError(
+            f"scenario probabilities sum to {total!r}, expected 1",
+            raw_joint[0][0],
+        )
+    return w_idx, probs, robust, tuple(scenarios) or None, joint or None
 
 
 def _parse_dynamics(rows, state_idx, control_idx, w_idx):
@@ -735,7 +745,7 @@ def _parse_beliefs(belief_rows, model):
         b = _int(parts[1], "belief index", lineno)
         if b < 0:
             raise ModelFormatError(f"bad belief index {parts[1]!r}", lineno)
-        vec = tuple(_float(p, "probability", lineno) for p in value.split())
+        vec = tuple(_prob(p, lineno) for p in value.split())
         for t in _times(parts[2], model.horizon, lineno):
             _put(table, (b, t), vec, lineno, "belief {} vector for time {}",
                  b, t)

@@ -615,22 +615,28 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
             if kind not in (MARKOV, ADAPTED):
                 raise ModelFormatError(f"unknown policy kind {kind!r}", lineno)
             current["kind"] = kind
+            # an adapted section outside start..K-1 has no prefixes to rank
+            # its rows by: it is read as a Markov one, and the layout check
+            # below rejects it as it rejects a Markov one
+            current["ranked"] = (
+                kind == ADAPTED and start <= current["t"] < model.horizon
+            )
             continue
         head, arrow, ctrl = line.rpartition("->")
         if not arrow:
             raise ModelFormatError(f"expected `... -> control` in {line!r}", lineno)
         try:
             u = model.controls.index(ctrl.strip())
-            if current["kind"] == MARKOV:
-                x = model.states.index(head.strip())
-                key = (x, 0)
-            else:
+            state_part = head
+            if current["kind"] == ADAPTED:
                 state_part, paren, prefix_part = head.partition("(")
                 if not paren or not prefix_part.rstrip().endswith(")"):
                     raise ModelFormatError(
                         f"adapted rows need a (prefix), got {line!r}", lineno
                     )
-                x = model.states.index(state_part.strip())
+            x = model.states.index(state_part.strip())
+            key = (x, 0)
+            if current["ranked"]:
                 ws = prefix_part.rstrip().rstrip(")").split()
                 t = current["t"]
                 if len(ws) != t - start:
@@ -657,7 +663,7 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
         if kind is None:
             raise ModelFormatError("missing `kind =` line", sec["line"])
         n = model.n_states
-        width = 1 if kind == MARKOV else n_prefixes(model, t, start)
+        width = n_prefixes(model, t, start) if sec["ranked"] else 1
         table = np.zeros((n, width), dtype=np.int32)
         for x in range(n):
             for r in range(width):

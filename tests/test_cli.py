@@ -3,6 +3,7 @@
 Covers stdout summaries, JSON/CSV outputs and the 0/1/2 exit code
 contract."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 import resilkit as rk
 from conftest import build_m1, cli_env
+from resilkit.cli import build_parser
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -301,3 +303,42 @@ def test_malformed_model_reports_line(tmp_path):
 def test_unknown_command_exits_2():
     proc = run_cli("frobnicate", "--model", model("m1.model"))
     assert proc.returncode == 2
+
+
+OPTIONS = {  # each subcommand's option strings, in --help order
+    "check": ["--model", "--out", "--strategy", "--x0", "--t", "--cap"],
+    "kernel": ["--model", "--out", "--x0", "--t"],
+    "value": ["--model", "--out", "--x0", "--t", "--beta"],
+    "recovery": ["--model", "--out", "--x0", "--t", "--deadline"],
+    "resilient-set": ["--model", "--out", "--x0", "--t", "--class", "--cap"],
+    "optimize": ["--model", "--out", "--x0", "--t", "--class", "--cap"],
+    "indicator": ["--model", "--out", "--x0", "--t", "--class", "--cap"],
+    "simulate": ["--model", "--out", "--strategy", "--x0", "--t", "--cap",
+                 "--robust-only"],
+    "oracle": ["--model", "--out", "--strategy", "--x0", "--t", "--class",
+               "--cap", "--robust-only"],
+}
+
+
+def test_each_subcommand_takes_exactly_its_options(capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(OPTIONS)
+    for name, p in sub.choices.items():
+        options = [s for a in p._actions for s in a.option_strings
+                   if s not in ("-h", "--help")]
+        assert options == OPTIONS[name], name
+        positionals = [a for a in p._actions if not a.option_strings]
+        assert [a.dest for a in positionals] == (
+            ["mode"] if name == "oracle" else []
+        ), name
+    (mode,) = [a for a in sub.choices["oracle"]._actions if a.dest == "mode"]
+    assert list(mode.choices) == [
+        "resilient-set", "value", "recovery", "min-risk", "risk",
+    ]
+    # no subcommand takes --alpha: a CVaR level comes from the model file
+    with pytest.raises(SystemExit) as exit_:
+        parser.parse_args(["optimize", "--model", "m1.model", "--alpha", "0.3"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --alpha 0.3" in capsys.readouterr().err

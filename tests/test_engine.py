@@ -112,6 +112,9 @@ def test_kernel_matches_set_fixpoint():
             kernel = rk.robust_viability_kernel(model, acc, domain=domain)
             for t in range(model.horizon + 1):
                 assert kernel.member_set(t) == member[t]
+            # a witness control exactly where the state is in the kernel
+            for t in range(model.horizon):
+                assert np.array_equal(kernel.witness[t] >= 0, kernel.member[t])
 
 
 # ------------------------------------------------------- stochastic value

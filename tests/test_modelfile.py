@@ -272,7 +272,8 @@ def test_joint_distribution_must_sum_to_one():
         "set * = 0 1",
         "set * = 0 1\nscenario_prob = 0 0 : 0.4\nscenario_prob = 1 1 : 0.4",
     )
-    with pytest.raises(rk.InputError, match="scenario probabilities sum"):
+    with pytest.raises(rk.ModelFormatError,
+                       match="line 13: scenario probabilities sum to 0.8"):
         rk.parse_model(bad)
 
 
@@ -458,6 +459,10 @@ READER_ERRORS = [
      "unknown uncertainty label 'z' at time 0", 13),
     (SET, SET + "\nscenario_prob = 0 0 : 0.5\nscenario_prob = 0 0 : 0.5",
      "duplicate scenario_prob entry", 14),
+    (SET, SET + "\nscenario_prob = 0 0 : 0.5\nscenario_prob = 1 1 : 0.4",
+     "scenario probabilities sum to 0.9, expected 1", 13),
+    (SET, SET + "\nrobust_scenario = 0 1\nrobust_scenario = 0 1",
+     "duplicate explicit robust scenario", 14),
     ("* a u 0 -> a", "* a u 0 a",
      "expected `t x u w -> state`, got '* a u 0 a'", 15),
     ("* a u 0 -> a", "* a u -> a",
@@ -529,13 +534,21 @@ READER_ERRORS = [
     ("prob * = inf 0", "inf"),
     ("scenario_prob = 0 0 : -0.5", "-0.5"),
     ("scenario_prob = 0 0 : nan", "nan"),
+    ("belief 0 * = 1.5 -0.5", "-0.5"),
+    ("belief 0 1 = nan nan", "nan"),
+    ("belief 0 * = 1.0 0.0\nbelief 1 * = inf 0", "inf"),
 ])
 def test_probabilities_must_be_finite_and_non_negative(row, value):
+    if row.startswith("belief"):
+        # the fault is on the last belief row
+        text, line = corpus_text("+belief", row), 27 + row.count("\n")
+    else:
+        text, line = BASE.replace(SET, SET + "\n" + row), 13
     with pytest.raises(rk.ModelFormatError) as err:
-        rk.parse_model(BASE.replace(SET, SET + "\n" + row))
-    assert err.value.line == 13
+        rk.parse_model(text)
+    assert err.value.line == line
     assert str(err.value) == (
-        f"line 13: bad probability {value!r} "
+        f"line {line}: bad probability {value!r} "
         "(must be finite and non-negative)"
     )
 

@@ -307,14 +307,32 @@ def test_strategy_text_errors(m1):
         rk.strategy_from_text(m1, text + "\n[policy 2]\nkind = markov\n")
 
 
+def _section(t, kind, prefix=""):
+    """keep_high's [policy t] section, each row with the given prefix."""
+    rows = "".join(f"{x}{prefix} -> {u}\n" for x, u in enumerate((0, 0, 1, 0)))
+    return f"[policy {t}]\nkind = {kind}\n{rows}"
+
+
 @pytest.mark.parametrize("old, new, message, line", [
     ("[policy 1]", "[policy 0]", "policy 1 is for time 0, expected 1", 8),
     ("[policy 0]", "[policy -1]", "policy 0 is for time -1, expected 0", 2),
     ("start = 0", "start = 9", "policy 0 is for time 0, expected 9", 1),
+    # a section outside start..K-1 fails alike for both kinds, though an
+    # adapted one has no prefixes to rank its rows by
+    (None, _section(5, rk.MARKOV), "policy 0 is for time 5, expected 0", 1),
+    (None, _section(5, rk.ADAPTED, " (0 0 0 0 0)"),
+     "policy 0 is for time 5, expected 0", 1),
+    (None, "start = 2\n" + _section(0, rk.MARKOV),
+     "policy 0 is for time 0, expected 2", 2),
+    (None, "start = 2\n" + _section(0, rk.ADAPTED, " ()"),
+     "policy 0 is for time 0, expected 2", 2),
 ])
 def test_strategy_section_layout_errors_cite_their_line(m1, old, new,
                                                         message, line):
-    text = rk.strategy_to_text(m1, keep_high(m1)).replace(old, new)
+    # old None: new is the whole text; else an edit of keep_high's text
+    text = new
+    if old is not None:
+        text = rk.strategy_to_text(m1, keep_high(m1)).replace(old, new)
     with pytest.raises(rk.ModelFormatError) as err:
         rk.strategy_from_text(m1, text)
     assert err.value.line == line
