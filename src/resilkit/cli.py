@@ -37,7 +37,7 @@ from .engine import (
 )
 from .errors import InputError, ResilkitError
 from .jsonio import dumps_canonical, format_float, write_csv
-from .model import DEFAULT_SCENARIO_CAP
+from .model import DEFAULT_SCENARIO_CAP, _check_x0
 from .modelfile import _kind_name, parse_model, regime_state_set
 from .optimize import minimize_risk
 from .oracle import (
@@ -70,8 +70,7 @@ def _x0_index(model, args):
     if args.x0 is None:
         raise InputError("this command needs --x0")
     x0 = model.states.index(args.x0)
-    if x0 == model.cemetery:
-        raise InputError("x0 must be an ordinary state")
+    _check_x0(model, x0)
     return x0
 
 
@@ -98,12 +97,6 @@ def _state_set_arg(model, regime):
             "set; use a set-based regime for this command"
         )
     return acceptable
-
-
-def _check_time(model, t, last=None):
-    hi = model.horizon if last is None else last
-    if not 0 <= t <= hi:
-        raise InputError(f"--t must be in 0..{hi}, got {t}")
 
 
 def _scenario_cap(args):
@@ -179,7 +172,6 @@ def _emit_table(args, name, doc, header, rows):
 
 
 def cmd_check(args, model, regime, risk):
-    _check_time(model, args.t, model.horizon - 1)
     x0 = _x0_index(model, args)
     ok = check_resilient(
         model, _strategy_arg(model, args), x0, args.t, regime,
@@ -198,7 +190,6 @@ def cmd_check(args, model, regime, risk):
 
 
 def cmd_kernel(args, model, regime, risk):
-    _check_time(model, args.t)
     table = robust_viability_kernel(model, _state_set_arg(model, regime))
     doc = {
         "command": "kernel",
@@ -221,11 +212,13 @@ def cmd_kernel(args, model, regime, risk):
 
 
 def cmd_value(args, model, regime, risk):
-    _check_time(model, args.t)
     acceptable = _state_set_arg(model, regime)
-    beta = args.beta
+    beta, source = args.beta, "--beta"
     if beta is None:
         beta = regime.beta if isinstance(regime, rg.StochasticViability) else 1.0
+        source = "the regime's beta"
+    if not 0.0 <= beta <= 1.0:
+        raise InputError(f"{source} must be in [0, 1], got {beta}")
     table = stochastic_viability_value(model, acceptable)
     doc = {
         "command": "value",
@@ -252,7 +245,6 @@ def cmd_value(args, model, regime, risk):
 
 
 def cmd_recovery(args, model, regime, risk):
-    _check_time(model, args.t)
     acceptable = _state_set_arg(model, regime)
     deadline = args.deadline
     if deadline is None:
@@ -297,7 +289,6 @@ def _resilient_set_doc(model, result, command):
 
 
 def cmd_resilient_set(args, model, regime, risk):
-    _check_time(model, args.t, model.horizon - 1)
     result = resilient_states(
         model, args.t, regime,
         strategy_class=args.strategy_class, cap=_strategy_cap(args),
@@ -315,7 +306,6 @@ def cmd_resilient_set(args, model, regime, risk):
 
 
 def _optimize_result(args, model, regime, risk):
-    _check_time(model, args.t, model.horizon - 1)
     if risk is None:
         raise InputError("this command needs a [risk] section in the model")
     return minimize_risk(
@@ -362,7 +352,6 @@ def cmd_indicator(args, model, regime, risk):
 
 
 def cmd_simulate(args, model, regime, risk):
-    _check_time(model, args.t, model.horizon - 1)
     bundle = _bundle_arg(model, args)
     doc = {
         "command": "simulate",
@@ -392,22 +381,20 @@ def cmd_simulate(args, model, regime, risk):
     return 0
 
 
-def _oracle_resilient_set(args, model, regime, risk, outdir):
-    _check_time(model, args.t, model.horizon - 1)
+def _oracle_resilient_set(args, model, regime, risk):
     result = oracle_resilient_states(
         model, args.t, regime,
         strategy_class=args.strategy_class, cap=_strategy_cap(args),
     )
     doc = _resilient_set_doc(model, result, "oracle")
     doc["mode"] = "resilient-set"
-    _emit_json(outdir, "oracle_resilient_set.json", doc)
+    _emit_json(_outdir(args), "oracle_resilient_set.json", doc)
     return _summary(
         args, model, f"oracle resilient at t={args.t}", result.members
     )
 
 
-def _oracle_value(args, model, regime, risk, outdir):
-    _check_time(model, args.t)
+def _oracle_value(args, model, regime, risk):
     values = oracle_value(
         model, _state_set_arg(model, regime), start=args.t,
         cap=_strategy_cap(args),
@@ -418,13 +405,12 @@ def _oracle_value(args, model, regime, risk, outdir):
         "start": args.t,
         "values": _by_state(model, values),
     }
-    _emit_json(outdir, "oracle_value.json", doc)
+    _emit_json(_outdir(args), "oracle_value.json", doc)
     print("oracle values: " + " ".join(format_float(v) for v in values))
     return 0
 
 
-def _oracle_recovery(args, model, regime, risk, outdir):
-    _check_time(model, args.t)
+def _oracle_recovery(args, model, regime, risk):
     offsets, ranks = oracle_recovery_offsets(
         model, _state_set_arg(model, regime), start=args.t,
         cap=_strategy_cap(args),
@@ -436,7 +422,7 @@ def _oracle_recovery(args, model, regime, risk, outdir):
         "offsets": _by_state(model, offsets),
         "witness_ranks": _by_state(model, ranks, int),
     }
-    _emit_json(outdir, "oracle_recovery.json", doc)
+    _emit_json(_outdir(args), "oracle_recovery.json", doc)
     print(
         "oracle recovery offsets: "
         + " ".join(format_float(v) for v in offsets)
@@ -444,8 +430,7 @@ def _oracle_recovery(args, model, regime, risk, outdir):
     return 0
 
 
-def _oracle_min_risk(args, model, regime, risk, outdir):
-    _check_time(model, args.t, model.horizon - 1)
+def _oracle_min_risk(args, model, regime, risk):
     if risk is None:
         raise InputError("oracle min-risk needs a [risk] section")
     value, strategy, examined = oracle_min_risk(
@@ -460,15 +445,15 @@ def _oracle_min_risk(args, model, regime, risk, outdir):
         "value": value,
         "examined": examined,
     }
+    outdir = _outdir(args)
     _emit_json(outdir, "oracle_min_risk.json", doc)
     _emit_witness(outdir, "oracle_witness.strategy", model, strategy)
     print(f"oracle minimal risk: {format_float(value)}")
     return 0 if strategy is not None else 1
 
 
-def _oracle_risk(args, model, regime, risk, outdir):
+def _oracle_risk(args, model, regime, risk):
     """The model's risk measure on one closed loop."""
-    _check_time(model, args.t, model.horizon - 1)
     if risk is None:
         raise InputError("oracle risk needs a [risk] section")
     value = rk.evaluate_risk(model, risk, _bundle_arg(model, args))
@@ -480,7 +465,7 @@ def _oracle_risk(args, model, regime, risk, outdir):
         "start": args.t,
         "value": value,
     }
-    _emit_json(outdir, "oracle_risk.json", doc)
+    _emit_json(_outdir(args), "oracle_risk.json", doc)
     print(f"risk: {format_float(value)}")
     return 0
 
@@ -495,7 +480,7 @@ _ORACLE_MODES = {
 
 
 def cmd_oracle(args, model, regime, risk):
-    return _ORACLE_MODES[args.mode](args, model, regime, risk, _outdir(args))
+    return _ORACLE_MODES[args.mode](args, model, regime, risk)
 
 
 # Each argument's add_argument keywords; a command names the ones it takes.
@@ -514,6 +499,9 @@ _FLAGS = {
     "--robust-only": {"action": "store_true",
                       "help": "restrict scenarios to the robust subset"},
 }
+
+# the commands and oracle modes whose --t, checked in main, may be K
+_TABLES = ("kernel", "value", "recovery")
 
 # command: (help, handler, its arguments in --help order)
 _COMMANDS = {
@@ -556,6 +544,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         parsed = parse_model(_read(args.model))
+        hi = parsed.model.horizon
+        if getattr(args, "mode", args.command) not in _TABLES:
+            hi -= 1  # a control is played at --t
+        if not 0 <= args.t <= hi:
+            raise InputError(f"--t must be in 0..{hi}, got {args.t}")
         return _COMMANDS[args.command][1](
             args, parsed.model, parsed.regime, parsed.risk
         )

@@ -35,7 +35,8 @@ import numpy as np
 from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import (
-    DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, successor_planes,
+    DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, _check_start,
+    successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -152,13 +153,6 @@ class ResilientSet:
     method: str  # kernel | value | recovery | exhaustive
 
 
-def _checked(model, acceptable):
-    """The acceptable set as a frozenset, checked against the model."""
-    acceptable = frozenset(acceptable)
-    _check_state_set(model, acceptable, "acceptable set")
-    return acceptable
-
-
 def _uncertainty_ranges(model, domain):
     if domain == "robust":
         if model.robust_scenarios is not None:
@@ -265,7 +259,8 @@ def robust_viability_kernel(
     """States from which some admissible control keeps the state in
     `acceptable` at every time, whatever the uncertainty in the domain
     ("robust": the per-time robust subsets; "full": the whole sets)."""
-    return _kernel(model, _checked(model, acceptable), domain)
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
+    return _kernel(model, acceptable, domain)
 
 
 def _expected_sweep(model, inside, last, outside, start=0, step=None,
@@ -312,15 +307,12 @@ def _value(model, acceptable):
 def stochastic_viability_value(model: SystemModel, acceptable) -> ValueTable:
     """Maximal probability of staying in `acceptable` with admissible
     controls, by backward recursion under per-time independent noise."""
-    return _value(model, _checked(model, acceptable))
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
+    return _value(model, acceptable)
 
 
 def _recovery(model, acceptable, deadline):
-    """robust_recovery_table of a checked acceptable frozenset."""
-    if not 0 <= deadline <= model.horizon:
-        raise InputError(
-            f"deadline {deadline} outside 0..{model.horizon}"
-        )
+    """robust_recovery_table of a checked acceptable frozenset and deadline."""
     ranges = _uncertainty_ranges(model, "robust")
     inside = _state_mask(model, acceptable)[:model.n_states]
     min_layer, witness = _min_max_sweep(model, inside, ranges, deadline)
@@ -337,7 +329,9 @@ def robust_recovery_table(
     min-max sweep over the robust subsets. r_star is the min over
     strategies of the max over robust scenarios of the recovery time, +inf
     beyond the deadline."""
-    return _recovery(model, _checked(model, acceptable), deadline)
+    regime = RobustRecovery(acceptable, deadline)
+    validate_regime(model, regime)  # the set, then the deadline
+    return _recovery(model, regime.acceptable, deadline)
 
 
 def _least_admissible(model):
@@ -383,13 +377,12 @@ def check_resilient(
 ) -> bool:
     """Does the strategy realize the regime from x0 at time `start`? The
     strategy is packed as one policy array and decided as a scan block is
-    (_decide), after checks of the regime, the strategy, start and x0, and
-    the start's range. Scenarios are enumerated against `cap` only where
-    the decision reads them; the monitor walk never does."""
+    (_decide), after checks of the regime, then in _check_run of the
+    strategy, start against the strategy's, x0 and start's range. Scenarios
+    are enumerated against `cap` only where the decision reads them."""
     validate_regime(model, regime)
-    validate_strategy(model, strategy)
     start = _check_run(model, strategy, x0, start)
-    scenarios = _scan_scenarios(model, regime, start, cap=cap)
+    scenarios = _scan_scenarios(model, regime, cap)
     member, _ = _decide(
         model, regime, _monitor(model, regime, start),
         _policy_array(model, strategy)[None], x0, start, scenarios,
@@ -398,18 +391,10 @@ def check_resilient(
     return bool(member[0])
 
 
-def _scan_scenarios(model, regime, start, x0=None, cap=DEFAULT_SCENARIO_CAP):
-    """The regime's scenario set for deciding strategies from `start`
-    (_decide), once the start time and then x0, when given, are checked.
-    The set is enumerated against `cap` when first read, which the monitor
-    walk never does.
-    """
-    if not 0 <= start <= model.horizon:
-        raise InputError(
-            f"strategy start {start} out of range 0..{model.horizon}"
-        )
-    if x0 is not None and not 0 <= x0 < model.n_states:
-        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+def _scan_scenarios(model, regime, cap=DEFAULT_SCENARIO_CAP):
+    """The regime's scenario set for deciding strategies (_decide),
+    unchecked: callers check start and x0 at entry. The set is enumerated
+    against `cap` when first read, which the monitor walk never does."""
     robust_only = isinstance(regime, RobustRecovery)
     return _Scenarios(model, robust_only=robust_only, cap=cap)
 
@@ -649,8 +634,7 @@ def resilient_states(
     call, and Markov walks over a per-time product read no scenario list.
     """
     validate_regime(model, regime)
-    if not 0 <= start <= model.horizon:
-        raise InputError(f"start {start} outside 0..{model.horizon}")
+    _check_start(model, start)
 
     if isinstance(regime, RobustRecovery):
         recursive = model.robust_scenarios is None
@@ -682,7 +666,7 @@ def resilient_states(
             "viability-family regimes on per-time products dispatch to "
             "exact recursions instead"
         )
-    scenarios = _scan_scenarios(model, regime, start, cap=scenario_cap)
+    scenarios = _scan_scenarios(model, regime, scenario_cap)
     monitor = _monitor(model, regime, start)
     # each x0's witness is its least-rank resilient strategy, which is the
     # first resilient representative; equal witnesses share one object

@@ -418,6 +418,18 @@ def _check_state(model, x):
         raise InputError(f"state index {x} out of range")
 
 
+def _check_start(model, start):
+    if not 0 <= start <= model.horizon:
+        raise InputError(
+            f"strategy start {start} out of range 0..{model.horizon}"
+        )
+
+
+def _check_x0(model, x0):
+    if not 0 <= x0 < model.n_states:
+        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+
+
 def step(model: SystemModel, t: int, x: int, u: int, w: int) -> int:
     """One transition. The cemetery is absorbing; an inadmissible control
     routes to the cemetery."""

@@ -52,7 +52,7 @@ from .engine import (
     _simulate,
 )
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import SystemModel
+from .model import SystemModel, _check_start, _check_x0
 from .regimes import (
     StochasticViability, Viability, _state_mask, validate_regime,
 )
@@ -144,11 +144,6 @@ def _dp_supported(model, regime, risk, strategy_class):
 
 
 def _minimize_dp(model, x0, start, regime, strategy_class, step, terminal):
-    # the private _fill trusts `start`, so the certificate checks it here
-    if not 0 <= start <= model.horizon:
-        raise InputError(
-            f"strategy start {start} out of range 0..{model.horizon}"
-        )
     # V_t is finite exactly on the kernel: a control that leaves it, or an
     # inadmissible one, scores inf (NaN under a zero weight), never attains
     value, picks = _expected_sweep(
@@ -191,7 +186,7 @@ def _scan_ranks(model, x0, start, regime, risk, strategy_class, layout):
     """Scan the layout's representatives, ascending; return (value,
     strategy, members) of the first strict minimizer, NaN ranking after
     every number (strategy None when none is resilient)."""
-    scenarios = _scan_scenarios(model, regime, start)
+    scenarios = _scan_scenarios(model, regime)
     monitor = _monitor(model, regime, start)
     best, examined, winner = math.inf, 0, None
     for policies, values in _member_values(
@@ -223,13 +218,13 @@ def minimize_risk(
     `start`. Ties go to the lexicographically least strategy, and a NaN
     risk ranks after every number. "auto" scans where the DP certificate
     does not apply (_dp_supported: non-finite or overflowing costs among
-    others), where "dp" raises ConfigurationError.
-    `jobs` has no effect; it stays because perfbench/workloads.py passes
-    it."""
+    others), where "dp" raises ConfigurationError. Both routes check the
+    regime, the risk, x0 and start here, in order. `jobs` has no effect; it
+    stays because perfbench/workloads.py passes it."""
     validate_regime(model, regime)
     validate_risk(model, risk)
-    if not 0 <= x0 < model.n_states:
-        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    _check_x0(model, x0)
+    _check_start(model, start)
     if method not in ("auto", EXHAUSTIVE, DP):
         raise InputError(f"unknown method {method!r}")
 

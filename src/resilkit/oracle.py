@@ -31,7 +31,7 @@ more over the full set), members with the same rows share its price, and
 a strategy is built only for the winner. The adapted class, the
 probabilistic regimes and RiskContainment walk the object path, which
 shares the package's unchecked closed-loop kernels (`strategy._bundle`,
-`regimes._membership`, `risk._evaluate`, with the regime, risk, start and x0
+`regimes._membership`, `risk._evaluate`, with the regime, risk, x0 and start
 checked once per call); `_bundle` runs on that path only, and no production
 route runs it. Every scenario table comes from `model._Scenarios`. The object path, forced
 with `force_object=True`, is the definitional reference the batched path is
@@ -48,7 +48,9 @@ import numpy as np
 
 from .engine import ResilientSet, _scan_scenarios
 from .errors import CapacityError, InputError
-from .model import SystemModel, _Scenarios, packed_tables, successor_planes
+from .model import (
+    SystemModel, _check_x0, _Scenarios, packed_tables, successor_planes,
+)
 from .regimes import (
     AtMostKExits,
     Bounded,
@@ -57,6 +59,7 @@ from .regimes import (
     Stabilize,
     Viability,
     _ball,
+    _check_state_set,
     _membership,
     _state_mask,
     validate_regime,
@@ -233,12 +236,11 @@ def oracle_resilient_states(
     """Resilient states by scanning the whole strategy class: for each x0,
     the first strategy (in rank order) passing check_resilient is the
     witness. Markov scans of the regimes in _BATCHED_REGIMES run batched;
-    everything else walks the definitional object path."""
+    everything else walks the definitional object path. The regime, then
+    start (in count_strategies), are checked before the class is counted."""
     validate_regime(model, regime)
-    if not 0 <= start <= model.horizon:
-        raise InputError(f"start {start} outside 0..{model.horizon}")
     total = _check_cap(model, strategy_class, start, cap)
-    scenarios = _scan_scenarios(model, regime, start)
+    scenarios = _scan_scenarios(model, regime)
 
     witnesses = {}
     if _batched(regime, strategy_class, force_object):
@@ -280,7 +282,9 @@ def oracle_value(
     model: SystemModel, acceptable, start: int = 0, cap: int = DEFAULT_STRATEGY_CAP
 ) -> np.ndarray:
     """Per-state maximum, over every Markov strategy, of the exact
-    probability of staying viable in `acceptable` from `start`."""
+    probability of staying viable in `acceptable` from `start`. The set,
+    then start (in count_strategies), are checked before the count."""
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
     total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
     scenarios = _Scenarios(model)
@@ -307,7 +311,9 @@ def oracle_recovery_offsets(
     recovery time offset, per state; also the witnessing strategy ranks.
 
     Returns (offsets float (n,), ranks int64 (n,)); rank -1 when no
-    strategy recovers at all (offset inf)."""
+    strategy recovers at all (offset inf). The set, then start (in
+    count_strategies), are checked before the count."""
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
     total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
     scen = _Scenarios(model, robust_only=True).table
@@ -427,12 +433,14 @@ def oracle_min_risk(
     bundle once per block; ties keep the first (least rank) strategy, a
     NaN risk ranks after every number (the value is NaN only when every
     member's risk is), and the batched route builds a strategy for the
-    winner only.
+    winner only. The regime, the risk, x0 and start (in count_strategies)
+    are checked in that order before the count.
     Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
+    _check_x0(model, x0)
     total = _check_cap(model, strategy_class, start, cap)
-    scenarios = _scan_scenarios(model, regime, start, x0)
+    scenarios = _scan_scenarios(model, regime)
     batched = _batched(regime, strategy_class)
     if batched:
         members = _batched_priced(

@@ -121,19 +121,18 @@ class RiskContainment:
 
 
 def _check_state_set(model, states, what):
-    """InputError naming the first element of `states`, in iteration order,
-    that is not a state index of the model: an int, numpy integer or bool
-    in 0..n-1. The model remembers the last frozenset that passed, by
-    identity, so a public call that hands its set on to another, and the
-    next query on the same set, skip the element loop."""
-    if states is getattr(model, "_checked_states", None):
-        return
-    n, kinds = model.n_states, (int, np.integer)
-    for x in states:
-        if not (isinstance(x, kinds) and 0 <= x < n):
-            raise InputError(f"{what} contains invalid state index {x!r}")
-    if isinstance(states, frozenset):
+    """`states` as a frozenset, checked: InputError names its first element
+    (in iteration order) that is not an int, numpy integer or bool in
+    0..n-1. The model keeps the last set that passed, so a call that hands
+    it on, and the next query on it, skip the element loop."""
+    states = frozenset(states)
+    if states is not getattr(model, "_checked_states", None):
+        n, kinds = model.n_states, (int, np.integer)
+        for x in states:
+            if not (isinstance(x, kinds) and 0 <= x < n):
+                raise InputError(f"{what} contains invalid state index {x!r}")
         object.__setattr__(model, "_checked_states", states)
+    return states
 
 
 def validate_regime(model: SystemModel, regime) -> None:

@@ -28,6 +28,8 @@ from .errors import CapacityError, InputError, ModelFormatError
 from .model import (
     DEFAULT_SCENARIO_CAP,
     SystemModel,
+    _check_start,
+    _check_x0,
     _Scenarios,
     enumerate_scenarios,
     successor_planes,
@@ -45,7 +47,8 @@ class Policy:
     """One decision rule at a fixed time.
 
     Markov tables have shape (n,); adapted tables (n, #prefixes), columns
-    indexed by the dense lexicographic rank of the observed prefix.
+    indexed by the dense lexicographic rank of the observed prefix. The
+    table is a read-only int32 copy, so the caller's array stays its own.
     """
 
     t: int
@@ -56,7 +59,7 @@ class Policy:
         if self.kind not in (MARKOV, ADAPTED):
             raise InputError(f"unknown policy kind {self.kind!r}")
         want = 1 if self.kind == MARKOV else 2
-        arr = np.asarray(self.table, dtype=np.int32)
+        arr = np.array(self.table, dtype=np.int32)
         if arr.ndim != want:
             raise InputError(
                 f"{self.kind} policy table must be {want}-d, got {arr.ndim}-d"
@@ -157,8 +160,7 @@ def prefix_rank(model: SystemModel, t: int, scenario, base: int = 0) -> int:
 def validate_strategy(model: SystemModel, strategy: Strategy) -> None:
     """Check times, table shapes, and control ranges against the model."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
-    if not 0 <= strategy.start <= K:
-        raise InputError(f"strategy start {strategy.start} out of range 0..{K}")
+    _check_start(model, strategy.start)
     if strategy.start + len(strategy.policies) != K:
         raise InputError(
             f"strategy covers {len(strategy.policies)} times from "
@@ -206,15 +208,16 @@ def is_admissible(model: SystemModel, strategy: Strategy) -> bool:
 
 
 def _check_run(model, strategy, x0, start):
-    """Validate a closed-loop run; return its start time."""
+    """Check the strategy, then start vs its start, x0 and start's range."""
+    validate_strategy(model, strategy)
     if start is None:
         start = strategy.start
     if start < strategy.start:
         raise InputError(
             f"cannot simulate from {start}: strategy starts at {strategy.start}"
         )
-    if not 0 <= x0 < model.n_states:
-        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    _check_x0(model, x0)
+    _check_start(model, start)
     return start
 
 
@@ -245,9 +248,8 @@ def _bundle(model, strategy, x0, start, scenarios):
         plan.append((steps[t], rows, adapted, model.uncertainty.size(t)))
     trajectories = []
     for scen in scenarios.scenarios:
-        # rank of the prefix (w_base..w_{t-1}) the time-t policy observes;
-        # a run from start >= K plays no policy
-        rank = prefix_rank(model, start, scen, base) if plan else 0
+        # rank of the prefix (w_base..w_{t-1}) the time-t policy observes
+        rank = prefix_rank(model, start, scen, base)
         x = x0
         states = [x]
         controls = []
@@ -271,7 +273,6 @@ def simulate_closed_loop(
 ) -> Trajectory:
     """Run the strategy from x0 at `start` (default: the strategy's start)
     under one full scenario."""
-    validate_strategy(model, strategy)
     scenario = tuple(int(w) for w in scenario)
     model._check_scenario(scenario)
     start = _check_run(model, strategy, x0, start)
@@ -289,10 +290,9 @@ def build_bundle(
 ) -> TrajectoryBundle:
     """Simulate the strategy against every scenario in the (robust or full)
     scenario set, in canonical order. The strategy, x0 and start are checked
-    once; enumerated scenarios are valid by construction."""
-    scenarios = enumerate_scenarios(model, robust_only=robust_only, cap=cap)
-    validate_strategy(model, strategy)
+    once, before the cap; enumerated scenarios are valid by construction."""
     start = _check_run(model, strategy, x0, start)
+    scenarios = enumerate_scenarios(model, robust_only=robust_only, cap=cap)
     return _bundle(
         model, strategy, x0, start, _Scenarios(model, scenarios, robust_only)
     )
@@ -311,10 +311,9 @@ def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
 
 def constant_strategy(model: SystemModel, u: int, start: int = 0) -> Strategy:
     """Markov strategy playing control u everywhere."""
-    L = model.horizon - start
-    return markov_strategy(
-        model, np.full((L, model.n_states), u, dtype=np.int32), start
-    )
+    _check_start(model, start)
+    table = np.full((model.horizon - start, model.n_states), u, np.int32)
+    return markov_strategy(model, table, start)
 
 
 def strategies_equal(a: Strategy, b: Strategy) -> bool:
@@ -330,6 +329,7 @@ def _slot_shapes(model, kind, start):
     """(table shape per decision time in time order, total slot count)."""
     if kind not in (MARKOV, ADAPTED):
         raise InputError(f"unknown strategy kind {kind!r}")
+    _check_start(model, start)
     n = model.n_states
     if kind == MARKOV:
         shapes = [(n,) for _ in range(start, model.horizon)]
@@ -346,13 +346,22 @@ def count_strategies(model: SystemModel, kind: str = MARKOV, start: int = 0) -> 
     return model.n_controls ** _slot_shapes(model, kind, start)[1]
 
 
+def _own_policy(t, kind, table):
+    """Policy without its checks and its copy, for an int32 `table` of the
+    kind's rank that no caller keeps; the table is made read-only."""
+    table.setflags(write=False)
+    policy = object.__new__(Policy)
+    policy.__dict__.update(t=t, kind=kind, table=table)
+    return policy
+
+
 def _strategy_from_digits(kind, start, shapes, digits):
     policies = []
     pos = 0
     for i, shape in enumerate(shapes):
         size = math.prod(shape)
         table = np.array(digits[pos : pos + size], dtype=np.int32).reshape(shape)
-        policies.append(Policy(start + i, kind, table))
+        policies.append(_own_policy(start + i, kind, table))
         pos += size
     return Strategy(start, tuple(policies))
 
@@ -362,10 +371,9 @@ def _markov_from_table(table, start):
     Its policies hold rows of one read-only int32 copy of the table."""
     table = np.array(table, dtype=np.int32)
     table.setflags(write=False)
-    return Strategy(
-        start,
-        tuple(Policy(start + i, MARKOV, row) for i, row in enumerate(table)),
-    )
+    return Strategy(start, tuple(
+        _own_policy(start + i, MARKOV, row) for i, row in enumerate(table)
+    ))
 
 
 def strategy_from_rank(
@@ -491,7 +499,8 @@ def _layout_strategy(model, kind, policies, start):
     times = range(start, model.horizon)
     tables = (policies[t, :n, : n_prefixes(model, t, start)] for t in times)
     return Strategy(start, tuple(
-        Policy(t, ADAPTED, table.copy()) for t, table in zip(times, tables)
+        _own_policy(t, ADAPTED, table.copy())
+        for t, table in zip(times, tables)
     ))
 
 

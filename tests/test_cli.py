@@ -280,6 +280,35 @@ def test_bad_input_exits_2(argv, fragment, tmp_path):
     assert fragment in proc.stderr
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (("oracle", "value", "--model", "m1.model", "--t", "99"),
+     "--t must be in 0..3, got 99"),
+    (("value", "--model", "m1.model", "--beta", "1.5"),
+     "--beta must be in [0, 1], got 1.5"),
+    (("value", "--model", "m1.model", "--beta", "nan"),
+     "--beta must be in [0, 1], got nan"),
+    (("value", "--model", "loose.model"),
+     "the regime's beta must be in [0, 1], got 1.5"),
+])
+def test_exit_2_creates_no_out_dir(argv, fragment, tmp_path):
+    # m1_effort.model, whose stochastic_viability regime has beta 1.5
+    loose = tmp_path / "loose.model"
+    loose.write_text(
+        (MODELS / "m1_effort.model").read_text()
+        .replace("beta = 1.0", "beta = 1.5")
+    )
+    fixed = [
+        str(loose) if a == "loose.model"
+        else model(a) if a.endswith(".model") else a
+        for a in argv
+    ]
+    out = tmp_path / "out"
+    proc = run_cli(*fixed, "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {fragment}\n"
+    assert not out.exists()
+
+
 def test_optimize_without_risk_section_exits_2(tmp_path):
     text = (MODELS / "m1.model").read_text()
     head, _, _ = text.partition("[risk]")

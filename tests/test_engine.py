@@ -4,6 +4,7 @@ naive recomputations on random instances."""
 
 import math
 import re
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -424,6 +425,10 @@ def test_public_boundaries_keep_their_checks(m1):
             np.zeros((3, 4)), np.zeros((3, 2))), bundle.trajectories[0]),
          rk.InputError, "state cost table has shape"),
         (lambda: rk.build_bundle(m1, bad, 9, cap=7),
+         rk.InputError, "unknown control"),
+        (lambda: rk.build_bundle(m1, s, 9, cap=7),
+         rk.InputError, "x0 must be an ordinary state index, got 9"),
+        (lambda: rk.build_bundle(m1, s, 2, cap=7),
          rk.CapacityError, "8 scenarios exceed cap 7"),
         (lambda: rk.build_bundle(m1, s, -1),
          rk.InputError, "x0 must be an ordinary state index, got -1"),
@@ -457,6 +462,48 @@ def test_scans_check_start_and_x0_once(m1):
                     m1, x0, start, V, effort
                 ),
                 f"strategy start {start} out of range 0..3",
+            ))
+    # every public query checks its start, x0 and state set at entry, before
+    # it counts a class, enumerates or checks a cap; on `wide` the Markov
+    # class from start -1 (2**20 strategies) exceeds the default cap
+    wide = rk.make_model(
+        horizon=4, state_labels=("0", "1", "2", "3"),
+        control_labels=("0", "1"), uncertainty_sets=("0", "1"),
+        dynamics_fn=lambda t, x, u, w: min(3, max(0, x + u - w)),
+        probs=(0.5, 0.5),
+    )
+    for model in (m1, wide):
+        K = model.horizon
+        s = rk.constant_strategy(model, 1)
+        late = [
+            partial(rk.build_bundle, model, s, 2, K + 1),
+            partial(rk.simulate_closed_loop, model, s, 2, (0,) * K, K + 1),
+            partial(rk.constant_strategy, model, 1, K + 1),
+        ]
+        for start in (-1, K + 1):
+            for call in [
+                partial(rk.resilient_states, model, start, B),
+                partial(rk.oracle_resilient_states, model, start, B),
+                partial(rk.oracle_value, model, A, start),
+                partial(rk.oracle_recovery_offsets, model, A, start),
+                partial(rk.count_strategies, model, rk.MARKOV, start),
+                partial(rk.enumerate_strategies, model, rk.MARKOV, start),
+                partial(rk.strategy_from_rank, model, 0, rk.MARKOV, start),
+            ] + (late if start > K else []):
+                cases.append(
+                    (call, f"strategy start {start} out of range 0..{K}")
+                )
+    for query in (rk.minimize_risk, rk.oracle_min_risk):
+        cases.append((partial(query, wide, 2, -1, B, effort),
+                      "strategy start -1 out of range 0..4"))
+    for x0 in (-1, 4):  # x0 is named before start
+        cases.append((partial(rk.oracle_min_risk, m1, x0, -1, B, effort),
+                      f"x0 must be an ordinary state index, got {x0}"))
+    for states in ({-1}, {4}, {1.5}):
+        for query in (rk.oracle_value, rk.oracle_recovery_offsets):
+            cases.append((
+                partial(query, m1, states),
+                f"acceptable set contains invalid state index {min(states)}",
             ))
     for call, message in cases:
         with pytest.raises(rk.InputError, match=re.escape(message)):
@@ -736,7 +783,7 @@ def test_reachable_members_match_bundle_membership():
         start = int(rng.integers(K + 1))
         monitor = engine._monitor(model, regime, start)
         assert monitor is not None
-        scenarios = engine._scan_scenarios(model, regime, start)
+        scenarios = engine._scan_scenarios(model, regime)
         if isinstance(regime, rk.RobustRecovery):
             seen["late_start"] += regime.deadline < start
             seen["past_k"] += regime.deadline > K

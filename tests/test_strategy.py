@@ -44,6 +44,23 @@ def test_markov_strategy_shapes(m1):
         s.policy(3)
 
 
+def test_strategies_copy_the_callers_arrays(m1):
+    tables = np.zeros((3, 4), dtype=np.int32)
+    s = rk.markov_strategy(m1, tables)
+    tables[0, 1] = 1
+    assert s.policies[0].table.tolist() == [0, 0, 0, 0]
+    arr = np.zeros(4, dtype=np.int32)
+    pol = rk.Policy(0, rk.MARKOV, arr)
+    assert arr.flags.writeable and not pol.table.flags.writeable
+    arr[2] = 1
+    assert pol.table.tolist() == [0, 0, 0, 0]
+    # the unchecked constructors keep their private arrays: one read-only
+    # copy of the whole table, whose rows the policies hold
+    s = rk.strategy._markov_from_table(tables, 0)
+    bases = {id(p.table.base) for p in s.policies}
+    assert len(bases) == 1 and not s.policies[0].table.base.flags.writeable
+
+
 def test_validate_strategy_rejects_bad_shapes(m1):
     bad = rk.Strategy(
         0,
