@@ -615,7 +615,6 @@ def resilient_states(
     regime,
     strategy_class: str = MARKOV,
     cap: int = DEFAULT_STRATEGY_CAP,
-    scenario_cap: int = DEFAULT_SCENARIO_CAP,
 ) -> ResilientSet:
     """All states resilient at `start`, each with a witness strategy.
 
@@ -626,7 +625,9 @@ def resilient_states(
     Every other case is decided by exhaustive search over the declared
     class, which visits one representative per class of strategies that
     agree on the policy slots reachable from x0 (strategy.rank_layout). The
-    cap applies to the size of the whole class. method="exhaustive" names
+    cap applies to the size of the whole class; the scenarios, where a
+    decision reads them, are enumerated against DEFAULT_SCENARIO_CAP, as in
+    the scan of optimize.minimize_risk. method="exhaustive" names
     the witness contract: each member's witness is the least-rank resilient
     strategy of the declared class. The search decides membership a block
     of representatives at a time on policy arrays (_member_blocks) and
@@ -666,7 +667,7 @@ def resilient_states(
             "viability-family regimes on per-time products dispatch to "
             "exact recursions instead"
         )
-    scenarios = _scan_scenarios(model, regime, scenario_cap)
+    scenarios = _scan_scenarios(model, regime)
     monitor = _monitor(model, regime, start)
     # each x0's witness is its least-rank resilient strategy, which is the
     # first resilient representative; equal witnesses share one object

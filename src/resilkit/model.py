@@ -137,12 +137,34 @@ class ControlSpace:
         return self.labels[i]
 
 
+def _check_probabilities(values, what, size=None, distribution=True):
+    """The probability rule, as a float tuple: each value finite and
+    non-negative; with `distribution`, also `size` values when one is
+    given and an fsum within 1e-9 of 1. InputError texts begin with `what`,
+    which names the vector ("probabilities at time 0", "scenario
+    probabilities")."""
+    values = tuple(float(v) for v in values)
+    bad = [v for v in values if not 0.0 <= v < math.inf]
+    if bad:
+        raise InputError(
+            f"{what} include {bad[0]!r} (each must be finite and non-negative)"
+        )
+    if distribution and size is not None and len(values) != size:
+        raise InputError(f"{what} have length {len(values)}, expected {size}")
+    total = math.fsum(values)
+    if distribution and not abs(total - 1.0) <= 1e-9:
+        raise InputError(f"{what} sum to {total!r}, expected 1")
+    return values
+
+
 @record(eq=False)
 class UncertaintyStructure:
     """Per-time uncertainty sets with optional probabilities and robust subsets.
 
     sets[t]   labels of W_t
-    probs[t]  probability vector over W_t or None
+    probs[t]  probability vector over W_t or None; vectors are declared at
+              every time or at none, and each follows the probability rule
+              of _check_probabilities
     robust[t] sorted tuple of indices of the robust subset (defaults to all)
     """
 
@@ -162,28 +184,20 @@ class UncertaintyStructure:
         object.__setattr__(self, "sets", sets)
 
         probs = self.probs
-        if probs is None:
-            probs = (None,) * len(sets)
-        probs = tuple(
-            None if p is None else tuple(float(v) for v in p) for p in probs
-        )
+        probs = (None,) * len(sets) if probs is None else tuple(probs)
         if len(probs) != len(sets):
             raise InputError("probs must have one entry per time")
-        for t, p in enumerate(probs):
-            if p is None:
-                continue
-            if len(p) != len(sets[t]):
-                raise InputError(
-                    f"probability vector at time {t} has length {len(p)}, "
-                    f"expected {len(sets[t])}"
-                )
-            if any(v < 0 for v in p):
-                raise InputError(f"negative probability at time {t}")
-            s = math.fsum(p)
-            if not abs(s - 1.0) <= 1e-9:
-                raise InputError(
-                    f"probabilities at time {t} sum to {s!r}, expected 1"
-                )
+        missing = [t for t, p in enumerate(probs) if p is None]
+        if 0 < len(missing) < len(sets):
+            raise InputError(
+                f"probabilities missing at times {missing}: declare them at "
+                "every time or at none"
+            )
+        if not missing:
+            probs = tuple(
+                _check_probabilities(p, f"probabilities at time {t}", len(ws))
+                for t, (p, ws) in enumerate(zip(probs, sets))
+            )
         object.__setattr__(self, "probs", probs)
 
         robust = self.robust
@@ -289,15 +303,8 @@ class SystemModel:
             for s, p in dict(self.scenario_probs).items():
                 s = tuple(int(w) for w in s)
                 self._check_scenario(s)
-                p = float(p)
-                if p < 0:
-                    raise InputError(f"negative scenario probability for {s}")
-                probs[s] = p
-            total = math.fsum(probs.values())
-            if not abs(total - 1.0) <= 1e-9:
-                raise InputError(
-                    f"scenario probabilities sum to {total!r}, expected 1"
-                )
+                probs[s] = float(p)
+            _check_probabilities(probs.values(), "scenario probabilities")
             object.__setattr__(self, "scenario_probs", probs)
 
     def _check_scenario(self, scenario):

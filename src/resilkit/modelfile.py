@@ -21,9 +21,11 @@ table rows:
 The wildcard `*` expands to every time; a wildcard row and an explicit row
 covering the same cell is a duplicate error. Exactly one regime section is
 required, at most one risk section. Dynamics must be total. Floats are
-decimal; every probability (`prob`, `scenario_prob`, `belief`) must be
-finite and non-negative. Each `prob` vector and the `scenario_prob` joint
-distribution must sum to 1 within 1e-9; a `robust_scenario` may not repeat.
+decimal; a `robust_scenario` may not repeat. `prob`, `scenario_prob` and
+`belief` values follow the probability rule of the model records
+(model._check_probabilities), which fails at the line that holds the fault.
+Any InputError of a record built from the file surfaces as a
+ModelFormatError, with the record's text.
 
 The [regime] and [risk] vocabulary lives in one table below (_REGIMES,
 _RISKS, _COSTS, _OUTERS): each kind's name, its record class and the keys
@@ -64,7 +66,6 @@ Cost kinds and their keys (in the [risk] section, after `cost =`):
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -77,6 +78,7 @@ from .model import (
     SystemModel,
     TimeGrid,
     UncertaintyStructure,
+    _check_probabilities,
     state_indices,
 )
 from . import regimes as rg
@@ -157,14 +159,13 @@ def _float(value, what, lineno):
         raise ModelFormatError(f"bad {what} {value!r}", lineno) from None
 
 
-def _prob(value, lineno):
-    p = _float(value, "probability", lineno)
-    if not 0.0 <= p < math.inf:
-        raise ModelFormatError(
-            f"bad probability {value!r} (must be finite and non-negative)",
-            lineno,
-        )
-    return p
+def _cited(lineno, build, *args, **kwargs):
+    """build(*args, **kwargs), its InputError raised as a ModelFormatError
+    at `lineno`."""
+    try:
+        return build(*args, **kwargs)
+    except InputError as exc:
+        raise ModelFormatError(str(exc), lineno) from None
 
 
 def _times(token, horizon, lineno):
@@ -204,14 +205,15 @@ def _put(table, cell, value, lineno, what, *args):
 
 
 def _parse_time(rows):
-    horizon = None
+    """The TimeGrid of the last `horizon =` line, cited at that line."""
+    at = None
     for lineno, key, value in _keyvals(rows):
         if key != "horizon":
             raise ModelFormatError(f"unknown time key {key!r}", lineno)
-        horizon = _int(value, "horizon", lineno)
-    if horizon is None:
+        at, horizon = lineno, _int(value, "horizon", lineno)
+    if at is None:
         raise ModelFormatError("missing `horizon =` in [time]")
-    return horizon
+    return _cited(at, TimeGrid, horizon)
 
 
 def _parse_space(rows, what):
@@ -235,9 +237,9 @@ def _parse_space(rows, what):
 
 
 def _parse_uncertainty(rows, horizon):
-    """The label -> index map of each W_t, the probability vectors (or
-    Nones), the robust subsets, and the explicit robust scenarios and joint
-    distribution (or None)."""
+    """The label -> index map of each W_t, the UncertaintyStructure, the
+    explicit robust scenarios and joint distribution (or None), and the
+    line of the joint's first entry (or None)."""
     lines = {}  # (set|prob|robust, t) -> (lineno, value tokens)
     raw_scenarios = []  # (lineno, labels)
     raw_joint = []  # (lineno, labels, prob)
@@ -256,7 +258,10 @@ def _parse_uncertainty(rows, horizon):
                 raise ModelFormatError(
                     "expected `scenario_prob = w ... w : p`", lineno
                 )
-            raw_joint.append((lineno, labels.split(), _prob(p.strip(), lineno)))
+            p = _float(p.strip(), "probability", lineno)
+            _cited(lineno, _check_probabilities, (p,),
+                   "scenario probabilities", distribution=False)
+            raw_joint.append((lineno, labels.split(), p))
             continue
         if len(head) != 2 or head[0] not in ("set", "prob", "robust"):
             raise ModelFormatError(f"unknown uncertainty line {line!r}", lineno)
@@ -278,29 +283,17 @@ def _parse_uncertainty(rows, horizon):
         w_idx.append(index)
 
     probs = []
-    for t in range(horizon):
+    prob_lines = []
+    for t, index in enumerate(w_idx):
         if ("prob", t) not in lines:
             probs.append(None)
             continue
         lineno, ps = lines[("prob", t)]
-        vec = [_prob(p, lineno) for p in ps]
-        if len(vec) != len(w_idx[t]):
-            raise ModelFormatError(
-                f"{len(vec)} probabilities for {len(w_idx[t])} "
-                f"uncertainty values at time {t}",
-                lineno,
-            )
-        s = sum(vec)
-        if not abs(s - 1.0) <= 1e-9:
-            raise ModelFormatError(
-                f"probabilities sum to {s!r} != 1 at time {t}", lineno
-            )
+        vec = [_float(p, "probability", lineno) for p in ps]
+        _cited(lineno, _check_probabilities, vec, f"probabilities at time {t}",
+               len(index))
         probs.append(vec)
-    missing = [t for t, p in enumerate(probs) if p is None]
-    if 0 < len(missing) < horizon:
-        raise ModelFormatError(
-            f"probabilities declared for some times but missing for {missing}"
-        )
+        prob_lines.append(lineno)
 
     robust = []
     for t, index in enumerate(w_idx):
@@ -328,13 +321,13 @@ def _parse_uncertainty(rows, horizon):
     joint = {}
     for lineno, labs, p in raw_joint:
         _put(joint, scenario(labs, lineno), p, lineno, "scenario_prob entry")
-    total = math.fsum(joint.values())
-    if joint and not abs(total - 1.0) <= 1e-9:
-        raise ModelFormatError(
-            f"scenario probabilities sum to {total!r}, expected 1",
-            raw_joint[0][0],
-        )
-    return w_idx, probs, robust, tuple(scenarios) or None, joint or None
+    # all or none: the per-time rule left to the record
+    unc = _cited(
+        min(prob_lines, default=None), UncertaintyStructure,
+        tuple(tuple(index) for index in w_idx), tuple(probs), tuple(robust),
+    )
+    joint_line = raw_joint[0][0] if raw_joint else None
+    return w_idx, unc, tuple(scenarios) or None, joint or None, joint_line
 
 
 def _parse_dynamics(rows, state_idx, control_idx, w_idx):
@@ -399,28 +392,26 @@ def _parse_constraints(rows, state_idx, control_idx, horizon):
 def parse_model(text: str) -> ParsedModel:
     """Parse and validate a model file; errors cite 1-based line numbers."""
     sections = _split_sections(text)
-    horizon = _parse_time(sections["time"])
-    if horizon < 1:
-        raise ModelFormatError(f"horizon must be >= 1, got {horizon}")
+    time = _parse_time(sections["time"])
+    horizon = time.horizon
     state_idx, state_coords = _parse_space(sections["states"], "state")
     control_idx, control_coords = _parse_space(sections["controls"], "control")
     if CEMETERY_LABEL in state_idx or CEMETERY_LABEL in control_idx:
         raise ModelFormatError(f"label {CEMETERY_LABEL!r} is reserved")
-    w_idx, probs, robust, robust_scenarios, scenario_probs = (
+    w_idx, unc, robust_scenarios, scenario_probs, joint_line = (
         _parse_uncertainty(sections["uncertainty"], horizon)
     )
     dynamics = _parse_dynamics(sections["dynamics"], state_idx, control_idx,
                                w_idx)
     constraints = _parse_constraints(sections.get("constraints", []),
                                      state_idx, control_idx, horizon)
-    model = SystemModel(
-        TimeGrid(horizon),
+    # the joint's sum is the one rule left to the record
+    model = _cited(
+        joint_line, SystemModel,
+        time,
         StateSpace(tuple(state_idx), state_coords),
         ControlSpace(tuple(control_idx), control_coords),
-        UncertaintyStructure(
-            tuple(tuple(index) for index in w_idx), tuple(probs),
-            tuple(robust),
-        ),
+        unc,
         dynamics,
         constraints,
         robust_scenarios,
@@ -495,10 +486,7 @@ def _looked_up(lookup):
     """A decoder for labels: lookup(model, text), its InputError cited at
     the key's line."""
     def decode(model, text, key, lineno):
-        try:
-            return lookup(model, text)
-        except InputError as exc:
-            raise ModelFormatError(str(exc), lineno) from None
+        return _cited(lineno, lookup, model, text)
 
     return decode
 
@@ -745,17 +733,13 @@ def _parse_beliefs(belief_rows, model):
         b = _int(parts[1], "belief index", lineno)
         if b < 0:
             raise ModelFormatError(f"bad belief index {parts[1]!r}", lineno)
-        vec = tuple(_prob(p, lineno) for p in value.split())
+        vec = tuple(_float(p, "probability", lineno) for p in value.split())
         for t in _times(parts[2], model.horizon, lineno):
             _put(table, (b, t), vec, lineno, "belief {} vector for time {}",
                  b, t)
-            if len(vec) != model.uncertainty.size(t):
-                raise ModelFormatError(
-                    f"{len(vec)} probabilities for "
-                    f"{model.uncertainty.size(t)} uncertainty values at "
-                    f"time {t}",
-                    lineno,
-                )
+            _cited(lineno, _check_probabilities, vec,
+                   f"belief {b} probabilities at time {t}",
+                   model.uncertainty.size(t))
     if not table:
         raise ModelFormatError(
             f"{_NAMES[rk.AmbiguityExceedance]} needs belief lines"

@@ -181,17 +181,6 @@ def _ball(model, regime):
     return np.array(near + [False])
 
 
-def _steps(model, trajectory, acceptable, need_controls):
-    """(acceptable as a frozenset, K - start) for a trajectory holding its
-    states at start..K and, when need_controls, its controls at start..K-1;
-    InputError when it is shorter."""
-    if not isinstance(acceptable, frozenset):
-        acceptable = frozenset(acceptable)
-    steps = model.horizon - trajectory.start
-    _check_length(trajectory, steps, need_controls)
-    return acceptable, steps
-
-
 def _check_length(trajectory, steps, need_controls):
     """InputError unless the trajectory holds steps + 1 states and, when
     need_controls, steps controls (nothing to hold when steps < 0)."""
@@ -218,7 +207,14 @@ def exit_times(
 ) -> tuple:
     """Times s with x_s outside `acceptable`, plus (when use_constraints)
     times s < K where the applied control is inadmissible at x_s."""
-    acceptable, steps = _steps(model, trajectory, acceptable, use_constraints)
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
+    return _exit_times(model, trajectory, acceptable, use_constraints)
+
+
+def _exit_times(model, trajectory, acceptable, use_constraints=False):
+    """exit_times of a checked frozenset `acceptable`."""
+    steps = model.horizon - trajectory.start
+    _check_length(trajectory, steps, use_constraints)
     start, states = trajectory.start, trajectory.states
     controls, cemetery = trajectory.controls, model.cemetery
     constraints = model.constraints
@@ -236,7 +232,14 @@ def exit_times(
 def recovery_time(model: SystemModel, trajectory: Trajectory, acceptable):
     """Least time r such that from r onward states stay in `acceptable` and
     applied controls are admissible; math.inf when there is none."""
-    acceptable, steps = _steps(model, trajectory, acceptable, True)
+    acceptable = _check_state_set(model, acceptable, "acceptable set")
+    return _recovery_time(model, trajectory, acceptable)
+
+
+def _recovery_time(model, trajectory, acceptable):
+    """recovery_time of a checked frozenset `acceptable`."""
+    steps = model.horizon - trajectory.start
+    _check_length(trajectory, steps, True)
     start, states, controls = (
         trajectory.start, trajectory.states, trajectory.controls
     )
@@ -254,7 +257,7 @@ def recovery_time(model: SystemModel, trajectory: Trajectory, acceptable):
 
 
 def _viable(model, traj, acceptable):
-    return recovery_time(model, traj, acceptable) == traj.start
+    return _recovery_time(model, traj, acceptable) == traj.start
 
 
 def _weights(bundle, scenarios):
@@ -284,7 +287,7 @@ def _membership(model, regime, bundle, scenarios):
         for i, tr in enumerate(bundle.trajectories):
             if not bundle.robust and not scenarios.robust[i]:
                 continue
-            if recovery_time(model, tr, regime.acceptable) > regime.deadline:
+            if _recovery_time(model, tr, regime.acceptable) > regime.deadline:
                 return False
         return True
 
@@ -298,14 +301,14 @@ def _membership(model, regime, bundle, scenarios):
 
     if isinstance(regime, Bounded):
         return all(
-            not exit_times(model, tr, regime.region) for tr in bundle
+            not _exit_times(model, tr, regime.region) for tr in bundle
         )
 
     if isinstance(regime, ProbExcursion):
         weights = _weights(bundle, scenarios)
         p = 0.0
         for w, tr in zip(weights, bundle.trajectories):
-            if exit_times(model, tr, regime.region):
+            if _exit_times(model, tr, regime.region):
                 p += w
         return p <= regime.beta
 
@@ -316,7 +319,7 @@ def _membership(model, regime, bundle, scenarios):
         for i, tr in enumerate(bundle.trajectories):
             if have_probs and scenarios.weights[i] <= 0.0:
                 continue
-            if len(exit_times(model, tr, regime.region)) > regime.max_exits:
+            if len(_exit_times(model, tr, regime.region)) > regime.max_exits:
                 return False
         return True
 

@@ -20,15 +20,15 @@ import numpy as np
 
 from ._record import record
 from .errors import InputError
-from .model import SystemModel, _Scenarios
+from .model import SystemModel, _Scenarios, _check_probabilities
 from .regimes import (
     _check_length,
     _check_state_set,
+    _exit_times,
     _good_paths,
+    _recovery_time,
     _running_sum,
     _state_mask,
-    exit_times,
-    recovery_time,
 )
 from .strategy import TrajectoryBundle
 
@@ -236,7 +236,9 @@ def validate_cost(model: SystemModel, cost) -> None:
 
 
 def validate_risk(model: SystemModel, spec) -> None:
-    """Check a risk measure's parameters against the model."""
+    """Check a risk measure's parameters against the model. Each belief
+    holds one vector per time, and each vector follows the probability
+    rule of model.UncertaintyStructure's vectors."""
     if not isinstance(spec, RISK_KINDS):
         raise InputError(f"unknown risk measure {spec!r}")
     if isinstance(
@@ -253,18 +255,10 @@ def validate_risk(model: SystemModel, spec) -> None:
                     f"expected {model.horizon}"
                 )
             for t, vec in enumerate(belief):
-                if len(vec) != model.uncertainty.size(t):
-                    raise InputError(
-                        f"belief {b} vector at time {t} has length "
-                        f"{len(vec)}, expected {model.uncertainty.size(t)}"
-                    )
-                if any(p < 0 for p in vec):
-                    raise InputError(f"belief {b} has a negative probability")
-                s = math.fsum(vec)
-                if not abs(s - 1.0) <= 1e-9:
-                    raise InputError(
-                        f"belief {b} probabilities at time {t} sum to {s!r}"
-                    )
+                _check_probabilities(
+                    vec, f"belief {b} probabilities at time {t}",
+                    model.uncertainty.size(t),
+                )
     if isinstance(spec, ExitCountFunctional):
         _check_outer(spec.outer)
     if isinstance(spec, Composed):
@@ -303,7 +297,7 @@ def _costs(model, cost, trajectories):
         path = states[: max(steps + 1, 0)]  # the states at start..K
 
         if isinstance(cost, RecoveryOffset):
-            tau = recovery_time(model, trajectory, cost.acceptable)
+            tau = _recovery_time(model, trajectory, cost.acceptable)
             base = tau - start if tau != math.inf else math.inf
         elif isinstance(cost, TimeOutside):
             base = 0.0
@@ -415,7 +409,7 @@ def _apply_outer(outer, bundle, scenarios, values):
 
 def _exceeds(model, trajectory, acceptable):
     """Did the trajectory ever exit (states or controls)?"""
-    return recovery_time(model, trajectory, acceptable) != trajectory.start
+    return _recovery_time(model, trajectory, acceptable) != trajectory.start
 
 
 def evaluate_risk(model: SystemModel, spec, bundle: TrajectoryBundle) -> float:
@@ -430,7 +424,7 @@ def _evaluate(model, spec, bundle, scenarios):
     _Scenarios over bundle.scenarios."""
     if isinstance(spec, WorstCaseViolation):
         for i in _robust_positions(bundle, scenarios):
-            if exit_times(model, bundle.trajectories[i], spec.acceptable):
+            if _exit_times(model, bundle.trajectories[i], spec.acceptable):
                 return 1.0
         return 0.0
 
@@ -462,7 +456,7 @@ def _evaluate(model, spec, bundle, scenarios):
 
     if isinstance(spec, ExitCountFunctional):
         counts = [
-            float(len(exit_times(model, tr, spec.acceptable, use_constraints=True)))
+            float(len(_exit_times(model, tr, spec.acceptable, True)))
             for tr in bundle.trajectories
         ]
         return _apply_outer(spec.outer, bundle, scenarios, counts)

@@ -459,6 +459,8 @@ def rank_layout(
     after some prefix; the padding w >= |W_t| is never read."""
     if kind not in (MARKOV, ADAPTED):
         raise InputError(f"unknown strategy kind {kind!r}")
+    _check_x0(model, x0)
+    _check_start(model, start)
     planes = successor_planes(model)
     K, n = model.horizon, model.n_states
     # the prefix count grows with t

@@ -4,6 +4,8 @@ Covers stdout summaries, JSON/CSV outputs and the 0/1/2 exit code
 contract."""
 
 import argparse
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -371,3 +373,16 @@ def test_each_subcommand_takes_exactly_its_options(capsys):
         parser.parse_args(["optimize", "--model", "m1.model", "--alpha", "0.3"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --alpha 0.3" in capsys.readouterr().err
+
+
+def test_tracer_boundary_names_exist():
+    # perfbench/tracing.py wraps each BOUNDARY name with getattr on
+    # resilkit.<layer>; a renamed function would break `--trace 1`
+    path = MODELS.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, names in tracing.BOUNDARY.items():
+        module = importlib.import_module(f"resilkit.{layer}")
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, (layer, missing)

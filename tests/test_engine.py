@@ -508,16 +508,6 @@ def test_scans_check_start_and_x0_once(m1):
     for call, message in cases:
         with pytest.raises(rk.InputError, match=re.escape(message)):
             call()
-    # the scenario cap binds only a scan that enumerates the scenarios
-    capped = rk.resilient_states(m1, 2, B, scenario_cap=3)
-    uncapped = rk.resilient_states(m1, 2, B)
-    assert capped.members == uncapped.members == {2, 3}
-    for x0 in capped.members:
-        assert rk.strategies_equal(
-            capped.witnesses[x0], uncapped.witnesses[x0]
-        )
-    with pytest.raises(rk.CapacityError, match="8 scenarios exceed cap 3"):
-        rk.resilient_states(m1, 2, rk.ProbExcursion(A, 0.5), scenario_cap=3)
     # expected costs without probabilities fail at the first resilient
     # strategy, and only then
     plain = build_m1(probs=None)
@@ -623,6 +613,8 @@ def test_scenario_cap_binds_only_what_is_enumerated():
     with pytest.raises(rk.CapacityError, match=too_many):
         rk.check_resilient(model, stay, 1, 0, rk.StochasticViability({1}, 0.5))
     risk = rk.Composed(rk.TimeOutside({1}), rk.WorstCase())
+    with pytest.raises(rk.CapacityError, match=too_many):
+        rk.resilient_states(model, 0, rk.ProbExcursion({0}, 0.5))
     for regime in worst_case:
         assert rk.resilient_states(model, 0, regime).members == {1}
         out = rk.minimize_risk(model, 0, 0, regime, risk)

@@ -132,12 +132,13 @@ def test_probs_validated():
 
 def test_nan_probabilities_are_rejected():
     nan = math.nan
-    with pytest.raises(rk.InputError, match="sum to nan"):
+    with pytest.raises(rk.InputError, match="at time 0 include nan"):
         rk.UncertaintyStructure((("0", "1"),), ((nan, nan),))
-    with pytest.raises(rk.InputError, match="sum to nan"):
+    with pytest.raises(rk.InputError, match="at time 0 include nan"):
         rk.make_model(1, ("a",), ("u",), ("0", "1"), lambda t, x, u, w: 0,
                       probs=[nan, nan])
-    with pytest.raises(rk.InputError, match="scenario probabilities sum to nan"):
+    with pytest.raises(rk.InputError,
+                       match="scenario probabilities include nan"):
         rk.make_model(1, ("a",), ("u",), ("0", "1"), lambda t, x, u, w: 0,
                       scenario_probs={(0,): nan})
 

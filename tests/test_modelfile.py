@@ -3,6 +3,7 @@ canonical serializer (parse-serialize-parse identity, serializer as a fixed
 point on the shipped fixtures)."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -252,11 +253,11 @@ def test_uncertainty_errors():
     expect(BASE.replace("set * = 0 1", "set * = 0 0"),
            "duplicate uncertainty labels at time 0")
     expect(BASE.replace("set * = 0 1", "set * = 0 1\nprob * = 1.0"),
-           "1 probabilities for 2 uncertainty values at time 0")
+           "probabilities at time 0 have length 1, expected 2")
     expect(BASE.replace("set * = 0 1", "set * = 0 1\nprob * = 0.6 0.6"),
-           "probabilities sum to 1.2 != 1 at time 0")
+           "probabilities at time 0 sum to 1.2, expected 1")
     expect(BASE.replace("set * = 0 1", "set * = 0 1\nprob 0 = 0.5 0.5"),
-           r"missing for \[1\]")
+           r"line 13: probabilities missing at times \[1\]")
     expect(BASE.replace("set * = 0 1", "set * = 0 1\nrobust * = z"),
            "unknown uncertainty label 'z' at time 0")
     expect(BASE.replace("set * = 0 1", "set * = 0 1\nrobust_scenario = 0"),
@@ -370,7 +371,7 @@ def test_risk_errors():
     expect(
         with_risk("kind = ambiguity_exceedance\nacceptable = a\n"
                   "belief 0 * = 1.0"),
-        "1 probabilities for 2 uncertainty values at time 0",
+        "belief 0 probabilities at time 0 have length 1, expected 2",
     )
     expect(
         with_risk("kind = ambiguity_exceedance\nacceptable = a\n"
@@ -407,8 +408,9 @@ def test_error_lines_are_reported():
     assert str(err.value).startswith("line 6:")
 
 
-# One malformed file per raise site of the structural readers ([uncertainty],
-# [dynamics], [constraints], [cost] and belief rows), with the full message
+# One malformed file per raise site of the structural readers ([time],
+# [uncertainty], [dynamics], [constraints], [cost] and belief rows), with the
+# full message
 # and line each one reports: (old text of BASE, its replacement, message,
 # line). "+risk" and "+cost" name a section appended to BASE.
 
@@ -430,6 +432,7 @@ def corpus_text(old, new):
 
 
 READER_ERRORS = [
+    ("horizon = 2", "horizon = 0", "horizon must be >= 1, got 0", 2),
     (SET, SET + "\nrobust", "expected `key ... = ...`, got 'robust'", 13),
     (SET, SET + "\nnoise * = 0", "unknown uncertainty line 'noise * = 0'", 13),
     (SET, SET + "\nset 0 = 0", "duplicate `set` for time 0", 13),
@@ -439,11 +442,12 @@ READER_ERRORS = [
     (SET, "set * = 0 0", "duplicate uncertainty labels at time 0", 12),
     (SET, SET + "\nprob 1 = 0.5 x", "bad probability 'x'", 13),
     (SET, SET + "\nprob * = 1.0",
-     "1 probabilities for 2 uncertainty values at time 0", 13),
+     "probabilities at time 0 have length 1, expected 2", 13),
     (SET, SET + "\nprob * = 0.6 0.6",
-     "probabilities sum to 1.2 != 1 at time 0", 13),
+     "probabilities at time 0 sum to 1.2, expected 1", 13),
     (SET, SET + "\nprob 1 = 0.5 0.5",
-     "probabilities declared for some times but missing for [0]", None),
+     "probabilities missing at times [0]: declare them at every time or at "
+     "none", 13),
     (SET, SET + "\nrobust 1 = 0 z", "unknown uncertainty label 'z' at time 1",
      13),
     (SET, SET + "\nrobust_scenario = 0", "scenario has 1 entries, expected 2",
@@ -521,7 +525,7 @@ READER_ERRORS = [
     ("+belief", "belief 0 * = 1.0 0.0\nbelief 0 1 = 1.0 0.0",
      "duplicate belief 0 vector for time 1", 28),
     ("+belief", "belief 0 * = 1.0",
-     "1 probabilities for 2 uncertainty values at time 0", 27),
+     "belief 0 probabilities at time 0 have length 1, expected 2", 27),
     ("+belief", "", "ambiguity_exceedance needs belief lines", None),
     ("+belief", "belief 0 * = 1.0 0.0\nbelief 2 0 = 1.0 0.0",
      "belief 1 is missing a vector for time 0", None),
@@ -544,12 +548,19 @@ def test_probabilities_must_be_finite_and_non_negative(row, value):
         text, line = corpus_text("+belief", row), 27 + row.count("\n")
     else:
         text, line = BASE.replace(SET, SET + "\n" + row), 13
+    # the faulty row's vector, as the probability rule names it
+    kind, *head = row.splitlines()[-1].partition("=")[0].split()
+    what = "scenario probabilities"
+    if kind != "scenario_prob":
+        what = f"probabilities at time {head[-1].replace('*', '0')}"
+    if kind == "belief":
+        what = f"belief {head[0]} {what}"
     with pytest.raises(rk.ModelFormatError) as err:
         rk.parse_model(text)
     assert err.value.line == line
     assert str(err.value) == (
-        f"line {line}: bad probability {value!r} "
-        "(must be finite and non-negative)"
+        f"line {line}: {what} include {value} "
+        "(each must be finite and non-negative)"
     )
 
 
@@ -570,6 +581,75 @@ def test_reader_errors_are_exact(old, new, message, line):
     assert err.value.line == line
     assert str(err.value) == (message if line is None
                               else f"line {line}: {message}")
+
+
+def base_model(**probabilities):
+    """BASE's system through the API, with the given probabilities."""
+    return rk.make_model(2, ("a", "b"), ("u",), ("0", "1"),
+                         lambda t, x, u, w: x ^ w, **probabilities)
+
+
+def ambiguity(vec):
+    """validate_risk of BASE's system under one belief: vec at each time."""
+    spec = rk.AmbiguityExceedance({0}, ((tuple(vec),) * 2,))
+    return lambda: rk.validate_risk(base_model(), spec)
+
+
+BAD_VALUE = "(each must be finite and non-negative)"
+
+
+# One fault per part of the probability rule, made once through the API and
+# once in a file: (API call, the file's rows, the line cited, the one text
+# both give). The `prob` and `scenario_prob` rows follow BASE's line 12, the
+# belief rows its [risk] section.
+@pytest.mark.parametrize("call, rows, line, message", [
+    (lambda: base_model(probs=((1.5, -0.5),) * 2), "prob * = 1.5 -0.5", 13,
+     f"probabilities at time 0 include -0.5 {BAD_VALUE}"),
+    (lambda: base_model(probs=((1.0,),) * 2), "prob * = 1.0", 13,
+     "probabilities at time 0 have length 1, expected 2"),
+    (lambda: base_model(probs=((0.5, 0.5), (0.6, 0.6))),
+     "prob 0 = 0.5 0.5\nprob 1 = 0.6 0.6", 14,
+     "probabilities at time 1 sum to 1.2, expected 1"),
+    (lambda: rk.UncertaintyStructure((("0", "1"),) * 2, ((0.5, 0.5), None)),
+     "prob 0 = 0.5 0.5", 13,
+     "probabilities missing at times [1]: declare them at every time or at "
+     "none"),
+    (lambda: base_model(scenario_probs={(0, 0): 1.0, (1, 1): math.inf}),
+     "scenario_prob = 0 0 : 1.0\nscenario_prob = 1 1 : inf", 14,
+     f"scenario probabilities include inf {BAD_VALUE}"),
+    (lambda: base_model(scenario_probs={(0, 0): 0.5, (1, 1): 0.4}),
+     "scenario_prob = 0 0 : 0.5\nscenario_prob = 1 1 : 0.4", 13,
+     "scenario probabilities sum to 0.9, expected 1"),
+    (ambiguity((0.5, math.nan)), "belief 0 * = 0.5 nan", 27,
+     f"belief 0 probabilities at time 0 include nan {BAD_VALUE}"),
+    (ambiguity((1.0,)), "belief 0 * = 1.0", 27,
+     "belief 0 probabilities at time 0 have length 1, expected 2"),
+    (ambiguity((0.25, 0.65)), "belief 0 * = 0.25 0.65", 27,
+     "belief 0 probabilities at time 0 sum to 0.9, expected 1"),
+], ids=["value", "length", "sum", "all-or-none", "joint-value", "joint-sum",
+        "belief-value", "belief-length", "belief-sum"])
+def test_probability_rule_gives_the_api_and_a_file_one_text(call, rows, line,
+                                                             message):
+    with pytest.raises(rk.InputError) as err:
+        call()
+    assert str(err.value) == message
+    if rows.startswith("belief"):
+        text = corpus_text("+belief", rows)
+    else:
+        text = corpus_text(SET, SET + "\n" + rows)
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model(text)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_an_off_one_belief_fails_at_its_line():
+    text = load("m4_belief.model")
+    assert "belief 1 * = 0.25 0.75\n" in text
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.parse_model(text.replace("0.25 0.75", "0.25 0.65"))
+    assert str(err.value) == (
+        "line 31: belief 1 probabilities at time 0 sum to 0.9, expected 1"
+    )
 
 
 # ------------------------------------------------------------ vocabulary

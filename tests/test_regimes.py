@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,20 @@ def test_short_trajectories_are_input_errors(m1):
         rk.exit_times(m1, short_controls, A, use_constraints=True)
     # controls are not read without the constraint flag
     assert rk.exit_times(m1, short_controls, A) == ()
+
+
+def test_exit_and_recovery_times_check_their_set(m1):
+    traj = rk.simulate_closed_loop(m1, rk.constant_strategy(m1, 1), 2,
+                                   (0, 0, 0))
+    for call, states in (
+        (rk.exit_times, {9}),
+        (rk.recovery_time, {1.5, 2, 3}),
+        (rk.recovery_time, {-1}),
+    ):
+        bad = next(x for x in states if x not in (2, 3))
+        message = f"acceptable set contains invalid state index {bad}"
+        with pytest.raises(rk.InputError, match=re.escape(message)):
+            call(m1, traj, states)
 
 
 def test_viability_membership(m1):

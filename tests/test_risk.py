@@ -360,7 +360,7 @@ def test_risk_validation(m1):
         rk.evaluate_risk(
             m1, rk.AmbiguityExceedance(A, (((0.5, 0.25, 0.25),) * 3,)), bundle
         )
-    with pytest.raises(rk.InputError, match="negative"):
+    with pytest.raises(rk.InputError, match=r"include -0\.5"):
         rk.evaluate_risk(
             m1, rk.AmbiguityExceedance(A, (((1.5, -0.5),) * 3,)), bundle
         )
@@ -369,7 +369,7 @@ def test_risk_validation(m1):
             m1, rk.AmbiguityExceedance(A, (((0.6, 0.6),) * 3,)), bundle
         )
     nan = float("nan")
-    with pytest.raises(rk.InputError, match="sum to nan"):
+    with pytest.raises(rk.InputError, match="include nan"):
         rk.evaluate_risk(
             m1, rk.AmbiguityExceedance(A, (((nan, nan),) * 3,)), bundle
         )

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -389,6 +391,17 @@ def _reachable_slot_positions(model, x0, kind, start):
                     positions.append(pos)
                 pos += 1
     return pos, positions
+
+
+def test_rank_layout_checks_x0_then_start(m1):
+    for args, message in (
+        ((9,), "x0 must be an ordinary state index, got 9"),
+        ((9, rk.MARKOV, 5), "x0 must be an ordinary state index, got 9"),
+        ((2, rk.MARKOV, 5), "strategy start 5 out of range 0..3"),
+        ((2, rk.ADAPTED, -1), "strategy start -1 out of range 0..3"),
+    ):
+        with pytest.raises(rk.InputError, match=re.escape(message)):
+            rk.strategy.rank_layout(m1, *args)
 
 
 def test_rank_layout_marks_exactly_the_reachable_slots():
