@@ -105,29 +105,41 @@ class ParsedModel:
     risk: object  # or None
 
 
-def _split_sections(text):
-    sections = {}
-    current = None
+def _split_lines(text):
+    """The rows before the first `[header]` and the sections in file order,
+    each as (header text, its line, its rows); a row is (line number,
+    text). '#' starts a comment and blank lines are dropped. Model and
+    strategy files both read their lines through here."""
+    head, sections = [], []
+    rows = head
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if name not in SECTIONS:
-                raise ModelFormatError(
-                    f"unknown section [{name}]; expected one of: "
-                    + ", ".join(SECTIONS),
-                    lineno,
-                )
-            current = []
-            _put(sections, name, current, lineno, "section [{}]", name)
-            continue
-        if current is None:
+            rows = []
+            sections.append((line[1:-1].strip(), lineno, rows))
+        else:
+            rows.append((lineno, line))
+    return head, sections
+
+
+def _split_sections(text):
+    """The model file's sections by name: known names, none repeated, the
+    required ones present, no content before the first."""
+    head, found = _split_lines(text)
+    if head:
+        lineno, line = head[0]
+        raise ModelFormatError(f"content before any section: {line!r}", lineno)
+    sections = {}
+    for name, lineno, rows in found:
+        if name not in SECTIONS:
             raise ModelFormatError(
-                f"content before any section: {line!r}", lineno
+                f"unknown section [{name}]; expected one of: "
+                + ", ".join(SECTIONS),
+                lineno,
             )
-        current.append((lineno, line))
+        _put(sections, name, rows, lineno, "section [{}]", name)
     for name in ("time", "states", "controls", "uncertainty", "dynamics",
                  "regime"):
         if name not in sections:
@@ -136,13 +148,12 @@ def _split_sections(text):
 
 
 def _keyvals(rows):
-    out = []
+    """(line number, key, value) of each `key = value` row, in row order."""
     for lineno, line in rows:
         key, eq, value = line.partition("=")
         if not eq:
             raise ModelFormatError(f"expected `key = value`, got {line!r}", lineno)
-        out.append((lineno, key.strip(), value.strip()))
-    return out
+        yield lineno, key.strip(), value.strip()
 
 
 def _int(value, what, lineno):
@@ -188,11 +199,22 @@ def _label(index, label, what, lineno, t=None):
         ) from None
 
 
+def _label_maps(model):
+    """The label -> index maps of a model's states (CEMETERY included), its
+    controls and each time's uncertainty set, for _label."""
+    states = {lab: x for x, lab in enumerate(model.states.labels)}
+    states[CEMETERY_LABEL] = model.cemetery
+    controls = {lab: u for u, lab in enumerate(model.controls.labels)}
+    sets = [{lab: w for w, lab in enumerate(ws)} for ws in model.uncertainty.sets]
+    return states, controls, sets
+
+
 def _arrow_row(line, form, arity, lineno):
-    """The head tokens and the tail text of a `head -> tail` row."""
+    """The head tokens and the tail text of a `head -> tail` row with
+    `arity` head tokens (any number when arity is None)."""
     head, arrow, tail = line.rpartition("->")
     parts = head.split()
-    if not arrow or len(parts) != arity:
+    if not arrow or arity not in (None, len(parts)):
         raise ModelFormatError(f"expected `{form}`, got {line!r}", lineno)
     return parts, tail.strip()
 
@@ -205,15 +227,16 @@ def _put(table, cell, value, lineno, what, *args):
 
 
 def _parse_time(rows):
-    """The TimeGrid of the last `horizon =` line, cited at that line."""
-    at = None
+    """The TimeGrid of the one `horizon =` line, cited at that line."""
+    keys = {}
     for lineno, key, value in _keyvals(rows):
         if key != "horizon":
             raise ModelFormatError(f"unknown time key {key!r}", lineno)
-        at, horizon = lineno, _int(value, "horizon", lineno)
-    if at is None:
+        _put(keys, key, lineno, lineno, "key {!r}", key)
+        horizon = _int(value, "horizon", lineno)
+    if not keys:
         raise ModelFormatError("missing `horizon =` in [time]")
-    return _cited(at, TimeGrid, horizon)
+    return _cited(keys["horizon"], TimeGrid, horizon)
 
 
 def _parse_space(rows, what):
@@ -222,6 +245,8 @@ def _parse_space(rows, what):
     coords = []
     for lineno, line in rows:
         label, *parts = line.split()
+        if label == CEMETERY_LABEL:
+            raise ModelFormatError(f"label {label!r} is reserved", lineno)
         _put(index, label, len(index), lineno, "{} label {!r}", what, label)
         coords.append([_float(c, "coordinate", lineno) for c in parts])
     if not index:
@@ -396,8 +421,6 @@ def parse_model(text: str) -> ParsedModel:
     horizon = time.horizon
     state_idx, state_coords = _parse_space(sections["states"], "state")
     control_idx, control_coords = _parse_space(sections["controls"], "control")
-    if CEMETERY_LABEL in state_idx or CEMETERY_LABEL in control_idx:
-        raise ModelFormatError(f"label {CEMETERY_LABEL!r} is reserved")
     w_idx, unc, robust_scenarios, scenario_probs, joint_line = (
         _parse_uncertainty(sections["uncertainty"], horizon)
     )
@@ -430,13 +453,9 @@ def parse_model(text: str) -> ParsedModel:
 def _section_dict(rows, known, section):
     out = {}
     extra = []
-    for lineno, line in rows:
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ModelFormatError(f"expected `key = value`, got {line!r}", lineno)
-        key = key.strip()
+    for lineno, key, value in _keyvals(rows):
         if key.split()[:1] == ["belief"]:
-            extra.append((lineno, key, value.strip()))
+            extra.append((lineno, key, value))
             continue
         if key not in known:
             raise ModelFormatError(
@@ -444,7 +463,7 @@ def _section_dict(rows, known, section):
                 + ", ".join(sorted(known)),
                 lineno,
             )
-        _put(out, key, (lineno, value.strip()), lineno, "key {!r}", key)
+        _put(out, key, (lineno, value), lineno, "key {!r}", key)
     return out, extra
 
 
@@ -761,9 +780,7 @@ def _parse_beliefs(belief_rows, model):
 def _parse_cost_tables(cost_rows, model):
     """The state_costs and control_costs of a tabular cost."""
     K = model.horizon
-    states = {lab: x for x, lab in enumerate(model.states.labels)}
-    states[CEMETERY_LABEL] = model.cemetery
-    controls = {lab: u for u, lab in enumerate(model.controls.labels)}
+    states, controls, _ = _label_maps(model)
     tables = {  # kind -> (costs, label index, duplicate message)
         "state": (np.zeros((K + 1, model.n_states)), states,
                   "state cost for (t={}, x={})"),

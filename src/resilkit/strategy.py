@@ -557,29 +557,18 @@ def strategy_to_text(model: SystemModel, strategy: Strategy) -> str:
     validate_strategy(model, strategy)
     lines = [f"start = {strategy.start}"]
     for pol in strategy.policies:
-        lines.append(f"[policy {pol.t}]")
-        lines.append(f"kind = {pol.kind}")
+        lines += [f"[policy {pol.t}]", f"kind = {pol.kind}"]
         for x in range(model.n_states):
             lab = model.states.label(x)
             if pol.kind == MARKOV:
                 lines.append(f"{lab} -> {model.controls.label(pol.table[x])}")
-            else:
-                for r in range(pol.table.shape[1]):
-                    ws = _prefix_labels(model, pol.t, strategy.start, r)
-                    lines.append(
-                        f"{lab} ({' '.join(ws)}) -> "
-                        f"{model.controls.label(pol.table[x, r])}"
-                    )
+                continue
+            # the prefixes in lexicographic order, as prefix_rank ranks them
+            sets = model.uncertainty.sets[strategy.start : pol.t]
+            for ws, u in zip(itertools.product(*sets), pol.table[x]):
+                lines.append(f"{lab} ({' '.join(ws)}) -> "
+                             f"{model.controls.label(u)}")
     return "\n".join(lines) + "\n"
-
-
-def _prefix_labels(model, t, base, rank):
-    labels = []
-    for q in reversed(range(base, t)):
-        size = model.uncertainty.size(q)
-        rank, w = divmod(rank, size)
-        labels.append(model.uncertainty.sets[q][w])
-    return list(reversed(labels))
 
 
 def strategy_from_text(model: SystemModel, text: str) -> Strategy:
@@ -588,117 +577,85 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
     Lines: optional `start = t`; then `[policy t]` sections, each with
     `kind = markov|adapted` and one row per state (Markov: `state -> control`)
     or per state and prefix (adapted: `state (w ... w) -> control`).
-    '#' starts a comment.
+    '#' starts a comment. The model file's line reader and row helpers read
+    it, so both formats share their comment, section, row and label rules.
     """
-    start, start_line = 0, None
-    sections = []  # (t, kind, rows); rows = {(state, prefix_rank): control}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            inner = line[1:-1].split()
-            if len(inner) != 2 or inner[0] != "policy":
-                raise ModelFormatError(f"unknown section {line!r}", lineno)
-            try:
-                t = int(inner[1])
-            except ValueError:
-                raise ModelFormatError(f"bad policy time {inner[1]!r}", lineno)
-            current = {"t": t, "kind": None, "rows": {}, "line": lineno}
-            sections.append(current)
-            continue
-        if current is None:
-            key, _, value = line.partition("=")
-            if key.strip() == "start" and value:
-                try:
-                    start = int(value.strip())
-                except ValueError:
-                    raise ModelFormatError(f"bad start {value.strip()!r}", lineno)
-                start_line = lineno
-                continue
-            raise ModelFormatError(f"expected [policy t] before {line!r}", lineno)
-        if current["kind"] is None:
-            key, _, value = line.partition("=")
-            if key.strip() != "kind" or not value:
-                raise ModelFormatError("expected `kind = markov|adapted`", lineno)
-            kind = value.strip()
-            if kind not in (MARKOV, ADAPTED):
-                raise ModelFormatError(f"unknown policy kind {kind!r}", lineno)
-            current["kind"] = kind
-            # an adapted section outside start..K-1 has no prefixes to rank
-            # its rows by: it is read as a Markov one, and the layout check
-            # below rejects it as it rejects a Markov one
-            current["ranked"] = (
-                kind == ADAPTED and start <= current["t"] < model.horizon
-            )
-            continue
-        head, arrow, ctrl = line.rpartition("->")
-        if not arrow:
-            raise ModelFormatError(f"expected `... -> control` in {line!r}", lineno)
-        try:
-            u = model.controls.index(ctrl.strip())
-            state_part = head
-            if current["kind"] == ADAPTED:
-                state_part, paren, prefix_part = head.partition("(")
-                if not paren or not prefix_part.rstrip().endswith(")"):
-                    raise ModelFormatError(
-                        f"adapted rows need a (prefix), got {line!r}", lineno
-                    )
-            x = model.states.index(state_part.strip())
-            key = (x, 0)
-            if current["ranked"]:
-                ws = prefix_part.rstrip().rstrip(")").split()
-                t = current["t"]
-                if len(ws) != t - start:
-                    raise ModelFormatError(
-                        f"prefix length {len(ws)}, expected {t - start}", lineno
-                    )
-                scen = [0] * model.horizon
-                for q, wlab in zip(range(start, t), ws):
-                    scen[q] = model.uncertainty.index(q, wlab)
-                key = (x, prefix_rank(model, t, scen, start))
-        except InputError as exc:
-            raise ModelFormatError(str(exc), lineno) from None
-        if x == model.cemetery:
-            raise ModelFormatError("no policy rows at the cemetery", lineno)
-        if key in current["rows"]:
-            raise ModelFormatError(f"duplicate row for {line!r}", lineno)
-        current["rows"][key] = u
+    # modelfile imports this module by way of regimes
+    from .modelfile import (
+        _arrow_row, _cited, _int, _keyvals, _label, _label_maps, _put,
+        _split_lines,
+    )
 
-    if not sections:
-        raise ModelFormatError("no [policy t] sections found")
+    head, found = _split_lines(text)
+    starts = {}
+    for lineno, key, value in _keyvals(head):
+        if key != "start":
+            raise ModelFormatError(f"unknown key {key!r} before [policy t]",
+                                   lineno)
+        _put(starts, key, (lineno, _int(value, "start", lineno)), lineno,
+             "key {!r}", key)
+    start_line, start = starts.get("start", (None, 0))
+    states, controls, w_idx = _label_maps(model)
     policies = []  # (policy, its section's line)
-    for sec in sections:
-        t, kind, rows = sec["t"], sec["kind"], sec["rows"]
-        if kind is None:
-            raise ModelFormatError("missing `kind =` line", sec["line"])
-        n = model.n_states
-        width = n_prefixes(model, t, start) if sec["ranked"] else 1
-        table = np.zeros((n, width), dtype=np.int32)
-        for x in range(n):
-            for r in range(width):
-                if (x, r) not in rows:
-                    raise ModelFormatError(
-                        f"policy at time {t} missing a row for state "
-                        f"{model.states.label(x)}",
-                        sec["line"],
-                    )
-                table[x, r] = rows[(x, r)]
-        policies.append(
-            (Policy(t, kind, table[:, 0] if kind == MARKOV else table),
-             sec["line"])
-        )
+    for name, at, rows in found:
+        parts = name.split()
+        if len(parts) != 2 or parts[0] != "policy":
+            raise ModelFormatError("unknown section " + repr(f"[{name}]"), at)
+        t = _int(parts[1], "policy time", at)
+        if not rows:
+            raise ModelFormatError("missing `kind =` line", at)
+        [(lineno, key, kind)] = _keyvals(rows[:1])
+        if key != "kind" or not kind:
+            raise ModelFormatError("expected `kind = markov|adapted`", lineno)
+        if kind not in (MARKOV, ADAPTED):
+            raise ModelFormatError(f"unknown policy kind {kind!r}", lineno)
+        # an adapted section outside start..K-1 has no prefixes to rank its
+        # rows by: read as a Markov one, the layout check rejects it alike
+        ranked = kind == ADAPTED and start <= t < model.horizon
+        form, arity = (("state -> control", 1) if kind == MARKOV
+                       else ("state (w ... w) -> control", None))
+        cells = {}  # (state, prefix rank) -> control
+        for lineno, line in rows[1:]:
+            parts, ul = _arrow_row(line, form, arity, lineno)
+            u = _label(controls, ul, "control", lineno)
+            xl = " ".join(parts)
+            if kind == ADAPTED:
+                xl, paren, ws = xl.partition("(")
+                if not paren or not ws.endswith(")"):
+                    raise ModelFormatError(f"adapted rows need a (prefix), "
+                                           f"got {line!r}", lineno)
+                xl, ws = xl.strip(), ws[:-1].split()
+            x = _label(states, xl, "state", lineno)
+            cell = (x, 0)
+            if ranked:
+                if len(ws) != t - start:
+                    raise ModelFormatError(f"prefix length {len(ws)}, "
+                                           f"expected {t - start}", lineno)
+                ws = [_label(w_idx[q], wl, "uncertainty", lineno, q)
+                      for q, wl in enumerate(ws, start)]
+                cell = (x, prefix_rank(model, t, [0] * start + ws, start))
+            if x == model.cemetery:
+                raise ModelFormatError("no policy rows at the cemetery", lineno)
+            _put(cells, cell, u, lineno, "row for {!r}", line)
+        width = n_prefixes(model, t, start) if ranked else 1
+        slots = [(x, r) for x in range(model.n_states) for r in range(width)]
+        missing = [x for x, r in slots if (x, r) not in cells]
+        if missing:
+            raise ModelFormatError(f"policy at time {t} missing a row for "
+                                   f"state {model.states.label(missing[0])}",
+                                   at)
+        shape = (-1,) if kind == MARKOV else (-1, width)
+        table = np.array([cells[s] for s in slots], np.int32).reshape(shape)
+        policies.append((Policy(t, kind, table), at))
+    if not policies:
+        raise ModelFormatError("no [policy t] sections found")
     policies.sort(key=lambda p: p[0].t)
-    try:
-        out = Strategy(start, tuple(pol for pol, _ in policies))
-        validate_strategy(model, out)
-    except InputError as exc:
-        # cite the `start =` line if it is out of range, else the first
-        # section out of sequence
-        at = start_line
-        if 0 <= start <= model.horizon:
-            at = next((at for i, (pol, at) in enumerate(policies)
-                       if pol.t != start + i), None)
-        raise ModelFormatError(str(exc), at) from None
+    # a layout error cites the `start =` line if start is out of range, else
+    # the first section out of sequence
+    at = start_line
+    if 0 <= start <= model.horizon:
+        at = next((at for i, (pol, at) in enumerate(policies)
+                   if pol.t != start + i), None)
+    out = _cited(at, Strategy, start, tuple(pol for pol, _ in policies))
+    _cited(at, validate_strategy, model, out)
     return out

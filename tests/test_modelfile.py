@@ -433,6 +433,9 @@ def corpus_text(old, new):
 
 READER_ERRORS = [
     ("horizon = 2", "horizon = 0", "horizon must be >= 1, got 0", 2),
+    ("horizon = 2", "horizon = 2\nhorizon = 3", "duplicate key 'horizon'", 3),
+    ("a\nb", "a\nCEMETERY", "label 'CEMETERY' is reserved", 6),
+    ("u\n", "u\nCEMETERY\n", "label 'CEMETERY' is reserved", 10),
     (SET, SET + "\nrobust", "expected `key ... = ...`, got 'robust'", 13),
     (SET, SET + "\nnoise * = 0", "unknown uncertainty line 'noise * = 0'", 13),
     (SET, SET + "\nset 0 = 0", "duplicate `set` for time 0", 13),

@@ -316,16 +316,6 @@ def test_strategy_text_round_trip(m1):
         assert rk.strategy_to_text(model, back) == text
 
 
-def test_strategy_text_errors(m1):
-    with pytest.raises(rk.ModelFormatError, match="line"):
-        rk.strategy_from_text(m1, "start = 0\n[policy 0]\nkind = markov\nbogus\n")
-    text = rk.strategy_to_text(m1, keep_high(m1))
-    with pytest.raises(rk.ModelFormatError):
-        rk.strategy_from_text(m1, text.replace("2 -> 1", "2 -> 9"))
-    with pytest.raises(rk.ModelFormatError):
-        rk.strategy_from_text(m1, text + "\n[policy 2]\nkind = markov\n")
-
-
 def _section(t, kind, prefix=""):
     """keep_high's [policy t] section, each row with the given prefix."""
     rows = "".join(f"{x}{prefix} -> {u}\n" for x, u in enumerate((0, 0, 1, 0)))
@@ -356,6 +346,97 @@ def test_strategy_section_layout_errors_cite_their_line(m1, old, new,
         rk.strategy_from_text(m1, text)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+# keep_high's text, as strategy_to_text writes it: `start = 0` on line 1,
+# then [policy t] on line 2 + 6t, its kind line and its rows 0..3 below
+KEEP = "start = 0\n" + "".join(_section(t, rk.MARKOV) for t in range(3))
+# the first row of an adapted [policy 0] and of an adapted [policy 1]
+# section that follows it (lines 3 and 9 when there is no `start =` line)
+ADAPTED = _section(0, rk.ADAPTED, " ()") + _section(1, rk.ADAPTED, " (0)")
+
+
+# Each raise site of strategy_from_text: (text, message, line cited).
+STRATEGY_READER_ERRORS = [
+    # sections
+    (KEEP.replace("[policy 1]", "[rule 1]"), "unknown section '[rule 1]'", 8),
+    (KEEP.replace("[policy 1]", "[policy]"), "unknown section '[policy]'", 8),
+    (KEEP.replace("[policy 1]", "[policy 1 2]"),
+     "unknown section '[policy 1 2]'", 8),
+    (KEEP.replace("[policy 1]", "[policy x]"), "bad policy time 'x'", 8),
+    ("start = 0\n", "no [policy t] sections found", None),
+    ("# nothing\n", "no [policy t] sections found", None),
+    # the lines before the first section
+    (KEEP.replace("start = 0", "start = x"), "bad start 'x'", 1),
+    (KEEP.replace("start = 0", "start = 0\nstart = 0"),
+     "duplicate key 'start'", 2),
+    (KEEP.replace("start = 0", "begin = 0"),
+     "unknown key 'begin' before [policy t]", 1),
+    (KEEP.replace("start = 0", "bogus"),
+     "expected `key = value`, got 'bogus'", 1),
+    # kind lines
+    (KEEP.replace("2 -> 1\n3 -> 0\n", "2 -> 1\n3 -> 0\n[policy 3]\n", 1),
+     "missing `kind =` line", 8),
+    (KEEP.replace("kind = markov", "kinds = markov", 1),
+     "expected `kind = markov|adapted`", 3),
+    (KEEP.replace("kind = markov", "kind =", 1),
+     "expected `kind = markov|adapted`", 3),
+    (KEEP.replace("kind = markov\n", "", 1),
+     "expected `key = value`, got '0 -> 0'", 3),
+    (KEEP.replace("kind = markov", "kind = greedy", 1),
+     "unknown policy kind 'greedy'", 3),
+    # rows
+    (KEEP.replace("2 -> 1", "2 1", 1),
+     "expected `state -> control`, got '2 1'", 6),
+    (KEEP.replace("2 -> 1", "2 (0) -> 1", 1),
+     "expected `state -> control`, got '2 (0) -> 1'", 6),
+    (ADAPTED.replace("0 () -> 0", "0 () 0"),
+     "expected `state (w ... w) -> control`, got '0 () 0'", 3),
+    (_section(0, rk.ADAPTED), "adapted rows need a (prefix), got '0 -> 0'",
+     3),
+    (_section(0, rk.ADAPTED, " ("),
+     "adapted rows need a (prefix), got '0 ( -> 0'", 3),
+    (KEEP.replace("2 -> 1", "9 -> 1", 1), "unknown state label '9'", 6),
+    (KEEP.replace("2 -> 1", "2 -> 9", 1), "unknown control label '9'", 6),
+    (ADAPTED.replace("(0)", "(z)"), "unknown uncertainty label 'z' at time 0",
+     9),
+    (ADAPTED.replace("(0)", "(0 0)"), "prefix length 2, expected 1", 9),
+    (ADAPTED.replace("(0)", "()"), "prefix length 0, expected 1", 9),
+    (KEEP.replace("3 -> 0", "CEMETERY -> 0", 1),
+     "no policy rows at the cemetery", 7),
+    (KEEP.replace("3 -> 0", "3 -> 0\n3 -> 1", 1),
+     "duplicate row for '3 -> 1'", 8),
+    (_section(0, rk.ADAPTED, " ()") + "0 ( ) -> 1\n",
+     "duplicate row for '0 ( ) -> 1'", 7),
+    # the sections' rows as a whole
+    (KEEP.replace("3 -> 0\n", "", 1),
+     "policy at time 0 missing a row for state 3", 2),
+    (KEEP + "\n[policy 2]\nkind = markov\n",
+     "policy at time 2 missing a row for state 0", 21),
+    (KEEP.replace("start = 0", "start = -1"),
+     "policy 0 is for time 0, expected -1", 1),
+    (KEEP.split("[policy 2]")[0], "strategy covers 2 times from 0, expected 3",
+     None),
+]
+
+
+@pytest.mark.parametrize("text, message, line", STRATEGY_READER_ERRORS, ids=[
+    "section", "section-no-time", "section-two-times", "policy-time",
+    "no-sections", "only-comments", "start", "start-twice", "key-not-start",
+    "content-before", "kind-missing", "kind-key", "kind-empty", "kind-no-line",
+    "kind-unknown", "arrow", "markov-prefix", "adapted-arrow",
+    "adapted-no-prefix", "adapted-open-prefix", "state", "control",
+    "uncertainty", "prefix-long", "prefix-short", "cemetery", "duplicate",
+    "adapted-duplicate", "missing-row", "section-twice", "start-range",
+    "coverage",
+])
+def test_strategy_reader_errors_are_exact(m1, text, message, line):
+    assert KEEP == rk.strategy_to_text(m1, keep_high(m1))
+    with pytest.raises(rk.ModelFormatError) as err:
+        rk.strategy_from_text(m1, text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None
+                              else f"line {line}: {message}")
 
 
 def test_policy_control_at_cemetery(m1):
