@@ -62,6 +62,8 @@ from .strategy import (
     _layout_strategy,
     _markov_from_table,
     _policy_array,
+    _policy_shape,
+    _reached,
     count_strategies,
     rank_layout,
     validate_strategy,
@@ -438,7 +440,7 @@ def _monitor(model, regime, start):
     if isinstance(regime, ControlEvent):
         update = np.empty((K, 3, nu, n + 1), dtype=np.uint8)
         update[:, 0], update[:, 1], update[:, 2], update[K - 1, 1] = 0, 1, 2, 2
-        update[:, 1, list(regime.controls)] = 0
+        update[:, 1, [int(u) for u in regime.controls]] = 0
         init = np.full(n + 1, 1 if start < K else 2, dtype=np.uint8)
         return _Monitor(init, update, domain)
     first, limit = start, 0
@@ -609,57 +611,27 @@ def _member_blocks(model, regime, monitor, layout, x0, start, scenarios):
             yield lo + index, policies[index], paths
 
 
-def resilient_states(
-    model: SystemModel,
-    start: int,
-    regime,
-    strategy_class: str = MARKOV,
-    cap: int = DEFAULT_STRATEGY_CAP,
-) -> ResilientSet:
-    """All states resilient at `start`, each with a witness strategy.
+def _kernel_witnesses(model, region, kind, start):
+    """Yield (x0, policy array) for each x0 in the full-domain kernel of
+    `region` at `start`, ascending: x0's least-rank strategy of class `kind`
+    in the kernel, the kernel's witness on each slot it reaches
+    (strategy._reached) and control 0 elsewhere. A reached slot must send
+    every w into the kernel, and reaching depends on earlier times only,
+    which ranks weigh more."""
+    shape = _policy_shape(model, kind, start)
+    kernel = _kernel(model, region, "full")
+    for x0 in sorted(kernel.member_set(start)):
+        out = np.zeros(shape, dtype=np.int32)
+        for t, here in _reached(model, x0, kind, start, kernel.witness):
+            out[t, :-1, : len(here)] = here.T * kernel.witness[t][:, None]
+        yield x0, out
 
-    Viability, RobustRecovery, and StochasticViability dispatch to the
-    backward recursions (exact for both strategy classes) where those take
-    the model: RobustRecovery needs per-time robust subsets, and
-    StochasticViability per-time probabilities and no joint distribution.
-    Every other case is decided by exhaustive search over the declared
-    class, which visits one representative per class of strategies that
-    agree on the policy slots reachable from x0 (strategy.rank_layout). The
-    cap applies to the size of the whole class; the scenarios, where a
-    decision reads them, are enumerated against DEFAULT_SCENARIO_CAP, as in
-    the scan of optimize.minimize_risk. method="exhaustive" names
-    the witness contract: each member's witness is the least-rank resilient
-    strategy of the declared class. The search decides membership a block
-    of representatives at a time on policy arrays (_member_blocks) and
-    builds no trajectory bundle; the regime's _monitor is built once per
-    call, and Markov walks over a per-time product read no scenario list.
-    """
-    validate_regime(model, regime)
-    _check_start(model, start)
 
-    if isinstance(regime, RobustRecovery):
-        recursive = model.robust_scenarios is None
-    elif isinstance(regime, StochasticViability):
-        recursive = model.uncertainty.has_probs and model.scenario_probs is None
-    else:
-        recursive = isinstance(regime, Viability)
-    if recursive:
-        if isinstance(regime, Viability):
-            table = _kernel(model, regime.acceptable, "full")
-            members, method = table.member_set(start), "kernel"
-        elif isinstance(regime, RobustRecovery):
-            table = _recovery(model, regime.acceptable, regime.deadline)
-            members, method = table.resilient_set(start), "recovery"
-        else:
-            table = _value(model, regime.acceptable)
-            members = table.resilient_set(start, regime.beta)
-            method = "value"
-        strat = _fill(model, table.witness, start)
-        return ResilientSet(
-            start, regime, strategy_class, members,
-            {x: strat for x in members}, method,
-        )
-
+def _scan(model, regime, strategy_class, start, cap):
+    """Yield (x0, policy array) for each x0 resilient at `start`, ascending:
+    its first resilient representative of rank_layout, which packs its
+    least-rank resilient strategy, decided a block at a time
+    (_member_blocks). The whole class is counted against `cap`."""
     total = count_strategies(model, strategy_class, start)
     if total > cap:
         raise CapacityError(
@@ -669,20 +641,58 @@ def resilient_states(
         )
     scenarios = _scan_scenarios(model, regime)
     monitor = _monitor(model, regime, start)
-    # each x0's witness is its least-rank resilient strategy, which is the
-    # first resilient representative; equal witnesses share one object
-    witnesses = {}
-    by_rank = {}
     for x0 in range(model.n_states):
         layout = rank_layout(model, x0, strategy_class, start)
-        for index, policies, _ in _member_blocks(
-            model, regime, monitor, layout, x0, start, scenarios
-        ):
-            strat = _layout_strategy(model, strategy_class, policies[0], start)
-            rank = layout.rank(int(index[0]))
-            witnesses[x0] = by_rank.setdefault(rank, strat)
+        for _, policies, _ in _member_blocks(model, regime, monitor, layout,
+                                             x0, start, scenarios):
+            yield x0, policies[0]
             break
-    return ResilientSet(
-        start, regime, strategy_class, frozenset(witnesses), witnesses,
-        "exhaustive",
-    )
+
+
+def resilient_states(
+    model: SystemModel,
+    start: int,
+    regime,
+    strategy_class: str = MARKOV,
+    cap: int = DEFAULT_STRATEGY_CAP,
+) -> ResilientSet:
+    """All states resilient at `start`, each with a witness strategy.
+
+    Viability and Bounded, one path property (an inadmissible control leads
+    to the cemetery, outside every region), answer from the full-domain
+    kernel for both strategy classes, uncounted. RobustRecovery on per-time
+    robust subsets and StochasticViability on per-time probabilities
+    without a joint distribution answer from their backward recursions.
+    Every other case is searched exhaustively over the declared class
+    (_scan). method="exhaustive" names the witness contract of Bounded and
+    the search: each member's witness is its least-rank resilient strategy
+    of the declared class, and equal witnesses are one object. The other
+    methods give every member the table's one filled Markov witness.
+    """
+    validate_regime(model, regime)
+    _check_start(model, start)
+    found = None  # (x0, policy array) of each exhaustive member
+    if isinstance(regime, Viability):
+        table = _kernel(model, regime.acceptable, "full")
+        members, method = table.member_set(start), "kernel"
+    elif isinstance(regime, Bounded):
+        found = _kernel_witnesses(model, regime.region, strategy_class, start)
+    elif isinstance(regime, RobustRecovery) and model.robust_scenarios is None:
+        table = _recovery(model, regime.acceptable, regime.deadline)
+        members, method = table.resilient_set(start), "recovery"
+    elif (isinstance(regime, StochasticViability)
+          and model.uncertainty.has_probs and model.scenario_probs is None):
+        table = _value(model, regime.acceptable)
+        members, method = table.resilient_set(start, regime.beta), "value"
+    else:
+        found = _scan(model, regime, strategy_class, start, cap)
+    if found is None:
+        witnesses = dict.fromkeys(members, _fill(model, table.witness, start))
+    else:
+        witnesses, shared = {}, {}
+        for x0, policies in found:
+            strat = _layout_strategy(model, strategy_class, policies, start)
+            witnesses[x0] = shared.setdefault(policies.tobytes(), strat)
+        members, method = frozenset(witnesses), "exhaustive"
+    return ResilientSet(start, regime, strategy_class, members, witnesses,
+                        method)

@@ -268,12 +268,8 @@ def _parse_uncertainty(rows, horizon):
     lines = {}  # (set|prob|robust, t) -> (lineno, value tokens)
     raw_scenarios = []  # (lineno, labels)
     raw_joint = []  # (lineno, labels, prob)
-    for lineno, line in rows:
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ModelFormatError(f"expected `key ... = ...`, got {line!r}", lineno)
+    for (lineno, line), (_, key, value) in zip(rows, _keyvals(rows)):
         head = key.split()
-        value = value.strip()
         if head == ["robust_scenario"]:
             raw_scenarios.append((lineno, value.split()))
             continue
@@ -777,7 +773,7 @@ def _parse_beliefs(belief_rows, model):
     return tuple(beliefs)
 
 
-def _parse_cost_tables(cost_rows, model):
+def _parse_cost_tables(rows, model):
     """The state_costs and control_costs of a tabular cost."""
     K = model.horizon
     states, controls, _ = _label_maps(model)
@@ -788,17 +784,16 @@ def _parse_cost_tables(cost_rows, model):
                     "control cost for (t={}, u={})"),
     }
     seen = {}
-    for lineno, line in cost_rows:
-        head, eq, value = line.partition("=")
+    for (lineno, line), (_, head, value) in zip(rows, _keyvals(rows)):
         parts = head.split()
-        if not eq or len(parts) != 3 or parts[0] not in tables:
+        if len(parts) != 3 or parts[0] not in tables:
             raise ModelFormatError(
                 f"expected `state|control <t|*> <label> = v`, got {line!r}",
                 lineno,
             )
         kind, token, label = parts
         costs, index, what = tables[kind]
-        v = _float(value.strip(), "cost", lineno)
+        v = _float(value, "cost", lineno)
         i = _label(index, label, kind, lineno)
         if label == CEMETERY_LABEL:
             raise ModelFormatError("no cost rows at the cemetery", lineno)

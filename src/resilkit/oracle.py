@@ -211,7 +211,7 @@ def _batch_member(model, regime, scenarios, start):
 
     if isinstance(regime, ControlEvent):
         used = np.zeros(model.n_controls, dtype=bool)
-        used[list(regime.controls)] = True
+        used[[int(u) for u in regime.controls]] = True
         return lambda states, controls: used[controls].any(axis=2).all(axis=1)
 
     raise InputError(f"regime {regime!r} has no batched membership")

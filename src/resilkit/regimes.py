@@ -135,6 +135,14 @@ def _check_state_set(model, states, what):
     return states
 
 
+def _check_index(value, what, stop=math.inf):
+    """An int, numpy integer or bool, as in state sets, in 0..stop-1."""
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < stop:
+        raise InputError(f"{what} {value!r} outside 0..{stop - 1}")
+
+
 def validate_regime(model: SystemModel, regime) -> None:
     """Check the regime's parameters against the model."""
     if isinstance(regime, (Viability, StochasticViability, RobustRecovery)):
@@ -149,23 +157,17 @@ def validate_regime(model: SystemModel, regime) -> None:
                 "probabilistic regime needs declared probabilities"
             )
     if isinstance(regime, RobustRecovery):
-        if not 0 <= regime.deadline <= model.horizon:
-            raise InputError(
-                f"deadline {regime.deadline} outside 0..{model.horizon}"
-            )
-    if isinstance(regime, AtMostKExits) and regime.max_exits < 0:
-        raise InputError("max_exits must be >= 0")
+        _check_index(regime.deadline, "deadline", model.horizon + 1)
+    if isinstance(regime, AtMostKExits):
+        _check_index(regime.max_exits, "max_exits")
     if isinstance(regime, Stabilize):
-        if not 0 <= regime.target < model.n_states:
-            raise InputError(f"target {regime.target!r} is not a state index")
-        if regime.radius < 0:
-            raise InputError("radius must be >= 0")
-        if regime.window < 0:
-            raise InputError("window must be >= 0")
+        _check_index(regime.target, "target", model.n_states)
+        if not regime.radius >= 0:  # NaN too
+            raise InputError(f"radius {regime.radius!r} is not >= 0")
+        _check_index(regime.window, "window")
     if isinstance(regime, ControlEvent):
         for u in regime.controls:
-            if not isinstance(u, (int, np.integer)) or not 0 <= u < model.n_controls:
-                raise InputError(f"controls contains invalid index {u!r}")
+            _check_index(u, "control", model.n_controls)
     if isinstance(regime, RiskContainment):
         from .risk import validate_risk
 
@@ -175,7 +177,7 @@ def validate_regime(model: SystemModel, regime) -> None:
 def _ball(model, regime):
     """bool (n+1,): the states within Euclidean `radius` of a Stabilize
     regime's target (the cemetery is in no ball)."""
-    center = model.states.coords[regime.target]
+    center = model.states.coords[int(regime.target)]
     near = [not float(np.linalg.norm(c - center)) > regime.radius
             for c in model.states.coords]
     return np.array(near + [False])

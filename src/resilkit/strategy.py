@@ -325,10 +325,14 @@ def strategies_equal(a: Strategy, b: Strategy) -> bool:
     )
 
 
-def _slot_shapes(model, kind, start):
-    """(table shape per decision time in time order, total slot count)."""
+def _check_kind(kind):
     if kind not in (MARKOV, ADAPTED):
         raise InputError(f"unknown strategy kind {kind!r}")
+
+
+def _slot_shapes(model, kind, start):
+    """(table shape per decision time in time order, total slot count)."""
+    _check_kind(kind)
     _check_start(model, start)
     n = model.n_states
     if kind == MARKOV:
@@ -451,38 +455,51 @@ class RankLayout:
         return out.reshape(hi - lo, *self.policy_shape)
 
 
+def _policy_shape(model, kind, start):
+    """The (K, n+1, P) policy array of class `kind` from `start`: P is the
+    largest prefix count of any time, 1 for Markov."""
+    _check_kind(kind)
+    K = model.horizon
+    width = n_prefixes(model, K - 1, start) if kind == ADAPTED else 1
+    return K, model.n_states + 1, width
+
+
+def _reached(model, x0, kind, start, picks=None):
+    """Yield (t, here) for t = start..K-1, here (P, n) bool: x is reached
+    at t after the prefix of rank p (Markov: P = 1, any prefix) from x0 at
+    `start` under any controls, or under picks[t, x] of an int (K, n)
+    `picks`. The cemetery and the padding w >= |W_t| are never read."""
+    planes, n = successor_planes(model), model.n_states
+    here = np.zeros((1, n), dtype=bool)
+    here[0, x0] = True
+    for t in range(start, model.horizon):
+        yield t, here
+        plane = planes[t]
+        nw = len(plane)
+        p, x = np.nonzero(here)
+        nxt = np.zeros((here.shape[0], nw, n + 1), dtype=bool)
+        to = plane[:, x] if picks is None else plane[:, x, picks[t, x], None]
+        nxt[p[:, None], np.arange(nw)[:, None, None], to] = True
+        here = nxt[:, :, :n].reshape(-1, n)  # prefix p then w ranks p*nw + w
+        if kind == MARKOV:
+            here = here.any(axis=0, keepdims=True)
+
+
 def rank_layout(
     model: SystemModel, x0: int, kind: str = MARKOV, start: int = 0
 ) -> RankLayout:
     """Reachable policy slots from x0 at `start`, in the slot order of
     strategy_from_rank. A Markov slot (t, x) is reachable when x is reached
-    after some prefix; the padding w >= |W_t| is never read."""
-    if kind not in (MARKOV, ADAPTED):
-        raise InputError(f"unknown strategy kind {kind!r}")
+    after some prefix (_reached)."""
+    _check_kind(kind)
     _check_x0(model, x0)
     _check_start(model, start)
-    planes = successor_planes(model)
-    K, n = model.horizon, model.n_states
-    # the prefix count grows with t
-    width = n_prefixes(model, K - 1, start) if kind == ADAPTED else 1
-    shape = (K, n + 1, width)
+    n, shape = model.n_states, _policy_shape(model, kind, start)
     cell = np.arange(math.prod(shape)).reshape(shape)  # in a policy array
-    # here[p, x]: x is reached at time t after prefix p (Markov: any prefix)
-    here = np.zeros((1, n), dtype=bool)
-    here[0, x0] = True
     reach, cells = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.intp)]
-    for t in range(start, K):
+    for t, here in _reached(model, x0, kind, start):
         reach.append(here.T.ravel())  # table order: state, then prefix
         cells.append(cell[t, :n, : here.shape[0]].ravel())
-        plane = planes[t]
-        nw = len(plane)
-        p, x = np.nonzero(here)
-        nxt = np.zeros((here.shape[0], nw, n + 1), dtype=bool)
-        # inadmissible controls reach the cemetery column, dropped below
-        nxt[p[:, None], np.arange(nw)[:, None, None], plane[:, x]] = True
-        here = nxt[:, :, :n].reshape(-1, n)  # prefix p then w ranks p*nw + w
-        if kind == MARKOV:
-            here = here.any(axis=0, keepdims=True)
     reachable = np.concatenate(reach)
     slots = reachable.size
     nu = model.n_controls
@@ -528,13 +545,11 @@ def enumerate_strategies(
 
 def _policy_array(model, strategy):
     """A valid strategy as int32 (K, n+1, P) in the layout of
-    RankLayout.policies, unchecked; P is 1 for a Markov strategy and
-    n_prefixes(K-1, start) for an adapted one, whose Markov policies fill
-    every prefix column."""
-    n, width = model.n_states, 1
-    if strategy.kind == ADAPTED:
-        width = n_prefixes(model, model.horizon - 1, strategy.start)
-    out = np.zeros((model.horizon, n + 1, width), dtype=np.int32)
+    RankLayout.policies (_policy_shape of its kind and start), unchecked;
+    an adapted strategy's Markov policies fill every prefix column."""
+    n = model.n_states
+    out = np.zeros(_policy_shape(model, strategy.kind, strategy.start),
+                   dtype=np.int32)
     for pol in strategy.policies:
         if pol.kind == MARKOV:
             out[pol.t, :n] = pol.table[:, None]

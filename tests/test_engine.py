@@ -368,8 +368,11 @@ def test_resilient_states_later_start(m1):
 
 
 def test_resilient_states_strategy_cap(m1):
+    # the cap binds the scan; Bounded answers from the kernel, uncounted
     with pytest.raises(rk.CapacityError, match="exceed cap"):
-        rk.resilient_states(m1, 0, rk.Bounded(A), cap=10)
+        rk.resilient_states(m1, 0, rk.AtMostKExits(A, 1), cap=10)
+    out = rk.resilient_states(m1, 0, rk.Bounded(A), cap=10)
+    assert out.method == "exhaustive" and out.members == {2, 3}
 
 
 def test_public_boundaries_keep_their_checks(m1):
@@ -633,8 +636,10 @@ def test_engine_and_optimize_hold_no_object_path():
 
 
 def test_exhaustive_agrees_with_kernel_on_bounded():
-    # without constraints and cemetery moves, staying in B forever is the
-    # same question as viability on B, which the kernel answers exactly
+    # the batched oracle checks Bounded by its definition, every state of
+    # every path in the region; an inadmissible pick lands in the cemetery,
+    # outside every region, so that is viability on it, which the kernel
+    # answers exactly
     rng = np.random.default_rng(3003)
     checked = 0
     while checked < 12:
@@ -642,12 +647,95 @@ def test_exhaustive_agrees_with_kernel_on_bounded():
             rng, max_states=3, max_controls=2, max_w=2, max_horizon=2
         )
         region = random_acceptable(rng, model)
-        out = rk.resilient_states(model, 0, rk.Bounded(region))
+        out = rk.oracle_resilient_states(model, 0, rk.Bounded(region))
         kernel = rk.robust_viability_kernel(model, region, domain="full")
-        # Bounded quantifies over all scenarios and ignores constraints for
-        # exits, but inadmissible picks land in the cemetery anyway
         assert out.members == kernel.member_set(0)
         checked += 1
+
+
+def _size(members, model):
+    if not members:
+        return "empty"
+    return "full" if len(members) == model.n_states else "partial"
+
+
+def test_bounded_answers_from_the_kernel_with_least_rank_witnesses():
+    # Bounded reads its members and each member's least-rank witness off
+    # the full-domain kernel, uncounted; the object-path oracle scans the
+    # whole class. Equal witnesses are one object, as in a rank-order scan
+    rng = np.random.default_rng(1832)
+    seen = {(kind, size): 0 for kind in (rk.MARKOV, rk.ADAPTED)
+            for size in ("empty", "partial", "full")}
+    shared = 0
+    for i in range(150):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        markov = kind == rk.MARKOV
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=3 if markov else 2,
+            max_horizon=3 if markov else 2,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        if i % 4 >= 2:
+            model = random_variant(rng, model)
+        regime = rk.Bounded(random_acceptable(rng, model))
+        start = int(rng.integers(model.horizon + 1))
+        want = rk.oracle_resilient_states(
+            model, start, regime, kind, force_object=True
+        )
+        got = rk.resilient_states(model, start, regime, kind)
+        assert got.method == "exhaustive"
+        assert got.members == want.members
+        assert list(got.witnesses) == sorted(got.members)
+        for x0 in want.members:
+            assert rk.strategies_equal(got.witnesses[x0], want.witnesses[x0])
+            assert rk.check_resilient(model, got.witnesses[x0], x0, start,
+                                      regime)
+        for x in got.members:
+            for y in got.members:
+                a, b = got.witnesses[x], got.witnesses[y]
+                assert (a is b) == rk.strategies_equal(a, b)
+        shared += len(got.members) - len(set(map(id, got.witnesses.values())))
+        seen[kind, _size(got.members, model)] += 1
+    assert min(seen.values()) >= 5 and shared >= 10, (seen, shared)
+
+
+def test_regime_identities_over_production_routes():
+    # Bounded and Viability are one path property on one route, for both
+    # classes. AtMostKExits(R, 0) asks the same of the scenarios of positive
+    # probability only, so it admits at least Bounded's members, and the
+    # same ones where every w has positive probability and no joint
+    # distribution weighs the scenarios
+    rng = np.random.default_rng(1833)
+    seen = {(kind, size): 0 for kind in (rk.MARKOV, rk.ADAPTED)
+            for size in ("empty", "partial", "full")}
+    more = 0
+    for i in range(300):
+        kind = (rk.MARKOV, rk.ADAPTED)[i % 2]
+        model = random_model(
+            rng, max_states=3, max_controls=2, max_w=2,
+            max_horizon=3 if kind == rk.MARKOV else 2,
+            with_probs=True, with_robust=True, cemetery_rate=0.2,
+        )
+        if i % 4 >= 2:
+            model = random_variant(rng, model)
+        region = random_acceptable(rng, model)
+        start = int(rng.integers(model.horizon + 1))
+        bounded = rk.resilient_states(model, start, rk.Bounded(region), kind)
+        viable = rk.resilient_states(model, start, rk.Viability(region), kind)
+        assert bounded.members == viable.members
+        exits = rk.resilient_states(
+            model, start, rk.AtMostKExits(region, 0), kind
+        ).members
+        assert exits >= bounded.members
+        u = model.uncertainty
+        probs = u.probs if u.has_probs else ()
+        if model.scenario_probs is None and all(
+            v > 0.0 for p in probs for v in p
+        ):
+            assert exits == bounded.members
+        more += exits != bounded.members
+        seen[kind, _size(bounded.members, model)] += 1
+    assert min(seen.values()) >= 8 and more >= 3, (seen, more)
 
 
 def test_pruned_exhaustive_resilient_states_match_the_oracle():
@@ -929,6 +1017,24 @@ def test_state_sets_of_bools_mean_their_indices(m1):
                     == rk.minimize_risk(m1, x0, 0, kind(ints), risk).value)
     assert rk.robust_viability_kernel(m1, {True}).member_set(0) == \
         rk.robust_viability_kernel(m1, {1}).member_set(0)
+    # so do a ControlEvent's controls and Stabilize's target, on the engine
+    # and on both oracle paths, for both classes; a bool reaching a numpy
+    # index would act as a mask or add an axis
+    for regime, same in (
+        (rk.ControlEvent({True}), rk.ControlEvent({1})),
+        (rk.ControlEvent({False}), rk.ControlEvent({0})),
+        (rk.Stabilize(True, 1.0, 2), rk.Stabilize(1, 1.0, 2)),
+    ):
+        for cls in (rk.MARKOV, rk.ADAPTED):
+            for scan in (
+                rk.resilient_states, rk.oracle_resilient_states,
+                partial(rk.oracle_resilient_states, force_object=True),
+            ):
+                got, want = scan(m1, 1, regime, cls), scan(m1, 1, same, cls)
+                assert got.members == want.members and got.members
+                for x0 in want.members:
+                    assert rk.strategies_equal(got.witnesses[x0],
+                                               want.witnesses[x0])
 
 
 def test_no_production_scan_builds_a_bundle(m1, monkeypatch):

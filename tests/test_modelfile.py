@@ -388,7 +388,7 @@ def test_cost_section_errors():
 
     expect(BASE + "\n[cost]\nstate * a = 1.0\n",
            r"\[cost\] section requires a \[risk\] section")
-    expect(with_cost("state 0 a"), r"expected `state\|control <t\|\*> <label> = v")
+    expect(with_cost("state 0 a"), "expected `key = value`, got 'state 0 a'")
     expect(with_cost("fuel 0 a = 1.0"), r"expected `state\|control")
     expect(with_cost("state * CEMETERY = 1.0"), "no cost rows at the cemetery")
     expect(with_cost("state 3 a = 1.0"), r"time 3 outside 0\.\.2")
@@ -436,7 +436,7 @@ READER_ERRORS = [
     ("horizon = 2", "horizon = 2\nhorizon = 3", "duplicate key 'horizon'", 3),
     ("a\nb", "a\nCEMETERY", "label 'CEMETERY' is reserved", 6),
     ("u\n", "u\nCEMETERY\n", "label 'CEMETERY' is reserved", 10),
-    (SET, SET + "\nrobust", "expected `key ... = ...`, got 'robust'", 13),
+    (SET, SET + "\nrobust", "expected `key = value`, got 'robust'", 13),
     (SET, SET + "\nnoise * = 0", "unknown uncertainty line 'noise * = 0'", 13),
     (SET, SET + "\nset 0 = 0", "duplicate `set` for time 0", 13),
     (SET, SET + "\nset 9 = 0", "time 9 outside 0..1", 13),
@@ -502,8 +502,7 @@ READER_ERRORS = [
      22),
     ("region = a b", "region = a b\n\n[cost]\nstate * a = 1.0",
      "[cost] section requires a [risk] section", None),
-    ("+cost", "state 0 a",
-     "expected `state|control <t|*> <label> = v`, got 'state 0 a'", 30),
+    ("+cost", "state 0 a", "expected `key = value`, got 'state 0 a'", 30),
     ("+cost", "fuel 0 a = 1.0",
      "expected `state|control <t|*> <label> = v`, got 'fuel 0 a = 1.0'", 30),
     ("+cost", "state 0 a b = 1.0",

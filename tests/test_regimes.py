@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -242,6 +243,46 @@ def test_validate_regime_errors(m1):
         rk.validate_regime(m1, rk.ControlEvent({7}))
     with pytest.raises(rk.ConfigurationError):
         rk.validate_regime(build_m1(probs=None), rk.ProbExcursion(A, 0.5))
+
+
+REGIME_PARAMETER_FAULTS = [
+    # deadlines, exit counts, windows, targets and controls take what a
+    # state set takes: an int, numpy integer or bool
+    (rk.AtMostKExits(A, math.nan), "max_exits nan is not an integer"),
+    (rk.AtMostKExits(A, 1.5), "max_exits 1.5 is not an integer"),
+    (rk.AtMostKExits(A, 1.0), "max_exits 1.0 is not an integer"),
+    (rk.AtMostKExits(A, -1), "max_exits -1 outside 0..inf"),
+    (rk.RobustRecovery(A, 2.0), "deadline 2.0 is not an integer"),
+    (rk.RobustRecovery(A, np.int64(4)), "deadline np.int64(4) outside 0..3"),
+    (rk.Stabilize(0, 1.0, 1.5), "window 1.5 is not an integer"),
+    (rk.Stabilize(0, 1.0, -1), "window -1 outside 0..inf"),
+    (rk.Stabilize(1.0, 1.0, 1), "target 1.0 is not an integer"),
+    (rk.Stabilize(4, 1.0, 1), "target 4 outside 0..3"),
+    (rk.Stabilize(np.True_, 1.0, 1), "target np.True_ is not an integer"),
+    (rk.Stabilize(0, math.nan, 1), "radius nan is not >= 0"),
+    (rk.Stabilize(0, -0.5, 1), "radius -0.5 is not >= 0"),
+    (rk.ControlEvent({1.0}), "control 1.0 is not an integer"),
+    (rk.ControlEvent({math.nan}), "control nan is not an integer"),
+    (rk.ControlEvent({2}), "control 2 outside 0..1"),
+]
+
+
+@pytest.mark.parametrize("regime, message", REGIME_PARAMETER_FAULTS)
+def test_regime_parameter_faults_are_input_errors(m1, regime, message):
+    # one InputError from validate_regime, before the engine or the oracle
+    # reads the parameter (a NaN limit, a float index, a NaN radius)
+    exact = f"^{re.escape(message)}$"
+    for call in (
+        partial(rk.validate_regime, m1, regime),
+        partial(rk.resilient_states, m1, 0, regime),
+        partial(rk.resilient_states, m1, 0, regime, rk.ADAPTED),
+        partial(rk.oracle_resilient_states, m1, 0, regime),
+        partial(rk.oracle_resilient_states, m1, 0, regime, force_object=True),
+        partial(rk.check_resilient, m1, rk.constant_strategy(m1, 0), 0, 0,
+                regime),
+    ):
+        with pytest.raises(rk.InputError, match=exact):
+            call()
 
 
 def test_state_sets_accept_integer_kinds_and_name_the_first_bad_element(m1):
