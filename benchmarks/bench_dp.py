@@ -4,12 +4,13 @@ Usage: PYTHONPATH=src python benchmarks/bench_dp.py [--repeat N] [--out PATH]
 
 Runs the robust and full-domain viability kernel, the stochastic viability
 value, the robust recovery table (deadline 5) and the DP certificate of
-minimize_risk (method="dp") on a synthetic clip-dynamics model for every
-size in the grid, keeps the best of --repeat (default 10) wall times per
-recursion, and writes them to --out (default BENCH_dp.json at the
-repository root) with the machine, the numpy version, the simulation
-backend and a sha256 of every output array, so that two versions of the
-engine can be compared on speed and shown to give the same bytes.
+minimize_risk (method="dp", Markov and adapted class) on a synthetic
+clip-dynamics model for every size in the grid, keeps the best of --repeat
+(default 10) wall times per recursion, and writes them to --out (default
+BENCH_dp.json at the repository root) with the machine, the numpy version,
+the simulation backend and a sha256 of every output array, so that two
+versions of the engine can be compared on speed and shown to give the same
+bytes.
 
 The one-time tables each model builds on first use and keeps are timed
 apart, before the recursions, so that best-of-N does not hide them:
@@ -72,16 +73,18 @@ def build_case(n, nu, K, seed=0):
     return model, frozenset(range(lo, lo + (3 * n) // 5))
 
 
-def optimize_dp(model, acceptable):
+def optimize_dp(model, acceptable, strategy_class=rk.MARKOV):
     """minimize_risk's DP certificate from the middle state: the least
-    expected seeded tabular cost while staying in `acceptable`. Returns the
-    policy array and the value, for hashing."""
+    expected seeded tabular cost while staying in `acceptable`, over the
+    strategy class. Returns the policy array and the value, for hashing:
+    both classes get the one Markov witness, so their hashes are equal."""
     K, n, nu = model.horizon, model.n_states, model.n_controls
     rng = np.random.default_rng([n, nu, K])
     cost = rk.TabularCost(rng.random((K + 1, n)).round(3),
                           rng.random((K, nu)).round(3))
     out = rk.minimize_risk(model, n // 2, 0, rk.Viability(acceptable),
-                           rk.Composed(cost, rk.Expectation()), method="dp")
+                           rk.Composed(cost, rk.Expectation()),
+                           strategy_class=strategy_class, method="dp")
     return SimpleNamespace(
         policy=rk.markov_policy_array(model, out.strategy),
         value=np.asarray(out.value, dtype=np.float64),
@@ -106,6 +109,10 @@ RECURSIONS = {
         ("layers", "min_layer", "witness", "r_star"),
     ),
     "optimize_dp": (optimize_dp, ("policy", "value")),
+    "optimize_dp_adapted": (
+        lambda m, a: optimize_dp(m, a, rk.ADAPTED),
+        ("policy", "value"),
+    ),
 }
 
 
@@ -156,7 +163,7 @@ def main():
                 best = min(best, time.perf_counter() - t0)
             case["best_s"][name] = best
             case["sha256"][name] = sha256(table, fields)
-            print(f"n={n:5d} nu={nu} nw={nw} K={K:3d}  {name:14s}"
+            print(f"n={n:5d} nu={nu} nw={nw} K={K:3d}  {name:19s}"
                   f" {best:9.4f} s  {case['sha256'][name][:12]}", flush=True)
         cases.append(case)
 

@@ -69,9 +69,7 @@ def _read(path):
 def _x0_index(model, args):
     if args.x0 is None:
         raise InputError("this command needs --x0")
-    x0 = model.states.index(args.x0)
-    _check_x0(model, x0)
-    return x0
+    return _check_x0(model, model.states.index(args.x0))
 
 
 def _strategy_arg(model, args):

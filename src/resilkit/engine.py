@@ -58,6 +58,7 @@ from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
+    _check_kind,
     _check_run,
     _layout_strategy,
     _markov_from_table,
@@ -364,7 +365,7 @@ def fill_policy(model, picks, start):
         raise InputError(
             f"picks table has shape {picks.shape}, expected {want}"
         )
-    strategy = _fill(model, picks, start)
+    strategy = _fill(model, picks, _check_start(model, start))
     validate_strategy(model, strategy)
     return strategy
 
@@ -383,7 +384,7 @@ def check_resilient(
     strategy, start against the strategy's, x0 and start's range. Scenarios
     are enumerated against `cap` only where the decision reads them."""
     validate_regime(model, regime)
-    start = _check_run(model, strategy, x0, start)
+    x0, start = _check_run(model, strategy, x0, start)
     scenarios = _scan_scenarios(model, regime, cap)
     member, _ = _decide(
         model, regime, _monitor(model, regime, start),
@@ -670,7 +671,8 @@ def resilient_states(
     methods give every member the table's one filled Markov witness.
     """
     validate_regime(model, regime)
-    _check_start(model, start)
+    _check_kind(strategy_class)
+    start = _check_start(model, start)
     found = None  # (x0, policy array) of each exhaustive member
     if isinstance(regime, Viability):
         table = _kernel(model, regime.acceptable, "full")

@@ -425,16 +425,25 @@ def _check_state(model, x):
         raise InputError(f"state index {x} out of range")
 
 
+def _check_index(value, what, stop=math.inf,
+                 outside="{what} {value!r} outside 0..{last}"):
+    """`value`, an int, numpy integer or bool as in state sets, in
+    0..stop-1 (else `outside`), as a plain int."""
+    if not isinstance(value, (int, np.integer)):
+        raise InputError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < stop:
+        raise InputError(outside.format(what=what, value=value, last=stop - 1))
+    return int(value)
+
+
 def _check_start(model, start):
-    if not 0 <= start <= model.horizon:
-        raise InputError(
-            f"strategy start {start} out of range 0..{model.horizon}"
-        )
+    return _check_index(start, "strategy start", model.horizon + 1,
+                        "{what} {value} out of range 0..{last}")
 
 
 def _check_x0(model, x0):
-    if not 0 <= x0 < model.n_states:
-        raise InputError(f"x0 must be an ordinary state index, got {x0}")
+    return _check_index(x0, "x0", model.n_states,
+                        "x0 must be an ordinary state index, got {value}")
 
 
 def step(model: SystemModel, t: int, x: int, u: int, w: int) -> int:

@@ -18,18 +18,19 @@ all at once (risk._evaluate_paths, bit-identical to evaluate_risk on each
 member's bundle), and only the winner becomes a Strategy. The scan runs on
 the calling thread.
 
-A documented dynamic programming fast path covers the one family where
-constrained DP is exact: a surely-viable regime with an additive expected
-cost whose costs are finite and whose sums cannot overflow. There, one
-min-expectation sweep (engine._expected_sweep), +inf off the acceptable
-set, prices every state from the cost's per-time state and control
-charges (risk._cost_tables, the table the scan's path pricer reads too):
-its finite set is the viability kernel, and each pick the cheapest
-kernel-preserving control. The reported value is the sweep's own value at
-(start, x0), the expected cost of the reported policy, computed without
-enumerating scenarios: bit-exact with evaluate_risk where the
-probabilities are dyadic, within 1e-12 otherwise (the sweep groups the sum
-over scenarios differently).
+A dynamic programming certificate covers the one family where constrained
+DP is exact, for both strategy classes: a sure-viability regime (see
+_dp_supported), an additive expected cost, per-time probabilities and
+finite costs whose sums cannot overflow. A deterministic Markov policy is
+then optimal among history-dependent ones (Puterman 1994, Thm 4.4.2). One
+min-expectation sweep (engine._expected_sweep), +inf off the sure set,
+prices every state from the cost's per-time charges (risk._cost_tables,
+which the scan's path pricer reads too): its finite set is the viability
+kernel, and each pick the least of the cheapest kernel-preserving
+controls. The reported value is the sweep's value at (start, x0), the
+expected cost of the reported policy, computed without enumerating
+scenarios: bit-exact with evaluate_risk where the probabilities are
+dyadic, within 1e-12 otherwise (the sweep groups the sum differently).
 
 An empty feasible set is an answer, not an error: the result carries
 resilient=False and value +inf.
@@ -54,7 +55,7 @@ from .engine import (
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import SystemModel, _check_start, _check_x0
 from .regimes import (
-    StochasticViability, Viability, _state_mask, validate_regime,
+    Bounded, StochasticViability, Viability, _state_mask, validate_regime,
 )
 from .risk import (
     _ADDITIVE_COSTS,
@@ -68,6 +69,7 @@ from .strategy import (
     DEFAULT_STRATEGY_CAP,
     MARKOV,
     Strategy,
+    _check_kind,
     _layout_strategy,
     count_strategies,
     rank_layout,
@@ -82,13 +84,15 @@ class OptimizationResult:
     """Outcome of minimize_risk.
 
     value equals evaluate_risk of the reported strategy's bundle: bit-exact
-    in exhaustive mode; for the DP certificate, which needs finite costs
-    whose sums cannot overflow, bit-exact where the probabilities are
-    dyadic and within 1e-12 otherwise. examined counts the resilient
-    members of the strategy class, each scanned representative standing
-    for its whole class (0 for the DP certificate, which never
-    enumerates). The scan ranks a NaN risk after every number, so value
-    is NaN only when every member's risk is."""
+    in exhaustive mode; on the DP certificate bit-exact where the
+    probabilities are dyadic and within 1e-12 otherwise. examined counts
+    the resilient members of the class, each scanned representative
+    standing for its whole class, and is 0 on the certificate, which
+    enumerates nothing. The scan ranks a NaN risk after every number, so
+    value is NaN only when every member's risk is. The certificate reports
+    the sweep's Markov strategy for either class: it is a member of the
+    adapted class, whose tables would cost n * sum_t |W|^t cells,
+    exponential in K."""
 
     resilient: bool
     value: float
@@ -109,12 +113,11 @@ def _additive_tables(model, cost):
     return step, 0.0 + state[K, :n]
 
 
-def _dp_supported(model, regime, risk, strategy_class):
-    """(reason the DP fast path does not apply, None), or (None, the cost
-    tables (step, terminal) of _additive_tables, priced from
-    risk._cost_tables) where it applies."""
-    if strategy_class != MARKOV:
-        return "the DP certificate is only produced for the Markov class", None
+def _dp_supported(model, regime, risk):
+    """(reason the DP certificate does not apply, None), or (None, (A, then
+    the cost tables (step, terminal) of _additive_tables)) where it applies.
+    The sure-viability regimes are Viability(A), Bounded(A), and
+    StochasticViability(A, 1) where every w has positive probability."""
     if not isinstance(risk, Composed) or not isinstance(risk.outer, Expectation):
         return "the DP fast path needs an expected composed cost", None
     if not isinstance(risk.cost, _ADDITIVE_COSTS):
@@ -123,14 +126,17 @@ def _dp_supported(model, regime, risk, strategy_class):
         return "expected costs need per-time probability vectors", None
     if model.scenario_probs is not None:
         return "the DP fast path assumes independence across times", None
-    if isinstance(regime, StochasticViability) and regime.beta == 1.0:
-        if any(p <= 0.0 for probs in model.uncertainty.probs for p in probs):
-            return (
-                "beta = 1 only matches sure viability when every "
-                "uncertainty value has positive probability"
-            ), None
-    elif not isinstance(regime, Viability):
-        return "the DP fast path covers surely-viable regimes only", None
+    if isinstance(regime, Bounded):
+        acceptable = regime.region
+    elif isinstance(regime, Viability) or (
+        isinstance(regime, StochasticViability) and regime.beta == 1.0
+        and all(p > 0.0 for probs in model.uncertainty.probs for p in probs)
+    ):
+        acceptable = regime.acceptable
+    else:
+        return ("the DP fast path covers sure-viability regimes only: "
+                "Viability, Bounded, or StochasticViability at beta = 1 "
+                "with every uncertainty value of positive probability"), None
     with np.errstate(over="ignore", invalid="ignore"):
         step, terminal = _additive_tables(model, risk.cost)
     # bounds each |V_t| (the probabilities sum to 1 within 1e-9): below
@@ -140,23 +146,22 @@ def _dp_supported(model, regime, risk, strategy_class):
         return (
             "the DP certificate needs finite costs whose sums cannot overflow"
         ), None
-    return None, (step, terminal)
+    return None, (acceptable, step, terminal)
 
 
-def _minimize_dp(model, x0, start, regime, strategy_class, step, terminal):
+def _minimize_dp(model, x0, start, kind, acceptable, step, terminal):
     # V_t is finite exactly on the kernel: a control that leaves it, or an
     # inadmissible one, scores inf (NaN under a zero weight), never attains
     value, picks = _expected_sweep(
-        model, _state_mask(model, regime.acceptable)[:model.n_states],
+        model, _state_mask(model, acceptable)[:model.n_states],
         terminal, math.inf, start, step, minimize=True,
     )
     best = float(value[start, x0])
     if not math.isfinite(best):
-        return OptimizationResult(False, math.inf, None, 0, DP, strategy_class)
+        return OptimizationResult(False, math.inf, None, 0, DP, kind)
     # best is the picks' expected cost: from x0 they stay in the kernel
-    return OptimizationResult(
-        True, best, _fill(model, picks, start), 0, DP, strategy_class
-    )
+    return OptimizationResult(True, best, _fill(model, picks, start), 0, DP,
+                              kind)
 
 
 def _member_values(
@@ -215,24 +220,28 @@ def minimize_risk(
     jobs: int = 1,
 ) -> OptimizationResult:
     """Minimize the risk measure over strategies resilient from x0 at
-    `start`. Ties go to the lexicographically least strategy, and a NaN
-    risk ranks after every number. "auto" scans where the DP certificate
-    does not apply (_dp_supported: non-finite or overflowing costs among
-    others), where "dp" raises ConfigurationError. Both routes check the
-    regime, the risk, x0 and start here, in order. `jobs` has no effect; it
-    stays because perfbench/workloads.py passes it."""
+    `start`, in either class. The DP certificate (_dp_supported) answers
+    both with the sweep's Markov witness, examined 0, ties going to the
+    least control per (t, x). The scan breaks ties toward the
+    lexicographically least strategy and ranks a NaN risk after every
+    number. "auto" scans where the certificate does not apply (non-finite
+    or overflowing costs among others), where "dp" raises
+    ConfigurationError. Both routes check the regime, the risk, the class,
+    x0 and start here, in order. `jobs` has no effect; it stays because
+    perfbench/workloads.py passes it."""
     validate_regime(model, regime)
     validate_risk(model, risk)
-    _check_x0(model, x0)
-    _check_start(model, start)
+    _check_kind(strategy_class)
+    x0 = _check_x0(model, x0)
+    start = _check_start(model, start)
     if method not in ("auto", EXHAUSTIVE, DP):
         raise InputError(f"unknown method {method!r}")
 
-    unsupported, tables = _dp_supported(model, regime, risk, strategy_class)
+    unsupported, tables = _dp_supported(model, regime, risk)
     if method == DP and unsupported:
         raise ConfigurationError(unsupported)
     if method in ("auto", DP) and not unsupported:
-        return _minimize_dp(model, x0, start, regime, strategy_class, *tables)
+        return _minimize_dp(model, x0, start, strategy_class, *tables)
 
     total = count_strategies(model, strategy_class, start)
     if total > cap:

@@ -88,10 +88,11 @@ _BATCHED_REGIMES = (
 
 
 def _check_cap(model, kind, start, cap):
+    """(int start, class size), checked in count_strategies, then cap."""
     total = count_strategies(model, kind, start)
     if total > cap:
         raise CapacityError(f"{total} {kind} strategies exceed cap {cap}")
-    return total
+    return int(start), total
 
 
 def _policy_batches(model, start, total, n_scenarios):
@@ -239,7 +240,7 @@ def oracle_resilient_states(
     everything else walks the definitional object path. The regime, then
     start (in count_strategies), are checked before the class is counted."""
     validate_regime(model, regime)
-    total = _check_cap(model, strategy_class, start, cap)
+    start, total = _check_cap(model, strategy_class, start, cap)
     scenarios = _scan_scenarios(model, regime)
 
     witnesses = {}
@@ -285,7 +286,7 @@ def oracle_value(
     probability of staying viable in `acceptable` from `start`. The set,
     then start (in count_strategies), are checked before the count."""
     acceptable = _check_state_set(model, acceptable, "acceptable set")
-    total = _check_cap(model, MARKOV, start, cap)
+    start, total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
     scenarios = _Scenarios(model)
     scen = scenarios.table
@@ -314,7 +315,7 @@ def oracle_recovery_offsets(
     strategy recovers at all (offset inf). The set, then start (in
     count_strategies), are checked before the count."""
     acceptable = _check_state_set(model, acceptable, "acceptable set")
-    total = _check_cap(model, MARKOV, start, cap)
+    start, total = _check_cap(model, MARKOV, start, cap)
     planes = successor_planes(model)
     scen = _Scenarios(model, robust_only=True).table
     good = _good_table(model, acceptable)
@@ -438,8 +439,8 @@ def oracle_min_risk(
     Returns (value, strategy or None, examined count)."""
     validate_regime(model, regime)
     validate_risk(model, risk)
-    _check_x0(model, x0)
-    total = _check_cap(model, strategy_class, start, cap)
+    x0 = _check_x0(model, x0)
+    start, total = _check_cap(model, strategy_class, start, cap)
     scenarios = _scan_scenarios(model, regime)
     batched = _batched(regime, strategy_class)
     if batched:

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._record import record
 from .errors import ConfigurationError, InputError
-from .model import SystemModel, _Scenarios, packed_tables
+from .model import SystemModel, _check_index, _Scenarios, packed_tables
 from .strategy import Trajectory, TrajectoryBundle
 
 
@@ -133,14 +133,6 @@ def _check_state_set(model, states, what):
                 raise InputError(f"{what} contains invalid state index {x!r}")
         object.__setattr__(model, "_checked_states", states)
     return states
-
-
-def _check_index(value, what, stop=math.inf):
-    """An int, numpy integer or bool, as in state sets, in 0..stop-1."""
-    if not isinstance(value, (int, np.integer)):
-        raise InputError(f"{what} {value!r} is not an integer")
-    if not 0 <= value < stop:
-        raise InputError(f"{what} {value!r} outside 0..{stop - 1}")
 
 
 def validate_regime(model: SystemModel, regime) -> None:

@@ -208,17 +208,16 @@ def is_admissible(model: SystemModel, strategy: Strategy) -> bool:
 
 
 def _check_run(model, strategy, x0, start):
-    """Check the strategy, then start vs its start, x0 and start's range."""
+    """Check the strategy, then start vs its start, x0 and start's range;
+    return (x0, start) as plain ints."""
     validate_strategy(model, strategy)
     if start is None:
         start = strategy.start
-    if start < strategy.start:
+    if isinstance(start, (int, np.integer)) and start < strategy.start:
         raise InputError(
             f"cannot simulate from {start}: strategy starts at {strategy.start}"
         )
-    _check_x0(model, x0)
-    _check_start(model, start)
-    return start
+    return _check_x0(model, x0), _check_start(model, start)
 
 
 def _step_lists(model):
@@ -275,7 +274,7 @@ def simulate_closed_loop(
     under one full scenario."""
     scenario = tuple(int(w) for w in scenario)
     model._check_scenario(scenario)
-    start = _check_run(model, strategy, x0, start)
+    x0, start = _check_run(model, strategy, x0, start)
     one = _Scenarios(model, (scenario,))
     return _bundle(model, strategy, x0, start, one).trajectories[0]
 
@@ -291,7 +290,7 @@ def build_bundle(
     """Simulate the strategy against every scenario in the (robust or full)
     scenario set, in canonical order. The strategy, x0 and start are checked
     once, before the cap; enumerated scenarios are valid by construction."""
-    start = _check_run(model, strategy, x0, start)
+    x0, start = _check_run(model, strategy, x0, start)
     scenarios = enumerate_scenarios(model, robust_only=robust_only, cap=cap)
     return _bundle(
         model, strategy, x0, start, _Scenarios(model, scenarios, robust_only)
@@ -300,6 +299,7 @@ def build_bundle(
 
 def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
     """Markov strategy from an array of shape (K - start, n)."""
+    start = _check_start(model, start)
     tables = np.asarray(tables, dtype=np.int32)
     policies = tuple(
         Policy(start + i, MARKOV, tables[i]) for i in range(tables.shape[0])
@@ -311,7 +311,7 @@ def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
 
 def constant_strategy(model: SystemModel, u: int, start: int = 0) -> Strategy:
     """Markov strategy playing control u everywhere."""
-    _check_start(model, start)
+    start = _check_start(model, start)
     table = np.full((model.horizon - start, model.n_states), u, np.int32)
     return markov_strategy(model, table, start)
 
@@ -331,9 +331,9 @@ def _check_kind(kind):
 
 
 def _slot_shapes(model, kind, start):
-    """(table shape per decision time in time order, total slot count)."""
+    """(int start, table shape per decision time, total slot count)."""
     _check_kind(kind)
-    _check_start(model, start)
+    start = _check_start(model, start)
     n = model.n_states
     if kind == MARKOV:
         shapes = [(n,) for _ in range(start, model.horizon)]
@@ -342,12 +342,12 @@ def _slot_shapes(model, kind, start):
             (n, n_prefixes(model, t, start))
             for t in range(start, model.horizon)
         ]
-    return shapes, sum(math.prod(s) for s in shapes)
+    return start, shapes, sum(math.prod(s) for s in shapes)
 
 
 def count_strategies(model: SystemModel, kind: str = MARKOV, start: int = 0) -> int:
     """Size of the full strategy class for this model."""
-    return model.n_controls ** _slot_shapes(model, kind, start)[1]
+    return model.n_controls ** _slot_shapes(model, kind, start)[2]
 
 
 def _own_policy(t, kind, table):
@@ -385,7 +385,7 @@ def strategy_from_rank(
 ) -> Strategy:
     """Strategy at a given lexicographic rank (slot order: time ascending,
     state ascending, prefix rank ascending; last slot varies fastest)."""
-    shapes, slots = _slot_shapes(model, kind, start)
+    start, shapes, slots = _slot_shapes(model, kind, start)
     nu = model.n_controls
     total = nu**slots
     if not 0 <= rank < total:
@@ -492,8 +492,7 @@ def rank_layout(
     strategy_from_rank. A Markov slot (t, x) is reachable when x is reached
     after some prefix (_reached)."""
     _check_kind(kind)
-    _check_x0(model, x0)
-    _check_start(model, start)
+    x0, start = _check_x0(model, x0), _check_start(model, start)
     n, shape = model.n_states, _policy_shape(model, kind, start)
     cell = np.arange(math.prod(shape)).reshape(shape)  # in a policy array
     reach, cells = [np.zeros(0, dtype=bool)], [np.zeros(0, dtype=np.intp)]
@@ -531,7 +530,7 @@ def enumerate_strategies(
 ):
     """Every strategy of the class in lexicographic rank order. The cap is
     checked eagerly, before any strategy is produced."""
-    shapes, slots = _slot_shapes(model, kind, start)
+    start, shapes, slots = _slot_shapes(model, kind, start)
     total = model.n_controls**slots
     if total > cap:
         raise CapacityError(f"{total} strategies exceed cap {cap}")

@@ -165,6 +165,20 @@ def test_indicator(tmp_path):
     assert bad.stdout.strip() == "inf"
 
 
+@pytest.mark.parametrize("command", ["optimize", "indicator"])
+def test_adapted_class_answers_by_the_certificate(command):
+    # the DP certificate covers the adapted class too (268,435,456
+    # strategies from t=0, far above the cap)
+    for x0, value, code in (("0", "inf", 1), ("1", "inf", 1), ("2", "2", 0),
+                            ("3", "1", 0)):
+        proc = run_cli(command, "--model", model("m1_effort.model"),
+                       "--x0", x0, "--class", "adapted")
+        assert (proc.returncode, proc.stderr) == (code, "")
+        if command == "optimize":
+            value = f"minimal risk: {value} [dp, examined 0]"
+        assert proc.stdout.strip() == value
+
+
 def test_simulate_outputs(tmp_path):
     out = tmp_path / "sim"
     proc = run_cli("simulate", "--model", model("m1.model"),

@@ -519,6 +519,103 @@ def test_scans_check_start_and_x0_once(m1):
         rk.minimize_risk(plain, 2, 2, B, effort)
 
 
+def test_start_and_x0_follow_the_index_rule(m1):
+    """Every public query that takes start or x0 reads an int, a numpy
+    integer or a bool as the index it names, as state sets do, and rejects
+    any other type with an InputError before it counts or computes."""
+    effort = rk.Composed(rk.ControlEffort(), rk.Expectation())
+    V, B = rk.Viability(A), rk.Bounded(A)
+    s = rk.constant_strategy(m1, 1)
+    AD = dict(strategy_class=rk.ADAPTED)
+    # name -> call(x0, start) for the queries taking x0 and start
+    both = {
+        "minimize_risk dp": lambda x, t: rk.minimize_risk(m1, x, t, V, effort),
+        "minimize_risk dp adapted": lambda x, t: rk.minimize_risk(
+            m1, x, t, B, effort, **AD),
+        "minimize_risk scan": lambda x, t: rk.minimize_risk(
+            m1, x, t, B, effort, method="exhaustive"),
+        "resilience_indicator": lambda x, t: rk.resilience_indicator(
+            m1, x, V, effort, t),
+        "check_resilient": lambda x, t: rk.check_resilient(m1, s, x, t, V),
+        "build_bundle": lambda x, t: rk.build_bundle(m1, s, x, t),
+        "simulate_closed_loop": lambda x, t: rk.simulate_closed_loop(
+            m1, s, x, (0, 1, 0), t),
+        "oracle_min_risk": lambda x, t: rk.oracle_min_risk(
+            m1, x, t, B, effort),
+        "rank_layout": lambda x, t: rk.strategy.rank_layout(
+            m1, x, rk.ADAPTED, t),
+    }
+    starts = {  # name -> call(start) for the queries taking start alone
+        "resilient_states kernel": lambda t: rk.resilient_states(m1, t, V),
+        "resilient_states bounded": lambda t: rk.resilient_states(
+            m1, t, B, rk.ADAPTED),
+        "resilient_states value": lambda t: rk.resilient_states(
+            m1, t, rk.StochasticViability(A, 0.5)),
+        "resilient_states recovery": lambda t: rk.resilient_states(
+            m1, t, rk.RobustRecovery(A, 3)),
+        "resilient_states scan": lambda t: rk.resilient_states(
+            m1, t, rk.AtMostKExits(A, 1)),
+        "oracle_resilient_states": lambda t: rk.oracle_resilient_states(
+            m1, t, B),
+        "oracle_value": lambda t: rk.oracle_value(m1, A, t),
+        "oracle_recovery_offsets": lambda t: rk.oracle_recovery_offsets(
+            m1, A, t),
+        "count_strategies": lambda t: rk.count_strategies(m1, rk.ADAPTED, t),
+        "enumerate_strategies": lambda t: list(
+            rk.enumerate_strategies(m1, rk.MARKOV, t)),
+        "strategy_from_rank": lambda t: rk.strategy_from_rank(
+            m1, 77, rk.MARKOV, t),
+        "constant_strategy": lambda t: rk.constant_strategy(m1, 1, t),
+        "markov_strategy": lambda t: rk.markov_strategy(
+            m1, np.ones((3 - int(t), 4)), t),
+        "fill_policy": lambda t: rk.fill_policy(
+            m1, np.zeros((3, 4), dtype=int), t),
+    }
+    calls = [(name, 2, call) for name, call in both.items()]
+    calls += [(name, None, lambda x, t, call=call: call(t))
+              for name, call in starts.items()]
+    for name, x0, call in calls:
+        want = repr(call(x0, 1))
+        for start in (np.int64(1), np.int32(1), True):
+            assert repr(call(x0, start)) == want, (name, start)
+        for start in (1.5, 1.0, "1"):
+            with pytest.raises(rk.InputError, match=re.escape(
+                    f"strategy start {start!r} is not an integer")):
+                call(x0, start)
+        if x0 is None:
+            continue
+        want = repr(call(1, 0))
+        for x in (np.int64(1), np.uint8(1), True):
+            assert repr(call(x, 0)) == want, (name, x)
+        for x in (1.5, 2.0, "2"):
+            with pytest.raises(rk.InputError,
+                               match=re.escape(f"x0 {x!r} is not an integer")):
+                call(x, 0)
+
+
+def test_strategy_class_is_checked_at_entry(m1):
+    # every route of both queries, the DP certificate included, rejects an
+    # unknown class before it counts or sweeps anything
+    effort = rk.Composed(rk.ControlEffort(), rk.Expectation())
+    calls = [
+        partial(rk.resilient_states, m1, 0, regime, "foo", cap=0)
+        for regime in (rk.Viability(A), rk.Bounded(A),
+                       rk.RobustRecovery(A, 3),
+                       rk.StochasticViability(A, 0.5), rk.AtMostKExits(A, 1))
+    ]
+    calls += [
+        partial(rk.minimize_risk, m1, 2, 0, regime, effort, "foo",
+                method=method, cap=0)
+        for regime in (rk.Viability(A), rk.Bounded(A), rk.AtMostKExits(A, 0))
+        for method in ("auto", "dp", "exhaustive")
+        if method != "dp" or not isinstance(regime, rk.AtMostKExits)
+    ]
+    for call in calls:
+        with pytest.raises(rk.InputError,
+                           match="unknown strategy kind 'foo'"):
+            call()
+
+
 def _nine_regimes(rng, model):
     """One regime of each of the nine kinds, on random sets and limits."""
     K, n = model.horizon, model.n_states

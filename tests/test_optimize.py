@@ -69,9 +69,12 @@ def test_dp_certificate_skips_the_cap(m1):
 
 def test_dp_eligibility_gates(m1):
     dp = dict(method="dp")
-    with pytest.raises(rk.ConfigurationError, match="Markov class"):
-        rk.minimize_risk(m1, 2, 0, rk.Viability(A), EFFORT,
-                         strategy_class=rk.ADAPTED, **dp)
+    # neither the class nor the sure regime's name gates the certificate
+    for regime in (rk.Viability(A), rk.Bounded(A), sure_viability()):
+        for kind in (rk.MARKOV, rk.ADAPTED):
+            out = rk.minimize_risk(m1, 2, 0, regime, EFFORT,
+                                   strategy_class=kind, **dp)
+            assert (out.certificate, out.value) == ("dp", 2.0)
     with pytest.raises(rk.ConfigurationError, match="expected composed cost"):
         rk.minimize_risk(m1, 2, 0, rk.Viability(A),
                          rk.Composed(rk.ControlEffort(), rk.WorstCase()), **dp)
@@ -80,9 +83,9 @@ def test_dp_eligibility_gates(m1):
                          rk.Composed(rk.RecoveryOffset(A), rk.Expectation()), **dp)
     with pytest.raises(rk.ConfigurationError, match="probability vectors"):
         rk.minimize_risk(build_m1(probs=None), 2, 0, rk.Viability(A), EFFORT, **dp)
-    with pytest.raises(rk.ConfigurationError, match="surely-viable"):
-        rk.minimize_risk(m1, 2, 0, rk.Bounded(A), EFFORT, **dp)
-    with pytest.raises(rk.ConfigurationError, match="surely-viable"):
+    with pytest.raises(rk.ConfigurationError, match="sure-viability"):
+        rk.minimize_risk(m1, 2, 0, rk.AtMostKExits(A, 0), EFFORT, **dp)
+    with pytest.raises(rk.ConfigurationError, match="sure-viability"):
         rk.minimize_risk(m1, 2, 0, rk.StochasticViability(A, 0.5), EFFORT, **dp)
     with pytest.raises(rk.ConfigurationError, match="positive probability"):
         rk.minimize_risk(build_m1(probs=(1.0, 0.0)), 2, 0,
@@ -90,7 +93,8 @@ def test_dp_eligibility_gates(m1):
 
 
 def test_auto_falls_back_to_exhaustive(m1):
-    out = rk.minimize_risk(m1, 2, 0, rk.Bounded(A), EFFORT)
+    # AtMostKExits(A, 0) has Bounded(A)'s members here, yet no certificate
+    out = rk.minimize_risk(m1, 2, 0, rk.AtMostKExits(A, 0), EFFORT)
     assert out.certificate == "exhaustive"
     assert out.value == 2.0
 
@@ -177,6 +181,118 @@ def test_dp_matches_exhaustive_randomized():
                 assert rk.evaluate_risk(model, risk, bundle) == pytest.approx(
                     out.value, abs=1e-12
                 )
+
+
+def _quarter_cost(rng, model, acc):
+    """An additive cost of a random kind whose charges are multiples of
+    1/4, so that sums over a path are exact."""
+    K, n, nu = model.horizon, model.n_states, model.n_controls
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return rk.TimeOutside(acc)
+    if kind == 1:
+        return rk.ControlEffort(tuple(rng.integers(0, 8, nu) / 4))
+    if kind == 2:
+        return rk.TerminalMiss(acc)
+    return rk.TabularCost(rng.integers(-4, 8, (K + 1, n)) / 4,
+                          rng.integers(0, 8, (K, nu)) / 4)
+
+
+def _sure_regimes(acc):
+    """The sure-viability regimes of `acc`, each with the regime the oracle
+    judges it by: StochasticViability(acc, 1) by Viability(acc), since its
+    float threshold sums may fall short of 1 (ROADMAP item 11)."""
+    V = rk.Viability(acc)
+    return ((V, V), (rk.Bounded(acc), rk.Bounded(acc)),
+            (rk.StochasticViability(acc, 1.0), V))
+
+
+def test_dp_certificate_matches_the_oracle_over_classes_and_regimes():
+    rng = np.random.default_rng(3303)
+    counts = {}
+    for case in range(360):
+        kind = (rk.MARKOV, rk.ADAPTED)[case % 2]
+        while True:
+            model = random_model(rng, max_states=3, max_controls=2, max_w=2,
+                                 max_horizon=3, with_probs=True,
+                                 min_controls=2)
+            # start = K, which leaves no decision, in one case of five
+            start = int(rng.integers(model.horizon + (case % 5 == 0)))
+            if rk.count_strategies(model, kind, start) <= 512:
+                break
+        acc = random_acceptable(rng, model)
+        regime, judge = _sure_regimes(acc)[case // 2 % 3]
+        risk = rk.Composed(_quarter_cost(rng, model, acc), rk.Expectation())
+        x0 = int(rng.integers(model.n_states))
+        out = rk.minimize_risk(model, x0, start, regime, risk,
+                               strategy_class=kind, method="dp")
+        value, witness, _ = rk.oracle_min_risk(model, x0, start, judge, risk,
+                                               strategy_class=kind)
+        assert (out.certificate, out.examined, out.strategy_class) == (
+            "dp", 0, kind)
+        assert out.resilient == (witness is not None), case
+        key = (kind, type(regime).__name__, out.resilient)
+        counts[key] = counts.get(key, 0) + 1
+        if not out.resilient:
+            assert out.value == value == math.inf
+            continue
+        assert abs(out.value - value) <= 1e-12, case
+        assert rk.check_resilient(model, out.strategy, x0, start, judge)
+        bundle = rk.build_bundle(model, out.strategy, x0, start)
+        assert abs(rk.evaluate_risk(model, risk, bundle) - out.value) <= 1e-12
+    # feasible and infeasible cases of each class under each regime
+    assert len(counts) == 12 and min(counts.values()) >= 5, counts
+
+
+def test_sure_regimes_and_classes_share_one_answer(m1):
+    """Bounded(A), StochasticViability(A, 1) and the adapted class answer
+    with Viability(A)'s Markov value bits and witness, above the oracle's
+    cap too."""
+    rng = np.random.default_rng(3304)
+    cases = [(m1, 2, 0, A, EFFORT)]
+    for _ in range(60):
+        model = random_model(rng, max_states=6, max_controls=3, max_w=3,
+                             max_horizon=5, with_probs=True)
+        acc = random_acceptable(rng, model)
+        risk = rk.Composed(_quarter_cost(rng, model, acc), rk.Expectation())
+        cases.append((model, int(rng.integers(model.n_states)),
+                      int(rng.integers(model.horizon + 1)), acc, risk))
+    feasible = 0
+    for model, x0, start, acc, risk in cases:
+        want = rk.minimize_risk(model, x0, start, rk.Viability(acc), risk)
+        feasible += want.resilient
+        for regime, _ in _sure_regimes(acc):
+            for kind in (rk.MARKOV, rk.ADAPTED):
+                out = rk.minimize_risk(model, x0, start, regime, risk,
+                                       strategy_class=kind)
+                assert out.certificate == "dp"
+                assert out.value.hex() == want.value.hex()
+                assert (out.strategy is None) == (want.strategy is None)
+                if want.strategy is not None:
+                    assert rk.strategies_equal(out.strategy, want.strategy)
+    assert 10 <= feasible <= len(cases) - 10
+
+
+def test_reservoir_bounded_answers_by_the_certificate():
+    # 12 levels, release 0 or 1, inflow 0 or 1 at probability 1/2: the
+    # Markov class alone has 2**36 strategies, far above the cap
+    model = rk.make_model(
+        horizon=3, state_labels=tuple(str(x) for x in range(12)),
+        control_labels=("0", "1"), uncertainty_sets=("0", "1"),
+        dynamics_fn=lambda t, x, u, w: min(11, max(0, x - u + w)),
+        probs=(0.5, 0.5),
+    )
+    R = frozenset(range(2, 12))
+    risk = rk.Composed(rk.TimeOutside(frozenset(range(5, 12))),
+                       rk.Expectation())
+    want = rk.minimize_risk(model, 6, 0, rk.Viability(R), risk)
+    assert want.certificate == "dp" and want.resilient
+    for kind in (rk.MARKOV, rk.ADAPTED):
+        out = rk.minimize_risk(model, 6, 0, rk.Bounded(R), risk,
+                               strategy_class=kind)
+        assert (out.certificate, out.value) == ("dp", want.value)
+        assert rk.strategies_equal(out.strategy, want.strategy)
+        assert rk.check_resilient(model, out.strategy, 6, 0, rk.Bounded(R))
 
 
 def correlated_noise_model():
@@ -414,9 +530,9 @@ def test_full_scenario_cap_waits_for_a_resilient_representative():
 
 def test_cap_error_names_the_route(m1):
     with pytest.raises(rk.CapacityError, match="exceed cap") as err:
-        rk.minimize_risk(m1, 2, 0, rk.Bounded(A), EFFORT, cap=5)
+        rk.minimize_risk(m1, 2, 0, rk.AtMostKExits(A, 0), EFFORT, cap=5)
     assert str(err.value).startswith("exhaustive scan: 4096 markov")
-    assert "surely-viable regimes only" in str(err.value)
+    assert "sure-viability regimes only" in str(err.value)
     # forced past an applicable certificate, there is no reason to give
     with pytest.raises(rk.CapacityError) as err:
         rk.minimize_risk(m1, 2, 0, rk.Viability(A), EFFORT,
