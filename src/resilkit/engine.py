@@ -35,8 +35,8 @@ import numpy as np
 from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import (
-    DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, _check_start,
-    successor_planes,
+    _OUT_OF_SPAN, DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, _check_index,
+    _check_start, successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -96,6 +96,7 @@ class KernelTable:
     domain: str
 
     def member_set(self, t):
+        t = _check_index(t, "time", len(self.member), _OUT_OF_SPAN)
         return frozenset(np.flatnonzero(self.member[t]).tolist())
 
 
@@ -110,6 +111,7 @@ class ValueTable:
     witness: np.ndarray
 
     def resilient_set(self, t, beta):
+        t = _check_index(t, "time", len(self.value), _OUT_OF_SPAN)
         return frozenset(np.flatnonzero(self.value[t] >= beta).tolist())
 
 
@@ -139,6 +141,7 @@ class RecoveryTable:
 
     def resilient_set(self, t):
         """States resilient for RobustRecovery(acceptable, deadline) at t."""
+        t = _check_index(t, "time", len(self.min_layer), _OUT_OF_SPAN)
         return frozenset(
             np.flatnonzero(self.min_layer[t] <= self.deadline - t).tolist()
         )

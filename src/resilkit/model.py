@@ -206,12 +206,15 @@ class UncertaintyStructure:
         else:
             if len(robust) != len(sets):
                 raise InputError("robust must have one entry per time")
-            robust = tuple(tuple(sorted(set(int(i) for i in r))) for r in robust)
-            for t, r in enumerate(robust):
+            checked = []
+            for t, (r, ws) in enumerate(zip(robust, sets)):
+                what = f"robust subset at time {t}"
+                r = {_check_index(i, f"{what} entry", len(ws),
+                                  f"{what} out of range") for i in r}
                 if not r:
-                    raise InputError(f"robust subset at time {t} is empty")
-                if r[0] < 0 or r[-1] >= len(sets[t]):
-                    raise InputError(f"robust subset at time {t} out of range")
+                    raise InputError(f"{what} is empty")
+                checked.append(tuple(sorted(r)))
+            robust = tuple(checked)
         object.__setattr__(self, "robust", robust)
 
     def size(self, t):
@@ -289,35 +292,34 @@ class SystemModel:
         object.__setattr__(self, "constraints", con)
 
         if self.robust_scenarios is not None:
-            scens = tuple(tuple(int(w) for w in s) for s in self.robust_scenarios)
+            scens = tuple(self._check_scenario(s) for s in self.robust_scenarios)
             if not scens:
                 raise InputError("explicit robust scenario list is empty")
             if len(set(scens)) != len(scens):
                 raise InputError("duplicate explicit robust scenario")
-            for s in scens:
-                self._check_scenario(s)
             object.__setattr__(self, "robust_scenarios", tuple(sorted(scens)))
 
         if self.scenario_probs is not None:
             probs = {}
             for s, p in dict(self.scenario_probs).items():
-                s = tuple(int(w) for w in s)
-                self._check_scenario(s)
-                probs[s] = float(p)
+                probs[self._check_scenario(s)] = float(p)
             _check_probabilities(probs.values(), "scenario probabilities")
             object.__setattr__(self, "scenario_probs", probs)
 
     def _check_scenario(self, scenario):
+        """`scenario`, a sequence of K uncertainty indices, each under the
+        index rule of _check_index, as a tuple of plain ints."""
+        scenario = tuple(scenario)
         if len(scenario) != self.horizon:
             raise InputError(
                 f"scenario {scenario} has length {len(scenario)}, "
                 f"expected {self.horizon}"
             )
-        for t, w in enumerate(scenario):
-            if not 0 <= w < self.uncertainty.size(t):
-                raise InputError(
-                    f"scenario entry {w} out of range at time {t}"
-                )
+        return tuple(
+            _check_index(w, "scenario entry", self.uncertainty.size(t),
+                         _OUT_OF_RANGE + f" at time {t}")
+            for t, w in enumerate(scenario)
+        )
 
     @property
     def horizon(self):
@@ -380,15 +382,22 @@ def make_model(
             for u in range(nu):
                 for w in range(unc.size(t)):
                     nxt = dynamics_fn(t, x, u, w)
-                    # None marks a transition straight to the cemetery
-                    dyn[t, x, u, w] = states.cemetery if nxt is None else int(nxt)
+                    # None marks a transition straight to the cemetery,
+                    # which dyn holds already
+                    if nxt is not None:
+                        dyn[t, x, u, w] = _check_index(
+                            nxt, f"dynamics_fn{(t, x, u, w)} value", n + 1,
+                            "dynamics image out of range at "
+                            f"(t={t}, x={x}, u={u}, w={w})",
+                        )
     con = np.ones((K, n, nu), dtype=bool)
     if constraints_fn is not None:
         con[:] = False
         for t in range(K):
             for x in range(n):
                 for u in constraints_fn(t, x):
-                    con[t, x, int(u)] = True
+                    u = _check_index(u, f"constraints_fn{(t, x)} control", nu)
+                    con[t, x, u] = True
     return SystemModel(
         time, states, controls, unc, dyn, con, robust_scenarios, scenario_probs
     )
@@ -405,40 +414,30 @@ def state_indices(model: SystemModel, labels: Iterable) -> frozenset:
     return frozenset(out)
 
 
-def admissible_controls(model: SystemModel, t: int, x: int) -> tuple:
-    """Indices of controls admissible at (t, x), ascending."""
-    _check_time(model, t, control=True)
-    _check_state(model, x)
-    if x == model.cemetery:
-        return tuple(range(model.n_controls))
-    return tuple(np.flatnonzero(model.constraints[t, x]))
-
-
-def _check_time(model, t, control=False):
-    hi = model.horizon - 1 if control else model.horizon
-    if not 0 <= t <= hi:
-        raise InputError(f"time {t} out of range 0..{hi}")
-
-
-def _check_state(model, x):
-    if not 0 <= x <= model.cemetery:
-        raise InputError(f"state index {x} out of range")
-
-
 def _check_index(value, what, stop=math.inf,
-                 outside="{what} {value!r} outside 0..{last}"):
-    """`value`, an int, numpy integer or bool as in state sets, in
-    0..stop-1 (else `outside`), as a plain int."""
+                 outside="{what} {value!r} outside {first}..{last}", first=0):
+    """The package's one index rule: `value`, an int, numpy integer or bool
+    (which means its index, as in state sets), in first..stop-1, as a plain
+    int. Any other type raises InputError "{what} {value!r} is not an
+    integer"; a value out of range raises `outside`, formatted with what,
+    value, first and last. regimes._check_state_set is its set form."""
     if not isinstance(value, (int, np.integer)):
         raise InputError(f"{what} {value!r} is not an integer")
-    if not 0 <= value < stop:
-        raise InputError(outside.format(what=what, value=value, last=stop - 1))
+    if not first <= value < stop:
+        raise InputError(outside.format(what=what, value=value, first=first,
+                                        last=stop - 1))
     return int(value)
+
+
+# out-of-range texts: "{what} {value} out of range", with the span for a
+# time, a start or a rank
+_OUT_OF_RANGE = "{what} {value} out of range"
+_OUT_OF_SPAN = _OUT_OF_RANGE + " {first}..{last}"
 
 
 def _check_start(model, start):
     return _check_index(start, "strategy start", model.horizon + 1,
-                        "{what} {value} out of range 0..{last}")
+                        _OUT_OF_SPAN)
 
 
 def _check_x0(model, x0):
@@ -446,15 +445,23 @@ def _check_x0(model, x0):
                         "x0 must be an ordinary state index, got {value}")
 
 
+def admissible_controls(model: SystemModel, t: int, x: int) -> tuple:
+    """Indices of controls admissible at (t, x), ascending."""
+    t = _check_index(t, "time", model.horizon, _OUT_OF_SPAN)
+    x = _check_index(x, "state index", model.cemetery + 1, _OUT_OF_RANGE)
+    if x == model.cemetery:
+        return tuple(range(model.n_controls))
+    return tuple(np.flatnonzero(model.constraints[t, x]))
+
+
 def step(model: SystemModel, t: int, x: int, u: int, w: int) -> int:
     """One transition. The cemetery is absorbing; an inadmissible control
     routes to the cemetery."""
-    _check_time(model, t, control=True)
-    _check_state(model, x)
-    if not 0 <= u < model.n_controls:
-        raise InputError(f"control index {u} out of range")
-    if not 0 <= w < model.uncertainty.size(t):
-        raise InputError(f"uncertainty index {w} out of range at time {t}")
+    t = _check_index(t, "time", model.horizon, _OUT_OF_SPAN)
+    x = _check_index(x, "state index", model.cemetery + 1, _OUT_OF_RANGE)
+    u = _check_index(u, "control index", model.n_controls, _OUT_OF_RANGE)
+    w = _check_index(w, "uncertainty index", model.uncertainty.size(t),
+                     _OUT_OF_RANGE + f" at time {t}")
     if x == model.cemetery:
         return model.cemetery
     if not model.constraints[t, x, u]:
@@ -471,10 +478,10 @@ def flow(model: SystemModel, s: int, x0: int, controls, scenario) -> tuple:
         raise InputError(
             f"{len(controls)} controls but {len(scenario)} uncertainty values"
         )
-    _check_time(model, s)
+    s = _check_index(s, "time", model.horizon + 1, _OUT_OF_SPAN)
     if s + len(controls) > model.horizon:
         raise InputError("control word runs past the horizon")
-    xs = [x0]
+    xs = [_check_index(x0, "state index", model.cemetery + 1, _OUT_OF_RANGE)]
     for i, (u, w) in enumerate(zip(controls, scenario)):
         xs.append(step(model, s + i, xs[-1], u, w))
     return tuple(xs)
@@ -513,9 +520,7 @@ def enumerate_scenarios(
 
 def in_robust_set(model: SystemModel, scenario) -> bool:
     """Does the scenario belong to the robust subset?"""
-    scenario = tuple(int(w) for w in scenario)
-    model._check_scenario(scenario)
-    return _in_robust(model, scenario)
+    return _in_robust(model, model._check_scenario(scenario))
 
 
 def _in_robust(model, scenario):
@@ -533,9 +538,7 @@ def scenario_weight(model: SystemModel, scenario) -> float:
     Uses the explicit joint distribution when declared (unlisted scenarios
     get weight 0), otherwise the product of per-time probabilities.
     """
-    scenario = tuple(int(w) for w in scenario)
-    model._check_scenario(scenario)
-    return _weight(model, scenario)
+    return _weight(model, model._check_scenario(scenario))
 
 
 def _weight(model, scenario):

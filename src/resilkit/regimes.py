@@ -123,8 +123,10 @@ class RiskContainment:
 def _check_state_set(model, states, what):
     """`states` as a frozenset, checked: InputError names its first element
     (in iteration order) that is not an int, numpy integer or bool in
-    0..n-1. The model keeps the last set that passed, so a call that hands
-    it on, and the next query on it, skip the element loop."""
+    0..n-1. This is the set form of the index rule (model._check_index),
+    inlined because sets run to hundreds of states. The model keeps the
+    last set that passed, so a call that hands it on, and the next query on
+    it, skip the element loop."""
     states = frozenset(states)
     if states is not getattr(model, "_checked_states", None):
         n, kinds = model.n_states, (int, np.integer)

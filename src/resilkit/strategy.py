@@ -26,8 +26,11 @@ import numpy as np
 from ._record import record
 from .errors import CapacityError, InputError, ModelFormatError
 from .model import (
+    _OUT_OF_RANGE,
+    _OUT_OF_SPAN,
     DEFAULT_SCENARIO_CAP,
     SystemModel,
+    _check_index,
     _check_start,
     _check_x0,
     _Scenarios,
@@ -90,8 +93,8 @@ class Strategy:
         return ADAPTED
 
     def policy(self, t):
-        if not self.start <= t < self.start + len(self.policies):
-            raise InputError(f"no policy at time {t}")
+        t = _check_index(t, "time", self.start + len(self.policies),
+                         "no policy at time {value}", self.start)
         return self.policies[t - self.start]
 
 
@@ -107,17 +110,18 @@ class Trajectory:
 
     def state(self, s):
         """State at absolute time s."""
-        if not 0 <= s - self.start < len(self.states):
-            raise InputError(f"no state at time {s}; trajectory starts at "
-                             f"{self.start}")
-        return self.states[s - self.start]
+        return self.states[self._offset(s, "state", self.states)]
 
     def control(self, s):
         """Control at absolute time s."""
-        if not 0 <= s - self.start < len(self.controls):
-            raise InputError(f"no control at time {s}; trajectory starts at "
-                             f"{self.start}")
-        return self.controls[s - self.start]
+        return self.controls[self._offset(s, "control", self.controls)]
+
+    def _offset(self, s, what, values):
+        """Position in `values` of time s, start..start+len-1."""
+        s = _check_index(s, "time", self.start + len(values),
+                         f"no {what} at time {{value}}; trajectory starts at "
+                         f"{self.start}", self.start)
+        return s - self.start
 
 
 @record(eq=False)
@@ -144,16 +148,38 @@ class TrajectoryBundle:
         return self.trajectories[i]
 
 
+def _check_prefix(model, t, base):
+    """(t, base) of a prefix (w_base..w_{t-1}), each a time in 0..K."""
+    return tuple(_check_index(v, what, model.horizon + 1, _OUT_OF_SPAN)
+                 for v, what in ((t, "time"), (base, "base")))
+
+
 def n_prefixes(model: SystemModel, t: int, base: int = 0) -> int:
-    """Number of uncertainty prefixes (w_base..w_{t-1})."""
+    """Number of uncertainty prefixes (w_base..w_{t-1}), 1 when t <= base."""
+    t, base = _check_prefix(model, t, base)
     return math.prod(model.uncertainty.size(q) for q in range(base, t))
 
 
 def prefix_rank(model: SystemModel, t: int, scenario, base: int = 0) -> int:
-    """Dense lexicographic rank of scenario's prefix (w_base..w_{t-1})."""
+    """Dense lexicographic rank of scenario's prefix (w_base..w_{t-1});
+    scenario holds at least t entries, and those from base on are
+    uncertainty indices."""
+    t, base = _check_prefix(model, t, base)
+    if len(scenario) < t:
+        raise InputError(f"scenario {tuple(scenario)} has length "
+                         f"{len(scenario)}, expected at least {t}")
+    return _prefix_rank(model, base, [
+        _check_index(scenario[q], "scenario entry", model.uncertainty.size(q),
+                     _OUT_OF_RANGE + f" at time {q}")
+        for q in range(base, t)
+    ])
+
+
+def _prefix_rank(model, base, prefix):
+    """Rank of the valid prefix (w_base..w_{t-1}), unchecked."""
     rank = 0
-    for q in range(base, t):
-        rank = rank * model.uncertainty.size(q) + int(scenario[q])
+    for q, w in enumerate(prefix, base):
+        rank = rank * model.uncertainty.size(q) + w
     return rank
 
 
@@ -178,18 +204,6 @@ def validate_strategy(model: SystemModel, strategy: Strategy) -> None:
             )
         if pol.table.size and (pol.table.min() < 0 or pol.table.max() >= nu):
             raise InputError(f"policy at time {pol.t} uses an unknown control")
-
-
-def policy_control(
-    model: SystemModel, strategy: Strategy, t: int, x: int, scenario
-) -> int:
-    """Control the strategy takes at (t, x) under the given scenario."""
-    if x == model.cemetery:
-        return 0
-    pol = strategy.policy(t)
-    if pol.kind == MARKOV:
-        return int(pol.table[x])
-    return int(pol.table[x, prefix_rank(model, t, scenario, strategy.start)])
 
 
 def is_admissible(model: SystemModel, strategy: Strategy) -> bool:
@@ -248,7 +262,7 @@ def _bundle(model, strategy, x0, start, scenarios):
     trajectories = []
     for scen in scenarios.scenarios:
         # rank of the prefix (w_base..w_{t-1}) the time-t policy observes
-        rank = prefix_rank(model, start, scen, base)
+        rank = _prefix_rank(model, base, scen[base:start])
         x = x0
         states = [x]
         controls = []
@@ -272,8 +286,7 @@ def simulate_closed_loop(
 ) -> Trajectory:
     """Run the strategy from x0 at `start` (default: the strategy's start)
     under one full scenario."""
-    scenario = tuple(int(w) for w in scenario)
-    model._check_scenario(scenario)
+    scenario = model._check_scenario(scenario)
     x0, start = _check_run(model, strategy, x0, start)
     one = _Scenarios(model, (scenario,))
     return _bundle(model, strategy, x0, start, one).trajectories[0]
@@ -312,6 +325,8 @@ def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
 def constant_strategy(model: SystemModel, u: int, start: int = 0) -> Strategy:
     """Markov strategy playing control u everywhere."""
     start = _check_start(model, start)
+    u = _check_index(u, "control", model.n_controls,
+                     f"policy at time {start} uses an unknown control")
     table = np.full((model.horizon - start, model.n_states), u, np.int32)
     return markov_strategy(model, table, start)
 
@@ -387,9 +402,7 @@ def strategy_from_rank(
     state ascending, prefix rank ascending; last slot varies fastest)."""
     start, shapes, slots = _slot_shapes(model, kind, start)
     nu = model.n_controls
-    total = nu**slots
-    if not 0 <= rank < total:
-        raise InputError(f"strategy rank {rank} out of range 0..{total - 1}")
+    rank = _check_index(rank, "strategy rank", nu**slots, _OUT_OF_SPAN)
     digits = []
     for _ in range(slots):
         rank, d = divmod(rank, nu)
@@ -625,7 +638,7 @@ def strategy_from_text(model: SystemModel, text: str) -> Strategy:
             raise ModelFormatError(f"unknown policy kind {kind!r}", lineno)
         # an adapted section outside start..K-1 has no prefixes to rank its
         # rows by: read as a Markov one, the layout check rejects it alike
-        ranked = kind == ADAPTED and start <= t < model.horizon
+        ranked = kind == ADAPTED and 0 <= start <= t < model.horizon
         form, arity = (("state -> control", 1) if kind == MARKOV
                        else ("state (w ... w) -> control", None))
         cells = {}  # (state, prefix rank) -> control

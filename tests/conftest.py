@@ -57,7 +57,7 @@ def m1():
 
 @pytest.fixture
 def m1_benign():
-    return build_m1(robust=("0",))
+    return build_m1(robust=(0,))
 
 
 def random_model(

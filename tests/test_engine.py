@@ -37,7 +37,7 @@ def two_state_gap_model(**kw):
         control_labels=("0",),
         uncertainty_sets=("0", "1"),
         dynamics_fn=lambda t, x, u, w: 1 if (x == 1 and w == 0) else 0,
-        robust=("0",),
+        robust=(0,),
         **kw,
     )
 

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,7 +160,7 @@ def test_scenario_enumeration_order(m1):
 
 
 def test_scenario_enumeration_robust_subset():
-    model = build_m1(robust=("0",))
+    model = build_m1(robust=(0,))
     assert rk.count_scenarios(model, robust_only=True) == 1
     assert rk.enumerate_scenarios(model, robust_only=True) == [(0, 0, 0)]
     assert rk.in_robust_set(model, (0, 0, 0))
@@ -328,7 +330,7 @@ def test_planes_layout_and_lazy_single_build():
 
 def test_models_equal(m1):
     assert rk.models_equal(m1, build_m1())
-    assert not rk.models_equal(m1, build_m1(robust=("0",)))
+    assert not rk.models_equal(m1, build_m1(robust=(0,)))
     assert not rk.models_equal(m1, build_m1(probs=None))
 
 
@@ -354,3 +356,141 @@ def test_random_models_construct_and_step():
             w = rk.scenario_weights(model, scen)
             assert w.sum() == pytest.approx(1.0, abs=1e-9)
             assert math.isfinite(w.sum())
+
+
+def _m1_from(dynamics_fn=None, constraints_fn=None):
+    """m1 with its dynamics_fn or constraints_fn replaced."""
+    return rk.make_model(
+        3, ("0", "1", "2", "3"), ("0", "1"), ("0", "1"),
+        dynamics_fn or (lambda t, x, u, w: min(3, max(0, x + u - w))),
+        constraints_fn, probs=(0.5, 0.5),
+    )
+
+
+_A = {2, 3}
+_KEEP = np.ones((3, 4), dtype=int)  # control 1 everywhere, from time 0
+
+# (row, call(model, v), what, out-of-range text of {}, out-of-range values):
+# every index a public function or record accessor takes, read at v with
+# every other argument fixed; v = 1 is in range in every row
+INDEX_ROWS = [
+    ("step t", lambda m, v: rk.step(m, v, 2, 0, 0),
+     "time", "time {} out of range 0..2", (-1, 3)),
+    ("step x", lambda m, v: rk.step(m, 0, v, 0, 0),
+     "state index", "state index {} out of range", (-1, 5)),
+    ("step u", lambda m, v: rk.step(m, 0, 2, v, 0),
+     "control index", "control index {} out of range", (-1, 2)),
+    ("step w", lambda m, v: rk.step(m, 0, 2, 0, v),
+     "uncertainty index", "uncertainty index {} out of range at time 0",
+     (-1, 2)),
+    ("admissible_controls t", lambda m, v: rk.admissible_controls(m, v, 2),
+     "time", "time {} out of range 0..2", (-1, 3)),
+    ("admissible_controls x", lambda m, v: rk.admissible_controls(m, 0, v),
+     "state index", "state index {} out of range", (-1, 5)),
+    ("flow s", lambda m, v: rk.flow(m, v, 2, (1,), (0,)),
+     "time", "time {} out of range 0..3", (-1, 4)),
+    ("flow x0", lambda m, v: rk.flow(m, 0, v, (), ()),
+     "state index", "state index {} out of range", (-1, 5)),
+    ("flow u", lambda m, v: rk.flow(m, 1, 2, (0, v), (0, 0)),
+     "control index", "control index {} out of range", (-1, 2)),
+    ("flow w", lambda m, v: rk.flow(m, 1, 2, (0, 0), (0, v)),
+     "uncertainty index", "uncertainty index {} out of range at time 2",
+     (-1, 2)),
+    ("in_robust_set", lambda m, v: rk.in_robust_set(m, (v, 0, 0)),
+     "scenario entry", "scenario entry {} out of range at time 0", (-1, 2)),
+    ("scenario_weight", lambda m, v: rk.scenario_weight(m, [0, v, 0]),
+     "scenario entry", "scenario entry {} out of range at time 1", (-1, 2)),
+    ("robust list", lambda m, v: dataclasses.replace(
+        m, robust_scenarios=((0, 0, v), (0, 0, 0))).robust_scenarios,
+     "scenario entry", "scenario entry {} out of range at time 2", (-1, 2)),
+    ("joint key", lambda m, v: dataclasses.replace(
+        m, scenario_probs={(v, 0, 0): 1.0}).scenario_probs,
+     "scenario entry", "scenario entry {} out of range at time 0", (-1, 2)),
+    ("robust subset", lambda m, v: rk.UncertaintyStructure(
+        m.uncertainty.sets, None, ((0, v), (0,), (1,))).robust,
+     "robust subset at time 0 entry", "robust subset at time 0 out of range",
+     (-1, 2)),
+    ("dynamics_fn", lambda m, v: _m1_from(
+        dynamics_fn=lambda t, x, u, w: v).dynamics,
+     "dynamics_fn(0, 0, 0, 0) value",
+     "dynamics image out of range at (t=0, x=0, u=0, w=0)", (-1, 5)),
+    ("constraints_fn", lambda m, v: _m1_from(
+        constraints_fn=lambda t, x: (v,)).constraints,
+     "constraints_fn(0, 0) control", "constraints_fn(0, 0) control {} "
+     "outside 0..1", (-1, 2)),
+    ("simulate_closed_loop", lambda m, v: rk.simulate_closed_loop(
+        m, rk.constant_strategy(m, 1), 2, (v, 0, 0)),
+     "scenario entry", "scenario entry {} out of range at time 0", (-1, 2)),
+    ("n_prefixes t", lambda m, v: rk.n_prefixes(m, v),
+     "time", "time {} out of range 0..3", (-1, 4)),
+    ("n_prefixes base", lambda m, v: rk.n_prefixes(m, 3, v),
+     "base", "base {} out of range 0..3", (-1, 4)),
+    ("prefix_rank t", lambda m, v: rk.prefix_rank(m, v, (1, 1, 1)),
+     "time", "time {} out of range 0..3", (-1, 4)),
+    ("prefix_rank base", lambda m, v: rk.prefix_rank(m, 3, (1, 1, 1), v),
+     "base", "base {} out of range 0..3", (-1, 4)),
+    ("prefix_rank entry", lambda m, v: rk.prefix_rank(m, 2, (1, v)),
+     "scenario entry", "scenario entry {} out of range at time 1", (-1, 2)),
+    ("strategy_from_rank", lambda m, v: rk.strategy_from_rank(m, v),
+     "strategy rank", "strategy rank {} out of range 0..4095", (-1, 4096)),
+    ("constant_strategy", lambda m, v: rk.constant_strategy(m, v),
+     "control", "policy at time 0 uses an unknown control", (-1, 2)),
+    ("Strategy.policy", lambda m, v: rk.markov_strategy(
+        m, _KEEP[1:], 1).policy(v),
+     "time", "no policy at time {}", (-1, 0, 3)),
+    ("Trajectory.state", lambda m, v: rk.simulate_closed_loop(
+        m, rk.markov_strategy(m, _KEEP), 2, (0, 1, 0), 1).state(v),
+     "time", "no state at time {}; trajectory starts at 1", (-1, 0, 4)),
+    ("Trajectory.control", lambda m, v: rk.simulate_closed_loop(
+        m, rk.markov_strategy(m, _KEEP), 2, (0, 1, 0), 1).control(v),
+     "time", "no control at time {}; trajectory starts at 1", (-1, 0, 3)),
+    ("KernelTable.member_set", lambda m, v: rk.robust_viability_kernel(
+        m, _A).member_set(v),
+     "time", "time {} out of range 0..3", (-1, 4)),
+    ("ValueTable.resilient_set", lambda m, v: rk.stochastic_viability_value(
+        m, _A).resilient_set(v, 0.5),
+     "time", "time {} out of range 0..3", (-1, 4)),
+    ("RecoveryTable.resilient_set", lambda m, v: rk.robust_recovery_table(
+        m, _A, 3).resilient_set(v),
+     "time", "time {} out of range 0..3", (-1, 4)),
+]
+
+
+@pytest.mark.parametrize("row", INDEX_ROWS, ids=[r[0] for r in INDEX_ROWS])
+def test_every_index_follows_the_index_rule(m1, row):
+    """One index rule (model._check_index) for every index argument: numpy
+    integers and True read as the int they equal, any other type raises
+    "... is not an integer", and an out-of-range value raises the
+    function's own out-of-range text."""
+    _, call, what, outside, bad = row
+    want = repr(call(m1, 1))
+    for v in (np.int64(1), np.int32(1), True):
+        assert repr(call(m1, v)) == want, v
+    for v in (1.5, 1.0, 1.9, 2.0, "1"):
+        with pytest.raises(rk.InputError, match="^" + re.escape(
+                f"{what} {v!r} is not an integer") + "$"):
+            call(m1, v)
+    for v in bad:
+        with pytest.raises(rk.InputError,
+                           match="^" + re.escape(outside.format(v)) + "$"):
+            call(m1, v)
+
+
+def test_make_model_callbacks_follow_the_index_rule():
+    # the cell that returned the value is named, not truncated or converted
+    def dynamics(t, x, u, w):
+        return 1.5 if (t, x, u, w) == (1, 2, 0, 1) else x
+
+    with pytest.raises(rk.InputError, match=re.escape(
+            "dynamics_fn(1, 2, 0, 1) value 1.5 is not an integer")):
+        _m1_from(dynamics_fn=dynamics)
+    with pytest.raises(rk.InputError, match=re.escape(
+            "constraints_fn(2, 3) control '0' is not an integer")):
+        _m1_from(constraints_fn=lambda t, x: ("0",) if (t, x) == (2, 3)
+                 else (0,))
+    # None still means the cemetery, and numpy integers their index
+    model = _m1_from(dynamics_fn=lambda t, x, u, w: None if x == 0
+                     else np.int64(x),
+                     constraints_fn=lambda t, x: np.arange(2))
+    assert rk.step(model, 0, 0, 0, 0) == model.cemetery
+    assert rk.step(model, 0, 3, 1, 0) == 3

@@ -186,7 +186,7 @@ def test_serializer_risk_containment():
 def test_serializer_emits_robust_lines_only_for_proper_subsets():
     full = rk.serialize_model(build_m1(), rk.Viability(A))
     assert "robust" not in full
-    benign = rk.serialize_model(build_m1(robust=("0",)), rk.Viability(A))
+    benign = rk.serialize_model(build_m1(robust=(0,)), rk.Viability(A))
     assert "robust 0 = 0" in benign
 
 

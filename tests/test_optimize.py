@@ -513,7 +513,7 @@ def test_full_scenario_cap_waits_for_a_resilient_representative():
     model = rk.make_model(
         horizon=K, state_labels=("0", "1"), control_labels=("0",),
         uncertainty_sets=("0", "1"), dynamics_fn=lambda t, x, u, w: x,
-        robust=("0",),
+        robust=(0,),
     )
     regime = rk.RobustRecovery(frozenset({1}), K)
     risk = rk.Composed(rk.RecoveryOffset(frozenset({1})), rk.WorstCase())

@@ -123,7 +123,7 @@ def test_viability_membership(m1):
 
 
 def test_robust_recovery_membership():
-    model = build_m1(robust=("0",))
+    model = build_m1(robust=(0,))
     push = rk.constant_strategy(model, 1)
     robust = rk.build_bundle(model, push, 0, robust_only=True)
     assert rk.regime_membership(model, rk.RobustRecovery(A, 2), robust)
@@ -143,7 +143,7 @@ def test_stochastic_viability_membership(m1):
 
 
 def test_probabilistic_regimes_reject_robust_bundles():
-    model = build_m1(robust=("0",))
+    model = build_m1(robust=(0,))
     bundle = rk.build_bundle(model, keep_high(model), 2, robust_only=True)
     with pytest.raises(rk.InputError, match="full-domain"):
         rk.regime_membership(model, rk.StochasticViability(A, 0.5), bundle)

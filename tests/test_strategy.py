@@ -13,6 +13,19 @@ from conftest import (
 )
 
 
+def policy_control(model, strategy, t, x, scenario):
+    """Control the strategy takes at (t, x) under the given scenario, from
+    the public Strategy.policy and prefix_rank: the reference a bundle's
+    controls are checked against."""
+    if x == model.cemetery:
+        return 0
+    pol = strategy.policy(t)
+    if pol.kind == rk.MARKOV:
+        return int(pol.table[x])
+    return int(pol.table[x, rk.prefix_rank(model, t, scenario,
+                                           strategy.start)])
+
+
 def keep_high(model):
     """u = 1 at state 2, else 0, at every time."""
     tables = np.zeros((3, 4), dtype=int)
@@ -34,6 +47,11 @@ def test_prefix_rank_lexicographic(m1):
     assert rk.prefix_rank(m1, 2, (1, 0, 0)) == 2
     assert rk.prefix_rank(m1, 2, (1, 1, 0)) == 3
     assert rk.prefix_rank(m1, 2, (1, 1, 0), 1) == 1
+    # entries before the base are not read; a prefix too short raises
+    assert rk.prefix_rank(m1, 2, ("x", 1), 1) == 1
+    with pytest.raises(rk.InputError, match=re.escape(
+            "scenario (1,) has length 1, expected at least 2")):
+        rk.prefix_rank(m1, 2, (1,))
 
 
 def test_markov_strategy_shapes(m1):
@@ -171,7 +189,7 @@ def test_bundle_matches_enumeration_order(m1):
 
 
 def test_bundle_robust_only():
-    model = build_m1(robust=("0",))
+    model = build_m1(robust=(0,))
     s = keep_high(model)
     bundle = rk.build_bundle(model, s, 2, robust_only=True)
     assert bundle.robust
@@ -208,11 +226,10 @@ def test_bundle_validates_the_strategy_once(m1, monkeypatch):
 
 
 def _public_run(model, strategy, x0, scenario, start):
-    """States and controls from the public policy_control and step alone."""
+    """States and controls from policy_control and the public step alone."""
     states, controls = [x0], []
     for t in range(start, model.horizon):
-        u = rk.strategy.policy_control(model, strategy, t, states[-1],
-                                       scenario)
+        u = policy_control(model, strategy, t, states[-1], scenario)
         controls.append(u)
         states.append(rk.step(model, t, states[-1], u, scenario[t]))
     return tuple(states), tuple(controls)
@@ -441,8 +458,6 @@ def test_strategy_reader_errors_are_exact(m1, text, message, line):
 
 def test_policy_control_at_cemetery(m1):
     s = keep_high(m1)
-    from resilkit.strategy import policy_control
-
     assert policy_control(m1, s, 0, m1.cemetery, ()) == 0
 
 
