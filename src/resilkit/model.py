@@ -384,8 +384,14 @@ def make_model(
                     nxt = dynamics_fn(t, x, u, w)
                     # None marks a transition straight to the cemetery,
                     # which dyn holds already
-                    if nxt is not None:
-                        dyn[t, x, u, w] = _check_index(
+                    if nxt is None:
+                        continue
+                    # a fault is raised again with the texts that name the
+                    # cell, so they are made only then
+                    try:
+                        dyn[t, x, u, w] = _check_index(nxt, "value", n + 1)
+                    except InputError:
+                        _check_index(
                             nxt, f"dynamics_fn{(t, x, u, w)} value", n + 1,
                             "dynamics image out of range at "
                             f"(t={t}, x={x}, u={u}, w={w})",
@@ -396,7 +402,10 @@ def make_model(
         for t in range(K):
             for x in range(n):
                 for u in constraints_fn(t, x):
-                    u = _check_index(u, f"constraints_fn{(t, x)} control", nu)
+                    try:
+                        u = _check_index(u, "control", nu)
+                    except InputError:
+                        _check_index(u, f"constraints_fn{(t, x)} control", nu)
                     con[t, x, u] = True
     return SystemModel(
         time, states, controls, unc, dyn, con, robust_scenarios, scenario_probs
@@ -562,23 +571,20 @@ class _Scenarios:
 
     Loops that simulate many strategies over one scenario set share one
     instance, so weights and flags are computed once per call, not once
-    per bundle. With check=True (a bundle from outside the package) they
-    come from the checking scenario_weight and in_robust_set; otherwise the
-    scenarios must be valid tuples, as enumerate_scenarios yields them.
-    robust_only says the list is the robust domain, as in a bundle. Without
-    `scenarios` the list is that domain, enumerated on first use against
-    `cap`.
+    per bundle. The scenarios must be valid tuples, as enumerate_scenarios
+    yields them. robust_only says the list is the robust domain, as in a
+    bundle. Without `scenarios` the list is that domain, enumerated on
+    first use against `cap`.
     """
 
     def __init__(
-        self, model, scenarios=None, robust_only=False, check=False,
+        self, model, scenarios=None, robust_only=False,
         cap=DEFAULT_SCENARIO_CAP,
     ):
         self.model = model
         if scenarios is not None:
             self.scenarios = tuple(scenarios)
         self.robust_only = robust_only
-        self.check = check
         self.cap = cap
         self._prefixes = {}
 
@@ -609,13 +615,11 @@ class _Scenarios:
 
     @functools.cached_property
     def weights(self):
-        weight = scenario_weight if self.check else _weight
-        return [weight(self.model, s) for s in self.scenarios]
+        return [_weight(self.model, s) for s in self.scenarios]
 
     @functools.cached_property
     def robust(self):
-        member = in_robust_set if self.check else _in_robust
-        return [member(self.model, s) for s in self.scenarios]
+        return [_in_robust(self.model, s) for s in self.scenarios]
 
     @functools.cached_property
     def full(self):

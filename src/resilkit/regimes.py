@@ -20,7 +20,12 @@ import numpy as np
 from ._record import record
 from .errors import ConfigurationError, InputError
 from .model import SystemModel, _check_index, _Scenarios, packed_tables
-from .strategy import Trajectory, TrajectoryBundle
+from .strategy import (
+    Trajectory,
+    TrajectoryBundle,
+    _check_bundle,
+    _check_trajectory,
+)
 
 
 @record
@@ -177,24 +182,6 @@ def _ball(model, regime):
     return np.array(near + [False])
 
 
-def _check_length(trajectory, steps, need_controls):
-    """InputError unless the trajectory holds steps + 1 states and, when
-    need_controls, steps controls (nothing to hold when steps < 0)."""
-    if steps < 0:
-        return
-    start = trajectory.start
-    if len(trajectory.states) <= steps:
-        raise InputError(
-            f"no state at time {start + len(trajectory.states)}; "
-            f"trajectory starts at {start}"
-        )
-    if need_controls and len(trajectory.controls) < steps:
-        raise InputError(
-            f"no control at time {start + len(trajectory.controls)}; "
-            f"trajectory starts at {start}"
-        )
-
-
 def exit_times(
     model: SystemModel,
     trajectory: Trajectory,
@@ -204,14 +191,15 @@ def exit_times(
     """Times s with x_s outside `acceptable`, plus (when use_constraints)
     times s < K where the applied control is inadmissible at x_s."""
     acceptable = _check_state_set(model, acceptable, "acceptable set")
+    trajectory = _check_trajectory(model, trajectory, use_constraints)
     return _exit_times(model, trajectory, acceptable, use_constraints)
 
 
 def _exit_times(model, trajectory, acceptable, use_constraints=False):
-    """exit_times of a checked frozenset `acceptable`."""
-    steps = model.horizon - trajectory.start
-    _check_length(trajectory, steps, use_constraints)
+    """exit_times of a checked frozenset `acceptable` on a valid
+    trajectory, unchecked."""
     start, states = trajectory.start, trajectory.states
+    steps = model.horizon - start
     controls, cemetery = trajectory.controls, model.cemetery
     constraints = model.constraints
     out = []
@@ -229,16 +217,17 @@ def recovery_time(model: SystemModel, trajectory: Trajectory, acceptable):
     """Least time r such that from r onward states stay in `acceptable` and
     applied controls are admissible; math.inf when there is none."""
     acceptable = _check_state_set(model, acceptable, "acceptable set")
+    trajectory = _check_trajectory(model, trajectory, True)
     return _recovery_time(model, trajectory, acceptable)
 
 
 def _recovery_time(model, trajectory, acceptable):
-    """recovery_time of a checked frozenset `acceptable`."""
-    steps = model.horizon - trajectory.start
-    _check_length(trajectory, steps, True)
+    """recovery_time of a checked frozenset `acceptable` on a valid
+    trajectory with controls, unchecked."""
     start, states, controls = (
         trajectory.start, trajectory.states, trajectory.controls
     )
+    steps = model.horizon - start
     cemetery, constraints = model.cemetery, model.constraints
     r = math.inf
     for i in range(steps, -1, -1):
@@ -256,12 +245,11 @@ def _viable(model, traj, acceptable):
     return _recovery_time(model, traj, acceptable) == traj.start
 
 
-def _weights(bundle, scenarios):
+def _check_full_domain(bundle):
+    """InputError unless the bundle runs over the full scenario domain,
+    as probability weights need."""
     if bundle.robust:
-        raise InputError(
-            "probabilistic membership needs a full-domain bundle"
-        )
-    return scenarios.weights
+        raise InputError("probability weights need a full-domain bundle")
 
 
 def regime_membership(
@@ -269,13 +257,14 @@ def regime_membership(
 ) -> bool:
     """Does the bundle's strategy meet the regime from the bundle's start?"""
     validate_regime(model, regime)
-    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust, check=True)
+    bundle = _check_bundle(model, bundle)
+    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust)
     return _membership(model, regime, bundle, scenarios)
 
 
 def _membership(model, regime, bundle, scenarios):
-    """regime_membership of a valid regime, unchecked; `scenarios` is a
-    _Scenarios over bundle.scenarios."""
+    """regime_membership of a valid regime on a valid bundle, unchecked;
+    `scenarios` is a _Scenarios over bundle.scenarios."""
     if isinstance(regime, Viability):
         return all(_viable(model, tr, regime.acceptable) for tr in bundle)
 
@@ -288,9 +277,9 @@ def _membership(model, regime, bundle, scenarios):
         return True
 
     if isinstance(regime, StochasticViability):
-        weights = _weights(bundle, scenarios)
+        _check_full_domain(bundle)
         p = 0.0
-        for w, tr in zip(weights, bundle.trajectories):
+        for w, tr in zip(scenarios.weights, bundle.trajectories):
             if _viable(model, tr, regime.acceptable):
                 p += w
         return p >= regime.beta
@@ -301,9 +290,9 @@ def _membership(model, regime, bundle, scenarios):
         )
 
     if isinstance(regime, ProbExcursion):
-        weights = _weights(bundle, scenarios)
+        _check_full_domain(bundle)
         p = 0.0
-        for w, tr in zip(weights, bundle.trajectories):
+        for w, tr in zip(scenarios.weights, bundle.trajectories):
             if _exit_times(model, tr, regime.region):
                 p += w
         return p <= regime.beta
@@ -321,9 +310,9 @@ def _membership(model, regime, bundle, scenarios):
 
     if isinstance(regime, Stabilize):
         ball = _ball(model, regime)
-        first = max(bundle.start, model.horizon - regime.window)
-        return all(ball[tr.state(s)] for tr in bundle
-                   for s in range(first, model.horizon + 1))
+        # the states at max(start, K - window)..K
+        first = max(0, model.horizon - regime.window - bundle.start)
+        return all(ball[x] for tr in bundle for x in tr.states[first:])
 
     if isinstance(regime, ControlEvent):
         return all(

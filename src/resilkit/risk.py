@@ -22,7 +22,7 @@ from ._record import record
 from .errors import InputError
 from .model import SystemModel, _Scenarios, _check_probabilities
 from .regimes import (
-    _check_length,
+    _check_full_domain,
     _check_state_set,
     _exit_times,
     _good_paths,
@@ -30,7 +30,7 @@ from .regimes import (
     _running_sum,
     _state_mask,
 )
-from .strategy import TrajectoryBundle
+from .strategy import TrajectoryBundle, _check_bundle, _check_trajectory
 
 # cost accrued per time step spent at the cemetery
 CEMETERY_PENALTY = 1e18
@@ -271,17 +271,18 @@ def evaluate_cost(model: SystemModel, cost, trajectory) -> float:
     plus cemetery_penalty per time spent at the cemetery. A path that never
     reaches the cemetery pays no penalty, even an infinite one."""
     validate_cost(model, cost)
+    trajectory = _check_trajectory(model, trajectory, isinstance(
+        cost, (ControlEffort, TabularCost, RecoveryOffset)
+    ))
     return _costs(model, cost, (trajectory,))[0]
 
 
 def _costs(model, cost, trajectories):
-    """evaluate_cost of a valid cost function on each trajectory, unchecked,
-    with the model reads made once. Reads each trajectory's tuples by
-    offset; one too short for the times read raises InputError, as
-    regimes.recovery_time does. Base terms add up in time order."""
+    """evaluate_cost of a valid cost function on each valid trajectory
+    (with controls where the kind reads them), unchecked, with the model
+    reads made once. Base terms add up in time order."""
     K = model.horizon
     dead = model.cemetery
-    need_controls = isinstance(cost, (ControlEffort, TabularCost))
     if isinstance(cost, ControlEffort):
         if cost.rates is not None:
             rates = cost.rates
@@ -293,8 +294,7 @@ def _costs(model, cost, trajectories):
             trajectory.start, trajectory.states, trajectory.controls
         )
         steps = K - start
-        _check_length(trajectory, steps, need_controls)
-        path = states[: max(steps + 1, 0)]  # the states at start..K
+        path = states[: steps + 1]  # the states at start..K
 
         if isinstance(cost, RecoveryOffset):
             tau = _recovery_time(model, trajectory, cost.acceptable)
@@ -310,7 +310,7 @@ def _costs(model, cost, trajectories):
                 if states[i] != dead:
                     base += rates[controls[i]]
         elif isinstance(cost, TerminalMiss):
-            x = trajectory.state(K)
+            x = path[steps]
             if x == dead:
                 base = 0.0  # the cemetery is charged through the penalty
             else:
@@ -361,10 +361,18 @@ def _cost_tables(model, cost):
 
 def cvar(values, weights, level: float) -> float:
     """CVaR at tail mass `level`: the mean of the worst `level` of the
-    distribution, splitting an atom when the boundary lands inside one."""
+    distribution, splitting an atom when the boundary lands inside one.
+    The weights, one per value, follow the probability rule of
+    model._check_probabilities."""
     if not 0.0 < level <= 1.0:
         raise InputError(f"CVaR level {level!r} outside (0, 1]")
     values = [float(v) for v in values]
+    weights = _check_probabilities(weights, "CVaR weights", len(values))
+    return _cvar(values, weights, level)
+
+
+def _cvar(values, weights, level):
+    """cvar of a valid level, float values and valid weights, unchecked."""
     order = sorted(range(len(values)), key=lambda i: -values[i])
     remaining = level
     acc = 0.0
@@ -380,12 +388,6 @@ def cvar(values, weights, level: float) -> float:
     return acc / level
 
 
-def _full_weights(bundle, scenarios):
-    if bundle.robust:
-        raise InputError("probability-weighted risk needs a full-domain bundle")
-    return scenarios.weights
-
-
 def _robust_positions(bundle, scenarios):
     if bundle.robust:
         return range(len(bundle.trajectories))
@@ -394,16 +396,17 @@ def _robust_positions(bundle, scenarios):
 
 def _apply_outer(outer, bundle, scenarios, values):
     if isinstance(outer, Expectation):
-        weights = _full_weights(bundle, scenarios)
+        _check_full_domain(bundle)
         acc = 0.0
-        for w, z in zip(weights, values):
+        for w, z in zip(scenarios.weights, values):
             if w != 0.0:
                 acc += w * z
         return acc
     if isinstance(outer, WorstCase):
         return max(values[i] for i in _robust_positions(bundle, scenarios))
     if isinstance(outer, CVaR):
-        return cvar(values, _full_weights(bundle, scenarios), outer.level)
+        _check_full_domain(bundle)
+        return _cvar(values, scenarios.weights, outer.level)
     raise InputError(f"unknown outer functional {outer!r}")
 
 
@@ -415,13 +418,14 @@ def _exceeds(model, trajectory, acceptable):
 def evaluate_risk(model: SystemModel, spec, bundle: TrajectoryBundle) -> float:
     """Evaluate a risk measure on a bundle."""
     validate_risk(model, spec)
-    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust, check=True)
+    bundle = _check_bundle(model, bundle)
+    scenarios = _Scenarios(model, bundle.scenarios, bundle.robust)
     return _evaluate(model, spec, bundle, scenarios)
 
 
 def _evaluate(model, spec, bundle, scenarios):
-    """evaluate_risk of a valid risk measure, unchecked; `scenarios` is a
-    _Scenarios over bundle.scenarios."""
+    """evaluate_risk of a valid risk measure on a valid bundle, unchecked;
+    `scenarios` is a _Scenarios over bundle.scenarios."""
     if isinstance(spec, WorstCaseViolation):
         for i in _robust_positions(bundle, scenarios):
             if _exit_times(model, bundle.trajectories[i], spec.acceptable):
@@ -429,18 +433,15 @@ def _evaluate(model, spec, bundle, scenarios):
         return 0.0
 
     if isinstance(spec, Exceedance):
-        weights = _full_weights(bundle, scenarios)
+        _check_full_domain(bundle)
         acc = 0.0
-        for w, tr in zip(weights, bundle.trajectories):
+        for w, tr in zip(scenarios.weights, bundle.trajectories):
             if _exceeds(model, tr, spec.acceptable):
                 acc += w
         return acc
 
     if isinstance(spec, AmbiguityExceedance):
-        if bundle.robust:
-            raise InputError(
-                "probability-weighted risk needs a full-domain bundle"
-            )
+        _check_full_domain(bundle)
         worst = -math.inf
         for belief in spec.beliefs:
             acc = 0.0
@@ -516,7 +517,7 @@ def _cvar_rows(values, weights, level):
     differences in the walk's order; from the first atom that takes all of
     it on, it is <= 0, so the atoms with a positive take are the ones the
     loop takes, and their terms add up in its order. Rows holding NaN sort
-    differently under Python's comparisons and go through cvar itself.
+    differently under Python's comparisons and go through _cvar itself.
     """
     S, M = values.shape
     order = np.argsort(-values, axis=1, kind="stable")
@@ -531,7 +532,7 @@ def _cvar_rows(values, weights, level):
         terms = np.where(take > 0.0, take * v, 0.0)
     out = _running_sum(terms) / level
     for s in np.flatnonzero(np.isnan(values).any(axis=1)):
-        out[s] = cvar(values[s].tolist(), weights, level)
+        out[s] = _cvar(values[s].tolist(), weights, level)
     return out
 
 

@@ -34,6 +34,7 @@ from .model import (
     _check_start,
     _check_x0,
     _Scenarios,
+    count_scenarios,
     enumerate_scenarios,
     successor_planes,
 )
@@ -101,7 +102,15 @@ class Strategy:
 @record(eq=False)
 class Trajectory:
     """One closed-loop path: states at start..K, controls at start..K-1,
-    under one full scenario."""
+    under one full scenario.
+
+    A valid one, for a model of horizon K, starts at a time in 0..K and
+    holds a state index in 0..n (n, the cemetery, too) at every time
+    start..K; where a function reads controls, it also holds a control
+    index at every time start..K-1. Entries past those times are not read.
+    Indices follow the package's index rule (model._check_index), and
+    _check_trajectory enforces all of this.
+    """
 
     start: int
     states: tuple
@@ -126,7 +135,16 @@ class Trajectory:
 
 @record(eq=False)
 class TrajectoryBundle:
-    """Closed-loop trajectories over an enumerated scenario set."""
+    """Closed-loop trajectories over an enumerated scenario set.
+
+    A valid one holds the scenarios build_bundle enumerates for its
+    `robust` flag (the robust domain, else the full one), in that canonical
+    order, and one trajectory per scenario, in the same order. Its start is
+    a time in 0..K and x0 an ordinary state index; each trajectory has its
+    scenario, the bundle's start and x0 as its first state, and is a valid
+    Trajectory with controls. Whether the paths follow the dynamics is not
+    checked. _check_bundle enforces all of this.
+    """
 
     start: int
     x0: int
@@ -141,11 +159,78 @@ class TrajectoryBundle:
         return iter(self.trajectories)
 
     def trajectory_for(self, scenario):
+        """The trajectory of `scenario`; its entries follow the index
+        rule's type test only, since a bundle holds no model to range them
+        by."""
+        key = tuple(_check_index(w, "scenario entry", first=-math.inf)
+                    for w in scenario)
         try:
-            i = self.scenarios.index(tuple(scenario))
+            i = self.scenarios.index(key)
         except ValueError:
             raise InputError(f"scenario {scenario} not in bundle") from None
         return self.trajectories[i]
+
+
+def _check_trajectory(model, trajectory, need_controls):
+    """The trajectory rule (see Trajectory), controls only with
+    need_controls: the trajectory with a plain int start, the states at
+    start..K and, with need_controls, the controls at start..K-1, as plain
+    ints; its other controls are kept as they are."""
+    tr, K = trajectory, model.horizon
+    start = _check_index(tr.start, "trajectory start", K + 1, _OUT_OF_SPAN)
+    parts = [("state", tr.states, K + 1, model.cemetery + 1)]
+    if need_controls:
+        parts.append(("control", tr.controls, K, model.n_controls))
+    checked = []
+    for what, values, stop, size in parts:
+        if len(values) < stop - start:
+            # raises "no {what} at time {the first missing time}"
+            tr._offset(start + len(values), what, values)
+        checked.append(tuple(
+            _check_index(v, what + " index", size,
+                         _OUT_OF_RANGE + f" at time {t}")
+            for t, v in enumerate(values[: stop - start], start)
+        ))
+    controls = checked[1] if need_controls else tr.controls
+    return Trajectory(start, checked[0], controls, tr.scenario)
+
+
+def _check_bundle(model, bundle):
+    """The bundle rule (see TrajectoryBundle): the bundle with a plain int
+    start and x0, its scenarios as tuples of plain ints and each trajectory
+    as _check_trajectory returns it, with controls."""
+    start = _check_index(bundle.start, "bundle start", model.horizon + 1,
+                         _OUT_OF_SPAN)
+    x0 = _check_x0(model, bundle.x0)
+    scenarios = tuple(model._check_scenario(s) for s in bundle.scenarios)
+    total = count_scenarios(model, bundle.robust)
+    if len(scenarios) != total:
+        raise InputError(
+            f"bundle holds {len(scenarios)} scenarios, expected {total}"
+        )
+    domain = enumerate_scenarios(model, bundle.robust, cap=total)
+    for i, (scen, want) in enumerate(zip(scenarios, domain)):
+        if scen != want:
+            raise InputError(f"bundle scenario {i} is {scen}, expected {want}")
+    if len(bundle.trajectories) != total:
+        raise InputError(f"bundle holds {len(bundle.trajectories)} "
+                         f"trajectories for {total} scenarios")
+    trajectories = []
+    for i, (scen, tr) in enumerate(zip(scenarios, bundle.trajectories)):
+        tr = _check_trajectory(model, tr, True)
+        if tr.start != start:
+            raise InputError(
+                f"trajectory {i} starts at {tr.start}, expected {start}"
+            )
+        if model._check_scenario(tr.scenario) != scen:
+            raise InputError(f"trajectory {i} has scenario {tr.scenario}, "
+                             f"expected {scen}")
+        if tr.states[0] != x0:
+            raise InputError(f"trajectory {i} starts from state "
+                             f"{tr.states[0]}, expected x0 {x0}")
+        trajectories.append(tr)
+    return TrajectoryBundle(start, x0, bundle.robust, scenarios,
+                            tuple(trajectories))
 
 
 def _check_prefix(model, t, base):

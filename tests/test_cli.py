@@ -400,3 +400,18 @@ def test_tracer_boundary_names_exist():
         module = importlib.import_module(f"resilkit.{layer}")
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (layer, missing)
+
+
+def test_readme_quick_start_prints_what_it_shows(tmp_path):
+    # every `$ resilkit ...` command of the README's Quick start block,
+    # run from a directory holding models/, prints the lines shown under it
+    readme = (MODELS.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```")[1]
+    runs = [chunk.strip().splitlines()
+            for chunk in block.split("$ resilkit ")[1:]]
+    assert len(runs) == 4
+    (tmp_path / "models").symlink_to(MODELS)
+    for command, *shown in runs:
+        proc = run_cli(*command.split(), cwd=tmp_path)
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert proc.stdout.splitlines() == shown, command

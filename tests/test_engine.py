@@ -412,7 +412,7 @@ def test_public_boundaries_keep_their_checks(m1):
         (lambda: rk.regime_membership(m1, rk.Bounded({-1}), bundle),
          rk.InputError, "region contains invalid state index -1"),
         (lambda: rk.regime_membership(m1, rk.ProbExcursion(A, 0.5), robust),
-         rk.InputError, "probabilistic membership needs a full-domain"),
+         rk.InputError, "probability weights need a full-domain bundle"),
         (lambda: rk.evaluate_risk(
             m1, rk.Composed(rk.TimeOutside({5}), rk.Expectation()), bundle),
          rk.InputError, "acceptable set contains invalid state index 5"),
@@ -420,7 +420,7 @@ def test_public_boundaries_keep_their_checks(m1):
             m1, rk.Composed(rk.TimeOutside(A), rk.CVaR(1.5)), bundle),
          rk.InputError, "CVaR level 1.5"),
         (lambda: rk.evaluate_risk(m1, rk.Exceedance(A), robust),
-         rk.InputError, "probability-weighted risk needs a full-domain"),
+         rk.InputError, "probability weights need a full-domain bundle"),
         (lambda: rk.evaluate_cost(
             m1, rk.ControlEffort((1.0,)), bundle.trajectories[0]),
          rk.InputError, "1 effort rates for 2 controls"),

@@ -1,14 +1,22 @@
+import itertools
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resilkit as rk
+from resilkit.model import _Scenarios
+from resilkit.regimes import _exit_times, _membership, _recovery_time
+from resilkit.risk import _costs, _evaluate
 
 from conftest import (
     build_m1,
+    outcome,
     padded_twin,
     random_model,
+    random_risks,
     random_strategy,
 )
 
@@ -534,3 +542,213 @@ def test_rank_layout_marks_exactly_the_reachable_slots():
                 )
                 assert not np.delete(flat, positions).any()
 
+
+# ------------------------------------------------- the trajectory rule
+
+A = frozenset({2, 3})
+EXPECTED_TIME = rk.Composed(rk.TimeOutside(A), rk.Expectation())
+TABLE_COST = rk.TabularCost(np.arange(16).reshape(4, 4), np.zeros((3, 2)))
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def hold(m1):
+    """u = 0 from state 2 over m1's eight scenarios: expected TimeOutside
+    2.125, and not StochasticViability(A, 1)."""
+    return rk.build_bundle(m1, rk.constant_strategy(m1, 0), 2)
+
+
+def rebundle(bundle, **fields):
+    """The bundle with some fields replaced, unchecked."""
+    kept = dict(start=bundle.start, x0=bundle.x0, robust=bundle.robust,
+                scenarios=bundle.scenarios, trajectories=bundle.trajectories)
+    return rk.TrajectoryBundle(**{**kept, **fields})
+
+
+def path(states, controls=(0, 0, 0), start=0):
+    return rk.Trajectory(start, states, controls, (0, 0, 0))
+
+
+def numpy_indices(bundle):
+    """The bundle with every index a numpy integer, or a bool where it is
+    0 or 1."""
+    def cast(values):
+        return tuple(bool(v) if v in (0, 1) else np.int64(v) for v in values)
+    return rk.TrajectoryBundle(
+        np.int64(bundle.start), np.int64(bundle.x0), bundle.robust,
+        tuple(cast(s) for s in bundle.scenarios),
+        tuple(rk.Trajectory(np.int64(tr.start), cast(tr.states),
+                            cast(tr.controls), cast(tr.scenario))
+              for tr in bundle.trajectories),
+    )
+
+
+# states 1, 1, 2, 3 under controls 1, 1, 1, as numpy integers and bools
+NUMPY_PATH = rk.Trajectory(
+    np.int64(0), (True, np.int64(1), np.int32(2), np.uint8(3)),
+    (True, np.int8(1), np.int64(1)), (0, 0, 0),
+)
+
+
+def fault(text):
+    return rk.InputError, text
+
+
+# (id, call on m1, its result or the InputError with its exact text)
+TRAJECTORY_RULE = [
+    # a bundle holds its flag's scenario domain in canonical order and one
+    # trajectory per scenario, with that scenario, its start and x0
+    ("copies-risk", lambda m: rk.evaluate_risk(m, EXPECTED_TIME, rebundle(
+        hold(m), scenarios=hold(m).scenarios[:1] * 8,
+        trajectories=hold(m).trajectories[:1] * 8)),
+     fault("bundle scenario 1 is (0, 0, 0), expected (0, 0, 1)")),
+    ("copies-membership", lambda m: rk.regime_membership(
+        m, rk.StochasticViability(A, 1), rebundle(
+            hold(m), scenarios=hold(m).scenarios[:1] * 8,
+            trajectories=hold(m).trajectories[:1] * 8)),
+     fault("bundle scenario 1 is (0, 0, 0), expected (0, 0, 1)")),
+    ("one-trajectory-risk", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME,
+        rebundle(hold(m), trajectories=hold(m).trajectories[:1])),
+     fault("bundle holds 1 trajectories for 8 scenarios")),
+    ("one-trajectory-membership", lambda m: rk.regime_membership(
+        m, rk.Viability(A),
+        rebundle(hold(m), trajectories=hold(m).trajectories[:1])),
+     fault("bundle holds 1 trajectories for 8 scenarios")),
+    ("one-scenario", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME, rebundle(hold(m), scenarios=hold(m).scenarios[:1])),
+     fault("bundle holds 1 scenarios, expected 8")),
+    ("scenario-order", lambda m: rk.evaluate_risk(m, EXPECTED_TIME, rebundle(
+        hold(m), scenarios=hold(m).scenarios[::-1],
+        trajectories=hold(m).trajectories[::-1])),
+     fault("bundle scenario 0 is (1, 1, 1), expected (0, 0, 0)")),
+    ("trajectory-scenario", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME,
+        rebundle(hold(m), trajectories=hold(m).trajectories[::-1])),
+     fault("trajectory 0 has scenario (1, 1, 1), expected (0, 0, 0)")),
+    ("x0-mismatch", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME, rebundle(hold(m), x0=3)),
+     fault("trajectory 0 starts from state 2, expected x0 3")),
+    ("start-mismatch", lambda m: rk.regime_membership(
+        m, rk.Bounded(A), rebundle(hold(m), start=1)),
+     fault("trajectory 0 starts at 0, expected 1")),
+    ("bundle-x0", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME, rebundle(hold(m), x0=4)),
+     fault("x0 must be an ordinary state index, got 4")),
+    ("bundle-start", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME, rebundle(hold(m), start=4)),
+     fault("bundle start 4 out of range 0..3")),
+    # a bundle's trajectories hold controls, even for a states-only regime
+    ("bundle-controls", lambda m: rk.regime_membership(
+        m, rk.Bounded(A), rebundle(hold(m), trajectories=(
+            path((2, 1, 0, 0), (0, 0)),) + hold(m).trajectories[1:])),
+     fault("no control at time 2; trajectory starts at 0")),
+    # each state is an index in 0..n and each control read one in 0..nu-1
+    ("state-negative", lambda m: rk.evaluate_cost(
+        m, TABLE_COST, path((-1, 2, 2, 2))),
+     fault("state index -1 out of range at time 0")),
+    ("state-past-cemetery", lambda m: rk.exit_times(m, path((9, 2, 2, 2)), A),
+     fault("state index 9 out of range at time 0")),
+    ("control-past-range", lambda m: rk.recovery_time(
+        m, path((2, 2, 2, 2), (7, 0, 0)), A),
+     fault("control index 7 out of range at time 0")),
+    ("state-float", lambda m: rk.recovery_time(m, path((2.0, 2, 2, 2)), A),
+     fault("state index 2.0 is not an integer")),
+    # the start is a time in 0..K
+    ("start-exit-times", lambda m: rk.exit_times(m, path((), (), 5), A),
+     fault("trajectory start 5 out of range 0..3")),
+    ("start-recovery-time", lambda m: rk.recovery_time(
+        m, path((), (), 5), A),
+     fault("trajectory start 5 out of range 0..3")),
+    ("start-cost", lambda m: rk.evaluate_cost(
+        m, rk.TimeOutside(A), path((), (), 5)),
+     fault("trajectory start 5 out of range 0..3")),
+    ("trajectory-for-float", lambda m: rk.build_bundle(
+        m, rk.constant_strategy(m, 1), 2).trajectory_for((1.0, 0, 0)),
+     fault("scenario entry 1.0 is not an integer")),
+    # cvar weights follow the probability rule
+    ("cvar-short-weights", lambda m: rk.cvar([1, 2], [0.5], 1),
+     fault("CVaR weights have length 1, expected 2")),
+    ("cvar-long-weights", lambda m: rk.cvar([1], [0.5, 0.5], 1),
+     fault("CVaR weights have length 2, expected 1")),
+    ("cvar-nan-weight", lambda m: rk.cvar([1, 2], [0.5, math.nan], 1),
+     fault("CVaR weights include nan (each must be finite and non-negative)")),
+    ("cvar-negative-weight", lambda m: rk.cvar([1, 2], [-1, 2], 1),
+     fault("CVaR weights include -1.0 (each must be finite and "
+           "non-negative)")),
+    # numpy integers and bools are indices
+    ("numpy-exit-times", lambda m: rk.exit_times(m, NUMPY_PATH, A, True),
+     (0, 1)),
+    ("numpy-recovery-time", lambda m: rk.recovery_time(m, NUMPY_PATH, A), 2),
+    ("numpy-table-cost", lambda m: rk.evaluate_cost(m, TABLE_COST, NUMPY_PATH),
+     31.0),
+    ("numpy-effort", lambda m: rk.evaluate_cost(
+        m, rk.ControlEffort((2.0, 5.0)), NUMPY_PATH), 15.0),
+    ("numpy-risk", lambda m: rk.evaluate_risk(
+        m, EXPECTED_TIME, numpy_indices(hold(m))), 2.125),
+    ("numpy-membership", lambda m: rk.regime_membership(
+        m, rk.StochasticViability(A, 0.125), numpy_indices(hold(m))), True),
+    ("numpy-sure-membership", lambda m: rk.regime_membership(
+        m, rk.StochasticViability(A, 1), numpy_indices(hold(m))), False),
+    ("numpy-trajectory-for", lambda m: rk.build_bundle(
+        m, rk.constant_strategy(m, 1), 2).trajectory_for(
+            (np.int64(1), True, False)).states, (2, 2, 2, 3)),
+    ("numpy-cvar", lambda m: rk.cvar(np.arange(2), np.full(2, 0.5), 0.5),
+     1.0),
+]
+
+
+@pytest.mark.parametrize("call, expected", [row[1:] for row in TRAJECTORY_RULE],
+                         ids=[row[0] for row in TRAJECTORY_RULE])
+def test_every_trajectory_follows_the_trajectory_rule(m1, call, expected):
+    assert outcome(lambda: call(m1)) == expected
+
+
+def same(a, b):
+    return a == b or a != a and b != b  # NaN is the same as NaN
+
+
+@pytest.mark.parametrize("name", ["m1", "m1_benign", "m1_effort", "m1_top"])
+def test_package_trajectories_pass_the_trajectory_rule(name):
+    # every bundle and closed loop the package builds passes the rule, and
+    # each public answer on it is its unchecked loop's
+    parsed = rk.parse_model((MODELS / f"{name}.model").read_text())
+    model = parsed.model
+    K, n = model.horizon, model.n_states
+    acc = rk.regime_state_set(parsed.regime)
+    rng = np.random.default_rng(35)
+    strategies = [rk.constant_strategy(model, u) for u in (0, 1)]
+    strategies += [random_strategy(rng, model, kind)
+                   for kind in (rk.MARKOV, rk.ADAPTED)]
+    regimes = [parsed.regime, rk.Viability(acc), rk.RobustRecovery(acc, 2),
+               rk.StochasticViability(acc, 0.5), rk.Bounded(acc),
+               rk.ProbExcursion(acc, 0.5), rk.AtMostKExits(acc, 1),
+               rk.Stabilize(3, 1.0, 2), rk.ControlEvent({1}),
+               rk.RiskContainment(EXPECTED_TIME, 1.0)]
+    risks = [parsed.risk] + random_risks(rng, model, acc)
+    costs = list({id(risk.cost): risk.cost for risk in risks
+                  if isinstance(risk, rk.Composed)}.values())
+    for strategy, x0, start, robust in itertools.product(
+            strategies, range(n), range(K + 1), (False, True)):
+        bundle = rk.build_bundle(model, strategy, x0, start, robust)
+        scenarios = _Scenarios(model, bundle.scenarios, bundle.robust)
+        for regime in regimes:
+            assert outcome(lambda: rk.regime_membership(
+                model, regime, bundle)) == outcome(lambda: _membership(
+                    model, regime, bundle, scenarios))
+        for risk in risks:
+            assert same(outcome(lambda: rk.evaluate_risk(model, risk, bundle)),
+                        outcome(lambda: _evaluate(model, risk, bundle,
+                                                  scenarios)))
+        for tr in bundle:
+            assert bundle.trajectory_for(tr.scenario) is tr
+            one = rk.simulate_closed_loop(model, strategy, x0, tr.scenario,
+                                          start)
+            assert (one.states, one.controls) == (tr.states, tr.controls)
+            for flag in (False, True):
+                assert (rk.exit_times(model, one, acc, flag)
+                        == _exit_times(model, one, acc, flag))
+            assert (rk.recovery_time(model, one, acc)
+                    == _recovery_time(model, one, acc))
+            for cost in costs:
+                assert same(rk.evaluate_cost(model, cost, one),
+                            _costs(model, cost, (one,))[0])
