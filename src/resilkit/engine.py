@@ -80,6 +80,8 @@ _REACH_CELLS = 1 << 18
 # M is
 _PATH_CELLS = 1 << 16
 
+_WITNESS_CAP = 1 << 24  # int32 cells of all Bounded witness tables (64 MB)
+
 
 @record(eq=False)
 class KernelTable:
@@ -621,9 +623,12 @@ def _kernel_witnesses(model, region, kind, start):
     in the kernel, the kernel's witness on each slot it reaches
     (strategy._reached) and control 0 elsewhere. A reached slot must send
     every w into the kernel, and reaching depends on earlier times only,
-    which ranks weigh more."""
+    which ranks weigh more. CapacityError above _WITNESS_CAP cells in all."""
     shape = _policy_shape(model, kind, start)
     kernel = _kernel(model, region, "full")
+    cells = len(kernel.member_set(start)) * math.prod(shape)
+    if cells > _WITNESS_CAP:
+        raise CapacityError(f"{cells} witness cells exceed cap {_WITNESS_CAP}")
     for x0 in sorted(kernel.member_set(start)):
         out = np.zeros(shape, dtype=np.int32)
         for t, here in _reached(model, x0, kind, start, kernel.witness):

@@ -438,6 +438,22 @@ def _check_index(value, what, stop=math.inf,
     return int(value)
 
 
+def _check_real(value, what, interval=None):
+    """The package's one number rule: `value`, an int (a bool too), float,
+    numpy integer or numpy floating, in `interval`, "[lo, hi]" or "(lo, hi]"
+    (NaN is in none), as a float. With no interval any number passes."""
+    if not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InputError(f"{what} {value!r} is not a number")
+    if interval is not None:
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if not (lo < value <= hi or value == lo and interval[0] == "["):
+            raise InputError(f"{what} {value!r} outside {interval}")
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range rounds to +-inf
+        return math.inf if value > 0 else -math.inf
+
+
 # out-of-range texts: "{what} {value} out of range", with the span for a
 # time, a start or a rank
 _OUT_OF_RANGE = "{what} {value} out of range"

@@ -19,7 +19,8 @@ import numpy as np
 
 from ._record import record
 from .errors import ConfigurationError, InputError
-from .model import SystemModel, _check_index, _Scenarios, packed_tables
+from .model import (SystemModel, _check_index, _check_real, _Scenarios,
+                    packed_tables)
 from .strategy import (
     Trajectory,
     TrajectoryBundle,
@@ -54,7 +55,7 @@ class RobustRecovery:
 
 @record
 class StochasticViability:
-    """Stay viable (states + admissible controls) with probability >= beta."""
+    """Stay viable, controls admissible, with probability >= beta in [0, 1]."""
 
     acceptable: frozenset
     beta: float
@@ -75,7 +76,7 @@ class Bounded:
 
 @record
 class ProbExcursion:
-    """Probability that states ever leave `region` is at most beta."""
+    """States ever leave `region` with probability at most beta, in [0, 1]."""
 
     region: frozenset
     beta: float
@@ -99,8 +100,8 @@ class AtMostKExits:
 
 @record
 class Stabilize:
-    """End within Euclidean `radius` of state `target` over the last
-    `window` times, for every scenario (finite-horizon convergence proxy)."""
+    """End within Euclidean `radius` in [0, inf] of state `target` over the
+    last `window` times in all scenarios (finite-horizon convergence proxy)."""
 
     target: int
     radius: float
@@ -119,7 +120,7 @@ class ControlEvent:
 
 @record
 class RiskContainment:
-    """A risk measure stays at or below `level`."""
+    """A risk measure stays at or below `level`, in [-inf, inf] (not NaN)."""
 
     measure: object
     level: float
@@ -149,8 +150,7 @@ def validate_regime(model: SystemModel, regime) -> None:
     if isinstance(regime, (Bounded, ProbExcursion, AtMostKExits)):
         _check_state_set(model, regime.region, "region")
     if isinstance(regime, (StochasticViability, ProbExcursion)):
-        if not 0.0 <= regime.beta <= 1.0:
-            raise InputError(f"beta {regime.beta!r} outside [0, 1]")
+        _check_real(regime.beta, "beta", "[0, 1]")
         if not model.uncertainty.has_probs and model.scenario_probs is None:
             raise ConfigurationError(
                 "probabilistic regime needs declared probabilities"
@@ -161,8 +161,7 @@ def validate_regime(model: SystemModel, regime) -> None:
         _check_index(regime.max_exits, "max_exits")
     if isinstance(regime, Stabilize):
         _check_index(regime.target, "target", model.n_states)
-        if not regime.radius >= 0:  # NaN too
-            raise InputError(f"radius {regime.radius!r} is not >= 0")
+        _check_real(regime.radius, "radius", "[0, inf]")
         _check_index(regime.window, "window")
     if isinstance(regime, ControlEvent):
         for u in regime.controls:
@@ -171,6 +170,7 @@ def validate_regime(model: SystemModel, regime) -> None:
         from .risk import validate_risk
 
         validate_risk(model, regime.measure)
+        _check_real(regime.level, "level", "[-inf, inf]")
 
 
 def _ball(model, regime):

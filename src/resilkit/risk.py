@@ -20,7 +20,7 @@ import numpy as np
 
 from ._record import record
 from .errors import InputError
-from .model import SystemModel, _Scenarios, _check_probabilities
+from .model import SystemModel, _Scenarios, _check_probabilities, _check_real
 from .regimes import (
     _check_full_domain,
     _check_state_set,
@@ -74,9 +74,8 @@ class ControlEffort:
 
     def __post_init__(self):
         if self.rates is not None:
-            object.__setattr__(
-                self, "rates", tuple(float(r) for r in self.rates)
-            )
+            rates = tuple(_check_real(r, "effort rate") for r in self.rates)
+            object.__setattr__(self, "rates", rates)
 
 
 @record
@@ -206,13 +205,14 @@ RISK_KINDS = (
 def _check_outer(outer):
     if not isinstance(outer, OUTER_KINDS):
         raise InputError(f"unknown outer functional {outer!r}")
-    if isinstance(outer, CVaR) and not 0.0 < outer.level <= 1.0:
-        raise InputError(f"CVaR level {outer.level!r} outside (0, 1]")
+    if isinstance(outer, CVaR):
+        _check_real(outer.level, "CVaR level", "(0, 1]")
 
 
 def validate_cost(model: SystemModel, cost) -> None:
     if not isinstance(cost, COST_KINDS):
         raise InputError(f"unknown cost function {cost!r}")
+    _check_real(cost.cemetery_penalty, "cemetery_penalty")
     if isinstance(cost, (TimeOutside, TerminalMiss, RecoveryOffset)):
         _check_state_set(model, cost.acceptable, "acceptable set")
     if isinstance(cost, ControlEffort) and cost.rates is not None:
@@ -364,8 +364,7 @@ def cvar(values, weights, level: float) -> float:
     distribution, splitting an atom when the boundary lands inside one.
     The weights, one per value, follow the probability rule of
     model._check_probabilities."""
-    if not 0.0 < level <= 1.0:
-        raise InputError(f"CVaR level {level!r} outside (0, 1]")
+    _check_real(level, "CVaR level", "(0, 1]")
     values = [float(v) for v in values]
     weights = _check_probabilities(weights, "CVaR weights", len(values))
     return _cvar(values, weights, level)

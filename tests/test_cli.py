@@ -305,16 +305,25 @@ def test_bad_input_exits_2(argv, fragment, tmp_path):
      "--beta must be in [0, 1], got nan"),
     (("value", "--model", "loose.model"),
      "the regime's beta must be in [0, 1], got 1.5"),
+    (("resilient-set", "--model", "nan_level.model"),
+     "level nan outside [-inf, inf]"),
 ])
 def test_exit_2_creates_no_out_dir(argv, fragment, tmp_path):
-    # m1_effort.model, whose stochastic_viability regime has beta 1.5
+    # m1_effort.model, whose stochastic_viability regime has beta 1.5, and
+    # m4_belief.model, whose risk_containment regime has level nan
     loose = tmp_path / "loose.model"
     loose.write_text(
         (MODELS / "m1_effort.model").read_text()
         .replace("beta = 1.0", "beta = 1.5")
     )
+    nan_level = tmp_path / "nan_level.model"
+    nan_level.write_text(
+        (MODELS / "m4_belief.model").read_text()
+        .replace("level = 0.5", "level = nan")
+    )
+    local = {"loose.model": loose, "nan_level.model": nan_level}
     fixed = [
-        str(loose) if a == "loose.model"
+        str(local[a]) if a in local
         else model(a) if a.endswith(".model") else a
         for a in argv
     ]

@@ -4,6 +4,7 @@ naive recomputations on random instances."""
 
 import math
 import re
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -373,6 +374,37 @@ def test_resilient_states_strategy_cap(m1):
         rk.resilient_states(m1, 0, rk.AtMostKExits(A, 1), cap=10)
     out = rk.resilient_states(m1, 0, rk.Bounded(A), cap=10)
     assert out.method == "exhaustive" and out.members == {2, 3}
+
+
+def test_bounded_witness_tables_are_capped(monkeypatch):
+    # an adapted witness table holds K * (n+1) * 3**(K-1) cells here, one
+    # per member; the six together pass the cap at K = 10 and exceed it at
+    # K = 11, where the raise comes before any table is allocated
+    def drift(horizon):
+        return rk.make_model(
+            horizon=horizon, state_labels=tuple("01234567"),
+            control_labels=("0", "1"), uncertainty_sets=("-1", "0", "1"),
+            dynamics_fn=lambda t, x, u, w: min(max(x + u + w - 1, 1), 6),
+        )
+
+    region = rk.Bounded(range(1, 7))
+    tracemalloc.start()
+    try:
+        with pytest.raises(rk.CapacityError, match=(
+            "^35075106 witness cells exceed cap 16777216$"
+        )):
+            rk.resilient_states(drift(11), 0, region, rk.ADAPTED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    # below the cap the answer is the one an uncapped call gives
+    capped = rk.resilient_states(drift(9), 0, region, rk.ADAPTED)
+    monkeypatch.setattr(rk.engine, "_WITNESS_CAP", math.inf)
+    free = rk.resilient_states(drift(9), 0, region, rk.ADAPTED)
+    assert capped.members == free.members == set(range(1, 7))
+    for x0 in capped.members:
+        assert rk.strategies_equal(capped.witnesses[x0], free.witnesses[x0])
 
 
 def test_public_boundaries_keep_their_checks(m1):

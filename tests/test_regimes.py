@@ -259,11 +259,22 @@ REGIME_PARAMETER_FAULTS = [
     (rk.Stabilize(1.0, 1.0, 1), "target 1.0 is not an integer"),
     (rk.Stabilize(4, 1.0, 1), "target 4 outside 0..3"),
     (rk.Stabilize(np.True_, 1.0, 1), "target np.True_ is not an integer"),
-    (rk.Stabilize(0, math.nan, 1), "radius nan is not >= 0"),
-    (rk.Stabilize(0, -0.5, 1), "radius -0.5 is not >= 0"),
+    (rk.Stabilize(0, math.nan, 1), "radius nan outside [0, inf]"),
+    (rk.Stabilize(0, -0.5, 1), "radius -0.5 outside [0, inf]"),
     (rk.ControlEvent({1.0}), "control 1.0 is not an integer"),
     (rk.ControlEvent({math.nan}), "control nan is not an integer"),
     (rk.ControlEvent({2}), "control 2 outside 0..1"),
+    # betas, levels and radii (the two rows above too) take an int, float
+    # or numpy number (not a numpy bool) in their interval, which NaN is
+    # never in
+    (rk.StochasticViability(A, "x"), "beta 'x' is not a number"),
+    (rk.StochasticViability(A, np.True_), "beta np.True_ is not a number"),
+    (rk.ProbExcursion(A, None), "beta None is not a number"),
+    (rk.RiskContainment(rk.Exceedance(A), "x"), "level 'x' is not a number"),
+    (rk.RiskContainment(rk.Exceedance(A), math.nan),
+     "level nan outside [-inf, inf]"),
+    (rk.RiskContainment(rk.Exceedance(A), None), "level None is not a number"),
+    (rk.Stabilize(0, "1", 1), "radius '1' is not a number"),
 ]
 
 
@@ -283,6 +294,35 @@ def test_regime_parameter_faults_are_input_errors(m1, regime, message):
     ):
         with pytest.raises(rk.InputError, match=exact):
             call()
+
+
+# a numpy number answers as the float it holds
+REGIME_NUMBER_TWINS = [
+    (rk.StochasticViability(A, np.float64(0.5)),
+     rk.StochasticViability(A, 0.5)),
+    (rk.ProbExcursion(A, np.int64(0)), rk.ProbExcursion(A, 0.0)),
+    (rk.RiskContainment(rk.Exceedance(A), np.int64(0)),
+     rk.RiskContainment(rk.Exceedance(A), 0.0)),
+    (rk.RiskContainment(rk.Exceedance(A), np.float64(0.5)),
+     rk.RiskContainment(rk.Exceedance(A), 0.5)),
+    (rk.Stabilize(3, np.int64(0), 1), rk.Stabilize(3, 0.0, 1)),
+    (rk.Stabilize(3, np.float64(2.0), 2), rk.Stabilize(3, 2.0, 2)),
+]
+
+
+@pytest.mark.parametrize("regime, twin", REGIME_NUMBER_TWINS)
+def test_numpy_numbers_answer_as_their_floats(m1, regime, twin):
+    got, want = (rk.resilient_states(m1, 0, r) for r in (regime, twin))
+    assert (got.members, got.method) == (want.members, want.method)
+    for x0 in want.members:
+        assert rk.strategies_equal(got.witnesses[x0], want.witnesses[x0])
+    got, want = (rk.oracle_resilient_states(m1, 0, r) for r in (regime, twin))
+    assert got.members == want.members
+    hold = rk.constant_strategy(m1, 0)
+    for x0 in range(m1.n_states):
+        assert rk.check_resilient(m1, hold, x0, 0, regime) == (
+            rk.check_resilient(m1, hold, x0, 0, twin)
+        )
 
 
 def test_state_sets_accept_integer_kinds_and_name_the_first_bad_element(m1):

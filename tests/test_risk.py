@@ -3,6 +3,8 @@ probability/robustness measures, checked against hand-computed values on the
 reservoir model and against closed forms on random instances."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -73,6 +75,57 @@ def test_cvar_level_range():
         rk.cvar([1.0], [1.0], 1.5)
     with pytest.raises(rk.InputError, match=r"\(0, 1\]"):
         rk.cvar([1.0], [1.0], -0.25)
+
+
+CVAR_LEVEL_FAULTS = [
+    ("0.5", "CVaR level '0.5' is not a number"),
+    (None, "CVaR level None is not a number"),
+    (np.True_, "CVaR level np.True_ is not a number"),
+]
+
+
+@pytest.mark.parametrize("level, message", CVAR_LEVEL_FAULTS)
+def test_cvar_level_faults_are_input_errors(m1, level, message):
+    # one InputError, by the number rule, wherever a CVaR level is read
+    risk = rk.Composed(rk.TimeOutside(A), rk.CVaR(level))
+    exact = f"^{re.escape(message)}$"
+    for call in (
+        partial(rk.validate_risk, m1, risk),
+        partial(rk.minimize_risk, m1, 2, 0, rk.Viability(A), risk),
+        partial(rk.oracle_min_risk, m1, 2, 0, rk.Viability(A), risk),
+        partial(rk.cvar, [1.0, 2.0], [0.5, 0.5], level),
+    ):
+        with pytest.raises(rk.InputError, match=exact):
+            call()
+
+
+@pytest.mark.parametrize("level, twin", [
+    (np.float64(0.5), 0.5), (np.int64(1), 1.0), (True, 1.0),
+])
+def test_numpy_cvar_levels_answer_as_their_floats(m1, level, twin):
+    risk, same = (
+        rk.Composed(rk.TimeOutside(A), rk.CVaR(v)) for v in (level, twin)
+    )
+    for x0 in range(m1.n_states):
+        got, want = (
+            rk.minimize_risk(m1, x0, 0, rk.Viability(A), r)
+            for r in (risk, same)
+        )
+        assert (got.value, got.examined) == (want.value, want.examined)
+        assert got.strategy is want.strategy is None or (
+            rk.strategies_equal(got.strategy, want.strategy)
+        )
+        got, want = (
+            rk.oracle_min_risk(m1, x0, 0, rk.Viability(A), r)
+            for r in (risk, same)
+        )
+        assert got[0] == want[0] and got[2] == want[2]
+    bundle = hold_bundle(m1)
+    assert rk.evaluate_risk(m1, risk, bundle) == rk.evaluate_risk(
+        m1, same, bundle
+    )
+    values, weights = [3.0, 1.0, 2.0], [0.25, 0.5, 0.25]
+    assert rk.cvar(values, weights, level) == rk.cvar(values, weights, twin)
 
 
 def test_cvar_matches_minimization_form():
@@ -173,6 +226,44 @@ def test_cost_validation(m1):
         rk.evaluate_cost(m1, rk.TabularCost(np.zeros((2, 4)), np.zeros((3, 2))), tr)
     with pytest.raises(rk.InputError, match="control cost table"):
         rk.evaluate_cost(m1, rk.TabularCost(np.zeros((4, 4)), np.zeros((3, 3))), tr)
+
+
+def test_cost_parameters_take_any_number(m1):
+    # penalties and effort rates pass the number rule's type test only:
+    # NaN and inf stay costs, another type is an InputError
+    dead = rk.Trajectory(0, (2, 4, 4, 4), (0, 0, 0), (1, 1, 1))
+    for penalty in (math.inf, math.nan, np.int64(2), 2):
+        cost = rk.TimeOutside(A, penalty)
+        got = rk.evaluate_cost(m1, cost, dead)
+        want = 3 * float(penalty)
+        assert got == want or math.isnan(got) and math.isnan(want)
+    K, n, nu = m1.horizon, m1.n_states, m1.n_controls
+    for cost in (
+        rk.TimeOutside(A, "x"),
+        rk.ControlEffort(None, "x"),
+        rk.TerminalMiss(A, "x"),
+        rk.TabularCost(np.zeros((K + 1, n)), np.zeros((K, nu)), "x"),
+        rk.RecoveryOffset(A, "x"),
+    ):
+        for call in (
+            partial(rk.evaluate_cost, m1, cost, dead),
+            partial(rk.evaluate_risk, m1, rk.Composed(cost, rk.Expectation()),
+                    hold_bundle(m1)),
+            partial(rk.minimize_risk, m1, 2, 0, rk.Viability(A),
+                    rk.Composed(cost, rk.WorstCase())),
+        ):
+            with pytest.raises(
+                rk.InputError, match="^cemetery_penalty 'x' is not a number$"
+            ):
+                call()
+    # an int past the float range reads as inf
+    rates = rk.ControlEffort((np.int64(1), math.nan, 10**400)).rates
+    assert rates[0] == 1.0 and math.isnan(rates[1]) and rates[2] == math.inf
+    for rates, bad in ((("a", "b"), "'a'"), ((1.0, None), "None")):
+        with pytest.raises(
+            rk.InputError, match=f"^effort rate {bad} is not a number$"
+        ):
+            rk.ControlEffort(rates)
 
 
 def test_costs_reject_short_trajectories(m1):
