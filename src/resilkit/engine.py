@@ -36,7 +36,7 @@ from ._record import record
 from .errors import CapacityError, ConfigurationError, InputError
 from .model import (
     _OUT_OF_SPAN, DEFAULT_SCENARIO_CAP, SystemModel, _Scenarios, _check_index,
-    _check_start, successor_planes,
+    _check_real, _check_start, _check_table, successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -361,15 +361,11 @@ def _fill(model, picks, start):
 
 
 def fill_policy(model, picks, start):
-    """Markov strategy from per-(t, x) picks, an int (K, n) table; -1
-    entries fall back to the least admissible control (they are never
-    visited by the witnesses)."""
-    picks = np.asarray(picks)
-    want = (model.horizon, model.n_states)
-    if picks.shape != want:
-        raise InputError(
-            f"picks table has shape {picks.shape}, expected {want}"
-        )
+    """Markov strategy from per-(t, x) picks, a (K, n) index table of -1 or
+    control indices; -1 entries fall back to the least admissible control
+    (they are never visited by the witnesses)."""
+    picks = _check_table(picks, "picks table",
+                         (model.horizon, model.n_states), first=-1)
     strategy = _fill(model, picks, _check_start(model, start))
     validate_strategy(model, strategy)
     return strategy
@@ -386,11 +382,12 @@ def check_resilient(
     """Does the strategy realize the regime from x0 at time `start`? The
     strategy is packed as one policy array and decided as a scan block is
     (_decide), after checks of the regime, then in _check_run of the
-    strategy, start against the strategy's, x0 and start's range. Scenarios
-    are enumerated against `cap` only where the decision reads them."""
+    strategy, start against the strategy's, x0 and start's range, then the
+    cap. Scenarios are enumerated against it only where the decision reads
+    them."""
     validate_regime(model, regime)
     x0, start = _check_run(model, strategy, x0, start)
-    scenarios = _scan_scenarios(model, regime, cap)
+    scenarios = _scan_scenarios(model, regime, _check_index(cap, "cap"))
     member, _ = _decide(
         model, regime, _monitor(model, regime, start),
         _policy_array(model, strategy)[None], x0, start, scenarios,
@@ -582,7 +579,7 @@ def _decide(model, regime, monitor, policies, x0, start, scenarios, base):
     paths = _simulate(model, policies, scenarios, x0, start, base)
     if monitor is None:
         value = _evaluate_paths(model, regime.measure, *paths, scenarios, start)
-        return value <= regime.level, paths
+        return value <= _check_real(regime.level, "level"), paths
     member = _monitor_paths(model, regime, monitor, *paths, scenarios, start)
     return member, paths
 
@@ -681,6 +678,7 @@ def resilient_states(
     validate_regime(model, regime)
     _check_kind(strategy_class)
     start = _check_start(model, start)
+    cap = _check_index(cap, "cap")
     found = None  # (x0, policy array) of each exhaustive member
     if isinstance(regime, Viability):
         table = _kernel(model, regime.acceptable, "full")

@@ -37,23 +37,27 @@ Scenario = tuple  # tuple[int, ...] of length K, entry t indexes W_t
 
 @record
 class TimeGrid:
-    """Decision times 0..horizon-1; states live on 0..horizon."""
+    """Decision times 0..horizon-1; states live on 0..horizon >= 1."""
 
     horizon: int
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InputError(f"horizon must be >= 1, got {self.horizon}")
+        object.__setattr__(self, "horizon", _check_index(
+            self.horizon, "horizon", math.inf,
+            "horizon must be >= 1, got {value}", 1))
 
 
-def _as_coords(labels, coords):
+def _as_coords(space, what):
+    labels, coords = space.labels, space.coords
     if coords is None:
-        # default: numeric labels become 1-d coordinates, otherwise the index
+        # default: finite numeric labels as 1-d coordinates, else the index
         try:
-            coords = [[float(lab)] for lab in labels]
+            coords = [float(lab) for lab in labels]
         except ValueError:
-            coords = [[float(i)] for i in range(len(labels))]
-    arr = np.asarray(coords, dtype=np.float64)
+            coords = [math.nan]
+        if not all(map(math.isfinite, coords)):
+            coords = range(len(labels))
+    arr = _check_table(coords, f"{what} coordinates", kind="real", finite=True)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.shape[0] != len(labels):
@@ -78,6 +82,7 @@ class StateSpace:
     """Ordinary states with display labels and numeric coordinates.
 
     The cemetery is not listed; it is the extra index ``len(labels)``.
+    coords is a finite real table (_check_table) with a row per label.
     """
 
     labels: tuple
@@ -86,7 +91,7 @@ class StateSpace:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         _check_labels(self.labels, "state")
-        object.__setattr__(self, "coords", _as_coords(self.labels, self.coords))
+        object.__setattr__(self, "coords", _as_coords(self, "state"))
 
     @property
     def size(self):
@@ -113,7 +118,7 @@ class StateSpace:
 
 @record(eq=False)
 class ControlSpace:
-    """Controls with display labels and numeric coordinates."""
+    """Controls with display labels and coordinates, as StateSpace's."""
 
     labels: tuple
     coords: np.ndarray = None
@@ -121,7 +126,7 @@ class ControlSpace:
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
         _check_labels(self.labels, "control")
-        object.__setattr__(self, "coords", _as_coords(self.labels, self.coords))
+        object.__setattr__(self, "coords", _as_coords(self, "control"))
 
     @property
     def size(self):
@@ -138,23 +143,22 @@ class ControlSpace:
 
 
 def _check_probabilities(values, what, size=None, distribution=True):
-    """The probability rule, as a float tuple: each value finite and
-    non-negative; with `distribution`, also `size` values when one is
-    given and an fsum within 1e-9 of 1. InputError texts begin with `what`,
-    which names the vector ("probabilities at time 0", "scenario
-    probabilities")."""
-    values = tuple(float(v) for v in values)
-    bad = [v for v in values if not 0.0 <= v < math.inf]
-    if bad:
-        raise InputError(
-            f"{what} include {bad[0]!r} (each must be finite and non-negative)"
-        )
+    """The probability rule, as a float tuple: a real table (_check_table),
+    each value finite and non-negative; with `distribution`, also `size`
+    values when one is given and an fsum within 1e-9 of 1. InputError texts
+    begin with `what`, which names the vector ("probabilities at time 0",
+    "scenario probabilities")."""
+    values = _check_table(values, what, kind="real")
+    bad = values[~((values >= 0.0) & (values < math.inf))]
+    if bad.size:
+        raise InputError(f"{what} include {bad[0].item()!r} "
+                         "(each must be finite and non-negative)")
     if distribution and size is not None and len(values) != size:
         raise InputError(f"{what} have length {len(values)}, expected {size}")
-    total = math.fsum(values)
+    total = math.fsum(values.tolist())
     if distribution and not abs(total - 1.0) <= 1e-9:
         raise InputError(f"{what} sum to {total!r}, expected 1")
-    return values
+    return tuple(values.tolist())
 
 
 @record(eq=False)
@@ -237,10 +241,11 @@ class UncertaintyStructure:
 class SystemModel:
     """A complete controlled system.
 
-    dynamics[t, x, u, w] is the next state index (cemetery allowed); entries
-    with w >= |W_t| are padding and never read. constraints[t, x, u] says u is
-    admissible at (t, x); every (t, x) row has at least one admissible
-    control. Choosing an inadmissible control routes to the cemetery.
+    dynamics[t, x, u, w], an index table (_check_table) of shape (K, n, nu,
+    max |W_t|), is the next state (cemetery allowed); entries with w >= |W_t|
+    are padding, never read nor checked. constraints[t, x, u], a bool table,
+    says u is admissible at (t, x); each (t, x) row admits some control, and
+    an inadmissible control routes to the cemetery.
     """
 
     time: TimeGrid
@@ -258,30 +263,18 @@ class SystemModel:
             raise InputError(
                 f"{len(self.uncertainty.sets)} uncertainty sets for horizon {K}"
             )
-        nw_max = max(self.uncertainty.size(t) for t in range(K))
-
-        dyn = np.asarray(self.dynamics, dtype=np.int32)
-        if dyn.shape != (K, n, nu, nw_max):
-            raise InputError(
-                f"dynamics table has shape {dyn.shape}, "
-                f"expected {(K, n, nu, nw_max)}"
-            )
-        for t in range(K):
-            sub = dyn[t, :, :, : self.uncertainty.size(t)]
-            if sub.min() < 0 or sub.max() > n:
-                bad = np.argwhere((sub < 0) | (sub > n))[0]
-                raise InputError(
-                    "dynamics image out of range at "
-                    f"(t={t}, x={bad[0]}, u={bad[1]}, w={bad[2]})"
-                )
+        sizes = np.array([self.uncertainty.size(t) for t in range(K)])
+        nw_max = int(sizes.max())
+        dyn = _check_table(
+            self.dynamics, "dynamics table", (K, n, nu, nw_max), first=0,
+            stop=n + 1, where=np.arange(nw_max) < sizes[:, None, None, None],
+            outside="dynamics image out of range at "
+                    "(t={at[0]}, x={at[1]}, u={at[2]}, w={at[3]})")
         dyn.setflags(write=False)
         object.__setattr__(self, "dynamics", dyn)
 
-        con = np.asarray(self.constraints, dtype=bool)
-        if con.shape != (K, n, nu):
-            raise InputError(
-                f"constraint table has shape {con.shape}, expected {(K, n, nu)}"
-            )
+        con = _check_table(self.constraints, "constraint table", (K, n, nu),
+                           "bool", 0, 2)
         empty = np.argwhere(~con.any(axis=2))
         if len(empty):
             t, x = empty[0]
@@ -300,11 +293,12 @@ class SystemModel:
             object.__setattr__(self, "robust_scenarios", tuple(sorted(scens)))
 
         if self.scenario_probs is not None:
-            probs = {}
-            for s, p in dict(self.scenario_probs).items():
-                probs[self._check_scenario(s)] = float(p)
-            _check_probabilities(probs.values(), "scenario probabilities")
-            object.__setattr__(self, "scenario_probs", probs)
+            probs = {self._check_scenario(s): p
+                     for s, p in dict(self.scenario_probs).items()}
+            weights = _check_probabilities(list(probs.values()),
+                                           "scenario probabilities")
+            object.__setattr__(self, "scenario_probs",
+                               dict(zip(probs, weights)))
 
     def _check_scenario(self, scenario):
         """`scenario`, a sequence of K uncertainty indices, each under the
@@ -361,6 +355,7 @@ def make_model(
     single label sequence (reused at every time) or one sequence per time.
     """
     time = TimeGrid(horizon)
+    horizon = time.horizon
     states = StateSpace(tuple(state_labels), state_coords)
     controls = ControlSpace(tuple(control_labels), control_coords)
 
@@ -454,6 +449,44 @@ def _check_real(value, what, interval=None):
         return math.inf if value > 0 else -math.inf
 
 
+_TABLE_KINDS = {"index": ("iu", "an integer", np.int32),
+                "bool": ("biu", "a bool", bool),
+                "real": ("iuf", "a number", np.float64)}
+
+
+def _check_table(values, what, shape=None, kind="index", first=-2**31,
+                 stop=2**31, where=True,
+                 outside="{what} entry {value!r} outside {first}..{last}",
+                 finite=False):
+    """The package's one table rule: `values`, an array or nested sequence
+    of `shape` (if given) and of a dtype `kind` takes (_TABLE_KINDS; else
+    the first foreign value is named, a numpy bool by its repr), as an array
+    of its stored dtype, copied only to convert. Integer values lie in
+    first..stop-1 (int32's range) where `where` holds, else `outside`,
+    formatted with what, value, first, last and `at` (the first bad cell),
+    is raised; real values are finite if asked. Constant numpy calls."""
+    arr = np.asarray(values)
+    dtypes, noun, stored = _TABLE_KINDS[kind]
+    if shape is not None and arr.shape != shape:
+        raise InputError(f"{what} has shape {arr.shape}, expected {shape}")
+    if arr.size and arr.dtype.kind not in dtypes:
+        value = next((v for v in arr.flat
+                      if np.asarray(v).dtype.kind not in dtypes), arr.flat[0])
+        if isinstance(value, np.generic) and not isinstance(value, np.bool_):
+            value = value.item()
+        raise InputError(f"{what} entry {value!r} is not {noun}")
+    if kind != "real" and arr.size and (arr.min() < first or arr.max() >= stop):
+        at = np.argwhere(((arr < first) | (arr >= stop)) & where)
+        if len(at):
+            at = tuple(at[0].tolist())
+            raise InputError(outside.format(what=what, value=arr[at].item(),
+                                            first=first, last=stop - 1, at=at))
+    if finite and not np.isfinite(arr).all():
+        value = arr[~np.isfinite(arr)][0].item()
+        raise InputError(f"{what} entry {value!r} is not finite")
+    return arr.astype(stored, copy=False)
+
+
 # out-of-range texts: "{what} {value} out of range", with the span for a
 # time, a start or a rank
 _OUT_OF_RANGE = "{what} {value} out of range"
@@ -531,6 +564,7 @@ def enumerate_scenarios(
     With robust_only, the domain is the explicit robust scenario list when
     one was declared, otherwise the product of the per-time robust subsets.
     """
+    cap = _check_index(cap, "cap")
     total = count_scenarios(model, robust_only)
     if total > cap:
         raise CapacityError(f"{total} scenarios exceed cap {cap}")

@@ -53,7 +53,7 @@ from .engine import (
     _simulate,
 )
 from .errors import CapacityError, ConfigurationError, InputError
-from .model import SystemModel, _check_start, _check_x0
+from .model import SystemModel, _check_index, _check_start, _check_x0
 from .regimes import (
     Bounded, StochasticViability, Viability, _state_mask, validate_regime,
 )
@@ -227,13 +227,14 @@ def minimize_risk(
     number. "auto" scans where the certificate does not apply (non-finite
     or overflowing costs among others), where "dp" raises
     ConfigurationError. Both routes check the regime, the risk, the class,
-    x0 and start here, in order. `jobs` has no effect; it stays because
-    perfbench/workloads.py passes it."""
+    x0, start and the cap here, in order. `jobs` has no effect; it stays
+    because perfbench/workloads.py passes it."""
     validate_regime(model, regime)
     validate_risk(model, risk)
     _check_kind(strategy_class)
     x0 = _check_x0(model, x0)
     start = _check_start(model, start)
+    cap = _check_index(cap, "cap")
     if method not in ("auto", EXHAUSTIVE, DP):
         raise InputError(f"unknown method {method!r}")
 

@@ -49,7 +49,8 @@ import numpy as np
 from .engine import ResilientSet, _scan_scenarios
 from .errors import CapacityError, InputError
 from .model import (
-    SystemModel, _check_x0, _Scenarios, packed_tables, successor_planes,
+    SystemModel, _check_index, _check_x0, _Scenarios, packed_tables,
+    successor_planes,
 )
 from .regimes import (
     AtMostKExits,
@@ -90,6 +91,7 @@ _BATCHED_REGIMES = (
 def _check_cap(model, kind, start, cap):
     """(int start, class size), checked in count_strategies, then cap."""
     total = count_strategies(model, kind, start)
+    cap = _check_index(cap, "cap")
     if total > cap:
         raise CapacityError(f"{total} {kind} strategies exceed cap {cap}")
     return int(start), total

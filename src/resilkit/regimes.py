@@ -323,7 +323,7 @@ def _membership(model, regime, bundle, scenarios):
         from .risk import _evaluate
 
         value = _evaluate(model, regime.measure, bundle, scenarios)
-        return value <= regime.level
+        return value <= _check_real(regime.level, "level")
 
     raise InputError(f"unknown regime {regime!r}")
 

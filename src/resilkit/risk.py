@@ -20,7 +20,8 @@ import numpy as np
 
 from ._record import record
 from .errors import InputError
-from .model import SystemModel, _Scenarios, _check_probabilities, _check_real
+from .model import (SystemModel, _Scenarios, _check_probabilities,
+                    _check_real, _check_table)
 from .regimes import (
     _check_full_domain,
     _check_state_set,
@@ -91,8 +92,8 @@ class TerminalMiss:
 
 @record(eq=False)
 class TabularCost:
-    """Arbitrary per-time state and control cost tables:
-    state_costs (K+1, n) and control_costs (K, nu)."""
+    """Per-time cost tables, real tables (model._check_table; NaN and inf
+    allowed): state_costs (K+1, n) and control_costs (K, nu)."""
 
     state_costs: np.ndarray
     control_costs: np.ndarray
@@ -100,7 +101,8 @@ class TabularCost:
 
     def __post_init__(self):
         for name in ("state_costs", "control_costs"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            what = name.replace("_costs", " cost table")
+            arr = _check_table(getattr(self, name), what, kind="real")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -158,10 +160,7 @@ class AmbiguityExceedance:
 
     def __post_init__(self):
         object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-        beliefs = tuple(
-            tuple(tuple(float(p) for p in vec) for vec in belief)
-            for belief in self.beliefs
-        )
+        beliefs = tuple(tuple(map(tuple, belief)) for belief in self.beliefs)
         object.__setattr__(self, "beliefs", beliefs)
 
 
@@ -223,16 +222,9 @@ def validate_cost(model: SystemModel, cost) -> None:
             )
     if isinstance(cost, TabularCost):
         K, n, nu = model.horizon, model.n_states, model.n_controls
-        if cost.state_costs.shape != (K + 1, n):
-            raise InputError(
-                f"state cost table has shape {cost.state_costs.shape}, "
-                f"expected {(K + 1, n)}"
-            )
-        if cost.control_costs.shape != (K, nu):
-            raise InputError(
-                f"control cost table has shape {cost.control_costs.shape}, "
-                f"expected {(K, nu)}"
-            )
+        for part, shape in (("state", (K + 1, n)), ("control", (K, nu))):
+            _check_table(getattr(cost, f"{part}_costs"), f"{part} cost table",
+                         shape, "real")
 
 
 def validate_risk(model: SystemModel, spec) -> None:
@@ -362,10 +354,10 @@ def _cost_tables(model, cost):
 def cvar(values, weights, level: float) -> float:
     """CVaR at tail mass `level`: the mean of the worst `level` of the
     distribution, splitting an atom when the boundary lands inside one.
-    The weights, one per value, follow the probability rule of
-    model._check_probabilities."""
+    The values are a real table (model._check_table; NaN and inf allowed);
+    the weights, one per value, follow the probability rule."""
     _check_real(level, "CVaR level", "(0, 1]")
-    values = [float(v) for v in values]
+    values = _check_table(values, "CVaR values", kind="real").tolist()
     weights = _check_probabilities(weights, "CVaR weights", len(values))
     return _cvar(values, weights, level)
 

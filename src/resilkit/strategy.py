@@ -32,6 +32,7 @@ from .model import (
     SystemModel,
     _check_index,
     _check_start,
+    _check_table,
     _check_x0,
     _Scenarios,
     count_scenarios,
@@ -52,7 +53,8 @@ class Policy:
 
     Markov tables have shape (n,); adapted tables (n, #prefixes), columns
     indexed by the dense lexicographic rank of the observed prefix. The
-    table is a read-only int32 copy, so the caller's array stays its own.
+    table, an index table (model._check_table), is kept as a read-only
+    int32 copy, so the caller's array stays its own.
     """
 
     t: int
@@ -63,7 +65,7 @@ class Policy:
         if self.kind not in (MARKOV, ADAPTED):
             raise InputError(f"unknown policy kind {self.kind!r}")
         want = 1 if self.kind == MARKOV else 2
-        arr = np.array(self.table, dtype=np.int32)
+        arr = _check_table(self.table, f"{self.kind} policy table").copy()
         if arr.ndim != want:
             raise InputError(
                 f"{self.kind} policy table must be {want}-d, got {arr.ndim}-d"
@@ -287,8 +289,8 @@ def validate_strategy(model: SystemModel, strategy: Strategy) -> None:
                 f"policy at time {pol.t} has table shape {pol.table.shape}, "
                 f"expected {want}"
             )
-        if pol.table.size and (pol.table.min() < 0 or pol.table.max() >= nu):
-            raise InputError(f"policy at time {pol.t} uses an unknown control")
+        _check_table(pol.table, f"policy at time {pol.t}", first=0, stop=nu,
+                     outside=f"policy at time {pol.t} uses an unknown control")
 
 
 def is_admissible(model: SystemModel, strategy: Strategy) -> bool:
@@ -396,9 +398,9 @@ def build_bundle(
 
 
 def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
-    """Markov strategy from an array of shape (K - start, n)."""
+    """Markov strategy from an index table of shape (K - start, n)."""
     start = _check_start(model, start)
-    tables = np.asarray(tables, dtype=np.int32)
+    tables = _check_table(tables, "markov strategy table")
     policies = tuple(
         Policy(start + i, MARKOV, tables[i]) for i in range(tables.shape[0])
     )
@@ -629,6 +631,7 @@ def enumerate_strategies(
     """Every strategy of the class in lexicographic rank order. The cap is
     checked eagerly, before any strategy is produced."""
     start, shapes, slots = _slot_shapes(model, kind, start)
+    cap = _check_index(cap, "cap")
     total = model.n_controls**slots
     if total > cap:
         raise CapacityError(f"{total} strategies exceed cap {cap}")

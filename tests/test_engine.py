@@ -599,7 +599,7 @@ def test_start_and_x0_follow_the_index_rule(m1):
             m1, 77, rk.MARKOV, t),
         "constant_strategy": lambda t: rk.constant_strategy(m1, 1, t),
         "markov_strategy": lambda t: rk.markov_strategy(
-            m1, np.ones((3 - int(t), 4)), t),
+            m1, np.ones((3 - int(t), 4), dtype=int), t),
         "fill_policy": lambda t: rk.fill_policy(
             m1, np.zeros((3, 4), dtype=int), t),
     }

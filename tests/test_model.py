@@ -369,6 +369,11 @@ def _m1_from(dynamics_fn=None, constraints_fn=None):
 
 _A = {2, 3}
 _KEEP = np.ones((3, 4), dtype=int)  # control 1 everywhere, from time 0
+# one state, control and uncertainty value: one scenario, one strategy
+_ONE = rk.make_model(1, ("a",), ("u",), ("w",), lambda t, x, u, w: x)
+_STAY = rk.constant_strategy(_ONE, 0)
+_SCANNED = rk.AtMostKExits({0}, 0)  # decided by the exhaustive scan
+_CAP = "cap {} outside 0..inf"
 
 # (row, call(model, v), what, out-of-range text of {}, out-of-range values):
 # every index a public function or record accessor takes, read at v with
@@ -453,6 +458,29 @@ INDEX_ROWS = [
     ("RecoveryTable.resilient_set", lambda m, v: rk.robust_recovery_table(
         m, _A, 3).resilient_set(v),
      "time", "time {} out of range 0..3", (-1, 4)),
+    ("TimeGrid", lambda m, v: rk.TimeGrid(v),
+     "horizon", "horizon must be >= 1, got {}", (0, -1)),
+    ("make_model horizon", lambda m, v: rk.make_model(
+        v, ("a",), ("u",), ("w",), lambda t, x, u, w: x).time,
+     "horizon", "horizon must be >= 1, got {}", (0, -1)),
+    ("enumerate_scenarios cap", lambda m, v: rk.enumerate_scenarios(
+        _ONE, cap=v), "cap", _CAP, (-1,)),
+    ("enumerate_strategies cap", lambda m, v: list(rk.enumerate_strategies(
+        _ONE, cap=v)), "cap", _CAP, (-1,)),
+    ("build_bundle cap", lambda m, v: rk.build_bundle(_ONE, _STAY, 0, cap=v),
+     "cap", _CAP, (-1,)),
+    ("check_resilient cap", lambda m, v: rk.check_resilient(
+        _ONE, _STAY, 0, 0, _SCANNED, cap=v), "cap", _CAP, (-1,)),
+    ("resilient_states cap", lambda m, v: rk.resilient_states(
+        _ONE, 0, _SCANNED, cap=v), "cap", _CAP, (-1,)),
+    ("oracle_resilient_states cap", lambda m, v: rk.oracle_resilient_states(
+        _ONE, 0, _SCANNED, cap=v), "cap", _CAP, (-1,)),
+    ("minimize_risk cap", lambda m, v: rk.minimize_risk(
+        _ONE, 0, 0, _SCANNED, rk.WorstCaseViolation({0}), cap=v),
+     "cap", _CAP, (-1,)),
+    ("oracle_min_risk cap", lambda m, v: rk.oracle_min_risk(
+        _ONE, 0, 0, _SCANNED, rk.WorstCaseViolation({0}), cap=v),
+     "cap", _CAP, (-1,)),
 ]
 
 
@@ -494,3 +522,165 @@ def test_make_model_callbacks_follow_the_index_rule():
                      constraints_fn=lambda t, x: np.arange(2))
     assert rk.step(model, 0, 0, 0, 0) == model.cemetery
     assert rk.step(model, 0, 3, 1, 0) == 3
+
+
+def _put(table, dtype, at, value):
+    """`table` as a `dtype` array with `value` at index `at`."""
+    out = np.array(table, dtype=dtype)
+    out[at] = value
+    return out
+
+
+def _keep_bundle(m):
+    return rk.build_bundle(m, rk.constant_strategy(m, 1), 2)
+
+
+_NO_PICKS = np.full((3, 4), -1)
+_COSTS = (np.arange(16).reshape(4, 4), np.ones((3, 2), dtype=int))
+_INF_COSTS = ([[math.nan] * 4] * 4, [[math.inf, 0.0]] * 3)
+
+# (row, call(m1), the InputError text, or the twin call(m1) whose answer
+# the call gives): every table a public function or record takes. A fault
+# row names the table and its first foreign value; a valid row hands the
+# table in another integer or float dtype, or as nested lists, and its
+# twin hands it in the stored dtype, which reads as it always did
+TABLE_ROWS = [
+    ("markov_strategy float", lambda m: rk.markov_strategy(m, [[0.7] * 4] * 3),
+     "markov strategy table entry 0.7 is not an integer"),
+    ("markov_strategy string", lambda m: rk.markov_strategy(
+        m, [["1"] * 4] * 3), "markov strategy table entry '1' is not an "
+     "integer"),
+    ("markov_strategy range", lambda m: rk.markov_strategy(
+        m, _put(_KEEP, np.uint8, (2, 3), 2)),
+     "policy at time 2 uses an unknown control"),
+    ("markov_strategy int64", lambda m: rk.markov_strategy(m, _KEEP),
+     lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
+    ("markov_strategy uint8", lambda m: rk.markov_strategy(
+        m, _KEEP.astype(np.uint8)),
+     lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
+    ("markov_strategy lists", lambda m: rk.markov_strategy(m, _KEEP.tolist()),
+     lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
+    ("Policy float", lambda m: rk.Policy(0, rk.MARKOV, [1.9, 0, 0, 0]),
+     "markov policy table entry 1.9 is not an integer"),
+    ("Policy string", lambda m: rk.Policy(0, rk.MARKOV, ["1"] * 4),
+     "markov policy table entry '1' is not an integer"),
+    ("Policy past int32", lambda m: rk.Policy(0, rk.MARKOV, [2**40, 0, 0, 0]),
+     "markov policy table entry 1099511627776 outside "
+     "-2147483648..2147483647"),
+    ("Policy None", lambda m: rk.Policy(0, rk.MARKOV, None),
+     "markov policy table entry None is not an integer"),
+    ("Policy bool", lambda m: rk.Policy(1, rk.ADAPTED, np.ones((4, 2), bool)),
+     "adapted policy table entry np.True_ is not an integer"),
+    ("Policy lists", lambda m: rk.Policy(1, rk.ADAPTED, [[1, 0]] * 4),
+     lambda m: rk.Policy(1, rk.ADAPTED, np.array([[1, 0]] * 4, np.int32))),
+    ("fill_policy float", lambda m: rk.fill_policy(m, np.full((3, 4), 1.5), 0),
+     "picks table entry 1.5 is not an integer"),
+    ("fill_policy nan", lambda m: rk.fill_policy(
+        m, np.full((3, 4), math.nan), 0), "picks table entry nan is not an "
+     "integer"),
+    ("fill_policy below -1", lambda m: rk.fill_policy(
+        m, _put(_NO_PICKS, np.int64, (1, 2), -5), 0),
+     "picks table entry -5 outside -1..2147483647"),
+    ("fill_policy range", lambda m: rk.fill_policy(
+        m, _put(_NO_PICKS, np.int64, (1, 2), 2), 0),
+     "policy at time 1 uses an unknown control"),
+    ("fill_policy bool", lambda m: rk.fill_policy(m, np.ones((3, 4), bool), 0),
+     "picks table entry np.True_ is not an integer"),
+    ("fill_policy lists", lambda m: rk.fill_policy(
+        m, _put(_NO_PICKS, np.int64, (1, 2), 1).tolist(), 1),
+     lambda m: rk.fill_policy(m, _put(_NO_PICKS, np.int32, (1, 2), 1), 1)),
+    ("dynamics float", lambda m: dataclasses.replace(
+        m, dynamics=_put(m.dynamics, float, (0, 0, 0, 0), 1.5)),
+     "dynamics table entry 1.5 is not an integer"),
+    ("dynamics object", lambda m: dataclasses.replace(
+        m, dynamics=_put(m.dynamics, object, (1, 2, 0, 1), "1")),
+     "dynamics table entry '1' is not an integer"),
+    ("dynamics range", lambda m: dataclasses.replace(
+        m, dynamics=_put(m.dynamics, np.int64, (1, 2, 0, 1), 5)),
+     "dynamics image out of range at (t=1, x=2, u=0, w=1)"),
+    ("dynamics int64", lambda m: dataclasses.replace(
+        m, dynamics=m.dynamics.astype(np.int64)), lambda m: m),
+    ("dynamics uint8", lambda m: dataclasses.replace(
+        m, dynamics=m.dynamics.astype(np.uint8)), lambda m: m),
+    ("dynamics lists", lambda m: dataclasses.replace(
+        m, dynamics=m.dynamics.tolist()), lambda m: m),
+    ("constraints float", lambda m: dataclasses.replace(
+        m, constraints=_put(m.constraints, float, (0, 0, 0), 0.5)),
+     "constraint table entry 0.5 is not a bool"),
+    ("constraints nan", lambda m: dataclasses.replace(
+        m, constraints=_put(m.constraints, float, (0, 0, 0), math.nan)),
+     "constraint table entry nan is not a bool"),
+    ("constraints 2", lambda m: dataclasses.replace(
+        m, constraints=_put(m.constraints, np.int64, (2, 3, 1), 2)),
+     "constraint table entry 2 outside 0..1"),
+    ("constraints 0/1", lambda m: dataclasses.replace(
+        m, constraints=_put(m.constraints, np.uint8, (2, 3, 1), 0)),
+     lambda m: dataclasses.replace(
+         m, constraints=_put(m.constraints, bool, (2, 3, 1), False))),
+    ("constraints lists", lambda m: dataclasses.replace(
+        m, constraints=m.constraints.astype(int).tolist()), lambda m: m),
+    ("TabularCost strings", lambda m: rk.TabularCost(
+        [["1"] * 4] * 4, [["1"] * 2] * 3),
+     "state cost table entry '1' is not a number"),
+    ("TabularCost None", lambda m: rk.TabularCost(
+        np.zeros((4, 4)), [[None] * 2] * 3),
+     "control cost table entry None is not a number"),
+    ("TabularCost shape", lambda m: rk.validate_risk(m, rk.Composed(
+        rk.TabularCost(np.zeros((4, 4)), np.zeros((2, 2))), rk.Expectation())),
+     "control cost table has shape (2, 2), expected (3, 2)"),
+    ("TabularCost int", lambda m: rk.TabularCost(*_COSTS),
+     lambda m: rk.TabularCost(*(c.astype(float) for c in _COSTS))),
+    ("TabularCost nan inf", lambda m: rk.evaluate_risk(m, rk.Composed(
+        rk.TabularCost(*_INF_COSTS), rk.Expectation()), _keep_bundle(m)),
+     lambda m: rk.evaluate_risk(m, rk.Composed(
+         rk.TabularCost(*map(np.array, _INF_COSTS)), rk.Expectation()),
+         _keep_bundle(m))),
+    ("state coordinates nan", lambda m: rk.make_model(
+        1, ("0", "1", "2"), ("u",), ("w",), lambda t, x, u, w: x,
+        state_coords=[0, math.nan, 5]),
+     "state coordinates entry nan is not finite"),
+    ("control coordinates inf", lambda m: rk.ControlSpace(
+        ("a", "b"), [[0, 1], [math.inf, 0]]),
+     "control coordinates entry inf is not finite"),
+    ("coordinates int", lambda m: rk.StateSpace(("a", "b"), [[0, 1], [2, 3]]),
+     lambda m: rk.StateSpace(("a", "b"), np.arange(4.0).reshape(2, 2))),
+    ("probabilities string", lambda m: rk.UncertaintyStructure(
+        m.uncertainty.sets, (("0.5", "0.5"),) * 3),
+     "probabilities at time 0 entry '0.5' is not a number"),
+    ("probabilities int", lambda m: rk.UncertaintyStructure(
+        m.uncertainty.sets, (np.array([1, 0]),) * 3),
+     lambda m: rk.UncertaintyStructure(m.uncertainty.sets, ((1.0, 0.0),) * 3)),
+    ("joint weight string", lambda m: dataclasses.replace(
+        m, scenario_probs={(0, 0, 0): "1"}),
+     "scenario probabilities entry '1' is not a number"),
+    ("joint weight int", lambda m: dataclasses.replace(
+        m, scenario_probs={(0, 0, 0): 1}),
+     lambda m: dataclasses.replace(m, scenario_probs={(0, 0, 0): 1.0})),
+    ("belief string", lambda m: rk.validate_risk(m, rk.AmbiguityExceedance(
+        _A, ((("0.5", "0.5"),) * 3,))),
+     "belief 0 probabilities at time 0 entry '0.5' is not a number"),
+    ("belief int", lambda m: rk.evaluate_risk(m, rk.AmbiguityExceedance(
+        _A, (((1, 0),) * 3,)), _keep_bundle(m)),
+     lambda m: rk.evaluate_risk(m, rk.AmbiguityExceedance(
+         _A, (((1.0, 0.0),) * 3,)), _keep_bundle(m))),
+    ("cvar string", lambda m: rk.cvar(["1"], [1.0], 0.5),
+     "CVaR values entry '1' is not a number"),
+    ("cvar None", lambda m: rk.cvar([None], [1.0], 0.5),
+     "CVaR values entry None is not a number"),
+    ("cvar int inf", lambda m: rk.cvar([1, 3, math.inf], [0.2, 0.5, 0.3], 0.5),
+     lambda m: rk.cvar(np.array([1.0, 3.0, math.inf]), [0.2, 0.5, 0.3], 0.5)),
+]
+
+
+@pytest.mark.parametrize("row", TABLE_ROWS, ids=[r[0] for r in TABLE_ROWS])
+def test_every_table_follows_the_table_rule(m1, row):
+    """One table rule (model._check_table) for every table argument: a
+    table of a foreign dtype, or a value out of its range, raises
+    InputError; an integer or float table of another width, or nested
+    lists, reads as the stored dtype does."""
+    _, call, want = row
+    if isinstance(want, str):
+        with pytest.raises(rk.InputError, match="^" + re.escape(want) + "$"):
+            call(m1)
+    else:
+        assert repr(call(m1)) == repr(want(m1))

@@ -296,7 +296,8 @@ def test_regime_parameter_faults_are_input_errors(m1, regime, message):
             call()
 
 
-# a numpy number answers as the float it holds
+# a numpy number answers as the float it holds, and an int past the float
+# range as the infinity it rounds to
 REGIME_NUMBER_TWINS = [
     (rk.StochasticViability(A, np.float64(0.5)),
      rk.StochasticViability(A, 0.5)),
@@ -307,6 +308,15 @@ REGIME_NUMBER_TWINS = [
      rk.RiskContainment(rk.Exceedance(A), 0.5)),
     (rk.Stabilize(3, np.int64(0), 1), rk.Stabilize(3, 0.0, 1)),
     (rk.Stabilize(3, np.float64(2.0), 2), rk.Stabilize(3, 2.0, 2)),
+    (rk.RiskContainment(rk.Exceedance(A), 10**400),
+     rk.RiskContainment(rk.Exceedance(A), math.inf)),
+    (rk.RiskContainment(rk.Exceedance(A), -10**400),
+     rk.RiskContainment(rk.Exceedance(A), -math.inf)),
+    # an infinite risk is contained by a level of 10**400, as by inf
+    (rk.RiskContainment(rk.Composed(rk.RecoveryOffset(A), rk.WorstCase()),
+                        10**400),
+     rk.RiskContainment(rk.Composed(rk.RecoveryOffset(A), rk.WorstCase()),
+                        math.inf)),
 ]
 
 
@@ -316,8 +326,13 @@ def test_numpy_numbers_answer_as_their_floats(m1, regime, twin):
     assert (got.members, got.method) == (want.members, want.method)
     for x0 in want.members:
         assert rk.strategies_equal(got.witnesses[x0], want.witnesses[x0])
-    got, want = (rk.oracle_resilient_states(m1, 0, r) for r in (regime, twin))
-    assert got.members == want.members
+    # the engine and both oracle paths agree; RiskContainment has no
+    # batched path, so its default path is already the object path
+    batched = not isinstance(regime, rk.RiskContainment)
+    for force_object in (False, True) if batched else (False,):
+        judged = rk.oracle_resilient_states(m1, 0, regime,
+                                            force_object=force_object)
+        assert judged.members == got.members
     hold = rk.constant_strategy(m1, 0)
     for x0 in range(m1.n_states):
         assert rk.check_resilient(m1, hold, x0, 0, regime) == (
