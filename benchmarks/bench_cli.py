@@ -10,15 +10,18 @@ times in a fresh interpreter, and keeps the best wall time per run. It also
 times, apart from the commands, a bare interpreter start (python_s),
 `import numpy` (numpy_s) and `import resilkit.cli` (import_s), since import
 is most of a small run. Each is the median of STARTUP_RUNS fresh
-interpreters, the three probes taken in turn so that drift in the host's
-speed reaches all three alike; a best of a few runs does not resolve the
+interpreters, the probes taken in turn so that drift in the host's speed
+reaches all of them alike; a best of a few runs does not resolve the
 difference import_s minus numpy_s, which is resilkit's own share: its
-modules and the standard modules they load. Every case records its exit
-code and a sha256 of its stdout, stderr and --out files, so two versions of
-the CLI can be compared on speed and shown to give the same bytes. The
-parse layer is timed in this process too: for each file in models/,
-`parse_model` of its text and `serialize_model` of the result, each the
-best of PARSE_REPEAT runs of PARSE_NUMBER calls (parse_us and
+modules and the standard modules they load. teardown_s is the interpreter
+teardown that the command-line entry skips by ending with os._exit: the
+median, over the same rounds, of import_s's run minus that of an
+interpreter that imports resilkit.cli and ends with os._exit. Every case
+records its exit code and a sha256 of its stdout, stderr and --out files,
+so two versions of the CLI can be compared on speed and shown to give the
+same bytes. The parse layer is timed in this process too: for each file in
+models/, `parse_model` of its text and `serialize_model` of the result,
+each the best of PARSE_REPEAT runs of PARSE_NUMBER calls (parse_us and
 serialize_us, microseconds per call). Writes --out (default BENCH_cli.json
 at the repository root) with the machine, the numpy version and the
 simulation backend.
@@ -182,7 +185,8 @@ def main():
 
         timed(["-c", "import resilkit.cli"], work, env)  # fill the pycache
         probes = {"python_s": "pass", "numpy_s": "import numpy",
-                  "import_s": "import resilkit.cli"}
+                  "import_s": "import resilkit.cli",
+                  "no_teardown": "import os, resilkit.cli; os._exit(0)"}
         runs = {key: [] for key in probes}
         for _ in range(STARTUP_RUNS):
             for key, code in probes.items():
@@ -190,10 +194,15 @@ def main():
                 if proc.returncode != 0:
                     raise RuntimeError(proc.stderr.decode())
                 runs[key].append(s)
+        skipped = runs.pop("no_teardown")
         startup = {key: statistics.median(r) for key, r in runs.items()}
+        startup["teardown_s"] = statistics.median(
+            a - b for a, b in zip(runs["import_s"], skipped)
+        )
         print(f"python {startup['python_s']:.4f} s  import numpy "
               f"{startup['numpy_s']:.4f} s  import resilkit.cli "
-              f"{startup['import_s']:.4f} s", flush=True)
+              f"{startup['import_s']:.4f} s  teardown "
+              f"{startup['teardown_s']:.4f} s", flush=True)
 
         out_cases = []
         for name, argv in cases():

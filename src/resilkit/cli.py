@@ -555,5 +555,22 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """The command-line entry (`python -m resilkit`, the `resilkit`
+    script): main's code as the exit status, without interpreter teardown.
+    Every --out file is closed when main returns, so once stdout and stderr
+    are flushed nothing is left to write; os._exit skips the teardown's
+    garbage collection and module clean-up, and with them atexit handlers.
+    A flush that fails, and any exception from main (argparse's SystemExit
+    among them), take the normal exit."""
+    code = main(argv)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

@@ -58,6 +58,10 @@ def _as_coords(space, what):
         if not all(map(math.isfinite, coords)):
             coords = range(len(labels))
     arr = _check_table(coords, f"{what} coordinates", kind="real", finite=True)
+    if arr.ndim not in (1, 2):
+        raise InputError(
+            f"{what} coordinates must be 1-d or 2-d, got {arr.ndim}-d"
+        )
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.shape[0] != len(labels):
@@ -465,7 +469,10 @@ def _check_table(values, what, shape=None, kind="index", first=-2**31,
     first..stop-1 (int32's range) where `where` holds, else `outside`,
     formatted with what, value, first, last and `at` (the first bad cell),
     is raised; real values are finite if asked. Constant numpy calls."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # rows of unequal length
+        raise InputError(f"{what} is ragged") from None
     dtypes, noun, stored = _TABLE_KINDS[kind]
     if shape is not None and arr.shape != shape:
         raise InputError(f"{what} has shape {arr.shape}, expected {shape}")

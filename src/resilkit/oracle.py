@@ -18,22 +18,25 @@ Markov enumerations run through the batched numpy simulation kernel
 model's successor table (`model.successor_planes`, a model table, not an
 engine route), a block of ranks at a time; each block is decoded from its
 ranks' place values once per call and run from every x0 the call asks
-about. For the regimes whose membership is a boolean over
-scenarios (Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize,
-ControlEvent) membership is read off the block's trajectory arrays
-(`_batch_member`, whose regime masks are built once per call); the
-acceptable-set tests fold one step's mask at a time, never building an
-(S, M, L+1) array.
+about. Membership of the Markov regimes in _BATCHED_REGIMES is read
+off the block's trajectory arrays (`_batch_member`, whose regime masks are
+built once per call): a boolean over scenarios for Viability,
+RobustRecovery, Bounded, AtMostKExits, Stabilize and ControlEvent; for
+StochasticViability and ProbExcursion the weights of the viable rows, or
+of the rows that ever leave the region, added one scenario at a time from
+0.0 in the scenarios' order, the float sum `regimes._membership` makes,
+then compared with beta. The acceptable-set tests fold one step's mask at
+a time, never building an (S, M, L+1) array.
 `oracle_min_risk` then prices each distinct bundle once per block: a
 member's full-domain bundle is built from its own simulated rows
 (RobustRecovery, decided on the robust scenarios, runs its members once
 more over the full set), members with the same rows share its price, and
-a strategy is built only for the winner. The adapted class, the
-probabilistic regimes and RiskContainment walk the object path, which
-shares the package's unchecked closed-loop kernels (`strategy._bundle`,
-`regimes._membership`, `risk._evaluate`, with the regime, risk, x0 and start
-checked once per call); `_bundle` runs on that path only, and no production
-route runs it. Every scenario table comes from `model._Scenarios`. The object path, forced
+a strategy is built only for the winner. The adapted class and
+RiskContainment walk the object path, which shares the package's unchecked
+closed-loop kernels (`strategy._bundle`, `regimes._membership`,
+`risk._evaluate`, with the regime, risk, x0 and start checked once per
+call); `_bundle` runs on that path only, and no production route runs it.
+Every scenario table comes from `model._Scenarios`. The object path, forced
 with `force_object=True`, is the definitional reference the batched path is
 tested against, and for those scans the one judge of the production route,
 which decides them on simulated path arrays. Caps are hard errors: a
@@ -49,15 +52,17 @@ import numpy as np
 from .engine import ResilientSet, _scan_scenarios
 from .errors import CapacityError, InputError
 from .model import (
-    SystemModel, _check_index, _check_x0, _Scenarios, packed_tables,
-    successor_planes,
+    SystemModel, _check_index, _check_real, _check_x0, _Scenarios,
+    packed_tables, successor_planes,
 )
 from .regimes import (
     AtMostKExits,
     Bounded,
     ControlEvent,
+    ProbExcursion,
     RobustRecovery,
     Stabilize,
+    StochasticViability,
     Viability,
     _ball,
     _check_state_set,
@@ -85,6 +90,7 @@ _CELLS = 1 << 20
 # regimes _batch_member decides on simulate_batch trajectories
 _BATCHED_REGIMES = (
     Viability, RobustRecovery, Bounded, AtMostKExits, Stabilize, ControlEvent,
+    StochasticViability, ProbExcursion,
 )
 
 
@@ -216,6 +222,31 @@ def _batch_member(model, regime, scenarios, start):
         used = np.zeros(model.n_controls, dtype=bool)
         used[[int(u) for u in regime.controls]] = True
         return lambda states, controls: used[controls].any(axis=2).all(axis=1)
+
+    if isinstance(regime, (StochasticViability, ProbExcursion)):
+        if isinstance(regime, StochasticViability):
+            good = _good_table(model, regime.acceptable)
+
+            def counted(states, controls):  # the viable rows
+                return _viable_mask(model, good, states, controls)
+        else:
+            outside = ~_state_mask(model, regime.region)
+
+            def counted(states, controls):  # the rows that ever leave
+                return outside[states].any(axis=2)
+        weights = scenarios.weights
+        beta = _check_real(regime.beta, "beta")
+        at_least = isinstance(regime, StochasticViability)
+
+        def member(states, controls):
+            rows = counted(states, controls)
+            # p += w one scenario at a time, from 0.0 in the scenarios'
+            # order: the float sum of the bundle loop, bit for bit
+            p = np.zeros(len(rows))
+            for m, w in enumerate(weights):
+                np.add(p, w, out=p, where=rows[:, m])
+            return p >= beta if at_least else p <= beta
+        return member
 
     raise InputError(f"regime {regime!r} has no batched membership")
 

@@ -282,7 +282,7 @@ def _membership(model, regime, bundle, scenarios):
         for w, tr in zip(scenarios.weights, bundle.trajectories):
             if _viable(model, tr, regime.acceptable):
                 p += w
-        return p >= regime.beta
+        return p >= _check_real(regime.beta, "beta")
 
     if isinstance(regime, Bounded):
         return all(
@@ -295,7 +295,7 @@ def _membership(model, regime, bundle, scenarios):
         for w, tr in zip(scenarios.weights, bundle.trajectories):
             if _exit_times(model, tr, regime.region):
                 p += w
-        return p <= regime.beta
+        return p <= _check_real(regime.beta, "beta")
 
     if isinstance(regime, AtMostKExits):
         have_probs = (

@@ -398,13 +398,18 @@ def build_bundle(
 
 
 def markov_strategy(model: SystemModel, tables, start: int = 0) -> Strategy:
-    """Markov strategy from an index table of shape (K - start, n)."""
+    """Markov strategy from an index table of shape (K - start, n), one row
+    per decision time. Its policies hold rows of one read-only int32 copy
+    of the table, so the caller's array stays its own."""
     start = _check_start(model, start)
     tables = _check_table(tables, "markov strategy table")
-    policies = tuple(
-        Policy(start + i, MARKOV, tables[i]) for i in range(tables.shape[0])
-    )
-    out = Strategy(start, policies)
+    if tables.ndim == 0:
+        raise InputError("markov strategy table must be 2-d, got 0-d")
+    if len(tables) and tables.ndim != 2:  # each row is one policy table
+        raise InputError(
+            f"markov policy table must be 1-d, got {tables.ndim - 1}-d"
+        )
+    out = _markov_from_table(tables, start)
     validate_strategy(model, out)
     return out
 

@@ -15,6 +15,7 @@ import pytest
 
 import resilkit as rk
 from conftest import build_m1, cli_env
+from resilkit import cli
 from resilkit.cli import build_parser
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -357,6 +358,75 @@ def test_malformed_model_reports_line(tmp_path):
 def test_unknown_command_exits_2():
     proc = run_cli("frobnicate", "--model", model("m1.model"))
     assert proc.returncode == 2
+
+
+def buffered_run(argv, **kwargs):
+    """`python -m resilkit` with block-buffered stdout, so that output
+    reaches the pipe or file only by the entry's own flush."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "resilkit", *argv],
+                          text=True, env=env, **kwargs)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["resilient-set", "--x0", "2"], 0),
+    (["resilient-set", "--x0", "0"], 1),
+    (["resilient-set", "--x0", "9"], 2),
+])
+def test_fast_exit_keeps_every_byte_and_code(argv, code, tmp_path, capsys):
+    # the entry ends with os._exit: stdout to a pipe or to a regular file,
+    # and stderr, hold what main printed in-process, and the status is the
+    # code main returns
+    argv = [*argv, "--model", model("m1.model")]
+    assert cli.main(argv) == code
+    want = capsys.readouterr()
+    assert want.out or want.err
+    piped = buffered_run(argv, capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        code, want.out, want.err)
+    path = tmp_path / "stdout.txt"
+    with open(path, "w") as fh:
+        filed = buffered_run(argv, stdout=fh, stderr=subprocess.PIPE)
+    assert (filed.returncode, path.read_text(), filed.stderr) == (
+        code, want.out, want.err)
+
+
+def test_script_and_module_share_the_entry():
+    pyproject = (MODELS.parent / "pyproject.toml").read_text()
+    assert 'resilkit = "resilkit.cli:run"' in pyproject.splitlines()
+    main = Path(cli.__file__).with_name("__main__.py").read_text()
+    assert main.splitlines()[-1] == "run()"
+
+
+def test_argparse_exits_keep_the_normal_exit():
+    proc = buffered_run(["kernel"], capture_output=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: resilkit kernel ")
+    assert proc.stderr.endswith(
+        "error: the following arguments are required: --model\n")
+    proc = buffered_run(["kernel", "--help"], capture_output=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: resilkit kernel ")
+
+
+def test_failed_flush_takes_the_normal_exit(monkeypatch):
+    # os._exit only after stdout and stderr flushed; else sys.exit(code)
+    class Full:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    def no_fast_exit(code):
+        raise AssertionError("os._exit after a failed flush")
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    monkeypatch.setattr(cli.os, "_exit", no_fast_exit)
+    with pytest.raises(SystemExit) as exit_:
+        cli.run(["kernel", "--model", model("m1.model"), "--x0", "0"])
+    assert exit_.value.code == 1
 
 
 OPTIONS = {  # each subcommand's option strings, in --help order

@@ -560,6 +560,14 @@ TABLE_ROWS = [
      lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
     ("markov_strategy lists", lambda m: rk.markov_strategy(m, _KEEP.tolist()),
      lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
+    ("markov_strategy ragged", lambda m: rk.markov_strategy(
+        m, [[0, 1, 0, 0], [0]]), "markov strategy table is ragged"),
+    ("markov_strategy 0-d", lambda m: rk.markov_strategy(m, 1),
+     "markov strategy table must be 2-d, got 0-d"),
+    ("markov_strategy 1-d", lambda m: rk.markov_strategy(m, [0, 1, 0, 0]),
+     "markov policy table must be 1-d, got 0-d"),
+    ("markov_strategy 3-d", lambda m: rk.markov_strategy(
+        m, _KEEP[:, :, None]), "markov policy table must be 1-d, got 2-d"),
     ("Policy float", lambda m: rk.Policy(0, rk.MARKOV, [1.9, 0, 0, 0]),
      "markov policy table entry 1.9 is not an integer"),
     ("Policy string", lambda m: rk.Policy(0, rk.MARKOV, ["1"] * 4),
@@ -644,6 +652,12 @@ TABLE_ROWS = [
      "control coordinates entry inf is not finite"),
     ("coordinates int", lambda m: rk.StateSpace(("a", "b"), [[0, 1], [2, 3]]),
      lambda m: rk.StateSpace(("a", "b"), np.arange(4.0).reshape(2, 2))),
+    ("coordinates 0-d", lambda m: rk.StateSpace(("a",), 5.0),
+     "state coordinates must be 1-d or 2-d, got 0-d"),
+    ("coordinates 3-d", lambda m: rk.StateSpace(("a", "b"), np.zeros((2, 1, 1))),
+     "state coordinates must be 1-d or 2-d, got 3-d"),
+    ("coordinates ragged", lambda m: rk.ControlSpace(("a", "b"), [[0, 1], [2]]),
+     "control coordinates is ragged"),
     ("probabilities string", lambda m: rk.UncertaintyStructure(
         m.uncertainty.sets, (("0.5", "0.5"),) * 3),
      "probabilities at time 0 entry '0.5' is not a number"),

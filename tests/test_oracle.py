@@ -17,6 +17,8 @@ from conftest import (
     cli_env,
     random_acceptable,
     random_model,
+    random_strategy,
+    random_variant,
 )
 from resilkit import oracle
 from resilkit._sim import simulate_batch
@@ -48,12 +50,22 @@ def zero_w_model(rng, **kw):
     )
 
 
+BETAS = (0.0, 0.25, 1 / 3, 0.5, 1.0)
+
+PROBABILISTIC = (rk.StochasticViability, rk.ProbExcursion)
+
+
+def has_probs(model):
+    return model.uncertainty.has_probs or model.scenario_probs is not None
+
+
 def batched_regimes(rng, model, start):
-    """One regime of each kind oracle._batch_member decides."""
+    """One regime of each kind oracle._batch_member decides; the
+    probabilistic ones on models that declare probabilities."""
     K = model.horizon
     acc = random_acceptable(rng, model)
     region = random_acceptable(rng, model)
-    return [
+    out = [
         rk.Viability(acc),
         rk.RobustRecovery(acc, int(rng.integers(start, K + 1))),
         rk.Bounded(region),
@@ -62,6 +74,10 @@ def batched_regimes(rng, model, start):
                      float(rng.integers(0, 3)), int(rng.integers(0, K + 2))),
         rk.ControlEvent(frozenset({int(rng.integers(model.n_controls))})),
     ]
+    if has_probs(model):
+        beta = BETAS[int(rng.integers(len(BETAS)))]
+        out += [rk.StochasticViability(acc, beta), rk.ProbExcursion(region, beta)]
+    return out
 
 
 def test_oracle_imports_no_production_route():
@@ -74,7 +90,7 @@ def test_oracle_imports_no_production_route():
     for name in (
         "_monitor", "_reachable_members", "_member_blocks", "rank_layout",
         "_evaluate_paths", "_monitor_paths", "_decide", "_walks",
-        "_simulate",
+        "_simulate", "_running_sum",
     ):
         assert name in production, name
         assert name not in vars(oracle), name
@@ -92,21 +108,27 @@ def test_oracle_viability_on_reservoir(m1):
 
 
 def test_batched_scan_matches_object_scan():
+    # each model, then a variant with its probabilities redrawn (per-time
+    # with zero weights, none, or a joint distribution)
     rng = np.random.default_rng(606)
+    joint = 0
     for _ in range(15):
         model = random_model(rng, max_states=3, max_controls=2, max_horizon=2)
         start = int(rng.integers(0, model.horizon + 1))
-        for regime in batched_regimes(rng, model, start):
-            fast = rk.oracle_resilient_states(model, start, regime)
-            slow = rk.oracle_resilient_states(
-                model, start, regime, force_object=True
-            )
-            assert fast.members == slow.members
-            assert set(fast.witnesses) == set(slow.witnesses)
-            for x0 in fast.witnesses:
-                assert rk.strategies_equal(
-                    fast.witnesses[x0], slow.witnesses[x0]
+        for model in (model, random_variant(rng, model)):
+            joint += model.scenario_probs is not None
+            for regime in batched_regimes(rng, model, start):
+                fast = rk.oracle_resilient_states(model, start, regime)
+                slow = rk.oracle_resilient_states(
+                    model, start, regime, force_object=True
                 )
+                assert fast.members == slow.members
+                assert set(fast.witnesses) == set(slow.witnesses)
+                for x0 in fast.witnesses:
+                    assert rk.strategies_equal(
+                        fast.witnesses[x0], slow.witnesses[x0]
+                    )
+    assert joint
 
 
 def test_batched_membership_matches_bundle_membership():
@@ -137,6 +159,8 @@ def test_batched_membership_matches_bundle_membership():
                     _bundle(model, s, x0, start, scenarios) for s in strategies
                 ]
                 for regime in regimes:
+                    if robust_only and isinstance(regime, PROBABILISTIC):
+                        continue  # weights need the full scenario domain
                     member = oracle._batch_member(
                         model, regime, scenarios, start
                     )(states, controls)
@@ -181,6 +205,100 @@ def test_oracle_min_risk_matches_definitional_loop():
                 assert (got[1] is None) == (want[1] is None)
                 if got[1] is not None:
                     assert rk.strategies_equal(got[1], want[1])
+
+
+def counted_weights(model, regime, bundle):
+    """The weights the object path adds for a probabilistic regime, in its
+    order: each viable trajectory's (StochasticViability), each one that
+    ever leaves the region's (ProbExcursion)."""
+    if isinstance(regime, rk.StochasticViability):
+        counted = [rk.recovery_time(model, tr, regime.acceptable) == tr.start
+                   for tr in bundle]
+    else:
+        counted = [bool(rk.exit_times(model, tr, regime.region))
+                   for tr in bundle]
+    return [rk.scenario_weight(model, tr.scenario)
+            for tr, hit in zip(bundle, counted) if hit]
+
+
+def test_probabilistic_regimes_add_weights_in_scenario_order():
+    # beta at a strategy's exact float sum and at both float neighbours: the
+    # batched route must add the weights as the bundle loop does, from 0.0
+    # one scenario at a time, for all three to be decided alike
+    rng = np.random.default_rng(8282)
+    seen = {(kind.__name__, size): 0 for kind in PROBABILISTIC
+            for size in ("empty", "partial", "full")}
+    seen["reordered"] = 0  # sums that another order of addition changes
+    seen["joint"] = seen["zero_w"] = 0
+    for _ in range(50):
+        model = random_variant(rng, random_model(
+            rng, max_states=3, min_controls=2, max_controls=2, max_w=3,
+            max_horizon=3, cemetery_rate=0.2,
+        ))
+        if not has_probs(model):
+            continue
+        start = int(rng.integers(0, model.horizon))
+        x0 = int(rng.integers(model.n_states))
+        bundle = rk.build_bundle(model, random_strategy(rng, model, start=start),
+                                 x0, start)
+        weights = rk.scenario_weights(model, bundle.scenarios)
+        seen["joint"] += model.scenario_probs is not None
+        seen["zero_w"] += bool((weights == 0.0).any())
+        acc = random_acceptable(rng, model)
+        risk = rk.Composed(rk.TimeOutside(acc), rk.CVaR(0.5))
+        for kind in PROBABILISTIC:
+            terms = counted_weights(model, kind(acc, 0.0), bundle)
+            p = 0.0
+            for w in terms:
+                p += w
+            seen["reordered"] += p != sum(reversed(terms))
+            for beta in {p, np.nextafter(p, -1.0), np.nextafter(p, 2.0)}:
+                if not 0.0 <= beta <= 1.0:
+                    continue
+                regime = kind(acc, float(beta))
+                fast = rk.oracle_resilient_states(model, start, regime)
+                slow = rk.oracle_resilient_states(model, start, regime,
+                                                  force_object=True)
+                assert fast.members == slow.members, (regime, p)
+                for x in slow.witnesses:
+                    assert rk.strategies_equal(fast.witnesses[x],
+                                               slow.witnesses[x])
+                got = rk.oracle_min_risk(model, x0, start, regime, risk)
+                want = definitional_min_risk(model, x0, start, regime, risk)
+                assert float(got[0]).hex() == float(want[0]).hex()
+                assert got[2] == want[2]
+                assert (got[1] is None) == (want[1] is None)
+                if got[1] is not None:
+                    assert rk.strategies_equal(got[1], want[1])
+                size = len(slow.members)
+                seen[kind.__name__, "empty" if not size else "full"
+                     if size == model.n_states else "partial"] += 1
+    assert min(seen.values()) >= 3, seen
+
+
+def test_single_precision_beta_is_compared_as_its_float():
+    # p = 0.1 sits just under float32(0.1): every route compares with the
+    # float the number rule reads, never in the beta's own precision
+    model = rk.make_model(
+        horizon=1, state_labels=("0", "1"), control_labels=("0", "1"),
+        uncertainty_sets=("0", "1"), dynamics_fn=lambda t, x, u, w: w,
+        probs=(0.1, 0.9),
+    )
+    for regime, twin in (
+        (rk.StochasticViability({0}, np.float32(0.1)),
+         rk.StochasticViability({0}, float(np.float32(0.1)))),
+        (rk.ProbExcursion({0}, np.float32(0.9)),
+         rk.ProbExcursion({0}, float(np.float32(0.9)))),
+    ):
+        want = rk.resilient_states(model, 0, twin).members
+        assert want == rk.resilient_states(model, 0, regime).members
+        assert want != rk.resilient_states(
+            model, 0, type(twin)({0}, 0.1 if twin.beta < 0.5 else 0.9)
+        ).members
+        for force_object in (False, True):
+            assert rk.oracle_resilient_states(
+                model, 0, regime, force_object=force_object
+            ).members == want
 
 
 def test_batched_min_risk_prices_members_from_their_rows(monkeypatch):
