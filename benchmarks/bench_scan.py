@@ -12,13 +12,10 @@ over the adapted class, on the reservoirs whose adapted class is under the
 strategy cap. For every case it records the strategy class and its size,
 how many representatives the scan decides (strategy.rank_layout(...).size,
 one per class of strategies that agree on the policy slots reachable from
-x0), `bundles`, the trajectory bundles built during the scan
-(strategy._bundle calls; the scan decides and prices on simulated path
-arrays, so it reads 0 wherever no bundle route is left), `examined`, the
-best of --repeat wall times, class members decided per second,
-representatives decided per second, and a sha256 of the result (value bits,
-examined, certificate, strategy tables), so two versions of the scan can be
-compared on speed and shown to give the same answers. Each case also gets
+x0), `examined`, the best of --repeat wall times, class members decided per
+second, representatives decided per second, and a sha256 of the result
+(value bits, examined, certificate, strategy tables), so two versions of
+the scan can be compared on speed and shown to give the same answers. Each case also gets
 one oracle_min_risk row over the same class: the best wall time, class
 members decided per second, the bundles it priced (oracle._evaluate calls:
 on the batched route one per distinct member row set per simulated block,
@@ -123,29 +120,12 @@ def sha256(result):
 
 
 def scan(model, x0, regime, risk, kind):
-    """(result, representatives, bundles built) of one exhaustive
-    minimize_risk over the strategy class `kind`."""
-    bundles = 0
-    modules = [m for m in (rk.strategy, rk.optimize, rk.engine)
-               if hasattr(m, "_bundle")]
-    builds = [m._bundle for m in modules]
-    build = rk.strategy._bundle
-
-    def counting(*args, **kwargs):
-        nonlocal bundles
-        bundles += 1
-        return build(*args, **kwargs)
-
-    for m in modules:
-        m._bundle = counting
-    try:
-        result = rk.minimize_risk(model, x0, 0, regime, risk, kind,
-                                  method="exhaustive")
-    finally:
-        for m, original in zip(modules, builds):
-            m._bundle = original
+    """(result, representatives) of one exhaustive minimize_risk over the
+    strategy class `kind`."""
+    result = rk.minimize_risk(model, x0, 0, regime, risk, kind,
+                              method="exhaustive")
     layout = rk.strategy.rank_layout(model, x0, kind, 0)
-    return result, layout.size, bundles
+    return result, layout.size
 
 
 def oracle_sha256(value, strategy, examined):
@@ -196,7 +176,7 @@ def main():
 
     out_cases, oracle_rows = [], []
     for name, model, x0, regime, risk, kind in cases():
-        result, scanned, bundles = scan(model, x0, regime, risk, kind)
+        result, scanned = scan(model, x0, regime, risk, kind)
         best = float("inf")
         for _ in range(args.repeat):
             t0 = time.perf_counter()
@@ -206,17 +186,17 @@ def main():
         class_size = rk.count_strategies(model, kind, 0)
         case = {"name": name, "x0": x0, "class": kind,
                 "class_size": class_size,
-                "scanned": scanned, "bundles": bundles,
+                "scanned": scanned,
                 "examined": result.examined, "best_s": best,
                 "class_per_s": class_size / best,
                 "scanned_per_s": scanned / best, "sha256": sha256(result)}
         print(f"{name:26s} x0={x0} {kind:7s} class {class_size:6d}  scanned "
-              f"{scanned:5d}  bundles {bundles:5d}  {best:8.4f} s  "
+              f"{scanned:5d}  {best:8.4f} s  "
               f"{case['sha256'][:12]}", flush=True)
         out_cases.append(case)
         row = oracle_row(name, model, x0, regime, risk, kind, args.repeat)
         print(f"{'  oracle_min_risk':26s}              class {class_size:6d}  "
-              f"{'':14s}  priced  {row['priced']:5d}  {row['best_s']:8.4f} s  "
+              f"priced {row['priced']:5d}  {row['best_s']:8.4f} s  "
               f"{row['sha256'][:12]}", flush=True)
         oracle_rows.append(row)
 

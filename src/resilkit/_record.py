@@ -15,6 +15,8 @@ built as closures, with no `exec` or `compile`:
   raises TypeError on a missing, extra or duplicate argument, sets each
   field with `object.__setattr__` in field order and runs `__post_init__`
   last (also under `dataclasses.replace`);
+- a field annotated `frozenset` is stored as `frozenset(value)`, before
+  `__post_init__`, so a class needs no `__post_init__` to freeze a set;
 - `__repr__` is the dataclass text, `Qualname(field=value!r, ...)`;
 - assigning or deleting an attribute raises
   `dataclasses.FrozenInstanceError` with the dataclass messages;
@@ -26,9 +28,10 @@ A method the class body defines itself is kept, as a dataclass keeps it.
 Fields take plain defaults; the options of `dataclasses.field` are not
 read.
 
-One difference remains: `__dataclass_params__` describes the registration,
-so its `init`, `repr`, `eq` and `frozen` read False. Registering with
-`frozen=True` would compile two methods per class again.
+Two differences remain: a dataclass stores a frozenset field as given,
+and `__dataclass_params__` describes the registration, so its `init`,
+`repr`, `eq` and `frozen` read False. Registering with `frozen=True`
+would compile two methods per class again.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def _install(cls, eq):
         f.name: f.default for f in fields if f.default is not dataclasses.MISSING
     }
     methods = [
-        _init(cls, names, defaults),
+        _init(cls, fields, names, defaults),
         _repr(names),
         *_frozen(cls, names),
     ]
@@ -71,7 +74,7 @@ def _install(cls, eq):
     return cls
 
 
-def _init(cls, names, defaults):
+def _init(cls, fields, names, defaults):
     n = len(names)
     post_init = hasattr(cls, "__post_init__")
     where = f"{cls.__qualname__}.__init__()"
@@ -82,6 +85,17 @@ def _init(cls, names, defaults):
         _consume(map(_setattr, repeat(self, n), names, args))
         if post_init:
             self.__post_init__()
+
+    # the fields annotated frozenset (as a string under postponed annotations)
+    sets = [f.type in ("frozenset", frozenset) for f in fields]
+    if not any(sets):
+        return __init__
+    store = __init__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bind(where, names, defaults, args, kwargs)
+        store(self, *[frozenset(a) if s else a for s, a in zip(sets, args)])
 
     return __init__
 

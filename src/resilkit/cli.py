@@ -18,7 +18,7 @@ Commands and their other flags (the command table at the end):
 
 Results go to --out as canonical JSON plus CSV tables; stdout gets a one
 line summary. Exit status: 0 success; 1 the run completed but the queried
-object is not resilient; 2 bad input.
+object is not resilient; 2 bad input, or results that cannot be written.
 """
 
 from __future__ import annotations
@@ -553,6 +553,19 @@ def main(argv=None) -> int:
     except ResilkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # --out or stdout cannot be written
+        _cannot_write(exc)
+        return 2
+
+
+def _cannot_write(exc):
+    """Report results that cannot be written, on stderr as far as it can
+    be."""
+    try:
+        print(f"error: cannot write results: {exc}", file=sys.stderr)
+        sys.stderr.flush()
+    except OSError:
+        pass
 
 
 def run(argv=None):
@@ -561,14 +574,17 @@ def run(argv=None):
     Every --out file is closed when main returns, so once stdout and stderr
     are flushed nothing is left to write; os._exit skips the teardown's
     garbage collection and module clean-up, and with them atexit handlers.
-    A flush that fails, and any exception from main (argparse's SystemExit
-    among them), take the normal exit."""
+    A flush that fails loses results: it is reported (once: a code of 2
+    has its report on stderr already) and the status is 2. Any exception
+    from main (argparse's SystemExit among them) takes the normal exit."""
     code = main(argv)
     try:
         sys.stdout.flush()
         sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    except OSError as exc:
+        if code != 2:
+            _cannot_write(exc)
+        code = 2
     os._exit(code)
 
 

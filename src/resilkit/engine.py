@@ -113,7 +113,9 @@ class ValueTable:
     witness: np.ndarray
 
     def resilient_set(self, t, beta):
+        """States whose value at t is at least beta, in [0, 1]."""
         t = _check_index(t, "time", len(self.value), _OUT_OF_SPAN)
+        beta = _check_real(beta, "beta", "[0, 1]")
         return frozenset(np.flatnonzero(self.value[t] >= beta).tolist())
 
 

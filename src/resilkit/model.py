@@ -57,7 +57,8 @@ def _as_coords(space, what):
             coords = [math.nan]
         if not all(map(math.isfinite, coords)):
             coords = range(len(labels))
-    arr = _check_table(coords, f"{what} coordinates", kind="real", finite=True)
+    arr = _check_table(coords, f"{what} coordinates", kind="real",
+                       finite=True, frozen=True)
     if arr.ndim not in (1, 2):
         raise InputError(
             f"{what} coordinates must be 1-d or 2-d, got {arr.ndim}-d"
@@ -68,7 +69,6 @@ def _as_coords(space, what):
         raise InputError(
             f"{len(labels)} labels but {arr.shape[0]} coordinate rows"
         )
-    arr.setflags(write=False)
     return arr
 
 
@@ -273,19 +273,18 @@ class SystemModel:
             self.dynamics, "dynamics table", (K, n, nu, nw_max), first=0,
             stop=n + 1, where=np.arange(nw_max) < sizes[:, None, None, None],
             outside="dynamics image out of range at "
-                    "(t={at[0]}, x={at[1]}, u={at[2]}, w={at[3]})")
-        dyn.setflags(write=False)
+                    "(t={at[0]}, x={at[1]}, u={at[2]}, w={at[3]})",
+            frozen=True)
         object.__setattr__(self, "dynamics", dyn)
 
         con = _check_table(self.constraints, "constraint table", (K, n, nu),
-                           "bool", 0, 2)
+                           "bool", 0, 2, frozen=True)
         empty = np.argwhere(~con.any(axis=2))
         if len(empty):
             t, x = empty[0]
             raise InputError(
                 f"no admissible control at (t={t}, x={self.states.label(x)})"
             )
-        con.setflags(write=False)
         object.__setattr__(self, "constraints", con)
 
         if self.robust_scenarios is not None:
@@ -406,6 +405,8 @@ def make_model(
                     except InputError:
                         _check_index(u, f"constraints_fn{(t, x)} control", nu)
                     con[t, x, u] = True
+    dyn.setflags(write=False)  # handed over: the record keeps it uncopied
+    con.setflags(write=False)
     return SystemModel(
         time, states, controls, unc, dyn, con, robust_scenarios, scenario_probs
     )
@@ -461,14 +462,19 @@ _TABLE_KINDS = {"index": ("iu", "an integer", np.int32),
 def _check_table(values, what, shape=None, kind="index", first=-2**31,
                  stop=2**31, where=True,
                  outside="{what} entry {value!r} outside {first}..{last}",
-                 finite=False):
+                 finite=False, frozen=False):
     """The package's one table rule: `values`, an array or nested sequence
     of `shape` (if given) and of a dtype `kind` takes (_TABLE_KINDS; else
     the first foreign value is named, a numpy bool by its repr), as an array
     of its stored dtype, copied only to convert. Integer values lie in
     first..stop-1 (int32's range) where `where` holds, else `outside`,
     formatted with what, value, first, last and `at` (the first bad cell),
-    is raised; real values are finite if asked. Constant numpy calls."""
+    is raised; real values are finite if asked. Constant numpy calls.
+    A `frozen` table, one a record keeps, comes back read-only and never
+    as memory the caller can still write: a writable array of the stored
+    dtype, or any view, is copied first, so the caller's array stays
+    writable and its own. A read-only array that owns its memory (a
+    record's own table, or one the package's builders froze) is kept."""
     try:
         arr = np.asarray(values)
     except ValueError:  # rows of unequal length
@@ -491,7 +497,12 @@ def _check_table(values, what, shape=None, kind="index", first=-2**31,
     if finite and not np.isfinite(arr).all():
         value = arr[~np.isfinite(arr)][0].item()
         raise InputError(f"{what} entry {value!r} is not finite")
-    return arr.astype(stored, copy=False)
+    arr = arr.astype(stored, copy=False)
+    if frozen:
+        if not arr.flags.owndata or arr is values and arr.flags.writeable:
+            arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 # out-of-range texts: "{what} {value} out of range", with the span for a

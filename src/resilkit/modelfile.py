@@ -424,6 +424,8 @@ def parse_model(text: str) -> ParsedModel:
                                w_idx)
     constraints = _parse_constraints(sections.get("constraints", []),
                                      state_idx, control_idx, horizon)
+    dynamics.setflags(write=False)  # handed over: the record keeps them
+    constraints.setflags(write=False)  # uncopied
     # the joint's sum is the one rule left to the record
     model = _cited(
         joint_line, SystemModel,

@@ -50,7 +50,7 @@ import math
 import numpy as np
 
 from .engine import ResilientSet, _scan_scenarios
-from .errors import CapacityError, InputError
+from .errors import CapacityError
 from .model import (
     SystemModel, _check_index, _check_real, _check_x0, _Scenarios,
     packed_tables, successor_planes,
@@ -223,32 +223,30 @@ def _batch_member(model, regime, scenarios, start):
         used[[int(u) for u in regime.controls]] = True
         return lambda states, controls: used[controls].any(axis=2).all(axis=1)
 
-    if isinstance(regime, (StochasticViability, ProbExcursion)):
-        if isinstance(regime, StochasticViability):
-            good = _good_table(model, regime.acceptable)
+    # StochasticViability or ProbExcursion
+    if isinstance(regime, StochasticViability):
+        good = _good_table(model, regime.acceptable)
 
-            def counted(states, controls):  # the viable rows
-                return _viable_mask(model, good, states, controls)
-        else:
-            outside = ~_state_mask(model, regime.region)
+        def counted(states, controls):  # the viable rows
+            return _viable_mask(model, good, states, controls)
+    else:
+        outside = ~_state_mask(model, regime.region)
 
-            def counted(states, controls):  # the rows that ever leave
-                return outside[states].any(axis=2)
-        weights = scenarios.weights
-        beta = _check_real(regime.beta, "beta")
-        at_least = isinstance(regime, StochasticViability)
+        def counted(states, controls):  # the rows that ever leave
+            return outside[states].any(axis=2)
+    weights = scenarios.weights
+    beta = _check_real(regime.beta, "beta")
+    at_least = isinstance(regime, StochasticViability)
 
-        def member(states, controls):
-            rows = counted(states, controls)
-            # p += w one scenario at a time, from 0.0 in the scenarios'
-            # order: the float sum of the bundle loop, bit for bit
-            p = np.zeros(len(rows))
-            for m, w in enumerate(weights):
-                np.add(p, w, out=p, where=rows[:, m])
-            return p >= beta if at_least else p <= beta
-        return member
-
-    raise InputError(f"regime {regime!r} has no batched membership")
+    def member(states, controls):
+        rows = counted(states, controls)
+        # p += w one scenario at a time, from 0.0 in the scenarios'
+        # order: the float sum of the bundle loop, bit for bit
+        p = np.zeros(len(rows))
+        for m, w in enumerate(weights):
+            np.add(p, w, out=p, where=rows[:, m])
+        return p >= beta if at_least else p <= beta
+    return member
 
 
 def _batched(regime, strategy_class, force_object=False):

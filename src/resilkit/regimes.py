@@ -36,9 +36,6 @@ class Viability:
 
     acceptable: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class RobustRecovery:
@@ -49,9 +46,6 @@ class RobustRecovery:
     acceptable: frozenset
     deadline: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class StochasticViability:
@@ -60,18 +54,12 @@ class StochasticViability:
     acceptable: frozenset
     beta: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class Bounded:
     """States never leave `region`, for every scenario. States only."""
 
     region: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "region", frozenset(self.region))
 
 
 @record
@@ -80,9 +68,6 @@ class ProbExcursion:
 
     region: frozenset
     beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "region", frozenset(self.region))
 
 
 @record
@@ -93,9 +78,6 @@ class AtMostKExits:
 
     region: frozenset
     max_exits: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "region", frozenset(self.region))
 
 
 @record
@@ -113,9 +95,6 @@ class ControlEvent:
     """Some control from `controls` is eventually used, for every scenario."""
 
     controls: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "controls", frozenset(self.controls))
 
 
 @record
@@ -143,8 +122,15 @@ def _check_state_set(model, states, what):
     return states
 
 
+REGIME_KINDS = (Viability, RobustRecovery, StochasticViability, Bounded,
+                ProbExcursion, AtMostKExits, Stabilize, ControlEvent,
+                RiskContainment)
+
+
 def validate_regime(model: SystemModel, regime) -> None:
-    """Check the regime's parameters against the model."""
+    """Check the regime's kind, then its parameters against the model."""
+    if not isinstance(regime, REGIME_KINDS):
+        raise InputError(f"unknown regime {regime!r}")
     if isinstance(regime, (Viability, StochasticViability, RobustRecovery)):
         _check_state_set(model, regime.acceptable, "acceptable set")
     if isinstance(regime, (Bounded, ProbExcursion, AtMostKExits)):
@@ -319,13 +305,10 @@ def _membership(model, regime, bundle, scenarios):
             any(u in regime.controls for u in tr.controls) for tr in bundle
         )
 
-    if isinstance(regime, RiskContainment):
-        from .risk import _evaluate
+    from .risk import _evaluate  # RiskContainment
 
-        value = _evaluate(model, regime.measure, bundle, scenarios)
-        return value <= _check_real(regime.level, "level")
-
-    raise InputError(f"unknown regime {regime!r}")
+    value = _evaluate(model, regime.measure, bundle, scenarios)
+    return value <= _check_real(regime.level, "level")
 
 
 # ------------------------------------------------- state sets on path arrays

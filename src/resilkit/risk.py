@@ -62,9 +62,6 @@ class TimeOutside:
     acceptable: frozenset
     cemetery_penalty: float = CEMETERY_PENALTY
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class ControlEffort:
@@ -86,9 +83,6 @@ class TerminalMiss:
     acceptable: frozenset
     cemetery_penalty: float = CEMETERY_PENALTY
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record(eq=False)
 class TabularCost:
@@ -102,8 +96,8 @@ class TabularCost:
     def __post_init__(self):
         for name in ("state_costs", "control_costs"):
             what = name.replace("_costs", " cost table")
-            arr = _check_table(getattr(self, name), what, kind="real")
-            arr.setflags(write=False)
+            arr = _check_table(getattr(self, name), what, kind="real",
+                               frozen=True)
             object.__setattr__(self, name, arr)
 
     def __eq__(self, other):
@@ -124,9 +118,6 @@ class RecoveryOffset:
     acceptable: frozenset
     cemetery_penalty: float = CEMETERY_PENALTY
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class WorstCaseViolation:
@@ -135,9 +126,6 @@ class WorstCaseViolation:
 
     acceptable: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
-
 
 @record
 class Exceedance:
@@ -145,9 +133,6 @@ class Exceedance:
     inadmissible."""
 
     acceptable: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
 @record
@@ -159,7 +144,6 @@ class AmbiguityExceedance:
     beliefs: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
         beliefs = tuple(tuple(map(tuple, belief)) for belief in self.beliefs)
         object.__setattr__(self, "beliefs", beliefs)
 
@@ -171,9 +155,6 @@ class ExitCountFunctional:
 
     acceptable: frozenset
     outer: object
-
-    def __post_init__(self):
-        object.__setattr__(self, "acceptable", frozenset(self.acceptable))
 
 
 @record
@@ -233,9 +214,7 @@ def validate_risk(model: SystemModel, spec) -> None:
     rule of model.UncertaintyStructure's vectors."""
     if not isinstance(spec, RISK_KINDS):
         raise InputError(f"unknown risk measure {spec!r}")
-    if isinstance(
-        spec, (WorstCaseViolation, Exceedance, AmbiguityExceedance, ExitCountFunctional)
-    ):
+    if not isinstance(spec, Composed):  # the kinds with an acceptable set
         _check_state_set(model, spec.acceptable, "acceptable set")
     if isinstance(spec, AmbiguityExceedance):
         if not spec.beliefs:
@@ -307,7 +286,7 @@ def _costs(model, cost, trajectories):
                 base = 0.0  # the cemetery is charged through the penalty
             else:
                 base = 0.0 if x in cost.acceptable else 1.0
-        elif isinstance(cost, TabularCost):
+        else:  # TabularCost
             base = 0.0
             for i, x in enumerate(path):
                 if x == dead:
@@ -315,8 +294,6 @@ def _costs(model, cost, trajectories):
                 base += float(cost.state_costs[start + i, x])
                 if i < steps:
                     base += float(cost.control_costs[start + i, controls[i]])
-        else:
-            raise InputError(f"unknown cost function {cost!r}")
         dead_times = path.count(dead)
         # 0.0, not penalty * 0: an infinite penalty would make it NaN
         penalty = cost.cemetery_penalty * dead_times if dead_times else 0.0
@@ -395,10 +372,8 @@ def _apply_outer(outer, bundle, scenarios, values):
         return acc
     if isinstance(outer, WorstCase):
         return max(values[i] for i in _robust_positions(bundle, scenarios))
-    if isinstance(outer, CVaR):
-        _check_full_domain(bundle)
-        return _cvar(values, scenarios.weights, outer.level)
-    raise InputError(f"unknown outer functional {outer!r}")
+    _check_full_domain(bundle)  # CVaR
+    return _cvar(values, scenarios.weights, outer.level)
 
 
 def _exceeds(model, trajectory, acceptable):
@@ -453,11 +428,8 @@ def _evaluate(model, spec, bundle, scenarios):
         ]
         return _apply_outer(spec.outer, bundle, scenarios, counts)
 
-    if isinstance(spec, Composed):
-        costs = _costs(model, spec.cost, bundle.trajectories)
-        return _apply_outer(spec.outer, bundle, scenarios, costs)
-
-    raise InputError(f"unknown risk measure {spec!r}")
+    costs = _costs(model, spec.cost, bundle.trajectories)  # Composed
+    return _apply_outer(spec.outer, bundle, scenarios, costs)
 
 
 # ------------------------------------------------ risk on path arrays
@@ -482,7 +454,7 @@ def _path_costs(model, cost, states, controls, start):
         suffix = np.logical_and.accumulate(good[:, :, ::-1], axis=2)
         length = suffix.sum(axis=2)
         base = np.where(length > 0, (L + 1 - length).astype(float), math.inf)
-    elif isinstance(cost, _ADDITIVE_COSTS):
+    else:  # the _ADDITIVE_COSTS
         state, control = _cost_tables(model, cost)
         base = np.zeros(states.shape[:2])
         for l in range(L + 1):
@@ -492,8 +464,6 @@ def _path_costs(model, cost, states, controls, start):
                 base = base + np.where(
                     alive[:, :, l], row[controls[:, :, l]], 0.0
                 )
-    else:
-        raise InputError(f"unknown cost function {cost!r}")
     dead_times = (~alive).sum(axis=2)
     penalty = float(cost.cemetery_penalty) * dead_times
     return base + np.where(dead_times > 0, penalty, 0.0)
@@ -539,9 +509,7 @@ def _outer_paths(outer, values, scenarios):
     weights = np.asarray(scenarios.weights, dtype=np.float64)
     if isinstance(outer, Expectation):
         return _running_sum(np.where(weights != 0.0, weights * values, 0.0))
-    if isinstance(outer, CVaR):
-        return _cvar_rows(values, weights, outer.level)
-    raise InputError(f"unknown outer functional {outer!r}")
+    return _cvar_rows(values, weights, outer.level)  # CVaR
 
 
 def _evaluate_paths(model, spec, states, controls, scenarios, start):
@@ -558,10 +526,6 @@ def _evaluate_paths(model, spec, states, controls, scenarios, start):
         if isinstance(spec, Composed):
             costs = _path_costs(model, spec.cost, states, controls, start)
             return _outer_paths(spec.outer, costs, scenarios)
-        if not isinstance(
-            spec, (ExitCountFunctional, Exceedance, AmbiguityExceedance)
-        ):
-            raise InputError(f"unknown risk measure {spec!r}")
         good = _good_paths(model, spec.acceptable, states, controls, start)
         if isinstance(spec, ExitCountFunctional):
             counts = (~good).sum(axis=2).astype(np.float64)

@@ -65,12 +65,12 @@ class Policy:
         if self.kind not in (MARKOV, ADAPTED):
             raise InputError(f"unknown policy kind {self.kind!r}")
         want = 1 if self.kind == MARKOV else 2
-        arr = _check_table(self.table, f"{self.kind} policy table").copy()
+        arr = _check_table(self.table, f"{self.kind} policy table",
+                           frozen=True)
         if arr.ndim != want:
             raise InputError(
                 f"{self.kind} policy table must be {want}-d, got {arr.ndim}-d"
             )
-        arr.setflags(write=False)
         object.__setattr__(self, "table", arr)
 
 
@@ -321,31 +321,31 @@ def _check_run(model, strategy, x0, start):
     return _check_x0(model, x0), _check_start(model, start)
 
 
-def _step_lists(model):
-    """Lists next[t][x][u * |W_t| + w] of the model.successor_planes,
-    built by the first bundle on a model and kept on it."""
+def _step_list(model, t):
+    """Lists next[x][u * |W_t| + w] of model.successor_planes[t], built by
+    the first bundle that reads time t and kept on the model."""
     cached = getattr(model, "_step_lists", None)
     if cached is None:
-        cached = [
-            plane.transpose(1, 2, 0).reshape(len(plane[0]), -1).tolist()
-            for plane in successor_planes(model)
-        ]
+        cached = [None] * model.horizon
         object.__setattr__(model, "_step_lists", cached)
-    return cached
+    if cached[t] is None:
+        plane = successor_planes(model)[t].transpose(1, 2, 0)
+        cached[t] = plane.reshape(len(plane), -1).tolist()
+    return cached[t]
 
 
 def _bundle(model, strategy, x0, start, scenarios):
     """build_bundle without checks: a valid strategy run from a valid x0 at
     a valid start, over a _Scenarios of valid scenarios."""
     base = strategy.start
-    steps = _step_lists(model)
     plan = []  # (next-state lists, policy rows, adapted, |W_t|) per time
     for t, pol in enumerate(strategy.policies[start - base :], start):
         rows = pol.table.tolist()
         adapted = pol.kind == ADAPTED
         # the cemetery plays control 0
         rows.append([0] * pol.table.shape[1] if adapted else 0)
-        plan.append((steps[t], rows, adapted, model.uncertainty.size(t)))
+        plan.append((_step_list(model, t), rows, adapted,
+                     model.uncertainty.size(t)))
     trajectories = []
     for scen in scenarios.scenarios:
         # rank of the prefix (w_base..w_{t-1}) the time-t policy observes

@@ -7,6 +7,7 @@ import argparse
 import importlib
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -410,8 +411,12 @@ def test_argparse_exits_keep_the_normal_exit():
     assert proc.stdout.startswith("usage: resilkit kernel ")
 
 
-def test_failed_flush_takes_the_normal_exit(monkeypatch):
-    # os._exit only after stdout and stderr flushed; else sys.exit(code)
+def test_failed_flush_takes_the_normal_exit(monkeypatch, capsys):
+    # a flush that fails after main returned has lost results: it is
+    # reported once on stderr and the entry still ends by os._exit, with
+    # status 2 whether main's code was 1 (x0=0) or 0 (x0=2). A stdout
+    # whose writes fail too makes main report and return 2 itself; the
+    # failed flush after it is not reported again
     class Full:
         def write(self, text):
             return len(text)
@@ -419,14 +424,68 @@ def test_failed_flush_takes_the_normal_exit(monkeypatch):
         def flush(self):
             raise OSError(28, "No space left on device")
 
-    def no_fast_exit(code):
-        raise AssertionError("os._exit after a failed flush")
+    class Fuller(Full):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(sys, "stdout", Full())
-    monkeypatch.setattr(cli.os, "_exit", no_fast_exit)
-    with pytest.raises(SystemExit) as exit_:
-        cli.run(["kernel", "--model", model("m1.model"), "--x0", "0"])
-    assert exit_.value.code == 1
+    def fast_exit(code):
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli.os, "_exit", fast_exit)
+    for stdout, x0 in (Full, "0"), (Full, "2"), (Fuller, "2"):
+        monkeypatch.setattr(sys, "stdout", stdout())
+        with pytest.raises(SystemExit) as exit_:
+            cli.run(["kernel", "--model", model("m1.model"), "--x0", x0])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot write results: [Errno 28] No space left on device\n")
+
+
+def test_out_naming_a_regular_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    proc = run_cli("kernel", "--model", model("m1.model"), "--x0", "2",
+                   "--out", str(taken))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: cannot write results: [Errno 17] File exists: '{taken}'\n")
+    assert taken.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("x0", ["0", "2"])
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("sink, error", [
+    ("closed pipe", "[Errno 32] Broken pipe"),
+    ("/dev/full", "[Errno 28] No space left on device"),
+])
+def test_unwritable_stdout_is_reported(sink, error, buffered, x0):
+    # the summary cannot be written: a pipe whose reader has exited
+    # (EPIPE) or a full device (ENOSPC). The failure is reported on stderr,
+    # with no traceback and no "Exception ignored" line from interpreter
+    # teardown, and the status is 2 whatever the command's own (1 at x0=0,
+    # 0 at x0=2). Unbuffered, the summary's print fails inside main;
+    # block-buffered, only the entry's last flush fails
+    argv = ["kernel", "--model", model("m1.model"), "--x0", x0]
+    if sink == "closed pipe":
+        read, fd = os.pipe()
+        os.close(read)
+    elif os.path.exists(sink):
+        fd = os.open(sink, os.O_WRONLY)
+    else:
+        pytest.skip(f"no {sink}")
+    try:
+        if buffered:
+            proc = buffered_run(argv, stdout=fd, stderr=subprocess.PIPE)
+        else:
+            proc = subprocess.run(
+                [sys.executable, "-m", "resilkit", *argv], stdout=fd,
+                stderr=subprocess.PIPE, text=True,
+                env=cli_env(PYTHONUNBUFFERED="1"))
+    finally:
+        os.close(fd)
+    assert proc.stderr == f"error: cannot write results: {error}\n"
+    assert proc.returncode == 2
 
 
 OPTIONS = {  # each subcommand's option strings, in --help order

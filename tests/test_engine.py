@@ -149,6 +149,28 @@ def test_value_without_the_push_control():
     assert table.resilient_set(0, 0.2) == {3}
 
 
+@pytest.mark.parametrize("beta, message", [
+    ("0.5", "beta '0.5' is not a number"),
+    (None, "beta None is not a number"),
+    (np.True_, "beta np.True_ is not a number"),
+    (math.nan, "beta nan outside [0, 1]"),
+    (2.0, "beta 2.0 outside [0, 1]"),
+    (-1, "beta -1 outside [0, 1]"),
+])
+def test_value_resilient_set_reads_beta_by_the_number_rule(m1, beta,
+                                                           message):
+    table = rk.stochastic_viability_value(m1, A)
+    with pytest.raises(rk.InputError, match="^" + re.escape(message) + "$"):
+        table.resilient_set(0, beta)
+
+
+def test_value_resilient_set_takes_every_number_kind(m1):
+    table = rk.stochastic_viability_value(m1, A)
+    for beta in (0, 1, True, 0.5, np.float32(1.0), np.int64(0)):
+        assert table.resilient_set(0, beta) == (
+            {0, 1, 2, 3} if beta == 0 else {2, 3})
+
+
 def test_value_requires_per_time_probabilities():
     model = build_m1(probs=None)
     with pytest.raises(rk.ConfigurationError, match="probability vectors"):

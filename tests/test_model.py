@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import resilkit as rk
 from resilkit.model import packed_tables, successor_planes
+from resilkit.modelfile import parse_model
 
 from conftest import build_m1, padded_twin, random_model
 
@@ -535,6 +537,17 @@ def _keep_bundle(m):
     return rk.build_bundle(m, rk.constant_strategy(m, 1), 2)
 
 
+def _handed(make, *tables):
+    """make(*tables) for writable arrays of the caller's in their stored
+    dtypes: each stays writable, and zeroing it afterwards leaves what
+    make returned as the twin (a call on fresh copies) makes it."""
+    made = make(*tables)
+    for table in tables:
+        assert table.flags.writeable
+        table[...] = 0
+    return made
+
+
 _NO_PICKS = np.full((3, 4), -1)
 _COSTS = (np.arange(16).reshape(4, 4), np.ones((3, 2), dtype=int))
 _INF_COSTS = ([[math.nan] * 4] * 4, [[math.inf, 0.0]] * 3)
@@ -581,6 +594,12 @@ TABLE_ROWS = [
      "adapted policy table entry np.True_ is not an integer"),
     ("Policy lists", lambda m: rk.Policy(1, rk.ADAPTED, [[1, 0]] * 4),
      lambda m: rk.Policy(1, rk.ADAPTED, np.array([[1, 0]] * 4, np.int32))),
+    ("Policy own array", lambda m: _handed(
+        lambda a: rk.Policy(0, rk.MARKOV, a), np.ones(4, np.int32)),
+     lambda m: rk.Policy(0, rk.MARKOV, np.ones(4, np.int32))),
+    ("markov_strategy own array", lambda m: _handed(
+        lambda a: rk.markov_strategy(m, a), _KEEP.astype(np.int32)),
+     lambda m: rk.markov_strategy(m, _KEEP.astype(np.int32))),
     ("fill_policy float", lambda m: rk.fill_policy(m, np.full((3, 4), 1.5), 0),
      "picks table entry 1.5 is not an integer"),
     ("fill_policy nan", lambda m: rk.fill_policy(
@@ -612,6 +631,9 @@ TABLE_ROWS = [
         m, dynamics=m.dynamics.astype(np.uint8)), lambda m: m),
     ("dynamics lists", lambda m: dataclasses.replace(
         m, dynamics=m.dynamics.tolist()), lambda m: m),
+    ("dynamics own array", lambda m: _handed(
+        lambda d: dataclasses.replace(m, dynamics=d), m.dynamics.copy()),
+     lambda m: m),
     ("constraints float", lambda m: dataclasses.replace(
         m, constraints=_put(m.constraints, float, (0, 0, 0), 0.5)),
      "constraint table entry 0.5 is not a bool"),
@@ -627,6 +649,12 @@ TABLE_ROWS = [
          m, constraints=_put(m.constraints, bool, (2, 3, 1), False))),
     ("constraints lists", lambda m: dataclasses.replace(
         m, constraints=m.constraints.astype(int).tolist()), lambda m: m),
+    ("constraints own array", lambda m: _handed(
+        lambda c: dataclasses.replace(m, constraints=c), m.constraints.copy()),
+     lambda m: m),
+    ("dynamics and constraints own arrays", lambda m: _handed(
+        lambda d, c: dataclasses.replace(m, dynamics=d, constraints=c),
+        m.dynamics.copy(), m.constraints.copy()), lambda m: m),
     ("TabularCost strings", lambda m: rk.TabularCost(
         [["1"] * 4] * 4, [["1"] * 2] * 3),
      "state cost table entry '1' is not a number"),
@@ -637,6 +665,9 @@ TABLE_ROWS = [
         rk.TabularCost(np.zeros((4, 4)), np.zeros((2, 2))), rk.Expectation())),
      "control cost table has shape (2, 2), expected (3, 2)"),
     ("TabularCost int", lambda m: rk.TabularCost(*_COSTS),
+     lambda m: rk.TabularCost(*(c.astype(float) for c in _COSTS))),
+    ("TabularCost own arrays", lambda m: _handed(
+        rk.TabularCost, *(c.astype(float) for c in _COSTS)),
      lambda m: rk.TabularCost(*(c.astype(float) for c in _COSTS))),
     ("TabularCost nan inf", lambda m: rk.evaluate_risk(m, rk.Composed(
         rk.TabularCost(*_INF_COSTS), rk.Expectation()), _keep_bundle(m)),
@@ -652,6 +683,12 @@ TABLE_ROWS = [
      "control coordinates entry inf is not finite"),
     ("coordinates int", lambda m: rk.StateSpace(("a", "b"), [[0, 1], [2, 3]]),
      lambda m: rk.StateSpace(("a", "b"), np.arange(4.0).reshape(2, 2))),
+    ("coordinates own array", lambda m: _handed(
+        lambda c: rk.StateSpace(("a", "b"), c), np.arange(1.0, 5.0).reshape(2, 2)),
+     lambda m: rk.StateSpace(("a", "b"), np.arange(1.0, 5.0).reshape(2, 2))),
+    ("coordinates own 1-d array", lambda m: _handed(
+        lambda c: rk.ControlSpace(("a", "b"), c), np.array([1.0, 2.0])),
+     lambda m: rk.ControlSpace(("a", "b"), [1.0, 2.0])),
     ("coordinates 0-d", lambda m: rk.StateSpace(("a",), 5.0),
      "state coordinates must be 1-d or 2-d, got 0-d"),
     ("coordinates 3-d", lambda m: rk.StateSpace(("a", "b"), np.zeros((2, 1, 1))),
@@ -691,10 +728,28 @@ def test_every_table_follows_the_table_rule(m1, row):
     """One table rule (model._check_table) for every table argument: a
     table of a foreign dtype, or a value out of its range, raises
     InputError; an integer or float table of another width, or nested
-    lists, reads as the stored dtype does."""
+    lists, reads as the stored dtype does; a kept table of the stored
+    dtype is a copy, which leaves the caller's array writable and its own
+    (_handed)."""
     _, call, want = row
     if isinstance(want, str):
         with pytest.raises(rk.InputError, match="^" + re.escape(want) + "$"):
             call(m1)
     else:
         assert repr(call(m1)) == repr(want(m1))
+
+
+def test_read_only_tables_are_kept_uncopied(m1):
+    # make_model and parse_model hand over tables they froze, and a model
+    # rebuilt by dataclasses.replace keeps its own: none is copied again
+    text = (Path(__file__).parent.parent / "models" / "m1.model").read_text()
+    for m in m1, parse_model(text).model:
+        assert not m.dynamics.flags.writeable
+        assert not m.constraints.flags.writeable
+        again = dataclasses.replace(m)
+        assert again.dynamics is m.dynamics
+        assert again.constraints is m.constraints
+    # a read-only view is copied: its base may still be written
+    view = m1.dynamics.copy().view()
+    view.setflags(write=False)
+    assert dataclasses.replace(m1, dynamics=view).dynamics is not view

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import resilkit as rk
+from resilkit._record import record
 
 from conftest import M1_ACCEPTABLE, cli_env
 
@@ -186,6 +187,74 @@ def test_replace_reruns_post_init():
     )
     with pytest.raises(rk.InputError, match="horizon must be >= 1"):
         dataclasses.replace(rk.TimeGrid(3), horizon=0)
+
+
+@record
+class Tagged:
+    # declared here, without `from __future__ import annotations`, so the
+    # annotation is the frozenset type itself, not the string "frozenset"
+    tags: frozenset
+    weight: float = 1.0
+
+
+# every regime and risk kind with a frozenset field, made from a set
+# (`make(s)`), and the field's name
+SET_SPECS = [
+    (rk.Viability, "acceptable"),
+    (lambda s: rk.RobustRecovery(s, 2), "acceptable"),
+    (lambda s: rk.StochasticViability(s, 0.5), "acceptable"),
+    (rk.Bounded, "region"),
+    (lambda s: rk.ProbExcursion(s, 0.25), "region"),
+    (lambda s: rk.AtMostKExits(s, 1), "region"),
+    (rk.ControlEvent, "controls"),
+    (rk.TimeOutside, "acceptable"),
+    (lambda s: rk.TerminalMiss(s, cemetery_penalty=5.0), "acceptable"),
+    (rk.RecoveryOffset, "acceptable"),
+    (rk.WorstCaseViolation, "acceptable"),
+    (rk.Exceedance, "acceptable"),
+    (lambda s: rk.AmbiguityExceedance(s, [[[0.5, 0.5]]]), "acceptable"),
+    (lambda s: rk.ExitCountFunctional(s, rk.CVaR(0.25)), "acceptable"),
+]
+
+
+@pytest.mark.parametrize("given", [[1, 2, 2], {1, 2}, frozenset({1, 2})],
+                         ids=["list", "set", "frozenset"])
+def test_record_freezes_its_set_fields(given):
+    made = [
+        Tagged(given),
+        Tagged(given, 2.0),
+        Tagged(tags=given),
+        Tagged(weight=2.0, tags=given),
+        dataclasses.replace(Tagged(()), tags=given),
+        dataclasses.replace(Tagged(given), weight=3.0),
+    ]
+    for x in made:
+        assert type(x.tags) is frozenset and x.tags == frozenset({1, 2})
+    for make, field in SET_SPECS:
+        for x in (make(given), dataclasses.replace(make(()), **{
+                field: given})):
+            assert type(getattr(x, field)) is frozenset
+            assert getattr(x, field) == frozenset({1, 2})
+
+
+@pytest.mark.parametrize("make, field", SET_SPECS)
+def test_set_fields_keep_repr_equality_and_hash(make, field):
+    # a spec made from a list is the spec made from a frozenset: the same
+    # repr, equal, and hashed by its field tuple as a frozen dataclass is
+    listed, frozen = make([1, 0, 1]), make(frozenset({0, 1}))
+    assert repr(listed) == repr(frozen)
+    assert "frozenset({0, 1})" in repr(listed)
+    assert listed == frozen and hash(listed) == hash(frozen)
+    values = tuple(getattr(listed, f.name) for f in dataclasses.fields(listed))
+    assert hash(listed) == hash(values)
+    assert listed != dataclasses.replace(frozen, **{field: {1}})
+
+
+def test_set_field_needs_an_iterable():
+    with pytest.raises(TypeError, match="'int' object is not iterable"):
+        rk.Viability(5)
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        rk.Bounded([[0]])
 
 
 def test_replace_then_validation_rejects_a_bad_beta(m1):

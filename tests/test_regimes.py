@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from functools import partial
@@ -453,3 +454,40 @@ def test_path_membership_matches_bundle_membership():
                 seen["tie"] += beta in betas[3::3]
     assert min(seen.values()) >= 5, seen
 
+
+
+_EXCEEDANCE = rk.Exceedance(A)
+
+# every route that takes a regime, called with `regime` on m1
+REGIME_ROUTES = {
+    "validate_regime": lambda m, r: rk.validate_regime(m, r),
+    "resilient_states": lambda m, r: rk.resilient_states(m, 0, r),
+    "check_resilient": lambda m, r: rk.check_resilient(
+        m, rk.constant_strategy(m, 0), 2, 0, r),
+    "minimize_risk": lambda m, r: rk.minimize_risk(m, 2, 0, r, _EXCEEDANCE),
+    "regime_membership": lambda m, r: rk.regime_membership(
+        m, r, rk.build_bundle(m, rk.constant_strategy(m, 0), 2)),
+    "oracle_resilient_states": lambda m, r: rk.oracle_resilient_states(
+        m, 0, r),
+    "oracle_min_risk": lambda m, r: rk.oracle_min_risk(
+        m, 2, 0, r, _EXCEEDANCE),
+}
+
+
+@pytest.mark.parametrize("route", REGIME_ROUTES)
+@pytest.mark.parametrize("regime", [object(), "x", None],
+                         ids=["object", "str", "None"])
+def test_every_route_rejects_a_non_regime_at_entry(m1, route, regime):
+    # one kind check (validate_regime) before any field is read
+    want = "^" + re.escape(f"unknown regime {regime!r}") + "$"
+    with pytest.raises(rk.InputError, match=want):
+        REGIME_ROUTES[route](m1, regime)
+
+
+def test_regime_kinds_are_every_regime_record():
+    records = {
+        cls for cls in vars(rk.regimes).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == rk.regimes.__name__
+    }
+    assert len(records) == 9 and set(rk.regimes.REGIME_KINDS) == records

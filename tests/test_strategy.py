@@ -182,6 +182,21 @@ def test_closed_loop_start_time(m1):
         rk.simulate_closed_loop(m1, tail, 2, (0, 0, 0), start=0)
 
 
+def test_closed_loop_builds_the_step_lists_it_reads(m1):
+    # a bundle from `start` builds the list table of each time start..K-1
+    # on first use, and no other
+    s = keep_high(m1)
+    assert rk.simulate_closed_loop(m1, s, 2, (0, 0, 1), start=2).states == (
+        2, 2)
+    built = [t for t, step in enumerate(m1._step_lists) if step is not None]
+    assert built == [2]
+    rk.build_bundle(m1, s, 2, start=1)
+    assert [t for t, step in enumerate(m1._step_lists)
+            if step is not None] == [1, 2]
+    assert [(t.states, t.controls) for t in rk.build_bundle(m1, s, 2)] == [
+        (t.states, t.controls) for t in rk.build_bundle(build_m1(), s, 2)]
+
+
 def test_bundle_matches_enumeration_order(m1):
     s = keep_high(m1)
     bundle = rk.build_bundle(m1, s, 2)
